@@ -55,7 +55,7 @@ from .errors import (
     VersionMismatch,
 )
 from .ivf import IvfConfig, IvfIndex
-from .plaid import PlaidConfig, PlaidIndex, StorageReport
+from .plaid import PlaidConfig, PlaidIndex, StorageReport, code_lists
 
 BUNDLE_MAGIC = "#LATEBENCH-BUNDLE"
 INDEX_MAGIC = "#LATEBENCH-INDEX"
@@ -262,11 +262,6 @@ def save_ivf_index(index: IvfIndex, meta: Iterable[str] = ()) -> bytes:
     return writer.finish(payload)
 
 
-def read_index_meta(data: bytes) -> list[str]:
-    header = _Header(data, INDEX_MAGIC)
-    return [" ".join(fields) for fields in header.many("meta")]
-
-
 def read_index_backend(data: bytes) -> str:
     return _Header(data, INDEX_MAGIC).one("backend")[0]
 
@@ -357,14 +352,11 @@ def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
     row_offsets = np.concatenate([[0], np.cumsum(row_counts)]).astype(np.int64)
     arrays = _unpack_arrays(header)
     codes = arrays["codes"].astype(np.int32)
-    inverted_sets: list[np.ndarray] = []
-    token_docs = np.repeat(np.arange(len(doc_ids), dtype=np.int32), row_counts)
-    for c in range(config.num_centroids):
-        inverted_sets.append(np.unique(token_docs[codes == c]).astype(np.int32))
-    unique_codes = tuple(
-        np.unique(codes[row_offsets[d]:row_offsets[d + 1]]).astype(np.int32)
-        for d in range(len(doc_ids))
-    )
+    if codes.shape != (int(row_offsets[-1]),):
+        raise MalformedLine(0, f"{codes.shape} codes stored for {int(row_offsets[-1])} doc rows")
+    if codes.size and not 0 <= int(codes.min()) <= int(codes.max()) < config.num_centroids:
+        raise MalformedLine(0, f"codes outside [0, {config.num_centroids})")
+    inverted, unique_codes = code_lists(codes, row_offsets, config.num_centroids)
     storage = None
     if config.residual_bits > 0:
         storage = StorageReport.for_layout(
@@ -376,7 +368,7 @@ def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
         codes=codes,
         row_offsets=row_offsets,
         doc_ids=tuple(doc_ids),
-        inverted=tuple(inverted_sets),
+        inverted=inverted,
         unique_codes=unique_codes,
         residual_levels=arrays.get("residual_levels"),
         residual_scales=arrays.get("residual_scales"),

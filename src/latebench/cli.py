@@ -7,7 +7,8 @@ resolved parameter, so no run ever depends on an invisible default; the
 header alone suffices to reproduce the file. Outputs are written atomically
 (temp file + rename) and inputs are never mutated.
 
-Parallelism is capped by the LATEBENCH_THREADS environment variable.
+Every command runs single-threaded. The LATEBENCH_THREADS environment variable
+is accepted and has no effect.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from .trec import parse_qrels, parse_run, write_qrels, write_run
 
 logger = logging.getLogger(__name__)
 
-COMMAND_PREFIXES = ("# command: ", "meta command: ")
-
 
 def _atomic_write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -71,20 +70,15 @@ def _header_entries(args: argparse.Namespace) -> list[str]:
     return [f"command: {shlex.join(args.command_line)}", *_resolved_params(args)]
 
 
-def _text_header(args: argparse.Namespace) -> list[str]:
-    return _header_entries(args)
-
-
 def command_from_header(path: Path) -> list[str]:
     """Recover the argv that produced an output file from its header."""
     data = Path(path).read_bytes()
     for raw in data.split(b"\n", 500)[:500]:
         line = raw.decode("utf-8", errors="ignore").lstrip("# ")
-        for prefix in ("command: ",):
-            if line.startswith("meta " + prefix):
-                return shlex.split(line[len("meta " + prefix):])
-            if line.startswith(prefix):
-                return shlex.split(line[len(prefix):])
+        if line.startswith("meta "):
+            line = line[len("meta "):]
+        if line.startswith("command: "):
+            return shlex.split(line[len("command: "):])
     raise LatebenchError(f"no command header found in {path}")
 
 
@@ -206,7 +200,7 @@ def cmd_search(args) -> int:
     queries = _load_queries(args.queries)
     search = _make_searcher(args)
     run = diagnostics.run_queries(search, queries, args.k, tag=args.tag)
-    text = write_run(run, header=_text_header(args))
+    text = write_run(run, header=_header_entries(args))
     _atomic_write(Path(args.out), text.encode())
     return 0
 
@@ -217,14 +211,14 @@ def cmd_evaluate(args) -> int:
     specs = tuple(MetricSpec.parse(m) for m in args.metric) if args.metric else DEFAULT_SPECS
     reports = evaluate_run(run, qrels, specs, strict=args.strict)
     rows = report_rows(reports)
-    header = "".join(f"# {line}\n" for line in _text_header(args))
+    header = "".join(f"# {line}\n" for line in _header_entries(args))
     _atomic_write(Path(args.out), (header + format_table(rows)).encode())
     sys.stdout.write(format_aligned(rows))
     return 0
 
 
 def cmd_diagnose(args) -> int:
-    header = "".join(f"# {line}\n" for line in _text_header(args))
+    header = "".join(f"# {line}\n" for line in _header_entries(args))
     if args.mode == "coverage":
         if not args.index:
             raise LatebenchError("coverage mode requires --index")

@@ -10,8 +10,6 @@ ties are always broken by ascending doc id.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -29,15 +27,6 @@ NORM_TOLERANCE = 1e-4
 
 # Storage-only precision for bundles; in memory everything is float32.
 DTYPE_BYTES = {"float32": 4, "float16": 2}
-
-
-def thread_count() -> int:
-    """Worker cap from LATEBENCH_THREADS; defaults to single-threaded."""
-    raw = os.environ.get("LATEBENCH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 class TokenMatrix:
@@ -189,9 +178,6 @@ class Corpus:
                 exc.args = (f"doc {doc_id!r}: {exc}",)
                 raise
 
-    def matrix(self, doc_id: str) -> TokenMatrix:
-        return self.docs[doc_id]
-
     def __len__(self) -> int:
         return len(self.doc_ids)
 
@@ -238,30 +224,16 @@ def maxsim_score(query: TokenMatrix, doc: TokenMatrix) -> float:
 
 
 def score_all(corpus: Corpus, query: TokenMatrix) -> list[tuple[str, float]]:
-    """maxsim_score against every document, in corpus order.
+    """maxsim_score against every document, in corpus order, single-threaded.
 
-    Honors LATEBENCH_THREADS: documents are scored independently and merged
-    by position, so the result never depends on scheduling.
+    LATEBENCH_THREADS is accepted and ignored: a thread pool over documents
+    measured slower than this serial loop.
     """
     if len(corpus) == 0:
         raise EmptyCorpus("cannot search an empty corpus")
     if query.dim != corpus.manifest.dim:
         raise DimensionMismatch(f"query dim {query.dim} != corpus dim {corpus.manifest.dim}")
-    ids = corpus.doc_ids
-    workers = thread_count()
-    if workers == 1 or len(ids) < 2 * workers:
-        return [(doc_id, maxsim_score(query, corpus.docs[doc_id])) for doc_id in ids]
-    scores: list[float] = [0.0] * len(ids)
-
-    def run(span: range) -> None:
-        for i in span:
-            scores[i] = maxsim_score(query, corpus.docs[ids[i]])
-
-    chunk = -(-len(ids) // workers)
-    spans = [range(start, min(start + chunk, len(ids))) for start in range(0, len(ids), chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, spans))
-    return list(zip(ids, scores))
+    return [(doc_id, maxsim_score(query, corpus.docs[doc_id])) for doc_id in corpus.doc_ids]
 
 
 def exact_search(corpus: Corpus, query: TokenMatrix, k: int, query_id: str = "") -> RankedList:

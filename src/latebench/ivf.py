@@ -14,7 +14,7 @@ properties asserted in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from . import kmeans
 from .core import Corpus, RankedList, TokenMatrix, all_token_vectors, maxsim_score
 from .errors import DimensionMismatch, TooFewVectors
 
-DESK_SCALE = dict(nlist=64, nprobe=8)
 PRODUCTION_SCALE = dict(nlist=4096, nprobe=128)
 
 
@@ -163,12 +162,3 @@ def ivf_search(
         doc_id = index.corpus.doc_ids[ordinal]
         scored.append((doc_id, maxsim_score(query, index.corpus.docs[doc_id])))
     return RankedList.from_scores(query_id, scored, k)
-
-
-def with_overrides(config: IvfConfig, nprobe=None, per_token_candidates=None) -> IvfConfig:
-    changes = {}
-    if nprobe is not None:
-        changes["nprobe"] = nprobe
-    if per_token_candidates is not None:
-        changes["per_token_candidates"] = per_token_candidates
-    return replace(config, **changes) if changes else config

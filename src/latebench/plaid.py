@@ -9,12 +9,22 @@ Retrieval runs as a funnel:
            candidate document set;
   stage 3  candidates get an approximate score: MaxSim with every document
            vector replaced by its assigned centroid; only the top ndocs
-           survive;
+           survive, ties broken by ascending doc id;
   stage 4  survivors are rescored exactly, from true vectors or, when
            residual compression is on, from decoded vectors.
 
 ndocs smaller than k is an error, never a silent clamp. A search-time ncells
 larger than the centroid count means "probe everything" and is clamped.
+
+Stages 1-3 work on whole arrays. The (query rows x centroids) dot matrix is
+computed once per search. Each document's sorted unique centroid ids are
+stored as one CSR (`Csr`: a flat int32 array plus int64 offsets), so stage 3
+is one gather of dot columns for all candidates, one `np.maximum.reduceat`
+over the candidates' segments, and one float64 row sum. Its scores are bit
+for bit those of the per-doc expression
+`np.sum(dots[:, unique_codes[o]].max(axis=1), dtype=np.float64)`: the gather
+and the max are exact, and summing a contiguous float64 row runs numpy's
+pairwise summation in the same order as the 1-d sum does.
 """
 
 from __future__ import annotations
@@ -35,7 +45,6 @@ from .errors import (
     UnsupportedBits,
 )
 
-DESK_SCALE_CENTROIDS = 256
 PRODUCTION_SCALE_CENTROIDS = 32768
 
 
@@ -118,6 +127,60 @@ class StorageReport:
 
 
 @dataclass(frozen=True)
+class Csr:
+    """Variable-length int32 rows held as one flat array plus int64 offsets.
+
+    Row i is flat[offsets[i]:offsets[i + 1]], returned as a view.
+    """
+
+    flat: np.ndarray  # (nnz,) int32
+    offsets: np.ndarray  # (rows + 1,) int64
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, row: int) -> np.ndarray:
+        row = range(len(self))[row]
+        return self.flat[self.offsets[row]:self.offsets[row + 1]]
+
+    def __iter__(self):
+        return (self[row] for row in range(len(self)))
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The given rows concatenated, and where each one starts in the result."""
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        out_starts = np.cumsum(lengths) - lengths
+        positions = np.repeat(starts - out_starts, lengths) + np.arange(int(lengths.sum()))
+        return self.flat[positions], out_starts
+
+
+def _csr_from_sorted(keys: np.ndarray, values: np.ndarray, rows: int) -> Csr:
+    """Group values by their (ascending) keys into `rows` CSR rows."""
+    offsets = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=rows), out=offsets[1:])
+    return Csr(values.astype(np.int32), offsets)
+
+
+def code_lists(codes: np.ndarray, row_offsets: np.ndarray, num_centroids: int) -> tuple[Csr, Csr]:
+    """Inverted lists and per-doc unique codes, from the per-token codes.
+
+    Returns (inverted, unique_codes): inverted[c] holds the ordinals of the
+    documents with a token on centroid c, ascending; unique_codes[d] holds
+    document d's distinct centroid ids, ascending. Both come from one
+    np.unique over the (doc, code) pairs. Codes must lie in [0, num_centroids).
+    """
+    doc_count = len(row_offsets) - 1
+    token_docs = np.repeat(np.arange(doc_count, dtype=np.int64), np.diff(row_offsets))
+    pair_docs, pair_codes = np.divmod(np.unique(token_docs * num_centroids + codes), num_centroids)
+    unique_codes = _csr_from_sorted(pair_docs, pair_codes, doc_count)
+    # Pairs are sorted by doc, so a stable sort by code keeps each list's docs ascending.
+    by_code = np.argsort(pair_codes, kind="stable")
+    inverted = _csr_from_sorted(pair_codes[by_code], pair_docs[by_code], num_centroids)
+    return inverted, unique_codes
+
+
+@dataclass(frozen=True)
 class PlaidConfig:
     num_centroids: int = 256
     ncells: int = 4
@@ -151,8 +214,8 @@ class PlaidIndex:
     codes: np.ndarray  # (total_vectors,) int32, centroid per flat token
     row_offsets: np.ndarray  # (doc_count + 1,) int64, doc boundaries
     doc_ids: tuple[str, ...]
-    inverted: tuple[np.ndarray, ...]  # per centroid, doc ordinals ascending
-    unique_codes: tuple[np.ndarray, ...]  # per doc, sorted unique centroid ids
+    inverted: Csr  # per centroid, doc ordinals ascending
+    unique_codes: Csr  # per doc, sorted unique centroid ids
     residual_levels: np.ndarray | None  # (total_vectors, dim) uint8
     residual_scales: np.ndarray | None  # (total_vectors,) float32
     corpus: Corpus | None
@@ -213,7 +276,7 @@ def build_plaid(
     Passing precomputed centroids skips training; that is how two corpora can
     be compared under one centroid space.
     """
-    vectors, token_docs, _ = all_token_vectors(corpus)
+    vectors, _, _ = all_token_vectors(corpus)
     if centroids is None:
         if vectors.shape[0] < config.num_centroids:
             raise TooFewVectors(
@@ -227,14 +290,7 @@ def build_plaid(
         raise ValueError("supplied centroids disagree with config.num_centroids")
     codes = kmeans.assign(vectors, centroids)
     offsets = doc_row_offsets(corpus)
-    inverted = tuple(
-        np.unique(token_docs[codes == c]).astype(np.int32)
-        for c in range(config.num_centroids)
-    )
-    unique_codes = tuple(
-        np.unique(codes[offsets[d]:offsets[d + 1]]).astype(np.int32)
-        for d in range(len(corpus))
-    )
+    inverted, unique_codes = code_lists(codes, offsets, config.num_centroids)
     levels = scales = None
     storage = None
     if config.residual_bits > 0:
@@ -275,6 +331,27 @@ def _centroid_dots(index: PlaidIndex, query: TokenMatrix) -> np.ndarray:
     return query.data @ index.centroids.T
 
 
+def _probe(
+    index: PlaidIndex, dots: np.ndarray, ncells: int | None, threshold: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stages 1 and 2 on the centroid dots.
+
+    Returns (candidate doc ordinals ascending, per-row survivor mask over the
+    row's top-ncells centroids).
+    """
+    ncells = index.config.ncells if ncells is None else ncells
+    threshold = (
+        index.config.centroid_score_threshold if threshold is None else threshold
+    )
+    ncells = min(max(1, ncells), index.config.num_centroids)
+    # A stable sort of -dots orders ties by ascending centroid id.
+    top = np.argsort(-dots, axis=1, kind="stable")[:, :ncells]
+    keep = np.take_along_axis(dots, top, axis=1) >= threshold
+    members = np.zeros(index.doc_count, dtype=bool)
+    members[index.inverted.gather(np.unique(top[keep]))[0]] = True
+    return np.flatnonzero(members), keep
+
+
 def plaid_candidates(
     index: PlaidIndex,
     query: TokenMatrix,
@@ -282,37 +359,34 @@ def plaid_candidates(
     threshold: float | None = None,
 ) -> CandidateTrace:
     """Stages 1 and 2: probe, prune by threshold, union inverted lists."""
-    ncells = index.config.ncells if ncells is None else ncells
-    threshold = (
-        index.config.centroid_score_threshold if threshold is None else threshold
-    )
-    ncells = min(max(1, ncells), index.config.num_centroids)
-    dots = _centroid_dots(index, query)
-    surviving: set[int] = set()
-    probed_counts = []
-    survivor_counts = []
-    ids = np.arange(index.config.num_centroids)
-    for row_dots in dots:
-        order = np.lexsort((ids, -row_dots))[:ncells]
-        keep = order[row_dots[order] >= threshold]
-        probed_counts.append(len(order))
-        survivor_counts.append(len(keep))
-        surviving.update(keep.tolist())
-    candidates: set[int] = set()
-    for centroid in surviving:
-        candidates.update(index.inverted[centroid].tolist())
+    candidates, keep = _probe(index, _centroid_dots(index, query), ncells, threshold)
     return CandidateTrace(
-        candidates=tuple(sorted(candidates)),
-        probed_per_row=tuple(probed_counts),
-        surviving_per_row=tuple(survivor_counts),
+        candidates=tuple(candidates.tolist()),
+        probed_per_row=(keep.shape[1],) * keep.shape[0],
+        surviving_per_row=tuple(keep.sum(axis=1).tolist()),
     )
+
+
+def approx_scores(index: PlaidIndex, dots: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
+    """Stage 3 for many docs: float64 centroid-MaxSim per ordinal.
+
+    One gather of dot columns, one segmented max, one float64 sum along the
+    contiguous axis; see the module docstring for why this is bit-identical
+    to summing each doc on its own. Every ordinal must have a code:
+    reduceat gives an empty segment the next segment's first value.
+    """
+    columns, starts = index.unique_codes.gather(ordinals)
+    best = np.maximum.reduceat(dots[:, columns], starts, axis=1)
+    return np.ascontiguousarray(best.T, dtype=np.float64).sum(axis=1)
 
 
 def approx_doc_score(index: PlaidIndex, query: TokenMatrix, ordinal: int) -> float:
     """Stage-3 kernel: MaxSim with doc vectors replaced by their centroids."""
     index._check_ordinal(ordinal)
     dots = _centroid_dots(index, query)
-    return float(np.sum(dots[:, index.unique_codes[ordinal]].max(axis=1), dtype=np.float64))
+    if not len(index.unique_codes[ordinal]):
+        raise ValueError(f"doc ordinal {ordinal} has no token vectors to score")
+    return float(approx_scores(index, dots, np.array([ordinal]))[0])
 
 
 def plaid_search(
@@ -329,17 +403,15 @@ def plaid_search(
     ndocs = index.config.ndocs if ndocs is None else ndocs
     if ndocs < k:
         raise NDocsTooSmall(f"ndocs={ndocs} is smaller than k={k}")
-    trace = plaid_candidates(index, query, ncells, threshold)
-    if not trace.candidates:
-        return RankedList(query_id=query_id, hits=())
     dots = _centroid_dots(index, query)
-    approx = []
-    for ordinal in trace.candidates:
-        score = float(np.sum(dots[:, index.unique_codes[ordinal]].max(axis=1), dtype=np.float64))
-        approx.append((index.doc_ids[ordinal], score, ordinal))
-    approx.sort(key=lambda item: (-item[1], item[0]))
-    survivors = approx[:ndocs]
+    candidates, _ = _probe(index, dots, ncells, threshold)
+    if not len(candidates):
+        return RankedList(query_id=query_id, hits=())
+    approx = approx_scores(index, dots, candidates)
+    # Descending approximate score, ties by ascending doc id (Python str order).
+    ids = np.array(index.doc_ids, dtype=object)[candidates]
+    survivors = candidates[np.lexsort((ids, -approx))[:ndocs]]
     rescored = []
-    for doc_id, _, ordinal in survivors:
-        rescored.append((doc_id, maxsim_score(query, index.doc_matrix(ordinal))))
+    for ordinal in survivors.tolist():
+        rescored.append((index.doc_ids[ordinal], maxsim_score(query, index.doc_matrix(ordinal))))
     return RankedList.from_scores(query_id, rescored, k)

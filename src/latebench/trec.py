@@ -113,6 +113,7 @@ def write_qrels(qrels: Qrels, header: Iterable[str] = ()) -> str:
 
 def parse_run(text: str) -> RunFile:
     entries: dict[str, list[tuple[int, str, float]]] = {}
+    listed: dict[str, set[str]] = {}
     tag = "unknown"
     seen_any = False
     for line_no, cols in _content_lines(text):
@@ -129,10 +130,11 @@ def parse_run(text: str) -> RunFile:
         if not seen_any:
             tag = line_tag
             seen_any = True
-        per_query = entries.setdefault(qid, [])
-        if any(existing_doc == doc_id for _, existing_doc, _ in per_query):
+        docs = listed.setdefault(qid, set())
+        if doc_id in docs:
             raise MalformedLine(line_no, f"doc {doc_id!r} listed twice for query {qid!r}")
-        per_query.append((rank, doc_id, score))
+        docs.add(doc_id)
+        entries.setdefault(qid, []).append((rank, doc_id, score))
     rankings = {}
     for qid, rows in entries.items():
         rows.sort(key=lambda item: item[0])

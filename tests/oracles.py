@@ -83,3 +83,45 @@ def compressed_size_bytes(total_vectors, dim, bits):
     """Arithmetic size of the residual layout: centroid id + codes + scale."""
     per_vector = 4 + math.ceil(dim * bits / 8) + 4
     return total_vectors * per_vector
+
+
+def per_doc_centroid_scores(dots, codes, row_offsets):
+    """Stage-3 score of every doc, one doc at a time.
+
+    dots is the (query rows, centroids) float32 matrix; each doc's score is
+    the float64 sum over query rows of the best dot among its distinct codes.
+    """
+    scores = []
+    for d in range(len(row_offsets) - 1):
+        own = sorted(set(codes[row_offsets[d]:row_offsets[d + 1]].tolist()))
+        scores.append(float(np.sum(dots[:, own].max(axis=1), dtype=np.float64)))
+    return scores
+
+
+def reference_plaid_funnel(query, centroids, codes, row_offsets, doc_ids, doc_vectors,
+                           ncells, threshold, ndocs, k):
+    """PLAID stages 1-4 by explicit loops; returns [(doc_id, score)] best first.
+
+    doc_vectors[d] is the matrix stage 4 rescores doc d from. Ties break by
+    ascending centroid id when probing and by ascending doc id afterwards.
+    """
+    dots = query @ centroids.T
+    count = centroids.shape[0]
+    ncells = min(max(1, ncells), count)
+    cutoff = float(np.float32(threshold))
+    surviving = set()
+    for row in dots:
+        probed = sorted(range(count), key=lambda c: (-float(row[c]), c))[:ncells]
+        surviving.update(c for c in probed if float(row[c]) >= cutoff)
+    approx = per_doc_centroid_scores(dots, codes, row_offsets)
+    candidates = [
+        d for d in range(len(doc_ids))
+        if surviving & set(codes[row_offsets[d]:row_offsets[d + 1]].tolist())
+    ]
+    candidates.sort(key=lambda d: (-approx[d], doc_ids[d]))
+    rescored = []
+    for d in candidates[:ndocs]:
+        sims = query @ doc_vectors[d].T
+        rescored.append((doc_ids[d], float(np.sum(sims.max(axis=1), dtype=np.float64))))
+    rescored.sort(key=lambda item: (-item[1], item[0]))
+    return rescored[:k]

@@ -18,6 +18,7 @@ from latebench.bundle import (
 from latebench.errors import (
     BadMagic,
     CorpusMismatch,
+    MalformedLine,
     OffsetOverlap,
     TruncatedPayload,
     VersionMismatch,
@@ -188,3 +189,12 @@ def test_float16_manifest_survives_digest():
             },
         )
     )
+
+
+def test_plaid_index_rejects_codes_that_disagree_with_header(planted_small):
+    corpus, _, _ = planted_small
+    index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=2))
+    for codes in (index.codes[:-1], index.codes + 32, index.codes - 1):
+        data = save_plaid_index(dataclasses.replace(index, codes=codes))
+        with pytest.raises(MalformedLine):
+            load_plaid_index(data, corpus)

@@ -4,6 +4,7 @@ import pytest
 from latebench import (
     Corpus,
     PlaidConfig,
+    SyntheticSpec,
     TokenMatrix,
     approx_doc_score,
     build_plaid,
@@ -11,15 +12,23 @@ from latebench import (
     decode_residual,
     encode_residual,
     exact_search,
+    generate_synthetic,
     maxsim_score,
     plaid_candidates,
     plaid_search,
 )
+from latebench.bundle import load_plaid_index, save_plaid_index
 from latebench.errors import NDocsTooSmall, UnknownDoc, UnsupportedBits
-from latebench.plaid import StorageReport, dequantize_residual, quantize_residual
+from latebench.plaid import StorageReport, approx_scores, dequantize_residual, quantize_residual
 
-from conftest import basis_matrix
-from oracles import argmax_assignment, compressed_size_bytes, quantize_roundtrip
+from conftest import basis_matrix, random_unit_matrix
+from oracles import (
+    argmax_assignment,
+    compressed_size_bytes,
+    per_doc_centroid_scores,
+    quantize_roundtrip,
+    reference_plaid_funnel,
+)
 
 
 def _basis_corpus(dim=8, copies=3):
@@ -292,3 +301,131 @@ def test_config_invariants():
         PlaidConfig(num_centroids=4, ncells=5)
     with pytest.raises(ValueError):
         PlaidConfig(centroid_score_threshold=1.5)
+
+
+@pytest.fixture(scope="module")
+def planted_by_filler():
+    corpora = {}
+    for filler in (0.3, 0.0):
+        spec = SyntheticSpec(
+            doc_count=120, tokens_per_doc=(6, 16), dim=64, num_concepts=18, queries=6,
+            signal_tokens=6, filler_fraction=filler, margin=0.05, seed=23,
+        )
+        corpora[filler] = generate_synthetic(spec)
+    return corpora
+
+
+def _tied_corpus():
+    """Twelve doc shapes, three copies each, with ids out of ordinal order.
+
+    Copies share their centroids and vectors, so their stage-3 and exact
+    scores tie and only the doc-id tie-break orders them.
+    """
+    rng = np.random.default_rng(31)
+    names = [f"t{i:02d}" for i in rng.permutation(36)]
+    docs = {}
+    for i, name in enumerate(names):
+        rows = np.zeros((2, 8), dtype=np.float32)
+        rows[0, i % 4] = 1.0
+        rows[1, 4 + i % 3] = 1.0
+        docs[name] = TokenMatrix(rows)
+    return Corpus.build(docs)
+
+
+def test_stage3_scores_bit_equal_per_doc_sum(planted_by_filler):
+    # numpy sums up to 8 values in a plain loop and more in unrolled blocks;
+    # the query lengths probe both.
+    rng = np.random.default_rng(5)
+    for filler, (corpus, queries, _) in planted_by_filler.items():
+        index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, seed=4))
+        probes = list(queries.values()) + [
+            random_unit_matrix(rng, rows, 64) for rows in (1, 7, 8, 9, 17, 130, 300)
+        ]
+        for query in probes:
+            dots = query.data @ index.centroids.T
+            got = approx_scores(index, dots, np.arange(index.doc_count))
+            want = per_doc_centroid_scores(dots, index.codes, index.row_offsets)
+            assert got.tolist() == want, (filler, query.rows)
+            assert [approx_doc_score(index, query, o) for o in range(0, index.doc_count, 11)] \
+                == want[::11]
+
+
+def _funnel_cases(planted_by_filler):
+    for filler, (corpus, queries, _) in planted_by_filler.items():
+        yield f"filler {filler}", corpus, list(queries.values())[:3], 32
+    rng = np.random.default_rng(8)
+    queries = [TokenMatrix(np.vstack([basis_matrix([j], dim=8).data,
+                                      random_unit_matrix(rng, 4, 8).data])) for j in range(4)]
+    yield "tied ids", _tied_corpus(), queries, 8
+
+
+def test_plaid_search_matches_reference_funnel(planted_by_filler):
+    k = 5
+    for name, corpus, queries, centroids in _funnel_cases(planted_by_filler):
+        fresh = build_plaid(corpus, PlaidConfig(num_centroids=centroids, ncells=2, seed=6))
+        packed = build_plaid(
+            corpus, PlaidConfig(num_centroids=centroids, ncells=2, residual_bits=2, seed=6)
+        )
+        loaded = load_plaid_index(save_plaid_index(packed))
+        for index in (fresh, loaded):
+            vectors = [index.doc_matrix(o).data for o in range(index.doc_count)]
+            for query in queries:
+                for ncells in (1, 4, 64):
+                    for threshold in (0.3, 0.5):
+                        for ndocs in (k, 7, index.doc_count):
+                            got = plaid_search(index, query, k, ncells=ncells,
+                                               threshold=threshold, ndocs=ndocs)
+                            want = reference_plaid_funnel(
+                                query.data, index.centroids, index.codes, index.row_offsets,
+                                index.doc_ids, vectors, ncells, threshold, ndocs, k,
+                            )
+                            assert [tuple(hit) for hit in got.hits] == want, (
+                                name, index.config.residual_bits, ncells, threshold, ndocs)
+
+
+def test_tied_corpus_cuts_inside_a_tie_group():
+    # Guards the funnel test above against passing without a real tie-break:
+    # for some doc shape, the first two copies by ordinal are not the first
+    # two by doc id, and ndocs=2 must keep the latter.
+    corpus = _tied_corpus()
+    index = build_plaid(corpus, PlaidConfig(num_centroids=8, ncells=2, seed=6))
+    differs = 0
+    for a in range(4):
+        for b in range(3):
+            query = basis_matrix([a, 4 + b], dim=8)
+            scores = approx_scores(index, query.data @ index.centroids.T,
+                                   np.arange(index.doc_count))
+            group = [index.doc_ids[o] for o in np.flatnonzero(scores == scores.max())]
+            assert len(group) == 3
+            cut = plaid_search(index, query, 2, ndocs=2)
+            assert list(cut.doc_ids()) == sorted(group)[:2]
+            differs += set(group[:2]) != set(sorted(group)[:2])
+    assert differs > 0
+
+
+def test_stage3_sum_order_on_wide_magnitudes():
+    # Planted dots are float32 values of similar size, whose float64 sums are
+    # exact in any order; spread magnitudes make the order visible.
+    rng = np.random.default_rng(17)
+    index = build_plaid(_tied_corpus(), PlaidConfig(num_centroids=8, ncells=2, seed=6))
+    for rows in (*range(1, 20), 127, 128, 129, 300):
+        magnitudes = 10.0 ** rng.uniform(-30, 0, size=(rows, 8))
+        dots = (magnitudes * rng.choice([-1.0, 1.0], size=(rows, 8))).astype(np.float32)
+        got = approx_scores(index, dots, np.arange(index.doc_count))
+        want = per_doc_centroid_scores(dots, index.codes, index.row_offsets)
+        assert got.tolist() == want, rows
+
+
+def test_build_and_load_give_identical_code_lists(planted_by_filler):
+    corpus, _, _ = planted_by_filler[0.3]
+    built = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, seed=6))
+    loaded = load_plaid_index(save_plaid_index(built), corpus)
+    for name in ("inverted", "unique_codes"):
+        a, b = getattr(built, name), getattr(loaded, name)
+        assert np.array_equal(a.flat, b.flat) and a.flat.dtype == b.flat.dtype == np.int32
+        assert np.array_equal(a.offsets, b.offsets)
+        assert [row.tolist() for row in a] == [row.tolist() for row in b]
+    assert len(built.inverted) == 32 and len(built.unique_codes) == built.doc_count
+    for ordinal in range(built.doc_count):
+        lo, hi = built.row_offsets[ordinal], built.row_offsets[ordinal + 1]
+        assert built.unique_codes[ordinal].tolist() == sorted(set(built.codes[lo:hi].tolist()))

@@ -50,8 +50,13 @@ def test_run_rejects_wrong_column_count_with_line_number():
 
 
 def test_run_rejects_duplicate_doc_per_query():
-    with pytest.raises(MalformedLine):
+    with pytest.raises(MalformedLine) as exc:
         parse_run("q1 Q0 dA 1 2.0 t\nq1 Q0 dA 2 1.0 t\n")
+    assert exc.value.line_no == 2
+    text = "# header\nq1 Q0 dA 1 2.0 t\nq2 Q0 dA 1 2.0 t\nq1 Q0 dB 2 1.0 t\nq1 Q0 dA 3 0.5 t\n"
+    with pytest.raises(MalformedLine) as exc:
+        parse_run(text)
+    assert exc.value.line_no == 5
 
 
 def test_run_roundtrip_ten_line_fixture():
