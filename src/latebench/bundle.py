@@ -40,12 +40,14 @@ bundles validate norms at a relaxed tolerance.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
 from typing import Iterable
 
 import numpy as np
 
-from .core import Corpus, CorpusManifest, TokenMatrix, all_token_vectors
+from .core import DTYPE_BYTES, Corpus, CorpusManifest
 from .errors import (
     BadMagic,
     CorpusMismatch,
@@ -109,17 +111,68 @@ class _Header:
                 raise MalformedLine(line_no, "blank header line")
             self.records.append((fields[0], fields[1:]))
 
-    def one(self, key: str) -> list[str]:
-        found = [fields for k, fields in self.records if k == key]
-        if len(found) != 1:
-            raise MalformedLine(0, f"expected exactly one {key!r} header line, got {len(found)}")
-        return found[0]
+    def value(self, key: str, kind: type = str):
+        """The one value of the one `key` line, parsed as `kind`."""
+        found = self.many(key)
+        if len(found) != 1 or len(found[0]) != 1:
+            raise MalformedLine(0, f"expected exactly one {key!r} header line with one value")
+        try:
+            return kind(found[0][0])
+        except ValueError:
+            raise MalformedLine(0, f"{key} {found[0][0]!r} is not a {kind.__name__}") from None
 
     def many(self, key: str) -> list[list[str]]:
         return [fields for k, fields in self.records if k == key]
 
+    def doc_lines(self, width: int) -> list[tuple]:
+        """(id, int, ...) per `doc` line of `width` fields; the ints must be >= 0."""
+        entries = []
+        for fields in self.many("doc"):
+            if len(fields) != width or not all(f.isdigit() for f in fields[1:]):
+                raise MalformedLine(
+                    0, f"doc line needs an id and {width - 1} integer(s) >= 0: {fields!r}"
+                )
+            entries.append((fields[0], *map(int, fields[1:])))
+        return entries
+
+    def config(self, cls):
+        """A config dataclass from one header line per field, typed like its default."""
+        fields = dataclasses.fields(cls)
+        try:
+            return cls(**{f.name: self.value(f.name, type(f.default)) for f in fields})
+        except ValueError as exc:
+            raise MalformedLine(0, f"invalid {cls.__name__}: {exc}") from None
+
+    def arrays(self, expected: dict[str, tuple[str, tuple]]) -> dict[str, np.ndarray]:
+        """Exactly the expected arrays, each checked against its (dtype, shape).
+
+        A None in an expected shape matches any length.
+        """
+        arrays = {}
+        for fields in self.many("array"):
+            try:
+                name, dtype_name, ndim = fields[0], fields[1], int(fields[2])
+                *shape, offset, nbytes = (int(f) for f in fields[3:])
+            except (IndexError, ValueError):
+                raise MalformedLine(0, f"short or non-integer array line {fields!r}") from None
+            dtype, want = expected.get(name, (None, ()))
+            if (dtype_name != dtype or name in arrays or not len(shape) == len(want) == ndim
+                    or any(s < 0 or w not in (None, s) for w, s in zip(want, shape))):
+                raise MalformedLine(0, f"array line {fields!r} is not a {dtype} of shape {want}")
+            item = np.dtype(_NUMPY_DTYPES[dtype])
+            if offset < 0 or nbytes != math.prod(shape) * item.itemsize:
+                raise MalformedLine(0, f"array {name!r} declares {nbytes} bytes at {offset}")
+            if offset + nbytes > len(self.payload):
+                raise TruncatedPayload(f"array {name!r} extends past the payload")
+            raw = np.frombuffer(self.payload, item, math.prod(shape), offset)
+            arrays[name] = raw.reshape(shape).copy()
+        missing = sorted(expected.keys() - arrays.keys())
+        if missing:
+            raise MalformedLine(0, f"missing array(s) {missing}")
+        return arrays
+
     def check_payload(self) -> None:
-        declared = int(self.one("payload")[0])
+        declared = self.value("payload", int)
         if len(self.payload) < declared:
             raise TruncatedPayload(
                 f"payload declares {declared} bytes but only {len(self.payload)} present"
@@ -140,16 +193,11 @@ def write_bundle(corpus: Corpus, meta: Iterable[str] = ()) -> bytes:
     writer.line("C", m.C)
     writer.line("doc_count", m.doc_count)
     writer.meta(meta)
-    item_bytes = 4 if m.dtype == "float32" else 2
-    offset = 0
-    chunks = []
-    for doc_id in corpus.doc_ids:
-        matrix = corpus.docs[doc_id]
-        writer.line("doc", doc_id, matrix.rows, offset)
-        raw = matrix.data.astype(_NUMPY_DTYPES[m.dtype]).tobytes()
-        chunks.append(raw)
-        offset += matrix.rows * m.dim * item_bytes
-    return writer.finish(b"".join(chunks))
+    row_bytes = m.dim * DTYPE_BYTES[m.dtype]
+    starts = corpus.offsets.tolist()
+    for doc_id, lo, hi in zip(corpus.doc_ids, starts[:-1], starts[1:]):
+        writer.line("doc", doc_id, hi - lo, lo * row_bytes)
+    return writer.finish(corpus.vectors.astype(_NUMPY_DTYPES[m.dtype], copy=False).tobytes())
 
 
 def read_bundle_meta(data: bytes) -> list[str]:
@@ -160,27 +208,17 @@ def read_bundle_meta(data: bytes) -> list[str]:
 def read_bundle(data: bytes) -> Corpus:
     header = _Header(data, BUNDLE_MAGIC)
     header.check_payload()
-    try:
-        dim = int(header.one("dim")[0])
-        C = int(header.one("C")[0])
-        doc_count = int(header.one("doc_count")[0])
-    except ValueError:
-        raise MalformedLine(0, "non-integer manifest field") from None
-    dtype = header.one("dtype")[0]
-    pooling = header.one("pooling")[0]
+    dim = header.value("dim", int)
+    C = header.value("C", int)
+    doc_count = header.value("doc_count", int)
+    dtype = header.value("dtype")
+    pooling = header.value("pooling")
     if dtype not in ("float32", "float16"):
         raise MalformedLine(0, f"unknown dtype {dtype!r}")
     if pooling not in ("none", "fixed"):
         raise MalformedLine(0, f"unknown pooling {pooling!r}")
-    item_bytes = 4 if dtype == "float32" else 2
-    entries = []
-    for fields in header.many("doc"):
-        if len(fields) != 3:
-            raise MalformedLine(0, f"doc line needs id, rows, offset: {fields!r}")
-        try:
-            entries.append((fields[0], int(fields[1]), int(fields[2])))
-        except ValueError:
-            raise MalformedLine(0, f"non-integer doc fields: {fields!r}") from None
+    item_bytes = DTYPE_BYTES[dtype]
+    entries = header.doc_lines(3)
     if len(entries) != doc_count:
         raise MalformedLine(0, f"doc_count={doc_count} but {len(entries)} doc lines")
     expected_total = sum(rows * dim * item_bytes for _, rows, _ in entries)
@@ -195,16 +233,20 @@ def read_bundle(data: bytes) -> Corpus:
         previous_end = offset + rows * dim * item_bytes
     if previous_end != len(header.payload):
         raise TruncatedPayload("doc extents do not cover the payload exactly")
-    docs = {}
-    for doc_id, rows, offset in entries:
-        nbytes = rows * dim * item_bytes
-        raw = np.frombuffer(header.payload[offset:offset + nbytes], dtype=_NUMPY_DTYPES[dtype])
-        docs[doc_id] = TokenMatrix(raw.astype(np.float32).reshape(rows, dim))
+    # The extents tile the payload in doc order, so it is the flat row array.
+    offsets = np.zeros(len(entries) + 1, dtype=np.int64)
+    np.cumsum([rows for _, rows, _ in entries], out=offsets[1:])
+    total = int(offsets[-1])
+    vectors = np.frombuffer(header.payload, dtype=_NUMPY_DTYPES[dtype]).astype(np.float32)
     manifest = CorpusManifest(
-        dim=dim, dtype=dtype, pooling=pooling, C=C,
-        doc_count=doc_count, total_vectors=sum(rows for _, rows, _ in entries),
+        dim=dim, dtype=dtype, pooling=pooling, C=C, doc_count=doc_count, total_vectors=total,
     )
-    corpus = Corpus(manifest=manifest, doc_ids=tuple(d for d, _, _ in entries), docs=docs)
+    corpus = Corpus(
+        manifest=manifest,
+        doc_ids=tuple(d for d, _, _ in entries),
+        vectors=vectors.reshape(total, dim),
+        offsets=offsets,
+    )
     tolerance = FLOAT16_NORM_TOLERANCE if dtype == "float16" else None
     if tolerance is None:
         corpus.validate()
@@ -231,28 +273,20 @@ def _pack_arrays(writer: _HeaderWriter, arrays: list[tuple[str, np.ndarray]]) ->
     return b"".join(chunks)
 
 
-def _unpack_arrays(header: _Header) -> dict[str, np.ndarray]:
-    arrays = {}
-    for fields in header.many("array"):
-        name, dtype_name, ndim = fields[0], fields[1], int(fields[2])
-        shape = tuple(int(s) for s in fields[3:3 + ndim])
-        offset, nbytes = int(fields[3 + ndim]), int(fields[4 + ndim])
-        raw = header.payload[offset:offset + nbytes]
-        if len(raw) != nbytes:
-            raise TruncatedPayload(f"array {name!r} extends past the payload")
-        arrays[name] = np.frombuffer(raw, dtype=_NUMPY_DTYPES[dtype_name]).reshape(shape).copy()
-    return arrays
+def _write_config(writer: _HeaderWriter, config) -> None:
+    for f in dataclasses.fields(config):
+        writer.line(f.name, getattr(config, f.name))
+
+
+def _check_range(name: str, values: np.ndarray, bound: int) -> None:
+    if values.size and not 0 <= int(values.min()) <= int(values.max()) < bound:
+        raise MalformedLine(0, f"{name} outside [0, {bound})")
 
 
 def save_ivf_index(index: IvfIndex, meta: Iterable[str] = ()) -> bytes:
     writer = _HeaderWriter(INDEX_MAGIC)
-    cfg = index.config
     writer.line("backend", "ivf")
-    writer.line("nlist", cfg.nlist)
-    writer.line("nprobe", cfg.nprobe)
-    writer.line("per_token_candidates", cfg.per_token_candidates)
-    writer.line("kmeans_iters", cfg.kmeans_iters)
-    writer.line("seed", cfg.seed)
+    _write_config(writer, index.config)
     writer.line("corpus_sha256", corpus_digest(index.corpus))
     writer.meta(meta)
     payload = _pack_arrays(writer, [
@@ -263,41 +297,27 @@ def save_ivf_index(index: IvfIndex, meta: Iterable[str] = ()) -> bytes:
 
 
 def read_index_backend(data: bytes) -> str:
-    return _Header(data, INDEX_MAGIC).one("backend")[0]
+    return _Header(data, INDEX_MAGIC).value("backend")
 
 
 def load_ivf_index(data: bytes, corpus: Corpus) -> IvfIndex:
     header = _Header(data, INDEX_MAGIC)
     header.check_payload()
-    if header.one("backend")[0] != "ivf":
+    if header.value("backend") != "ivf":
         raise MalformedLine(0, "not an ivf index")
-    digest = header.one("corpus_sha256")[0]
-    if digest != corpus_digest(corpus):
+    if header.value("corpus_sha256") != corpus_digest(corpus):
         raise CorpusMismatch("index was built from a different corpus than the one supplied")
-    config = IvfConfig(
-        nlist=int(header.one("nlist")[0]),
-        nprobe=int(header.one("nprobe")[0]),
-        per_token_candidates=int(header.one("per_token_candidates")[0]),
-        kmeans_iters=int(header.one("kmeans_iters")[0]),
-        seed=int(header.one("seed")[0]),
-    )
-    arrays = _unpack_arrays(header)
-    vectors, token_docs, token_rows = all_token_vectors(corpus)
-    assignments = arrays["assignments"].astype(np.int32)
-    if assignments.shape[0] != vectors.shape[0]:
+    config = header.config(IvfConfig)
+    arrays = header.arrays({
+        "centroids": ("float32", (config.nlist, corpus.manifest.dim)),
+        "assignments": ("int32", (None,)),
+    })
+    assignments = arrays["assignments"]
+    if assignments.shape[0] != corpus.manifest.total_vectors:
         raise CorpusMismatch("stored assignments do not match corpus vector count")
-    lists = tuple(
-        np.flatnonzero(assignments == c).astype(np.int32) for c in range(config.nlist)
-    )
+    _check_range("assignments", assignments, config.nlist)
     return IvfIndex(
-        config=config,
-        centroids=arrays["centroids"].astype(np.float32),
-        assignments=assignments,
-        token_vectors=vectors,
-        token_docs=token_docs,
-        token_rows=token_rows,
-        lists=lists,
-        corpus=corpus,
+        config=config, centroids=arrays["centroids"], assignments=assignments, corpus=corpus
     )
 
 
@@ -305,13 +325,7 @@ def save_plaid_index(index: PlaidIndex, meta: Iterable[str] = ()) -> bytes:
     writer = _HeaderWriter(INDEX_MAGIC)
     cfg = index.config
     writer.line("backend", "plaid")
-    writer.line("num_centroids", cfg.num_centroids)
-    writer.line("ncells", cfg.ncells)
-    writer.line("centroid_score_threshold", repr(cfg.centroid_score_threshold))
-    writer.line("ndocs", cfg.ndocs)
-    writer.line("residual_bits", cfg.residual_bits)
-    writer.line("kmeans_iters", cfg.kmeans_iters)
-    writer.line("seed", cfg.seed)
+    _write_config(writer, cfg)
     if index.corpus is not None:
         writer.line("corpus_sha256", corpus_digest(index.corpus))
     writer.meta(meta)
@@ -325,49 +339,47 @@ def save_plaid_index(index: PlaidIndex, meta: Iterable[str] = ()) -> bytes:
 
 
 def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
+    """Load a PLAID index; a supplied corpus must be the one it was built from."""
     header = _Header(data, INDEX_MAGIC)
     header.check_payload()
-    if header.one("backend")[0] != "plaid":
+    if header.value("backend") != "plaid":
         raise MalformedLine(0, "not a plaid index")
-    config = PlaidConfig(
-        num_centroids=int(header.one("num_centroids")[0]),
-        ncells=int(header.one("ncells")[0]),
-        centroid_score_threshold=float(header.one("centroid_score_threshold")[0]),
-        ndocs=int(header.one("ndocs")[0]),
-        residual_bits=int(header.one("residual_bits")[0]),
-        kmeans_iters=int(header.one("kmeans_iters")[0]),
-        seed=int(header.one("seed")[0]),
-    )
+    config = header.config(PlaidConfig)
     if corpus is None and config.residual_bits == 0:
         raise CorpusMismatch("a residual-free plaid index needs its corpus to rescore")
-    if corpus is not None:
-        stored = header.many("corpus_sha256")
-        if stored and stored[0][0] != corpus_digest(corpus):
+    if corpus is not None and header.many("corpus_sha256"):
+        if header.value("corpus_sha256") != corpus_digest(corpus):
             raise CorpusMismatch("index was built from a different corpus than the one supplied")
-    doc_ids = []
-    row_counts = []
-    for fields in header.many("doc"):
-        doc_ids.append(fields[0])
-        row_counts.append(int(fields[1]))
-    row_offsets = np.concatenate([[0], np.cumsum(row_counts)]).astype(np.int64)
-    arrays = _unpack_arrays(header)
-    codes = arrays["codes"].astype(np.int32)
-    if codes.shape != (int(row_offsets[-1]),):
-        raise MalformedLine(0, f"{codes.shape} codes stored for {int(row_offsets[-1])} doc rows")
-    if codes.size and not 0 <= int(codes.min()) <= int(codes.max()) < config.num_centroids:
-        raise MalformedLine(0, f"codes outside [0, {config.num_centroids})")
+    docs = header.doc_lines(2)
+    doc_ids = tuple(doc_id for doc_id, _ in docs)
+    row_offsets = np.zeros(len(docs) + 1, dtype=np.int64)
+    np.cumsum([rows for _, rows in docs], out=row_offsets[1:])
+    if corpus is not None and (
+            doc_ids != corpus.doc_ids or not np.array_equal(row_offsets, corpus.offsets)):
+        raise CorpusMismatch("index doc lines disagree with the corpus's ids or row counts")
+    total = int(row_offsets[-1])
+    expected = {
+        "centroids": ("float32", (config.num_centroids, None)),
+        "codes": ("int32", (total,)),
+    }
+    if config.residual_bits > 0:
+        expected["residual_levels"] = ("uint8", (total, None))
+        expected["residual_scales"] = ("float32", (total,))
+    arrays = header.arrays(expected)
+    centroids, codes = arrays["centroids"], arrays["codes"]
+    _check_range("codes", codes, config.num_centroids)
     inverted, unique_codes = code_lists(codes, row_offsets, config.num_centroids)
     storage = None
     if config.residual_bits > 0:
-        storage = StorageReport.for_layout(
-            int(codes.shape[0]), int(arrays["centroids"].shape[1]), config.residual_bits
-        )
+        if arrays["residual_levels"].shape[1] != centroids.shape[1]:
+            raise MalformedLine(0, "residual levels and centroids disagree on dim")
+        storage = StorageReport.for_layout(total, centroids.shape[1], config.residual_bits)
     return PlaidIndex(
         config=config,
-        centroids=arrays["centroids"].astype(np.float32),
+        centroids=centroids,
         codes=codes,
         row_offsets=row_offsets,
-        doc_ids=tuple(doc_ids),
+        doc_ids=doc_ids,
         inverted=inverted,
         unique_codes=unique_codes,
         residual_levels=arrays.get("residual_levels"),

@@ -10,7 +10,7 @@ ties are always broken by ascending doc id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -64,9 +64,6 @@ class TokenMatrix:
             return NotImplemented
         return self.data.shape == other.data.shape and bool(np.array_equal(self.data, other.data))
 
-    def __hash__(self):
-        return hash((self.data.shape, self.data.tobytes()))
-
     def __repr__(self) -> str:
         return f"TokenMatrix(rows={self.rows}, dim={self.dim})"
 
@@ -112,11 +109,25 @@ class CorpusManifest:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Ordered collection of doc ids with their token matrices."""
+    """Ordered doc ids over one flat token array.
+
+    `vectors` is a read-only, C-contiguous float32 array of shape
+    (total_vectors, dim) holding every document's rows in doc_ids order; doc i
+    owns rows offsets[i]:offsets[i + 1]. `docs` maps each id to a TokenMatrix
+    view of its rows, so every consumer reads the same memory.
+    """
 
     manifest: CorpusManifest
     doc_ids: tuple[str, ...]
-    docs: Mapping[str, TokenMatrix]
+    vectors: np.ndarray = field(repr=False, compare=False)
+    offsets: np.ndarray = field(repr=False, compare=False)  # (doc_count + 1,) int64
+    docs: Mapping[str, TokenMatrix] = field(init=False)
+
+    def __post_init__(self):
+        vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
+        vectors.setflags(write=False)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "docs", dict(zip(self.doc_ids, split_rows(vectors, self.offsets))))
 
     @classmethod
     def build(
@@ -126,48 +137,51 @@ class Corpus:
         pooling: str = "none",
         C: int = 0,
     ) -> "Corpus":
-        """Assemble a corpus, deriving the manifest counts from the docs."""
+        """Concatenate the docs into one flat array, deriving the manifest counts."""
         doc_ids = tuple(docs.keys())
         if not doc_ids:
             raise EmptyCorpus("corpus has no documents")
         dims = {m.dim for m in docs.values()}
         if len(dims) != 1:
             raise DimensionMismatch(f"documents disagree on dim: {sorted(dims)}")
+        offsets = np.zeros(len(doc_ids) + 1, dtype=np.int64)
+        np.cumsum([docs[d].rows for d in doc_ids], out=offsets[1:])
         manifest = CorpusManifest(
             dim=dims.pop(),
             dtype=dtype,
             pooling=pooling,
             C=C,
             doc_count=len(doc_ids),
-            total_vectors=sum(m.rows for m in docs.values()),
+            total_vectors=int(offsets[-1]),
         )
-        corpus = cls(manifest=manifest, doc_ids=doc_ids, docs=dict(docs))
+        vectors = np.concatenate([docs[d].data for d in doc_ids])
+        corpus = cls(manifest=manifest, doc_ids=doc_ids, vectors=vectors, offsets=offsets)
         corpus.check_structure()
         return corpus
 
     def check_structure(self) -> None:
-        """Structural invariants only (counts, ids); matrix contents via validate()."""
-        if self.manifest.doc_count < 1:
+        """Structural invariants only (counts, ids, offsets); matrix contents via validate()."""
+        m = self.manifest
+        if m.doc_count < 1:
             raise EmptyCorpus("manifest declares zero documents")
-        if len(self.doc_ids) != self.manifest.doc_count or len(self.docs) != self.manifest.doc_count:
+        if len(self.doc_ids) != m.doc_count:
             raise ValueError("doc count disagrees between manifest, ids, and payload")
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise ValueError("doc ids are not unique")
         for doc_id in self.doc_ids:
             if not doc_id or doc_id.split() != [doc_id]:
                 raise ValueError(f"doc id {doc_id!r} is empty or contains whitespace")
-            if doc_id not in self.docs:
-                raise ValueError(f"doc id {doc_id!r} missing from payload")
-        total = sum(self.docs[d].rows for d in self.doc_ids)
-        if total != self.manifest.total_vectors:
+        rows = np.diff(self.offsets)
+        if self.offsets.shape != (m.doc_count + 1,) or self.offsets[0] != 0 or (rows < 0).any():
+            raise ValueError("row offsets do not split the vectors into doc_count documents")
+        if self.offsets[-1] != m.total_vectors or self.vectors.shape != (m.total_vectors, m.dim):
             raise ValueError("manifest total_vectors disagrees with payload")
-        if self.manifest.pooling == "fixed":
-            for doc_id in self.doc_ids:
-                if self.docs[doc_id].rows != self.manifest.C:
-                    raise ValueError(
-                        f"pooling=fixed but doc {doc_id!r} has {self.docs[doc_id].rows} rows, "
-                        f"expected C={self.manifest.C}"
-                    )
+        if m.pooling == "fixed" and (rows != m.C).any():
+            ordinal = int(np.argmax(rows != m.C))
+            raise ValueError(
+                f"pooling=fixed but doc {self.doc_ids[ordinal]!r} has {rows[ordinal]} rows, "
+                f"expected C={m.C}"
+            )
 
     def validate(self, norm_tol: float = NORM_TOLERANCE) -> None:
         self.check_structure()
@@ -286,21 +300,7 @@ def pool_corpus(corpus: Corpus, C: int) -> Corpus:
     return Corpus.build(pooled, dtype=corpus.manifest.dtype, pooling="fixed", C=C)
 
 
-def all_token_vectors(corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten corpus tokens in doc order.
-
-    Returns (vectors, doc_ordinals, row_ordinals); shared layout for the
-    indexing backends.
-    """
-    mats = [corpus.docs[d].data for d in corpus.doc_ids]
-    vectors = np.concatenate(mats, axis=0)
-    counts = np.array([m.shape[0] for m in mats], dtype=np.int64)
-    doc_ordinals = np.repeat(np.arange(len(mats), dtype=np.int32), counts)
-    row_ordinals = np.concatenate([np.arange(c, dtype=np.int32) for c in counts])
-    return vectors, doc_ordinals, row_ordinals
-
-
-def doc_row_offsets(corpus: Corpus) -> np.ndarray:
-    """Start offset of each doc's rows in the flattened token order."""
-    counts = [corpus.docs[d].rows for d in corpus.doc_ids]
-    return np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+def split_rows(vectors: np.ndarray, offsets: np.ndarray) -> list[TokenMatrix]:
+    """One TokenMatrix view per row range offsets[i]:offsets[i + 1]; nothing is copied."""
+    bounds = offsets.tolist()
+    return [TokenMatrix(vectors[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]

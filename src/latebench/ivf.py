@@ -14,15 +14,13 @@ properties asserted in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kmeans
-from .core import Corpus, RankedList, TokenMatrix, all_token_vectors, maxsim_score
+from .core import Corpus, RankedList, TokenMatrix, maxsim_score
 from .errors import DimensionMismatch, TooFewVectors
-
-PRODUCTION_SCALE = dict(nlist=4096, nprobe=128)
 
 
 @dataclass(frozen=True)
@@ -41,35 +39,37 @@ class IvfConfig:
         if self.per_token_candidates < 1:
             raise ValueError("per_token_candidates must be >= 1")
 
-    @classmethod
-    def production_scale(cls, **overrides) -> "IvfConfig":
-        return cls(**{**PRODUCTION_SCALE, **overrides})
-
 
 @dataclass(frozen=True)
 class IvfIndex:
+    """Inverted lists over the rows of `corpus.vectors`, which it reads in place."""
+
     config: IvfConfig
     centroids: np.ndarray  # (nlist, dim) float32 unit rows
-    assignments: np.ndarray  # (total_vectors,) int32, centroid per flat token
-    token_vectors: np.ndarray  # (total_vectors, dim) float32, doc order
-    token_docs: np.ndarray  # (total_vectors,) int32 doc ordinal
-    token_rows: np.ndarray  # (total_vectors,) int32 row ordinal within doc
-    lists: tuple[np.ndarray, ...]  # per centroid, flat token ids ascending
+    assignments: np.ndarray  # (total_vectors,) int32 in [0, nlist), centroid per corpus row
     corpus: Corpus
+    token_docs: np.ndarray = field(init=False)  # (total_vectors,) int32 doc ordinal
+    lists: tuple[np.ndarray, ...] = field(init=False)  # per centroid, corpus row ids ascending
 
-    @property
-    def total_vectors(self) -> int:
-        return int(self.token_vectors.shape[0])
+    def __post_init__(self):
+        counts = np.diff(self.corpus.offsets)
+        docs = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+        # A stable sort keeps each list's row ids ascending.
+        order = np.argsort(self.assignments, kind="stable").astype(np.int32)
+        ends = np.cumsum(np.bincount(self.assignments, minlength=self.config.nlist))
+        object.__setattr__(self, "token_docs", docs)
+        object.__setattr__(self, "lists", tuple(np.split(order, ends[:-1])))
 
     def list_entries(self, centroid: int) -> list[tuple[int, int]]:
         """(doc ordinal, row ordinal) pairs stored under one centroid."""
         toks = self.lists[centroid]
-        return list(zip(self.token_docs[toks].tolist(), self.token_rows[toks].tolist()))
+        docs = self.token_docs[toks]
+        return list(zip(docs.tolist(), (toks - self.corpus.offsets[docs]).tolist()))
 
 
 def build_ivf(corpus: Corpus, config: IvfConfig) -> IvfIndex:
     """Cluster all token vectors and file each one under its argmax centroid."""
-    vectors, token_docs, token_rows = all_token_vectors(corpus)
+    vectors = corpus.vectors
     if vectors.shape[0] < config.nlist:
         raise TooFewVectors(
             f"corpus has {vectors.shape[0]} vectors, fewer than nlist={config.nlist}"
@@ -78,19 +78,7 @@ def build_ivf(corpus: Corpus, config: IvfConfig) -> IvfIndex:
         vectors, config.nlist, iters=config.kmeans_iters, seed=config.seed
     )
     assignments = kmeans.assign(vectors, centroids)
-    lists = tuple(
-        np.flatnonzero(assignments == c).astype(np.int32) for c in range(config.nlist)
-    )
-    return IvfIndex(
-        config=config,
-        centroids=centroids,
-        assignments=assignments,
-        token_vectors=vectors,
-        token_docs=token_docs,
-        token_rows=token_rows,
-        lists=lists,
-        corpus=corpus,
-    )
+    return IvfIndex(config=config, centroids=centroids, assignments=assignments, corpus=corpus)
 
 
 def _probe_order(index: IvfIndex, row: np.ndarray) -> np.ndarray:
@@ -135,7 +123,7 @@ def ivf_candidates(
                 taken = toks
                 remaining -= len(toks)
             else:
-                dots = index.token_vectors[toks] @ row
+                dots = index.corpus.vectors[toks] @ row
                 pick = np.lexsort((toks, -dots))[:remaining]
                 taken = toks[pick]
                 remaining = 0

@@ -13,6 +13,12 @@ Retrieval runs as a funnel:
   stage 4  survivors are rescored exactly, from true vectors or, when
            residual compression is on, from decoded vectors.
 
+Stage 4 reads per-doc views of one flat array: the corpus's token array, or,
+with residuals, the array every vector is decoded into once, at build or load,
+CODEC_BLOCK_ROWS rows at a time. `doc_matrix` never decodes or allocates. The
+residual codec takes (..., dim) arrays and gives each row the bits it would get
+on its own.
+
 ndocs smaller than k is an error, never a silent clamp. A search-time ncells
 larger than the centroid count means "probe everything" and is clamped.
 
@@ -36,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kmeans
-from .core import Corpus, RankedList, TokenMatrix, all_token_vectors, doc_row_offsets, maxsim_score
+from .core import Corpus, RankedList, TokenMatrix, maxsim_score, split_rows
 from .errors import (
     DimensionMismatch,
     NDocsTooSmall,
@@ -45,14 +51,21 @@ from .errors import (
     UnsupportedBits,
 )
 
-PRODUCTION_SCALE_CENTROIDS = 32768
+# Rows per residual encode/decode step: large enough for whole-array speed,
+# small enough that the float64 temporaries stay a few MiB.
+CODEC_BLOCK_ROWS = 4096
 
 
 class ResidualCode(NamedTuple):
-    """Quantized residual: one level per dimension plus the per-vector scale."""
+    """Quantized residuals: one level per dimension plus the per-vector scale."""
 
-    levels: np.ndarray  # (dim,) uint8
-    scale: float
+    levels: np.ndarray  # (..., dim) uint8
+    scale: float | np.ndarray  # a float for one vector, else float32 over the leading axes
+
+
+def _check_bits(bits: int) -> None:
+    if bits not in (1, 2):
+        raise UnsupportedBits(f"residual bits must be 1 or 2, got {bits}")
 
 
 def quantize_residual(residual: np.ndarray, bits: int) -> ResidualCode:
@@ -60,47 +73,49 @@ def quantize_residual(residual: np.ndarray, bits: int) -> ResidualCode:
 
     The 2**bits levels are evenly spaced over [-scale, +scale] and each
     component maps to its nearest level. The grid is a projection: quantizing
-    a dequantized residual reproduces the code exactly.
+    a dequantized residual reproduces the code exactly. Works row-wise on
+    (..., dim) arrays; an all-zero row gets scale 0 and level 0 everywhere.
     """
-    if bits not in (1, 2):
-        raise UnsupportedBits(f"residual bits must be 1 or 2, got {bits}")
+    _check_bits(bits)
     residual = np.asarray(residual, dtype=np.float32)
-    scale = float(np.max(np.abs(residual)))
     top = (1 << bits) - 1
-    if scale == 0.0:
-        return ResidualCode(np.zeros(residual.shape[0], dtype=np.uint8), 0.0)
-    levels = np.rint((residual + scale) * (top / (2.0 * scale)))
-    levels = np.clip(levels, 0, top).astype(np.uint8)
-    return ResidualCode(levels, scale)
+    scale = np.max(np.abs(residual), axis=-1, keepdims=True)
+    # The factor is computed in float64 and rounded to float32 before the
+    # product, as numpy does with a Python float factor for one vector.
+    factor = (top / (2.0 * np.where(scale > 0, scale, 1).astype(np.float64))).astype(np.float32)
+    levels = np.clip(np.rint((residual + scale) * factor), 0, top).astype(np.uint8)
+    scale = scale[..., 0]
+    return ResidualCode(levels, float(scale) if residual.ndim == 1 else scale)
 
 
 def dequantize_residual(code: ResidualCode, bits: int) -> np.ndarray:
-    if bits not in (1, 2):
-        raise UnsupportedBits(f"residual bits must be 1 or 2, got {bits}")
+    _check_bits(bits)
     top = (1 << bits) - 1
-    if code.scale == 0.0:
-        return np.zeros(code.levels.shape[0], dtype=np.float32)
+    scale = np.asarray(code.scale, dtype=np.float64)[..., None]
     # Endpoint levels must dequantize to exactly +/- scale, or re-quantizing
     # a dequantized residual would drift by an ulp.
-    values = code.scale * (2.0 * code.levels.astype(np.float64) - top) / top
-    return values.astype(np.float32)
+    values = scale * (2.0 * code.levels.astype(np.float64) - top) / top
+    return np.where(scale == 0.0, 0.0, values).astype(np.float32)
 
 
 def encode_residual(vector: np.ndarray, centroid: np.ndarray, bits: int) -> ResidualCode:
-    """Quantize (vector - centroid); see quantize_residual for the grid."""
+    """Quantize (vector - centroid) row-wise; see quantize_residual for the grid."""
     residual = np.asarray(vector, dtype=np.float32) - np.asarray(centroid, dtype=np.float32)
     return quantize_residual(residual, bits)
 
 
 def decode_residual(code: ResidualCode, centroid: np.ndarray, bits: int) -> np.ndarray:
-    """Reconstruct the vector and renormalize it back onto the unit sphere."""
+    """Reconstruct each vector and renormalize it back onto the unit sphere.
+
+    A zero-scale row decodes to its centroid exactly.
+    """
     centroid = np.asarray(centroid, dtype=np.float32)
-    if code.scale == 0.0:
-        if bits not in (1, 2):
-            raise UnsupportedBits(f"residual bits must be 1 or 2, got {bits}")
-        return centroid.copy()
-    vector = centroid.astype(np.float64) + dequantize_residual(code, bits).astype(np.float64)
-    return (vector / np.linalg.norm(vector)).astype(np.float32)
+    vector = centroid.astype(np.float64) + dequantize_residual(code, bits)
+    # One BLAS dot per row, (1, dim) @ (dim, 1): the same dot np.linalg.norm
+    # takes of a single vector, so a row decodes to the same bits either way.
+    norm = np.sqrt(np.matmul(vector[..., None, :], vector[..., :, None])[..., 0])
+    decoded = (vector / norm).astype(np.float32)
+    return np.where(np.asarray(code.scale)[..., None] == 0.0, centroid, decoded)
 
 
 @dataclass(frozen=True)
@@ -202,10 +217,6 @@ class PlaidConfig:
         if self.residual_bits not in (0, 1, 2):
             raise UnsupportedBits(f"residual bits must be 0, 1 or 2, got {self.residual_bits}")
 
-    @classmethod
-    def production_scale(cls, **overrides) -> "PlaidConfig":
-        return cls(**{**dict(num_centroids=PRODUCTION_SCALE_CENTROIDS, ncells=4, ndocs=4096), **overrides})
-
 
 @dataclass(frozen=True)
 class PlaidIndex:
@@ -220,7 +231,22 @@ class PlaidIndex:
     residual_scales: np.ndarray | None  # (total_vectors,) float32
     corpus: Corpus | None
     storage: StorageReport | None
-    _decoded: dict = field(default_factory=dict, repr=False, compare=False)
+    # Per doc, the matrix stage 4 rescores; see the module docstring.
+    matrices: tuple[TokenMatrix, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bits = self.config.residual_bits
+        if bits:
+            decoded = np.empty(self.residual_levels.shape, dtype=np.float32)
+            for lo in range(0, len(decoded), CODEC_BLOCK_ROWS):
+                rows = slice(lo, lo + CODEC_BLOCK_ROWS)
+                code = ResidualCode(self.residual_levels[rows], self.residual_scales[rows])
+                decoded[rows] = decode_residual(code, self.centroids[self.codes[rows]], bits)
+            decoded.setflags(write=False)
+            matrices = split_rows(decoded, self.row_offsets)
+        else:
+            matrices = [self.corpus.docs[doc_id] for doc_id in self.doc_ids]
+        object.__setattr__(self, "matrices", tuple(matrices))
 
     @property
     def doc_count(self) -> int:
@@ -229,10 +255,6 @@ class PlaidIndex:
     @property
     def dim(self) -> int:
         return int(self.centroids.shape[1])
-
-    @property
-    def total_vectors(self) -> int:
-        return int(self.codes.shape[0])
 
     def doc_rows(self, ordinal: int) -> int:
         return int(self.row_offsets[ordinal + 1] - self.row_offsets[ordinal])
@@ -244,21 +266,7 @@ class PlaidIndex:
     def doc_matrix(self, ordinal: int) -> TokenMatrix:
         """True vectors when residuals are off, decoded vectors otherwise."""
         self._check_ordinal(ordinal)
-        if self.config.residual_bits == 0:
-            if self.corpus is None:
-                raise ValueError("index carries no corpus and no residuals to rescore from")
-            return self.corpus.docs[self.doc_ids[ordinal]]
-        cached = self._decoded.get(ordinal)
-        if cached is not None:
-            return cached
-        lo, hi = int(self.row_offsets[ordinal]), int(self.row_offsets[ordinal + 1])
-        rows = np.empty((hi - lo, self.dim), dtype=np.float32)
-        for i, flat in enumerate(range(lo, hi)):
-            code = ResidualCode(self.residual_levels[flat], float(self.residual_scales[flat]))
-            rows[i] = decode_residual(code, self.centroids[self.codes[flat]], self.config.residual_bits)
-        matrix = TokenMatrix(rows)
-        self._decoded[ordinal] = matrix
-        return matrix
+        return self.matrices[ordinal]
 
 
 def centroid_codes(index: PlaidIndex, ordinal: int) -> np.ndarray:
@@ -276,7 +284,7 @@ def build_plaid(
     Passing precomputed centroids skips training; that is how two corpora can
     be compared under one centroid space.
     """
-    vectors, _, _ = all_token_vectors(corpus)
+    vectors = corpus.vectors
     if centroids is None:
         if vectors.shape[0] < config.num_centroids:
             raise TooFewVectors(
@@ -289,24 +297,23 @@ def build_plaid(
     elif centroids.shape[0] != config.num_centroids:
         raise ValueError("supplied centroids disagree with config.num_centroids")
     codes = kmeans.assign(vectors, centroids)
-    offsets = doc_row_offsets(corpus)
-    inverted, unique_codes = code_lists(codes, offsets, config.num_centroids)
+    inverted, unique_codes = code_lists(codes, corpus.offsets, config.num_centroids)
     levels = scales = None
     storage = None
     if config.residual_bits > 0:
         dim = corpus.manifest.dim
         levels = np.empty((vectors.shape[0], dim), dtype=np.uint8)
         scales = np.empty(vectors.shape[0], dtype=np.float32)
-        for flat in range(vectors.shape[0]):
-            code = encode_residual(vectors[flat], centroids[codes[flat]], config.residual_bits)
-            levels[flat] = code.levels
-            scales[flat] = code.scale
+        for lo in range(0, vectors.shape[0], CODEC_BLOCK_ROWS):
+            rows = slice(lo, lo + CODEC_BLOCK_ROWS)
+            code = encode_residual(vectors[rows], centroids[codes[rows]], config.residual_bits)
+            levels[rows], scales[rows] = code
         storage = StorageReport.for_layout(vectors.shape[0], dim, config.residual_bits)
     return PlaidIndex(
         config=config,
         centroids=centroids,
         codes=codes,
-        row_offsets=offsets,
+        row_offsets=corpus.offsets,
         doc_ids=corpus.doc_ids,
         inverted=inverted,
         unique_codes=unique_codes,

@@ -125,3 +125,40 @@ def reference_plaid_funnel(query, centroids, codes, row_offsets, doc_ids, doc_ve
         rescored.append((doc_ids[d], float(np.sum(sims.max(axis=1), dtype=np.float64))))
     rescored.sort(key=lambda item: (-item[1], item[0]))
     return rescored[:k]
+
+
+def loop_encode_rows(vectors, centroids, codes, bits):
+    """Residual levels and scales, one vector at a time.
+
+    Per vector: scale = max |vector - centroid| as a Python float, levels =
+    rint((residual + scale) * (top / (2 * scale))) in float32 clipped to
+    [0, top]; a zero residual keeps scale 0 and level 0.
+    """
+    top = (1 << bits) - 1
+    levels = np.zeros(vectors.shape, dtype=np.uint8)
+    scales = np.zeros(vectors.shape[0], dtype=np.float32)
+    for i in range(vectors.shape[0]):
+        residual = vectors[i].astype(np.float32) - centroids[codes[i]].astype(np.float32)
+        scale = float(np.max(np.abs(residual)))
+        if scale == 0.0:
+            continue
+        row = np.rint((residual + scale) * (top / (2.0 * scale)))
+        levels[i] = np.clip(row, 0, top).astype(np.uint8)
+        scales[i] = scale
+    return levels, scales
+
+
+def loop_decode_rows(levels, scales, centroids, codes, bits):
+    """Decoded unit vectors, one at a time; a zero scale gives the centroid."""
+    top = (1 << bits) - 1
+    out = np.empty(levels.shape, dtype=np.float32)
+    for i in range(levels.shape[0]):
+        centroid = centroids[codes[i]].astype(np.float32)
+        scale = float(scales[i])
+        if scale == 0.0:
+            out[i] = centroid
+            continue
+        values = (scale * (2.0 * levels[i].astype(np.float64) - top) / top).astype(np.float32)
+        vector = centroid.astype(np.float64) + values.astype(np.float64)
+        out[i] = (vector / np.linalg.norm(vector)).astype(np.float32)
+    return out

@@ -1,9 +1,18 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from latebench import Corpus, IvfConfig, PlaidConfig, TokenMatrix, build_ivf, build_plaid
+from latebench import (
+    Corpus,
+    IvfConfig,
+    PlaidConfig,
+    TokenMatrix,
+    build_ivf,
+    build_plaid,
+    pool_corpus,
+)
 from latebench.bundle import (
     corpus_digest,
     load_ivf_index,
@@ -25,6 +34,7 @@ from latebench.errors import (
 )
 
 from conftest import basis_matrix, random_unit_matrix
+from oracles import loop_decode_rows
 
 
 def _random_corpus(seed=0, docs=20, dtype="float32"):
@@ -180,13 +190,12 @@ def test_float16_manifest_survives_digest():
     corpus = _random_corpus(seed=6, dtype="float16")
     loaded = read_bundle(write_bundle(corpus))
     assert corpus_digest(loaded) == corpus_digest(
-        Corpus(
-            manifest=dataclasses.replace(corpus.manifest),
-            doc_ids=corpus.doc_ids,
-            docs={
+        Corpus.build(
+            {
                 d: TokenMatrix(corpus.docs[d].data.astype(np.float16).astype(np.float32))
                 for d in corpus.doc_ids
             },
+            dtype="float16",
         )
     )
 
@@ -198,3 +207,144 @@ def test_plaid_index_rejects_codes_that_disagree_with_header(planted_small):
         data = save_plaid_index(dataclasses.replace(index, codes=codes))
         with pytest.raises(MalformedLine):
             load_plaid_index(data, corpus)
+
+
+def test_corpus_digest_is_pinned():
+    # Index files pair with their corpus through this digest, so the bytes it
+    # hashes must not change.
+    assert corpus_digest(_random_corpus(seed=4, docs=4)) == (
+        "9e7f4cb5241b2862dc5dc56196382d82448dd0001f3cdc90850258555abd828e"
+    )
+    assert corpus_digest(_random_corpus(seed=6, dtype="float16")) == (
+        "a36c6534e2cde641ee7b131fa4e26c19d4ae6b5e5a182a70a113cd008ce7a1fe"
+    )
+    assert corpus_digest(pool_corpus(_random_corpus(seed=7, docs=6), 3)) == (
+        "529390860cac62598a736e390da408f6529c6a49ebda1d85ba3a160f533e0438"
+    )
+
+
+def test_corpus_docs_are_views_of_one_flat_array(planted_small):
+    built = _random_corpus(seed=1)
+    half = _random_corpus(seed=2, dtype="float16")
+    corpora = (built, read_bundle(write_bundle(built)), half, read_bundle(write_bundle(half)),
+               pool_corpus(built, 3), planted_small[0])
+    for corpus in corpora:
+        vectors, offsets = corpus.vectors, corpus.offsets
+        assert vectors.dtype == np.float32 and vectors.flags.c_contiguous
+        assert not vectors.flags.writeable
+        assert vectors.shape == (corpus.manifest.total_vectors, corpus.manifest.dim)
+        assert offsets.dtype == np.int64 and offsets.shape == (len(corpus) + 1,)
+        for ordinal, doc_id in enumerate(corpus.doc_ids):
+            data = corpus.docs[doc_id].data
+            assert np.shares_memory(data, vectors)
+            assert np.array_equal(data, vectors[offsets[ordinal]:offsets[ordinal + 1]])
+
+
+def _ndarray_fields(index):
+    return [getattr(index, f.name) for f in dataclasses.fields(index)
+            if isinstance(getattr(index, f.name), np.ndarray)]
+
+
+def test_indexes_hold_no_vector_copy(planted_small):
+    corpus, _, _ = planted_small
+    shape = corpus.vectors.shape
+    ivf = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=2))
+    plaid = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=2))
+    residual = build_plaid(
+        corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=2, seed=2)
+    )
+    for index in (ivf, load_ivf_index(save_ivf_index(ivf), corpus)):
+        assert index.corpus is corpus
+        assert not [a for a in _ndarray_fields(index) if a.shape == shape]
+    for index in (plaid, load_plaid_index(save_plaid_index(plaid), corpus)):
+        assert not [a for a in _ndarray_fields(index) if a.shape == shape]
+        for ordinal, doc_id in enumerate(index.doc_ids):
+            assert index.doc_matrix(ordinal) is corpus.docs[doc_id]
+    for index in (residual, load_plaid_index(save_plaid_index(residual))):
+        flat = index.doc_matrix(0).data.base
+        assert flat.shape == shape and not np.shares_memory(flat, corpus.vectors)
+        want = loop_decode_rows(index.residual_levels, index.residual_scales,
+                                index.centroids, index.codes, 2)
+        assert flat.tobytes() == want.tobytes()
+        for ordinal in range(index.doc_count):
+            matrix = index.doc_matrix(ordinal)
+            assert matrix is index.doc_matrix(ordinal)
+            assert np.shares_memory(matrix.data, flat)
+
+
+def _edit_header(pattern, repl):
+    """A corruption that rewrites the first header line matching pattern."""
+    def edit(data):
+        end = data.index(b"\nend\n")
+        head, count = re.subn(pattern.encode(), repl.encode(), data[:end], count=1, flags=re.M)
+        assert count == 1, pattern
+        return head + data[end:]
+    return edit
+
+
+def _regroup_rows(first):
+    """A corruption that sets doc 0's row count to first(rows); doc 1 keeps the total."""
+    def edit(data):
+        end = data.index(b"\nend\n")
+        lines = data[:end].split(b"\n")
+        a, b = [i for i, line in enumerate(lines) if line.startswith(b"doc ")][:2]
+        rows = int(lines[a].split()[2])
+        for i, delta in ((a, first(rows) - rows), (b, rows - first(rows))):
+            key, doc_id, count = lines[i].split()
+            lines[i] = b" ".join([key, doc_id, str(int(count) + delta).encode()])
+        return b"\n".join(lines) + data[end:]
+    return edit
+
+
+@pytest.fixture(scope="module")
+def saved_indexes(planted_small):
+    corpus, _, _ = planted_small
+    ivf = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=2))
+    plaid = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=2))
+    plaid1 = build_plaid(
+        corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=1, seed=2)
+    )
+    return {
+        "ivf": save_ivf_index(ivf),
+        "ivf+16": save_ivf_index(dataclasses.replace(ivf, assignments=ivf.assignments + 16)),
+        "plaid": save_plaid_index(plaid),
+        "plaid1": save_plaid_index(plaid1),
+    }
+
+
+@pytest.mark.parametrize("source, corrupt, error", [
+    pytest.param("plaid1", _edit_header(r"^doc (\S+) (\d+)$", r"doc \1 \2.5"), MalformedLine,
+                 id="doc-rows-not-integer"),
+    pytest.param("plaid1", _edit_header(r"^doc (\S+) \d+$", r"doc \1"), MalformedLine,
+                 id="doc-rows-missing"),
+    pytest.param("plaid1", _regroup_rows(lambda rows: -1), MalformedLine,
+                 id="doc-rows-negative"),
+    pytest.param("plaid", _edit_header(r"^ncells \d+$", "ncells four"), MalformedLine,
+                 id="ncells-not-integer"),
+    pytest.param("ivf", _edit_header(r"^nlist \d+$", "nlist x"), MalformedLine,
+                 id="nlist-not-integer"),
+    pytest.param("plaid", _edit_header(r"^num_centroids \d+$", "num_centroids 0"), MalformedLine,
+                 id="num-centroids-zero"),
+    pytest.param("plaid", _edit_header(r"^array codes int32", "array codes int16"), MalformedLine,
+                 id="array-dtype-int16"),
+    pytest.param("plaid", _edit_header(r"^array codes .*\n", ""), MalformedLine,
+                 id="codes-array-missing"),
+    pytest.param("ivf", _edit_header(r"^array assignments .*\n", ""), MalformedLine,
+                 id="assignments-array-missing"),
+    pytest.param("plaid", _edit_header(r"^(array codes int32 1 \d+) \d+ \d+$", r"\1"),
+                 MalformedLine, id="array-line-cut-short"),
+    pytest.param("ivf+16", lambda data: data, MalformedLine, id="assignments-outside-nlist"),
+    pytest.param("ivf", _edit_header(r"^nlist 16$", "nlist 8"), MalformedLine,
+                 id="nlist-disagrees-with-centroids"),
+    pytest.param("plaid", _edit_header(r"^num_centroids 32$", "num_centroids 40"), MalformedLine,
+                 id="num-centroids-disagree-with-centroids"),
+    pytest.param("plaid", _regroup_rows(lambda rows: rows - 1), CorpusMismatch,
+                 id="doc-rows-moved"),
+])
+def test_index_loaders_reject_inconsistent_headers(planted_small, saved_indexes, source,
+                                                   corrupt, error):
+    corpus, _, _ = planted_small
+    load = load_ivf_index if source.startswith("ivf") else load_plaid_index
+    load(saved_indexes[source.removesuffix("+16")], corpus)  # the untouched file loads
+    with pytest.raises(error):
+        load(corrupt(saved_indexes[source]), corpus)

@@ -38,7 +38,7 @@ def test_rebuild_same_seed_identical():
 def test_list_assignment_matches_bruteforce_oracle(planted_small):
     corpus, _, _ = planted_small
     index = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=1))
-    expected = argmax_assignment(index.token_vectors[:200], index.centroids)
+    expected = argmax_assignment(index.corpus.vectors[:200], index.centroids)
     assert index.assignments[:200].tolist() == expected
     # every token appears in exactly one list
     total = sum(len(lst) for lst in index.lists)

@@ -19,12 +19,21 @@ from latebench import (
 )
 from latebench.bundle import load_plaid_index, save_plaid_index
 from latebench.errors import NDocsTooSmall, UnknownDoc, UnsupportedBits
-from latebench.plaid import StorageReport, approx_scores, dequantize_residual, quantize_residual
+from latebench.plaid import (
+    CODEC_BLOCK_ROWS,
+    ResidualCode,
+    StorageReport,
+    approx_scores,
+    dequantize_residual,
+    quantize_residual,
+)
 
 from conftest import basis_matrix, random_unit_matrix
 from oracles import (
     argmax_assignment,
     compressed_size_bytes,
+    loop_decode_rows,
+    loop_encode_rows,
     per_doc_centroid_scores,
     quantize_roundtrip,
     reference_plaid_funnel,
@@ -429,3 +438,54 @@ def test_build_and_load_give_identical_code_lists(planted_by_filler):
     for ordinal in range(built.doc_count):
         lo, hi = built.row_offsets[ordinal], built.row_offsets[ordinal + 1]
         assert built.unique_codes[ordinal].tolist() == sorted(set(built.codes[lo:hi].tolist()))
+
+
+@pytest.mark.parametrize("bits", [1, 2])
+def test_block_codec_equals_per_vector_loop(bits):
+    rng = np.random.default_rng(40 + bits)
+    rows = CODEC_BLOCK_ROWS + 37  # a partial second block
+    vectors = random_unit_matrix(rng, rows, 64).data
+    # Rows that are centroids themselves have zero residuals.
+    zero = [0, 5, CODEC_BLOCK_ROWS - 1, CODEC_BLOCK_ROWS, rows - 1]
+    centroids = vectors[zero + [9, 700, 2500]]
+    corpus = Corpus.build({f"d{lo}": TokenMatrix(vectors[lo:lo + 7]) for lo in range(0, rows, 7)})
+    config = PlaidConfig(num_centroids=len(centroids), ncells=2, residual_bits=bits)
+    index = build_plaid(corpus, config, centroids=centroids)
+    assert index.codes[zero].tolist() == list(range(len(zero)))
+    levels, scales = loop_encode_rows(vectors, centroids, index.codes, bits)
+    assert np.array_equal(index.residual_levels, levels)
+    assert index.residual_scales.tobytes() == scales.tobytes()
+    assert not scales[zero].any()
+    want = loop_decode_rows(levels, scales, centroids, index.codes, bits)
+    decoded = index.doc_matrix(0).data.base
+    assert decoded.tobytes() == want.tobytes()
+    assert np.array_equal(decoded[zero], centroids[:len(zero)])
+    # Residuals whose level rounds one way with a float32 factor and the
+    # other way with a float64 one; the per-vector code uses float32.
+    tricky = np.zeros((2, 64), dtype=np.float32)
+    tricky[:, :2] = [[0.4937463104724884, 4.216386173538922e-08],
+                     [0.15806949138641357, 0.10537967830896378]]
+    code = quantize_residual(tricky, bits)
+    want_levels, _ = loop_encode_rows(tricky, np.zeros((1, 64)), np.zeros(2, np.int32), bits)
+    assert np.array_equal(code.levels, want_levels)
+    for i in (1, CODEC_BLOCK_ROWS + 1):
+        centroid = centroids[index.codes[i]]
+        code = encode_residual(vectors[i], centroid, bits)
+        assert isinstance(code.scale, float) and code.scale == scales[i]
+        assert np.array_equal(code.levels, levels[i])
+        assert decode_residual(code, centroid, bits).tobytes() == want[i].tobytes()
+
+
+def test_block_decode_norms_each_row_like_one_vector():
+    # In this seeded block, row 1301 decodes to other float32 bits when its
+    # norm sums the squares pairwise (np.linalg.norm along an axis) instead
+    # of with the dot product np.linalg.norm takes of one vector.
+    rng = np.random.default_rng(3565)
+    centroids = rng.standard_normal((4096, 128))
+    centroids = (centroids / np.linalg.norm(centroids, axis=1, keepdims=True)).astype(np.float32)
+    levels = rng.integers(0, 4, size=(4096, 128)).astype(np.uint8)
+    scales = rng.uniform(0.05, 0.5, size=4096).astype(np.float32)
+    decoded = decode_residual(ResidualCode(levels, scales), centroids, 2)
+    row = slice(1301, 1302)
+    want = loop_decode_rows(levels[row], scales[row], centroids[row], [0], 2)
+    assert decoded[row].tobytes() == want.tobytes()
