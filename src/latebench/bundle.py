@@ -57,7 +57,7 @@ from .errors import (
     VersionMismatch,
 )
 from .ivf import IvfConfig, IvfIndex
-from .plaid import PlaidConfig, PlaidIndex, StorageReport, code_lists
+from .plaid import PlaidConfig, PlaidIndex
 
 BUNDLE_MAGIC = "#LATEBENCH-BUNDLE"
 INDEX_MAGIC = "#LATEBENCH-INDEX"
@@ -98,7 +98,11 @@ class _Header:
             raise BadMagic(f"expected {magic!r}, got {got!r}")
         if end < 0:
             raise TruncatedPayload("header is not terminated by an 'end' line")
-        text = data[: end + 1].decode("ascii", errors="strict")
+        try:
+            text = data[: end + 1].decode("ascii")
+        except UnicodeDecodeError as exc:
+            line_no = data.count(b"\n", 0, exc.start) + 1
+            raise MalformedLine(line_no, f"non-ASCII header byte {data[exc.start]:#04x}") from None
         self.payload = data[end + len(b"\nend\n"):]
         lines = text.splitlines()
         first = lines[0].split()
@@ -368,22 +372,18 @@ def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
     arrays = header.arrays(expected)
     centroids, codes = arrays["centroids"], arrays["codes"]
     _check_range("codes", codes, config.num_centroids)
-    inverted, unique_codes = code_lists(codes, row_offsets, config.num_centroids)
-    storage = None
     if config.residual_bits > 0:
-        if arrays["residual_levels"].shape[1] != centroids.shape[1]:
+        levels = arrays["residual_levels"]
+        if levels.shape[1] != centroids.shape[1]:
             raise MalformedLine(0, "residual levels and centroids disagree on dim")
-        storage = StorageReport.for_layout(total, centroids.shape[1], config.residual_bits)
+        _check_range("residual_levels", levels, 1 << config.residual_bits)
     return PlaidIndex(
         config=config,
         centroids=centroids,
         codes=codes,
         row_offsets=row_offsets,
         doc_ids=doc_ids,
-        inverted=inverted,
-        unique_codes=unique_codes,
         residual_levels=arrays.get("residual_levels"),
         residual_scales=arrays.get("residual_scales"),
         corpus=corpus,
-        storage=storage,
     )

@@ -127,7 +127,9 @@ class Corpus:
         vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "docs", dict(zip(self.doc_ids, split_rows(vectors, self.offsets))))
+        bounds = self.offsets.tolist()
+        views = (TokenMatrix(vectors[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
+        object.__setattr__(self, "docs", dict(zip(self.doc_ids, views)))
 
     @classmethod
     def build(
@@ -227,8 +229,9 @@ class RankedList:
 def maxsim_score(query: TokenMatrix, doc: TokenMatrix) -> float:
     """Late-interaction score: sum over query rows of the best doc-row dot.
 
-    This is the one scoring kernel in the package; the oracle search and every
-    backend's final rescore call it, so their scores agree bit for bit.
+    This is the one scoring kernel in the package, and `score_docs` is its one
+    caller: the oracle, every backend's final rescore and the generator's
+    margin check go through it, so their scores agree bit for bit.
     Accumulation is float64 in query-row order.
     """
     if query.dim != doc.dim:
@@ -237,17 +240,25 @@ def maxsim_score(query: TokenMatrix, doc: TokenMatrix) -> float:
     return float(np.sum(sims.max(axis=1), dtype=np.float64))
 
 
-def score_all(corpus: Corpus, query: TokenMatrix) -> list[tuple[str, float]]:
-    """maxsim_score against every document, in corpus order, single-threaded.
+def score_docs(
+    corpus: Corpus, query: TokenMatrix, ordinals: Iterable[int]
+) -> list[tuple[str, float]]:
+    """(doc id, maxsim_score) for each doc ordinal, in the given order, single-threaded.
 
     LATEBENCH_THREADS is accepted and ignored: a thread pool over documents
     measured slower than this serial loop.
     """
+    doc_ids, docs = corpus.doc_ids, corpus.docs
+    return [(doc_ids[o], maxsim_score(query, docs[doc_ids[o]])) for o in ordinals]
+
+
+def score_all(corpus: Corpus, query: TokenMatrix) -> list[tuple[str, float]]:
+    """maxsim_score against every document, in corpus order."""
     if len(corpus) == 0:
         raise EmptyCorpus("cannot search an empty corpus")
     if query.dim != corpus.manifest.dim:
         raise DimensionMismatch(f"query dim {query.dim} != corpus dim {corpus.manifest.dim}")
-    return [(doc_id, maxsim_score(query, corpus.docs[doc_id])) for doc_id in corpus.doc_ids]
+    return score_docs(corpus, query, range(len(corpus)))
 
 
 def exact_search(corpus: Corpus, query: TokenMatrix, k: int, query_id: str = "") -> RankedList:
@@ -299,8 +310,3 @@ def pool_corpus(corpus: Corpus, C: int) -> Corpus:
     pooled = {doc_id: pool_fixed(corpus.docs[doc_id], C) for doc_id in corpus.doc_ids}
     return Corpus.build(pooled, dtype=corpus.manifest.dtype, pooling="fixed", C=C)
 
-
-def split_rows(vectors: np.ndarray, offsets: np.ndarray) -> list[TokenMatrix]:
-    """One TokenMatrix view per row range offsets[i]:offsets[i + 1]; nothing is copied."""
-    bounds = offsets.tolist()
-    return [TokenMatrix(vectors[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]

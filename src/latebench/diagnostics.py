@@ -18,15 +18,13 @@ import numpy as np
 from .core import Corpus, RankedList, TokenMatrix, exact_search
 from .errors import EmptyIndex, EmptyLengths, NoSharedQueries
 from .ivf import IvfIndex, ivf_search
-from .metrics import MetricSpec, evaluate_run
+from .metrics import DEFAULT_SPECS, evaluate_run
 from .plaid import PlaidIndex, plaid_search
 from .trec import Qrels, RunFile
 
 logger = logging.getLogger(__name__)
 
 SearchFn = Callable[[TokenMatrix, int, str], RankedList]
-
-TABLE_SPECS = (MetricSpec("mrr", 10), MetricSpec("recall", 1000), MetricSpec("ndcg", 10))
 
 
 def exact_searcher(corpus: Corpus) -> SearchFn:
@@ -131,7 +129,7 @@ class AblationTable:
 
 
 def _table_metrics(run: RunFile, qrels: Qrels) -> tuple[float, float, float]:
-    reports = evaluate_run(run, qrels, TABLE_SPECS)
+    reports = evaluate_run(run, qrels, DEFAULT_SPECS)
     return (
         reports["MRR@10"].aggregate,
         reports["Recall@1000"].aggregate,
@@ -240,8 +238,8 @@ def compare_runs(run_a: RunFile, run_b: RunFile, qrels: Qrels, k: int) -> Agreem
         top_b = set(run_b.top_ids(qid, k))
         union = top_a | top_b
         overlaps[qid] = len(top_a & top_b) / len(union) if union else 1.0
-    reports_a = evaluate_run(run_a, qrels, TABLE_SPECS)
-    reports_b = evaluate_run(run_b, qrels, TABLE_SPECS)
+    reports_a = evaluate_run(run_a, qrels, DEFAULT_SPECS)
+    reports_b = evaluate_run(run_b, qrels, DEFAULT_SPECS)
     deltas = {
         label: reports_a[label].aggregate - reports_b[label].aggregate
         for label in reports_a

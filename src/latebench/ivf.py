@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kmeans
-from .core import Corpus, RankedList, TokenMatrix, maxsim_score
+from .core import Corpus, RankedList, TokenMatrix, score_docs
 from .errors import DimensionMismatch, TooFewVectors
 
 
@@ -145,8 +145,4 @@ def ivf_search(
     if k < 1:
         raise ValueError("k must be >= 1")
     ordinals = ivf_candidates(index, query, nprobe, per_token_candidates)
-    scored = []
-    for ordinal in ordinals:
-        doc_id = index.corpus.doc_ids[ordinal]
-        scored.append((doc_id, maxsim_score(query, index.corpus.docs[doc_id])))
-    return RankedList.from_scores(query_id, scored, k)
+    return RankedList.from_scores(query_id, score_docs(index.corpus, query, ordinals), k)

@@ -128,15 +128,18 @@ def evaluate_run(
     specs: Sequence[MetricSpec] = DEFAULT_SPECS,
     strict: bool = False,
 ) -> dict[str, MetricReport]:
-    """Compute every requested metric; keys are the canonical spec labels."""
+    """Compute every requested metric; keys are the canonical spec labels.
+
+    Run queries missing from the qrels are checked once, here, and the
+    metrics get only the judged queries, the only ones they read.
+    """
     if not specs:
         raise ValueError("at least one metric spec is required")
     if not run.rankings:
         logger.warning("run is empty; all aggregates will be 0")
-    reports = {}
-    for spec in specs:
-        reports[str(spec)] = _METRIC_FNS[spec.name](run, qrels, spec.k, strict=strict)
-    return reports
+    _check_run_queries(run, qrels, strict)
+    judged = RunFile(run.tag, {qid: r for qid, r in run.rankings.items() if qid in qrels})
+    return {str(spec): _METRIC_FNS[spec.name](judged, qrels, spec.k) for spec in specs}
 
 
 def report_rows(reports: Mapping[str, MetricReport]) -> list[list[str]]:
@@ -154,8 +157,8 @@ def report_rows(reports: Mapping[str, MetricReport]) -> list[list[str]]:
     return rows
 
 
-def format_table(rows: list[list[str]], sep: str = "\t") -> str:
-    return "\n".join(sep.join(row) for row in rows) + "\n"
+def format_table(rows: list[list[str]]) -> str:
+    return "\n".join("\t".join(row) for row in rows) + "\n"
 
 
 def format_aligned(rows: list[list[str]]) -> str:

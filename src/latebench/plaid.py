@@ -13,11 +13,13 @@ Retrieval runs as a funnel:
   stage 4  survivors are rescored exactly, from true vectors or, when
            residual compression is on, from decoded vectors.
 
-Stage 4 reads per-doc views of one flat array: the corpus's token array, or,
-with residuals, the array every vector is decoded into once, at build or load,
-CODEC_BLOCK_ROWS rows at a time. `doc_matrix` never decodes or allocates. The
-residual codec takes (..., dim) arrays and gives each row the bits it would get
-on its own.
+Stage 4 scores the survivors with `core.score_docs`, the loop the oracle and
+IVF use, over the index's token store, `store`: a `Corpus`. Without residuals
+that is the source corpus itself; with residuals it is a `Corpus` over one
+array every vector is decoded into once, at build or load, CODEC_BLOCK_ROWS
+rows at a time, under the index's doc ids and row offsets. `doc_matrix` is
+that store's per-doc view and never decodes or allocates. The residual codec
+takes (..., dim) arrays and gives each row the bits it would get on its own.
 
 ndocs smaller than k is an error, never a silent clamp. A search-time ncells
 larger than the centroid count means "probe everything" and is clamped.
@@ -42,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kmeans
-from .core import Corpus, RankedList, TokenMatrix, maxsim_score, split_rows
+from .core import Corpus, CorpusManifest, RankedList, TokenMatrix, score_docs
 from .errors import (
     DimensionMismatch,
     NDocsTooSmall,
@@ -225,28 +227,28 @@ class PlaidIndex:
     codes: np.ndarray  # (total_vectors,) int32, centroid per flat token
     row_offsets: np.ndarray  # (doc_count + 1,) int64, doc boundaries
     doc_ids: tuple[str, ...]
-    inverted: Csr  # per centroid, doc ordinals ascending
-    unique_codes: Csr  # per doc, sorted unique centroid ids
     residual_levels: np.ndarray | None  # (total_vectors, dim) uint8
     residual_scales: np.ndarray | None  # (total_vectors,) float32
     corpus: Corpus | None
-    storage: StorageReport | None
-    # Per doc, the matrix stage 4 rescores; see the module docstring.
-    matrices: tuple[TokenMatrix, ...] = field(init=False, repr=False, compare=False)
+    inverted: Csr = field(init=False)  # per centroid, doc ordinals ascending
+    unique_codes: Csr = field(init=False)  # per doc, sorted unique centroid ids
+    store: Corpus = field(init=False, repr=False)  # the vectors stage 4 rescores
 
     def __post_init__(self):
-        bits = self.config.residual_bits
+        num_centroids = self.config.num_centroids
+        inverted, unique_codes = code_lists(self.codes, self.row_offsets, num_centroids)
+        object.__setattr__(self, "inverted", inverted)
+        object.__setattr__(self, "unique_codes", unique_codes)
+        store, bits = self.corpus, self.config.residual_bits
         if bits:
             decoded = np.empty(self.residual_levels.shape, dtype=np.float32)
             for lo in range(0, len(decoded), CODEC_BLOCK_ROWS):
                 rows = slice(lo, lo + CODEC_BLOCK_ROWS)
                 code = ResidualCode(self.residual_levels[rows], self.residual_scales[rows])
                 decoded[rows] = decode_residual(code, self.centroids[self.codes[rows]], bits)
-            decoded.setflags(write=False)
-            matrices = split_rows(decoded, self.row_offsets)
-        else:
-            matrices = [self.corpus.docs[doc_id] for doc_id in self.doc_ids]
-        object.__setattr__(self, "matrices", tuple(matrices))
+            manifest = CorpusManifest(self.dim, doc_count=self.doc_count, total_vectors=len(decoded))
+            store = Corpus(manifest, self.doc_ids, decoded, self.row_offsets)
+        object.__setattr__(self, "store", store)
 
     @property
     def doc_count(self) -> int:
@@ -255,6 +257,11 @@ class PlaidIndex:
     @property
     def dim(self) -> int:
         return int(self.centroids.shape[1])
+
+    @property
+    def storage(self) -> StorageReport | None:
+        bits = self.config.residual_bits
+        return StorageReport.for_layout(len(self.codes), self.dim, bits) if bits else None
 
     def doc_rows(self, ordinal: int) -> int:
         return int(self.row_offsets[ordinal + 1] - self.row_offsets[ordinal])
@@ -266,7 +273,7 @@ class PlaidIndex:
     def doc_matrix(self, ordinal: int) -> TokenMatrix:
         """True vectors when residuals are off, decoded vectors otherwise."""
         self._check_ordinal(ordinal)
-        return self.matrices[ordinal]
+        return self.store.docs[self.doc_ids[ordinal]]
 
 
 def centroid_codes(index: PlaidIndex, ordinal: int) -> np.ndarray:
@@ -297,30 +304,23 @@ def build_plaid(
     elif centroids.shape[0] != config.num_centroids:
         raise ValueError("supplied centroids disagree with config.num_centroids")
     codes = kmeans.assign(vectors, centroids)
-    inverted, unique_codes = code_lists(codes, corpus.offsets, config.num_centroids)
     levels = scales = None
-    storage = None
     if config.residual_bits > 0:
-        dim = corpus.manifest.dim
-        levels = np.empty((vectors.shape[0], dim), dtype=np.uint8)
+        levels = np.empty(vectors.shape, dtype=np.uint8)
         scales = np.empty(vectors.shape[0], dtype=np.float32)
         for lo in range(0, vectors.shape[0], CODEC_BLOCK_ROWS):
             rows = slice(lo, lo + CODEC_BLOCK_ROWS)
             code = encode_residual(vectors[rows], centroids[codes[rows]], config.residual_bits)
             levels[rows], scales[rows] = code
-        storage = StorageReport.for_layout(vectors.shape[0], dim, config.residual_bits)
     return PlaidIndex(
         config=config,
         centroids=centroids,
         codes=codes,
         row_offsets=corpus.offsets,
         doc_ids=corpus.doc_ids,
-        inverted=inverted,
-        unique_codes=unique_codes,
         residual_levels=levels,
         residual_scales=scales,
         corpus=corpus,
-        storage=storage,
     )
 
 
@@ -418,7 +418,4 @@ def plaid_search(
     # Descending approximate score, ties by ascending doc id (Python str order).
     ids = np.array(index.doc_ids, dtype=object)[candidates]
     survivors = candidates[np.lexsort((ids, -approx))[:ndocs]]
-    rescored = []
-    for ordinal in survivors.tolist():
-        rescored.append((index.doc_ids[ordinal], maxsim_score(query, index.doc_matrix(ordinal))))
-    return RankedList.from_scores(query_id, rescored, k)
+    return RankedList.from_scores(query_id, score_docs(index.store, query, survivors.tolist()), k)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Corpus, TokenMatrix, maxsim_score
+from .core import Corpus, TokenMatrix, score_all
 from .errors import SpecInfeasible
 from .trec import Qrels
 
@@ -157,14 +157,9 @@ def _attempt(spec: SyntheticSpec, seed: int):
 def _verify_planted(corpus: Corpus, queries, qrels: Qrels, margin: float) -> bool:
     for qid, query in queries.items():
         target = next(iter(qrels.relevant(qid)))
-        target_score = None
-        best_other = -np.inf
-        for doc_id in corpus.doc_ids:
-            score = maxsim_score(query, corpus.docs[doc_id])
-            if doc_id == target:
-                target_score = score
-            elif score > best_other:
-                best_other = score
+        scores = dict(score_all(corpus, query))
+        target_score = scores.pop(target, None)
+        best_other = max(scores.values(), default=-np.inf)
         if target_score is None or target_score - best_other < margin:
             logger.info(
                 "planted margin violated for %s: target %s vs best distractor gap %.4f",

@@ -150,9 +150,8 @@ def parse_run(text: str) -> RunFile:
     return RunFile(tag=tag, rankings=rankings)
 
 
-def write_run(run: RunFile, tag: str | None = None, header: Iterable[str] = ()) -> str:
+def write_run(run: RunFile, header: Iterable[str] = ()) -> str:
     """Serialize with ranks 1..n; refuses lists that violate the ordering contract."""
-    tag = run.tag if tag is None else tag
     lines = [f"# {entry}" for entry in header]
     for qid in run.query_ids():
         ranked = run.rankings[qid]
@@ -162,5 +161,5 @@ def write_run(run: RunFile, tag: str | None = None, header: Iterable[str] = ()) 
                 f"query {qid!r}: scores are not non-increasing, ranks would lie"
             )
         for position, hit in enumerate(ranked.hits, start=1):
-            lines.append(f"{qid} Q0 {hit.doc_id} {position} {hit.score!r} {tag}")
+            lines.append(f"{qid} Q0 {hit.doc_id} {position} {hit.score!r} {run.tag}")
     return "\n".join(lines) + "\n"

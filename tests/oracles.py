@@ -162,3 +162,26 @@ def loop_decode_rows(levels, scales, centroids, codes, bits):
         vector = centroid.astype(np.float64) + values.astype(np.float64)
         out[i] = (vector / np.linalg.norm(vector)).astype(np.float32)
     return out
+
+
+def loop_verify_planted(corpus, queries, qrels, margin):
+    """The generator's margin check, one document at a time.
+
+    True when every query's (first) relevant doc beats its best other doc by
+    at least margin; each score is the float64 sum over query rows of the
+    best float32 dot, as the package's kernel computes it.
+    """
+    for qid, query in queries.items():
+        target = next(iter(qrels.relevant(qid)))
+        target_score = None
+        best_other = -math.inf
+        for doc_id in corpus.doc_ids:
+            sims = query.data @ corpus.docs[doc_id].data.T
+            score = float(np.sum(sims.max(axis=1), dtype=np.float64))
+            if doc_id == target:
+                target_score = score
+            elif score > best_other:
+                best_other = score
+        if target_score is None or target_score - best_other < margin:
+            return False
+    return True

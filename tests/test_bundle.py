@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import re
 
@@ -204,9 +205,45 @@ def test_plaid_index_rejects_codes_that_disagree_with_header(planted_small):
     corpus, _, _ = planted_small
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=2))
     for codes in (index.codes[:-1], index.codes + 32, index.codes - 1):
-        data = save_plaid_index(dataclasses.replace(index, codes=codes))
+        corrupt = copy.copy(index)
+        object.__setattr__(corrupt, "codes", codes)
+        data = save_plaid_index(corrupt)
         with pytest.raises(MalformedLine):
             load_plaid_index(data, corpus)
+
+
+@pytest.mark.parametrize("bits", [1, 2])
+def test_plaid_loader_rejects_levels_outside_bits(planted_small, bits):
+    corpus, _, _ = planted_small
+    config = PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=bits, seed=2)
+    index = build_plaid(corpus, config)
+    load_plaid_index(save_plaid_index(index), corpus)
+    levels = index.residual_levels.copy()
+    levels[7, 3] = 1 << bits
+    corrupt = copy.copy(index)
+    object.__setattr__(corrupt, "residual_levels", levels)
+    data = save_plaid_index(corrupt)
+    for supplied in (corpus, None):
+        with pytest.raises(MalformedLine, match="residual_levels"):
+            load_plaid_index(data, supplied)
+
+
+@pytest.mark.parametrize("container", ["bundle", "ivf", "plaid1"])
+def test_non_ascii_header_byte_is_malformed(planted_small, container):
+    corpus, _, _ = planted_small
+    if container == "bundle":
+        data, load = write_bundle(corpus, meta=["x"]), read_bundle
+    elif container == "ivf":
+        index = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=2))
+        data, load = save_ivf_index(index, meta=["x"]), lambda d: load_ivf_index(d, corpus)
+    else:
+        config = PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=1, seed=2)
+        data, load = save_plaid_index(build_plaid(corpus, config), meta=["x"]), load_plaid_index
+    load(data)
+    line_no = data[:data.index(b"\nmeta x\n")].count(b"\n") + 2
+    with pytest.raises(MalformedLine, match="0xe9") as exc:
+        load(data.replace(b"\nmeta x\n", b"\nmeta \xe9\n", 1))
+    assert exc.value.line_no == line_no
 
 
 def test_corpus_digest_is_pinned():

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -197,3 +200,26 @@ def test_pool_output_always_valid_unit_rows():
         pooled = pool_fixed(doc, 32)
         assert pooled.rows == 32
         validate_matrix(pooled)
+
+
+def _maxsim_call_sites(node, scope, sites):
+    """Append the innermost enclosing function name of every maxsim_score call."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    if isinstance(node, ast.Call):
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) == "maxsim_score":
+            sites.append(scope)
+    for child in ast.iter_child_nodes(node):
+        _maxsim_call_sites(child, scope, sites)
+
+
+def test_maxsim_score_is_called_only_by_score_docs():
+    # One exact-scoring loop: the oracle, both backends and the generator all
+    # score through core.score_docs, so a faster kernel goes in one place.
+    package = Path(__file__).resolve().parents[1] / "src" / "latebench"
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        found = []
+        _maxsim_call_sites(ast.parse(path.read_text(), filename=str(path)), "<module>", found)
+        sites += [(path.name, scope) for scope in found]
+    assert sites == [("core.py", "score_docs")]

@@ -16,12 +16,12 @@ from latebench import (
     truncation_ablation,
 )
 from latebench.diagnostics import (
-    TABLE_SPECS,
     exact_searcher,
     plaid_searcher,
     run_queries,
 )
 from latebench.errors import EmptyLengths, NoSharedQueries
+from latebench.metrics import DEFAULT_SPECS
 
 from conftest import basis_matrix
 
@@ -94,7 +94,7 @@ def test_ablation_noop_when_length_covers_all_rows(planted_with_filler):
     longest = max(query.rows for query in queries.values())
     table = truncation_ablation(queries, search, [longest, longest + 50], 20, qrels)
     full_run = run_queries(search, queries, 20)
-    reports = evaluate_run(full_run, qrels, TABLE_SPECS)
+    reports = evaluate_run(full_run, qrels, DEFAULT_SPECS)
     row, padded = table.rows
     assert row.mrr_at_10 == reports["MRR@10"].aggregate
     assert row.recall_at_1000 == reports["Recall@1000"].aggregate
@@ -149,7 +149,7 @@ def test_degenerate_single_cell_grid_equals_direct_search(planted_with_filler):
     result = grid_search(index, queries, qrels, [8], [0.3], ndocs=40, k=20)
     search = plaid_searcher(index, ncells=8, threshold=0.3, ndocs=40)
     run = run_queries(search, queries, 20)
-    reports = evaluate_run(run, qrels, TABLE_SPECS)
+    reports = evaluate_run(run, qrels, DEFAULT_SPECS)
     cell = result.cells[0]
     assert cell.mrr_at_10 == reports["MRR@10"].aggregate
     assert cell.recall_at_1000 == reports["Recall@1000"].aggregate
@@ -193,7 +193,7 @@ def test_compare_deltas_match_individual_reports(planted_with_filler):
     oracle_run = run_queries(exact_searcher(corpus), queries, 20)
     plaid_run = run_queries(plaid_searcher(index, threshold=0.5), queries, 20)
     report = compare_runs(oracle_run, plaid_run, qrels, 20)
-    for spec in TABLE_SPECS:
+    for spec in DEFAULT_SPECS:
         label = str(spec)
         expected = (
             evaluate_run(oracle_run, qrels, [spec])[label].aggregate

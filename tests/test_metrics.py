@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -128,6 +129,19 @@ def test_query_in_run_but_not_qrels_skipped_or_strict():
     assert mrr_at_k(run, qrels, 10).aggregate == 1.0
     with pytest.raises(QueryMissingFromQrels):
         mrr_at_k(run, qrels, 10, strict=True)
+
+
+def test_evaluate_run_warns_once_about_unjudged_queries(caplog):
+    run = _run({"q1": ["dA"], "mystery": ["dB"]})
+    qrels = Qrels.from_pairs([("q1", "dA", 1)])
+    with caplog.at_level(logging.WARNING, logger="latebench.metrics"):
+        reports = evaluate_run(run, qrels)
+    assert len(reports) == 3
+    assert all(report.aggregate == 1.0 for report in reports.values())
+    warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "no judgments" in warnings[0].getMessage()
+    with pytest.raises(QueryMissingFromQrels):
+        evaluate_run(run, qrels, strict=True)
 
 
 def test_metrics_invariant_under_monotone_score_transform():

@@ -297,6 +297,33 @@ def test_decoded_matrices_are_unit_norm(planted_small):
         validate_matrix(index.doc_matrix(ordinal))
 
 
+def test_index_store_is_a_corpus(planted_small):
+    corpus, _, _ = planted_small
+    plain = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=5))
+    assert plain.store is corpus
+    assert load_plaid_index(save_plaid_index(plain), corpus).store is corpus
+    residual = build_plaid(
+        corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=2, seed=5)
+    )
+    for index in (residual, load_plaid_index(save_plaid_index(residual))):
+        store = index.store
+        assert isinstance(store, Corpus) and store is not corpus
+        assert store.doc_ids == index.doc_ids and np.array_equal(store.offsets, index.row_offsets)
+        store.check_structure()
+        vectors = store.vectors
+        assert vectors.shape == corpus.vectors.shape and vectors.dtype == np.float32
+        assert vectors.flags.c_contiguous and not vectors.flags.writeable
+        want = loop_decode_rows(index.residual_levels, index.residual_scales,
+                                index.centroids, index.codes, 2)
+        assert vectors.tobytes() == want.tobytes()
+        for ordinal, doc_id in enumerate(index.doc_ids):
+            matrix = store.docs[doc_id]
+            assert matrix.data.base is vectors
+            lo, hi = index.row_offsets[ordinal], index.row_offsets[ordinal + 1]
+            assert np.shares_memory(matrix.data, vectors[lo:hi]) and matrix.rows == hi - lo
+            assert index.doc_matrix(ordinal) is matrix
+
+
 def test_unsupported_bits_rejected():
     v = basis_matrix([0], dim=4).data[0]
     with pytest.raises(UnsupportedBits):

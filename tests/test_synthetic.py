@@ -10,6 +10,9 @@ from latebench import (
 )
 from latebench.diagnostics import exact_searcher, run_queries
 from latebench.errors import SpecInfeasible
+from latebench.synthetic import _attempt, _verify_planted
+
+from oracles import loop_verify_planted
 
 
 def test_planted_target_ranks_first_without_filler():
@@ -120,3 +123,26 @@ def test_spec_field_validation():
         SyntheticSpec(tokens_per_doc=(2, 1))
     with pytest.raises(ValueError):
         SyntheticSpec(doc_count=5, queries=6)
+
+
+def test_margin_check_decides_like_the_per_doc_loop(planted_small):
+    unreachable = SyntheticSpec(doc_count=12, tokens_per_doc=(4, 8), dim=32, num_concepts=8,
+                                queries=4, signal_tokens=1, margin=5.0, seed=5, max_retries=1)
+    unfilled = SyntheticSpec(doc_count=40, tokens_per_doc=(4, 12), dim=32, num_concepts=10,
+                             queries=8, signal_tokens=4, seed=3)
+    datasets = [_attempt(unreachable, unreachable.seed), _attempt(unfilled, unfilled.seed),
+                planted_small]
+    for corpus, queries, qrels in datasets:
+        gaps = []
+        for qid, query in queries.items():
+            first, second = exact_search(corpus, query, 2).hits
+            target_first = first.doc_id in qrels.relevant(qid)
+            gaps.append(first.score - second.score if target_first else -np.inf)
+        gap = min(gaps)
+        expected = {5.0: False, 0.05: gap >= 0.05}
+        if gap > 0:
+            # The smallest real gap is the sharp boundary of the check.
+            expected.update({gap: True, float(np.nextafter(gap, np.inf)): False})
+        for margin, decision in expected.items():
+            assert _verify_planted(corpus, queries, qrels, margin) is decision, margin
+            assert loop_verify_planted(corpus, queries, qrels, margin) is decision, margin
