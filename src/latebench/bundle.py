@@ -129,7 +129,7 @@ class _Header:
         return [fields for k, fields in self.records if k == key]
 
     def doc_lines(self, width: int) -> list[tuple]:
-        """(id, int, ...) per `doc` line of `width` fields; the ints must be >= 0."""
+        """(id, int, ...) per `doc` line of `width` fields; unique ids, ints >= 0."""
         entries = []
         for fields in self.many("doc"):
             if len(fields) != width or not all(f.isdigit() for f in fields[1:]):
@@ -137,6 +137,8 @@ class _Header:
                     0, f"doc line needs an id and {width - 1} integer(s) >= 0: {fields!r}"
                 )
             entries.append((fields[0], *map(int, fields[1:])))
+        if len({entry[0] for entry in entries}) != len(entries):
+            raise MalformedLine(0, "doc ids in the doc lines are not unique")
         return entries
 
     def config(self, cls):

@@ -194,6 +194,9 @@ class Corpus:
                 exc.args = (f"doc {doc_id!r}: {exc}",)
                 raise
 
+    def doc_matrix(self, ordinal: int) -> TokenMatrix:
+        return self.docs[self.doc_ids[ordinal]]
+
     def __len__(self) -> int:
         return len(self.doc_ids)
 
@@ -240,16 +243,14 @@ def maxsim_score(query: TokenMatrix, doc: TokenMatrix) -> float:
     return float(np.sum(sims.max(axis=1), dtype=np.float64))
 
 
-def score_docs(
-    corpus: Corpus, query: TokenMatrix, ordinals: Iterable[int]
-) -> list[tuple[str, float]]:
+def score_docs(store, query: TokenMatrix, ordinals: Iterable[int]) -> list[tuple[str, float]]:
     """(doc id, maxsim_score) for each doc ordinal, in the given order, single-threaded.
 
-    LATEBENCH_THREADS is accepted and ignored: a thread pool over documents
-    measured slower than this serial loop.
+    `store` has `doc_ids` and `doc_matrix(ordinal)`: a Corpus or a PlaidIndex.
+    LATEBENCH_THREADS is ignored: a thread pool measured slower than this loop.
     """
-    doc_ids, docs = corpus.doc_ids, corpus.docs
-    return [(doc_ids[o], maxsim_score(query, docs[doc_ids[o]])) for o in ordinals]
+    doc_ids, matrix = store.doc_ids, store.doc_matrix
+    return [(doc_ids[o], maxsim_score(query, matrix(o))) for o in ordinals]
 
 
 def score_all(corpus: Corpus, query: TokenMatrix) -> list[tuple[str, float]]:

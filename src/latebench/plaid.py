@@ -13,13 +13,12 @@ Retrieval runs as a funnel:
   stage 4  survivors are rescored exactly, from true vectors or, when
            residual compression is on, from decoded vectors.
 
-Stage 4 scores the survivors with `core.score_docs`, the loop the oracle and
-IVF use, over the index's token store, `store`: a `Corpus`. Without residuals
-that is the source corpus itself; with residuals it is a `Corpus` over one
-array every vector is decoded into once, at build or load, CODEC_BLOCK_ROWS
-rows at a time, under the index's doc ids and row offsets. `doc_matrix` is
-that store's per-doc view and never decodes or allocates. The residual codec
-takes (..., dim) arrays and gives each row the bits it would get on its own.
+Stage 4 scores the survivors with `core.score_docs`, the oracle's and IVF's
+loop, reading each through `doc_matrix`, a view of the index's `store`: the
+source corpus without residuals, else a `Corpus` over one array every vector
+is decoded into once, at build or load, CODEC_BLOCK_ROWS rows at a time, so
+`doc_matrix` never decodes or allocates. The residual codec takes
+(..., dim) arrays and gives each row the bits it would get on its own.
 
 ndocs smaller than k is an error, never a silent clamp. A search-time ncells
 larger than the centroid count means "probe everything" and is clamped.
@@ -273,7 +272,7 @@ class PlaidIndex:
     def doc_matrix(self, ordinal: int) -> TokenMatrix:
         """True vectors when residuals are off, decoded vectors otherwise."""
         self._check_ordinal(ordinal)
-        return self.store.docs[self.doc_ids[ordinal]]
+        return self.store.doc_matrix(ordinal)
 
 
 def centroid_codes(index: PlaidIndex, ordinal: int) -> np.ndarray:
@@ -418,4 +417,4 @@ def plaid_search(
     # Descending approximate score, ties by ascending doc id (Python str order).
     ids = np.array(index.doc_ids, dtype=object)[candidates]
     survivors = candidates[np.lexsort((ids, -approx))[:ndocs]]
-    return RankedList.from_scores(query_id, score_docs(index.store, query, survivors.tolist()), k)
+    return RankedList.from_scores(query_id, score_docs(index, query, survivors.tolist()), k)

@@ -333,6 +333,11 @@ def _regroup_rows(first):
     return edit
 
 
+def _repeat_doc_id(data):
+    """A corruption that gives the second doc line the first one's id."""
+    return _edit_header(r"^doc (\S+)( .*)\ndoc \S+ ", r"doc \1\2\ndoc \1 ")(data)
+
+
 @pytest.fixture(scope="module")
 def saved_indexes(planted_small):
     corpus, _, _ = planted_small
@@ -377,6 +382,7 @@ def saved_indexes(planted_small):
                  id="num-centroids-disagree-with-centroids"),
     pytest.param("plaid", _regroup_rows(lambda rows: rows - 1), CorpusMismatch,
                  id="doc-rows-moved"),
+    pytest.param("plaid1", _repeat_doc_id, MalformedLine, id="doc-id-repeated"),
 ])
 def test_index_loaders_reject_inconsistent_headers(planted_small, saved_indexes, source,
                                                    corrupt, error):
@@ -385,3 +391,16 @@ def test_index_loaders_reject_inconsistent_headers(planted_small, saved_indexes,
     load(saved_indexes[source.removesuffix("+16")], corpus)  # the untouched file loads
     with pytest.raises(error):
         load(corrupt(saved_indexes[source]), corpus)
+
+
+def test_repeated_doc_ids_are_malformed_without_a_corpus(planted_small, saved_indexes):
+    # Without a corpus to compare against, a repeated id would map two
+    # ordinals to one decoded view.
+    corpus, _, _ = planted_small
+    load_plaid_index(saved_indexes["plaid1"])
+    with pytest.raises(MalformedLine, match="not unique"):
+        load_plaid_index(_repeat_doc_id(saved_indexes["plaid1"]))
+    data = write_bundle(corpus)
+    read_bundle(data)
+    with pytest.raises(MalformedLine, match="not unique"):
+        read_bundle(_repeat_doc_id(data))

@@ -21,6 +21,7 @@ from latebench.bundle import load_plaid_index, save_plaid_index
 from latebench.errors import NDocsTooSmall, UnknownDoc, UnsupportedBits
 from latebench.plaid import (
     CODEC_BLOCK_ROWS,
+    PlaidIndex,
     ResidualCode,
     StorageReport,
     approx_scores,
@@ -139,6 +140,26 @@ def test_stage4_scores_equal_exact_kernel_when_residuals_off(planted_small):
     result = plaid_search(index, query, 10, threshold=0.0)
     for hit in result.hits:
         assert hit.score == maxsim_score(query, corpus.docs[hit.doc_id])
+
+
+def test_stage4_reads_each_survivor_through_doc_matrix(planted_small, monkeypatch):
+    # Profilers time decoded-vector access by wrapping PlaidIndex.doc_matrix,
+    # so stage 4 must look every survivor up through it, once.
+    corpus, queries, _ = planted_small
+    query = next(iter(queries.values()))
+    original, seen = PlaidIndex.doc_matrix, []
+    monkeypatch.setattr(PlaidIndex, "doc_matrix",
+                        lambda index, ordinal: seen.append(ordinal) or original(index, ordinal))
+    for bits in (0, 2):
+        config = PlaidConfig(num_centroids=32, ncells=4, ndocs=20, residual_bits=bits, seed=3)
+        index = build_plaid(corpus, config)
+        seen.clear()
+        result = plaid_search(index, query, 10, threshold=0.0)
+        candidates = plaid_candidates(index, query, threshold=0.0).candidates
+        assert len(seen) == len(set(seen)) == min(20, len(candidates))
+        assert set(seen) <= set(candidates)
+        scored = {index.doc_ids[o]: maxsim_score(query, original(index, o)) for o in seen}
+        assert all(scored[hit.doc_id] == hit.score for hit in result.hits)
 
 
 def test_saturation_once_doc_centroids_covered():
