@@ -9,7 +9,6 @@ backend agreement) needed to stress-test them against each other.
 
 from .core import (
     Corpus,
-    CorpusManifest,
     RankedList,
     ScoredDoc,
     TokenMatrix,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Corpus",
-    "CorpusManifest",
     "RankedList",
     "ScoredDoc",
     "TokenMatrix",

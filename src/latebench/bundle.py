@@ -47,7 +47,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DTYPE_BYTES, Corpus, CorpusManifest
+from .core import DTYPE_BYTES, NORM_TOLERANCE, Corpus
 from .errors import (
     BadMagic,
     CorpusMismatch,
@@ -74,8 +74,8 @@ class _HeaderWriter:
 
     def line(self, *fields) -> None:
         text = " ".join(str(f) for f in fields)
-        if "\n" in text:
-            raise ValueError("header lines must not contain newlines")
+        if "\n" in text or not text.isascii():
+            raise ValueError(f"header lines must be one line of ASCII text, got {text!r}")
         self.lines.append(text)
 
     def meta(self, entries: Iterable[str]) -> None:
@@ -190,20 +190,18 @@ class _Header:
 
 
 def write_bundle(corpus: Corpus, meta: Iterable[str] = ()) -> bytes:
-    corpus.check_structure()
-    m = corpus.manifest
     writer = _HeaderWriter(BUNDLE_MAGIC)
-    writer.line("dim", m.dim)
-    writer.line("dtype", m.dtype)
-    writer.line("pooling", m.pooling)
-    writer.line("C", m.C)
-    writer.line("doc_count", m.doc_count)
+    writer.line("dim", corpus.dim)
+    writer.line("dtype", corpus.dtype)
+    writer.line("pooling", corpus.pooling)
+    writer.line("C", corpus.C)
+    writer.line("doc_count", len(corpus))
     writer.meta(meta)
-    row_bytes = m.dim * DTYPE_BYTES[m.dtype]
+    row_bytes = corpus.dim * DTYPE_BYTES[corpus.dtype]
     starts = corpus.offsets.tolist()
     for doc_id, lo, hi in zip(corpus.doc_ids, starts[:-1], starts[1:]):
         writer.line("doc", doc_id, hi - lo, lo * row_bytes)
-    return writer.finish(corpus.vectors.astype(_NUMPY_DTYPES[m.dtype], copy=False).tobytes())
+    return writer.finish(corpus.vectors.astype(_NUMPY_DTYPES[corpus.dtype], copy=False).tobytes())
 
 
 def read_bundle_meta(data: bytes) -> list[str]:
@@ -217,12 +215,9 @@ def read_bundle(data: bytes) -> Corpus:
     dim = header.value("dim", int)
     C = header.value("C", int)
     doc_count = header.value("doc_count", int)
-    dtype = header.value("dtype")
-    pooling = header.value("pooling")
-    if dtype not in ("float32", "float16"):
+    dtype, pooling = header.value("dtype"), header.value("pooling")
+    if dtype not in DTYPE_BYTES:
         raise MalformedLine(0, f"unknown dtype {dtype!r}")
-    if pooling not in ("none", "fixed"):
-        raise MalformedLine(0, f"unknown pooling {pooling!r}")
     item_bytes = DTYPE_BYTES[dtype]
     entries = header.doc_lines(3)
     if len(entries) != doc_count:
@@ -242,22 +237,13 @@ def read_bundle(data: bytes) -> Corpus:
     # The extents tile the payload in doc order, so it is the flat row array.
     offsets = np.zeros(len(entries) + 1, dtype=np.int64)
     np.cumsum([rows for _, rows, _ in entries], out=offsets[1:])
-    total = int(offsets[-1])
     vectors = np.frombuffer(header.payload, dtype=_NUMPY_DTYPES[dtype]).astype(np.float32)
-    manifest = CorpusManifest(
-        dim=dim, dtype=dtype, pooling=pooling, C=C, doc_count=doc_count, total_vectors=total,
-    )
-    corpus = Corpus(
-        manifest=manifest,
-        doc_ids=tuple(d for d, _, _ in entries),
-        vectors=vectors.reshape(total, dim),
-        offsets=offsets,
-    )
-    tolerance = FLOAT16_NORM_TOLERANCE if dtype == "float16" else None
-    if tolerance is None:
-        corpus.validate()
-    else:
-        corpus.validate(norm_tol=tolerance)
+    vectors = vectors.reshape(int(offsets[-1]), dim)
+    try:
+        corpus = Corpus(tuple(d for d, _, _ in entries), vectors, offsets, dtype, pooling, C)
+    except ValueError as exc:
+        raise MalformedLine(0, f"header does not describe the payload: {exc}") from None
+    corpus.validate(FLOAT16_NORM_TOLERANCE if dtype == "float16" else NORM_TOLERANCE)
     return corpus
 
 
@@ -315,11 +301,11 @@ def load_ivf_index(data: bytes, corpus: Corpus) -> IvfIndex:
         raise CorpusMismatch("index was built from a different corpus than the one supplied")
     config = header.config(IvfConfig)
     arrays = header.arrays({
-        "centroids": ("float32", (config.nlist, corpus.manifest.dim)),
+        "centroids": ("float32", (config.nlist, corpus.dim)),
         "assignments": ("int32", (None,)),
     })
     assignments = arrays["assignments"]
-    if assignments.shape[0] != corpus.manifest.total_vectors:
+    if assignments.shape[0] != corpus.total_vectors:
         raise CorpusMismatch("stored assignments do not match corpus vector count")
     _check_range("assignments", assignments, config.nlist)
     return IvfIndex(

@@ -119,9 +119,7 @@ def cmd_generate(args) -> int:
     if args.pool_to:
         corpus = pool_corpus(corpus, args.pool_to)
     if args.dtype == "float16":
-        corpus = dataclasses.replace(
-            corpus, manifest=dataclasses.replace(corpus.manifest, dtype="float16")
-        )
+        corpus = dataclasses.replace(corpus, dtype="float16")
     header = _header_entries(args)
     _atomic_write(Path(args.out_bundle), bundle_io.write_bundle(corpus, meta=header))
     query_corpus = Corpus.build(queries)

@@ -90,46 +90,42 @@ def validate_matrix(m: TokenMatrix, norm_tol: float = NORM_TOLERANCE) -> None:
 
 
 @dataclass(frozen=True)
-class CorpusManifest:
-    dim: int
-    dtype: str = "float32"
-    pooling: str = "none"
-    C: int = 0
-    doc_count: int = 0
-    total_vectors: int = 0
-
-    def __post_init__(self):
-        if self.dtype not in DTYPE_BYTES:
-            raise ValueError(f"unknown dtype {self.dtype!r}")
-        if self.pooling not in ("none", "fixed"):
-            raise ValueError(f"unknown pooling {self.pooling!r}")
-        if self.pooling == "fixed" and self.C < 1:
-            raise ValueError("pooling=fixed requires C >= 1")
-
-
-@dataclass(frozen=True)
 class Corpus:
-    """Ordered doc ids over one flat token array.
+    """Ordered doc ids over one flat token array, checked when it is made.
 
     `vectors` is a read-only, C-contiguous float32 array of shape
     (total_vectors, dim) holding every document's rows in doc_ids order; doc i
     owns rows offsets[i]:offsets[i + 1]. `docs` maps each id to a TokenMatrix
-    view of its rows, so every consumer reads the same memory.
+    view of its rows, so every consumer reads the same memory. `dtype` is the
+    storage precision a bundle writes; `pooling="fixed"` means every doc has
+    exactly C rows. Counts are read from the arrays, and `check_structure`
+    runs on every construction, `dataclasses.replace` included.
     """
 
-    manifest: CorpusManifest
     doc_ids: tuple[str, ...]
     vectors: np.ndarray = field(repr=False, compare=False)
-    offsets: np.ndarray = field(repr=False, compare=False)  # (doc_count + 1,) int64
+    offsets: np.ndarray = field(repr=False, compare=False)  # (len(doc_ids) + 1,) int64
+    dtype: str = "float32"
+    pooling: str = "none"
+    C: int = 0
     docs: Mapping[str, TokenMatrix] = field(init=False)
 
     def __post_init__(self):
         vectors = np.ascontiguousarray(self.vectors, dtype=np.float32)
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
+        self.check_structure()
         bounds = self.offsets.tolist()
         views = (TokenMatrix(vectors[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
         object.__setattr__(self, "docs", dict(zip(self.doc_ids, views)))
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
+
+    @property
+    def total_vectors(self) -> int:
+        return len(self.vectors)
 
     @classmethod
     def build(
@@ -139,7 +135,7 @@ class Corpus:
         pooling: str = "none",
         C: int = 0,
     ) -> "Corpus":
-        """Concatenate the docs into one flat array, deriving the manifest counts."""
+        """Concatenate the docs, in mapping order, into one flat array."""
         doc_ids = tuple(docs.keys())
         if not doc_ids:
             raise EmptyCorpus("corpus has no documents")
@@ -148,45 +144,38 @@ class Corpus:
             raise DimensionMismatch(f"documents disagree on dim: {sorted(dims)}")
         offsets = np.zeros(len(doc_ids) + 1, dtype=np.int64)
         np.cumsum([docs[d].rows for d in doc_ids], out=offsets[1:])
-        manifest = CorpusManifest(
-            dim=dims.pop(),
-            dtype=dtype,
-            pooling=pooling,
-            C=C,
-            doc_count=len(doc_ids),
-            total_vectors=int(offsets[-1]),
-        )
         vectors = np.concatenate([docs[d].data for d in doc_ids])
-        corpus = cls(manifest=manifest, doc_ids=doc_ids, vectors=vectors, offsets=offsets)
-        corpus.check_structure()
-        return corpus
+        return cls(doc_ids, vectors, offsets, dtype, pooling, C)
 
     def check_structure(self) -> None:
-        """Structural invariants only (counts, ids, offsets); matrix contents via validate()."""
-        m = self.manifest
-        if m.doc_count < 1:
-            raise EmptyCorpus("manifest declares zero documents")
-        if len(self.doc_ids) != m.doc_count:
-            raise ValueError("doc count disagrees between manifest, ids, and payload")
+        """Structural invariants (ids, offsets, dtype, pooling); matrix contents via validate()."""
+        if not self.doc_ids:
+            raise EmptyCorpus("corpus has no documents")
         if len(set(self.doc_ids)) != len(self.doc_ids):
             raise ValueError("doc ids are not unique")
         for doc_id in self.doc_ids:
-            if not doc_id or doc_id.split() != [doc_id]:
-                raise ValueError(f"doc id {doc_id!r} is empty or contains whitespace")
+            if not doc_id or doc_id.split() != [doc_id] or not doc_id.isascii():
+                raise ValueError(f"doc id {doc_id!r} is empty, contains whitespace or is not ASCII")
+        if self.dtype not in DTYPE_BYTES:
+            raise ValueError(f"unknown dtype {self.dtype!r}")
+        if self.pooling not in ("none", "fixed"):
+            raise ValueError(f"unknown pooling {self.pooling!r}")
+        if self.pooling == "fixed" and self.C < 1:
+            raise ValueError("pooling=fixed requires C >= 1")
         rows = np.diff(self.offsets)
-        if self.offsets.shape != (m.doc_count + 1,) or self.offsets[0] != 0 or (rows < 0).any():
-            raise ValueError("row offsets do not split the vectors into doc_count documents")
-        if self.offsets[-1] != m.total_vectors or self.vectors.shape != (m.total_vectors, m.dim):
-            raise ValueError("manifest total_vectors disagrees with payload")
-        if m.pooling == "fixed" and (rows != m.C).any():
-            ordinal = int(np.argmax(rows != m.C))
+        if (self.offsets.shape != (len(self.doc_ids) + 1,) or self.offsets[0] != 0
+                or (rows < 0).any() or self.vectors.ndim != 2
+                or self.offsets[-1] != len(self.vectors)):
+            raise ValueError("row offsets do not split the (rows, dim) vectors into one run per doc")
+        if self.pooling == "fixed" and (rows != self.C).any():
+            ordinal = int(np.argmax(rows != self.C))
             raise ValueError(
                 f"pooling=fixed but doc {self.doc_ids[ordinal]!r} has {rows[ordinal]} rows, "
-                f"expected C={m.C}"
+                f"expected C={self.C}"
             )
 
     def validate(self, norm_tol: float = NORM_TOLERANCE) -> None:
-        self.check_structure()
+        """Per-document matrix contents; the structure was checked at construction."""
         for doc_id in self.doc_ids:
             try:
                 validate_matrix(self.docs[doc_id], norm_tol=norm_tol)
@@ -247,7 +236,6 @@ def score_docs(store, query: TokenMatrix, ordinals: Iterable[int]) -> list[tuple
     """(doc id, maxsim_score) for each doc ordinal, in the given order, single-threaded.
 
     `store` has `doc_ids` and `doc_matrix(ordinal)`: a Corpus or a PlaidIndex.
-    LATEBENCH_THREADS is ignored: a thread pool measured slower than this loop.
     """
     doc_ids, matrix = store.doc_ids, store.doc_matrix
     return [(doc_ids[o], maxsim_score(query, matrix(o))) for o in ordinals]
@@ -255,10 +243,8 @@ def score_docs(store, query: TokenMatrix, ordinals: Iterable[int]) -> list[tuple
 
 def score_all(corpus: Corpus, query: TokenMatrix) -> list[tuple[str, float]]:
     """maxsim_score against every document, in corpus order."""
-    if len(corpus) == 0:
-        raise EmptyCorpus("cannot search an empty corpus")
-    if query.dim != corpus.manifest.dim:
-        raise DimensionMismatch(f"query dim {query.dim} != corpus dim {corpus.manifest.dim}")
+    if query.dim != corpus.dim:
+        raise DimensionMismatch(f"query dim {query.dim} != corpus dim {corpus.dim}")
     return score_docs(corpus, query, range(len(corpus)))
 
 
@@ -309,5 +295,5 @@ def pool_fixed(doc: TokenMatrix, C: int) -> TokenMatrix:
 def pool_corpus(corpus: Corpus, C: int) -> Corpus:
     """Apply pool_fixed to every document, producing a pooling=fixed corpus."""
     pooled = {doc_id: pool_fixed(corpus.docs[doc_id], C) for doc_id in corpus.doc_ids}
-    return Corpus.build(pooled, dtype=corpus.manifest.dtype, pooling="fixed", C=C)
+    return Corpus.build(pooled, dtype=corpus.dtype, pooling="fixed", C=C)
 

@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import Corpus, RankedList, TokenMatrix, exact_search
-from .errors import EmptyIndex, EmptyLengths, NoSharedQueries
+from .errors import EmptyLengths, NoSharedQueries
 from .ivf import IvfIndex, ivf_search
 from .metrics import DEFAULT_SPECS, evaluate_run
 from .plaid import PlaidIndex, plaid_search
@@ -76,8 +76,6 @@ class CoverageReport:
 
 def centroid_coverage(index: PlaidIndex, sample: int = 5000, seed: int = 0) -> CoverageReport:
     """Unique-centroid footprint over a seeded document sample."""
-    if index.doc_count == 0:
-        raise EmptyIndex("index holds no documents")
     if sample < 1:
         raise ValueError("sample must be >= 1")
     if sample > index.doc_count:

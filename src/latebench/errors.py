@@ -51,10 +51,6 @@ class UnsupportedBits(LatebenchError):
     pass
 
 
-class EmptyIndex(LatebenchError):
-    pass
-
-
 class EmptyLengths(LatebenchError):
     pass
 

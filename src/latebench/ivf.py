@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kmeans
 from .core import Corpus, RankedList, TokenMatrix, score_docs
-from .errors import DimensionMismatch, TooFewVectors
+from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,6 @@ class IvfIndex:
 def build_ivf(corpus: Corpus, config: IvfConfig) -> IvfIndex:
     """Cluster all token vectors and file each one under its argmax centroid."""
     vectors = corpus.vectors
-    if vectors.shape[0] < config.nlist:
-        raise TooFewVectors(
-            f"corpus has {vectors.shape[0]} vectors, fewer than nlist={config.nlist}"
-        )
     centroids = kmeans.train_kmeans(
         vectors, config.nlist, iters=config.kmeans_iters, seed=config.seed
     )

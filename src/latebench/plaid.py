@@ -43,11 +43,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kmeans
-from .core import Corpus, CorpusManifest, RankedList, TokenMatrix, score_docs
+from .core import Corpus, RankedList, TokenMatrix, score_docs
 from .errors import (
     DimensionMismatch,
     NDocsTooSmall,
-    TooFewVectors,
     UnknownDoc,
     UnsupportedBits,
 )
@@ -245,8 +244,7 @@ class PlaidIndex:
                 rows = slice(lo, lo + CODEC_BLOCK_ROWS)
                 code = ResidualCode(self.residual_levels[rows], self.residual_scales[rows])
                 decoded[rows] = decode_residual(code, self.centroids[self.codes[rows]], bits)
-            manifest = CorpusManifest(self.dim, doc_count=self.doc_count, total_vectors=len(decoded))
-            store = Corpus(manifest, self.doc_ids, decoded, self.row_offsets)
+            store = Corpus(self.doc_ids, decoded, self.row_offsets)
         object.__setattr__(self, "store", store)
 
     @property
@@ -292,11 +290,6 @@ def build_plaid(
     """
     vectors = corpus.vectors
     if centroids is None:
-        if vectors.shape[0] < config.num_centroids:
-            raise TooFewVectors(
-                f"corpus has {vectors.shape[0]} vectors, fewer than "
-                f"num_centroids={config.num_centroids}"
-            )
         centroids = kmeans.train_kmeans(
             vectors, config.num_centroids, iters=config.kmeans_iters, seed=config.seed
         )

@@ -80,7 +80,7 @@ def _recall_vs_oracle(backend_lists, oracle):
 
 def test_criterion_01_ivf_oracle_equivalence(bench):
     corpus, queries, _, oracle = bench
-    total = corpus.manifest.total_vectors
+    total = corpus.total_vectors
     index = build_ivf(corpus, IvfConfig(nlist=128, nprobe=8, seed=7))
     start = time.monotonic()
     for qid, query in queries.items():
@@ -106,7 +106,7 @@ def test_criterion_02_plaid_oracle_equivalence(bench, bench_plaid):
 def test_criterion_03_monotonicity_suite(bench, bench_plaid):
     corpus, queries, _, oracle = bench
     index = build_ivf(corpus, IvfConfig(nlist=128, nprobe=8, seed=7))
-    total = corpus.manifest.total_vectors
+    total = corpus.total_vectors
     nprobes = (1, 4, 16, 64, 128)
 
     # direct candidate-set subset assertions, every query
@@ -321,7 +321,7 @@ def test_criterion_09_residual_codec():
         doc_noise=0.05, concepts_per_doc=3, query_noise=0.05,
     )
     corpus, queries, _ = generate_synthetic(spec)
-    assert corpus.manifest.total_vectors >= 10_000
+    assert corpus.total_vectors >= 10_000
     config = PlaidConfig(
         num_centroids=128, ncells=8, centroid_score_threshold=0.3, ndocs=500, seed=7
     )
@@ -329,9 +329,9 @@ def test_criterion_09_residual_codec():
     residual = build_plaid(corpus, dataclasses.replace(config, residual_bits=2))
 
     report = residual.storage
-    assert report.raw_float16_bytes == corpus.manifest.total_vectors * 128 * 2
+    assert report.raw_float16_bytes == corpus.total_vectors * 128 * 2
     per_vector = 4 + (128 * 2) // 8 + 4  # centroid id + packed levels + scale
-    assert report.compressed_bytes == corpus.manifest.total_vectors * per_vector
+    assert report.compressed_bytes == corpus.total_vectors * per_vector
     assert report.ratio >= 6.0
 
     overlaps = []

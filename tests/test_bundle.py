@@ -28,6 +28,7 @@ from latebench.bundle import (
 from latebench.errors import (
     BadMagic,
     CorpusMismatch,
+    EmptyCorpus,
     MalformedLine,
     OffsetOverlap,
     TruncatedPayload,
@@ -87,7 +88,8 @@ def test_overlapping_offsets_rejected():
 def test_float32_roundtrip_bitwise():
     corpus = _random_corpus(seed=1, docs=100)
     again = read_bundle(write_bundle(corpus))
-    assert again.manifest == corpus.manifest
+    assert (again.dim, again.dtype, again.pooling, again.C, len(again)) == (
+        corpus.dim, corpus.dtype, corpus.pooling, corpus.C, len(corpus))
     assert again.doc_ids == corpus.doc_ids
     for doc_id in corpus.doc_ids:
         assert np.array_equal(again.docs[doc_id].data, corpus.docs[doc_id].data)
@@ -97,7 +99,7 @@ def test_float16_roundtrip_stable_at_stored_precision():
     corpus = _random_corpus(seed=2, dtype="float16")
     first = write_bundle(corpus)
     loaded = read_bundle(first)
-    assert loaded.manifest.dtype == "float16"
+    assert loaded.dtype == "float16"
     # values are exactly the widened float16 numbers, so a rewrite is bitwise identical
     assert write_bundle(loaded) == first
     for doc_id in corpus.doc_ids:
@@ -201,6 +203,12 @@ def test_float16_manifest_survives_digest():
     )
 
 
+def test_header_text_must_be_ascii():
+    corpus = _random_corpus(seed=3, docs=3)
+    with pytest.raises(ValueError, match="meta \u00e9"):
+        write_bundle(corpus, meta=["\u00e9"])
+
+
 def test_plaid_index_rejects_codes_that_disagree_with_header(planted_small):
     corpus, _, _ = planted_small
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=2))
@@ -269,7 +277,7 @@ def test_corpus_docs_are_views_of_one_flat_array(planted_small):
         vectors, offsets = corpus.vectors, corpus.offsets
         assert vectors.dtype == np.float32 and vectors.flags.c_contiguous
         assert not vectors.flags.writeable
-        assert vectors.shape == (corpus.manifest.total_vectors, corpus.manifest.dim)
+        assert vectors.shape == (corpus.total_vectors, corpus.dim)
         assert offsets.dtype == np.int64 and offsets.shape == (len(corpus) + 1,)
         for ordinal, doc_id in enumerate(corpus.doc_ids):
             data = corpus.docs[doc_id].data
@@ -404,3 +412,30 @@ def test_repeated_doc_ids_are_malformed_without_a_corpus(planted_small, saved_in
     read_bundle(data)
     with pytest.raises(MalformedLine, match="not unique"):
         read_bundle(_repeat_doc_id(data))
+
+
+def test_pooled_bundle_with_edited_C_is_malformed(planted_small):
+    corpus, _, _ = planted_small
+    data = write_bundle(pool_corpus(corpus, 3))
+    read_bundle(data)
+    with pytest.raises(MalformedLine, match="expected C=2"):
+        read_bundle(_edit_header(r"^C 3$", "C 2")(data))
+
+
+def test_plaid_index_without_docs_is_an_empty_corpus(planted_small):
+    corpus, _, _ = planted_small
+    config = PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=1, seed=2)
+    index = build_plaid(corpus, config)
+    empty = copy.copy(index)
+    for name, value in [
+        ("doc_ids", ()),
+        ("row_offsets", np.zeros(1, dtype=np.int64)),
+        ("codes", index.codes[:0]),
+        ("residual_levels", index.residual_levels[:0]),
+        ("residual_scales", index.residual_scales[:0]),
+    ]:
+        object.__setattr__(empty, name, value)
+    data = save_plaid_index(empty)
+    assert b"\ndoc " not in data and b"array codes int32 1 0 " in data
+    with pytest.raises(EmptyCorpus):
+        load_plaid_index(data)

@@ -80,6 +80,23 @@ def test_error_is_single_machine_parsable_line(workspace, capsys):
     assert err[0].startswith("LATEBENCH-ERROR ")
 
 
+def test_non_ascii_output_path_is_one_clean_error(tmp_path, capsys):
+    code = main([
+        "generate",
+        "--out-bundle", str(tmp_path / "c\u00e9.lbb"),
+        "--out-queries", str(tmp_path / "queries.lbb"),
+        "--out-qrels", str(tmp_path / "qrels.txt"),
+        "--docs", "50", "--tokens-min", "5", "--tokens-max", "12",
+        "--dim", "64", "--num-concepts", "12", "--queries", "8",
+        "--signal-tokens", "5", "--seed", "13",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("LATEBENCH-ERROR ") and "UnicodeEncodeError" not in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_same_flags_byte_identical(workspace, tmp_path):
     out = tmp_path / "again.lbi"
     argv = [

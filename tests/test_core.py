@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from latebench import (
     TokenMatrix,
     exact_search,
     maxsim_score,
+    pool_corpus,
     pool_fixed,
     validate_matrix,
 )
@@ -141,6 +143,53 @@ def test_exact_search_rejects_empty_and_mismatched(basis_corpus):
         exact_search(basis_corpus, basis_matrix([0], dim=4), 1)
     with pytest.raises(EmptyCorpus):
         Corpus.build({})
+
+
+def _corpus_args(**changes):
+    """Constructor arguments of a valid two-doc corpus (2 + 3 rows), with changes."""
+    rng = np.random.default_rng(8)
+    args = dict(
+        doc_ids=("a", "b"),
+        vectors=random_unit_matrix(rng, 5, 4).data,
+        offsets=np.array([0, 2, 5], dtype=np.int64),
+    )
+    return {**args, **changes}
+
+
+def test_corpus_counts_come_from_its_arrays():
+    corpus = Corpus(**_corpus_args())
+    assert (corpus.dim, corpus.total_vectors, len(corpus)) == (4, 5, 2)
+    assert (corpus.dtype, corpus.pooling, corpus.C) == ("float32", "none", 0)
+    assert [corpus.docs[d].rows for d in corpus.doc_ids] == [2, 3]
+
+
+@pytest.mark.parametrize("changes", [
+    pytest.param(dict(doc_ids=("a", "a")), id="repeated-id"),
+    pytest.param(dict(doc_ids=("a", "")), id="empty-id"),
+    pytest.param(dict(doc_ids=("a", "b c")), id="whitespace-id"),
+    pytest.param(dict(offsets=np.array([0, 5], dtype=np.int64)), id="offsets-wrong-length"),
+    pytest.param(dict(offsets=np.array([0, 2, 4], dtype=np.int64)), id="offsets-short-of-vectors"),
+    pytest.param(dict(dtype="bfloat16"), id="unknown-dtype"),
+    pytest.param(dict(pooling="fixed", C=0), id="fixed-pooling-without-C"),
+    pytest.param(dict(pooling="fixed", C=2), id="pooled-doc-rows-differ-from-C"),
+])
+def test_corpus_constructor_rejects_structural_faults(changes):
+    with pytest.raises(ValueError):
+        Corpus(**_corpus_args(**changes))
+
+
+def test_replace_rechecks_the_structure():
+    rng = np.random.default_rng(10)
+    corpus = Corpus.build({f"d{i}": random_unit_matrix(rng, 3 + i, 8) for i in range(4)})
+    pooled = pool_corpus(corpus, 3)
+    assert dataclasses.replace(pooled, dtype="float16").dtype == "float16"
+    with pytest.raises(ValueError, match="expected C=4"):
+        dataclasses.replace(pooled, C=pooled.C + 1)
+
+
+def test_build_rejects_non_ascii_doc_ids():
+    with pytest.raises(ValueError, match="not ASCII"):
+        Corpus.build({"d\u00e9": basis_matrix([0], dim=4)})
 
 
 def test_exact_search_threaded_matches_serial(basis_corpus, monkeypatch):

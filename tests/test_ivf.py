@@ -42,12 +42,12 @@ def test_list_assignment_matches_bruteforce_oracle(planted_small):
     assert index.assignments[:200].tolist() == expected
     # every token appears in exactly one list
     total = sum(len(lst) for lst in index.lists)
-    assert total == corpus.manifest.total_vectors
+    assert total == corpus.total_vectors
 
 
 def test_exhaustive_settings_equal_exact_search(planted_small):
     corpus, queries, _ = planted_small
-    total = corpus.manifest.total_vectors
+    total = corpus.total_vectors
     index = build_ivf(corpus, IvfConfig(nlist=16, nprobe=16, per_token_candidates=total, seed=1))
     for qid, query in list(queries.items())[:6]:
         assert ivf_search(index, query, 20, query_id=qid) == exact_search(
