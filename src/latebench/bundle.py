@@ -88,6 +88,11 @@ class _HeaderWriter:
         return ("\n".join(self.lines) + "\n").encode("ascii") + payload
 
 
+def check_meta(entries: Iterable[str]) -> None:
+    """Raise the ValueError that writing these meta entries into a header would raise."""
+    _HeaderWriter(BUNDLE_MAGIC).meta(entries)
+
+
 class _Header:
     """Parsed header: ordered (key, fields) pairs plus the payload bytes."""
 

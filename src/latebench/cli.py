@@ -115,12 +115,13 @@ def cmd_generate(args) -> int:
         query_noise=args.query_noise,
         filler_noise=args.filler_noise,
     )
+    header = _header_entries(args)
+    bundle_io.check_meta(header)  # refuse a header it cannot write before generating
     corpus, queries, qrels = generate_synthetic(spec)
     if args.pool_to:
         corpus = pool_corpus(corpus, args.pool_to)
     if args.dtype == "float16":
         corpus = dataclasses.replace(corpus, dtype="float16")
-    header = _header_entries(args)
     _atomic_write(Path(args.out_bundle), bundle_io.write_bundle(corpus, meta=header))
     query_corpus = Corpus.build(queries)
     _atomic_write(Path(args.out_queries), bundle_io.write_bundle(query_corpus, meta=header))

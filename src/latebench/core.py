@@ -6,11 +6,45 @@ query row take the best dot product against any document row, then sum. The
 brute-force search here is the oracle every approximate backend is judged
 against, so scoring goes through one canonical kernel (`maxsim_score`) and
 ties are always broken by ascending doc id.
+
+`exact_search` ranks every document by one batched product
+(`batched_scores`), then rescores with the canonical kernel only the band of
+documents that could still reach the top k. The band is exact, by a bound:
+
+  * Any float32 summation order, FMA included, computes a dot product of
+    length n within gamma_n * sum|x_i y_i| of its true value, where
+    gamma_n = n*u / (1 - n*u) and u = 2**-24 (Higham, Accuracy and Stability
+    of Numerical Algorithms, sec. 3.1). By Cauchy-Schwarz, sum|x_i y_i| is at
+    most |q_r| * R for query row q_r and any doc row, where R bounds every row
+    norm of the corpus (`Corpus.max_row_norm`; norms are not assumed to be 1).
+  * A max is 1-Lipschitz, so each query row's best dot differs between the
+    batched and the canonical kernel by at most 2 * gamma_dim * |q_r| * R.
+  * Both kernels sum the nq row maxima in float64, each sum within
+    gamma_nq(float64) * sum_r |best_r|, and |best_r| <= (1 + gamma_dim) *
+    |q_r| * R. Float32 underflow adds at most 2**-150 per product. So for
+    every doc d,
+    |batched(d) - canonical(d)| <= eps =
+    2 * (gamma_dim + gamma_nq(float64) * (1 + gamma_dim)) * R * sum_r |q_r|
+    + nq * dim * 2**-148.
+    The safety factor in R also covers the float64 rounding of eps and of
+    the threshold below.
+  * Let t be the k-th largest batched score. A doc with batched(d) < t - 2*eps
+    has canonical(d) < t - eps, while each of the >= k docs with a batched
+    score >= t has a canonical score >= t - eps. So d is strictly beaten
+    k times and cannot reach the canonical top k; because the inequality is
+    strict, ties by doc id are untouched.
+
+Every returned score and every ordering therefore comes from `maxsim_score`.
+When no bound holds (a NaN or Inf anywhere, or a product that could overflow
+float32), when k covers the corpus, or when a doc has no rows (the canonical
+kernel raises for it), `exact_search` scores every document.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -27,6 +61,16 @@ NORM_TOLERANCE = 1e-4
 
 # Storage-only precision for bundles; in memory everything is float32.
 DTYPE_BYTES = {"float32": 4, "float16": 2}
+
+# Unit roundoffs of float32 and float64, and the float32 overflow threshold.
+_U32 = 2.0 ** -24
+_U64 = 2.0 ** -53
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _gamma(n: int, u: float) -> float:
+    """Higham's gamma_n: the relative error bound of an n-term dot product."""
+    return n * u / (1 - n * u)
 
 
 class TokenMatrix:
@@ -186,6 +230,18 @@ class Corpus:
     def doc_matrix(self, ordinal: int) -> TokenMatrix:
         return self.docs[self.doc_ids[ordinal]]
 
+    @cached_property
+    def max_row_norm(self) -> float:
+        """An upper bound on every row's Euclidean norm (NaN or Inf if a row is not finite).
+
+        The squares are summed in float32, so the store is never copied; the
+        (1 + 2*dim*u) factor covers that sum's rounding and the square root's.
+        """
+        if not self.total_vectors:
+            return 0.0
+        squares = np.einsum("ij,ij->i", self.vectors, self.vectors)
+        return math.sqrt(float(squares.max())) * (1 + 2 * self.dim * _U32)
+
     def __len__(self) -> int:
         return len(self.doc_ids)
 
@@ -241,18 +297,49 @@ def score_docs(store, query: TokenMatrix, ordinals: Iterable[int]) -> list[tuple
     return [(doc_ids[o], maxsim_score(query, matrix(o))) for o in ordinals]
 
 
-def score_all(corpus: Corpus, query: TokenMatrix) -> list[tuple[str, float]]:
-    """maxsim_score against every document, in corpus order."""
+def _check_dim(corpus: Corpus, query: TokenMatrix) -> None:
     if query.dim != corpus.dim:
         raise DimensionMismatch(f"query dim {query.dim} != corpus dim {corpus.dim}")
+
+
+def score_all(corpus: Corpus, query: TokenMatrix) -> list[tuple[str, float]]:
+    """maxsim_score against every document, in corpus order."""
+    _check_dim(corpus, query)
     return score_docs(corpus, query, range(len(corpus)))
 
 
+def batched_scores(corpus: Corpus, query: TokenMatrix) -> tuple[np.ndarray, float]:
+    """Approximate MaxSim of every doc from one product, and the bound eps on its error.
+
+    scores[o] is within eps of maxsim_score(query, doc o) for every ordinal o
+    (see the module docstring). eps is Inf when no bound holds: a NaN or Inf in
+    either input, or a dot product that could overflow float32. Every doc must
+    have at least one row.
+    """
+    sims = corpus.vectors @ query.data.T  # (total_vectors, nq) float32
+    best = np.maximum.reduceat(sims, corpus.offsets[:-1], axis=0)
+    scores = best.sum(axis=1, dtype=np.float64)
+    nq, dim = query.data.shape
+    reach = corpus.max_row_norm * np.linalg.norm(query.data.astype(np.float64), axis=1)
+    if not reach.max(initial=0.0) < _F32_MAX / 2:  # NaN fails too
+        return scores, math.inf
+    dot_err = _gamma(dim, _U32)
+    sum_err = _gamma(nq, _U64) * (1 + dot_err)
+    return scores, 2 * (dot_err + sum_err) * float(reach.sum()) + nq * dim * 2.0 ** -148
+
+
 def exact_search(corpus: Corpus, query: TokenMatrix, k: int, query_id: str = "") -> RankedList:
-    """Brute-force oracle: score every document, return the top k."""
+    """Exact top k: rank by one batched product, rescore the error-bounded band canonically."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return RankedList.from_scores(query_id, score_all(corpus, query), k)
+    _check_dim(corpus, query)
+    band = range(len(corpus))
+    if k < len(corpus) and np.diff(corpus.offsets).all():
+        approx, eps = batched_scores(corpus, query)
+        if math.isfinite(eps):
+            kth = np.partition(approx, -k)[-k]
+            band = np.flatnonzero(approx >= kth - 2 * eps).tolist()
+    return RankedList.from_scores(query_id, score_docs(corpus, query, band), k)
 
 
 def pool_fixed(doc: TokenMatrix, C: int) -> TokenMatrix:

@@ -2,6 +2,7 @@ import shutil
 
 import pytest
 
+from latebench import cli
 from latebench.cli import command_from_header, main
 
 
@@ -218,3 +219,21 @@ def test_grid_missing_flags_reported(workspace, capsys):
     ])
     assert code == 2
     assert "grid mode requires" in capsys.readouterr().err
+
+
+def test_unwritable_header_is_refused_before_generating(tmp_path, capsys, monkeypatch):
+    def no_generation(spec):
+        raise AssertionError("generated before checking the header")
+
+    monkeypatch.setattr(cli, "generate_synthetic", no_generation)
+    code = main([
+        "generate",
+        "--out-bundle", str(tmp_path / "cé.lbb"),
+        "--out-queries", str(tmp_path / "queries.lbb"),
+        "--out-qrels", str(tmp_path / "qrels.txt"),
+        "--docs", "50", "--queries", "8", "--seed", "13",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("LATEBENCH-ERROR ValueError: ")
+    assert list(tmp_path.iterdir()) == []
