@@ -275,11 +275,6 @@ def _write_config(writer: _HeaderWriter, config) -> None:
         writer.line(f.name, getattr(config, f.name))
 
 
-def _check_range(name: str, values: np.ndarray, bound: int) -> None:
-    if values.size and not 0 <= int(values.min()) <= int(values.max()) < bound:
-        raise MalformedLine(0, f"{name} outside [0, {bound})")
-
-
 def save_ivf_index(index: IvfIndex, meta: Iterable[str] = ()) -> bytes:
     writer = _HeaderWriter(INDEX_MAGIC)
     writer.line("backend", "ivf")
@@ -312,10 +307,12 @@ def load_ivf_index(data: bytes, corpus: Corpus) -> IvfIndex:
     assignments = arrays["assignments"]
     if assignments.shape[0] != corpus.total_vectors:
         raise CorpusMismatch("stored assignments do not match corpus vector count")
-    _check_range("assignments", assignments, config.nlist)
-    return IvfIndex(
-        config=config, centroids=arrays["centroids"], assignments=assignments, corpus=corpus
-    )
+    try:
+        return IvfIndex(
+            config=config, centroids=arrays["centroids"], assignments=assignments, corpus=corpus
+        )
+    except ValueError as exc:
+        raise MalformedLine(0, f"arrays do not describe an ivf index: {exc}") from None
 
 
 def save_plaid_index(index: PlaidIndex, meta: Iterable[str] = ()) -> bytes:
@@ -326,8 +323,8 @@ def save_plaid_index(index: PlaidIndex, meta: Iterable[str] = ()) -> bytes:
     if index.corpus is not None:
         writer.line("corpus_sha256", corpus_digest(index.corpus))
     writer.meta(meta)
-    for ordinal, doc_id in enumerate(index.doc_ids):
-        writer.line("doc", doc_id, index.doc_rows(ordinal))
+    for doc_id, rows in zip(index.doc_ids, np.diff(index.row_offsets).tolist()):
+        writer.line("doc", doc_id, rows)
     arrays = [("centroids", index.centroids), ("codes", index.codes)]
     if cfg.residual_bits > 0:
         arrays.append(("residual_levels", index.residual_levels))
@@ -363,20 +360,16 @@ def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
         expected["residual_levels"] = ("uint8", (total, None))
         expected["residual_scales"] = ("float32", (total,))
     arrays = header.arrays(expected)
-    centroids, codes = arrays["centroids"], arrays["codes"]
-    _check_range("codes", codes, config.num_centroids)
-    if config.residual_bits > 0:
-        levels = arrays["residual_levels"]
-        if levels.shape[1] != centroids.shape[1]:
-            raise MalformedLine(0, "residual levels and centroids disagree on dim")
-        _check_range("residual_levels", levels, 1 << config.residual_bits)
-    return PlaidIndex(
-        config=config,
-        centroids=centroids,
-        codes=codes,
-        row_offsets=row_offsets,
-        doc_ids=doc_ids,
-        residual_levels=arrays.get("residual_levels"),
-        residual_scales=arrays.get("residual_scales"),
-        corpus=corpus,
-    )
+    try:
+        return PlaidIndex(
+            config=config,
+            centroids=arrays["centroids"],
+            codes=arrays["codes"],
+            row_offsets=row_offsets,
+            doc_ids=doc_ids,
+            residual_levels=arrays.get("residual_levels"),
+            residual_scales=arrays.get("residual_scales"),
+            corpus=corpus,
+        )
+    except ValueError as exc:
+        raise MalformedLine(0, f"arrays do not describe a plaid index: {exc}") from None

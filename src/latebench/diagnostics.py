@@ -85,19 +85,13 @@ def centroid_coverage(index: PlaidIndex, sample: int = 5000, seed: int = 0) -> C
         sample = index.doc_count
     rng = np.random.default_rng(seed)
     ordinals = np.sort(rng.choice(index.doc_count, size=sample, replace=False))
-    per_doc = []
-    uniques = []
-    rows_list = []
-    for ordinal in ordinals.tolist():
-        rows = index.doc_rows(ordinal)
-        unique = int(len(index.unique_codes[ordinal]))
-        per_doc.append((index.doc_ids[ordinal], rows, unique))
-        uniques.append(unique)
-        rows_list.append(rows)
+    rows = np.diff(index.row_offsets)[ordinals]
+    uniques = np.diff(index.unique_codes.offsets)[ordinals]
+    ids = [index.doc_ids[o] for o in ordinals.tolist()]
     mean_unique = float(np.mean(uniques))
-    mean_rows = float(np.mean(rows_list))
+    mean_rows = float(np.mean(rows))
     return CoverageReport(
-        per_doc=tuple(per_doc),
+        per_doc=tuple(zip(ids, rows.tolist(), uniques.tolist())),
         mean_unique=mean_unique,
         median_unique=float(np.median(uniques)),
         mean_rows=mean_rows,

@@ -9,7 +9,9 @@ maxsim_score exactly.
 Gather order is (probed-list rank, then token dot within the boundary list),
 so the candidate set at a smaller nprobe is always a subset of the candidate
 set at a larger one; that monotonicity is load-bearing for the recall
-properties asserted in the tests.
+properties asserted in the tests. It holds because `kmeans.probe` orders a
+row's centroids by a stable sort, so the first nprobe lists are a prefix of
+the first nprobe + 1.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 
 from . import kmeans
 from .core import Corpus, RankedList, TokenMatrix, score_docs
-from .errors import DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -48,17 +49,15 @@ class IvfIndex:
     centroids: np.ndarray  # (nlist, dim) float32 unit rows
     assignments: np.ndarray  # (total_vectors,) int32 in [0, nlist), centroid per corpus row
     corpus: Corpus
-    token_docs: np.ndarray = field(init=False)  # (total_vectors,) int32 doc ordinal
-    lists: tuple[np.ndarray, ...] = field(init=False)  # per centroid, corpus row ids ascending
+    token_docs: np.ndarray = field(init=False)  # (total_vectors,) int64 doc ordinal
+    lists: kmeans.Csr = field(init=False)  # per centroid, corpus row ids ascending
 
     def __post_init__(self):
-        counts = np.diff(self.corpus.offsets)
-        docs = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
-        # A stable sort keeps each list's row ids ascending.
-        order = np.argsort(self.assignments, kind="stable").astype(np.int32)
-        ends = np.cumsum(np.bincount(self.assignments, minlength=self.config.nlist))
-        object.__setattr__(self, "token_docs", docs)
-        object.__setattr__(self, "lists", tuple(np.split(order, ends[:-1])))
+        rows = (self.corpus.total_vectors,)
+        kmeans.check_ids("assignments", self.assignments, rows, self.config.nlist)
+        object.__setattr__(self, "token_docs", kmeans.token_docs(self.corpus.offsets))
+        object.__setattr__(self, "lists", kmeans.Csr.grouped(
+            self.assignments, np.arange(rows[0]), self.config.nlist))
 
     def list_entries(self, centroid: int) -> list[tuple[int, int]]:
         """(doc ordinal, row ordinal) pairs stored under one centroid."""
@@ -77,13 +76,6 @@ def build_ivf(corpus: Corpus, config: IvfConfig) -> IvfIndex:
     return IvfIndex(config=config, centroids=centroids, assignments=assignments, corpus=corpus)
 
 
-def _probe_order(index: IvfIndex, row: np.ndarray) -> np.ndarray:
-    dots = index.centroids @ row
-    # Descending dot, ascending centroid id on ties; the top-a prefix of this
-    # order is shared by every nprobe >= a, which the subset property needs.
-    return np.lexsort((np.arange(len(dots)), -dots))
-
-
 def ivf_candidates(
     index: IvfIndex,
     query: TokenMatrix,
@@ -92,41 +84,29 @@ def ivf_candidates(
 ) -> tuple[int, ...]:
     """Candidate doc ordinals for a query, sorted ascending.
 
-    Per query row: walk the nprobe nearest lists in order; fully consumed
-    lists contribute every token, and the list where the per-token budget
-    runs out contributes its top tokens by (dot, flat id).
+    Per query row, along its nprobe nearest lists: every list whose end
+    falls within the per-token budget contributes all of its tokens, and the
+    one list the budget runs out inside contributes its top tokens by
+    (dot, row id).
     """
-    if query.dim != index.centroids.shape[1]:
-        raise DimensionMismatch(
-            f"query dim {query.dim} != index dim {index.centroids.shape[1]}"
-        )
     nprobe = index.config.nprobe if nprobe is None else nprobe
     cap = (
         index.config.per_token_candidates
         if per_token_candidates is None
         else per_token_candidates
     )
-    nprobe = min(max(1, nprobe), index.config.nlist)
-    candidates: set[int] = set()
-    for row in query.data:
-        order = _probe_order(index, row)
-        remaining = cap
-        for centroid in order[:nprobe]:
-            toks = index.lists[centroid]
-            if len(toks) == 0:
-                continue
-            if len(toks) <= remaining:
-                taken = toks
-                remaining -= len(toks)
-            else:
-                dots = index.corpus.vectors[toks] @ row
-                pick = np.lexsort((toks, -dots))[:remaining]
-                taken = toks[pick]
-                remaining = 0
-            candidates.update(index.token_docs[taken].tolist())
-            if remaining == 0:
-                break
-    return tuple(sorted(candidates))
+    _, top = kmeans.probe(index.centroids, query, nprobe)
+    lengths = np.diff(index.lists.offsets)[top]
+    ends = np.cumsum(lengths, axis=1)
+    starts = ends - lengths
+    rows = [index.lists.gather(np.unique(top[ends <= cap]))[0]]
+    for r, j in zip(*np.nonzero((starts < cap) & (ends > cap))):
+        toks = index.lists[top[r, j]]
+        dots = index.corpus.vectors[toks] @ query.data[r]
+        rows.append(toks[np.lexsort((toks, -dots))[:cap - starts[r, j]]])
+    members = np.zeros(len(index.corpus), dtype=bool)
+    members[index.token_docs[np.concatenate(rows)]] = True
+    return tuple(np.flatnonzero(members).tolist())
 
 
 def ivf_search(

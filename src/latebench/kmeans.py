@@ -1,16 +1,26 @@
-"""Spherical k-means over unit vectors, shared by both index backends.
+"""The centroid layer both index backends share: k-means, lists and probing.
 
-Seeding is k-means++ driven by a fixed RNG seed, assignment is by maximum dot
-product (lowest centroid index on exact ties), and centroid updates are
-renormalized means. Everything is deterministic for a fixed seed, which is
-what makes byte-identical index rebuilds possible.
+Spherical k-means: seeding is k-means++ driven by a fixed RNG seed,
+assignment is by maximum dot product (lowest centroid index on exact ties),
+and centroid updates are renormalized means. Everything is deterministic for
+a fixed seed, which is what makes byte-identical index rebuilds possible.
+
+Centroid lists: IVF files corpus row ids and PLAID files doc ordinals under
+each centroid, both as one `Csr` built by `Csr.grouped`. Both backends order
+a query row's centroids with `probe`: one (query rows x centroids) product
+and one stable argsort of the negated dots, so ties go to the lower centroid
+id and the top-n prefix of a row's order is shared by every larger n. That
+shared prefix is what keeps candidate sets nested in nprobe and ncells.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .errors import TooFewVectors
+from .core import TokenMatrix
+from .errors import DimensionMismatch, TooFewVectors
 
 
 def assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -91,3 +101,65 @@ def train_kmeans(vectors: np.ndarray, k: int, iters: int = 20, seed: int = 0) ->
             break
         labels = new_labels
     return centroids
+
+
+@dataclass(frozen=True)
+class Csr:
+    """Variable-length int32 rows held as one flat array plus int64 offsets.
+
+    Row i is flat[offsets[i]:offsets[i + 1]], returned as a view.
+    """
+
+    flat: np.ndarray  # (nnz,) int32
+    offsets: np.ndarray  # (rows + 1,) int64
+
+    @classmethod
+    def grouped(cls, keys: np.ndarray, values: np.ndarray, rows: int) -> "Csr":
+        """Row r holds the values whose key is r, in their given order.
+
+        Keys must lie in [0, rows).
+        """
+        offsets = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys, minlength=rows), out=offsets[1:])
+        return cls(values[np.argsort(keys, kind="stable")].astype(np.int32), offsets)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, row: int) -> np.ndarray:
+        row = range(len(self))[row]
+        return self.flat[self.offsets[row]:self.offsets[row + 1]]
+
+    def __iter__(self):
+        return (self[row] for row in range(len(self)))
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The given rows concatenated, and where each one starts in the result."""
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        out_starts = np.cumsum(lengths) - lengths
+        positions = np.repeat(starts - out_starts, lengths) + np.arange(int(lengths.sum()))
+        return self.flat[positions], out_starts
+
+
+def token_docs(offsets: np.ndarray) -> np.ndarray:
+    """The doc ordinal of every flat row, for doc boundaries `offsets`."""
+    return np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+
+
+def check_ids(name: str, ids: np.ndarray, shape: tuple, bound: int) -> None:
+    """Raise ValueError unless `ids` has `shape` and every entry lies in [0, bound)."""
+    if ids.shape != shape or (ids.size and not 0 <= int(ids.min()) <= int(ids.max()) < bound):
+        raise ValueError(f"{name} must have shape {shape} with entries in [0, {bound})")
+
+
+def probe(centroids: np.ndarray, query: TokenMatrix, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every query row's centroid dots, and its top-n centroid ids best first.
+
+    n is clamped to [1, centroid count]. Ties go to the lower centroid id.
+    """
+    if query.dim != centroids.shape[1]:
+        raise DimensionMismatch(f"query dim {query.dim} != index dim {centroids.shape[1]}")
+    dots = query.data @ centroids.T
+    n = min(max(1, n), len(centroids))
+    return dots, np.argsort(-dots, axis=1, kind="stable")[:, :n]

@@ -25,7 +25,7 @@ larger than the centroid count means "probe everything" and is clamped.
 
 Stages 1-3 work on whole arrays. The (query rows x centroids) dot matrix is
 computed once per search. Each document's sorted unique centroid ids are
-stored as one CSR (`Csr`: a flat int32 array plus int64 offsets), so stage 3
+stored as one CSR (`kmeans.Csr`: a flat int32 array plus int64 offsets), so stage 3
 is one gather of dot columns for all candidates, one `np.maximum.reduceat`
 over the candidates' segments, and one float64 row sum. Its scores are bit
 for bit those of the per-doc expression
@@ -44,12 +44,8 @@ import numpy as np
 
 from . import kmeans
 from .core import Corpus, RankedList, TokenMatrix, score_docs
-from .errors import (
-    DimensionMismatch,
-    NDocsTooSmall,
-    UnknownDoc,
-    UnsupportedBits,
-)
+from .kmeans import Csr
+from .errors import NDocsTooSmall, UnknownDoc, UnsupportedBits
 
 # Rows per residual encode/decode step: large enough for whole-array speed,
 # small enough that the float64 temporaries stay a few MiB.
@@ -141,57 +137,20 @@ class StorageReport:
         )
 
 
-@dataclass(frozen=True)
-class Csr:
-    """Variable-length int32 rows held as one flat array plus int64 offsets.
-
-    Row i is flat[offsets[i]:offsets[i + 1]], returned as a view.
-    """
-
-    flat: np.ndarray  # (nnz,) int32
-    offsets: np.ndarray  # (rows + 1,) int64
-
-    def __len__(self) -> int:
-        return len(self.offsets) - 1
-
-    def __getitem__(self, row: int) -> np.ndarray:
-        row = range(len(self))[row]
-        return self.flat[self.offsets[row]:self.offsets[row + 1]]
-
-    def __iter__(self):
-        return (self[row] for row in range(len(self)))
-
-    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The given rows concatenated, and where each one starts in the result."""
-        starts = self.offsets[rows]
-        lengths = self.offsets[rows + 1] - starts
-        out_starts = np.cumsum(lengths) - lengths
-        positions = np.repeat(starts - out_starts, lengths) + np.arange(int(lengths.sum()))
-        return self.flat[positions], out_starts
-
-
-def _csr_from_sorted(keys: np.ndarray, values: np.ndarray, rows: int) -> Csr:
-    """Group values by their (ascending) keys into `rows` CSR rows."""
-    offsets = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=rows), out=offsets[1:])
-    return Csr(values.astype(np.int32), offsets)
-
-
 def code_lists(codes: np.ndarray, row_offsets: np.ndarray, num_centroids: int) -> tuple[Csr, Csr]:
     """Inverted lists and per-doc unique codes, from the per-token codes.
 
     Returns (inverted, unique_codes): inverted[c] holds the ordinals of the
     documents with a token on centroid c, ascending; unique_codes[d] holds
     document d's distinct centroid ids, ascending. Both come from one
-    np.unique over the (doc, code) pairs. Codes must lie in [0, num_centroids).
+    np.unique over the (doc, code) pairs, which sorts them by doc and then
+    code. Codes must lie in [0, num_centroids).
     """
     doc_count = len(row_offsets) - 1
-    token_docs = np.repeat(np.arange(doc_count, dtype=np.int64), np.diff(row_offsets))
-    pair_docs, pair_codes = np.divmod(np.unique(token_docs * num_centroids + codes), num_centroids)
-    unique_codes = _csr_from_sorted(pair_docs, pair_codes, doc_count)
-    # Pairs are sorted by doc, so a stable sort by code keeps each list's docs ascending.
-    by_code = np.argsort(pair_codes, kind="stable")
-    inverted = _csr_from_sorted(pair_codes[by_code], pair_docs[by_code], num_centroids)
+    pairs = np.unique(kmeans.token_docs(row_offsets) * num_centroids + codes)
+    pair_docs, pair_codes = np.divmod(pairs, num_centroids)
+    unique_codes = Csr.grouped(pair_docs, pair_codes, doc_count)
+    inverted = Csr.grouped(pair_codes, pair_docs, num_centroids)
     return inverted, unique_codes
 
 
@@ -233,11 +192,17 @@ class PlaidIndex:
     store: Corpus = field(init=False, repr=False)  # the vectors stage 4 rescores
 
     def __post_init__(self):
-        num_centroids = self.config.num_centroids
+        num_centroids, bits = self.config.num_centroids, self.config.residual_bits
+        rows = (int(self.row_offsets[-1]),)
+        kmeans.check_ids("codes", self.codes, rows, num_centroids)
+        if bits:
+            kmeans.check_ids("residual_levels", self.residual_levels, (*rows, self.dim), 1 << bits)
+            if self.residual_scales.shape != rows:
+                raise ValueError(f"residual_scales must have shape {rows}")
         inverted, unique_codes = code_lists(self.codes, self.row_offsets, num_centroids)
         object.__setattr__(self, "inverted", inverted)
         object.__setattr__(self, "unique_codes", unique_codes)
-        store, bits = self.corpus, self.config.residual_bits
+        store = self.corpus
         if bits:
             decoded = np.empty(self.residual_levels.shape, dtype=np.float32)
             for lo in range(0, len(decoded), CODEC_BLOCK_ROWS):
@@ -259,9 +224,6 @@ class PlaidIndex:
     def storage(self) -> StorageReport | None:
         bits = self.config.residual_bits
         return StorageReport.for_layout(len(self.codes), self.dim, bits) if bits else None
-
-    def doc_rows(self, ordinal: int) -> int:
-        return int(self.row_offsets[ordinal + 1] - self.row_offsets[ordinal])
 
     def _check_ordinal(self, ordinal: int) -> None:
         if not 0 <= ordinal < self.doc_count:
@@ -324,31 +286,23 @@ class CandidateTrace(NamedTuple):
     surviving_per_row: tuple[int, ...]
 
 
-def _centroid_dots(index: PlaidIndex, query: TokenMatrix) -> np.ndarray:
-    if query.dim != index.dim:
-        raise DimensionMismatch(f"query dim {query.dim} != index dim {index.dim}")
-    return query.data @ index.centroids.T
-
-
 def _probe(
-    index: PlaidIndex, dots: np.ndarray, ncells: int | None, threshold: float | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stages 1 and 2 on the centroid dots.
+    index: PlaidIndex, query: TokenMatrix, ncells: int | None, threshold: float | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stages 1 and 2.
 
-    Returns (candidate doc ordinals ascending, per-row survivor mask over the
-    row's top-ncells centroids).
+    Returns (centroid dots, candidate doc ordinals ascending, per-row
+    survivor mask over the row's top-ncells centroids).
     """
     ncells = index.config.ncells if ncells is None else ncells
     threshold = (
         index.config.centroid_score_threshold if threshold is None else threshold
     )
-    ncells = min(max(1, ncells), index.config.num_centroids)
-    # A stable sort of -dots orders ties by ascending centroid id.
-    top = np.argsort(-dots, axis=1, kind="stable")[:, :ncells]
+    dots, top = kmeans.probe(index.centroids, query, ncells)
     keep = np.take_along_axis(dots, top, axis=1) >= threshold
     members = np.zeros(index.doc_count, dtype=bool)
     members[index.inverted.gather(np.unique(top[keep]))[0]] = True
-    return np.flatnonzero(members), keep
+    return dots, np.flatnonzero(members), keep
 
 
 def plaid_candidates(
@@ -358,7 +312,7 @@ def plaid_candidates(
     threshold: float | None = None,
 ) -> CandidateTrace:
     """Stages 1 and 2: probe, prune by threshold, union inverted lists."""
-    candidates, keep = _probe(index, _centroid_dots(index, query), ncells, threshold)
+    _, candidates, keep = _probe(index, query, ncells, threshold)
     return CandidateTrace(
         candidates=tuple(candidates.tolist()),
         probed_per_row=(keep.shape[1],) * keep.shape[0],
@@ -382,7 +336,7 @@ def approx_scores(index: PlaidIndex, dots: np.ndarray, ordinals: np.ndarray) -> 
 def approx_doc_score(index: PlaidIndex, query: TokenMatrix, ordinal: int) -> float:
     """Stage-3 kernel: MaxSim with doc vectors replaced by their centroids."""
     index._check_ordinal(ordinal)
-    dots = _centroid_dots(index, query)
+    dots, _ = kmeans.probe(index.centroids, query, 1)
     if not len(index.unique_codes[ordinal]):
         raise ValueError(f"doc ordinal {ordinal} has no token vectors to score")
     return float(approx_scores(index, dots, np.array([ordinal]))[0])
@@ -402,8 +356,7 @@ def plaid_search(
     ndocs = index.config.ndocs if ndocs is None else ndocs
     if ndocs < k:
         raise NDocsTooSmall(f"ndocs={ndocs} is smaller than k={k}")
-    dots = _centroid_dots(index, query)
-    candidates, _ = _probe(index, dots, ncells, threshold)
+    dots, candidates, _ = _probe(index, query, ncells, threshold)
     if not len(candidates):
         return RankedList(query_id=query_id, hits=())
     approx = approx_scores(index, dots, candidates)

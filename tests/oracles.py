@@ -185,3 +185,41 @@ def loop_verify_planted(corpus, queries, qrels, margin):
         if target_score is None or target_score - best_other < margin:
             return False
     return True
+
+
+def loop_ivf_candidates(centroids, assignments, vectors, offsets, query, nprobe, cap):
+    """IVF candidate doc ordinals by walking each query row's lists, ascending.
+
+    Per query row: a matvec gives the centroid dots, and lexsort orders the
+    centroids by (-dot, id). The first nprobe lists (row ids ascending) are
+    walked with a budget of cap rows: a list that fits is taken whole, and
+    the list the budget runs out inside gives its top rows by (-dot, row id).
+    nprobe is clamped to [1, centroid count].
+    """
+    nlist = centroids.shape[0]
+    nprobe = min(max(1, nprobe), nlist)
+    lists = [[] for _ in range(nlist)]
+    for row_id, centroid in enumerate(assignments.tolist()):
+        lists[centroid].append(row_id)
+    doc_of = []
+    for d in range(len(offsets) - 1):
+        doc_of.extend([d] * int(offsets[d + 1] - offsets[d]))
+    candidates = set()
+    for row in query:
+        order = np.lexsort((np.arange(nlist), -(centroids @ row)))
+        remaining = cap
+        for centroid in order[:nprobe]:
+            toks = np.array(lists[centroid], dtype=np.int64)
+            if len(toks) == 0:
+                continue
+            if len(toks) <= remaining:
+                taken = toks
+                remaining -= len(toks)
+            else:
+                dots = vectors[toks] @ row
+                taken = toks[np.lexsort((toks, -dots))[:remaining]]
+                remaining = 0
+            candidates.update(doc_of[t] for t in taken.tolist())
+            if remaining == 0:
+                break
+    return tuple(sorted(candidates))

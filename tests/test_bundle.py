@@ -354,9 +354,11 @@ def saved_indexes(planted_small):
     plaid1 = build_plaid(
         corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=1, seed=2)
     )
+    ivf16 = copy.copy(ivf)  # the constructor would refuse these assignments
+    object.__setattr__(ivf16, "assignments", ivf.assignments + 16)
     return {
         "ivf": save_ivf_index(ivf),
-        "ivf+16": save_ivf_index(dataclasses.replace(ivf, assignments=ivf.assignments + 16)),
+        "ivf+16": save_ivf_index(ivf16),
         "plaid": save_plaid_index(plaid),
         "plaid1": save_plaid_index(plaid1),
     }

@@ -192,17 +192,6 @@ def test_build_rejects_non_ascii_doc_ids():
         Corpus.build({"d\u00e9": basis_matrix([0], dim=4)})
 
 
-def test_exact_search_threaded_matches_serial(basis_corpus, monkeypatch):
-    rng = np.random.default_rng(9)
-    mats = {f"d{i}": random_unit_matrix(rng, 5, 16) for i in range(40)}
-    corpus = Corpus.build(mats)
-    query = random_unit_matrix(rng, 4, 16)
-    serial = exact_search(corpus, query, 10)
-    monkeypatch.setenv("LATEBENCH_THREADS", "4")
-    threaded = exact_search(corpus, query, 10)
-    assert serial == threaded
-
-
 def test_pool_identity_when_rows_equal_C():
     rng = np.random.default_rng(4)
     doc = random_unit_matrix(rng, 32, 16)

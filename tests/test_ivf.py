@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from latebench import (
     Corpus,
     IvfConfig,
+    IvfIndex,
+    TokenMatrix,
     build_ivf,
     exact_search,
     ivf_candidates,
@@ -13,7 +17,7 @@ from latebench import (
 from latebench.errors import DimensionMismatch, TooFewVectors
 
 from conftest import basis_matrix, random_unit_matrix
-from oracles import argmax_assignment
+from oracles import argmax_assignment, loop_ivf_candidates
 
 
 def test_two_singleton_lists():
@@ -134,3 +138,69 @@ def test_config_invariants():
         IvfConfig(nlist=4, nprobe=5)
     with pytest.raises(ValueError):
         IvfConfig(nlist=4, nprobe=1, per_token_candidates=0)
+
+
+def _budgets(index, query):
+    """Per-token budgets: 1, one that ends a list exactly, one that ends mid-list, 10**6.
+
+    The edge is the length of row 0's first non-empty probed list, so the
+    budget runs out at that list's end and the next list adds nothing.
+    """
+    order = np.lexsort((np.arange(index.config.nlist), -(index.centroids @ query.data[0])))
+    sizes = [n for n in np.bincount(index.assignments, minlength=index.config.nlist)[order] if n]
+    edge, after = sizes[0], sizes[1]
+    assert after >= 2  # so that edge + 1 ends inside the next list
+    return (1, edge, edge + 1, 10**6)
+
+
+def _hand_built_with_empty_list():
+    """Four lists, list 2 empty, and a query whose first row probes list 2 first."""
+    rng = np.random.default_rng(23)
+    corpus = Corpus.build({f"d{i}": random_unit_matrix(rng, 4, 8) for i in range(12)})
+    centroids = random_unit_matrix(rng, 4, 8).data
+    live = np.array([0, 1, 3])
+    assignments = live[np.argmax(corpus.vectors @ centroids[live].T, axis=1)].astype(np.int32)
+    index = IvfIndex(IvfConfig(nlist=4, nprobe=2), centroids, assignments, corpus)
+    query = TokenMatrix(np.vstack([centroids[2], random_unit_matrix(rng, 2, 8).data]))
+    assert len(index.lists[2]) == 0 and np.argmax(centroids @ centroids[2]) == 2
+    return index, {"q": query}
+
+
+@pytest.mark.parametrize("source", ["planted_small", "empty_list"])
+def test_candidates_equal_the_per_row_walk(planted_small, source):
+    if source == "planted_small":
+        corpus, queries, _ = planted_small
+        index = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=1))
+    else:
+        index, queries = _hand_built_with_empty_list()
+    nlist = index.config.nlist
+    for query in queries.values():
+        for nprobe in (0, 1, 2, nlist, nlist + 5):
+            for cap in _budgets(index, query):
+                want = loop_ivf_candidates(index.centroids, index.assignments,
+                                           index.corpus.vectors, index.corpus.offsets,
+                                           query.data, nprobe, cap)
+                assert ivf_candidates(index, query, nprobe, cap) == want, (nprobe, cap)
+
+
+def test_candidates_check_the_dimension_before_any_product(planted_small):
+    corpus, _, _ = planted_small
+    index = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=1))
+    # A product of mismatched shapes would raise numpy's ValueError instead.
+    for nprobe, cap in [(None, None), (0, 1), (16, 10**6)]:
+        with pytest.raises(DimensionMismatch):
+            ivf_candidates(index, basis_matrix([0, 1], dim=4), nprobe, cap)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda a: a + 16, id="outside-nlist"),
+    pytest.param(lambda a: a[:-1], id="one-short"),
+    pytest.param(lambda a: a - 1, id="negative"),
+])
+def test_index_rejects_assignments_that_do_not_fit(planted_small, edit):
+    # Unchecked, assignments outside nlist would file rows under lists no
+    # probe reaches, and a short array would drop rows.
+    corpus, _, _ = planted_small
+    index = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=2))
+    with pytest.raises(ValueError, match="assignments"):
+        dataclasses.replace(index, assignments=edit(index.assignments))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -537,3 +539,33 @@ def test_block_decode_norms_each_row_like_one_vector():
     row = slice(1301, 1302)
     want = loop_decode_rows(levels[row], scales[row], centroids[row], [0], 2)
     assert decoded[row].tobytes() == want.tobytes()
+
+
+def _edited(array, where, value):
+    array = array.copy()
+    array[where] = value
+    return array
+
+
+@pytest.mark.parametrize("bits, name, edit", [
+    pytest.param(0, "codes", lambda ix: {"codes": _edited(ix.codes, 0, 32 + 5)},
+                 id="code-outside-centroids"),
+    pytest.param(0, "codes", lambda ix: {"codes": _edited(ix.codes, 0, -1)},
+                 id="code-negative"),
+    pytest.param(0, "codes", lambda ix: {"codes": ix.codes[:-1]}, id="codes-one-short"),
+    pytest.param(2, "residual_levels",
+                 lambda ix: {"residual_levels": _edited(ix.residual_levels, (7, 3), 4)},
+                 id="level-outside-bits"),
+    pytest.param(2, "residual_levels",
+                 lambda ix: {"residual_levels": ix.residual_levels[:, :-1]}, id="levels-short-dim"),
+    pytest.param(1, "residual_scales",
+                 lambda ix: {"residual_scales": ix.residual_scales[:-1]}, id="scales-one-short"),
+])
+def test_index_rejects_arrays_that_do_not_fit(planted_small, bits, name, edit):
+    # Unchecked, a code of num_centroids + 5 on doc 0 would be filed as doc
+    # 1's centroid 5, because the (doc, code) pairs are keyed doc * count + code.
+    corpus, _, _ = planted_small
+    config = PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=bits, seed=2)
+    index = build_plaid(corpus, config)
+    with pytest.raises(ValueError, match=name):
+        dataclasses.replace(index, **edit(index))
