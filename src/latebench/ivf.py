@@ -87,7 +87,7 @@ def ivf_candidates(
     Per query row, along its nprobe nearest lists: every list whose end
     falls within the per-token budget contributes all of its tokens, and the
     one list the budget runs out inside contributes its top tokens by
-    (dot, row id).
+    (dot, row id). A budget below 1 raises ValueError, as IvfConfig does.
     """
     nprobe = index.config.nprobe if nprobe is None else nprobe
     cap = (
@@ -95,6 +95,8 @@ def ivf_candidates(
         if per_token_candidates is None
         else per_token_candidates
     )
+    if cap < 1:
+        raise ValueError("per_token_candidates must be >= 1")
     _, top = kmeans.probe(index.centroids, query, nprobe)
     lengths = np.diff(index.lists.offsets)[top]
     ends = np.cumsum(lengths, axis=1)

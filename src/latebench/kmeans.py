@@ -5,6 +5,15 @@ assignment is by maximum dot product (lowest centroid index on exact ties),
 and centroid updates are renormalized means. Everything is deterministic for
 a fixed seed, which is what makes byte-identical index rebuilds possible.
 
+The update sums each cluster's vectors one dimension at a time:
+`np.bincount(labels, weights=column)` over a float32 (dim, N) transpose made
+once per training run. bincount casts each weight to float64 and adds it into
+its label's bin in row order, starting from 0.0. That is the same sequence of
+float64 additions `np.add.at(sums, labels, vectors.astype(np.float64))` makes
+for every (cluster, dimension) cell, so the sums, and with them the centroids
+and every index built on them, are bit-identical to that row-wise update,
+without its float64 copy of all vectors or its per-row scatter.
+
 Centroid lists: IVF files corpus row ids and PLAID files doc ordinals under
 each centroid, both as one `Csr` built by `Csr.grouped`. Both backends order
 a query row's centroids with `probe`: one (query rows x centroids) product
@@ -47,10 +56,19 @@ def _seed_plus_plus(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np
     return vectors[chosen].copy()
 
 
-def _renormalized_means(vectors: np.ndarray, labels: np.ndarray, k: int, prev: np.ndarray):
-    dim = vectors.shape[1]
-    sums = np.zeros((k, dim), dtype=np.float64)
-    np.add.at(sums, labels, vectors.astype(np.float64))
+def _cluster_sums(columns: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Float64 (k, dim) sums of the vectors under each label, in row order.
+
+    `columns` is the (dim, N) transpose of the vectors.
+    """
+    sums = np.empty((k, columns.shape[0]), dtype=np.float64)
+    for d, column in enumerate(columns):
+        sums[:, d] = np.bincount(labels, weights=column, minlength=k)
+    return sums
+
+
+def _renormalized_means(columns: np.ndarray, labels: np.ndarray, k: int, prev: np.ndarray):
+    sums = _cluster_sums(columns, labels, k)
     counts = np.bincount(labels, minlength=k)
     norms = np.linalg.norm(sums, axis=1)
     dead = (counts == 0) | (norms < 1e-12)
@@ -93,8 +111,9 @@ def train_kmeans(vectors: np.ndarray, k: int, iters: int = 20, seed: int = 0) ->
     rng = np.random.default_rng(seed)
     centroids = _seed_plus_plus(vectors, k, rng)
     labels = assign(vectors, centroids)
+    columns = np.ascontiguousarray(vectors.T)
     for _ in range(max(0, iters)):
-        centroids, dead = _renormalized_means(vectors, labels, k, centroids)
+        centroids, dead = _renormalized_means(columns, labels, k, centroids)
         centroids = _reseed_dead(vectors, labels, centroids, dead)
         new_labels = assign(vectors, centroids)
         if np.array_equal(new_labels, labels):

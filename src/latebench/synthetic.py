@@ -66,6 +66,8 @@ class SyntheticSpec:
             raise ValueError("margin must be > 0")
         if self.signal_tokens < 1:
             raise ValueError("signal_tokens must be >= 1")
+        if self.concepts_per_doc < 1:
+            raise ValueError("concepts_per_doc must be >= 1")
         if not 0.0 <= self.filler_fraction < 1.0:
             raise ValueError("filler_fraction must be in [0, 1)")
         lo, hi = self.tokens_per_doc
@@ -89,13 +91,23 @@ def _orthonormal_directions(rng: np.random.Generator, count: int, dim: int) -> n
     return np.ascontiguousarray(q.T, dtype=np.float64)
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    # One BLAS dot per row, (n, 1, dim) @ (n, dim, 1): the same dot
+    # np.linalg.norm takes of a single vector, so each row is divided by
+    # exactly the norm it would get on its own.
+    norms = np.sqrt(m[:, None, :] @ m[:, :, None]).reshape(-1, 1)
+    return m / norms
 
 
-def _perturbed(direction: np.ndarray, noise: float, rng: np.random.Generator) -> np.ndarray:
-    g = _unit(rng.standard_normal(direction.shape[0]))
-    return _unit(direction + noise * g).astype(np.float32)
+def _perturbed(directions: np.ndarray, noise: float, rng: np.random.Generator,
+               rows: int) -> np.ndarray:
+    """`rows` unit float32 rows: each direction plus `noise` times a unit Gaussian.
+
+    `directions` is one (dim,) direction or one per row. The one (rows, dim)
+    draw consumes the stream that `rows` draws of one row each would.
+    """
+    g = _unit_rows(rng.standard_normal((rows, directions.shape[-1])))
+    return _unit_rows(directions + noise * g).astype(np.float32)
 
 
 def _attempt(spec: SyntheticSpec, seed: int):
@@ -123,11 +135,9 @@ def _attempt(spec: SyntheticSpec, seed: int):
         doc_id = f"d{ordinal:05d}"
         doc_ids.append(doc_id)
         rows = int(rng.integers(lo, hi + 1))
-        owned = doc_concepts[ordinal]
+        cycle = concepts[np.resize(doc_concepts[ordinal], rows - 1)]
         matrix = np.empty((rows, spec.dim), dtype=np.float32)
-        for i in range(rows - 1):
-            concept = concepts[owned[i % len(owned)]]
-            matrix[i] = _perturbed(concept, spec.doc_noise, rng)
+        matrix[:rows - 1] = _perturbed(cycle, spec.doc_noise, rng, rows - 1)
         matrix[rows - 1] = background  # shared exact anchor for filler tokens
         docs[doc_id] = TokenMatrix(matrix)
 
@@ -138,15 +148,11 @@ def _attempt(spec: SyntheticSpec, seed: int):
     for qi in range(spec.queries):
         qid = f"q{qi:04d}"
         target = int(targets[qi])
-        owned = doc_concepts[target]
-        rows = np.empty((spec.signal_tokens + n_filler, spec.dim), dtype=np.float32)
-        for i in range(spec.signal_tokens):
-            concept = concepts[owned[i % len(owned)]]
-            rows[i] = _perturbed(concept, spec.query_noise, rng)
-        for i in range(n_filler):
-            rows[spec.signal_tokens + i] = _perturbed(
-                background.astype(np.float64), spec.filler_noise, rng
-            )
+        cycle = concepts[np.resize(doc_concepts[target], spec.signal_tokens)]
+        rows = np.concatenate([
+            _perturbed(cycle, spec.query_noise, rng, spec.signal_tokens),
+            _perturbed(background.astype(np.float64), spec.filler_noise, rng, n_filler),
+        ])
         queries[qid] = TokenMatrix(rows)
         qrels_pairs.append((qid, doc_ids[target], 1))
 

@@ -5,6 +5,7 @@ latebench) so that agreement between an oracle and the package is meaningful
 evidence rather than a tautology.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -223,3 +224,78 @@ def loop_ivf_candidates(centroids, assignments, vectors, offsets, query, nprobe,
             if remaining == 0:
                 break
     return tuple(sorted(candidates))
+
+
+def add_at_means(vectors, labels, k, prev):
+    """One spherical k-means update by a row-wise float64 scatter.
+
+    Returns (sums, centroids, dead): the float64 (k, dim) cluster sums from
+    np.add.at, the renormalized means as float32 (a dead cluster, empty or
+    with a near-zero sum, keeps its previous centroid) and the dead mask.
+    """
+    sums = np.zeros((k, vectors.shape[1]), dtype=np.float64)
+    np.add.at(sums, labels, vectors.astype(np.float64))
+    counts = np.bincount(labels, minlength=k)
+    norms = np.linalg.norm(sums, axis=1)
+    dead = (counts == 0) | (norms < 1e-12)
+    centroids = prev.astype(np.float64).copy()
+    alive = ~dead
+    centroids[alive] = sums[alive] / norms[alive, None]
+    return sums, centroids.astype(np.float32), dead
+
+
+def loop_unit(v):
+    """One vector divided by its np.linalg.norm."""
+    return v / np.linalg.norm(v)
+
+
+def _loop_perturbed(direction, noise, rng):
+    g = loop_unit(rng.standard_normal(direction.shape[0]))
+    return loop_unit(direction + noise * g).astype(np.float32)
+
+
+def loop_attempt(spec, seed):
+    """One generator attempt drawn one token at a time.
+
+    Returns (docs, queries, pairs): doc id -> float32 rows, query id ->
+    float32 rows, and the (query id, target doc id) pairs, for the same seed
+    stream the package's generator consumes.
+    """
+    rng = np.random.default_rng(seed)
+    combos = list(itertools.combinations(range(spec.num_concepts), spec.concepts_per_doc))
+    gaussian = rng.standard_normal((spec.dim, spec.num_concepts + 1))
+    q, r = np.linalg.qr(gaussian)
+    directions = np.ascontiguousarray((q * np.sign(np.diag(r))).T, dtype=np.float64)
+    concepts = directions[: spec.num_concepts]
+    background = directions[spec.num_concepts].astype(np.float32)
+
+    order = rng.permutation(len(combos))[: spec.doc_count]
+    doc_concepts = [combos[i] for i in order]
+    lo, hi = spec.tokens_per_doc
+    docs, doc_ids = {}, []
+    for ordinal in range(spec.doc_count):
+        doc_id = f"d{ordinal:05d}"
+        doc_ids.append(doc_id)
+        rows = int(rng.integers(lo, hi + 1))
+        owned = doc_concepts[ordinal]
+        matrix = np.empty((rows, spec.dim), dtype=np.float32)
+        for i in range(rows - 1):
+            matrix[i] = _loop_perturbed(concepts[owned[i % len(owned)]], spec.doc_noise, rng)
+        matrix[rows - 1] = background
+        docs[doc_id] = matrix
+
+    targets = rng.choice(spec.doc_count, size=spec.queries, replace=False)
+    n_filler = spec.filler_tokens
+    queries, pairs = {}, []
+    for qi in range(spec.queries):
+        qid = f"q{qi:04d}"
+        owned = doc_concepts[int(targets[qi])]
+        rows = np.empty((spec.signal_tokens + n_filler, spec.dim), dtype=np.float32)
+        for i in range(spec.signal_tokens):
+            rows[i] = _loop_perturbed(concepts[owned[i % len(owned)]], spec.query_noise, rng)
+        for i in range(n_filler):
+            rows[spec.signal_tokens + i] = _loop_perturbed(
+                background.astype(np.float64), spec.filler_noise, rng)
+        queries[qid] = rows
+        pairs.append((qid, doc_ids[int(targets[qi])]))
+    return docs, queries, pairs

@@ -237,3 +237,17 @@ def test_unwritable_header_is_refused_before_generating(tmp_path, capsys, monkey
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("LATEBENCH-ERROR ValueError: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_search_time_ivf_budget_below_one_reported_cleanly(workspace, capsys):
+    out = workspace / "never.run"
+    code = main([
+        "search", "--backend", "ivf",
+        "--index", str(workspace / "ivf.lbi"), "--bundle", str(workspace / "corpus.lbb"),
+        "--queries", str(workspace / "queries.lbb"),
+        "--per-token-candidates", "0", "--k", "5", "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["LATEBENCH-ERROR ValueError: per_token_candidates must be >= 1"]
+    assert not out.exists()

@@ -14,6 +14,7 @@ from latebench import (
     ivf_search,
     maxsim_score,
 )
+from latebench.diagnostics import ivf_searcher
 from latebench.errors import DimensionMismatch, TooFewVectors
 
 from conftest import basis_matrix, random_unit_matrix
@@ -138,6 +139,23 @@ def test_config_invariants():
         IvfConfig(nlist=4, nprobe=5)
     with pytest.raises(ValueError):
         IvfConfig(nlist=4, nprobe=1, per_token_candidates=0)
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_search_time_budget_below_one_rejected(planted_small, cap):
+    # Unchecked, no list fits a budget below 1, so every search came back empty.
+    corpus, queries, _ = planted_small
+    index = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=1))
+    query = next(iter(queries.values()))
+    assert ivf_search(index, query, 5, per_token_candidates=1).hits
+    searches = [
+        lambda: ivf_candidates(index, query, per_token_candidates=cap),
+        lambda: ivf_search(index, query, 5, per_token_candidates=cap),
+        lambda: ivf_searcher(index, per_token_candidates=cap)(query, 5),
+    ]
+    for search in searches:
+        with pytest.raises(ValueError, match="per_token_candidates must be >= 1"):
+            search()
 
 
 def _budgets(index, query):

@@ -1,12 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from latebench import train_kmeans
 from latebench.errors import TooFewVectors
-from latebench.kmeans import assign
+from latebench.kmeans import _cluster_sums, _renormalized_means, assign
 
 from conftest import random_unit_matrix
-from oracles import argmax_assignment
+from oracles import add_at_means, argmax_assignment
 
 
 def test_perfectly_separated_pairs():
@@ -83,3 +85,47 @@ def test_too_few_vectors_rejected():
     rng = np.random.default_rng(6)
     with pytest.raises(TooFewVectors):
         train_kmeans(random_unit_matrix(rng, 3, 8).data, 4)
+
+
+def _update_cases():
+    rng = np.random.default_rng(41)
+    rows = random_unit_matrix(rng, 900, 24).data
+    random_labels = assign(rows, random_unit_matrix(rng, 12, 24).data)
+    # Three distinct points under seven centroids: at least four are empty.
+    few = random_unit_matrix(rng, 3, 24).data[rng.integers(0, 3, size=60)]
+    few_labels = assign(few, random_unit_matrix(rng, 7, 24).data)
+    assert len(np.unique(few_labels)) <= 3
+    return {
+        "random-rows": (rows, random_labels, 12),
+        "k-above-distinct": (few, few_labels, 7),
+        "k-1": (rows, np.zeros(len(rows), dtype=np.int32), 1),
+        "one-label": (rows, np.full(len(rows), 3, dtype=np.int32), 5),
+    }
+
+
+@pytest.mark.parametrize("case", ["random-rows", "k-above-distinct", "k-1", "one-label"])
+def test_update_is_bit_identical_to_the_row_wise_scatter(case):
+    vectors, labels, k = _update_cases()[case]
+    prev = random_unit_matrix(np.random.default_rng(42), k, vectors.shape[1]).data
+    want_sums, want_centroids, want_dead = add_at_means(vectors, labels, k, prev)
+    columns = np.ascontiguousarray(vectors.T)
+    sums = _cluster_sums(columns, labels, k)
+    centroids, dead = _renormalized_means(columns, labels, k, prev)
+    assert sums.dtype == np.float64 and sums.tobytes() == want_sums.tobytes()
+    assert centroids.dtype == np.float32 and centroids.tobytes() == want_centroids.tobytes()
+    assert np.array_equal(dead, want_dead)
+    assert dead.any() == (case in ("k-above-distinct", "one-label"))
+
+
+def test_training_output_is_pinned():
+    # The sha256 the row-wise np.add.at update gave for these inputs with
+    # numpy 2.4 and OpenBLAS 0.3.31; the bincount update must reproduce every
+    # centroid bit. Another BLAS may round assign's product differently.
+    rng = np.random.default_rng(2024)
+    random_rows = random_unit_matrix(rng, 3000, 24).data
+    duplicates = random_unit_matrix(rng, 5, 24).data[rng.integers(0, 5, size=400)]
+    digest = hashlib.sha256()
+    for vectors, k, seed in ((random_rows, 40, 3), (duplicates, 9, 4)):
+        digest.update(train_kmeans(vectors, k, iters=20, seed=seed).tobytes())
+    assert digest.hexdigest() == (
+        "cae9597ae4a44fcbf3d706aa4a4307dbc980ac9ede84e4983cf9c3f2255fbe5e")

@@ -10,9 +10,9 @@ from latebench import (
 )
 from latebench.diagnostics import exact_searcher, run_queries
 from latebench.errors import SpecInfeasible
-from latebench.synthetic import _attempt, _verify_planted
+from latebench.synthetic import _attempt, _unit_rows, _verify_planted
 
-from oracles import loop_verify_planted
+from oracles import loop_attempt, loop_unit, loop_verify_planted
 
 
 def test_planted_target_ranks_first_without_filler():
@@ -123,6 +123,8 @@ def test_spec_field_validation():
         SyntheticSpec(tokens_per_doc=(2, 1))
     with pytest.raises(ValueError):
         SyntheticSpec(doc_count=5, queries=6)
+    with pytest.raises(ValueError):
+        SyntheticSpec(doc_count=1, queries=1, concepts_per_doc=0)
 
 
 def test_margin_check_decides_like_the_per_doc_loop(planted_small):
@@ -146,3 +148,35 @@ def test_margin_check_decides_like_the_per_doc_loop(planted_small):
         for margin, decision in expected.items():
             assert _verify_planted(corpus, queries, qrels, margin) is decision, margin
             assert loop_verify_planted(corpus, queries, qrels, margin) is decision, margin
+
+
+@pytest.mark.parametrize("dim,num_concepts", [(16, 10), (128, 20)])
+@pytest.mark.parametrize("tokens_per_doc", [(3, 11), (6, 6)], ids=["range", "fixed"])
+@pytest.mark.parametrize("filler", [0.0, 0.3])
+def test_attempt_is_byte_identical_to_the_per_token_loop(dim, num_concepts, tokens_per_doc,
+                                                         filler):
+    spec = SyntheticSpec(doc_count=40, tokens_per_doc=tokens_per_doc, dim=dim,
+                         num_concepts=num_concepts, queries=10, signal_tokens=6,
+                         filler_fraction=filler, seed=17)
+    corpus, queries, qrels = _attempt(spec, 29)
+    want_docs, want_queries, want_pairs = loop_attempt(spec, 29)
+    assert corpus.doc_ids == tuple(want_docs)
+    for doc_id, rows in want_docs.items():
+        assert corpus.docs[doc_id].data.tobytes() == rows.tobytes(), doc_id
+    assert list(queries) == list(want_queries)
+    for qid, rows in want_queries.items():
+        assert queries[qid].data.shape == rows.shape
+        assert queries[qid].data.tobytes() == rows.tobytes(), qid
+    assert [(qid, doc_id) for qid, doc_id in want_pairs
+            if qrels.relevant(qid) == {doc_id}] == want_pairs
+
+
+@pytest.mark.parametrize("dim", [16, 128])
+def test_unit_rows_divide_by_the_single_vector_norm(dim):
+    # The float32 corpus hides a last-bit change in a float64 norm almost
+    # always, so the float64 rows are compared here; a reduction that sums
+    # in another order than np.linalg.norm of one vector differs in ~20 %
+    # of rows.
+    rows = np.random.default_rng(dim).standard_normal((500, dim))
+    want = np.stack([loop_unit(row) for row in rows])
+    assert _unit_rows(rows).tobytes() == want.tobytes()
