@@ -2,9 +2,11 @@
 
 Token vectors are clustered into nlist centroids; every query row probes its
 nprobe nearest lists and gathers candidate tokens, the gathered tokens' source
-documents form the candidate set, and candidates are rescored with the exact
-kernel. Only candidate generation approximates: every returned score equals
-maxsim_score exactly.
+documents form the candidate set, and `core.top_k` takes the candidates' exact
+top k: one batched product ranks them, and only the band its error bound
+leaves in reach of the top k is rescored with the exact kernel (every
+candidate, when there are fewer than 2*k). Only candidate generation
+approximates: every returned score equals maxsim_score exactly.
 
 Gather order is (probed-list rank, then token dot within the boundary list),
 so the candidate set at a smaller nprobe is always a subset of the candidate
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kmeans
-from .core import Corpus, RankedList, TokenMatrix, score_docs
+from .core import Corpus, RankedList, TokenMatrix, top_k
 
 
 @dataclass(frozen=True)
@@ -68,27 +70,15 @@ class IvfIndex:
 
 def build_ivf(corpus: Corpus, config: IvfConfig) -> IvfIndex:
     """Cluster all token vectors and file each one under its argmax centroid."""
-    vectors = corpus.vectors
-    centroids = kmeans.train_kmeans(
-        vectors, config.nlist, iters=config.kmeans_iters, seed=config.seed
+    centroids, assignments = kmeans.train_kmeans(
+        corpus.vectors, config.nlist, iters=config.kmeans_iters, seed=config.seed
     )
-    assignments = kmeans.assign(vectors, centroids)
     return IvfIndex(config=config, centroids=centroids, assignments=assignments, corpus=corpus)
 
 
-def ivf_candidates(
-    index: IvfIndex,
-    query: TokenMatrix,
-    nprobe: int | None = None,
-    per_token_candidates: int | None = None,
-) -> tuple[int, ...]:
-    """Candidate doc ordinals for a query, sorted ascending.
-
-    Per query row, along its nprobe nearest lists: every list whose end
-    falls within the per-token budget contributes all of its tokens, and the
-    one list the budget runs out inside contributes its top tokens by
-    (dot, row id). A budget below 1 raises ValueError, as IvfConfig does.
-    """
+def _candidates(
+    index: IvfIndex, query: TokenMatrix, nprobe: int | None, per_token_candidates: int | None
+) -> np.ndarray:
     nprobe = index.config.nprobe if nprobe is None else nprobe
     cap = (
         index.config.per_token_candidates
@@ -108,7 +98,23 @@ def ivf_candidates(
         rows.append(toks[np.lexsort((toks, -dots))[:cap - starts[r, j]]])
     members = np.zeros(len(index.corpus), dtype=bool)
     members[index.token_docs[np.concatenate(rows)]] = True
-    return tuple(np.flatnonzero(members).tolist())
+    return np.flatnonzero(members)
+
+
+def ivf_candidates(
+    index: IvfIndex,
+    query: TokenMatrix,
+    nprobe: int | None = None,
+    per_token_candidates: int | None = None,
+) -> tuple[int, ...]:
+    """Candidate doc ordinals for a query, sorted ascending.
+
+    Per query row, along its nprobe nearest lists: every list whose end
+    falls within the per-token budget contributes all of its tokens, and the
+    one list the budget runs out inside contributes its top tokens by
+    (dot, row id). A budget below 1 raises ValueError, as IvfConfig does.
+    """
+    return tuple(_candidates(index, query, nprobe, per_token_candidates).tolist())
 
 
 def ivf_search(
@@ -119,8 +125,8 @@ def ivf_search(
     per_token_candidates: int | None = None,
     query_id: str = "",
 ) -> RankedList:
-    """Probe, gather, then rescore every candidate with the exact kernel."""
+    """Probe, gather, then take the exact top k of the candidates with `core.top_k`."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ordinals = ivf_candidates(index, query, nprobe, per_token_candidates)
-    return RankedList.from_scores(query_id, score_docs(index.corpus, query, ordinals), k)
+    ordinals = _candidates(index, query, nprobe, per_token_candidates)
+    return top_k(index.corpus, query, k, ordinals, query_id)

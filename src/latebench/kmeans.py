@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenMatrix
+from .core import TokenMatrix, segments
 from .errors import DimensionMismatch, TooFewVectors
 
 
@@ -98,10 +98,15 @@ def _reseed_dead(
     return centroids
 
 
-def train_kmeans(vectors: np.ndarray, k: int, iters: int = 20, seed: int = 0) -> np.ndarray:
+def train_kmeans(
+    vectors: np.ndarray, k: int, iters: int = 20, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
     """Train k unit-norm centroids; stops early once assignments are stable.
 
-    Raises TooFewVectors when there are fewer vectors than clusters.
+    Returns (centroids, labels), where labels equals assign(vectors, centroids):
+    the loop ends on labels computed from the final centroids, because each
+    update is followed by an assignment, and with iters 0 the labels are the
+    seeds' own. Raises TooFewVectors when there are fewer vectors than clusters.
     """
     vectors = np.ascontiguousarray(vectors, dtype=np.float32)
     if vectors.ndim != 2 or vectors.shape[0] < k:
@@ -119,7 +124,7 @@ def train_kmeans(vectors: np.ndarray, k: int, iters: int = 20, seed: int = 0) ->
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
-    return centroids
+    return centroids, labels
 
 
 @dataclass(frozen=True)
@@ -154,11 +159,8 @@ class Csr:
 
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The given rows concatenated, and where each one starts in the result."""
-        starts = self.offsets[rows]
-        lengths = self.offsets[rows + 1] - starts
-        out_starts = np.cumsum(lengths) - lengths
-        positions = np.repeat(starts - out_starts, lengths) + np.arange(int(lengths.sum()))
-        return self.flat[positions], out_starts
+        positions, starts = segments(self.offsets, rows)
+        return self.flat[positions], starts
 
 
 def token_docs(offsets: np.ndarray) -> np.ndarray:

@@ -9,16 +9,20 @@ Retrieval runs as a funnel:
            candidate document set;
   stage 3  candidates get an approximate score: MaxSim with every document
            vector replaced by its assigned centroid; only the top ndocs
-           survive, ties broken by ascending doc id;
-  stage 4  survivors are rescored exactly, from true vectors or, when
+           survive, ties broken by ascending doc id (through `id_rank`, each
+           doc id's rank in string order, computed once per index);
+  stage 4  survivors get their exact top k, from true vectors or, when
            residual compression is on, from decoded vectors.
 
-Stage 4 scores the survivors with `core.score_docs`, the oracle's and IVF's
-loop, reading each through `doc_matrix`, a view of the index's `store`: the
-source corpus without residuals, else a `Corpus` over one array every vector
-is decoded into once, at build or load, CODEC_BLOCK_ROWS rows at a time, so
-`doc_matrix` never decodes or allocates. The residual codec takes
-(..., dim) arrays and gives each row the bits it would get on its own.
+Stage 4 is `core.top_k`, as for exact search and IVF: one batched product
+over the survivors' rows of the index's `store` ranks them, and only the band
+of survivors within the error bound of the k-th is rescored canonically (every
+survivor, when there are fewer than 2*k). The rescore reads each banded
+survivor through `doc_matrix`, a view of `store`: the source corpus without
+residuals, else a `Corpus` over one array every vector is decoded into once,
+at build or load, CODEC_BLOCK_ROWS rows at a time, so `doc_matrix` never
+decodes or allocates. The residual codec takes (..., dim) arrays and gives
+each row the bits it would get on its own.
 
 ndocs smaller than k is an error, never a silent clamp. A search-time ncells
 larger than the centroid count means "probe everything" and is clamped.
@@ -43,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kmeans
-from .core import Corpus, RankedList, TokenMatrix, score_docs
+from .core import Corpus, RankedList, TokenMatrix, top_k
 from .kmeans import Csr
 from .errors import NDocsTooSmall, UnknownDoc, UnsupportedBits
 
@@ -190,6 +194,7 @@ class PlaidIndex:
     inverted: Csr = field(init=False)  # per centroid, doc ordinals ascending
     unique_codes: Csr = field(init=False)  # per doc, sorted unique centroid ids
     store: Corpus = field(init=False, repr=False)  # the vectors stage 4 rescores
+    id_rank: np.ndarray = field(init=False, repr=False)  # (doc_count,) int64, rank by doc id
 
     def __post_init__(self):
         num_centroids, bits = self.config.num_centroids, self.config.residual_bits
@@ -211,6 +216,10 @@ class PlaidIndex:
                 decoded[rows] = decode_residual(code, self.centroids[self.codes[rows]], bits)
             store = Corpus(self.doc_ids, decoded, self.row_offsets)
         object.__setattr__(self, "store", store)
+        by_id = sorted(range(self.doc_count), key=self.doc_ids.__getitem__)
+        id_rank = np.empty(self.doc_count, dtype=np.int64)
+        id_rank[by_id] = np.arange(self.doc_count)
+        object.__setattr__(self, "id_rank", id_rank)
 
     @property
     def doc_count(self) -> int:
@@ -252,12 +261,13 @@ def build_plaid(
     """
     vectors = corpus.vectors
     if centroids is None:
-        centroids = kmeans.train_kmeans(
+        centroids, codes = kmeans.train_kmeans(
             vectors, config.num_centroids, iters=config.kmeans_iters, seed=config.seed
         )
     elif centroids.shape[0] != config.num_centroids:
         raise ValueError("supplied centroids disagree with config.num_centroids")
-    codes = kmeans.assign(vectors, centroids)
+    else:
+        codes = kmeans.assign(vectors, centroids)
     levels = scales = None
     if config.residual_bits > 0:
         levels = np.empty(vectors.shape, dtype=np.uint8)
@@ -360,7 +370,6 @@ def plaid_search(
     if not len(candidates):
         return RankedList(query_id=query_id, hits=())
     approx = approx_scores(index, dots, candidates)
-    # Descending approximate score, ties by ascending doc id (Python str order).
-    ids = np.array(index.doc_ids, dtype=object)[candidates]
-    survivors = candidates[np.lexsort((ids, -approx))[:ndocs]]
-    return RankedList.from_scores(query_id, score_docs(index, query, survivors.tolist()), k)
+    # Descending approximate score, ties by ascending doc id.
+    survivors = candidates[np.lexsort((index.id_rank[candidates], -approx))[:ndocs]]
+    return top_k(index.store, query, k, survivors, query_id, store=index)

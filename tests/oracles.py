@@ -120,10 +120,21 @@ def reference_plaid_funnel(query, centroids, codes, row_offsets, doc_ids, doc_ve
         if surviving & set(codes[row_offsets[d]:row_offsets[d + 1]].tolist())
     ]
     candidates.sort(key=lambda d: (-approx[d], doc_ids[d]))
-    rescored = []
-    for d in candidates[:ndocs]:
-        sims = query @ doc_vectors[d].T
-        rescored.append((doc_ids[d], float(np.sum(sims.max(axis=1), dtype=np.float64))))
+    return full_rescore(query, doc_vectors, doc_ids, candidates[:ndocs], k)
+
+
+def sum_of_maxima(query, doc):
+    """MaxSim through numpy's wrappers: np.sum of the row maxima, in float64."""
+    sims = query @ doc.T
+    return float(np.sum(sims.max(axis=1), dtype=np.float64))
+
+
+def full_rescore(query, doc_vectors, doc_ids, ordinals, k):
+    """Every given doc scored by sum_of_maxima; the top k [(doc_id, score)], best first.
+
+    doc_vectors[d] is doc d's matrix; ties break by ascending doc id.
+    """
+    rescored = [(doc_ids[d], sum_of_maxima(query, doc_vectors[d])) for d in ordinals]
     rescored.sort(key=lambda item: (-item[1], item[0]))
     return rescored[:k]
 

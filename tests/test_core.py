@@ -23,7 +23,7 @@ from latebench.errors import (
 )
 
 from conftest import basis_matrix, random_unit_matrix
-from oracles import chunk_mean_pool, triple_loop_maxsim
+from oracles import chunk_mean_pool, sum_of_maxima, triple_loop_maxsim
 
 
 def test_validate_accepts_unit_basis_vector():
@@ -82,6 +82,20 @@ def test_maxsim_agrees_with_triple_loop_oracle():
         assert maxsim_score(q, d) == pytest.approx(
             triple_loop_maxsim(q.data, d.data), abs=1e-5
         )
+
+
+def test_maxsim_is_bit_identical_to_the_sum_of_row_maxima():
+    # The kernel calls the ufunc reductions np.sum and ndarray.max dispatch
+    # to; every score must keep the bits the wrapped calls give, across
+    # numpy's pairwise-summation block sizes.
+    rng = np.random.default_rng(27)
+    shapes = [(nq, int(rng.integers(1, 65))) for nq in range(1, 301)]
+    shapes += [(int(rng.integers(1, 301)), rows) for rows in range(1, 65)]
+    for nq, rows in shapes:
+        query = TokenMatrix(random_unit_matrix(rng, nq, 128).data
+                            * rng.uniform(0.5, 3.0, size=(nq, 1)))
+        doc = random_unit_matrix(rng, rows, 128)
+        assert maxsim_score(query, doc).hex() == sum_of_maxima(query.data, doc.data).hex()
 
 
 def test_maxsim_bounded_by_query_rows():

@@ -1,15 +1,21 @@
-"""Exact search's batched ranking and its error-bounded canonical band."""
+"""The batched ranking and its error-bounded canonical band, for exact, IVF and PLAID search."""
 
 import numpy as np
 import pytest
 
-from latebench import Corpus, SyntheticSpec, TokenMatrix, exact_search, generate_synthetic
+from latebench import (
+    Corpus, IvfConfig, PlaidConfig, SyntheticSpec, TokenMatrix, build_ivf, build_plaid,
+    exact_search, generate_synthetic, ivf_candidates, ivf_search, plaid_candidates,
+    plaid_search,
+)
 from latebench import core
+from latebench.bundle import load_ivf_index, load_plaid_index, save_ivf_index, save_plaid_index
 from latebench.core import RankedList, batched_scores, score_all
 from latebench.errors import DimensionMismatch
 from latebench.synthetic import _verify_planted
 
 from conftest import random_unit_matrix
+from oracles import full_rescore, loop_decode_rows, loop_ivf_candidates, reference_plaid_funnel
 
 
 def _full_sweep(corpus, query, k, qid=""):
@@ -63,9 +69,9 @@ def test_band_absorbs_an_adversarial_eps_error_and_is_needed(k, monkeypatch):
     # Docs inside the canonical top k lose eps, every other doc gains eps.
     adversarial = _canonical(corpus, query) + np.where(inside, -eps, eps)
 
-    monkeypatch.setattr(core, "batched_scores", lambda c, q: (adversarial, eps))
+    monkeypatch.setattr(core, "batched_scores", lambda c, q, o: (adversarial, eps))
     assert exact_search(corpus, query, k, "q") == expected
-    monkeypatch.setattr(core, "batched_scores", lambda c, q: (adversarial, 0.0))
+    monkeypatch.setattr(core, "batched_scores", lambda c, q, o: (adversarial, 0.0))
     assert exact_search(corpus, query, k, "q") != expected
 
 
@@ -149,3 +155,157 @@ def test_canonical_calls_per_query_stay_near_k(acceptance_data, monkeypatch):
     calls[0] = 0
     assert _verify_planted(corpus, queries, qrels, 0.05)
     assert calls[0] / len(queries) < 50
+
+
+def _hexed(ranked):
+    return [(hit.doc_id, hit.score.hex()) for hit in ranked.hits]
+
+
+def _hexed_pairs(pairs):
+    return [(doc_id, score.hex()) for doc_id, score in pairs]
+
+
+def _doc_matrices(corpus):
+    return [corpus.docs[doc_id].data for doc_id in corpus.doc_ids]
+
+
+def _exhaustive_search(backend, corpus):
+    """A search over an index whose candidates and survivors are every doc."""
+    if backend == "ivf":
+        index = build_ivf(corpus, IvfConfig(nlist=8, nprobe=8, seed=1,
+                                            per_token_candidates=corpus.total_vectors))
+        return lambda query, k: ivf_search(index, query, k, query_id="q")
+    index = build_plaid(corpus, PlaidConfig(num_centroids=8, ncells=8, ndocs=len(corpus),
+                                            centroid_score_threshold=-1.0, seed=1))
+    return lambda query, k: plaid_search(index, query, k, query_id="q")
+
+
+@pytest.mark.parametrize("backend", ["ivf", "plaid"])
+@pytest.mark.parametrize("k", [1, 10, 100])
+def test_backend_band_absorbs_an_adversarial_eps_error_and_is_needed(backend, k, monkeypatch):
+    corpus, query = _tied_corpus()
+    search = _exhaustive_search(backend, corpus)
+    _, eps = batched_scores(corpus, query)
+    expected = _full_sweep(corpus, query, k, "q")
+    inside = np.isin(np.array(corpus.doc_ids), expected.doc_ids())
+    adversarial = _canonical(corpus, query) + np.where(inside, -eps, eps)
+
+    monkeypatch.setattr(core, "batched_scores", lambda c, q, o: (adversarial[o], eps))
+    assert search(query, k) == expected
+    monkeypatch.setattr(core, "batched_scores", lambda c, q, o: (adversarial[o], 0.0))
+    assert search(query, k) != expected
+
+
+def _no_batch(*args):
+    raise AssertionError("the batched pass ran")
+
+
+@pytest.mark.parametrize("backend", ["exact", "ivf", "plaid"])
+def test_fewer_than_2k_ordinals_skip_the_batched_pass(planted_small, backend, monkeypatch):
+    corpus, queries, _ = planted_small
+    ivf_index = build_ivf(corpus, IvfConfig(nlist=16, nprobe=1, seed=1))
+    plaid_index = build_plaid(corpus, PlaidConfig(num_centroids=16, ncells=4,
+                                                  centroid_score_threshold=0.0, seed=1))
+    matrices = _doc_matrices(corpus)
+    for query in queries.values():
+        # search(k, ndocs); `skip` leaves it fewer than 2 * k ordinals to
+        # rank and must match the full rescore, `batch` leaves it at least 2 * k.
+        if backend == "plaid":
+            k = 10
+            search = lambda k, ndocs: plaid_search(plaid_index, query, k, ndocs=ndocs)
+            want = reference_plaid_funnel(
+                query.data, plaid_index.centroids, plaid_index.codes, plaid_index.row_offsets,
+                corpus.doc_ids, matrices, 4, 0.0, k, k)
+            skip, batch = (k, k), (k, len(corpus))
+            assert len(plaid_candidates(plaid_index, query).candidates) >= 2 * k
+        else:
+            if backend == "exact":
+                ordinals, search = range(len(corpus)), lambda k, _: exact_search(corpus, query, k)
+            else:
+                ordinals = ivf_candidates(ivf_index, query)
+                search = lambda k, _: ivf_search(ivf_index, query, k)
+            assert len(ordinals) >= 2
+            k = len(ordinals) // 2 + 1
+            want = full_rescore(query.data, matrices, corpus.doc_ids, ordinals, k)
+            skip, batch = (k, k), (len(ordinals) // 2, k)
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "batched_scores", _no_batch)
+            assert _hexed(search(*skip)) == _hexed_pairs(want)
+            with pytest.raises(AssertionError, match="batched pass"):
+                search(*batch)
+
+
+def _tied_queries():
+    corpus, query = _tied_corpus()
+    rng = np.random.default_rng(28)
+    return corpus, [query] + [random_unit_matrix(rng, int(rng.integers(1, 9)), 16)
+                              for _ in range(5)]
+
+
+@pytest.fixture(scope="module", params=["planted", "tied"])
+def rescore_data(request, planted_small):
+    if request.param == "tied":
+        return _tied_queries()
+    corpus, queries, _ = planted_small
+    return corpus, list(queries.values())
+
+
+def test_ivf_equals_the_full_canonical_rescore(rescore_data):
+    corpus, queries = rescore_data
+    nlist, cap = 16, corpus.total_vectors // 8
+    built = build_ivf(corpus, IvfConfig(nlist=nlist, nprobe=4, per_token_candidates=cap, seed=2))
+    loaded = load_ivf_index(save_ivf_index(built), corpus)
+    matrices = _doc_matrices(corpus)
+    banded = 0
+    for query in queries:
+        for nprobe in (1, 8, nlist):
+            candidates = loop_ivf_candidates(built.centroids, built.assignments, corpus.vectors,
+                                             corpus.offsets, query.data, nprobe, cap)
+            for k in (1, 10, 30):
+                want = _hexed_pairs(full_rescore(query.data, matrices, corpus.doc_ids,
+                                                 candidates, k))
+                for index in (built, loaded):
+                    assert _hexed(ivf_search(index, query, k, nprobe=nprobe)) == want
+                banded += len(candidates) >= 2 * k
+    assert banded
+
+
+@pytest.mark.parametrize("bits", [0, 1, 2])
+def test_plaid_equals_the_full_per_survivor_rescore(rescore_data, bits):
+    corpus, queries = rescore_data
+    config = PlaidConfig(num_centroids=16, ncells=4, centroid_score_threshold=0.0,
+                         residual_bits=bits, seed=2)
+    built = build_plaid(corpus, config)
+    data = save_plaid_index(built)
+    indexes = [built, load_plaid_index(data, corpus)] + ([load_plaid_index(data)] if bits else [])
+    matrices = _doc_matrices(corpus)
+    if bits:
+        decoded = loop_decode_rows(built.residual_levels, built.residual_scales,
+                                   built.centroids, built.codes, bits)
+        bounds = corpus.offsets.tolist()
+        matrices = [decoded[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    banded = 0
+    for query in queries:
+        for k in (1, 10, 100):
+            for ndocs in (k, 256):
+                want = _hexed_pairs(reference_plaid_funnel(
+                    query.data, built.centroids, built.codes, built.row_offsets,
+                    built.doc_ids, matrices, 4, 0.0, ndocs, k))
+                for index in indexes:
+                    assert _hexed(plaid_search(index, query, k, ndocs=ndocs)) == want
+                banded += min(ndocs, len(plaid_candidates(built, query).candidates)) >= 2 * k
+    assert banded
+
+
+def test_backends_make_fewer_than_2k_canonical_calls_per_query(acceptance_data, monkeypatch):
+    corpus, queries, _ = acceptance_data
+    ivf_index = build_ivf(corpus, IvfConfig(nlist=128, nprobe=8, seed=7))
+    plaid_index = build_plaid(corpus, PlaidConfig(num_centroids=256, ncells=4, ndocs=256,
+                                                  centroid_score_threshold=0.4, seed=7))
+    calls = _counting_kernel(monkeypatch)
+    for search in (lambda q: ivf_search(ivf_index, q, 100),
+                   lambda q: plaid_search(plaid_index, q, 100)):
+        calls[0] = 0
+        for query in queries.values():
+            assert len(search(query)) == 100
+        assert calls[0] / len(queries) < 2 * 100

@@ -15,7 +15,7 @@ def test_perfectly_separated_pairs():
     e1 = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.float32)
     e2 = np.array([0.0, 1.0, 0.0, 0.0], dtype=np.float32)
     vectors = np.stack([e1, e1, e2, e2])
-    centroids = train_kmeans(vectors, 2, iters=10, seed=0)
+    centroids, _ = train_kmeans(vectors, 2, iters=10, seed=0)
     found = {tuple(np.round(c, 6)) for c in centroids}
     assert found == {tuple(e1), tuple(e2)}
 
@@ -23,7 +23,7 @@ def test_perfectly_separated_pairs():
 def test_k_equals_vector_count_gives_one_centroid_each():
     rng = np.random.default_rng(0)
     vectors = random_unit_matrix(rng, 6, 8).data
-    centroids = train_kmeans(vectors, 6, iters=10, seed=0)
+    centroids, _ = train_kmeans(vectors, 6, iters=10, seed=0)
     labels = assign(vectors, centroids)
     assert sorted(labels.tolist()) == list(range(6))
     for i, label in enumerate(labels):
@@ -37,7 +37,7 @@ def test_planted_directions_recovered():
     noise = rng.standard_normal((1000, 32)).astype(np.float32) * 0.05
     vectors = directions[picks] + noise
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    centroids = train_kmeans(vectors, 8, iters=20, seed=2)
+    centroids, _ = train_kmeans(vectors, 8, iters=20, seed=2)
     nearest = assign(vectors, centroids)
     dots = np.einsum("ij,ij->i", directions[picks], centroids[nearest])
     assert (dots >= 0.9).all()
@@ -46,24 +46,24 @@ def test_planted_directions_recovered():
 def test_assignment_matches_bruteforce_oracle():
     rng = np.random.default_rng(3)
     vectors = random_unit_matrix(rng, 60, 8).data
-    centroids = train_kmeans(vectors, 5, iters=10, seed=3)
+    centroids, _ = train_kmeans(vectors, 5, iters=10, seed=3)
     assert assign(vectors, centroids).tolist() == argmax_assignment(vectors, centroids)
 
 
 def test_deterministic_for_fixed_seed():
     rng = np.random.default_rng(4)
     vectors = random_unit_matrix(rng, 100, 16).data
-    a = train_kmeans(vectors, 10, iters=15, seed=7)
-    b = train_kmeans(vectors, 10, iters=15, seed=7)
+    a, _ = train_kmeans(vectors, 10, iters=15, seed=7)
+    b, _ = train_kmeans(vectors, 10, iters=15, seed=7)
     assert np.array_equal(a, b)
-    c = train_kmeans(vectors, 10, iters=15, seed=8)
+    c, _ = train_kmeans(vectors, 10, iters=15, seed=8)
     assert not np.array_equal(a, c)
 
 
 def test_centroids_are_unit_norm():
     rng = np.random.default_rng(5)
     vectors = random_unit_matrix(rng, 200, 12).data
-    centroids = train_kmeans(vectors, 16, iters=10, seed=1)
+    centroids, _ = train_kmeans(vectors, 16, iters=10, seed=1)
     norms = np.linalg.norm(centroids, axis=1)
     assert norms == pytest.approx(np.ones(16), abs=1e-5)
 
@@ -74,7 +74,7 @@ def test_more_clusters_than_distinct_points_converges():
     e1 = np.eye(4, dtype=np.float32)[0]
     e2 = np.eye(4, dtype=np.float32)[1]
     vectors = np.stack([e1] * 5 + [e2] * 5)
-    centroids = train_kmeans(vectors, 4, iters=10, seed=0)
+    centroids, _ = train_kmeans(vectors, 4, iters=10, seed=0)
     assert centroids.shape == (4, 4)
     labels = assign(vectors, centroids)
     for i, label in enumerate(labels):
@@ -126,6 +126,17 @@ def test_training_output_is_pinned():
     duplicates = random_unit_matrix(rng, 5, 24).data[rng.integers(0, 5, size=400)]
     digest = hashlib.sha256()
     for vectors, k, seed in ((random_rows, 40, 3), (duplicates, 9, 4)):
-        digest.update(train_kmeans(vectors, k, iters=20, seed=seed).tobytes())
+        digest.update(train_kmeans(vectors, k, iters=20, seed=seed)[0].tobytes())
     assert digest.hexdigest() == (
         "cae9597ae4a44fcbf3d706aa4a4307dbc980ac9ede84e4983cf9c3f2255fbe5e")
+
+
+@pytest.mark.parametrize("iters", [0, 1, 3, 20])
+def test_training_returns_the_labels_of_its_centroids(iters):
+    rng = np.random.default_rng(43)
+    random_rows = random_unit_matrix(rng, 700, 24).data
+    duplicates = random_unit_matrix(rng, 5, 24).data[rng.integers(0, 5, size=300)]
+    for vectors, k in ((random_rows, 1), (random_rows, 17), (random_rows, 64), (duplicates, 9)):
+        centroids, labels = train_kmeans(vectors, k, iters=iters, seed=iters)
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, assign(vectors, centroids))

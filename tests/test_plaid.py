@@ -20,6 +20,7 @@ from latebench import (
     plaid_search,
 )
 from latebench.bundle import load_plaid_index, save_plaid_index
+from latebench.core import batched_scores
 from latebench.errors import NDocsTooSmall, UnknownDoc, UnsupportedBits
 from latebench.plaid import (
     CODEC_BLOCK_ROWS,
@@ -146,22 +147,33 @@ def test_stage4_scores_equal_exact_kernel_when_residuals_off(planted_small):
 
 def test_stage4_reads_each_survivor_through_doc_matrix(planted_small, monkeypatch):
     # Profilers time decoded-vector access by wrapping PlaidIndex.doc_matrix,
-    # so stage 4 must look every survivor up through it, once.
+    # so stage 4 must look every survivor it rescores up through it, once:
+    # exactly the survivors whose batched score is within 2 * eps of the
+    # k-th one.
     corpus, queries, _ = planted_small
-    query = next(iter(queries.values()))
     original, seen = PlaidIndex.doc_matrix, []
     monkeypatch.setattr(PlaidIndex, "doc_matrix",
                         lambda index, ordinal: seen.append(ordinal) or original(index, ordinal))
+    pruned = 0
     for bits in (0, 2):
         config = PlaidConfig(num_centroids=32, ncells=4, ndocs=20, residual_bits=bits, seed=3)
         index = build_plaid(corpus, config)
-        seen.clear()
-        result = plaid_search(index, query, 10, threshold=0.0)
-        candidates = plaid_candidates(index, query, threshold=0.0).candidates
-        assert len(seen) == len(set(seen)) == min(20, len(candidates))
-        assert set(seen) <= set(candidates)
-        scored = {index.doc_ids[o]: maxsim_score(query, original(index, o)) for o in seen}
-        assert all(scored[hit.doc_id] == hit.score for hit in result.hits)
+        for query in queries.values():
+            candidates = plaid_candidates(index, query, threshold=0.0).candidates
+            approx = per_doc_centroid_scores(query.data @ index.centroids.T, index.codes,
+                                             index.row_offsets)
+            survivors = sorted(candidates, key=lambda o: (-approx[o], index.doc_ids[o]))[:20]
+            batched, eps = batched_scores(index.store, query, np.array(survivors))
+            kth = np.sort(batched)[-10]
+            band = {o for o, score in zip(survivors, batched) if score >= kth - 2 * eps}
+            seen.clear()
+            result = plaid_search(index, query, 10, threshold=0.0)
+            assert len(seen) == len(set(seen)) and set(seen) == band
+            scored = {index.doc_ids[o]: maxsim_score(query, original(index, o)) for o in seen}
+            assert set(result.doc_ids()) <= set(scored)
+            assert all(scored[hit.doc_id] == hit.score for hit in result.hits)
+            pruned += len(survivors) - len(band)
+    assert pruned > 0
 
 
 def test_saturation_once_doc_centroids_covered():
