@@ -3,7 +3,8 @@
 Both containers share one layout: a human-readable ASCII header terminated by
 an ``end`` line, then a contiguous little-endian binary payload. The header is
 fully self-describing, so a hex dump plus the first kilobyte of text is enough
-to debug a broken file.
+to debug a broken file. Each container has its own version: bundles are v1,
+indexes v2 (a v1 index raises VersionMismatch and must be rebuilt).
 
 Embedding bundle::
 
@@ -21,16 +22,24 @@ Embedding bundle::
 
 Index container::
 
-    #LATEBENCH-INDEX v1
+    #LATEBENCH-INDEX v2
     backend <ivf|plaid>
     <config key/value lines>
     corpus_sha256 <hex digest of the meta-free corpus bundle>
     meta <free text>
     doc <id> <rows>            (plaid only)
-    array <name> <dtype> <shape...> <offset> <nbytes>
+    array <name> <dtype> <ndim> <shape...> <offset> <nbytes>
+    payload_sha256 <hex digest of the payload>
     payload <total bytes>
     end
     <raw arrays>
+
+The index loaders check the payload against `payload_sha256` before anything
+else reads it, so a flipped payload bit raises PayloadMismatch. A residual
+PLAID index stores `residual_levels` packed (`plaid.pack_levels`): uint8 of
+shape (total_vectors, ceil(dim * bits / 8)), each level's bits MSB-first,
+levels MSB-first within a byte, trailing pad bits zero. The loader unpacks
+them, so a `PlaidIndex` holds one level per dimension.
 
 float32 bundles round-trip bitwise. float16 is a storage precision: values are
 widened exactly to float32 on read and re-narrow to identical bytes on write,
@@ -53,15 +62,16 @@ from .errors import (
     CorpusMismatch,
     MalformedLine,
     OffsetOverlap,
+    PayloadMismatch,
     TruncatedPayload,
     VersionMismatch,
 )
 from .ivf import IvfConfig, IvfIndex
-from .plaid import PlaidConfig, PlaidIndex
+from .plaid import PlaidConfig, PlaidIndex, pack_levels, unpack_levels
 
 BUNDLE_MAGIC = "#LATEBENCH-BUNDLE"
 INDEX_MAGIC = "#LATEBENCH-INDEX"
-FORMAT_VERSION = "v1"
+VERSIONS = {BUNDLE_MAGIC: "v1", INDEX_MAGIC: "v2"}
 
 FLOAT16_NORM_TOLERANCE = 2e-3
 
@@ -70,7 +80,7 @@ _NUMPY_DTYPES = {"float32": "<f4", "float16": "<f2", "int32": "<i4", "uint8": "<
 
 class _HeaderWriter:
     def __init__(self, magic: str):
-        self.lines = [f"{magic} {FORMAT_VERSION}"]
+        self.lines = [f"{magic} {VERSIONS[magic]}"]
 
     def line(self, *fields) -> None:
         text = " ".join(str(f) for f in fields)
@@ -82,10 +92,11 @@ class _HeaderWriter:
         for entry in entries:
             self.line("meta", entry)
 
-    def finish(self, payload: bytes) -> bytes:
-        self.line("payload", len(payload))
+    def head(self, payload_bytes: int) -> bytes:
+        """The finished header of a payload of `payload_bytes` bytes."""
+        self.line("payload", payload_bytes)
         self.lines.append("end")
-        return ("\n".join(self.lines) + "\n").encode("ascii") + payload
+        return ("\n".join(self.lines) + "\n").encode("ascii")
 
 
 def check_meta(entries: Iterable[str]) -> None:
@@ -111,8 +122,9 @@ class _Header:
         self.payload = data[end + len(b"\nend\n"):]
         lines = text.splitlines()
         first = lines[0].split()
-        if len(first) != 2 or first[1] != FORMAT_VERSION:
-            raise VersionMismatch(f"unsupported format version in {lines[0]!r}")
+        if len(first) != 2 or first[1] != VERSIONS[magic]:
+            rebuild = " (rebuild the index)" if magic == INDEX_MAGIC else ""
+            raise VersionMismatch(f"unsupported format version in {lines[0]!r}{rebuild}")
         self.records: list[tuple[str, list[str]]] = []
         for line_no, line in enumerate(lines[1:], start=2):
             fields = line.split()
@@ -194,7 +206,8 @@ class _Header:
             )
 
 
-def write_bundle(corpus: Corpus, meta: Iterable[str] = ()) -> bytes:
+def _bundle_parts(corpus: Corpus, meta: Iterable[str]) -> tuple[bytes, np.ndarray]:
+    """A bundle's header bytes and its payload, the vectors in the stored dtype."""
     writer = _HeaderWriter(BUNDLE_MAGIC)
     writer.line("dim", corpus.dim)
     writer.line("dtype", corpus.dtype)
@@ -206,7 +219,13 @@ def write_bundle(corpus: Corpus, meta: Iterable[str] = ()) -> bytes:
     starts = corpus.offsets.tolist()
     for doc_id, lo, hi in zip(corpus.doc_ids, starts[:-1], starts[1:]):
         writer.line("doc", doc_id, hi - lo, lo * row_bytes)
-    return writer.finish(corpus.vectors.astype(_NUMPY_DTYPES[corpus.dtype], copy=False).tobytes())
+    payload = corpus.vectors.astype(_NUMPY_DTYPES[corpus.dtype], copy=False)
+    return writer.head(payload.nbytes), payload
+
+
+def write_bundle(corpus: Corpus, meta: Iterable[str] = ()) -> bytes:
+    head, payload = _bundle_parts(corpus, meta)
+    return b"".join((head, payload))
 
 
 def read_bundle_meta(data: bytes) -> list[str]:
@@ -253,11 +272,18 @@ def read_bundle(data: bytes) -> Corpus:
 
 
 def corpus_digest(corpus: Corpus) -> str:
-    """sha256 over the meta-free serialized corpus; guards index/corpus pairing."""
-    return hashlib.sha256(write_bundle(corpus, meta=())).hexdigest()
+    """sha256 over the meta-free serialized corpus; guards index/corpus pairing.
+
+    The payload is hashed in place, without joining a copy of the bundle.
+    """
+    head, payload = _bundle_parts(corpus, ())
+    digest = hashlib.sha256(head)
+    digest.update(payload)
+    return digest.hexdigest()
 
 
-def _pack_arrays(writer: _HeaderWriter, arrays: list[tuple[str, np.ndarray]]) -> bytes:
+def _finish_index(writer: _HeaderWriter, arrays: list[tuple[str, np.ndarray]]) -> bytes:
+    """One `array` line per array, the payload digest, then header plus payload."""
     offset = 0
     chunks = []
     for name, array in arrays:
@@ -267,7 +293,20 @@ def _pack_arrays(writer: _HeaderWriter, arrays: list[tuple[str, np.ndarray]]) ->
         writer.line("array", name, dtype_name, len(array.shape), shape, offset, len(raw))
         chunks.append(raw)
         offset += len(raw)
-    return b"".join(chunks)
+    payload = b"".join(chunks)
+    writer.line("payload_sha256", hashlib.sha256(payload).hexdigest())
+    return writer.head(len(payload)) + payload
+
+
+def _index_header(data: bytes, backend: str) -> _Header:
+    """The header of a `backend` index whose payload matches its length and digest."""
+    header = _Header(data, INDEX_MAGIC)
+    header.check_payload()
+    if header.value("payload_sha256") != hashlib.sha256(header.payload).hexdigest():
+        raise PayloadMismatch("index payload does not match its payload_sha256")
+    if header.value("backend") != backend:
+        raise MalformedLine(0, f"not a {backend} index")
+    return header
 
 
 def _write_config(writer: _HeaderWriter, config) -> None:
@@ -281,11 +320,10 @@ def save_ivf_index(index: IvfIndex, meta: Iterable[str] = ()) -> bytes:
     _write_config(writer, index.config)
     writer.line("corpus_sha256", corpus_digest(index.corpus))
     writer.meta(meta)
-    payload = _pack_arrays(writer, [
+    return _finish_index(writer, [
         ("centroids", index.centroids),
         ("assignments", index.assignments),
     ])
-    return writer.finish(payload)
 
 
 def read_index_backend(data: bytes) -> str:
@@ -293,10 +331,7 @@ def read_index_backend(data: bytes) -> str:
 
 
 def load_ivf_index(data: bytes, corpus: Corpus) -> IvfIndex:
-    header = _Header(data, INDEX_MAGIC)
-    header.check_payload()
-    if header.value("backend") != "ivf":
-        raise MalformedLine(0, "not an ivf index")
+    header = _index_header(data, "ivf")
     if header.value("corpus_sha256") != corpus_digest(corpus):
         raise CorpusMismatch("index was built from a different corpus than the one supplied")
     config = header.config(IvfConfig)
@@ -327,20 +362,15 @@ def save_plaid_index(index: PlaidIndex, meta: Iterable[str] = ()) -> bytes:
         writer.line("doc", doc_id, rows)
     arrays = [("centroids", index.centroids), ("codes", index.codes)]
     if cfg.residual_bits > 0:
-        arrays.append(("residual_levels", index.residual_levels))
+        arrays.append(("residual_levels", pack_levels(index.residual_levels, cfg.residual_bits)))
         arrays.append(("residual_scales", index.residual_scales))
-    return writer.finish(_pack_arrays(writer, arrays))
+    return _finish_index(writer, arrays)
 
 
 def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
     """Load a PLAID index; a supplied corpus must be the one it was built from."""
-    header = _Header(data, INDEX_MAGIC)
-    header.check_payload()
-    if header.value("backend") != "plaid":
-        raise MalformedLine(0, "not a plaid index")
+    header = _index_header(data, "plaid")
     config = header.config(PlaidConfig)
-    if corpus is None and config.residual_bits == 0:
-        raise CorpusMismatch("a residual-free plaid index needs its corpus to rescore")
     if corpus is not None and header.many("corpus_sha256"):
         if header.value("corpus_sha256") != corpus_digest(corpus):
             raise CorpusMismatch("index was built from a different corpus than the one supplied")
@@ -361,13 +391,16 @@ def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
         expected["residual_scales"] = ("float32", (total,))
     arrays = header.arrays(expected)
     try:
+        levels = arrays.get("residual_levels")
+        if levels is not None:
+            levels = unpack_levels(levels, config.residual_bits, arrays["centroids"].shape[1])
         return PlaidIndex(
             config=config,
             centroids=arrays["centroids"],
             codes=arrays["codes"],
             row_offsets=row_offsets,
             doc_ids=doc_ids,
-            residual_levels=arrays.get("residual_levels"),
+            residual_levels=levels,
             residual_scales=arrays.get("residual_scales"),
             corpus=corpus,
         )

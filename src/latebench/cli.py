@@ -153,6 +153,7 @@ def cmd_build(args) -> int:
             seed=args.seed,
         )
         index = build_plaid(corpus, config)
+        data = bundle_io.save_plaid_index(index, meta=header)
         if index.storage is not None:
             report = index.storage
             rows = [
@@ -161,9 +162,9 @@ def cmd_build(args) -> int:
                 ["raw_float16", str(report.raw_float16_bytes)],
                 ["compressed", str(report.compressed_bytes)],
                 ["ratio_vs_float16", f"{report.ratio:.2f}"],
+                ["index_file", str(len(data))],
             ]
             sys.stdout.write(format_aligned(rows))
-        data = bundle_io.save_plaid_index(index, meta=header)
     _atomic_write(Path(args.out), data)
     return 0
 

@@ -83,6 +83,10 @@ class CorpusMismatch(LatebenchError):
     pass
 
 
+class PayloadMismatch(LatebenchError):
+    pass
+
+
 class MalformedLine(LatebenchError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")

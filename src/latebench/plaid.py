@@ -40,7 +40,6 @@ pairwise summation in the same order as the 1-d sum does.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -49,7 +48,7 @@ import numpy as np
 from . import kmeans
 from .core import Corpus, RankedList, TokenMatrix, top_k
 from .kmeans import Csr
-from .errors import NDocsTooSmall, UnknownDoc, UnsupportedBits
+from .errors import CorpusMismatch, NDocsTooSmall, UnknownDoc, UnsupportedBits
 
 # Rows per residual encode/decode step: large enough for whole-array speed,
 # small enough that the float64 temporaries stay a few MiB.
@@ -98,6 +97,48 @@ def dequantize_residual(code: ResidualCode, bits: int) -> np.ndarray:
     return np.where(scale == 0.0, 0.0, values).astype(np.float32)
 
 
+def packed_width(dim: int, bits: int) -> int:
+    """Bytes per vector of packed levels: ceil(dim * bits / 8)."""
+    return -(-dim * bits // 8)
+
+
+def pack_levels(levels: np.ndarray, bits: int) -> np.ndarray:
+    """Pack (n, dim) levels into (n, packed_width(dim, bits)) uint8 rows.
+
+    Each level's bits go MSB-first, levels go MSB-first within each byte and
+    the trailing pad bits are zero: np.packbits of the MSB-first bit stream.
+    A level that `bits` cannot hold raises ValueError instead of truncating.
+    """
+    _check_bits(bits)
+    rows, dim = levels.shape
+    kmeans.check_ids("residual_levels", levels, levels.shape, 1 << bits)
+    per_byte, width = 8 // bits, packed_width(dim, bits)
+    fields = np.zeros((rows, width * per_byte), dtype=np.uint8)
+    fields[:, :dim] = levels
+    fields = fields.reshape(rows, width, per_byte)
+    packed = fields[:, :, 0] << (8 - bits)
+    for j in range(1, per_byte):
+        packed |= fields[:, :, j] << (8 - bits * (j + 1))
+    return packed
+
+
+def unpack_levels(packed: np.ndarray, bits: int, dim: int) -> np.ndarray:
+    """Inverse of pack_levels: (n, packed_width(dim, bits)) uint8 -> (n, dim) levels.
+
+    One table lookup per byte: the table holds each byte value's 8 // bits
+    levels as one 4- or 8-byte word, so the gather writes them all at once.
+    A row width other than packed_width(dim, bits) raises ValueError.
+    """
+    _check_bits(bits)
+    if packed.ndim != 2 or packed.shape[1] != packed_width(dim, bits):
+        raise ValueError(f"residual_levels of shape {packed.shape} are not {bits}-bit levels "
+                         f"of dim {dim} packed into {packed_width(dim, bits)} bytes per row")
+    shifts = np.arange(8 - bits, -1, -bits, dtype=np.uint8)
+    table = (np.arange(256, dtype=np.uint8)[:, None] >> shifts) & np.uint8((1 << bits) - 1)
+    words = table.view(np.uint32 if bits == 2 else np.uint64)[:, 0]
+    return np.ascontiguousarray(words[packed].view(np.uint8)[:, :dim])
+
+
 def encode_residual(vector: np.ndarray, centroid: np.ndarray, bits: int) -> ResidualCode:
     """Quantize (vector - centroid) row-wise; see quantize_residual for the grid."""
     residual = np.asarray(vector, dtype=np.float32) - np.asarray(centroid, dtype=np.float32)
@@ -120,7 +161,11 @@ def decode_residual(code: ResidualCode, centroid: np.ndarray, bits: int) -> np.n
 
 @dataclass(frozen=True)
 class StorageReport:
-    """Arithmetic byte accounting for one index; nothing here is measured."""
+    """Bytes of one residual index: the raw vectors against the arrays it saves.
+
+    compressed_bytes is what `save_plaid_index` writes per vector (codes,
+    packed levels and scales); the centroids and the header come on top.
+    """
 
     raw_float32_bytes: int
     raw_float16_bytes: int
@@ -129,16 +174,6 @@ class StorageReport:
     @property
     def ratio(self) -> float:
         return self.raw_float16_bytes / self.compressed_bytes
-
-    @staticmethod
-    def for_layout(total_vectors: int, dim: int, bits: int) -> "StorageReport":
-        # Per vector: int32 centroid id + packed residual levels + float32 scale.
-        per_vector = 4 + math.ceil(dim * bits / 8) + 4
-        return StorageReport(
-            raw_float32_bytes=total_vectors * dim * 4,
-            raw_float16_bytes=total_vectors * dim * 2,
-            compressed_bytes=total_vectors * per_vector,
-        )
 
 
 def code_lists(codes: np.ndarray, row_offsets: np.ndarray, num_centroids: int) -> tuple[Csr, Csr]:
@@ -198,6 +233,8 @@ class PlaidIndex:
 
     def __post_init__(self):
         num_centroids, bits = self.config.num_centroids, self.config.residual_bits
+        if not bits and self.corpus is None:
+            raise CorpusMismatch("a residual-free plaid index needs its corpus to rescore")
         rows = (int(self.row_offsets[-1]),)
         kmeans.check_ids("codes", self.codes, rows, num_centroids)
         if bits:
@@ -232,7 +269,11 @@ class PlaidIndex:
     @property
     def storage(self) -> StorageReport | None:
         bits = self.config.residual_bits
-        return StorageReport.for_layout(len(self.codes), self.dim, bits) if bits else None
+        if not bits:
+            return None
+        rows, dim = len(self.codes), self.dim
+        saved = self.codes.nbytes + rows * packed_width(dim, bits) + self.residual_scales.nbytes
+        return StorageReport(rows * dim * 4, rows * dim * 2, saved)
 
     def _check_ordinal(self, ordinal: int) -> None:
         if not 0 <= ordinal < self.doc_count:

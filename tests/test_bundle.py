@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import re
 
 import numpy as np
@@ -29,8 +30,10 @@ from latebench.errors import (
     BadMagic,
     CorpusMismatch,
     EmptyCorpus,
+    LatebenchError,
     MalformedLine,
     OffsetOverlap,
+    PayloadMismatch,
     TruncatedPayload,
     VersionMismatch,
 )
@@ -222,6 +225,8 @@ def test_plaid_index_rejects_codes_that_disagree_with_header(planted_small):
 
 @pytest.mark.parametrize("bits", [1, 2])
 def test_plaid_loader_rejects_levels_outside_bits(planted_small, bits):
+    # Packed levels cannot hold a level >= 2**bits, so no file can carry one
+    # to the loader: the save refuses it instead of truncating it.
     corpus, _, _ = planted_small
     config = PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=bits, seed=2)
     index = build_plaid(corpus, config)
@@ -230,10 +235,8 @@ def test_plaid_loader_rejects_levels_outside_bits(planted_small, bits):
     levels[7, 3] = 1 << bits
     corrupt = copy.copy(index)
     object.__setattr__(corrupt, "residual_levels", levels)
-    data = save_plaid_index(corrupt)
-    for supplied in (corpus, None):
-        with pytest.raises(MalformedLine, match="residual_levels"):
-            load_plaid_index(data, supplied)
+    with pytest.raises(ValueError, match="residual_levels"):
+        save_plaid_index(corrupt)
 
 
 @pytest.mark.parametrize("container", ["bundle", "ivf", "plaid1"])
@@ -441,3 +444,104 @@ def test_plaid_index_without_docs_is_an_empty_corpus(planted_small):
     assert b"\ndoc " not in data and b"array codes int32 1 0 " in data
     with pytest.raises(EmptyCorpus):
         load_plaid_index(data)
+
+
+def _payload_start(data):
+    return data.index(b"\nend\n") + len(b"\nend\n")
+
+
+def test_index_files_are_v2_and_bundles_v1(saved_indexes, planted_small):
+    corpus, _, _ = planted_small
+    assert write_bundle(corpus).startswith(b"#LATEBENCH-BUNDLE v1\n")
+    for name, data in saved_indexes.items():
+        assert data.startswith(b"#LATEBENCH-INDEX v2\n"), name
+        old = data.replace(b" v2\n", b" v1\n", 1)
+        load = load_ivf_index if name.startswith("ivf") else load_plaid_index
+        with pytest.raises(VersionMismatch, match="rebuild"):
+            load(old, corpus)
+
+
+def test_index_header_carries_the_payload_digest(saved_indexes):
+    for name, data in saved_indexes.items():
+        start = _payload_start(data)
+        digest = hashlib.sha256(data[start:]).hexdigest()
+        assert f"\npayload_sha256 {digest}\npayload {len(data) - start}\nend\n".encode() in data
+
+
+@pytest.mark.parametrize("source", ["ivf", "plaid", "plaid1"])
+def test_index_payload_bit_flip_raises(planted_small, saved_indexes, source):
+    corpus, _, _ = planted_small
+    load = load_ivf_index if source == "ivf" else load_plaid_index
+    data = saved_indexes[source]
+    load(data, corpus)
+    for where in (_payload_start(data), len(data) - 1):
+        flipped = data[:where] + bytes([data[where] ^ 1]) + data[where + 1:]
+        with pytest.raises(PayloadMismatch):
+            load(flipped, corpus)
+    with pytest.raises(MalformedLine, match="payload_sha256"):
+        load(_edit_header(r"^payload_sha256 .*\n", "")(data), corpus)
+
+
+@pytest.mark.parametrize("bits", [1, 2])
+def test_residual_levels_are_saved_packed(planted_small, bits):
+    corpus, _, _ = planted_small
+    config = PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=bits, seed=2)
+    index = build_plaid(corpus, config)
+    data = save_plaid_index(index)
+    rows, width = corpus.total_vectors, corpus.dim * bits // 8
+    assert re.search(rf"^array residual_levels uint8 2 {rows} {width} \d+ {rows * width}$".encode(),
+                     data, re.M)
+    for supplied in (corpus, None):
+        loaded = load_plaid_index(data, supplied)
+        assert loaded.residual_levels.dtype == np.uint8
+        assert loaded.residual_levels.tobytes() == index.residual_levels.tobytes()
+        assert loaded.store.vectors.tobytes() == index.store.vectors.tobytes()
+    # 1-bit levels where 2-bit ones are stored are half a vector too wide.
+    with pytest.raises(MalformedLine, match="residual_levels"):
+        load_plaid_index(_edit_header(r"^residual_bits \d$", f"residual_bits {3 - bits}")(data))
+
+
+def test_corpus_digest_hashes_the_meta_free_bundle(planted_small):
+    for corpus in (_random_corpus(seed=4, docs=4), _random_corpus(seed=6, dtype="float16"),
+                   pool_corpus(_random_corpus(seed=7, docs=6), 3), planted_small[0]):
+        assert corpus_digest(corpus) == hashlib.sha256(write_bundle(corpus)).hexdigest()
+
+
+def _corruptions(data, rng, count):
+    """(kind, header only, bytes) for `count` seeded corruptions of each kind."""
+    end = _payload_start(data)
+    digits = [i for i in range(end) if data[i:i + 1].isdigit()]
+
+    def put(i, byte):
+        return data[:i] + bytes([byte]) + data[i + 1:]
+
+    for _ in range(count):
+        yield "header-digit", True, put(digits[rng.integers(len(digits))], 48 + rng.integers(10))
+        where = int(rng.integers(end, len(data)))
+        yield "payload-flip", False, put(where, data[where] ^ (1 << int(rng.integers(8))))
+        yield "truncation", False, data[:rng.integers(len(data))]
+        yield "header-byte", True, put(int(rng.integers(end)), int(rng.integers(256)))
+
+
+@pytest.mark.parametrize("container", ["bundle", "ivf", "plaid1"])
+def test_seeded_corruptions_raise_cleanly(planted_small, saved_indexes, container):
+    # Every outcome is a LatebenchError or, for an edit of the header alone,
+    # a clean load; every payload flip of an index file raises.
+    corpus, _, _ = planted_small
+    if container == "bundle":
+        data, load = write_bundle(corpus, meta=["x"]), read_bundle
+    elif container == "ivf":
+        data, load = saved_indexes["ivf"], lambda d: load_ivf_index(d, corpus)
+    else:
+        data, load = saved_indexes["plaid1"], load_plaid_index
+    load(data)
+    rng = np.random.default_rng(2024)
+    loaded = {}
+    for kind, header_only, corrupt in _corruptions(data, rng, 100):
+        try:
+            load(corrupt)
+        except LatebenchError:
+            continue
+        loaded[kind] = loaded.get(kind, 0) + 1
+        assert header_only or (kind == "payload-flip" and container == "bundle"), kind
+    assert "truncation" not in loaded and (container == "bundle") == ("payload-flip" in loaded)

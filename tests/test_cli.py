@@ -211,6 +211,17 @@ def test_residual_build_prints_storage_table(workspace, tmp_path, capsys):
     assert "compressed" in stdout
 
 
+def test_storage_table_reports_the_written_file(workspace, tmp_path, capsys):
+    out = tmp_path / "res.lbi"
+    assert main([
+        "build", "--backend", "plaid",
+        "--bundle", str(workspace / "corpus.lbb"), "--out", str(out),
+        "--num-centroids", "24", "--ndocs", "50", "--residual-bits", "1", "--seed", "2",
+    ]) == 0
+    rows = dict(line.split() for line in capsys.readouterr().out.splitlines())
+    assert rows["index_file"] == str(out.stat().st_size)
+
+
 def test_grid_missing_flags_reported(workspace, capsys):
     code = main([
         "diagnose", "--mode", "grid",

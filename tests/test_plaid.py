@@ -21,15 +21,17 @@ from latebench import (
 )
 from latebench.bundle import load_plaid_index, save_plaid_index
 from latebench.core import batched_scores
-from latebench.errors import NDocsTooSmall, UnknownDoc, UnsupportedBits
+from latebench.errors import CorpusMismatch, NDocsTooSmall, UnknownDoc, UnsupportedBits
 from latebench.plaid import (
     CODEC_BLOCK_ROWS,
     PlaidIndex,
     ResidualCode,
-    StorageReport,
     approx_scores,
     dequantize_residual,
+    pack_levels,
+    packed_width,
     quantize_residual,
+    unpack_levels,
 )
 
 from conftest import basis_matrix, random_unit_matrix
@@ -76,12 +78,22 @@ def test_same_seed_rebuild_identical(planted_small):
     assert np.array_equal(a.residual_scales, b.residual_scales)
 
 
-def test_storage_report_matches_size_oracle():
-    report = StorageReport.for_layout(total_vectors=10_000, dim=128, bits=2)
-    assert report.raw_float32_bytes == 10_000 * 128 * 4
-    assert report.raw_float16_bytes == 10_000 * 128 * 2
-    assert report.compressed_bytes == compressed_size_bytes(10_000, 128, 2)
-    assert report.ratio >= 6.0
+def test_storage_report_matches_size_oracle(planted_small):
+    # The report counts the arrays as saved: with the centroids they are the
+    # whole payload of the written file.
+    corpus, _, _ = planted_small
+    rows, dim = corpus.total_vectors, corpus.dim
+    for bits in (1, 2):
+        config = PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=bits, seed=2)
+        index = build_plaid(corpus, config)
+        data = save_plaid_index(index)
+        payload = len(data) - (data.index(b"\nend\n") + len(b"\nend\n"))
+        report = index.storage
+        assert report.compressed_bytes + index.centroids.nbytes == payload
+        assert report.compressed_bytes == compressed_size_bytes(rows, dim, bits)
+        assert report.raw_float32_bytes == rows * dim * 4
+        assert report.raw_float16_bytes == rows * dim * 2
+        assert load_plaid_index(data).storage == report
 
 
 def test_exhaustive_config_equals_exact_search(planted_small):
@@ -581,3 +593,56 @@ def test_index_rejects_arrays_that_do_not_fit(planted_small, bits, name, edit):
     index = build_plaid(corpus, config)
     with pytest.raises(ValueError, match=name):
         dataclasses.replace(index, **edit(index))
+
+
+def test_residual_free_index_needs_its_corpus(planted_small):
+    corpus, _, _ = planted_small
+    index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=2))
+    with pytest.raises(CorpusMismatch):
+        dataclasses.replace(index, corpus=None)
+
+
+def _msb_first_packbits(levels, bits):
+    """np.packbits of the stream of each level's bits, MSB-first."""
+    rows, dim = levels.shape
+    stream = (levels[:, :, None] >> np.arange(bits - 1, -1, -1)) & 1
+    return np.packbits(stream.reshape(rows, dim * bits).astype(np.uint8), axis=1)
+
+
+@pytest.mark.parametrize("bits", [1, 2])
+@pytest.mark.parametrize("dim", [128, 10, 13, 1])
+def test_packed_levels_round_trip(bits, dim):
+    rng = np.random.default_rng(dim * 10 + bits)
+    levels = rng.integers(0, 1 << bits, size=(57, dim)).astype(np.uint8)
+    levels[0] = (1 << bits) - 1  # every bit set
+    levels[1] = 0
+    packed = pack_levels(levels, bits)
+    assert packed.dtype == np.uint8 and packed.shape == (57, packed_width(dim, bits))
+    assert packed_width(dim, bits) == -(-dim * bits // 8)
+    assert np.array_equal(packed, _msb_first_packbits(levels, bits))
+    unpacked = unpack_levels(packed, bits, dim)
+    assert unpacked.dtype == np.uint8 and unpacked.flags.c_contiguous
+    assert np.array_equal(unpacked, levels)
+    # The bits past dim * bits in the last byte are zero.
+    pad = 8 * packed.shape[1] - dim * bits
+    assert not (packed[:, -1] & ((1 << pad) - 1)).any()
+    assert unpack_levels(pack_levels(levels[:0], bits), bits, dim).shape == (0, dim)
+    with pytest.raises(ValueError, match="residual_levels"):
+        unpack_levels(np.zeros((3, packed.shape[1] + 1), dtype=np.uint8), bits, dim)
+
+
+def test_packed_level_bit_order_is_pinned():
+    two = np.array([[3, 0, 1, 2, 2, 1]], dtype=np.uint8)
+    assert pack_levels(two, 2).tobytes() == bytes([0b11000110, 0b10010000])
+    one = np.array([[1, 0, 1, 1, 0, 0, 0, 1, 1, 1]], dtype=np.uint8)
+    assert pack_levels(one, 1).tobytes() == bytes([0b10110001, 0b11000000])
+
+
+@pytest.mark.parametrize("bits", [1, 2])
+def test_packing_refuses_levels_bits_cannot_hold(bits):
+    levels = np.zeros((3, 8), dtype=np.uint8)
+    levels[2, 5] = 1 << bits
+    with pytest.raises(ValueError, match="residual_levels"):
+        pack_levels(levels, bits)
+    with pytest.raises(UnsupportedBits):
+        pack_levels(levels, 3)
