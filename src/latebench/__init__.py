@@ -42,11 +42,9 @@ from .plaid import (
     PlaidConfig,
     PlaidIndex,
     StorageReport,
-    approx_doc_score,
     build_plaid,
-    centroid_codes,
-    decode_residual,
-    encode_residual,
+    decode_residuals,
+    encode_residuals,
     plaid_candidates,
     plaid_search,
 )
@@ -74,11 +72,9 @@ __all__ = [
     "PlaidConfig",
     "PlaidIndex",
     "StorageReport",
-    "approx_doc_score",
     "build_plaid",
-    "centroid_codes",
-    "decode_residual",
-    "encode_residual",
+    "decode_residuals",
+    "encode_residuals",
     "plaid_candidates",
     "plaid_search",
     "MetricReport",

@@ -7,8 +7,7 @@ resolved parameter, so no run ever depends on an invisible default; the
 header alone suffices to reproduce the file. Outputs are written atomically
 (temp file + rename) and inputs are never mutated.
 
-Every command runs single-threaded. The LATEBENCH_THREADS environment variable
-is accepted and has no effect.
+Every command runs single-threaded.
 """
 
 from __future__ import annotations

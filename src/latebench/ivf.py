@@ -61,12 +61,6 @@ class IvfIndex:
         object.__setattr__(self, "lists", kmeans.Csr.grouped(
             self.assignments, np.arange(rows[0]), self.config.nlist))
 
-    def list_entries(self, centroid: int) -> list[tuple[int, int]]:
-        """(doc ordinal, row ordinal) pairs stored under one centroid."""
-        toks = self.lists[centroid]
-        docs = self.token_docs[toks]
-        return list(zip(docs.tolist(), (toks - self.corpus.offsets[docs]).tolist()))
-
 
 def build_ivf(corpus: Corpus, config: IvfConfig) -> IvfIndex:
     """Cluster all token vectors and file each one under its argmax centroid."""
@@ -112,7 +106,7 @@ def ivf_candidates(
     Per query row, along its nprobe nearest lists: every list whose end
     falls within the per-token budget contributes all of its tokens, and the
     one list the budget runs out inside contributes its top tokens by
-    (dot, row id). A budget below 1 raises ValueError, as IvfConfig does.
+    (dot, row id). An nprobe or budget below 1 raises ValueError, as IvfConfig does.
     """
     return tuple(_candidates(index, query, nprobe, per_token_candidates).tolist())
 

@@ -89,12 +89,9 @@ def _reseed_dead(
         return centroids
     dots = np.einsum("ij,ij->i", vectors, centroids[labels])
     order = np.argsort(dots, kind="stable")  # farthest first = smallest dot
-    cursor = 0
-    for c in np.flatnonzero(dead):
-        if cursor >= len(order):
-            break
-        centroids[c] = vectors[order[cursor]]
-        cursor += 1
+    ids = np.flatnonzero(dead)
+    # train_kmeans needs N >= k, so there are never more dead centroids than rows.
+    centroids[ids] = vectors[order[:len(ids)]]
     return centroids
 
 
@@ -154,9 +151,6 @@ class Csr:
         row = range(len(self))[row]
         return self.flat[self.offsets[row]:self.offsets[row + 1]]
 
-    def __iter__(self):
-        return (self[row] for row in range(len(self)))
-
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The given rows concatenated, and where each one starts in the result."""
         positions, starts = segments(self.offsets, rows)
@@ -177,10 +171,13 @@ def check_ids(name: str, ids: np.ndarray, shape: tuple, bound: int) -> None:
 def probe(centroids: np.ndarray, query: TokenMatrix, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every query row's centroid dots, and its top-n centroid ids best first.
 
-    n is clamped to [1, centroid count]. Ties go to the lower centroid id.
+    n below 1 raises ValueError; n above the centroid count is clamped to it.
+    Ties go to the lower centroid id.
     """
     if query.dim != centroids.shape[1]:
         raise DimensionMismatch(f"query dim {query.dim} != index dim {centroids.shape[1]}")
+    if n < 1:
+        raise ValueError(f"nprobe and ncells must be >= 1, got {n}")
     dots = query.data @ centroids.T
-    n = min(max(1, n), len(centroids))
+    n = min(n, len(centroids))
     return dots, np.argsort(-dots, axis=1, kind="stable")[:, :n]

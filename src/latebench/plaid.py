@@ -20,12 +20,14 @@ of survivors within the error bound of the k-th is rescored canonically (every
 survivor, when there are fewer than 2*k). The rescore reads each banded
 survivor through `doc_matrix`, a view of `store`: the source corpus without
 residuals, else a `Corpus` over one array every vector is decoded into once,
-at build or load, CODEC_BLOCK_ROWS rows at a time, so `doc_matrix` never
-decodes or allocates. The residual codec takes (..., dim) arrays and gives
-each row the bits it would get on its own.
+at build or load, by `decode_residuals`, so `doc_matrix` never decodes or
+allocates. The codec (`encode_residuals`, `decode_residuals`) runs over whole
+arrays CODEC_BLOCK_ROWS rows at a time and gives each row the bits it would
+get on its own.
 
-ndocs smaller than k is an error, never a silent clamp. A search-time ncells
-larger than the centroid count means "probe everything" and is clamped.
+ndocs smaller than k is an error, never a silent clamp, and so is a
+search-time ncells below 1. An ncells larger than the centroid count means
+"probe everything" and is clamped.
 
 Stages 1-3 work on whole arrays. The (query rows x centroids) dot matrix is
 computed once per search. Each document's sorted unique centroid ids are
@@ -55,46 +57,75 @@ from .errors import CorpusMismatch, NDocsTooSmall, UnknownDoc, UnsupportedBits
 CODEC_BLOCK_ROWS = 4096
 
 
-class ResidualCode(NamedTuple):
-    """Quantized residuals: one level per dimension plus the per-vector scale."""
-
-    levels: np.ndarray  # (..., dim) uint8
-    scale: float | np.ndarray  # a float for one vector, else float32 over the leading axes
-
-
 def _check_bits(bits: int) -> None:
     if bits not in (1, 2):
         raise UnsupportedBits(f"residual bits must be 1 or 2, got {bits}")
 
 
-def quantize_residual(residual: np.ndarray, bits: int) -> ResidualCode:
-    """Symmetric uniform quantization with per-vector scale = max |component|.
+def quantize_residual(residuals: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric uniform quantization of (n, dim) residuals: (levels, scales).
 
-    The 2**bits levels are evenly spaced over [-scale, +scale] and each
-    component maps to its nearest level. The grid is a projection: quantizing
-    a dequantized residual reproduces the code exactly. Works row-wise on
-    (..., dim) arrays; an all-zero row gets scale 0 and level 0 everywhere.
+    Each row's scale is its max |component|. The 2**bits levels are evenly
+    spaced over [-scale, +scale] and each component maps to its nearest level.
+    The grid is a projection: quantizing a dequantized residual reproduces the
+    code exactly. An all-zero row gets scale 0 and level 0 everywhere.
     """
     _check_bits(bits)
-    residual = np.asarray(residual, dtype=np.float32)
+    residuals = np.asarray(residuals, dtype=np.float32)
     top = (1 << bits) - 1
-    scale = np.max(np.abs(residual), axis=-1, keepdims=True)
+    scale = np.max(np.abs(residuals), axis=1, keepdims=True)
     # The factor is computed in float64 and rounded to float32 before the
     # product, as numpy does with a Python float factor for one vector.
     factor = (top / (2.0 * np.where(scale > 0, scale, 1).astype(np.float64))).astype(np.float32)
-    levels = np.clip(np.rint((residual + scale) * factor), 0, top).astype(np.uint8)
-    scale = scale[..., 0]
-    return ResidualCode(levels, float(scale) if residual.ndim == 1 else scale)
+    levels = np.clip(np.rint((residuals + scale) * factor), 0, top).astype(np.uint8)
+    return levels, scale[:, 0]
 
 
-def dequantize_residual(code: ResidualCode, bits: int) -> np.ndarray:
+def dequantize_residual(levels: np.ndarray, scales: np.ndarray, bits: int) -> np.ndarray:
     _check_bits(bits)
     top = (1 << bits) - 1
-    scale = np.asarray(code.scale, dtype=np.float64)[..., None]
+    scale = np.asarray(scales, dtype=np.float64)[:, None]
     # Endpoint levels must dequantize to exactly +/- scale, or re-quantizing
     # a dequantized residual would drift by an ulp.
-    values = scale * (2.0 * code.levels.astype(np.float64) - top) / top
+    values = scale * (2.0 * levels.astype(np.float64) - top) / top
     return np.where(scale == 0.0, 0.0, values).astype(np.float32)
+
+
+def encode_residuals(
+    vectors: np.ndarray, centroids: np.ndarray, codes: np.ndarray, bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, scales) of every row's residual from centroids[codes[row]]."""
+    _check_bits(bits)
+    vectors = np.asarray(vectors, dtype=np.float32)
+    centroids = np.asarray(centroids, dtype=np.float32)
+    levels = np.empty(vectors.shape, dtype=np.uint8)
+    scales = np.empty(len(vectors), dtype=np.float32)
+    for lo in range(0, len(vectors), CODEC_BLOCK_ROWS):
+        rows = slice(lo, lo + CODEC_BLOCK_ROWS)
+        levels[rows], scales[rows] = quantize_residual(vectors[rows] - centroids[codes[rows]], bits)
+    return levels, scales
+
+
+def decode_residuals(
+    levels: np.ndarray, scales: np.ndarray, centroids: np.ndarray, codes: np.ndarray, bits: int
+) -> np.ndarray:
+    """Every row rebuilt from its centroid and renormalized onto the unit sphere.
+
+    A zero-scale row decodes to its centroid exactly.
+    """
+    _check_bits(bits)
+    centroids = np.asarray(centroids, dtype=np.float32)
+    decoded = np.empty(levels.shape, dtype=np.float32)
+    for lo in range(0, len(levels), CODEC_BLOCK_ROWS):
+        rows = slice(lo, lo + CODEC_BLOCK_ROWS)
+        centroid = centroids[codes[rows]]
+        vector = centroid.astype(np.float64) + dequantize_residual(levels[rows], scales[rows], bits)
+        # One BLAS dot per row, (1, dim) @ (dim, 1): the same dot np.linalg.norm
+        # takes of a single vector, so a row decodes to the same bits either way.
+        norm = np.sqrt(np.matmul(vector[:, None, :], vector[:, :, None])[:, 0])
+        unit = (vector / norm).astype(np.float32)
+        decoded[rows] = np.where(scales[rows, None] == 0.0, centroid, unit)
+    return decoded
 
 
 def packed_width(dim: int, bits: int) -> int:
@@ -137,26 +168,6 @@ def unpack_levels(packed: np.ndarray, bits: int, dim: int) -> np.ndarray:
     table = (np.arange(256, dtype=np.uint8)[:, None] >> shifts) & np.uint8((1 << bits) - 1)
     words = table.view(np.uint32 if bits == 2 else np.uint64)[:, 0]
     return np.ascontiguousarray(words[packed].view(np.uint8)[:, :dim])
-
-
-def encode_residual(vector: np.ndarray, centroid: np.ndarray, bits: int) -> ResidualCode:
-    """Quantize (vector - centroid) row-wise; see quantize_residual for the grid."""
-    residual = np.asarray(vector, dtype=np.float32) - np.asarray(centroid, dtype=np.float32)
-    return quantize_residual(residual, bits)
-
-
-def decode_residual(code: ResidualCode, centroid: np.ndarray, bits: int) -> np.ndarray:
-    """Reconstruct each vector and renormalize it back onto the unit sphere.
-
-    A zero-scale row decodes to its centroid exactly.
-    """
-    centroid = np.asarray(centroid, dtype=np.float32)
-    vector = centroid.astype(np.float64) + dequantize_residual(code, bits)
-    # One BLAS dot per row, (1, dim) @ (dim, 1): the same dot np.linalg.norm
-    # takes of a single vector, so a row decodes to the same bits either way.
-    norm = np.sqrt(np.matmul(vector[..., None, :], vector[..., :, None])[..., 0])
-    decoded = (vector / norm).astype(np.float32)
-    return np.where(np.asarray(code.scale)[..., None] == 0.0, centroid, decoded)
 
 
 @dataclass(frozen=True)
@@ -246,11 +257,8 @@ class PlaidIndex:
         object.__setattr__(self, "unique_codes", unique_codes)
         store = self.corpus
         if bits:
-            decoded = np.empty(self.residual_levels.shape, dtype=np.float32)
-            for lo in range(0, len(decoded), CODEC_BLOCK_ROWS):
-                rows = slice(lo, lo + CODEC_BLOCK_ROWS)
-                code = ResidualCode(self.residual_levels[rows], self.residual_scales[rows])
-                decoded[rows] = decode_residual(code, self.centroids[self.codes[rows]], bits)
+            decoded = decode_residuals(self.residual_levels, self.residual_scales,
+                                       self.centroids, self.codes, bits)
             store = Corpus(self.doc_ids, decoded, self.row_offsets)
         object.__setattr__(self, "store", store)
         by_id = sorted(range(self.doc_count), key=self.doc_ids.__getitem__)
@@ -275,21 +283,11 @@ class PlaidIndex:
         saved = self.codes.nbytes + rows * packed_width(dim, bits) + self.residual_scales.nbytes
         return StorageReport(rows * dim * 4, rows * dim * 2, saved)
 
-    def _check_ordinal(self, ordinal: int) -> None:
-        if not 0 <= ordinal < self.doc_count:
-            raise UnknownDoc(f"doc ordinal {ordinal} outside [0, {self.doc_count})")
-
     def doc_matrix(self, ordinal: int) -> TokenMatrix:
         """True vectors when residuals are off, decoded vectors otherwise."""
-        self._check_ordinal(ordinal)
+        if not 0 <= ordinal < self.doc_count:
+            raise UnknownDoc(f"doc ordinal {ordinal} outside [0, {self.doc_count})")
         return self.store.doc_matrix(ordinal)
-
-
-def centroid_codes(index: PlaidIndex, ordinal: int) -> np.ndarray:
-    """Stored per-row centroid assignments for one document, in row order."""
-    index._check_ordinal(ordinal)
-    lo, hi = int(index.row_offsets[ordinal]), int(index.row_offsets[ordinal + 1])
-    return index.codes[lo:hi].copy()
 
 
 def build_plaid(
@@ -311,12 +309,7 @@ def build_plaid(
         codes = kmeans.assign(vectors, centroids)
     levels = scales = None
     if config.residual_bits > 0:
-        levels = np.empty(vectors.shape, dtype=np.uint8)
-        scales = np.empty(vectors.shape[0], dtype=np.float32)
-        for lo in range(0, vectors.shape[0], CODEC_BLOCK_ROWS):
-            rows = slice(lo, lo + CODEC_BLOCK_ROWS)
-            code = encode_residual(vectors[rows], centroids[codes[rows]], config.residual_bits)
-            levels[rows], scales[rows] = code
+        levels, scales = encode_residuals(vectors, centroids, codes, config.residual_bits)
     return PlaidIndex(
         config=config,
         centroids=centroids,
@@ -384,15 +377,6 @@ def approx_scores(index: PlaidIndex, dots: np.ndarray, ordinals: np.ndarray) -> 
     return np.ascontiguousarray(best.T, dtype=np.float64).sum(axis=1)
 
 
-def approx_doc_score(index: PlaidIndex, query: TokenMatrix, ordinal: int) -> float:
-    """Stage-3 kernel: MaxSim with doc vectors replaced by their centroids."""
-    index._check_ordinal(ordinal)
-    dots, _ = kmeans.probe(index.centroids, query, 1)
-    if not len(index.unique_codes[ordinal]):
-        raise ValueError(f"doc ordinal {ordinal} has no token vectors to score")
-    return float(approx_scores(index, dots, np.array([ordinal]))[0])
-
-
 def plaid_search(
     index: PlaidIndex,
     query: TokenMatrix,
@@ -408,8 +392,6 @@ def plaid_search(
     if ndocs < k:
         raise NDocsTooSmall(f"ndocs={ndocs} is smaller than k={k}")
     dots, candidates, _ = _probe(index, query, ncells, threshold)
-    if not len(candidates):
-        return RankedList(query_id=query_id, hits=())
     approx = approx_scores(index, dots, candidates)
     # Descending approximate score, ties by ascending doc id.
     survivors = candidates[np.lexsort((index.id_rank[candidates], -approx))[:ndocs]]

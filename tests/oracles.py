@@ -206,10 +206,10 @@ def loop_ivf_candidates(centroids, assignments, vectors, offsets, query, nprobe,
     centroids by (-dot, id). The first nprobe lists (row ids ascending) are
     walked with a budget of cap rows: a list that fits is taken whole, and
     the list the budget runs out inside gives its top rows by (-dot, row id).
-    nprobe is clamped to [1, centroid count].
+    nprobe >= 1 is clamped to the centroid count.
     """
     nlist = centroids.shape[0]
-    nprobe = min(max(1, nprobe), nlist)
+    nprobe = min(nprobe, nlist)
     lists = [[] for _ in range(nlist)]
     for row_id, centroid in enumerate(assignments.tolist()):
         lists[centroid].append(row_id)

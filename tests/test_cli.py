@@ -262,3 +262,21 @@ def test_search_time_ivf_budget_below_one_reported_cleanly(workspace, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["LATEBENCH-ERROR ValueError: per_token_candidates must be >= 1"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["search", "--backend", "ivf", "--index", "ivf.lbi", "--nprobe", "0"], id="ivf"),
+    pytest.param(["search", "--backend", "plaid", "--index", "plaid.lbi", "--ncells", "-1"],
+                 id="plaid"),
+    pytest.param(["diagnose", "--mode", "grid", "--index", "plaid.lbi", "--qrels", "qrels.txt",
+                  "--ncells", "0,4", "--threshold", "0.4", "--ndocs", "50"], id="grid"),
+])
+def test_search_time_probe_below_one_reported_cleanly(workspace, capsys, argv):
+    out = workspace / "never.out"
+    argv = [str(workspace / a) if a.endswith((".lbi", ".txt")) else a for a in argv]
+    code = main([*argv, "--bundle", str(workspace / "corpus.lbb"),
+                 "--queries", str(workspace / "queries.lbb"), "--k", "5", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("LATEBENCH-ERROR ValueError: nprobe and ncells ")
+    assert not out.exists()

@@ -26,7 +26,12 @@ def test_two_singleton_lists():
     index = build_ivf(corpus, IvfConfig(nlist=2, nprobe=1, seed=0))
     sizes = sorted(len(lst) for lst in index.lists)
     assert sizes == [1, 1]
-    entries = {tuple(index.list_entries(c)) for c in range(2) if len(index.lists[c])}
+    # (doc ordinal, row within the doc) of every row filed under each non-empty list
+    entries = set()
+    for rows in index.lists:
+        docs = index.token_docs[rows]
+        if len(rows):
+            entries.add(tuple(zip(docs.tolist(), (rows - corpus.offsets[docs]).tolist())))
     assert entries == {((0, 0),), ((1, 0),)}
 
 
@@ -193,7 +198,7 @@ def test_candidates_equal_the_per_row_walk(planted_small, source):
         index, queries = _hand_built_with_empty_list()
     nlist = index.config.nlist
     for query in queries.values():
-        for nprobe in (0, 1, 2, nlist, nlist + 5):
+        for nprobe in (1, 2, nlist, nlist + 5):
             for cap in _budgets(index, query):
                 want = loop_ivf_candidates(index.centroids, index.assignments,
                                            index.corpus.vectors, index.corpus.offsets,
@@ -222,3 +227,14 @@ def test_index_rejects_assignments_that_do_not_fit(planted_small, edit):
     index = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=2))
     with pytest.raises(ValueError, match="assignments"):
         dataclasses.replace(index, assignments=edit(index.assignments))
+
+
+@pytest.mark.parametrize("nprobe", [0, -3])
+def test_search_time_nprobe_below_one_rejected(planted_small, nprobe):
+    corpus, queries, _ = planted_small
+    index = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=1))
+    query = next(iter(queries.values()))
+    with pytest.raises(ValueError, match="nprobe"):
+        ivf_search(index, query, 5, nprobe=nprobe)
+    with pytest.raises(ValueError, match="nprobe"):
+        ivf_candidates(index, query, nprobe=nprobe)

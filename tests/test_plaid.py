@@ -8,11 +8,7 @@ from latebench import (
     PlaidConfig,
     SyntheticSpec,
     TokenMatrix,
-    approx_doc_score,
     build_plaid,
-    centroid_codes,
-    decode_residual,
-    encode_residual,
     exact_search,
     generate_synthetic,
     maxsim_score,
@@ -22,12 +18,14 @@ from latebench import (
 from latebench.bundle import load_plaid_index, save_plaid_index
 from latebench.core import batched_scores
 from latebench.errors import CorpusMismatch, NDocsTooSmall, UnknownDoc, UnsupportedBits
+from latebench.kmeans import probe
 from latebench.plaid import (
     CODEC_BLOCK_ROWS,
     PlaidIndex,
-    ResidualCode,
     approx_scores,
+    decode_residuals,
     dequantize_residual,
+    encode_residuals,
     pack_levels,
     packed_width,
     quantize_residual,
@@ -199,6 +197,17 @@ def test_saturation_once_doc_centroids_covered():
         assert plaid_search(index, query, 3, ncells=ncells, threshold=0.3) == baseline
 
 
+@pytest.mark.parametrize("ncells", [0, -1])
+def test_search_time_ncells_below_one_rejected(planted_small, ncells):
+    corpus, queries, _ = planted_small
+    index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=3))
+    query = next(iter(queries.values()))
+    with pytest.raises(ValueError, match="ncells"):
+        plaid_search(index, query, 5, ncells=ncells)
+    with pytest.raises(ValueError, match="ncells"):
+        plaid_candidates(index, query, ncells=ncells)
+
+
 def test_ndocs_too_small_is_an_error(planted_small):
     corpus, queries, _ = planted_small
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=3))
@@ -206,28 +215,40 @@ def test_ndocs_too_small_is_an_error(planted_small):
         plaid_search(index, next(iter(queries.values())), 10, ndocs=5)
 
 
+def _approx(index, query, ordinals):
+    """Stage-3 scores of the given doc ordinals, from the probe's centroid dots."""
+    dots, _ = probe(index.centroids, query, 1)
+    return approx_scores(index, dots, np.asarray(ordinals)).tolist()
+
+
+def _doc_codes(index, ordinal):
+    """The stored centroid of each of one document's rows, in row order."""
+    return index.codes[index.row_offsets[ordinal]:index.row_offsets[ordinal + 1]]
+
+
 def test_approx_score_exact_for_centroid_resident_docs():
     corpus = _basis_corpus(dim=6)
     index = build_plaid(corpus, PlaidConfig(num_centroids=6, ncells=2, ndocs=6, seed=0))
     query = basis_matrix([0, 3], dim=6)
+    approx = _approx(index, query, range(index.doc_count))
     for ordinal in range(index.doc_count):
         exact = maxsim_score(query, corpus.docs[index.doc_ids[ordinal]])
-        assert approx_doc_score(index, query, ordinal) == pytest.approx(exact, abs=1e-6)
+        assert approx[ordinal] == pytest.approx(exact, abs=1e-6)
 
 
 def test_approx_score_bounded_by_query_rows(planted_small):
     corpus, queries, _ = planted_small
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=3))
     query = next(iter(queries.values()))
-    for ordinal in range(0, index.doc_count, 7):
-        assert approx_doc_score(index, query, ordinal) <= query.rows + 1e-6
+    for score in _approx(index, query, range(0, index.doc_count, 7)):
+        assert score <= query.rows + 1e-6
 
 
 def test_approx_score_rank_correlates_with_exact(planted_small):
     corpus, queries, _ = planted_small
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=3))
     query = next(iter(queries.values()))
-    approx = [approx_doc_score(index, query, o) for o in range(index.doc_count)]
+    approx = _approx(index, query, range(index.doc_count))
     exact = [maxsim_score(query, corpus.docs[d]) for d in corpus.doc_ids]
     # Kendall tau over all doc pairs; the approximation must order most pairs
     # the way the exact scores do. Threshold is an artifact decision.
@@ -245,47 +266,51 @@ def test_approx_score_rank_correlates_with_exact(planted_small):
 
 
 def test_unknown_doc_ordinal_rejected(planted_small):
-    corpus, queries, _ = planted_small
-    index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=3))
-    with pytest.raises(UnknownDoc):
-        approx_doc_score(index, next(iter(queries.values())), index.doc_count)
-    with pytest.raises(UnknownDoc):
-        centroid_codes(index, -1)
+    corpus, _, _ = planted_small
+    for bits in (0, 1):
+        config = PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=bits, seed=3)
+        index = build_plaid(corpus, config)
+        for ordinal in (-1, index.doc_count):
+            with pytest.raises(UnknownDoc):
+                index.doc_matrix(ordinal)
 
 
 def test_centroid_codes_shape_and_constancy(planted_small):
     corpus, _, _ = planted_small
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=3))
-    codes = centroid_codes(index, 0)
+    codes = _doc_codes(index, 0)
     assert len(codes) == corpus.docs[corpus.doc_ids[0]].rows
     identical = TokenMatrix(np.tile(basis_matrix([0], dim=64).data, (32, 1)))
     small = Corpus.build({"same": identical, **{f"p{i}": corpus.docs[corpus.doc_ids[i]] for i in range(8)}})
     small_index = build_plaid(small, PlaidConfig(num_centroids=16, ncells=4, ndocs=9, seed=0))
-    same_codes = centroid_codes(small_index, 0)
-    assert len(set(same_codes.tolist())) == 1
+    same_codes = _doc_codes(small_index, 0)
+    assert len(same_codes) == 32 and len(set(same_codes.tolist())) == 1
 
 
 def test_centroid_codes_match_assignment_oracle(planted_small):
     corpus, _, _ = planted_small
     index = build_plaid(corpus, PlaidConfig(num_centroids=16, ncells=4, ndocs=80, seed=5))
     vectors = corpus.docs[corpus.doc_ids[3]].data
-    assert centroid_codes(index, 3).tolist() == argmax_assignment(vectors, index.centroids)
+    assert _doc_codes(index, 3).tolist() == argmax_assignment(vectors, index.centroids)
+
+
+ONE_ROW = np.zeros(1, dtype=np.int32)  # the codes of a one-row block on centroid 0
 
 
 def test_zero_residual_decodes_to_centroid():
-    centroid = basis_matrix([0], dim=8).data[0]
-    code = encode_residual(centroid, centroid, 1)
-    assert code.scale == 0.0
-    assert np.array_equal(decode_residual(code, centroid, 1), centroid)
+    centroid = basis_matrix([0], dim=8).data
+    levels, scales = encode_residuals(centroid, centroid, ONE_ROW, 1)
+    assert scales.tolist() == [0.0] and not levels.any()
+    assert np.array_equal(decode_residuals(levels, scales, centroid, ONE_ROW, 1), centroid)
 
 
 def test_two_bit_levels_map_to_quarter_grid():
-    centroid = np.zeros(4, dtype=np.float32)
-    centroid[0] = 1.0
+    centroid = np.zeros((1, 4), dtype=np.float32)
+    centroid[0, 0] = 1.0
     vector = centroid + np.array([0.0, 0.9, -0.31, 0.29], dtype=np.float32)
-    code = encode_residual(vector, centroid, 2)
-    scale = code.scale
-    dequant = dequantize_residual(code, 2)
+    levels, scales = encode_residuals(vector, centroid, ONE_ROW, 2)
+    scale = float(scales[0])
+    dequant = dequantize_residual(levels, scales, 2)[0]
     grid = {-scale, -scale / 3, scale / 3, scale}
     for value in dequant.tolist():
         assert min(abs(value - level) for level in grid) < 1e-6
@@ -296,26 +321,29 @@ def test_two_bit_levels_map_to_quarter_grid():
 
 def test_quantizer_grid_is_projection():
     rng = np.random.default_rng(12)
-    for _ in range(300):
-        residual = (0.4 * rng.standard_normal(32)).astype(np.float32)
-        for bits in (1, 2):
-            code = quantize_residual(residual, bits)
-            again = quantize_residual(dequantize_residual(code, bits), bits)
-            assert code.scale == again.scale
-            assert np.array_equal(code.levels, again.levels)
+    residuals = (0.4 * rng.standard_normal((300, 32))).astype(np.float32)
+    for bits in (1, 2):
+        for block in (residuals[:1], residuals):
+            levels, scales = quantize_residual(block, bits)
+            again = quantize_residual(dequantize_residual(levels, scales, bits), bits)
+            assert scales.tobytes() == again[1].tobytes()
+            assert np.array_equal(levels, again[0])
 
 
 def test_reconstruction_quality_matches_standalone_quantizer():
     rng = np.random.default_rng(13)
-    cosines = []
+    vectors, centroids = [], []
     for _ in range(500):
         v = rng.standard_normal(128)
         v = (v / np.linalg.norm(v)).astype(np.float32)
         c = v + 0.2 * rng.standard_normal(128).astype(np.float32)
-        c = (c / np.linalg.norm(c)).astype(np.float32)
-        ours = decode_residual(encode_residual(v, c, 2), c, 2)
-        theirs = quantize_roundtrip(v, c, 2)
-        assert ours == pytest.approx(theirs, abs=1e-5)
+        vectors.append(v)
+        centroids.append((c / np.linalg.norm(c)).astype(np.float32))
+    vectors, centroids, codes = np.array(vectors), np.array(centroids), np.arange(500)
+    decoded = decode_residuals(*encode_residuals(vectors, centroids, codes, 2), centroids, codes, 2)
+    cosines = []
+    for v, c, ours in zip(vectors, centroids, decoded):
+        assert ours == pytest.approx(quantize_roundtrip(v, c, 2), abs=1e-5)
         cosines.append(float(np.dot(v.astype(np.float64), ours.astype(np.float64))))
     # regression pin: the standalone quantizer measured 0.8629 mean here
     assert np.mean(cosines) >= 0.86
@@ -328,7 +356,7 @@ def test_inverted_map_is_transpose_of_codes(planted_small):
         expected = {
             ordinal
             for ordinal in range(index.doc_count)
-            if centroid in centroid_codes(index, ordinal)
+            if centroid in _doc_codes(index, ordinal)
         }
         assert set(index.inverted[centroid].tolist()) == expected
 
@@ -372,9 +400,11 @@ def test_index_store_is_a_corpus(planted_small):
 
 
 def test_unsupported_bits_rejected():
-    v = basis_matrix([0], dim=4).data[0]
+    v = basis_matrix([0], dim=4).data
     with pytest.raises(UnsupportedBits):
-        encode_residual(v, v, 3)
+        encode_residuals(v, v, ONE_ROW, 3)
+    with pytest.raises(UnsupportedBits):
+        decode_residuals(np.zeros((1, 4), dtype=np.uint8), np.ones(1, np.float32), v, ONE_ROW, 0)
     with pytest.raises(UnsupportedBits):
         PlaidConfig(residual_bits=4)
 
@@ -429,7 +459,7 @@ def test_stage3_scores_bit_equal_per_doc_sum(planted_by_filler):
             got = approx_scores(index, dots, np.arange(index.doc_count))
             want = per_doc_centroid_scores(dots, index.codes, index.row_offsets)
             assert got.tolist() == want, (filler, query.rows)
-            assert [approx_doc_score(index, query, o) for o in range(0, index.doc_count, 11)] \
+            assert approx_scores(index, dots, np.arange(0, index.doc_count, 11)).tolist() \
                 == want[::11]
 
 
@@ -527,27 +557,32 @@ def test_block_codec_equals_per_vector_loop(bits):
     index = build_plaid(corpus, config, centroids=centroids)
     assert index.codes[zero].tolist() == list(range(len(zero)))
     levels, scales = loop_encode_rows(vectors, centroids, index.codes, bits)
-    assert np.array_equal(index.residual_levels, levels)
-    assert index.residual_scales.tobytes() == scales.tobytes()
-    assert not scales[zero].any()
     want = loop_decode_rows(levels, scales, centroids, index.codes, bits)
-    decoded = index.doc_matrix(0).data.base
-    assert decoded.tobytes() == want.tobytes()
-    assert np.array_equal(decoded[zero], centroids[:len(zero)])
+    for got_levels, got_scales in (encode_residuals(vectors, centroids, index.codes, bits),
+                                   (index.residual_levels, index.residual_scales)):
+        assert np.array_equal(got_levels, levels)
+        assert got_scales.tobytes() == scales.tobytes()
+    assert not scales[zero].any()
+    for decoded in (decode_residuals(levels, scales, centroids, index.codes, bits),
+                    index.doc_matrix(0).data.base):
+        assert decoded.tobytes() == want.tobytes()
+        assert np.array_equal(decoded[zero], centroids[:len(zero)])
     # Residuals whose level rounds one way with a float32 factor and the
-    # other way with a float64 one; the per-vector code uses float32.
+    # other way with a float64 one; the per-vector loop uses float32.
     tricky = np.zeros((2, 64), dtype=np.float32)
     tricky[:, :2] = [[0.4937463104724884, 4.216386173538922e-08],
                      [0.15806949138641357, 0.10537967830896378]]
-    code = quantize_residual(tricky, bits)
-    want_levels, _ = loop_encode_rows(tricky, np.zeros((1, 64)), np.zeros(2, np.int32), bits)
-    assert np.array_equal(code.levels, want_levels)
+    oracle_args = (tricky, np.zeros((1, 64)), np.zeros(2, np.int32), bits)
+    want_levels, _ = loop_encode_rows(*oracle_args)
+    assert np.array_equal(encode_residuals(*oracle_args)[0], want_levels)
+    # One row alone, on either side of the block boundary, gets its bits in the block.
     for i in (1, CODEC_BLOCK_ROWS + 1):
-        centroid = centroids[index.codes[i]]
-        code = encode_residual(vectors[i], centroid, bits)
-        assert isinstance(code.scale, float) and code.scale == scales[i]
-        assert np.array_equal(code.levels, levels[i])
-        assert decode_residual(code, centroid, bits).tobytes() == want[i].tobytes()
+        row = slice(i, i + 1)
+        one_levels, one_scales = encode_residuals(vectors[row], centroids, index.codes[row], bits)
+        assert one_scales.tobytes() == scales[row].tobytes()
+        assert np.array_equal(one_levels, levels[row])
+        one = decode_residuals(one_levels, one_scales, centroids, index.codes[row], bits)
+        assert one.tobytes() == want[row].tobytes()
 
 
 def test_block_decode_norms_each_row_like_one_vector():
@@ -559,7 +594,7 @@ def test_block_decode_norms_each_row_like_one_vector():
     centroids = (centroids / np.linalg.norm(centroids, axis=1, keepdims=True)).astype(np.float32)
     levels = rng.integers(0, 4, size=(4096, 128)).astype(np.uint8)
     scales = rng.uniform(0.05, 0.5, size=4096).astype(np.float32)
-    decoded = decode_residual(ResidualCode(levels, scales), centroids, 2)
+    decoded = decode_residuals(levels, scales, centroids, np.arange(4096), 2)
     row = slice(1301, 1302)
     want = loop_decode_rows(levels[row], scales[row], centroids[row], [0], 2)
     assert decoded[row].tobytes() == want.tobytes()
