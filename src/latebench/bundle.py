@@ -35,11 +35,12 @@ Index container::
     <raw arrays>
 
 The index loaders check the payload against `payload_sha256` before anything
-else reads it, so a flipped payload bit raises PayloadMismatch. A residual
-PLAID index stores `residual_levels` packed (`plaid.pack_levels`): uint8 of
-shape (total_vectors, ceil(dim * bits / 8)), each level's bits MSB-first,
-levels MSB-first within a byte, trailing pad bits zero. The loader unpacks
-them, so a `PlaidIndex` holds one level per dimension.
+else reads it, so a flipped payload bit raises PayloadMismatch, and check the
+corpus digest; the arrays themselves, and their fit with the doc lines and
+the corpus, are checked by the index constructors. The containers only move
+arrays: a residual PLAID index's `residual_levels` are saved and loaded as
+the index holds them, packed by `plaid.pack_levels` into uint8 of shape
+(total_vectors, ceil(dim * bits / 8)).
 
 float32 bundles round-trip bitwise. float16 is a storage precision: values are
 widened exactly to float32 on read and re-narrow to identical bytes on write,
@@ -67,7 +68,7 @@ from .errors import (
     VersionMismatch,
 )
 from .ivf import IvfConfig, IvfIndex
-from .plaid import PlaidConfig, PlaidIndex, pack_levels, unpack_levels
+from .plaid import PlaidConfig, PlaidIndex
 
 BUNDLE_MAGIC = "#LATEBENCH-BUNDLE"
 INDEX_MAGIC = "#LATEBENCH-INDEX"
@@ -228,11 +229,6 @@ def write_bundle(corpus: Corpus, meta: Iterable[str] = ()) -> bytes:
     return b"".join((head, payload))
 
 
-def read_bundle_meta(data: bytes) -> list[str]:
-    header = _Header(data, BUNDLE_MAGIC)
-    return [" ".join(fields) for fields in header.many("meta")]
-
-
 def read_bundle(data: bytes) -> Corpus:
     header = _Header(data, BUNDLE_MAGIC)
     header.check_payload()
@@ -362,7 +358,7 @@ def save_plaid_index(index: PlaidIndex, meta: Iterable[str] = ()) -> bytes:
         writer.line("doc", doc_id, rows)
     arrays = [("centroids", index.centroids), ("codes", index.codes)]
     if cfg.residual_bits > 0:
-        arrays.append(("residual_levels", pack_levels(index.residual_levels, cfg.residual_bits)))
+        arrays.append(("residual_levels", index.residual_levels))
         arrays.append(("residual_scales", index.residual_scales))
     return _finish_index(writer, arrays)
 
@@ -378,9 +374,6 @@ def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
     doc_ids = tuple(doc_id for doc_id, _ in docs)
     row_offsets = np.zeros(len(docs) + 1, dtype=np.int64)
     np.cumsum([rows for _, rows in docs], out=row_offsets[1:])
-    if corpus is not None and (
-            doc_ids != corpus.doc_ids or not np.array_equal(row_offsets, corpus.offsets)):
-        raise CorpusMismatch("index doc lines disagree with the corpus's ids or row counts")
     total = int(row_offsets[-1])
     expected = {
         "centroids": ("float32", (config.num_centroids, None)),
@@ -391,16 +384,13 @@ def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
         expected["residual_scales"] = ("float32", (total,))
     arrays = header.arrays(expected)
     try:
-        levels = arrays.get("residual_levels")
-        if levels is not None:
-            levels = unpack_levels(levels, config.residual_bits, arrays["centroids"].shape[1])
         return PlaidIndex(
             config=config,
             centroids=arrays["centroids"],
             codes=arrays["codes"],
             row_offsets=row_offsets,
             doc_ids=doc_ids,
-            residual_levels=levels,
+            residual_levels=arrays.get("residual_levels"),
             residual_scales=arrays.get("residual_scales"),
             corpus=corpus,
         )

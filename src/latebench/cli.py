@@ -19,13 +19,14 @@ import os
 import shlex
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 from . import bundle as bundle_io
 from . import diagnostics
-from .core import Corpus, pool_corpus
+from .core import Corpus, exact_search, pool_corpus
 from .errors import LatebenchError
-from .ivf import IvfConfig, build_ivf
+from .ivf import IvfConfig, build_ivf, ivf_search
 from .metrics import (
     DEFAULT_SPECS,
     MetricSpec,
@@ -34,7 +35,7 @@ from .metrics import (
     format_table,
     report_rows,
 )
-from .plaid import PlaidConfig, build_plaid
+from .plaid import PlaidConfig, build_plaid, plaid_search
 from .synthetic import SyntheticSpec, generate_synthetic
 from .trec import parse_qrels, parse_run, write_qrels, write_run
 
@@ -168,11 +169,11 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _make_searcher(args) -> diagnostics.SearchFn:
+def _make_searcher(args) -> partial:
     if args.backend == "exact":
         if not args.bundle:
             raise LatebenchError("backend=exact requires --bundle")
-        return diagnostics.exact_searcher(_load_corpus(args.bundle))
+        return partial(exact_search, _load_corpus(args.bundle))
     if not args.index:
         raise LatebenchError(f"backend={args.backend} requires --index")
     index_bytes = Path(args.index).read_bytes()
@@ -183,14 +184,13 @@ def _make_searcher(args) -> diagnostics.SearchFn:
         if not args.bundle:
             raise LatebenchError("backend=ivf requires --bundle for exact rescoring")
         index = bundle_io.load_ivf_index(index_bytes, _load_corpus(args.bundle))
-        return diagnostics.ivf_searcher(
-            index, nprobe=args.nprobe, per_token_candidates=args.per_token_candidates
-        )
+        return partial(ivf_search, index, nprobe=args.nprobe,
+                       per_token_candidates=args.per_token_candidates)
     corpus = _load_corpus(args.bundle) if args.bundle else None
     index = bundle_io.load_plaid_index(index_bytes, corpus)
     ncells = int(args.ncells) if args.ncells is not None else None
     threshold = float(args.threshold) if args.threshold is not None else None
-    return diagnostics.plaid_searcher(index, ncells=ncells, threshold=threshold, ndocs=args.ndocs)
+    return partial(plaid_search, index, ncells=ncells, threshold=threshold, ndocs=args.ndocs)
 
 
 def cmd_search(args) -> int:
@@ -231,7 +231,7 @@ def cmd_diagnose(args) -> int:
             for flag, value in [("--index", args.index), ("--queries", args.queries),
                                 ("--qrels", args.qrels), ("--ncells", args.ncells),
                                 ("--threshold", args.threshold), ("--ndocs", args.ndocs)]
-            if not value
+            if value is None
         ]
         if missing:
             raise LatebenchError(f"grid mode requires {' '.join(missing)}")

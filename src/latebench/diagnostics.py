@@ -11,47 +11,27 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import Corpus, RankedList, TokenMatrix, exact_search
+from .core import RankedList, TokenMatrix
 from .errors import EmptyLengths, NoSharedQueries
-from .ivf import IvfIndex, ivf_search
 from .metrics import DEFAULT_SPECS, evaluate_run
 from .plaid import PlaidIndex, plaid_search
 from .trec import Qrels, RunFile
 
 logger = logging.getLogger(__name__)
 
-SearchFn = Callable[[TokenMatrix, int, str], RankedList]
-
-
-def exact_searcher(corpus: Corpus) -> SearchFn:
-    def search(query: TokenMatrix, k: int, query_id: str = "") -> RankedList:
-        return exact_search(corpus, query, k, query_id=query_id)
-
-    return search
-
-
-def ivf_searcher(index: IvfIndex, nprobe=None, per_token_candidates=None) -> SearchFn:
-    def search(query: TokenMatrix, k: int, query_id: str = "") -> RankedList:
-        return ivf_search(index, query, k, nprobe, per_token_candidates, query_id=query_id)
-
-    return search
-
-
-def plaid_searcher(index: PlaidIndex, ncells=None, threshold=None, ndocs=None) -> SearchFn:
-    def search(query: TokenMatrix, k: int, query_id: str = "") -> RankedList:
-        return plaid_search(index, query, k, ncells, threshold, ndocs, query_id=query_id)
-
-    return search
-
 
 def run_queries(
-    search: SearchFn, queries: Mapping[str, TokenMatrix], k: int, tag: str = "latebench"
+    search: Callable[..., RankedList], queries: Mapping[str, TokenMatrix], k: int,
+    tag: str = "latebench",
 ) -> RunFile:
-    lists = [search(matrix, k, qid) for qid, matrix in queries.items()]
+    """One ranked list per query from `search(matrix, k, query_id=qid)`: a
+    backend's search function with its index bound by `functools.partial`."""
+    lists = [search(matrix, k, query_id=qid) for qid, matrix in queries.items()]
     return RunFile.from_ranked_lists(lists, tag=tag)
 
 
@@ -131,7 +111,7 @@ def _table_metrics(run: RunFile, qrels: Qrels) -> tuple[float, float, float]:
 
 def truncation_ablation(
     queries: Mapping[str, TokenMatrix],
-    search: SearchFn,
+    search: Callable[..., RankedList],
     lengths: Sequence[int],
     k: int,
     qrels: Qrels,
@@ -195,7 +175,7 @@ def grid_search(
     cells = []
     for threshold in sorted(threshold_set):
         for ncells in sorted(ncells_set):
-            search = plaid_searcher(index, ncells=ncells, threshold=threshold, ndocs=ndocs)
+            search = partial(plaid_search, index, ncells=ncells, threshold=threshold, ndocs=ndocs)
             run = run_queries(search, queries, k)
             mrr, recall, ndcg = _table_metrics(run, qrels)
             cells.append(GridCell(ncells=ncells, threshold=threshold, mrr_at_10=mrr,

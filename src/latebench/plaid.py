@@ -23,11 +23,16 @@ residuals, else a `Corpus` over one array every vector is decoded into once,
 at build or load, by `decode_residuals`, so `doc_matrix` never decodes or
 allocates. The codec (`encode_residuals`, `decode_residuals`) runs over whole
 arrays CODEC_BLOCK_ROWS rows at a time and gives each row the bits it would
-get on its own.
+get on its own. The index holds the levels packed (`pack_levels`), as the
+saved file does, so no level can lie outside 2**bits.
 
-ndocs smaller than k is an error, never a silent clamp, and so is a
-search-time ncells below 1. An ncells larger than the centroid count means
-"probe everything" and is clamped.
+A `PlaidIndex` checks its own arrays, and a given corpus against its doc ids
+and row counts: a mismatch raises ValueError or CorpusMismatch when the index
+is made, never an IndexError at search time.
+
+ndocs smaller than k is an error, never a silent clamp, and so are a
+search-time ncells below 1 and a threshold outside [-1, 1]. An ncells larger
+than the centroid count means "probe everything" and is clamped.
 
 Stages 1-3 work on whole arrays. The (query rows x centroids) dot matrix is
 computed once per search. Each document's sorted unique centroid ids are
@@ -94,32 +99,34 @@ def dequantize_residual(levels: np.ndarray, scales: np.ndarray, bits: int) -> np
 def encode_residuals(
     vectors: np.ndarray, centroids: np.ndarray, codes: np.ndarray, bits: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(levels, scales) of every row's residual from centroids[codes[row]]."""
-    _check_bits(bits)
+    """(packed levels, scales) of every row's residual from centroids[codes[row]]."""
     vectors = np.asarray(vectors, dtype=np.float32)
     centroids = np.asarray(centroids, dtype=np.float32)
-    levels = np.empty(vectors.shape, dtype=np.uint8)
+    packed = np.empty((len(vectors), packed_width(vectors.shape[1], bits)), dtype=np.uint8)
     scales = np.empty(len(vectors), dtype=np.float32)
     for lo in range(0, len(vectors), CODEC_BLOCK_ROWS):
         rows = slice(lo, lo + CODEC_BLOCK_ROWS)
-        levels[rows], scales[rows] = quantize_residual(vectors[rows] - centroids[codes[rows]], bits)
-    return levels, scales
+        levels, scales[rows] = quantize_residual(vectors[rows] - centroids[codes[rows]], bits)
+        packed[rows] = pack_levels(levels, bits)
+    return packed, scales
 
 
 def decode_residuals(
-    levels: np.ndarray, scales: np.ndarray, centroids: np.ndarray, codes: np.ndarray, bits: int
+    packed: np.ndarray, scales: np.ndarray, centroids: np.ndarray, codes: np.ndarray, bits: int
 ) -> np.ndarray:
     """Every row rebuilt from its centroid and renormalized onto the unit sphere.
 
-    A zero-scale row decodes to its centroid exactly.
+    `packed` holds each row's levels as `pack_levels` packs them. A zero-scale
+    row decodes to its centroid exactly.
     """
-    _check_bits(bits)
     centroids = np.asarray(centroids, dtype=np.float32)
-    decoded = np.empty(levels.shape, dtype=np.float32)
-    for lo in range(0, len(levels), CODEC_BLOCK_ROWS):
+    dim = centroids.shape[1]
+    decoded = np.empty((len(packed), dim), dtype=np.float32)
+    for lo in range(0, len(packed), CODEC_BLOCK_ROWS):
         rows = slice(lo, lo + CODEC_BLOCK_ROWS)
         centroid = centroids[codes[rows]]
-        vector = centroid.astype(np.float64) + dequantize_residual(levels[rows], scales[rows], bits)
+        levels = unpack_levels(packed[rows], bits, dim)
+        vector = centroid.astype(np.float64) + dequantize_residual(levels, scales[rows], bits)
         # One BLAS dot per row, (1, dim) @ (dim, 1): the same dot np.linalg.norm
         # takes of a single vector, so a row decodes to the same bits either way.
         norm = np.sqrt(np.matmul(vector[:, None, :], vector[:, :, None])[:, 0])
@@ -234,7 +241,7 @@ class PlaidIndex:
     codes: np.ndarray  # (total_vectors,) int32, centroid per flat token
     row_offsets: np.ndarray  # (doc_count + 1,) int64, doc boundaries
     doc_ids: tuple[str, ...]
-    residual_levels: np.ndarray | None  # (total_vectors, dim) uint8
+    residual_levels: np.ndarray | None  # (total_vectors, packed_width(dim, bits)) uint8, packed
     residual_scales: np.ndarray | None  # (total_vectors,) float32
     corpus: Corpus | None
     inverted: Csr = field(init=False)  # per centroid, doc ordinals ascending
@@ -244,12 +251,18 @@ class PlaidIndex:
 
     def __post_init__(self):
         num_centroids, bits = self.config.num_centroids, self.config.residual_bits
-        if not bits and self.corpus is None:
-            raise CorpusMismatch("a residual-free plaid index needs its corpus to rescore")
+        if self.corpus is None:
+            if not bits:
+                raise CorpusMismatch("a residual-free plaid index needs its corpus to rescore")
+        elif self.doc_ids != self.corpus.doc_ids or not np.array_equal(
+                self.row_offsets, self.corpus.offsets):
+            raise CorpusMismatch("index doc ids or row counts disagree with its corpus")
         rows = (int(self.row_offsets[-1]),)
         kmeans.check_ids("codes", self.codes, rows, num_centroids)
         if bits:
-            kmeans.check_ids("residual_levels", self.residual_levels, (*rows, self.dim), 1 << bits)
+            levels, width = self.residual_levels, packed_width(self.dim, bits)
+            if levels.dtype != np.uint8 or levels.shape != (*rows, width):
+                raise ValueError(f"residual_levels must be uint8 of shape {(*rows, width)}")
             if self.residual_scales.shape != rows:
                 raise ValueError(f"residual_scales must have shape {rows}")
         inverted, unique_codes = code_lists(self.codes, self.row_offsets, num_centroids)
@@ -276,11 +289,10 @@ class PlaidIndex:
 
     @property
     def storage(self) -> StorageReport | None:
-        bits = self.config.residual_bits
-        if not bits:
+        if not self.config.residual_bits:
             return None
         rows, dim = len(self.codes), self.dim
-        saved = self.codes.nbytes + rows * packed_width(dim, bits) + self.residual_scales.nbytes
+        saved = self.codes.nbytes + self.residual_levels.nbytes + self.residual_scales.nbytes
         return StorageReport(rows * dim * 4, rows * dim * 2, saved)
 
     def doc_matrix(self, ordinal: int) -> TokenMatrix:
@@ -342,6 +354,8 @@ def _probe(
     threshold = (
         index.config.centroid_score_threshold if threshold is None else threshold
     )
+    if not -1.0 <= threshold <= 1.0:
+        raise ValueError("centroid_score_threshold must be in [-1, 1]")
     dots, top = kmeans.probe(index.centroids, query, ncells)
     keep = np.take_along_axis(dots, top, axis=1) >= threshold
     members = np.zeros(index.doc_count, dtype=bool)

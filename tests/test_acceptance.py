@@ -8,6 +8,7 @@ criterion. Fixtures are session-scoped because the bench corpus (2,000 docs,
 import dataclasses
 import shutil
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from latebench import (
 from latebench.bundle import read_bundle, save_plaid_index, write_bundle
 from latebench.cli import command_from_header, main as cli_main
 from latebench.core import ScoredDoc
-from latebench.diagnostics import exact_searcher, run_queries, truncation_ablation
+from latebench.diagnostics import run_queries, truncation_ablation
 from latebench.trec import Qrels, RunFile
 
 from conftest import basis_matrix
@@ -262,7 +263,7 @@ def test_criterion_07_filler_dilution_and_plateau():
             corpus, queries, qrels = generate_synthetic(
                 SyntheticSpec(filler_fraction=fraction, **common)
             )
-            run = run_queries(exact_searcher(corpus), queries, 10)
+            run = run_queries(partial(exact_search, corpus), queries, 10)
             bucket.append(mrr_at_k(run, qrels, 10).aggregate)
     for diluted, base in zip(diluted_mrr, base_mrr):
         assert diluted <= base + 1e-12
@@ -273,7 +274,7 @@ def test_criterion_07_filler_dilution_and_plateau():
     )
     corpus, queries, qrels = generate_synthetic(spec)
     lengths = [10, 20, 40, 60, 80, 100, 121]
-    table = truncation_ablation(queries, exact_searcher(corpus), lengths, 1000, qrels)
+    table = truncation_ablation(queries, partial(exact_search, corpus), lengths, 1000, qrels)
     assert len(table.rows) == 7
     plateau = [row for row in table.rows if row.length >= spec.signal_tokens]
     first = plateau[0]

@@ -20,7 +20,6 @@ from latebench.bundle import (
     load_ivf_index,
     load_plaid_index,
     read_bundle,
-    read_bundle_meta,
     read_index_backend,
     save_ivf_index,
     save_plaid_index,
@@ -37,6 +36,7 @@ from latebench.errors import (
     TruncatedPayload,
     VersionMismatch,
 )
+from latebench.plaid import unpack_levels
 
 from conftest import basis_matrix, random_unit_matrix
 from oracles import loop_decode_rows
@@ -113,7 +113,9 @@ def test_float16_roundtrip_stable_at_stored_precision():
 def test_meta_lines_roundtrip():
     corpus = _random_corpus(seed=3, docs=5)
     data = write_bundle(corpus, meta=["command: generate --docs 5", "param seed 3"])
-    assert read_bundle_meta(data) == ["command: generate --docs 5", "param seed 3"]
+    head = data[:data.index(b"\nend\n")].decode("ascii")
+    meta = [line[len("meta "):] for line in head.splitlines() if line.startswith("meta ")]
+    assert meta == ["command: generate --docs 5", "param seed 3"]
     read_bundle(data)  # meta lines do not disturb parsing
 
 
@@ -223,22 +225,6 @@ def test_plaid_index_rejects_codes_that_disagree_with_header(planted_small):
             load_plaid_index(data, corpus)
 
 
-@pytest.mark.parametrize("bits", [1, 2])
-def test_plaid_loader_rejects_levels_outside_bits(planted_small, bits):
-    # Packed levels cannot hold a level >= 2**bits, so no file can carry one
-    # to the loader: the save refuses it instead of truncating it.
-    corpus, _, _ = planted_small
-    config = PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=bits, seed=2)
-    index = build_plaid(corpus, config)
-    load_plaid_index(save_plaid_index(index), corpus)
-    levels = index.residual_levels.copy()
-    levels[7, 3] = 1 << bits
-    corrupt = copy.copy(index)
-    object.__setattr__(corrupt, "residual_levels", levels)
-    with pytest.raises(ValueError, match="residual_levels"):
-        save_plaid_index(corrupt)
-
-
 @pytest.mark.parametrize("container", ["bundle", "ivf", "plaid1"])
 def test_non_ascii_header_byte_is_malformed(planted_small, container):
     corpus, _, _ = planted_small
@@ -311,8 +297,8 @@ def test_indexes_hold_no_vector_copy(planted_small):
     for index in (residual, load_plaid_index(save_plaid_index(residual))):
         flat = index.doc_matrix(0).data.base
         assert flat.shape == shape and not np.shares_memory(flat, corpus.vectors)
-        want = loop_decode_rows(index.residual_levels, index.residual_scales,
-                                index.centroids, index.codes, 2)
+        levels = unpack_levels(index.residual_levels, 2, index.dim)
+        want = loop_decode_rows(levels, index.residual_scales, index.centroids, index.codes, 2)
         assert flat.tobytes() == want.tobytes()
         for ordinal in range(index.doc_count):
             matrix = index.doc_matrix(ordinal)
@@ -491,11 +477,21 @@ def test_residual_levels_are_saved_packed(planted_small, bits):
     rows, width = corpus.total_vectors, corpus.dim * bits // 8
     assert re.search(rf"^array residual_levels uint8 2 {rows} {width} \d+ {rows * width}$".encode(),
                      data, re.M)
-    for supplied in (corpus, None):
-        loaded = load_plaid_index(data, supplied)
-        assert loaded.residual_levels.dtype == np.uint8
-        assert loaded.residual_levels.tobytes() == index.residual_levels.tobytes()
-        assert loaded.store.vectors.tobytes() == index.store.vectors.tobytes()
+    start = data.index(b"\nend\n") + len(b"\nend\n")
+    offset, nbytes = map(int, re.search(rb"^array residual_levels .* (\d+) (\d+)$", data,
+                                        re.M).groups())
+    saved = data[start + offset:start + offset + nbytes]
+    # Loaded without its corpus, an index saves without the corpus digest.
+    free = save_plaid_index(load_plaid_index(data))
+    assert free == _edit_header(r"^corpus_sha256 .*\n", "")(data)
+    for held, file in ((index, data), (load_plaid_index(data, corpus), data),
+                       (load_plaid_index(free), free)):
+        # The index holds the levels as saved, so the file round-trips bitwise.
+        assert held.residual_levels.dtype == np.uint8
+        assert held.residual_levels.shape == (rows, width)
+        assert held.residual_levels.tobytes() == saved
+        assert held.store.vectors.tobytes() == index.store.vectors.tobytes()
+        assert save_plaid_index(held) == file
     # 1-bit levels where 2-bit ones are stored are half a vector too wide.
     with pytest.raises(MalformedLine, match="residual_levels"):
         load_plaid_index(_edit_header(r"^residual_bits \d$", f"residual_bits {3 - bits}")(data))

@@ -280,3 +280,37 @@ def test_search_time_probe_below_one_reported_cleanly(workspace, capsys, argv):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("LATEBENCH-ERROR ValueError: nprobe and ncells ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["search", "--backend", "plaid", "--index", "plaid.lbi", "--threshold", "nan"],
+                 id="search-nan"),
+    pytest.param(["search", "--backend", "plaid", "--index", "plaid.lbi", "--threshold", "5"],
+                 id="search-above-one"),
+    pytest.param(["diagnose", "--mode", "grid", "--index", "plaid.lbi", "--qrels", "qrels.txt",
+                  "--ncells", "4", "--threshold", "2,0.4", "--ndocs", "50"], id="grid"),
+])
+def test_search_time_threshold_outside_unit_range_reported_cleanly(workspace, capsys, argv):
+    # Unchecked, such a threshold pruned every centroid: an empty run, exit 0.
+    out = workspace / "never.out"
+    argv = [str(workspace / a) if a.endswith((".lbi", ".txt")) else a for a in argv]
+    code = main([*argv, "--bundle", str(workspace / "corpus.lbb"),
+                 "--queries", str(workspace / "queries.lbb"), "--k", "5", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["LATEBENCH-ERROR ValueError: centroid_score_threshold must be in [-1, 1]"]
+    assert not out.exists()
+
+
+def test_grid_ndocs_zero_reported_as_too_small(workspace, capsys):
+    out = workspace / "never.tsv"
+    code = main([
+        "diagnose", "--mode", "grid",
+        "--index", str(workspace / "plaid.lbi"), "--bundle", str(workspace / "corpus.lbb"),
+        "--queries", str(workspace / "queries.lbb"), "--qrels", str(workspace / "qrels.txt"),
+        "--ncells", "4", "--threshold", "0.4", "--ndocs", "0", "--k", "5", "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["LATEBENCH-ERROR NDocsTooSmall: ndocs=0 is smaller than k=5"]
+    assert not out.exists()

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -10,16 +12,14 @@ from latebench import (
     centroid_coverage,
     compare_runs,
     evaluate_run,
+    exact_search,
     generate_synthetic,
     grid_search,
+    plaid_search,
     pool_corpus,
     truncation_ablation,
 )
-from latebench.diagnostics import (
-    exact_searcher,
-    plaid_searcher,
-    run_queries,
-)
+from latebench.diagnostics import run_queries
 from latebench.errors import EmptyLengths, NoSharedQueries
 from latebench.metrics import DEFAULT_SPECS
 
@@ -90,7 +90,7 @@ def planted_with_filler():
 
 def test_ablation_noop_when_length_covers_all_rows(planted_with_filler):
     corpus, queries, qrels = planted_with_filler
-    search = exact_searcher(corpus)
+    search = partial(exact_search, corpus)
     longest = max(query.rows for query in queries.values())
     table = truncation_ablation(queries, search, [longest, longest + 50], 20, qrels)
     full_run = run_queries(search, queries, 20)
@@ -106,7 +106,7 @@ def test_ablation_noop_when_length_covers_all_rows(planted_with_filler):
 
 def test_ablation_single_token_boundary(planted_with_filler):
     corpus, queries, qrels = planted_with_filler
-    table = truncation_ablation(queries, exact_searcher(corpus), [1], 20, qrels)
+    table = truncation_ablation(queries, partial(exact_search, corpus), [1], 20, qrels)
     assert len(table.rows) == 1
     assert table.rows[0].length == 1
 
@@ -114,7 +114,7 @@ def test_ablation_single_token_boundary(planted_with_filler):
 def test_ablation_plateau_beyond_signal_length(planted_with_filler):
     corpus, queries, qrels = planted_with_filler
     lengths = [5, 6, 8, 12, 100]  # signal length is 5; filler begins after it
-    table = truncation_ablation(queries, exact_searcher(corpus), lengths, 20, qrels)
+    table = truncation_ablation(queries, partial(exact_search, corpus), lengths, 20, qrels)
     first = table.rows[0]
     for row in table.rows[1:]:
         assert row.mrr_at_10 == pytest.approx(first.mrr_at_10, abs=1e-6)
@@ -124,7 +124,7 @@ def test_ablation_plateau_beyond_signal_length(planted_with_filler):
 
 def test_ablation_rejects_bad_lengths(planted_with_filler):
     corpus, queries, qrels = planted_with_filler
-    search = exact_searcher(corpus)
+    search = partial(exact_search, corpus)
     with pytest.raises(EmptyLengths):
         truncation_ablation(queries, search, [], 10, qrels)
     with pytest.raises(ValueError):
@@ -147,7 +147,7 @@ def test_degenerate_single_cell_grid_equals_direct_search(planted_with_filler):
     corpus, queries, qrels = planted_with_filler
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=40, seed=1))
     result = grid_search(index, queries, qrels, [8], [0.3], ndocs=40, k=20)
-    search = plaid_searcher(index, ncells=8, threshold=0.3, ndocs=40)
+    search = partial(plaid_search, index, ncells=8, threshold=0.3, ndocs=40)
     run = run_queries(search, queries, 20)
     reports = evaluate_run(run, qrels, DEFAULT_SPECS)
     cell = result.cells[0]
@@ -166,7 +166,7 @@ def test_grid_recall_non_decreasing_in_ncells(planted_with_filler):
 
 def test_compare_identical_runs(planted_with_filler):
     corpus, queries, qrels = planted_with_filler
-    run = run_queries(exact_searcher(corpus), queries, 10)
+    run = run_queries(partial(exact_search, corpus), queries, 10)
     report = compare_runs(run, run, qrels, 10)
     assert report.mean_overlap == 1.0
     assert all(delta == 0.0 for delta in report.metric_deltas.values())
@@ -190,8 +190,8 @@ def test_compare_disjoint_topk():
 def test_compare_deltas_match_individual_reports(planted_with_filler):
     corpus, queries, qrels = planted_with_filler
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=40, seed=1))
-    oracle_run = run_queries(exact_searcher(corpus), queries, 20)
-    plaid_run = run_queries(plaid_searcher(index, threshold=0.5), queries, 20)
+    oracle_run = run_queries(partial(exact_search, corpus), queries, 20)
+    plaid_run = run_queries(partial(plaid_search, index, threshold=0.5), queries, 20)
     report = compare_runs(oracle_run, plaid_run, qrels, 20)
     for spec in DEFAULT_SPECS:
         label = str(spec)
@@ -205,8 +205,8 @@ def test_compare_deltas_match_individual_reports(planted_with_filler):
 def test_compare_deltas_antisymmetric_under_swap(planted_with_filler):
     corpus, queries, qrels = planted_with_filler
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=40, seed=1))
-    run_a = run_queries(exact_searcher(corpus), queries, 20)
-    run_b = run_queries(plaid_searcher(index, threshold=0.5), queries, 20)
+    run_a = run_queries(partial(exact_search, corpus), queries, 20)
+    run_b = run_queries(partial(plaid_search, index, threshold=0.5), queries, 20)
     forward = compare_runs(run_a, run_b, qrels, 20)
     backward = compare_runs(run_b, run_a, qrels, 20)
     for label, delta in forward.metric_deltas.items():

@@ -12,6 +12,7 @@ from latebench import core
 from latebench.bundle import load_ivf_index, load_plaid_index, save_ivf_index, save_plaid_index
 from latebench.core import RankedList, batched_scores, score_all
 from latebench.errors import DimensionMismatch
+from latebench.plaid import unpack_levels
 from latebench.synthetic import _verify_planted
 
 from conftest import random_unit_matrix
@@ -280,8 +281,9 @@ def test_plaid_equals_the_full_per_survivor_rescore(rescore_data, bits):
     indexes = [built, load_plaid_index(data, corpus)] + ([load_plaid_index(data)] if bits else [])
     matrices = _doc_matrices(corpus)
     if bits:
-        decoded = loop_decode_rows(built.residual_levels, built.residual_scales,
-                                   built.centroids, built.codes, bits)
+        levels = unpack_levels(built.residual_levels, bits, built.dim)
+        decoded = loop_decode_rows(levels, built.residual_scales, built.centroids, built.codes,
+                                   bits)
         bounds = corpus.offsets.tolist()
         matrices = [decoded[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     banded = 0

@@ -14,7 +14,6 @@ from latebench import (
     ivf_search,
     maxsim_score,
 )
-from latebench.diagnostics import ivf_searcher
 from latebench.errors import DimensionMismatch, TooFewVectors
 
 from conftest import basis_matrix, random_unit_matrix
@@ -156,7 +155,6 @@ def test_search_time_budget_below_one_rejected(planted_small, cap):
     searches = [
         lambda: ivf_candidates(index, query, per_token_candidates=cap),
         lambda: ivf_search(index, query, 5, per_token_candidates=cap),
-        lambda: ivf_searcher(index, per_token_candidates=cap)(query, 5),
     ]
     for search in searches:
         with pytest.raises(ValueError, match="per_token_candidates must be >= 1"):

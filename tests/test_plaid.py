@@ -111,7 +111,9 @@ def test_total_pruning_returns_empty_list(planted_small):
     corpus, queries, _ = planted_small
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=3))
     query = next(iter(queries.values()))
-    result = plaid_search(index, query, 10, threshold=1.0 + 1e-6)
+    dots, _ = probe(index.centroids, query, 4)
+    assert dots.max() < 1.0  # so no probed centroid reaches the threshold
+    result = plaid_search(index, query, 10, threshold=1.0)
     assert result.hits == ()
 
 
@@ -206,6 +208,19 @@ def test_search_time_ncells_below_one_rejected(planted_small, ncells):
         plaid_search(index, query, 5, ncells=ncells)
     with pytest.raises(ValueError, match="ncells"):
         plaid_candidates(index, query, ncells=ncells)
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), 5.0, 1.0 + 1e-6, -1.5])
+def test_search_time_threshold_outside_unit_range_is_refused(planted_small, threshold):
+    corpus, queries, _ = planted_small
+    index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=3))
+    query = next(iter(queries.values()))
+    with pytest.raises(ValueError, match=r"centroid_score_threshold must be in \[-1, 1\]"):
+        plaid_search(index, query, 10, threshold=threshold)
+    with pytest.raises(ValueError, match=r"centroid_score_threshold must be in \[-1, 1\]"):
+        plaid_candidates(index, query, threshold=threshold)
+    for edge in (-1.0, 1.0):
+        plaid_search(index, query, 10, threshold=edge)
 
 
 def test_ndocs_too_small_is_an_error(planted_small):
@@ -308,9 +323,9 @@ def test_two_bit_levels_map_to_quarter_grid():
     centroid = np.zeros((1, 4), dtype=np.float32)
     centroid[0, 0] = 1.0
     vector = centroid + np.array([0.0, 0.9, -0.31, 0.29], dtype=np.float32)
-    levels, scales = encode_residuals(vector, centroid, ONE_ROW, 2)
+    packed, scales = encode_residuals(vector, centroid, ONE_ROW, 2)
     scale = float(scales[0])
-    dequant = dequantize_residual(levels, scales, 2)[0]
+    dequant = dequantize_residual(unpack_levels(packed, 2, 4), scales, 2)[0]
     grid = {-scale, -scale / 3, scale / 3, scale}
     for value in dequant.tolist():
         assert min(abs(value - level) for level in grid) < 1e-6
@@ -388,8 +403,8 @@ def test_index_store_is_a_corpus(planted_small):
         vectors = store.vectors
         assert vectors.shape == corpus.vectors.shape and vectors.dtype == np.float32
         assert vectors.flags.c_contiguous and not vectors.flags.writeable
-        want = loop_decode_rows(index.residual_levels, index.residual_scales,
-                                index.centroids, index.codes, 2)
+        levels = unpack_levels(index.residual_levels, 2, index.dim)
+        want = loop_decode_rows(levels, index.residual_scales, index.centroids, index.codes, 2)
         assert vectors.tobytes() == want.tobytes()
         for ordinal, doc_id in enumerate(index.doc_ids):
             matrix = store.docs[doc_id]
@@ -557,13 +572,14 @@ def test_block_codec_equals_per_vector_loop(bits):
     index = build_plaid(corpus, config, centroids=centroids)
     assert index.codes[zero].tolist() == list(range(len(zero)))
     levels, scales = loop_encode_rows(vectors, centroids, index.codes, bits)
+    packed = pack_levels(levels, bits)
     want = loop_decode_rows(levels, scales, centroids, index.codes, bits)
-    for got_levels, got_scales in (encode_residuals(vectors, centroids, index.codes, bits),
+    for got_packed, got_scales in (encode_residuals(vectors, centroids, index.codes, bits),
                                    (index.residual_levels, index.residual_scales)):
-        assert np.array_equal(got_levels, levels)
+        assert got_packed.tobytes() == packed.tobytes()
         assert got_scales.tobytes() == scales.tobytes()
     assert not scales[zero].any()
-    for decoded in (decode_residuals(levels, scales, centroids, index.codes, bits),
+    for decoded in (decode_residuals(packed, scales, centroids, index.codes, bits),
                     index.doc_matrix(0).data.base):
         assert decoded.tobytes() == want.tobytes()
         assert np.array_equal(decoded[zero], centroids[:len(zero)])
@@ -574,14 +590,14 @@ def test_block_codec_equals_per_vector_loop(bits):
                      [0.15806949138641357, 0.10537967830896378]]
     oracle_args = (tricky, np.zeros((1, 64)), np.zeros(2, np.int32), bits)
     want_levels, _ = loop_encode_rows(*oracle_args)
-    assert np.array_equal(encode_residuals(*oracle_args)[0], want_levels)
+    assert np.array_equal(encode_residuals(*oracle_args)[0], pack_levels(want_levels, bits))
     # One row alone, on either side of the block boundary, gets its bits in the block.
     for i in (1, CODEC_BLOCK_ROWS + 1):
         row = slice(i, i + 1)
-        one_levels, one_scales = encode_residuals(vectors[row], centroids, index.codes[row], bits)
+        one_packed, one_scales = encode_residuals(vectors[row], centroids, index.codes[row], bits)
         assert one_scales.tobytes() == scales[row].tobytes()
-        assert np.array_equal(one_levels, levels[row])
-        one = decode_residuals(one_levels, one_scales, centroids, index.codes[row], bits)
+        assert np.array_equal(one_packed, packed[row])
+        one = decode_residuals(one_packed, one_scales, centroids, index.codes[row], bits)
         assert one.tobytes() == want[row].tobytes()
 
 
@@ -594,7 +610,7 @@ def test_block_decode_norms_each_row_like_one_vector():
     centroids = (centroids / np.linalg.norm(centroids, axis=1, keepdims=True)).astype(np.float32)
     levels = rng.integers(0, 4, size=(4096, 128)).astype(np.uint8)
     scales = rng.uniform(0.05, 0.5, size=4096).astype(np.float32)
-    decoded = decode_residuals(levels, scales, centroids, np.arange(4096), 2)
+    decoded = decode_residuals(pack_levels(levels, 2), scales, centroids, np.arange(4096), 2)
     row = slice(1301, 1302)
     want = loop_decode_rows(levels[row], scales[row], centroids[row], [0], 2)
     assert decoded[row].tobytes() == want.tobytes()
@@ -613,10 +629,13 @@ def _edited(array, where, value):
                  id="code-negative"),
     pytest.param(0, "codes", lambda ix: {"codes": ix.codes[:-1]}, id="codes-one-short"),
     pytest.param(2, "residual_levels",
-                 lambda ix: {"residual_levels": _edited(ix.residual_levels, (7, 3), 4)},
-                 id="level-outside-bits"),
-    pytest.param(2, "residual_levels",
                  lambda ix: {"residual_levels": ix.residual_levels[:, :-1]}, id="levels-short-dim"),
+    pytest.param(2, "residual_levels",
+                 lambda ix: {"residual_levels": unpack_levels(ix.residual_levels, 2, ix.dim)},
+                 id="levels-unpacked"),
+    pytest.param(1, "residual_levels",
+                 lambda ix: {"residual_levels": ix.residual_levels.astype(np.int8)},
+                 id="levels-not-uint8"),
     pytest.param(1, "residual_scales",
                  lambda ix: {"residual_scales": ix.residual_scales[:-1]}, id="scales-one-short"),
 ])
@@ -635,6 +654,28 @@ def test_residual_free_index_needs_its_corpus(planted_small):
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=2))
     with pytest.raises(CorpusMismatch):
         dataclasses.replace(index, corpus=None)
+
+
+@pytest.mark.parametrize("bits", [0, 2])
+def test_index_rejects_a_corpus_its_doc_lines_do_not_fit(planted_small, bits):
+    # Unchecked, a residual-free index would rescore from rows past the end
+    # of a smaller corpus (IndexError), and a residual one would save the
+    # other corpus's digest beside its own doc lines.
+    corpus, _, _ = planted_small
+    config = PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=bits, seed=2)
+    index = build_plaid(corpus, config)
+    ids = corpus.doc_ids
+    docs = corpus.docs
+    others = [
+        Corpus.build({doc_id: docs[doc_id] for doc_id in ids[:-1]}),
+        Corpus.build({doc_id: docs[doc_id] for doc_id in (ids[1], ids[0], *ids[2:])}),
+        Corpus.build({doc_id: docs[doc_id].truncated(1) if doc_id == ids[0] else docs[doc_id]
+                      for doc_id in ids}),
+    ]
+    for other in others:
+        with pytest.raises(CorpusMismatch, match="disagree"):
+            dataclasses.replace(index, corpus=other)
+    assert dataclasses.replace(index, corpus=Corpus.build(dict(docs))).doc_count == len(ids)
 
 
 def _msb_first_packbits(levels, bits):

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from latebench import (
     maxsim_score,
     mrr_at_k,
 )
-from latebench.diagnostics import exact_searcher, run_queries
+from latebench.diagnostics import run_queries
 from latebench.errors import SpecInfeasible
 from latebench.synthetic import _attempt, _unit_rows, _verify_planted
 
@@ -19,7 +21,7 @@ def test_planted_target_ranks_first_without_filler():
     spec = SyntheticSpec(doc_count=10, tokens_per_doc=(4, 8), dim=32, num_concepts=8,
                          queries=5, signal_tokens=4, filler_fraction=0.0, seed=1)
     corpus, queries, qrels = generate_synthetic(spec)
-    run = run_queries(exact_searcher(corpus), queries, 10)
+    run = run_queries(partial(exact_search, corpus), queries, 10)
     assert mrr_at_k(run, qrels, 10).aggregate == 1.0
 
 
@@ -58,7 +60,7 @@ def test_filler_dilution_direction_across_seeds():
         values = []
         for spec in (diluted, base):
             corpus, queries, qrels = generate_synthetic(spec)
-            run = run_queries(exact_searcher(corpus), queries, 10)
+            run = run_queries(partial(exact_search, corpus), queries, 10)
             values.append(mrr_at_k(run, qrels, 10).aggregate)
         assert values[0] <= values[1]
 
