@@ -1,46 +1,38 @@
 """Bit-exact file containers for embedding corpora and built indexes.
 
-Both containers share one layout: a human-readable ASCII header terminated by
-an ``end`` line, then a contiguous little-endian binary payload. The header is
-fully self-describing, so a hex dump plus the first kilobyte of text is enough
-to debug a broken file. Each container has its own version: bundles are v1,
-indexes v2 (a v1 index raises VersionMismatch and must be rebuilt).
+Bundles and indexes share one layout: a human-readable ASCII header
+terminated by an ``end`` line, then a contiguous little-endian payload of
+named arrays. The header is fully self-describing, so a hex dump plus the
+first kilobyte of text is enough to debug a broken file. Both containers are
+v2; a v1 bundle raises VersionMismatch and must be regenerated, a v1 index
+must be rebuilt.
 
-Embedding bundle::
+Layout::
 
-    #LATEBENCH-BUNDLE v1
-    dim 128
-    dtype float32
-    pooling none
-    C 0
-    doc_count 2
+    #LATEBENCH-BUNDLE v2               or #LATEBENCH-INDEX v2
+    dtype <float32|float16>            (bundle)
+    pooling <none|fixed>               (bundle)
+    C <rows per pooled doc, else 0>    (bundle)
+    backend <ivf|plaid>                (index)
+    <config key/value lines>           (index)
+    corpus_sha256 <corpus_digest>      (index)
     meta <free text, one line each>
-    doc <id> <rows> <offset>
-    payload <total bytes>
-    end
-    <raw row-major matrices in the declared dtype>
-
-Index container::
-
-    #LATEBENCH-INDEX v2
-    backend <ivf|plaid>
-    <config key/value lines>
-    corpus_sha256 <hex digest of the meta-free corpus bundle>
-    meta <free text>
-    doc <id> <rows>            (plaid only)
+    doc <id> <rows>                    (bundle, plaid index)
     array <name> <dtype> <ndim> <shape...> <offset> <nbytes>
     payload_sha256 <hex digest of the payload>
     payload <total bytes>
     end
     <raw arrays>
 
-The index loaders check the payload against `payload_sha256` before anything
-else reads it, so a flipped payload bit raises PayloadMismatch, and check the
-corpus digest; the arrays themselves, and their fit with the doc lines and
-the corpus, are checked by the index constructors. The containers only move
-arrays: a residual PLAID index's `residual_levels` are saved and loaded as
-the index holds them, packed by `plaid.pack_levels` into uint8 of shape
-(total_vectors, ceil(dim * bits / 8)).
+A bundle holds one array, `vectors` (total rows, dim) in the stored dtype,
+whose rows the doc lines split into documents in order. The readers check
+the payload against its length and `payload_sha256` before anything else
+reads it, so a flipped payload bit raises PayloadMismatch, and the index
+loaders check the corpus digest; the arrays themselves, and their fit with
+the doc lines and the corpus, are checked by the Corpus and index
+constructors. The containers only move arrays: a residual PLAID index's
+`residual_levels` are saved and loaded as the index holds them, packed by
+`plaid.pack_levels` into uint8 of shape (total_vectors, ceil(dim * bits / 8)).
 
 float32 bundles round-trip bitwise. float16 is a storage precision: values are
 widened exactly to float32 on read and re-narrow to identical bytes on write,
@@ -62,7 +54,6 @@ from .errors import (
     BadMagic,
     CorpusMismatch,
     MalformedLine,
-    OffsetOverlap,
     PayloadMismatch,
     TruncatedPayload,
     VersionMismatch,
@@ -72,16 +63,17 @@ from .plaid import PlaidConfig, PlaidIndex
 
 BUNDLE_MAGIC = "#LATEBENCH-BUNDLE"
 INDEX_MAGIC = "#LATEBENCH-INDEX"
-VERSIONS = {BUNDLE_MAGIC: "v1", INDEX_MAGIC: "v2"}
+VERSION = "v2"
 
 FLOAT16_NORM_TOLERANCE = 2e-3
 
 _NUMPY_DTYPES = {"float32": "<f4", "float16": "<f2", "int32": "<i4", "uint8": "<u1", "int64": "<i8"}
+_DTYPE_NAMES = {np.dtype(v): k for k, v in _NUMPY_DTYPES.items()}
 
 
 class _HeaderWriter:
     def __init__(self, magic: str):
-        self.lines = [f"{magic} {VERSIONS[magic]}"]
+        self.lines = [f"{magic} {VERSION}"]
 
     def line(self, *fields) -> None:
         text = " ".join(str(f) for f in fields)
@@ -93,11 +85,32 @@ class _HeaderWriter:
         for entry in entries:
             self.line("meta", entry)
 
-    def head(self, payload_bytes: int) -> bytes:
-        """The finished header of a payload of `payload_bytes` bytes."""
-        self.line("payload", payload_bytes)
+    def docs(self, doc_ids: Iterable[str], offsets: np.ndarray) -> None:
+        """One `doc <id> <rows>` line per document whose rows `offsets` bound."""
+        for doc_id, rows in zip(doc_ids, np.diff(offsets).tolist()):
+            self.line("doc", doc_id, rows)
+
+    def finish(self, arrays: list[tuple[str, np.ndarray]]) -> list:
+        """[header, *arrays] of the finished container, for one `b"".join`.
+
+        Writes one `array` line per array and the payload digest; each array
+        is hashed in place and copied only by the join.
+        """
+        offset = 0
+        digest = hashlib.sha256()
+        raws = []
+        for name, array in arrays:
+            dtype_name = _DTYPE_NAMES[np.dtype(array.dtype)]
+            raw = np.ascontiguousarray(array, dtype=_NUMPY_DTYPES[dtype_name])
+            shape = " ".join(str(s) for s in raw.shape)
+            self.line("array", name, dtype_name, raw.ndim, shape, offset, raw.nbytes)
+            digest.update(raw)
+            raws.append(raw)
+            offset += raw.nbytes
+        self.line("payload_sha256", digest.hexdigest())
+        self.line("payload", offset)
         self.lines.append("end")
-        return ("\n".join(self.lines) + "\n").encode("ascii")
+        return [("\n".join(self.lines) + "\n").encode("ascii"), *raws]
 
 
 def check_meta(entries: Iterable[str]) -> None:
@@ -123,9 +136,9 @@ class _Header:
         self.payload = data[end + len(b"\nend\n"):]
         lines = text.splitlines()
         first = lines[0].split()
-        if len(first) != 2 or first[1] != VERSIONS[magic]:
-            rebuild = " (rebuild the index)" if magic == INDEX_MAGIC else ""
-            raise VersionMismatch(f"unsupported format version in {lines[0]!r}{rebuild}")
+        if len(first) != 2 or first[1] != VERSION:
+            redo = "rebuild the index" if magic == INDEX_MAGIC else "regenerate the bundle"
+            raise VersionMismatch(f"unsupported format version in {lines[0]!r} ({redo})")
         self.records: list[tuple[str, list[str]]] = []
         for line_no, line in enumerate(lines[1:], start=2):
             fields = line.split()
@@ -146,18 +159,21 @@ class _Header:
     def many(self, key: str) -> list[list[str]]:
         return [fields for k, fields in self.records if k == key]
 
-    def doc_lines(self, width: int) -> list[tuple]:
-        """(id, int, ...) per `doc` line of `width` fields; unique ids, ints >= 0."""
-        entries = []
-        for fields in self.many("doc"):
-            if len(fields) != width or not all(f.isdigit() for f in fields[1:]):
-                raise MalformedLine(
-                    0, f"doc line needs an id and {width - 1} integer(s) >= 0: {fields!r}"
-                )
-            entries.append((fields[0], *map(int, fields[1:])))
-        if len({entry[0] for entry in entries}) != len(entries):
+    def docs(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """(doc ids, row offsets) from the `doc <id> <rows>` lines; unique ids, rows >= 0."""
+        docs = self.many("doc")
+        for fields in docs:
+            if len(fields) != 2 or not fields[1].isdigit():
+                raise MalformedLine(0, f"doc line needs an id and an integer >= 0: {fields!r}")
+        doc_ids = tuple(doc_id for doc_id, _ in docs)
+        if len(set(doc_ids)) != len(doc_ids):
             raise MalformedLine(0, "doc ids in the doc lines are not unique")
-        return entries
+        offsets = np.zeros(len(docs) + 1, dtype=np.int64)
+        try:
+            np.cumsum([int(rows) for _, rows in docs], out=offsets[1:])
+        except OverflowError:
+            raise MalformedLine(0, "doc rows overflow int64") from None
+        return doc_ids, offsets
 
     def config(self, cls):
         """A config dataclass from one header line per field, typed like its default."""
@@ -195,72 +211,45 @@ class _Header:
             raise MalformedLine(0, f"missing array(s) {missing}")
         return arrays
 
-    def check_payload(self) -> None:
-        declared = self.value("payload", int)
-        if len(self.payload) < declared:
-            raise TruncatedPayload(
-                f"payload declares {declared} bytes but only {len(self.payload)} present"
-            )
-        if len(self.payload) > declared:
-            raise TruncatedPayload(
-                f"payload declares {declared} bytes but {len(self.payload)} present (trailing junk)"
-            )
+
+def _checked_header(data: bytes, magic: str) -> _Header:
+    """The header of a `magic` container whose payload matches its length and digest."""
+    header = _Header(data, magic)
+    declared, present = header.value("payload", int), len(header.payload)
+    if present != declared:
+        junk = " (trailing junk)" if present > declared else ""
+        raise TruncatedPayload(f"payload declares {declared} bytes but {present} present{junk}")
+    if header.value("payload_sha256") != hashlib.sha256(header.payload).hexdigest():
+        raise PayloadMismatch("payload does not match its payload_sha256")
+    return header
 
 
-def _bundle_parts(corpus: Corpus, meta: Iterable[str]) -> tuple[bytes, np.ndarray]:
-    """A bundle's header bytes and its payload, the vectors in the stored dtype."""
+def _bundle(corpus: Corpus, meta: Iterable[str]) -> list:
+    """[header, vectors in the stored dtype] of the corpus's bundle."""
     writer = _HeaderWriter(BUNDLE_MAGIC)
-    writer.line("dim", corpus.dim)
     writer.line("dtype", corpus.dtype)
     writer.line("pooling", corpus.pooling)
     writer.line("C", corpus.C)
-    writer.line("doc_count", len(corpus))
     writer.meta(meta)
-    row_bytes = corpus.dim * DTYPE_BYTES[corpus.dtype]
-    starts = corpus.offsets.tolist()
-    for doc_id, lo, hi in zip(corpus.doc_ids, starts[:-1], starts[1:]):
-        writer.line("doc", doc_id, hi - lo, lo * row_bytes)
-    payload = corpus.vectors.astype(_NUMPY_DTYPES[corpus.dtype], copy=False)
-    return writer.head(payload.nbytes), payload
+    writer.docs(corpus.doc_ids, corpus.offsets)
+    return writer.finish([("vectors", corpus.vectors.astype(_NUMPY_DTYPES[corpus.dtype],
+                                                            copy=False))])
 
 
 def write_bundle(corpus: Corpus, meta: Iterable[str] = ()) -> bytes:
-    head, payload = _bundle_parts(corpus, meta)
-    return b"".join((head, payload))
+    return b"".join(_bundle(corpus, meta))
 
 
 def read_bundle(data: bytes) -> Corpus:
-    header = _Header(data, BUNDLE_MAGIC)
-    header.check_payload()
-    dim = header.value("dim", int)
-    C = header.value("C", int)
-    doc_count = header.value("doc_count", int)
-    dtype, pooling = header.value("dtype"), header.value("pooling")
+    header = _checked_header(data, BUNDLE_MAGIC)
+    dtype = header.value("dtype")
     if dtype not in DTYPE_BYTES:
         raise MalformedLine(0, f"unknown dtype {dtype!r}")
-    item_bytes = DTYPE_BYTES[dtype]
-    entries = header.doc_lines(3)
-    if len(entries) != doc_count:
-        raise MalformedLine(0, f"doc_count={doc_count} but {len(entries)} doc lines")
-    expected_total = sum(rows * dim * item_bytes for _, rows, _ in entries)
-    if expected_total != len(header.payload):
-        raise TruncatedPayload(
-            f"payload holds {len(header.payload)} bytes, docs require {expected_total}"
-        )
-    previous_end = 0
-    for doc_id, rows, offset in entries:
-        if offset < previous_end:
-            raise OffsetOverlap(f"doc {doc_id!r} at offset {offset} overlaps previous data")
-        previous_end = offset + rows * dim * item_bytes
-    if previous_end != len(header.payload):
-        raise TruncatedPayload("doc extents do not cover the payload exactly")
-    # The extents tile the payload in doc order, so it is the flat row array.
-    offsets = np.zeros(len(entries) + 1, dtype=np.int64)
-    np.cumsum([rows for _, rows, _ in entries], out=offsets[1:])
-    vectors = np.frombuffer(header.payload, dtype=_NUMPY_DTYPES[dtype]).astype(np.float32)
-    vectors = vectors.reshape(int(offsets[-1]), dim)
+    doc_ids, offsets = header.docs()
+    vectors = header.arrays({"vectors": (dtype, (int(offsets[-1]), None))})["vectors"]
     try:
-        corpus = Corpus(tuple(d for d, _, _ in entries), vectors, offsets, dtype, pooling, C)
+        corpus = Corpus(doc_ids, vectors, offsets, dtype, header.value("pooling"),
+                        header.value("C", int))
     except ValueError as exc:
         raise MalformedLine(0, f"header does not describe the payload: {exc}") from None
     corpus.validate(FLOAT16_NORM_TOLERANCE if dtype == "float16" else NORM_TOLERANCE)
@@ -268,40 +257,20 @@ def read_bundle(data: bytes) -> Corpus:
 
 
 def corpus_digest(corpus: Corpus) -> str:
-    """sha256 over the meta-free serialized corpus; guards index/corpus pairing.
+    """sha256 of the corpus's meta-free bundle header; guards index/corpus pairing.
 
-    The payload is hashed in place, without joining a copy of the bundle.
+    The header's payload_sha256 commits it to the vectors, so they are hashed
+    once, in place.
     """
-    head, payload = _bundle_parts(corpus, ())
-    digest = hashlib.sha256(head)
-    digest.update(payload)
-    return digest.hexdigest()
-
-
-def _finish_index(writer: _HeaderWriter, arrays: list[tuple[str, np.ndarray]]) -> bytes:
-    """One `array` line per array, the payload digest, then header plus payload."""
-    offset = 0
-    chunks = []
-    for name, array in arrays:
-        dtype_name = {np.dtype(v): k for k, v in _NUMPY_DTYPES.items()}[np.dtype(array.dtype)]
-        raw = np.ascontiguousarray(array).astype(_NUMPY_DTYPES[dtype_name]).tobytes()
-        shape = " ".join(str(s) for s in array.shape)
-        writer.line("array", name, dtype_name, len(array.shape), shape, offset, len(raw))
-        chunks.append(raw)
-        offset += len(raw)
-    payload = b"".join(chunks)
-    writer.line("payload_sha256", hashlib.sha256(payload).hexdigest())
-    return writer.head(len(payload)) + payload
+    return hashlib.sha256(_bundle(corpus, ())[0]).hexdigest()
 
 
 def _index_header(data: bytes, backend: str) -> _Header:
-    """The header of a `backend` index whose payload matches its length and digest."""
-    header = _Header(data, INDEX_MAGIC)
-    header.check_payload()
-    if header.value("payload_sha256") != hashlib.sha256(header.payload).hexdigest():
-        raise PayloadMismatch("index payload does not match its payload_sha256")
-    if header.value("backend") != backend:
-        raise MalformedLine(0, f"not a {backend} index")
+    """The checked header of a `backend` index."""
+    header = _checked_header(data, INDEX_MAGIC)
+    stored = header.value("backend")
+    if stored != backend:
+        raise MalformedLine(0, f"not a {backend} index: the file holds backend {stored!r}")
     return header
 
 
@@ -316,14 +285,10 @@ def save_ivf_index(index: IvfIndex, meta: Iterable[str] = ()) -> bytes:
     _write_config(writer, index.config)
     writer.line("corpus_sha256", corpus_digest(index.corpus))
     writer.meta(meta)
-    return _finish_index(writer, [
+    return b"".join(writer.finish([
         ("centroids", index.centroids),
         ("assignments", index.assignments),
-    ])
-
-
-def read_index_backend(data: bytes) -> str:
-    return _Header(data, INDEX_MAGIC).value("backend")
+    ]))
 
 
 def load_ivf_index(data: bytes, corpus: Corpus) -> IvfIndex:
@@ -354,13 +319,12 @@ def save_plaid_index(index: PlaidIndex, meta: Iterable[str] = ()) -> bytes:
     if index.corpus is not None:
         writer.line("corpus_sha256", corpus_digest(index.corpus))
     writer.meta(meta)
-    for doc_id, rows in zip(index.doc_ids, np.diff(index.row_offsets).tolist()):
-        writer.line("doc", doc_id, rows)
+    writer.docs(index.doc_ids, index.row_offsets)
     arrays = [("centroids", index.centroids), ("codes", index.codes)]
     if cfg.residual_bits > 0:
         arrays.append(("residual_levels", index.residual_levels))
         arrays.append(("residual_scales", index.residual_scales))
-    return _finish_index(writer, arrays)
+    return b"".join(writer.finish(arrays))
 
 
 def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
@@ -370,10 +334,7 @@ def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
     if corpus is not None and header.many("corpus_sha256"):
         if header.value("corpus_sha256") != corpus_digest(corpus):
             raise CorpusMismatch("index was built from a different corpus than the one supplied")
-    docs = header.doc_lines(2)
-    doc_ids = tuple(doc_id for doc_id, _ in docs)
-    row_offsets = np.zeros(len(docs) + 1, dtype=np.int64)
-    np.cumsum([rows for _, rows in docs], out=row_offsets[1:])
+    doc_ids, row_offsets = header.docs()
     total = int(row_offsets[-1])
     expected = {
         "centroids": ("float32", (config.num_centroids, None)),

@@ -177,9 +177,6 @@ def _make_searcher(args) -> partial:
     if not args.index:
         raise LatebenchError(f"backend={args.backend} requires --index")
     index_bytes = Path(args.index).read_bytes()
-    stored = bundle_io.read_index_backend(index_bytes)
-    if stored != args.backend:
-        raise LatebenchError(f"--backend {args.backend} but index file holds {stored!r}")
     if args.backend == "ivf":
         if not args.bundle:
             raise LatebenchError("backend=ivf requires --bundle for exact rescoring")

@@ -218,6 +218,8 @@ class Corpus:
             raise ValueError(f"unknown pooling {self.pooling!r}")
         if self.pooling == "fixed" and self.C < 1:
             raise ValueError("pooling=fixed requires C >= 1")
+        if self.pooling != "fixed" and self.C != 0:
+            raise ValueError(f"pooling={self.pooling} requires C=0, got C={self.C}")
         rows = np.diff(self.offsets)
         if (self.offsets.shape != (len(self.doc_ids) + 1,) or self.offsets[0] != 0
                 or (rows < 0).any() or self.vectors.ndim != 2

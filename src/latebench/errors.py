@@ -75,10 +75,6 @@ class TruncatedPayload(LatebenchError):
     pass
 
 
-class OffsetOverlap(LatebenchError):
-    pass
-
-
 class CorpusMismatch(LatebenchError):
     pass
 

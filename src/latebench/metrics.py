@@ -3,10 +3,10 @@
 Per-query values are computed for every query present in the qrels; a query
 missing from the run simply scores zero (a retrieval failure, not an
 evaluation error). Queries found in the run but absent from the qrels are
-skipped with a warning by default, or rejected when strict=True. Unjudged
-retrieved documents count as non-relevant. DCG uses the raw grade with a
-1/log2(rank+1) discount; queries with no positive judgments are skipped for
-recall and score zero for MRR and nDCG.
+never read by the metrics; evaluate_run warns about them once, or rejects
+them when strict=True. Unjudged retrieved documents count as non-relevant.
+DCG uses the raw grade with a 1/log2(rank+1) discount; queries with no
+positive judgments are skipped for recall and score zero for MRR and nDCG.
 """
 
 from __future__ import annotations
@@ -56,15 +56,6 @@ class MetricReport:
     query_count: int
 
 
-def _check_run_queries(run: RunFile, qrels: Qrels, strict: bool) -> None:
-    unknown = [qid for qid in run.query_ids() if qid not in qrels]
-    if not unknown:
-        return
-    if strict:
-        raise QueryMissingFromQrels(f"run queries not judged: {unknown[:5]}")
-    logger.warning("skipping %d run queries with no judgments (e.g. %s)", len(unknown), unknown[0])
-
-
 def _report(spec: MetricSpec, per_query: dict[str, float]) -> MetricReport:
     aggregate = sum(per_query.values()) / len(per_query) if per_query else 0.0
     return MetricReport(
@@ -72,9 +63,8 @@ def _report(spec: MetricSpec, per_query: dict[str, float]) -> MetricReport:
     )
 
 
-def mrr_at_k(run: RunFile, qrels: Qrels, k: int, strict: bool = False) -> MetricReport:
+def mrr_at_k(run: RunFile, qrels: Qrels, k: int) -> MetricReport:
     """Reciprocal rank of the first relevant doc within the top k, else 0."""
-    _check_run_queries(run, qrels, strict)
     per_query: dict[str, float] = {}
     for qid in qrels.query_ids():
         relevant = qrels.relevant(qid)
@@ -87,9 +77,8 @@ def mrr_at_k(run: RunFile, qrels: Qrels, k: int, strict: bool = False) -> Metric
     return _report(MetricSpec("mrr", k), per_query)
 
 
-def recall_at_k(run: RunFile, qrels: Qrels, k: int, strict: bool = False) -> MetricReport:
+def recall_at_k(run: RunFile, qrels: Qrels, k: int) -> MetricReport:
     """Fraction of a query's relevant docs retrieved in the top k."""
-    _check_run_queries(run, qrels, strict)
     per_query: dict[str, float] = {}
     for qid in qrels.query_ids():
         relevant = qrels.relevant(qid)
@@ -101,9 +90,8 @@ def recall_at_k(run: RunFile, qrels: Qrels, k: int, strict: bool = False) -> Met
     return _report(MetricSpec("recall", k), per_query)
 
 
-def ndcg_at_k(run: RunFile, qrels: Qrels, k: int, strict: bool = False) -> MetricReport:
+def ndcg_at_k(run: RunFile, qrels: Qrels, k: int) -> MetricReport:
     """DCG with raw-grade gains against the ideal ordering of judged docs."""
-    _check_run_queries(run, qrels, strict)
     per_query: dict[str, float] = {}
     for qid in qrels.query_ids():
         grades = qrels.grades(qid)
@@ -137,7 +125,12 @@ def evaluate_run(
         raise ValueError("at least one metric spec is required")
     if not run.rankings:
         logger.warning("run is empty; all aggregates will be 0")
-    _check_run_queries(run, qrels, strict)
+    unknown = [qid for qid in run.query_ids() if qid not in qrels]
+    if unknown and strict:
+        raise QueryMissingFromQrels(f"run queries not judged: {unknown[:5]}")
+    if unknown:
+        logger.warning("skipping %d run queries with no judgments (e.g. %s)",
+                       len(unknown), unknown[0])
     judged = RunFile(run.tag, {qid: r for qid, r in run.rankings.items() if qid in qrels})
     return {str(spec): _METRIC_FNS[spec.name](judged, qrels, spec.k) for spec in specs}
 

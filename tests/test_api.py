@@ -1,11 +1,13 @@
-"""Every public module-level function of the package has a caller outside its own definition.
+"""Every public module-level function of the package has a caller outside its own definition,
+and every error type a user outside errors.py.
 
 A public function that only tests call is a side door: it has to be kept in
 step with the code it shadows without serving any of it. Public means defined
 at the top level of a module under src/latebench with a name that does not
 start with an underscore, whether or not the package exports it. The callers
 counted are the other modules under src/latebench and the bench scripts; the
-package's own export list is not a caller.
+package's own export list is not a caller. An error type that no other
+package module raises or catches is left behind by code that was deleted.
 """
 
 import ast
@@ -27,7 +29,7 @@ def _public_functions() -> list[str]:
     ]
 
 
-def _referenced_names() -> set[str]:
+def _referenced_names(sources: list[Path] = SOURCES) -> set[str]:
     """Names read, attributes taken and names imported, outside the body of a same-named def."""
     names = set()
 
@@ -43,7 +45,7 @@ def _referenced_names() -> set[str]:
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
-    for path in SOURCES:
+    for path in sources:
         visit(ast.parse(path.read_text(), filename=str(path)))
     return names
 
@@ -53,3 +55,12 @@ def test_every_exported_function_has_a_caller():
     assert "plaid.build_plaid" in functions and "bundle.read_bundle" in functions
     referenced = _referenced_names()
     assert [f for f in functions if f.split(".")[1] not in referenced] == []
+
+
+def test_every_error_type_is_used_outside_errors_py():
+    errors = ROOT / "src" / "latebench" / "errors.py"
+    classes = [node.name for node in ast.parse(errors.read_text(), filename=str(errors)).body
+               if isinstance(node, ast.ClassDef)]
+    assert "LatebenchError" in classes and "PayloadMismatch" in classes
+    referenced = _referenced_names([p for p in PACKAGE if p != errors])
+    assert [c for c in classes if c not in referenced] == []

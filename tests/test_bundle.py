@@ -20,7 +20,6 @@ from latebench.bundle import (
     load_ivf_index,
     load_plaid_index,
     read_bundle,
-    read_index_backend,
     save_ivf_index,
     save_plaid_index,
     write_bundle,
@@ -31,7 +30,6 @@ from latebench.errors import (
     EmptyCorpus,
     LatebenchError,
     MalformedLine,
-    OffsetOverlap,
     PayloadMismatch,
     TruncatedPayload,
     VersionMismatch,
@@ -64,7 +62,7 @@ def test_corrupt_magic_rejected():
 def test_version_mismatch_rejected():
     data = write_bundle(_random_corpus())
     with pytest.raises(VersionMismatch):
-        read_bundle(data.replace(b"v1\n", b"v9\n", 1))
+        read_bundle(data.replace(b"v2\n", b"v9\n", 1))
 
 
 def test_truncated_payload_rejected():
@@ -77,15 +75,6 @@ def test_trailing_junk_rejected():
     data = write_bundle(_random_corpus())
     with pytest.raises(TruncatedPayload):
         read_bundle(data + b"\x00\x00")
-
-
-def test_overlapping_offsets_rejected():
-    corpus = Corpus.build({"a": basis_matrix([0], dim=4), "b": basis_matrix([1], dim=4)})
-    data = write_bundle(corpus)
-    # second doc starts at 16; hand-edit it back to 8 so it overlaps doc one
-    broken = data.replace(b"doc b 1 16", b"doc b 1 8\x20", 1)
-    with pytest.raises((OffsetOverlap, TruncatedPayload)):
-        read_bundle(broken)
 
 
 def test_float32_roundtrip_bitwise():
@@ -123,7 +112,8 @@ def test_ivf_index_roundtrip(planted_small):
     corpus, queries, _ = planted_small
     index = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=2))
     data = save_ivf_index(index, meta=["command: build --backend ivf"])
-    assert read_index_backend(data) == "ivf"
+    with pytest.raises(MalformedLine, match="not a plaid index: the file holds backend 'ivf'"):
+        load_plaid_index(data, corpus)
     loaded = load_ivf_index(data, corpus)
     assert loaded.config == index.config
     assert np.array_equal(loaded.centroids, index.centroids)
@@ -247,13 +237,13 @@ def test_corpus_digest_is_pinned():
     # Index files pair with their corpus through this digest, so the bytes it
     # hashes must not change.
     assert corpus_digest(_random_corpus(seed=4, docs=4)) == (
-        "9e7f4cb5241b2862dc5dc56196382d82448dd0001f3cdc90850258555abd828e"
+        "d024ae7e955819fa433049d1e9b76d62cda5c101e6ec9a61048dae7383c67366"
     )
     assert corpus_digest(_random_corpus(seed=6, dtype="float16")) == (
-        "a36c6534e2cde641ee7b131fa4e26c19d4ae6b5e5a182a70a113cd008ce7a1fe"
+        "c0d14bda50f6c4f5e4e7a7425b03db4c5e883c2758eafbeb618b5890dcbecdf1"
     )
     assert corpus_digest(pool_corpus(_random_corpus(seed=7, docs=6), 3)) == (
-        "529390860cac62598a736e390da408f6529c6a49ebda1d85ba3a160f533e0438"
+        "ff9dd95ab5752980d24f5e1e6f17b9d3f1b4538c1ee2f35ca188b1c0c6fa4e55"
     )
 
 
@@ -360,6 +350,8 @@ def saved_indexes(planted_small):
                  id="doc-rows-missing"),
     pytest.param("plaid1", _regroup_rows(lambda rows: -1), MalformedLine,
                  id="doc-rows-negative"),
+    pytest.param("plaid1", _edit_header(r"^doc (\S+) \d+$", r"doc \1 " + "9" * 20),
+                 MalformedLine, id="doc-rows-overflow-int64"),
     pytest.param("plaid", _edit_header(r"^ncells \d+$", "ncells four"), MalformedLine,
                  id="ncells-not-integer"),
     pytest.param("ivf", _edit_header(r"^nlist \d+$", "nlist x"), MalformedLine,
@@ -413,6 +405,14 @@ def test_pooled_bundle_with_edited_C_is_malformed(planted_small):
         read_bundle(_edit_header(r"^C 3$", "C 2")(data))
 
 
+def test_unpooled_bundle_with_edited_C_is_malformed(planted_small):
+    corpus, _, _ = planted_small
+    data = write_bundle(corpus)
+    read_bundle(data)
+    with pytest.raises(MalformedLine, match="pooling=none requires C=0"):
+        read_bundle(_edit_header(r"^C 0$", "C 5")(data))
+
+
 def test_plaid_index_without_docs_is_an_empty_corpus(planted_small):
     corpus, _, _ = planted_small
     config = PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=1, seed=2)
@@ -436,9 +436,12 @@ def _payload_start(data):
     return data.index(b"\nend\n") + len(b"\nend\n")
 
 
-def test_index_files_are_v2_and_bundles_v1(saved_indexes, planted_small):
+def test_containers_are_v2_and_v1_files_are_refused(saved_indexes, planted_small):
     corpus, _, _ = planted_small
-    assert write_bundle(corpus).startswith(b"#LATEBENCH-BUNDLE v1\n")
+    data = write_bundle(corpus)
+    assert data.startswith(b"#LATEBENCH-BUNDLE v2\n")
+    with pytest.raises(VersionMismatch, match="regenerate the bundle"):
+        read_bundle(data.replace(b" v2\n", b" v1\n", 1))
     for name, data in saved_indexes.items():
         assert data.startswith(b"#LATEBENCH-INDEX v2\n"), name
         old = data.replace(b" v2\n", b" v1\n", 1)
@@ -452,6 +455,16 @@ def test_index_header_carries_the_payload_digest(saved_indexes):
         start = _payload_start(data)
         digest = hashlib.sha256(data[start:]).hexdigest()
         assert f"\npayload_sha256 {digest}\npayload {len(data) - start}\nend\n".encode() in data
+
+
+def test_bundle_payload_bit_flip_raises(planted_small):
+    data = write_bundle(planted_small[0])
+    start = _payload_start(data)
+    assert f"\npayload_sha256 {hashlib.sha256(data[start:]).hexdigest()}\n".encode() in data
+    for where in (start, len(data) - 1):
+        flipped = data[:where] + bytes([data[where] ^ 1]) + data[where + 1:]
+        with pytest.raises(PayloadMismatch):
+            read_bundle(flipped)
 
 
 @pytest.mark.parametrize("source", ["ivf", "plaid", "plaid1"])
@@ -498,9 +511,31 @@ def test_residual_levels_are_saved_packed(planted_small, bits):
 
 
 def test_corpus_digest_hashes_the_meta_free_bundle(planted_small):
+    # The header alone: its payload_sha256 line commits it to the vectors.
     for corpus in (_random_corpus(seed=4, docs=4), _random_corpus(seed=6, dtype="float16"),
                    pool_corpus(_random_corpus(seed=7, docs=6), 3), planted_small[0]):
-        assert corpus_digest(corpus) == hashlib.sha256(write_bundle(corpus)).hexdigest()
+        data = write_bundle(corpus)
+        assert corpus_digest(corpus) == hashlib.sha256(data[:_payload_start(data)]).hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["float32", "float16", "pooled"])
+def test_bundle_rewrite_is_bitwise(kind):
+    corpus = _random_corpus(seed=8, dtype="float16" if kind == "float16" else "float32")
+    data = write_bundle(pool_corpus(corpus, 3) if kind == "pooled" else corpus, meta=["x"])
+    assert write_bundle(read_bundle(data), meta=["x"]) == data
+
+
+def test_bundle_and_plaid_index_write_the_same_doc_lines(planted_small):
+    corpus, _, _ = planted_small
+    index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=2))
+
+    def doc_lines(data):
+        head = data[:_payload_start(data)].decode("ascii")
+        return [line for line in head.splitlines() if line.startswith("doc ")]
+
+    lines = doc_lines(write_bundle(corpus))
+    assert len(lines) == len(corpus) and lines == doc_lines(save_plaid_index(index))
+    assert not re.search(rb"^(dim|doc_count) ", write_bundle(corpus), re.M)
 
 
 def _corruptions(data, rng, count):
@@ -522,7 +557,7 @@ def _corruptions(data, rng, count):
 @pytest.mark.parametrize("container", ["bundle", "ivf", "plaid1"])
 def test_seeded_corruptions_raise_cleanly(planted_small, saved_indexes, container):
     # Every outcome is a LatebenchError or, for an edit of the header alone,
-    # a clean load; every payload flip of an index file raises.
+    # a clean load; every payload flip raises.
     corpus, _, _ = planted_small
     if container == "bundle":
         data, load = write_bundle(corpus, meta=["x"]), read_bundle
@@ -539,5 +574,5 @@ def test_seeded_corruptions_raise_cleanly(planted_small, saved_indexes, containe
         except LatebenchError:
             continue
         loaded[kind] = loaded.get(kind, 0) + 1
-        assert header_only or (kind == "payload-flip" and container == "bundle"), kind
-    assert "truncation" not in loaded and (container == "bundle") == ("payload-flip" in loaded)
+        assert header_only, kind
+    assert "truncation" not in loaded and "payload-flip" not in loaded

@@ -58,7 +58,7 @@ def test_search_and_evaluate_on_planted_data(workspace, capsys):
     assert lines[0].split("\t")[1] == "1.000000"  # planted guarantee
 
 
-def test_backends_disagree_flag_is_caught(workspace):
+def test_backends_disagree_flag_is_caught(workspace, capsys):
     code = main([
         "search", "--backend", "plaid",
         "--index", str(workspace / "ivf.lbi"),
@@ -66,6 +66,9 @@ def test_backends_disagree_flag_is_caught(workspace):
         "--k", "5", "--out", str(workspace / "bad.run"),
     ])
     assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("LATEBENCH-ERROR ") and "'ivf'" in err[0]
+    assert not (workspace / "bad.run").exists()
 
 
 def test_error_is_single_machine_parsable_line(workspace, capsys):

@@ -186,6 +186,7 @@ def test_corpus_counts_come_from_its_arrays():
     pytest.param(dict(dtype="bfloat16"), id="unknown-dtype"),
     pytest.param(dict(pooling="fixed", C=0), id="fixed-pooling-without-C"),
     pytest.param(dict(pooling="fixed", C=2), id="pooled-doc-rows-differ-from-C"),
+    pytest.param(dict(C=5), id="C-without-pooling"),
 ])
 def test_corpus_constructor_rejects_structural_faults(changes):
     with pytest.raises(ValueError):

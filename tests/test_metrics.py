@@ -128,7 +128,7 @@ def test_query_in_run_but_not_qrels_skipped_or_strict():
     qrels = Qrels.from_pairs([("q1", "dA", 1)])
     assert mrr_at_k(run, qrels, 10).aggregate == 1.0
     with pytest.raises(QueryMissingFromQrels):
-        mrr_at_k(run, qrels, 10, strict=True)
+        evaluate_run(run, qrels, (MetricSpec("mrr", 10),), strict=True)
 
 
 def test_evaluate_run_warns_once_about_unjudged_queries(caplog):
