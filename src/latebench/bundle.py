@@ -25,7 +25,8 @@ Layout::
     <raw arrays>
 
 A bundle holds one array, `vectors` (total rows, dim) in the stored dtype,
-whose rows the doc lines split into documents in order. The readers check
+whose rows the doc lines split into documents in order. Each reader refuses
+a header key outside its layout (MalformedLine with the line), and checks
 the payload against its length and `payload_sha256` before anything else
 reads it, so a flipped payload bit raises PayloadMismatch, and the index
 loaders check the corpus digest; the arrays themselves, and their fit with
@@ -119,7 +120,7 @@ def check_meta(entries: Iterable[str]) -> None:
 
 
 class _Header:
-    """Parsed header: ordered (key, fields) pairs plus the payload bytes."""
+    """Parsed header: ordered (line number, key, fields) records plus the payload bytes."""
 
     def __init__(self, data: bytes, magic: str):
         end = data.find(b"\nend\n")
@@ -139,12 +140,19 @@ class _Header:
         if len(first) != 2 or first[1] != VERSION:
             redo = "rebuild the index" if magic == INDEX_MAGIC else "regenerate the bundle"
             raise VersionMismatch(f"unsupported format version in {lines[0]!r} ({redo})")
-        self.records: list[tuple[str, list[str]]] = []
+        self.records: list[tuple[int, str, list[str]]] = []
         for line_no, line in enumerate(lines[1:], start=2):
             fields = line.split()
             if not fields:
                 raise MalformedLine(line_no, "blank header line")
-            self.records.append((fields[0], fields[1:]))
+            self.records.append((line_no, fields[0], fields[1:]))
+
+    def only(self, *keys: str) -> None:
+        """Refuse any line whose key is neither one of `keys` nor in every container."""
+        allowed = {"meta", "array", "payload_sha256", "payload", *keys}
+        for line_no, key, _ in self.records:
+            if key not in allowed:
+                raise MalformedLine(line_no, f"header key {key!r} is not in this layout")
 
     def value(self, key: str, kind: type = str):
         """The one value of the one `key` line, parsed as `kind`."""
@@ -157,7 +165,7 @@ class _Header:
             raise MalformedLine(0, f"{key} {found[0][0]!r} is not a {kind.__name__}") from None
 
     def many(self, key: str) -> list[list[str]]:
-        return [fields for k, fields in self.records if k == key]
+        return [fields for _, k, fields in self.records if k == key]
 
     def docs(self) -> tuple[tuple[str, ...], np.ndarray]:
         """(doc ids, row offsets) from the `doc <id> <rows>` lines; unique ids, rows >= 0."""
@@ -242,6 +250,7 @@ def write_bundle(corpus: Corpus, meta: Iterable[str] = ()) -> bytes:
 
 def read_bundle(data: bytes) -> Corpus:
     header = _checked_header(data, BUNDLE_MAGIC)
+    header.only("dtype", "pooling", "C", "doc")
     dtype = header.value("dtype")
     if dtype not in DTYPE_BYTES:
         raise MalformedLine(0, f"unknown dtype {dtype!r}")
@@ -265,13 +274,14 @@ def corpus_digest(corpus: Corpus) -> str:
     return hashlib.sha256(_bundle(corpus, ())[0]).hexdigest()
 
 
-def _index_header(data: bytes, backend: str) -> _Header:
-    """The checked header of a `backend` index."""
+def _index_header(data: bytes, backend: str, cls: type, *keys: str):
+    """(checked header, config) of a `backend` index, refusing keys outside its layout."""
     header = _checked_header(data, INDEX_MAGIC)
     stored = header.value("backend")
     if stored != backend:
         raise MalformedLine(0, f"not a {backend} index: the file holds backend {stored!r}")
-    return header
+    header.only("backend", "corpus_sha256", *(f.name for f in dataclasses.fields(cls)), *keys)
+    return header, header.config(cls)
 
 
 def _write_config(writer: _HeaderWriter, config) -> None:
@@ -292,10 +302,9 @@ def save_ivf_index(index: IvfIndex, meta: Iterable[str] = ()) -> bytes:
 
 
 def load_ivf_index(data: bytes, corpus: Corpus) -> IvfIndex:
-    header = _index_header(data, "ivf")
+    header, config = _index_header(data, "ivf", IvfConfig)
     if header.value("corpus_sha256") != corpus_digest(corpus):
         raise CorpusMismatch("index was built from a different corpus than the one supplied")
-    config = header.config(IvfConfig)
     arrays = header.arrays({
         "centroids": ("float32", (config.nlist, corpus.dim)),
         "assignments": ("int32", (None,)),
@@ -316,8 +325,9 @@ def save_plaid_index(index: PlaidIndex, meta: Iterable[str] = ()) -> bytes:
     cfg = index.config
     writer.line("backend", "plaid")
     _write_config(writer, cfg)
-    if index.corpus is not None:
-        writer.line("corpus_sha256", corpus_digest(index.corpus))
+    digest = corpus_digest(index.corpus) if index.corpus is not None else index.corpus_sha256
+    if digest is not None:
+        writer.line("corpus_sha256", digest)
     writer.meta(meta)
     writer.docs(index.doc_ids, index.row_offsets)
     arrays = [("centroids", index.centroids), ("codes", index.codes)]
@@ -329,11 +339,10 @@ def save_plaid_index(index: PlaidIndex, meta: Iterable[str] = ()) -> bytes:
 
 def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
     """Load a PLAID index; a supplied corpus must be the one it was built from."""
-    header = _index_header(data, "plaid")
-    config = header.config(PlaidConfig)
-    if corpus is not None and header.many("corpus_sha256"):
-        if header.value("corpus_sha256") != corpus_digest(corpus):
-            raise CorpusMismatch("index was built from a different corpus than the one supplied")
+    header, config = _index_header(data, "plaid", PlaidConfig, "doc")
+    digest = header.value("corpus_sha256") if header.many("corpus_sha256") else None
+    if corpus is not None and digest is not None and digest != corpus_digest(corpus):
+        raise CorpusMismatch("index was built from a different corpus than the one supplied")
     doc_ids, row_offsets = header.docs()
     total = int(row_offsets[-1])
     expected = {
@@ -354,6 +363,7 @@ def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
             residual_levels=arrays.get("residual_levels"),
             residual_scales=arrays.get("residual_scales"),
             corpus=corpus,
+            corpus_sha256=digest,
         )
     except ValueError as exc:
         raise MalformedLine(0, f"arrays do not describe a plaid index: {exc}") from None

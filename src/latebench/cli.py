@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import logging
 import os
 import shlex
@@ -35,7 +36,7 @@ from .metrics import (
     format_table,
     report_rows,
 )
-from .plaid import PlaidConfig, build_plaid, plaid_search
+from .plaid import PlaidConfig, PlaidIndex, build_plaid, plaid_search
 from .synthetic import SyntheticSpec, generate_synthetic
 from .trec import parse_qrels, parse_run, write_qrels, write_run
 
@@ -99,22 +100,58 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
 
+# Config fields whose flags are not named after them, as argparse dests: a
+# pair field takes two flags, and an empty tuple leaves the field unexposed.
+_FIELD_DESTS = {
+    "doc_count": ("docs",),
+    "tokens_per_doc": ("tokens_min", "tokens_max"),
+    "centroid_score_threshold": ("threshold",),
+    "max_retries": (),
+}
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, *configs: type) -> None:
+    """One flag per exposed field of the configs (shared ones once), typed and defaulted by it."""
+    fields = {f.name: f for config in configs for f in dataclasses.fields(config)}
+    for field in fields.values():
+        dests = _FIELD_DESTS.get(field.name, (field.name,))
+        defaults = field.default if len(dests) > 1 else (field.default,)
+        for dest, default in zip(dests, defaults):
+            parser.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
+
+
+def _config(cls: type, args: argparse.Namespace):
+    """`cls` from the parsed flags of its exposed fields; the others keep their defaults."""
+    values = {}
+    for field in dataclasses.fields(cls):
+        parsed = tuple(getattr(args, d) for d in _FIELD_DESTS.get(field.name, (field.name,)))
+        if parsed:
+            values[field.name] = parsed if len(parsed) > 1 else parsed[0]
+    return cls(**values)
+
+
+# The flags each search backend and diagnose mode cannot run without (argparse dests).
+_REQUIRED = {
+    "backend=exact": ("bundle",),
+    "backend=ivf": ("index", "bundle"),
+    "backend=plaid": ("index",),
+    "coverage mode": ("index",),
+    "grid mode": ("index", "queries", "qrels", "ncells", "threshold", "ndocs"),
+    "ablation mode": ("queries", "qrels"),
+    "agreement mode": ("run_a", "run_b", "qrels"),
+}
+
+
+def _require(args: argparse.Namespace, *uses: str) -> None:
+    """Refuse, before any file is read, a command missing a flag one of its `uses` needs."""
+    missing = [f"--{dest.replace('_', '-')}" for use in uses for dest in _REQUIRED[use]
+               if getattr(args, dest) is None]
+    if missing:
+        raise LatebenchError(f"{' with '.join(uses)} requires {' '.join(missing)}")
+
+
 def cmd_generate(args) -> int:
-    spec = SyntheticSpec(
-        doc_count=args.docs,
-        tokens_per_doc=(args.tokens_min, args.tokens_max),
-        dim=args.dim,
-        num_concepts=args.num_concepts,
-        queries=args.queries,
-        signal_tokens=args.signal_tokens,
-        filler_fraction=args.filler_fraction,
-        margin=args.margin,
-        seed=args.seed,
-        concepts_per_doc=args.concepts_per_doc,
-        doc_noise=args.doc_noise,
-        query_noise=args.query_noise,
-        filler_noise=args.filler_noise,
-    )
+    spec = _config(SyntheticSpec, args)
     header = _header_entries(args)
     bundle_io.check_meta(header)  # refuse a header it cannot write before generating
     corpus, queries, qrels = generate_synthetic(spec)
@@ -131,27 +168,12 @@ def cmd_generate(args) -> int:
 
 
 def cmd_build(args) -> int:
+    config = _config(IvfConfig if args.backend == "ivf" else PlaidConfig, args)
     corpus = _load_corpus(args.bundle)
     header = _header_entries(args)
     if args.backend == "ivf":
-        config = IvfConfig(
-            nlist=args.nlist,
-            nprobe=args.nprobe,
-            per_token_candidates=args.per_token_candidates,
-            kmeans_iters=args.kmeans_iters,
-            seed=args.seed,
-        )
         data = bundle_io.save_ivf_index(build_ivf(corpus, config), meta=header)
     else:
-        config = PlaidConfig(
-            num_centroids=args.num_centroids,
-            ncells=args.ncells,
-            centroid_score_threshold=args.threshold,
-            ndocs=args.ndocs,
-            residual_bits=args.residual_bits,
-            kmeans_iters=args.kmeans_iters,
-            seed=args.seed,
-        )
         index = build_plaid(corpus, config)
         data = bundle_io.save_plaid_index(index, meta=header)
         if index.storage is not None:
@@ -169,28 +191,26 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _load_plaid(args) -> PlaidIndex:
+    corpus = _load_corpus(args.bundle) if args.bundle else None
+    return bundle_io.load_plaid_index(Path(args.index).read_bytes(), corpus)
+
+
 def _make_searcher(args) -> partial:
     if args.backend == "exact":
-        if not args.bundle:
-            raise LatebenchError("backend=exact requires --bundle")
         return partial(exact_search, _load_corpus(args.bundle))
-    if not args.index:
-        raise LatebenchError(f"backend={args.backend} requires --index")
-    index_bytes = Path(args.index).read_bytes()
     if args.backend == "ivf":
-        if not args.bundle:
-            raise LatebenchError("backend=ivf requires --bundle for exact rescoring")
-        index = bundle_io.load_ivf_index(index_bytes, _load_corpus(args.bundle))
+        index = bundle_io.load_ivf_index(Path(args.index).read_bytes(), _load_corpus(args.bundle))
         return partial(ivf_search, index, nprobe=args.nprobe,
                        per_token_candidates=args.per_token_candidates)
-    corpus = _load_corpus(args.bundle) if args.bundle else None
-    index = bundle_io.load_plaid_index(index_bytes, corpus)
+    index = _load_plaid(args)
     ncells = int(args.ncells) if args.ncells is not None else None
     threshold = float(args.threshold) if args.threshold is not None else None
     return partial(plaid_search, index, ncells=ncells, threshold=threshold, ndocs=args.ndocs)
 
 
 def cmd_search(args) -> int:
+    _require(args, f"backend={args.backend}")
     queries = _load_queries(args.queries)
     search = _make_searcher(args)
     run = diagnostics.run_queries(search, queries, args.k, tag=args.tag)
@@ -212,30 +232,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    backend = [f"backend={args.backend}"] if args.mode == "ablation" else []
+    _require(args, f"{args.mode} mode", *backend)
     header = "".join(f"# {line}\n" for line in _header_entries(args))
     if args.mode == "coverage":
-        if not args.index:
-            raise LatebenchError("coverage mode requires --index")
-        index = bundle_io.load_plaid_index(
-            Path(args.index).read_bytes(),
-            _load_corpus(args.bundle) if args.bundle else None,
-        )
-        report = diagnostics.centroid_coverage(index, sample=args.sample, seed=args.seed)
+        report = diagnostics.centroid_coverage(_load_plaid(args), sample=args.sample,
+                                               seed=args.seed)
         table = report.rows()
     elif args.mode == "grid":
-        missing = [
-            flag
-            for flag, value in [("--index", args.index), ("--queries", args.queries),
-                                ("--qrels", args.qrels), ("--ncells", args.ncells),
-                                ("--threshold", args.threshold), ("--ndocs", args.ndocs)]
-            if value is None
-        ]
-        if missing:
-            raise LatebenchError(f"grid mode requires {' '.join(missing)}")
-        corpus = _load_corpus(args.bundle) if args.bundle else None
-        index = bundle_io.load_plaid_index(Path(args.index).read_bytes(), corpus)
         result = diagnostics.grid_search(
-            index,
+            _load_plaid(args),
             _load_queries(args.queries),
             parse_qrels(Path(args.qrels).read_text()),
             _parse_int_list(args.ncells),
@@ -268,14 +274,15 @@ def cmd_diagnose(args) -> int:
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
+    """Search-time flags; one left unset keeps the value the index was built with."""
     parser.add_argument("--index", help="index file produced by `latebench build`")
     parser.add_argument("--bundle", help="embedding bundle (corpus)")
-    parser.add_argument("--nprobe", type=int, default=None)
-    parser.add_argument("--per-token-candidates", type=int, default=None)
+    parser.add_argument("--nprobe", type=int)
+    parser.add_argument("--per-token-candidates", type=int)
     # str, not numeric: diagnose --mode grid reads these as comma lists
-    parser.add_argument("--ncells", default=None)
-    parser.add_argument("--threshold", default=None)
-    parser.add_argument("--ndocs", type=int, default=None)
+    parser.add_argument("--ncells")
+    parser.add_argument("--threshold")
+    parser.add_argument("--ndocs", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,20 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out-bundle", required=True)
     gen.add_argument("--out-queries", required=True)
     gen.add_argument("--out-qrels", required=True)
-    gen.add_argument("--docs", type=int, default=100)
-    gen.add_argument("--tokens-min", type=int, default=8)
-    gen.add_argument("--tokens-max", type=int, default=32)
-    gen.add_argument("--dim", type=int, default=128)
-    gen.add_argument("--num-concepts", type=int, default=16)
-    gen.add_argument("--queries", type=int, default=20)
-    gen.add_argument("--signal-tokens", type=int, default=8)
-    gen.add_argument("--filler-fraction", type=float, default=0.0)
-    gen.add_argument("--margin", type=float, default=0.05)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--concepts-per-doc", type=int, default=2)
-    gen.add_argument("--doc-noise", type=float, default=0.25)
-    gen.add_argument("--query-noise", type=float, default=0.1)
-    gen.add_argument("--filler-noise", type=float, default=0.35)
+    _add_config_flags(gen, SyntheticSpec)
     gen.add_argument("--pool-to", type=int, default=0,
                      help="pool documents to this fixed slot count (0 = off)")
     gen.add_argument("--dtype", choices=["float32", "float16"], default="float32")
@@ -313,16 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--backend", choices=["ivf", "plaid"], required=True)
     build.add_argument("--bundle", required=True)
     build.add_argument("--out", required=True)
-    build.add_argument("--nlist", type=int, default=64)
-    build.add_argument("--nprobe", type=int, default=8)
-    build.add_argument("--per-token-candidates", type=int, default=256)
-    build.add_argument("--num-centroids", type=int, default=256)
-    build.add_argument("--ncells", type=int, default=4)
-    build.add_argument("--threshold", type=float, default=0.4)
-    build.add_argument("--ndocs", type=int, default=4096)
-    build.add_argument("--residual-bits", type=int, choices=[0, 1, 2], default=0)
-    build.add_argument("--kmeans-iters", type=int, default=20)
-    build.add_argument("--seed", type=int, default=0)
+    _add_config_flags(build, IvfConfig, PlaidConfig)
     build.set_defaults(func=cmd_build)
 
     search = sub.add_parser("search", help="run queries against a backend")
@@ -344,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--out", required=True)
     evaluate.set_defaults(func=cmd_evaluate)
 
+    coverage = inspect.signature(diagnostics.centroid_coverage).parameters
     diagnose = sub.add_parser("diagnose", help="coverage / grid / ablation / agreement")
     diagnose.add_argument("--mode", choices=["coverage", "grid", "ablation", "agreement"],
                           required=True)
@@ -352,14 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.add_argument("--queries")
     diagnose.add_argument("--qrels")
     diagnose.add_argument("--k", type=int, default=100)
-    diagnose.add_argument("--sample", type=int, default=5000)
-    diagnose.add_argument("--seed", type=int, default=0)
+    diagnose.add_argument("--sample", type=int, default=coverage["sample"].default)
+    diagnose.add_argument("--seed", type=int, default=coverage["seed"].default)
     diagnose.add_argument("--lengths", default="10,20,40,60,80,100,121",
                           help="comma-separated truncation lengths")
     diagnose.add_argument("--run-a")
     diagnose.add_argument("--run-b")
     _add_backend_flags(diagnose)
-    # grid mode reads --ncells / --threshold as comma lists
     diagnose.set_defaults(func=cmd_diagnose)
     return parser
 

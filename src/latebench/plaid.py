@@ -244,6 +244,8 @@ class PlaidIndex:
     residual_levels: np.ndarray | None  # (total_vectors, packed_width(dim, bits)) uint8, packed
     residual_scales: np.ndarray | None  # (total_vectors,) float32
     corpus: Corpus | None
+    # The corpus digest read from its file; a re-save without `corpus` writes it back.
+    corpus_sha256: str | None = None
     inverted: Csr = field(init=False)  # per centroid, doc ordinals ascending
     unique_codes: Csr = field(init=False)  # per doc, sorted unique centroid ids
     store: Corpus = field(init=False, repr=False)  # the vectors stage 4 rescores

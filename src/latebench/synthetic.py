@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Corpus, TokenMatrix, exact_search, score_docs
+from .core import Corpus, TokenMatrix, exact_search
 from .errors import SpecInfeasible
 from .trec import Qrels
 
@@ -161,21 +161,15 @@ def _attempt(spec: SyntheticSpec, seed: int):
 
 
 def _verify_planted(corpus: Corpus, queries, qrels: Qrels, margin: float) -> bool:
-    # The canonical top 2 holds the best doc other than the target, and the
-    # target's own score is one more canonical call; both are the floats a
-    # full sweep would give, so the decision does not depend on the band.
-    ordinal = {doc_id: o for o, doc_id in enumerate(corpus.doc_ids)}
+    # The exact top 2 carries canonical scores, the floats a full sweep would
+    # give, so the decision does not depend on the band.
     for qid, query in queries.items():
         target = next(iter(qrels.relevant(qid)))
         top = exact_search(corpus, query, 2).hits
-        best_other = max((hit.score for hit in top if hit.doc_id != target), default=-np.inf)
-        target_score = (score_docs(corpus, query, [ordinal[target]])[0][1]
-                        if target in ordinal else None)
-        if target_score is None or target_score - best_other < margin:
-            logger.info(
-                "planted margin violated for %s: target %s vs best distractor gap %.4f",
-                qid, target, (target_score or 0.0) - best_other,
-            )
+        gap = top[0].score - top[1].score if len(top) > 1 else np.inf
+        if top[0].doc_id != target or gap < margin:
+            logger.info("planted margin violated for %s: target %s, top %s, gap %.4f",
+                        qid, target, top[0].doc_id, gap)
             return False
     return True
 

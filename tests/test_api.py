@@ -8,10 +8,15 @@ start with an underscore, whether or not the package exports it. The callers
 counted are the other modules under src/latebench and the bench scripts; the
 package's own export list is not a caller. An error type that no other
 package module raises or catches is left behind by code that was deleted.
+The CLI passes no literal default to a config field's flag, so it holds no
+second copy of a config default.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from latebench import IvfConfig, PlaidConfig, SyntheticSpec, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = [p for p in sorted((ROOT / "src" / "latebench").glob("*.py")) if p.name != "__init__.py"]
@@ -64,3 +69,23 @@ def test_every_error_type_is_used_outside_errors_py():
     assert "LatebenchError" in classes and "PayloadMismatch" in classes
     referenced = _referenced_names([p for p in PACKAGE if p != errors])
     assert [c for c in classes if c not in referenced] == []
+
+
+def _literal_config_defaults(source: str) -> list[str]:
+    """`add_argument` calls that pass a literal default= for a config field's flag."""
+    dests = {dest for fields in cli._FIELD_DESTS.values() for dest in fields}
+    dests |= {f.name for cls in (SyntheticSpec, IvfConfig, PlaidConfig)
+              for f in dataclasses.fields(cls)}
+    return [
+        ast.unparse(call) for call in ast.walk(ast.parse(source))
+        if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "add_argument"
+        and any(isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+                and arg.value.lstrip("-").replace("-", "_") in dests for arg in call.args)
+        and any(kw.arg == "default" and isinstance(kw.value, ast.Constant)
+                for kw in call.keywords)
+    ]
+
+
+def test_cli_copies_no_config_default():
+    assert _literal_config_defaults('p.add_argument("--tokens-min", type=int, default=8)')
+    assert _literal_config_defaults((ROOT / "src" / "latebench" / "cli.py").read_text()) == []

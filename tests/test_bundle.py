@@ -384,6 +384,25 @@ def test_index_loaders_reject_inconsistent_headers(planted_small, saved_indexes,
         load(corrupt(saved_indexes[source]), corpus)
 
 
+@pytest.mark.parametrize("container, after, extra", [
+    pytest.param("bundle", "C 0", "bogus 1 2 3", id="bundle-bogus"),
+    pytest.param("bundle", "C 0", "dim 99", id="bundle-v1-dim"),
+    pytest.param("plaid1", "ncells 4", "nlist 5", id="plaid-ivf-key"),
+    pytest.param("ivf", "nlist 16", "ncells 4", id="ivf-plaid-key"),
+])
+def test_header_keys_outside_the_layout_are_malformed(planted_small, saved_indexes, container,
+                                                      after, extra):
+    corpus, _, _ = planted_small
+    data = write_bundle(corpus) if container == "bundle" else saved_indexes[container]
+    load = {"bundle": read_bundle, "ivf": lambda d: load_ivf_index(d, corpus),
+            "plaid1": load_plaid_index}[container]
+    load(data)
+    line_no = data[:_payload_start(data)].decode().splitlines().index(after) + 2
+    edited = _edit_header(rf"^{after}$", f"{after}\n{extra}")(data)
+    with pytest.raises(MalformedLine, match=rf"^line {line_no}: header key '{extra.split()[0]}'"):
+        load(edited)
+
+
 def test_repeated_doc_ids_are_malformed_without_a_corpus(planted_small, saved_indexes):
     # Without a corpus to compare against, a repeated id would map two
     # ordinals to one decoded view.
@@ -494,17 +513,18 @@ def test_residual_levels_are_saved_packed(planted_small, bits):
     offset, nbytes = map(int, re.search(rb"^array residual_levels .* (\d+) (\d+)$", data,
                                         re.M).groups())
     saved = data[start + offset:start + offset + nbytes]
-    # Loaded without its corpus, an index saves without the corpus digest.
-    free = save_plaid_index(load_plaid_index(data))
-    assert free == _edit_header(r"^corpus_sha256 .*\n", "")(data)
-    for held, file in ((index, data), (load_plaid_index(data, corpus), data),
-                       (load_plaid_index(free), free)):
-        # The index holds the levels as saved, so the file round-trips bitwise.
+    for held in (index, load_plaid_index(data, corpus), load_plaid_index(data)):
+        # The index holds the levels as saved, so the file round-trips bitwise;
+        # loaded without its corpus, it keeps the corpus digest it was saved with.
         assert held.residual_levels.dtype == np.uint8
         assert held.residual_levels.shape == (rows, width)
         assert held.residual_levels.tobytes() == saved
         assert held.store.vectors.tobytes() == index.store.vectors.tobytes()
-        assert save_plaid_index(held) == file
+        assert save_plaid_index(held) == data
+    # So the re-saved file still refuses a corpus of the same ids and row counts.
+    other = Corpus(corpus.doc_ids, np.roll(corpus.vectors, 1, axis=0), corpus.offsets)
+    with pytest.raises(CorpusMismatch):
+        load_plaid_index(save_plaid_index(load_plaid_index(data)), other)
     # 1-bit levels where 2-bit ones are stored are half a vector too wide.
     with pytest.raises(MalformedLine, match="residual_levels"):
         load_plaid_index(_edit_header(r"^residual_bits \d$", f"residual_bits {3 - bits}")(data))

@@ -2,7 +2,7 @@ import shutil
 
 import pytest
 
-from latebench import cli
+from latebench import IvfConfig, PlaidConfig, SyntheticSpec, cli
 from latebench.cli import command_from_header, main
 
 
@@ -233,6 +233,62 @@ def test_grid_missing_flags_reported(workspace, capsys):
     ])
     assert code == 2
     assert "grid mode requires" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, missing", [
+    pytest.param(["search", "--backend", "exact"], "--bundle", id="search-exact"),
+    pytest.param(["search", "--backend", "ivf"], "--index --bundle", id="search-ivf"),
+    pytest.param(["search", "--backend", "plaid"], "--index", id="search-plaid"),
+    pytest.param(["diagnose", "--mode", "coverage"], "--index", id="coverage"),
+    pytest.param(["diagnose", "--mode", "grid"],
+                 "--index --queries --qrels --ncells --threshold --ndocs", id="grid"),
+    pytest.param(["diagnose", "--mode", "ablation", "--backend", "ivf"],
+                 "--queries --qrels --index --bundle", id="ablation"),
+    pytest.param(["diagnose", "--mode", "agreement"], "--run-a --run-b --qrels", id="agreement"),
+])
+def test_missing_required_flags_are_one_error_line(tmp_path, monkeypatch, capsys, argv, missing):
+    # search's --queries names no file: a check made after reading it would be an OSError.
+    monkeypatch.chdir(tmp_path)
+    queries = ["--queries", "queries.lbb"] if argv[0] == "search" else []
+    assert main([*argv, *queries, "--out", "never.out"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("LATEBENCH-ERROR LatebenchError: ")
+    assert err[0].endswith(f" requires {missing}")
+    assert "Traceback" not in captured.err and list(tmp_path.iterdir()) == []
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv, target, default", [
+    pytest.param(["generate", "--out-bundle", "c.lbb", "--out-queries", "q.lbb",
+                  "--out-qrels", "r.txt"], "generate_synthetic", SyntheticSpec(), id="generate"),
+    pytest.param(["build", "--backend", "ivf", "--bundle", "corpus.lbb", "--out", "x.lbi"],
+                 "build_ivf", IvfConfig(), id="build-ivf"),
+    pytest.param(["build", "--backend", "plaid", "--bundle", "corpus.lbb", "--out", "x.lbi"],
+                 "build_plaid", PlaidConfig(), id="build-plaid"),
+])
+def test_required_flags_alone_give_the_config_defaults(workspace, monkeypatch, argv, target,
+                                                       default):
+    def capture(*args):
+        raise _Captured(args[-1])
+
+    monkeypatch.chdir(workspace)
+    monkeypatch.setattr(cli, target, capture)
+    with pytest.raises(_Captured) as got:
+        main(argv)
+    assert got.value.args[0] == default
+
+
+def test_unsupported_residual_bits_reported_by_the_config(workspace, tmp_path, capsys):
+    out = tmp_path / "x.lbi"
+    assert main(["build", "--backend", "plaid", "--bundle", str(workspace / "corpus.lbb"),
+                 "--out", str(out), "--residual-bits", "3"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["LATEBENCH-ERROR UnsupportedBits: residual bits must be 0, 1 or 2, got 3"]
+    assert not out.exists()
 
 
 def test_unwritable_header_is_refused_before_generating(tmp_path, capsys, monkeypatch):
