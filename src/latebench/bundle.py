@@ -11,7 +11,7 @@ Layout::
 
     #LATEBENCH-BUNDLE v2               or #LATEBENCH-INDEX v2
     dtype <float32|float16>            (bundle)
-    pooling <none|fixed>               (bundle)
+    pooling <none|fixed>               (bundle; fixed exactly when C >= 1)
     C <rows per pooled doc, else 0>    (bundle)
     backend <ivf|plaid>                (index)
     <config key/value lines>           (index)
@@ -37,8 +37,8 @@ constructors. The containers only move arrays: a residual PLAID index's
 
 float32 bundles round-trip bitwise. float16 is a storage precision: values are
 widened exactly to float32 on read and re-narrow to identical bytes on write,
-but row norms can be off by ~1e-3 after the narrowing, so reads of float16
-bundles validate norms at a relaxed tolerance.
+but row norms can be off by ~1e-3 after the narrowing, so a read validates
+norms at its dtype's tolerance (`core.NORM_TOLERANCE`).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import DTYPE_BYTES, NORM_TOLERANCE, Corpus
+from .core import NORM_TOLERANCE, Corpus
 from .errors import (
     BadMagic,
     CorpusMismatch,
@@ -65,8 +65,6 @@ from .plaid import PlaidConfig, PlaidIndex
 BUNDLE_MAGIC = "#LATEBENCH-BUNDLE"
 INDEX_MAGIC = "#LATEBENCH-INDEX"
 VERSION = "v2"
-
-FLOAT16_NORM_TOLERANCE = 2e-3
 
 _NUMPY_DTYPES = {"float32": "<f4", "float16": "<f2", "int32": "<i4", "uint8": "<u1", "int64": "<i8"}
 _DTYPE_NAMES = {np.dtype(v): k for k, v in _NUMPY_DTYPES.items()}
@@ -120,7 +118,10 @@ def check_meta(entries: Iterable[str]) -> None:
 
 
 class _Header:
-    """Parsed header: ordered (line number, key, fields) records plus the payload bytes."""
+    """Parsed header: ordered (line number, key, fields) records plus the payload bytes.
+
+    A MalformedLine names the line it refuses, or line 0 for the header as a whole.
+    """
 
     def __init__(self, data: bytes, magic: str):
         end = data.find(b"\nend\n")
@@ -156,32 +157,31 @@ class _Header:
 
     def value(self, key: str, kind: type = str):
         """The one value of the one `key` line, parsed as `kind`."""
-        found = self.many(key)
-        if len(found) != 1 or len(found[0]) != 1:
-            raise MalformedLine(0, f"expected exactly one {key!r} header line with one value")
+        found = self.many(key) or [(0, [])]  # line 0: there is no such line
+        line_no, fields = found[min(len(found), 2) - 1]  # a repeat names its second line
+        if len(found) != 1 or len(fields) != 1:
+            raise MalformedLine(line_no, f"expected exactly one {key!r} header line with one value")
         try:
-            return kind(found[0][0])
+            return kind(fields[0])
         except ValueError:
-            raise MalformedLine(0, f"{key} {found[0][0]!r} is not a {kind.__name__}") from None
+            raise MalformedLine(line_no, f"{key} {fields[0]!r} is not a {kind.__name__}") from None
 
-    def many(self, key: str) -> list[list[str]]:
-        return [fields for _, k, fields in self.records if k == key]
+    def many(self, key: str) -> list[tuple[int, list[str]]]:
+        return [(line_no, fields) for line_no, k, fields in self.records if k == key]
 
     def docs(self) -> tuple[tuple[str, ...], np.ndarray]:
         """(doc ids, row offsets) from the `doc <id> <rows>` lines; unique ids, rows >= 0."""
-        docs = self.many("doc")
-        for fields in docs:
+        rows, total = {}, 0
+        for line_no, fields in self.many("doc"):
             if len(fields) != 2 or not fields[1].isdigit():
-                raise MalformedLine(0, f"doc line needs an id and an integer >= 0: {fields!r}")
-        doc_ids = tuple(doc_id for doc_id, _ in docs)
-        if len(set(doc_ids)) != len(doc_ids):
-            raise MalformedLine(0, "doc ids in the doc lines are not unique")
-        offsets = np.zeros(len(docs) + 1, dtype=np.int64)
-        try:
-            np.cumsum([int(rows) for _, rows in docs], out=offsets[1:])
-        except OverflowError:
-            raise MalformedLine(0, "doc rows overflow int64") from None
-        return doc_ids, offsets
+                raise MalformedLine(line_no, f"doc line needs an id and a count >= 0: {fields!r}")
+            if fields[0] in rows:
+                raise MalformedLine(line_no, f"doc id {fields[0]!r} is not unique")
+            rows[fields[0]] = int(fields[1])
+            total += rows[fields[0]]
+            if total >= 2**63:
+                raise MalformedLine(line_no, "doc rows overflow int64")
+        return tuple(rows), np.cumsum([0, *rows.values()], dtype=np.int64)
 
     def config(self, cls):
         """A config dataclass from one header line per field, typed like its default."""
@@ -197,19 +197,19 @@ class _Header:
         A None in an expected shape matches any length.
         """
         arrays = {}
-        for fields in self.many("array"):
+        for line_no, fields in self.many("array"):
             try:
                 name, dtype_name, ndim = fields[0], fields[1], int(fields[2])
                 *shape, offset, nbytes = (int(f) for f in fields[3:])
             except (IndexError, ValueError):
-                raise MalformedLine(0, f"short or non-integer array line {fields!r}") from None
+                raise MalformedLine(line_no, f"short or non-integer array {fields!r}") from None
             dtype, want = expected.get(name, (None, ()))
             if (dtype_name != dtype or name in arrays or not len(shape) == len(want) == ndim
                     or any(s < 0 or w not in (None, s) for w, s in zip(want, shape))):
-                raise MalformedLine(0, f"array line {fields!r} is not a {dtype} of shape {want}")
+                raise MalformedLine(line_no, f"array {fields!r} is not a {dtype} of shape {want}")
             item = np.dtype(_NUMPY_DTYPES[dtype])
             if offset < 0 or nbytes != math.prod(shape) * item.itemsize:
-                raise MalformedLine(0, f"array {name!r} declares {nbytes} bytes at {offset}")
+                raise MalformedLine(line_no, f"array {name!r} declares {nbytes} bytes at {offset}")
             if offset + nbytes > len(self.payload):
                 raise TruncatedPayload(f"array {name!r} extends past the payload")
             raw = np.frombuffer(self.payload, item, math.prod(shape), offset)
@@ -251,17 +251,19 @@ def write_bundle(corpus: Corpus, meta: Iterable[str] = ()) -> bytes:
 def read_bundle(data: bytes) -> Corpus:
     header = _checked_header(data, BUNDLE_MAGIC)
     header.only("dtype", "pooling", "C", "doc")
-    dtype = header.value("dtype")
-    if dtype not in DTYPE_BYTES:
-        raise MalformedLine(0, f"unknown dtype {dtype!r}")
+    dtype, pooling, C = header.value("dtype"), header.value("pooling"), header.value("C", int)
+    if dtype not in NORM_TOLERANCE:
+        raise MalformedLine(header.many("dtype")[0][0], f"unknown dtype {dtype!r}")
+    if pooling != ("fixed" if C >= 1 else "none"):
+        rule = {"none": "requires C=0", "fixed": "requires C >= 1"}.get(pooling, "is unknown")
+        raise MalformedLine(header.many("pooling")[0][0], f"pooling={pooling} {rule}, got C={C}")
     doc_ids, offsets = header.docs()
     vectors = header.arrays({"vectors": (dtype, (int(offsets[-1]), None))})["vectors"]
     try:
-        corpus = Corpus(doc_ids, vectors, offsets, dtype, header.value("pooling"),
-                        header.value("C", int))
+        corpus = Corpus(doc_ids, vectors, offsets, dtype, C)
     except ValueError as exc:
         raise MalformedLine(0, f"header does not describe the payload: {exc}") from None
-    corpus.validate(FLOAT16_NORM_TOLERANCE if dtype == "float16" else NORM_TOLERANCE)
+    corpus.validate()
     return corpus
 
 
@@ -279,7 +281,8 @@ def _index_header(data: bytes, backend: str, cls: type, *keys: str):
     header = _checked_header(data, INDEX_MAGIC)
     stored = header.value("backend")
     if stored != backend:
-        raise MalformedLine(0, f"not a {backend} index: the file holds backend {stored!r}")
+        raise MalformedLine(header.many("backend")[0][0],
+                            f"not a {backend} index: the file holds backend {stored!r}")
     header.only("backend", "corpus_sha256", *(f.name for f in dataclasses.fields(cls)), *keys)
     return header, header.config(cls)
 

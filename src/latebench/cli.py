@@ -2,9 +2,10 @@
 
 Five subcommands cover the full experimental loop: generate synthetic data,
 build an index, search, evaluate a run, and run a diagnostic. Every output
-file opens with a header that echoes the exact command line and every
-resolved parameter, so no run ever depends on an invisible default; the
-header alone suffices to reproduce the file. Outputs are written atomically
+file opens with a header that echoes the exact command line and the resolved
+value of each flag the command read (`_READS`; for `build`, the index's own
+config lines), so no run ever depends on an invisible default; the header
+alone suffices to reproduce the file. Outputs are written atomically
 (temp file + rename) and inputs are never mutated.
 
 Every command runs single-threaded.
@@ -56,19 +57,12 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def _resolved_params(args: argparse.Namespace) -> list[str]:
+def _header_entries(args: argparse.Namespace, reads: set[str] | None = None) -> list[str]:
+    """The command line, then `param <dest> <value>` per flag in `reads` (every flag when None)."""
     skip = {"func", "command_line", "verbose"}
-    lines = []
-    for key in sorted(vars(args)):
-        if key in skip:
-            continue
-        value = getattr(args, key)
-        lines.append(f"param {key} {value}")
-    return lines
-
-
-def _header_entries(args: argparse.Namespace) -> list[str]:
-    return [f"command: {shlex.join(args.command_line)}", *_resolved_params(args)]
+    params = [f"param {key} {getattr(args, key)}" for key in sorted(vars(args))
+              if key not in skip and (reads is None or key in reads)]
+    return [f"command: {shlex.join(args.command_line)}", *params]
 
 
 def command_from_header(path: Path) -> list[str]:
@@ -130,24 +124,35 @@ def _config(cls: type, args: argparse.Namespace):
     return cls(**values)
 
 
-# The flags each search backend and diagnose mode cannot run without (argparse dests).
-_REQUIRED = {
-    "backend=exact": ("bundle",),
-    "backend=ivf": ("index", "bundle"),
-    "backend=plaid": ("index",),
-    "coverage mode": ("index",),
-    "grid mode": ("index", "queries", "qrels", "ncells", "threshold", "ndocs"),
-    "ablation mode": ("queries", "qrels"),
-    "agreement mode": ("run_a", "run_b", "qrels"),
+# The flags (argparse dests) each use of `search` and `diagnose` reads, as
+# (required, optional). Its header echoes only these, and a command missing a
+# required one is refused before any file is read.
+_READS = {
+    "search": (("backend", "queries", "out"), ("k", "tag")),
+    "diagnose": (("mode", "out"), ()),
+    "backend=exact": (("bundle",), ()),
+    "backend=ivf": (("index", "bundle"), ("nprobe", "per_token_candidates")),
+    "backend=plaid": (("index",), ("bundle", "ncells", "threshold", "ndocs")),
+    "coverage mode": (("index",), ("bundle", "sample", "seed")),
+    "grid mode": (("index", "queries", "qrels", "ncells", "threshold", "ndocs"), ("bundle", "k")),
+    "ablation mode": (("queries", "qrels"), ("backend", "lengths", "k")),
+    "agreement mode": (("run_a", "run_b", "qrels"), ("k",)),
 }
 
 
-def _require(args: argparse.Namespace, *uses: str) -> None:
-    """Refuse, before any file is read, a command missing a flag one of its `uses` needs."""
-    missing = [f"--{dest.replace('_', '-')}" for use in uses for dest in _REQUIRED[use]
+def _reads(args: argparse.Namespace) -> set[str]:
+    """The flags a search or diagnose command reads, once it has every required one."""
+    if args.subcommand == "search":
+        uses = ("search", f"backend={args.backend}")
+    else:
+        backend = (f"backend={args.backend}",) if args.mode == "ablation" else ()
+        uses = ("diagnose", f"{args.mode} mode", *backend)
+    missing = [(use, f"--{dest.replace('_', '-')}") for use in uses for dest in _READS[use][0]
                if getattr(args, dest) is None]
     if missing:
-        raise LatebenchError(f"{' with '.join(uses)} requires {' '.join(missing)}")
+        short = " with ".join(dict.fromkeys(use for use, _ in missing))
+        raise LatebenchError(f"{short} requires {' '.join(flag for _, flag in missing)}")
+    return {dest for use in uses for dests in _READS[use] for dest in dests}
 
 
 def cmd_generate(args) -> int:
@@ -157,8 +162,7 @@ def cmd_generate(args) -> int:
     corpus, queries, qrels = generate_synthetic(spec)
     if args.pool_to:
         corpus = pool_corpus(corpus, args.pool_to)
-    if args.dtype == "float16":
-        corpus = dataclasses.replace(corpus, dtype="float16")
+    corpus = dataclasses.replace(corpus, dtype=args.dtype)
     _atomic_write(Path(args.out_bundle), bundle_io.write_bundle(corpus, meta=header))
     query_corpus = Corpus.build(queries)
     _atomic_write(Path(args.out_queries), bundle_io.write_bundle(query_corpus, meta=header))
@@ -170,7 +174,7 @@ def cmd_generate(args) -> int:
 def cmd_build(args) -> int:
     config = _config(IvfConfig if args.backend == "ivf" else PlaidConfig, args)
     corpus = _load_corpus(args.bundle)
-    header = _header_entries(args)
+    header = _header_entries(args, reads=set())  # the config lines hold the parameters
     if args.backend == "ivf":
         data = bundle_io.save_ivf_index(build_ivf(corpus, config), meta=header)
     else:
@@ -210,11 +214,11 @@ def _make_searcher(args) -> partial:
 
 
 def cmd_search(args) -> int:
-    _require(args, f"backend={args.backend}")
+    reads = _reads(args)
     queries = _load_queries(args.queries)
     search = _make_searcher(args)
     run = diagnostics.run_queries(search, queries, args.k, tag=args.tag)
-    text = write_run(run, header=_header_entries(args))
+    text = write_run(run, header=_header_entries(args, reads))
     _atomic_write(Path(args.out), text.encode())
     return 0
 
@@ -232,9 +236,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    backend = [f"backend={args.backend}"] if args.mode == "ablation" else []
-    _require(args, f"{args.mode} mode", *backend)
-    header = "".join(f"# {line}\n" for line in _header_entries(args))
+    header = "".join(f"# {line}\n" for line in _header_entries(args, _reads(args)))
     if args.mode == "coverage":
         report = diagnostics.centroid_coverage(_load_plaid(args), sample=args.sample,
                                                seed=args.seed)

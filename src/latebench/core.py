@@ -48,8 +48,7 @@ that bands exact search, and IVF's ~358 candidates and PLAID's 256 survivors
 at filler 0.3; the ~118 documents IVF and PLAID keep at filler 0.0, where a
 band measured slower than the plain sweep, are scored canonically.
 Every document of the set is also scored canonically when no bound holds (a
-NaN or Inf anywhere, or a product that could overflow float32) and when one
-of them has no rows (the canonical kernel raises for it).
+NaN or Inf anywhere, or a product that could overflow float32).
 """
 
 from __future__ import annotations
@@ -69,10 +68,9 @@ from .errors import (
     NotNormalized,
 )
 
-NORM_TOLERANCE = 1e-4
-
-# Storage-only precision for bundles; in memory everything is float32.
-DTYPE_BYTES = {"float32": 4, "float16": 2}
+# How far a row's norm may be from 1, per storage dtype: narrowing a unit row
+# to float16 moves its norm by up to ~1e-3 (in memory everything is float32).
+NORM_TOLERANCE = {"float32": 1e-4, "float16": 2e-3}
 
 # Unit roundoffs of float32 and float64, and the float32 overflow threshold.
 _U32 = 2.0 ** -24
@@ -124,7 +122,7 @@ class TokenMatrix:
         return f"TokenMatrix(rows={self.rows}, dim={self.dim})"
 
 
-def validate_matrix(m: TokenMatrix, norm_tol: float = NORM_TOLERANCE) -> None:
+def validate_matrix(m: TokenMatrix, norm_tol: float = NORM_TOLERANCE["float32"]) -> None:
     """Check the TokenMatrix contract; raises, never mutates.
 
     Raises:
@@ -152,17 +150,16 @@ class Corpus:
     `vectors` is a read-only, C-contiguous float32 array of shape
     (total_vectors, dim) holding every document's rows in doc_ids order; doc i
     owns rows offsets[i]:offsets[i + 1]. `docs` maps each id to a TokenMatrix
-    view of its rows, so every consumer reads the same memory. `dtype` is the
-    storage precision a bundle writes; `pooling="fixed"` means every doc has
-    exactly C rows. Counts are read from the arrays, and `check_structure`
-    runs on every construction, `dataclasses.replace` included.
+    view of its rows (at least one), so every consumer reads the same memory.
+    `dtype` is the storage precision a bundle writes and sets `validate`'s norm
+    tolerance; C >= 1 means every doc has exactly C rows. Counts and `pooling`
+    are derived, and `check_structure` runs on every construction.
     """
 
     doc_ids: tuple[str, ...]
     vectors: np.ndarray = field(repr=False, compare=False)
     offsets: np.ndarray = field(repr=False, compare=False)  # (len(doc_ids) + 1,) int64
     dtype: str = "float32"
-    pooling: str = "none"
     C: int = 0
     docs: Mapping[str, TokenMatrix] = field(init=False)
 
@@ -183,12 +180,15 @@ class Corpus:
     def total_vectors(self) -> int:
         return len(self.vectors)
 
+    @property
+    def pooling(self) -> str:
+        return "fixed" if self.C >= 1 else "none"
+
     @classmethod
     def build(
         cls,
         docs: Mapping[str, TokenMatrix],
         dtype: str = "float32",
-        pooling: str = "none",
         C: int = 0,
     ) -> "Corpus":
         """Concatenate the docs, in mapping order, into one flat array."""
@@ -201,10 +201,10 @@ class Corpus:
         offsets = np.zeros(len(doc_ids) + 1, dtype=np.int64)
         np.cumsum([docs[d].rows for d in doc_ids], out=offsets[1:])
         vectors = np.concatenate([docs[d].data for d in doc_ids])
-        return cls(doc_ids, vectors, offsets, dtype, pooling, C)
+        return cls(doc_ids, vectors, offsets, dtype, C)
 
     def check_structure(self) -> None:
-        """Structural invariants (ids, offsets, dtype, pooling); matrix contents via validate()."""
+        """Structural invariants (ids, offsets, dtype, C); matrix contents via validate()."""
         if not self.doc_ids:
             raise EmptyCorpus("corpus has no documents")
         if len(set(self.doc_ids)) != len(self.doc_ids):
@@ -212,31 +212,26 @@ class Corpus:
         for doc_id in self.doc_ids:
             if not doc_id or doc_id.split() != [doc_id] or not doc_id.isascii():
                 raise ValueError(f"doc id {doc_id!r} is empty, contains whitespace or is not ASCII")
-        if self.dtype not in DTYPE_BYTES:
+        if self.dtype not in NORM_TOLERANCE:
             raise ValueError(f"unknown dtype {self.dtype!r}")
-        if self.pooling not in ("none", "fixed"):
-            raise ValueError(f"unknown pooling {self.pooling!r}")
-        if self.pooling == "fixed" and self.C < 1:
-            raise ValueError("pooling=fixed requires C >= 1")
-        if self.pooling != "fixed" and self.C != 0:
-            raise ValueError(f"pooling={self.pooling} requires C=0, got C={self.C}")
-        rows = np.diff(self.offsets)
+        if self.C < 0:
+            raise ValueError(f"C must be >= 0, got C={self.C}")
         if (self.offsets.shape != (len(self.doc_ids) + 1,) or self.offsets[0] != 0
-                or (rows < 0).any() or self.vectors.ndim != 2
-                or self.offsets[-1] != len(self.vectors)):
+                or self.vectors.ndim != 2 or self.offsets[-1] != len(self.vectors)):
             raise ValueError("row offsets do not split the (rows, dim) vectors into one run per doc")
-        if self.pooling == "fixed" and (rows != self.C).any():
-            ordinal = int(np.argmax(rows != self.C))
-            raise ValueError(
-                f"pooling=fixed but doc {self.doc_ids[ordinal]!r} has {rows[ordinal]} rows, "
-                f"expected C={self.C}"
-            )
+        rows = np.diff(self.offsets)
+        wrong = rows != self.C if self.C else rows < 1
+        if wrong.any():
+            ordinal = int(np.argmax(wrong))
+            expected = f"C={self.C}" if self.C else "at least 1"
+            raise ValueError(f"doc {self.doc_ids[ordinal]!r} has {rows[ordinal]} rows, "
+                             f"expected {expected}")
 
-    def validate(self, norm_tol: float = NORM_TOLERANCE) -> None:
-        """Per-document matrix contents; the structure was checked at construction."""
+    def validate(self) -> None:
+        """Per-document contents at this dtype's norm tolerance; the structure is checked."""
         for doc_id in self.doc_ids:
             try:
-                validate_matrix(self.docs[doc_id], norm_tol=norm_tol)
+                validate_matrix(self.docs[doc_id], norm_tol=NORM_TOLERANCE[self.dtype])
             except (EmptyMatrix, NonFinite, NotNormalized) as exc:
                 exc.args = (f"doc {doc_id!r}: {exc}",)
                 raise
@@ -251,8 +246,6 @@ class Corpus:
         The squares are summed in float32, so the store is never copied; the
         (1 + 2*dim*u) factor covers that sum's rounding and the square root's.
         """
-        if not self.total_vectors:
-            return 0.0
         squares = np.einsum("ij,ij->i", self.vectors, self.vectors)
         return math.sqrt(float(squares.max())) * (1 + 2 * self.dim * _U32)
 
@@ -344,7 +337,7 @@ def batched_scores(
     every doc in corpus order, in place, when `ordinals` is None. Each score is
     within eps of the doc's maxsim_score (see the module docstring). eps is Inf
     when no bound holds: a NaN or Inf in either input, or a dot product that
-    could overflow float32. Every scored doc must have at least one row.
+    could overflow float32.
     """
     vectors, starts = corpus.vectors, corpus.offsets[:-1]
     if ordinals is not None:
@@ -376,14 +369,14 @@ def top_k(
     `score_docs(store, ...)`, only the band within 2*eps of the k-th batched
     score. `store` defaults to `corpus`; a PlaidIndex passes itself, so its
     rows are read through its `doc_matrix`. Every ordinal is scored
-    canonically when there are fewer than 2*k of them, when eps is not finite
-    or when one of them has no rows.
+    canonically when there are fewer than 2*k of them or when eps is not
+    finite.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_dim(corpus, query)
     band = np.arange(len(corpus)) if ordinals is None else ordinals
-    if len(band) >= 2 * k and np.diff(corpus.offsets)[band].all():
+    if len(band) >= 2 * k:
         approx, eps = batched_scores(corpus, query, ordinals)
         if math.isfinite(eps):
             kth = np.partition(approx, -k)[-k]
@@ -404,11 +397,12 @@ def pool_fixed(doc: TokenMatrix, C: int) -> TokenMatrix:
     model: rows are split into C contiguous chunks as evenly as possible (the
     first rows % C chunks get one extra row), each chunk is averaged and
     renormalized. Documents shorter than C are extended by cycling their rows
-    before pooling. Single-row chunks pass through bit-exactly.
+    before pooling. Single-row chunks pass through bit-exactly. A matrix has
+    no dtype, so its norms are checked at the loosest dtype's tolerance.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
-    validate_matrix(doc)
+    validate_matrix(doc, norm_tol=max(NORM_TOLERANCE.values()))
     data = doc.data
     if doc.rows < C:
         reps = -(-C // doc.rows)
@@ -435,7 +429,8 @@ def pool_fixed(doc: TokenMatrix, C: int) -> TokenMatrix:
 
 
 def pool_corpus(corpus: Corpus, C: int) -> Corpus:
-    """Apply pool_fixed to every document, producing a pooling=fixed corpus."""
+    """pool_fixed on every document, checked first at the corpus's own dtype tolerance."""
+    corpus.validate()
     pooled = {doc_id: pool_fixed(corpus.docs[doc_id], C) for doc_id in corpus.doc_ids}
-    return Corpus.build(pooled, dtype=corpus.dtype, pooling="fixed", C=C)
+    return Corpus.build(pooled, dtype=corpus.dtype, C=C)
 

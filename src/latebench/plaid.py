@@ -385,8 +385,7 @@ def approx_scores(index: PlaidIndex, dots: np.ndarray, ordinals: np.ndarray) -> 
 
     One gather of dot columns, one segmented max, one float64 sum along the
     contiguous axis; see the module docstring for why this is bit-identical
-    to summing each doc on its own. Every ordinal must have a code:
-    reduceat gives an empty segment the next segment's first value.
+    to summing each doc on its own.
     """
     columns, starts = index.unique_codes.gather(ordinals)
     best = np.maximum.reduceat(dots[:, columns], starts, axis=1)

@@ -30,6 +30,7 @@ from latebench.errors import (
     EmptyCorpus,
     LatebenchError,
     MalformedLine,
+    NotNormalized,
     PayloadMismatch,
     TruncatedPayload,
     VersionMismatch,
@@ -97,6 +98,21 @@ def test_float16_roundtrip_stable_at_stored_precision():
     for doc_id in corpus.doc_ids:
         narrowed = corpus.docs[doc_id].data.astype(np.float16).astype(np.float32)
         assert np.array_equal(loaded.docs[doc_id].data, narrowed)
+
+
+def test_float16_bundle_pools_at_its_own_tolerance(planted_small):
+    corpus, _, _ = planted_small
+    loaded = read_bundle(write_bundle(dataclasses.replace(corpus, dtype="float16")))
+    pooled = pool_corpus(loaded, 4)
+    assert (pooled.dtype, pooled.pooling, pooled.C) == ("float16", "fixed", 4)
+    assert write_bundle(read_bundle(write_bundle(pooled))) == write_bundle(pooled)
+    # A row off by more than its dtype's tolerance is still refused.
+    for source, scale in ((loaded, 1.003), (corpus, 1.0005)):
+        vectors = source.vectors.copy()
+        vectors[16] *= scale
+        row = 16 - corpus.offsets[1]
+        with pytest.raises(NotNormalized, match=f"'{corpus.doc_ids[1]}': row {row} has norm 1.00"):
+            pool_corpus(dataclasses.replace(source, vectors=vectors), 4)
 
 
 def test_meta_lines_roundtrip():
@@ -400,6 +416,33 @@ def test_header_keys_outside_the_layout_are_malformed(planted_small, saved_index
     line_no = data[:_payload_start(data)].decode().splitlines().index(after) + 2
     edited = _edit_header(rf"^{after}$", f"{after}\n{extra}")(data)
     with pytest.raises(MalformedLine, match=rf"^line {line_no}: header key '{extra.split()[0]}'"):
+        load(edited)
+
+
+@pytest.mark.parametrize("source, pattern, repl, named", [
+    pytest.param("plaid", r"^ncells \d+$", "ncells four", r"ncells four", id="value-not-parsed"),
+    pytest.param("bundle", r"^C 0$", "C x", r"C x", id="bundle-value-not-parsed"),
+    pytest.param("ivf", r"^(nlist \d+)$", r"\1\n\1", r"nlist \d+", id="key-repeated"),
+    pytest.param("plaid1", r"^doc (\S+) \d+$", r"doc \1", r"doc \S+", id="doc-line-short"),
+    pytest.param("bundle", r"^doc (\S+)( .*)\ndoc \S+ ", r"doc \1\2\ndoc \1 ",
+                 r"doc d00000 .*", id="doc-id-repeated"),
+    pytest.param("plaid", r"^(array codes int32 1 \d+) \d+ \d+$", r"\1",
+                 r"array codes int32 1 \d+", id="array-line-short"),
+    pytest.param("plaid", r"^array codes int32", "array codes int16", r"array codes int16 .*",
+                 id="array-line-mismatched"),
+])
+def test_header_faults_name_their_line(planted_small, saved_indexes, source, pattern, repl,
+                                       named):
+    corpus, _, _ = planted_small
+    data = write_bundle(corpus) if source == "bundle" else saved_indexes[source]
+    load = {"bundle": read_bundle, "ivf": lambda d: load_ivf_index(d, corpus),
+            "plaid": lambda d: load_plaid_index(d, corpus), "plaid1": load_plaid_index}[source]
+    edited = _edit_header(pattern, repl)(data)
+    lines = edited[:_payload_start(edited)].decode().splitlines()
+    # The last line matching `named` is the refused one: a repeat names its second line.
+    line_no = max(i for i, line in enumerate(lines, start=1) if re.fullmatch(named, line))
+    assert line_no > 1
+    with pytest.raises(MalformedLine, match=rf"^line {line_no}: "):
         load(edited)
 
 

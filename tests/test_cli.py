@@ -1,3 +1,4 @@
+import dataclasses
 import shutil
 
 import pytest
@@ -114,6 +115,13 @@ def test_build_same_flags_byte_identical(workspace, tmp_path):
     assert out.read_bytes() == first
 
 
+def _param_names(path):
+    """The flag names of an output's `param` header lines."""
+    head = path.read_bytes().split(b"\nend\n")[0].decode("ascii", errors="ignore")
+    lines = (line.removeprefix("# ").removeprefix("meta ") for line in head.splitlines())
+    return sorted(line.split()[1] for line in lines if line.startswith("param "))
+
+
 def test_every_output_reproduces_from_its_header(workspace, tmp_path):
     run_path = workspace / "repro.run"
     assert main([
@@ -123,12 +131,43 @@ def test_every_output_reproduces_from_its_header(workspace, tmp_path):
         "--queries", str(workspace / "queries.lbb"),
         "--k", "10", "--out", str(run_path),
     ]) == 0
-    for path in (run_path, workspace / "ivf.lbi", workspace / "qrels.txt"):
+    coverage_path = workspace / "repro-coverage.tsv"
+    assert main([
+        "diagnose", "--mode", "coverage", "--backend", "exact",
+        "--index", str(workspace / "plaid.lbi"), "--bundle", str(workspace / "corpus.lbb"),
+        "--sample", "10", "--out", str(coverage_path),
+    ]) == 0
+    outputs = (run_path, coverage_path, workspace / "ivf.lbi", workspace / "plaid.lbi",
+               workspace / "qrels.txt")
+    for path in outputs:
         argv = command_from_header(path)
+        # search and diagnose echo the flags their backend or mode reads, build
+        # none (its index header holds the resolved config), the others all.
+        args = cli.build_parser().parse_args(argv)
+        if args.subcommand in ("search", "diagnose"):
+            echoed = cli._reads(args)
+        else:
+            echoed = set() if args.subcommand == "build" else set(vars(args)) - {"func", "verbose"}
+        assert _param_names(path) == sorted(echoed)
         saved = tmp_path / (path.name + ".orig")
         shutil.copy(path, saved)
         assert main(argv) == 0
         assert path.read_bytes() == saved.read_bytes()
+
+
+@pytest.mark.parametrize("backend, config", [("ivf", IvfConfig), ("plaid", PlaidConfig)])
+def test_index_headers_name_only_their_config_fields(workspace, tmp_path, backend, config):
+    # Each build is given the other backend's flags too.
+    out = tmp_path / "x.lbi"
+    assert main(["build", "--backend", backend, "--bundle", str(workspace / "corpus.lbb"),
+                 "--out", str(out), "--nlist", "16", "--nprobe", "3", "--num-centroids", "24",
+                 "--ncells", "9", "--ndocs", "50"]) == 0
+    head = out.read_bytes().split(b"\nend\n")[0].decode("ascii").splitlines()[1:]
+    named = {line.split()[2] if line.startswith("meta param ") else line.split()[0]
+             for line in head if not line.startswith("meta command: ")}
+    fields = {f.name for f in dataclasses.fields(config)}
+    layout = {"backend", "corpus_sha256", "doc", "array", "payload_sha256", "payload"}
+    assert fields <= named and named - fields <= layout
 
 
 def test_diagnose_grid_emits_15_rows(workspace):

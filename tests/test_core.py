@@ -177,20 +177,29 @@ def test_corpus_counts_come_from_its_arrays():
     assert [corpus.docs[d].rows for d in corpus.doc_ids] == [2, 3]
 
 
-@pytest.mark.parametrize("changes", [
-    pytest.param(dict(doc_ids=("a", "a")), id="repeated-id"),
-    pytest.param(dict(doc_ids=("a", "")), id="empty-id"),
-    pytest.param(dict(doc_ids=("a", "b c")), id="whitespace-id"),
-    pytest.param(dict(offsets=np.array([0, 5], dtype=np.int64)), id="offsets-wrong-length"),
-    pytest.param(dict(offsets=np.array([0, 2, 4], dtype=np.int64)), id="offsets-short-of-vectors"),
-    pytest.param(dict(dtype="bfloat16"), id="unknown-dtype"),
-    pytest.param(dict(pooling="fixed", C=0), id="fixed-pooling-without-C"),
-    pytest.param(dict(pooling="fixed", C=2), id="pooled-doc-rows-differ-from-C"),
-    pytest.param(dict(C=5), id="C-without-pooling"),
+@pytest.mark.parametrize("changes, message", [
+    pytest.param(dict(doc_ids=("a", "a")), "not unique", id="repeated-id"),
+    pytest.param(dict(doc_ids=("a", "")), "is empty", id="empty-id"),
+    pytest.param(dict(doc_ids=("a", "b c")), "whitespace", id="whitespace-id"),
+    pytest.param(dict(offsets=np.array([0, 5], dtype=np.int64)), "offsets",
+                 id="offsets-wrong-length"),
+    pytest.param(dict(offsets=np.array([0, 2, 4], dtype=np.int64)), "offsets",
+                 id="offsets-short-of-vectors"),
+    pytest.param(dict(dtype="bfloat16"), "unknown dtype", id="unknown-dtype"),
+    pytest.param(dict(C=-1), "C must be >= 0", id="negative-C"),
+    pytest.param(dict(C=2), "doc 'b' has 3 rows, expected C=2", id="pooled-doc-rows-differ-from-C"),
+    pytest.param(dict(doc_ids=("a", "b", "c"), offsets=np.array([0, 2, 2, 5], dtype=np.int64)),
+                 "doc 'b' has 0 rows", id="zero-row-doc"),
 ])
-def test_corpus_constructor_rejects_structural_faults(changes):
-    with pytest.raises(ValueError):
+def test_corpus_constructor_rejects_structural_faults(changes, message):
+    with pytest.raises(ValueError, match=message):
         Corpus(**_corpus_args(**changes))
+
+
+def test_pooling_is_read_from_C():
+    args = _corpus_args(vectors=random_unit_matrix(np.random.default_rng(9), 4, 4).data,
+                        offsets=np.array([0, 2, 4], dtype=np.int64))
+    assert [Corpus(**args, C=C).pooling for C in (0, 2)] == ["none", "fixed"]
 
 
 def test_replace_rechecks_the_structure():

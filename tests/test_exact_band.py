@@ -84,18 +84,6 @@ def test_k_covering_the_corpus_equals_the_full_sweep():
         assert exact_search(corpus, query, k) == _full_sweep(corpus, query, k)
 
 
-def test_zero_row_doc_raises_as_the_full_sweep_does():
-    rng = np.random.default_rng(23)
-    vectors = random_unit_matrix(rng, 6, 8).data
-    corpus = Corpus(("a", "b", "c", "d"), vectors, np.array([0, 2, 2, 4, 6], dtype=np.int64))
-    query = random_unit_matrix(rng, 3, 8)
-    with pytest.raises(Exception) as swept:
-        score_all(corpus, query)
-    for k in (1, 3, 4):
-        with pytest.raises(type(swept.value)):
-            exact_search(corpus, query, k)
-
-
 def test_nan_row_gives_the_full_sweep_list():
     rng = np.random.default_rng(24)
     corpus = _scaled_corpus(rng, 30, 8)
