@@ -3,13 +3,13 @@
 Bundles and indexes share one layout: a human-readable ASCII header
 terminated by an ``end`` line, then a contiguous little-endian payload of
 named arrays. The header is fully self-describing, so a hex dump plus the
-first kilobyte of text is enough to debug a broken file. Both containers are
-v2; a v1 bundle raises VersionMismatch and must be regenerated, a v1 index
-must be rebuilt.
+first kilobyte of text is enough to debug a broken file. Bundles are v2 and
+indexes v3; an older bundle raises VersionMismatch and must be regenerated,
+an older index must be rebuilt.
 
 Layout::
 
-    #LATEBENCH-BUNDLE v2               or #LATEBENCH-INDEX v2
+    #LATEBENCH-BUNDLE v2               or #LATEBENCH-INDEX v3
     dtype <float32|float16>            (bundle)
     pooling <none|fixed>               (bundle; fixed exactly when C >= 1)
     C <rows per pooled doc, else 0>    (bundle)
@@ -33,7 +33,8 @@ loaders check the corpus digest; the arrays themselves, and their fit with
 the doc lines and the corpus, are checked by the Corpus and index
 constructors. The containers only move arrays: a residual PLAID index's
 `residual_levels` are saved and loaded as the index holds them, packed by
-`plaid.pack_levels` into uint8 of shape (total_vectors, ceil(dim * bits / 8)).
+`plaid.pack_levels` into uint8 of shape (total_vectors, ceil(dim * bits / 8)),
+and so are its float32 `residual_quantiles` (`plaid.residual_quantiles`).
 
 float32 bundles round-trip bitwise. float16 is a storage precision: values are
 widened exactly to float32 on read and re-narrow to identical bytes on write,
@@ -57,6 +58,7 @@ from .errors import (
     MalformedLine,
     PayloadMismatch,
     TruncatedPayload,
+    UnsupportedBits,
     VersionMismatch,
 )
 from .ivf import IvfConfig, IvfIndex
@@ -64,7 +66,7 @@ from .plaid import PlaidConfig, PlaidIndex
 
 BUNDLE_MAGIC = "#LATEBENCH-BUNDLE"
 INDEX_MAGIC = "#LATEBENCH-INDEX"
-VERSION = "v2"
+VERSIONS = {BUNDLE_MAGIC: "v2", INDEX_MAGIC: "v3"}
 
 _NUMPY_DTYPES = {"float32": "<f4", "float16": "<f2", "int32": "<i4", "uint8": "<u1", "int64": "<i8"}
 _DTYPE_NAMES = {np.dtype(v): k for k, v in _NUMPY_DTYPES.items()}
@@ -72,7 +74,7 @@ _DTYPE_NAMES = {np.dtype(v): k for k, v in _NUMPY_DTYPES.items()}
 
 class _HeaderWriter:
     def __init__(self, magic: str):
-        self.lines = [f"{magic} {VERSION}"]
+        self.lines = [f"{magic} {VERSIONS[magic]}"]
 
     def line(self, *fields) -> None:
         text = " ".join(str(f) for f in fields)
@@ -138,7 +140,7 @@ class _Header:
         self.payload = data[end + len(b"\nend\n"):]
         lines = text.splitlines()
         first = lines[0].split()
-        if len(first) != 2 or first[1] != VERSION:
+        if len(first) != 2 or first[1] != VERSIONS[magic]:
             redo = "rebuild the index" if magic == INDEX_MAGIC else "regenerate the bundle"
             raise VersionMismatch(f"unsupported format version in {lines[0]!r} ({redo})")
         self.records: list[tuple[int, str, list[str]]] = []
@@ -184,12 +186,14 @@ class _Header:
         return tuple(rows), np.cumsum([0, *rows.values()], dtype=np.int64)
 
     def config(self, cls):
-        """A config dataclass from one header line per field, typed like its default."""
+        """A config from one header line per field, typed like its default; a value
+        the config refuses names the line of the field its message starts with."""
         fields = dataclasses.fields(cls)
         try:
             return cls(**{f.name: self.value(f.name, type(f.default)) for f in fields})
-        except ValueError as exc:
-            raise MalformedLine(0, f"invalid {cls.__name__}: {exc}") from None
+        except (ValueError, UnsupportedBits) as exc:
+            refused = self.many(str(exc).split()[0]) or [(0, [])]
+            raise MalformedLine(refused[0][0], f"invalid {cls.__name__}: {exc}") from None
 
     def arrays(self, expected: dict[str, tuple[str, tuple]]) -> dict[str, np.ndarray]:
         """Exactly the expected arrays, each checked against its (dtype, shape).
@@ -336,7 +340,7 @@ def save_plaid_index(index: PlaidIndex, meta: Iterable[str] = ()) -> bytes:
     arrays = [("centroids", index.centroids), ("codes", index.codes)]
     if cfg.residual_bits > 0:
         arrays.append(("residual_levels", index.residual_levels))
-        arrays.append(("residual_scales", index.residual_scales))
+        arrays.append(("residual_quantiles", index.residual_quantiles))
     return b"".join(writer.finish(arrays))
 
 
@@ -354,7 +358,7 @@ def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
     }
     if config.residual_bits > 0:
         expected["residual_levels"] = ("uint8", (total, None))
-        expected["residual_scales"] = ("float32", (total,))
+        expected["residual_quantiles"] = ("float32", (None,))
     arrays = header.arrays(expected)
     try:
         return PlaidIndex(
@@ -364,7 +368,7 @@ def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
             row_offsets=row_offsets,
             doc_ids=doc_ids,
             residual_levels=arrays.get("residual_levels"),
-            residual_scales=arrays.get("residual_scales"),
+            residual_quantiles=arrays.get("residual_quantiles"),
             corpus=corpus,
             corpus_sha256=digest,
         )

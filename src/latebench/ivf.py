@@ -120,7 +120,5 @@ def ivf_search(
     query_id: str = "",
 ) -> RankedList:
     """Probe, gather, then take the exact top k of the candidates with `core.top_k`."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     ordinals = _candidates(index, query, nprobe, per_token_candidates)
     return top_k(index.corpus, query, k, ordinals, query_id)

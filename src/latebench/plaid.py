@@ -21,10 +21,11 @@ survivor, when there are fewer than 2*k). The rescore reads each banded
 survivor through `doc_matrix`, a view of `store`: the source corpus without
 residuals, else a `Corpus` over one array every vector is decoded into once,
 at build or load, by `decode_residuals`, so `doc_matrix` never decodes or
-allocates. The codec (`encode_residuals`, `decode_residuals`) runs over whole
-arrays CODEC_BLOCK_ROWS rows at a time and gives each row the bits it would
-get on its own. The index holds the levels packed (`pack_levels`), as the
-saved file does, so no level can lie outside 2**bits.
+allocates. The codec is ColBERTv2's, with corpus-wide buckets
+(`residual_quantiles`); `encode_residuals` and `decode_residuals` run
+CODEC_BLOCK_ROWS rows at a time and give each row the bits it would get on
+its own. The index holds the levels packed (`pack_levels`), as the saved file
+does, so no level can lie outside 2**bits.
 
 A `PlaidIndex` checks its own arrays, and a given corpus against its doc ids
 and row counts: a mismatch raises ValueError or CorpusMismatch when the index
@@ -67,71 +68,72 @@ def _check_bits(bits: int) -> None:
         raise UnsupportedBits(f"residual bits must be 1 or 2, got {bits}")
 
 
-def quantize_residual(residuals: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric uniform quantization of (n, dim) residuals: (levels, scales).
+def _bits_of(quantiles: np.ndarray) -> int:
+    if len(quantiles) not in (3, 7):
+        raise UnsupportedBits(f"{len(quantiles)} residual quantiles are neither 1- nor 2-bit")
+    return {3: 1, 7: 2}[len(quantiles)]
 
-    Each row's scale is its max |component|. The 2**bits levels are evenly
-    spaced over [-scale, +scale] and each component maps to its nearest level.
-    The grid is a projection: quantizing a dequantized residual reproduces the
-    code exactly. An all-zero row gets scale 0 and level 0 everywhere.
+
+def residual_quantiles(
+    vectors: np.ndarray, centroids: np.ndarray, codes: np.ndarray, bits: int
+) -> np.ndarray:
+    """The (2**(bits+1) - 1,) float32 quantiles of every residual component.
+
+    Of the m components of vectors - centroids[codes], sorted ascending, entry
+    i - 1 is the one at floor(i * m / 2**(bits+1)): the odd positions are the
+    2**bits - 1 bucket cutoffs, the even ones the 2**bits bucket weights. The
+    sort runs in place in one float32 buffer.
     """
-    _check_bits(bits)
-    residuals = np.asarray(residuals, dtype=np.float32)
-    top = (1 << bits) - 1
-    scale = np.max(np.abs(residuals), axis=1, keepdims=True)
-    # The factor is computed in float64 and rounded to float32 before the
-    # product, as numpy does with a Python float factor for one vector.
-    factor = (top / (2.0 * np.where(scale > 0, scale, 1).astype(np.float64))).astype(np.float32)
-    levels = np.clip(np.rint((residuals + scale) * factor), 0, top).astype(np.uint8)
-    return levels, scale[:, 0]
-
-
-def dequantize_residual(levels: np.ndarray, scales: np.ndarray, bits: int) -> np.ndarray:
-    _check_bits(bits)
-    top = (1 << bits) - 1
-    scale = np.asarray(scales, dtype=np.float64)[:, None]
-    # Endpoint levels must dequantize to exactly +/- scale, or re-quantizing
-    # a dequantized residual would drift by an ulp.
-    values = scale * (2.0 * levels.astype(np.float64) - top) / top
-    return np.where(scale == 0.0, 0.0, values).astype(np.float32)
+    components = np.empty(vectors.shape, dtype=np.float32)
+    for lo in range(0, len(vectors), CODEC_BLOCK_ROWS):
+        rows = slice(lo, lo + CODEC_BLOCK_ROWS)
+        np.subtract(vectors[rows], centroids[codes[rows]], out=components[rows])
+    components = components.reshape(-1)
+    components.sort()
+    parts = 2 << bits
+    return components[np.arange(1, parts) * components.size // parts]
 
 
 def encode_residuals(
-    vectors: np.ndarray, centroids: np.ndarray, codes: np.ndarray, bits: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(packed levels, scales) of every row's residual from centroids[codes[row]]."""
-    vectors = np.asarray(vectors, dtype=np.float32)
-    centroids = np.asarray(centroids, dtype=np.float32)
+    vectors: np.ndarray, centroids: np.ndarray, codes: np.ndarray, quantiles: np.ndarray
+) -> np.ndarray:
+    """Packed levels of every row's residual from centroids[codes[row]].
+
+    A component's level is the count of cutoffs (quantiles[1::2]) at or below
+    it. So the weights (quantiles[0::2]) re-encode to their own levels when
+    the quantiles strictly increase; on a tie, a weight equal to the cutoff
+    above it re-encodes higher (all-zero residuals encode to the top level).
+    """
+    bits, cutoffs = _bits_of(quantiles), quantiles[1::2]
     packed = np.empty((len(vectors), packed_width(vectors.shape[1], bits)), dtype=np.uint8)
-    scales = np.empty(len(vectors), dtype=np.float32)
     for lo in range(0, len(vectors), CODEC_BLOCK_ROWS):
         rows = slice(lo, lo + CODEC_BLOCK_ROWS)
-        levels, scales[rows] = quantize_residual(vectors[rows] - centroids[codes[rows]], bits)
+        residuals = vectors[rows] - centroids[codes[rows]]
+        levels = np.zeros(residuals.shape, dtype=np.uint8)
+        for cutoff in cutoffs:
+            levels += residuals >= cutoff
         packed[rows] = pack_levels(levels, bits)
-    return packed, scales
+    return packed
 
 
 def decode_residuals(
-    packed: np.ndarray, scales: np.ndarray, centroids: np.ndarray, codes: np.ndarray, bits: int
+    packed: np.ndarray, quantiles: np.ndarray, centroids: np.ndarray, codes: np.ndarray
 ) -> np.ndarray:
-    """Every row rebuilt from its centroid and renormalized onto the unit sphere.
+    """Every row rebuilt as its centroid plus its levels' weights, renormalized.
 
-    `packed` holds each row's levels as `pack_levels` packs them. A zero-scale
-    row decodes to its centroid exactly.
+    `packed` holds each row's levels as `pack_levels` packs them; level j
+    decodes to the weight quantiles[2 * j].
     """
-    centroids = np.asarray(centroids, dtype=np.float32)
+    bits, weights = _bits_of(quantiles), quantiles[0::2].astype(np.float64)
     dim = centroids.shape[1]
     decoded = np.empty((len(packed), dim), dtype=np.float32)
     for lo in range(0, len(packed), CODEC_BLOCK_ROWS):
         rows = slice(lo, lo + CODEC_BLOCK_ROWS)
-        centroid = centroids[codes[rows]]
-        levels = unpack_levels(packed[rows], bits, dim)
-        vector = centroid.astype(np.float64) + dequantize_residual(levels, scales[rows], bits)
+        vector = centroids[codes[rows]] + weights[unpack_levels(packed[rows], bits, dim)]
         # One BLAS dot per row, (1, dim) @ (dim, 1): the same dot np.linalg.norm
         # takes of a single vector, so a row decodes to the same bits either way.
         norm = np.sqrt(np.matmul(vector[:, None, :], vector[:, :, None])[:, 0])
-        unit = (vector / norm).astype(np.float32)
-        decoded[rows] = np.where(scales[rows, None] == 0.0, centroid, unit)
+        decoded[rows] = vector / norm
     return decoded
 
 
@@ -181,8 +183,8 @@ def unpack_levels(packed: np.ndarray, bits: int, dim: int) -> np.ndarray:
 class StorageReport:
     """Bytes of one residual index: the raw vectors against the arrays it saves.
 
-    compressed_bytes is what `save_plaid_index` writes per vector (codes,
-    packed levels and scales); the centroids and the header come on top.
+    compressed_bytes is what `save_plaid_index` writes of the codes, packed
+    levels and quantiles; the centroids and the header come on top.
     """
 
     raw_float32_bytes: int
@@ -231,7 +233,7 @@ class PlaidConfig:
         if self.ndocs < 1:
             raise ValueError("ndocs must be >= 1")
         if self.residual_bits not in (0, 1, 2):
-            raise UnsupportedBits(f"residual bits must be 0, 1 or 2, got {self.residual_bits}")
+            raise UnsupportedBits(f"residual_bits must be 0, 1 or 2, got {self.residual_bits}")
 
 
 @dataclass(frozen=True)
@@ -242,7 +244,7 @@ class PlaidIndex:
     row_offsets: np.ndarray  # (doc_count + 1,) int64, doc boundaries
     doc_ids: tuple[str, ...]
     residual_levels: np.ndarray | None  # (total_vectors, packed_width(dim, bits)) uint8, packed
-    residual_scales: np.ndarray | None  # (total_vectors,) float32
+    residual_quantiles: np.ndarray | None  # (2**(bits+1) - 1,) float32, see residual_quantiles
     corpus: Corpus | None
     # The corpus digest read from its file; a re-save without `corpus` writes it back.
     corpus_sha256: str | None = None
@@ -265,15 +267,17 @@ class PlaidIndex:
             levels, width = self.residual_levels, packed_width(self.dim, bits)
             if levels.dtype != np.uint8 or levels.shape != (*rows, width):
                 raise ValueError(f"residual_levels must be uint8 of shape {(*rows, width)}")
-            if self.residual_scales.shape != rows:
-                raise ValueError(f"residual_scales must have shape {rows}")
+            quantiles, count = self.residual_quantiles, (2 << bits) - 1
+            if (quantiles.dtype != np.float32 or quantiles.shape != (count,)
+                    or not np.isfinite(quantiles).all() or (np.diff(quantiles) < 0).any()):
+                raise ValueError(f"residual_quantiles must be {count} sorted finite float32s")
         inverted, unique_codes = code_lists(self.codes, self.row_offsets, num_centroids)
         object.__setattr__(self, "inverted", inverted)
         object.__setattr__(self, "unique_codes", unique_codes)
         store = self.corpus
         if bits:
-            decoded = decode_residuals(self.residual_levels, self.residual_scales,
-                                       self.centroids, self.codes, bits)
+            decoded = decode_residuals(self.residual_levels, self.residual_quantiles,
+                                       self.centroids, self.codes)
             store = Corpus(self.doc_ids, decoded, self.row_offsets)
         object.__setattr__(self, "store", store)
         by_id = sorted(range(self.doc_count), key=self.doc_ids.__getitem__)
@@ -294,7 +298,7 @@ class PlaidIndex:
         if not self.config.residual_bits:
             return None
         rows, dim = len(self.codes), self.dim
-        saved = self.codes.nbytes + self.residual_levels.nbytes + self.residual_scales.nbytes
+        saved = self.codes.nbytes + self.residual_levels.nbytes + self.residual_quantiles.nbytes
         return StorageReport(rows * dim * 4, rows * dim * 2, saved)
 
     def doc_matrix(self, ordinal: int) -> TokenMatrix:
@@ -321,9 +325,10 @@ def build_plaid(
         raise ValueError("supplied centroids disagree with config.num_centroids")
     else:
         codes = kmeans.assign(vectors, centroids)
-    levels = scales = None
+    levels = quantiles = None
     if config.residual_bits > 0:
-        levels, scales = encode_residuals(vectors, centroids, codes, config.residual_bits)
+        quantiles = residual_quantiles(vectors, centroids, codes, config.residual_bits)
+        levels = encode_residuals(vectors, centroids, codes, quantiles)
     return PlaidIndex(
         config=config,
         centroids=centroids,
@@ -331,7 +336,7 @@ def build_plaid(
         row_offsets=corpus.offsets,
         doc_ids=corpus.doc_ids,
         residual_levels=levels,
-        residual_scales=scales,
+        residual_quantiles=quantiles,
         corpus=corpus,
     )
 
@@ -401,8 +406,6 @@ def plaid_search(
     ndocs: int | None = None,
     query_id: str = "",
 ) -> RankedList:
-    if k < 1:
-        raise ValueError("k must be >= 1")
     ndocs = index.config.ndocs if ndocs is None else ndocs
     if ndocs < k:
         raise NDocsTooSmall(f"ndocs={ndocs} is smaller than k={k}")

@@ -64,26 +64,27 @@ def argmax_assignment(vectors, centroids):
     return codes
 
 
-def quantize_roundtrip(vector, centroid, bits):
-    """Standalone symmetric uniform residual quantizer (encode + decode)."""
-    residual = np.asarray(vector, dtype=np.float64) - np.asarray(centroid, dtype=np.float64)
-    scale = float(np.max(np.abs(residual)))
-    levels = (1 << bits) - 1
-    if scale == 0.0:
-        decoded = np.asarray(centroid, dtype=np.float64)
-    else:
-        codes = np.rint((residual + scale) * levels / (2.0 * scale))
-        codes = np.clip(codes, 0, levels)
-        dequant = -scale + codes * 2.0 * scale / levels
-        decoded = np.asarray(centroid, dtype=np.float64) + dequant
+def quantize_roundtrip(vector, centroid, quantiles):
+    """Standalone bucket quantizer (encode + decode) of one vector.
+
+    Each component of the float32 residual goes to the bucket of the last
+    cutoff (quantiles[1::2]) at or below it, and comes back as that bucket's
+    weight (quantiles[0::2]); the float64 sum with the centroid is renormalized.
+    """
+    cutoffs, weights = quantiles[1::2].tolist(), quantiles[0::2].tolist()
+    residual = np.asarray(vector, dtype=np.float32) - np.asarray(centroid, dtype=np.float32)
+    decoded = np.asarray(centroid, dtype=np.float64).copy()
+    for c, value in enumerate(residual.tolist()):
+        decoded[c] += weights[sum(1 for cut in cutoffs if cut <= value)]
     norm = math.sqrt(float(np.dot(decoded, decoded)))
     return (decoded / norm).astype(np.float32)
 
 
 def compressed_size_bytes(total_vectors, dim, bits):
-    """Arithmetic size of the residual layout: centroid id + codes + scale."""
-    per_vector = 4 + math.ceil(dim * bits / 8) + 4
-    return total_vectors * per_vector
+    """Arithmetic size of the residual layout: centroid id + codes per vector, and the
+    2**(bits+1) - 1 float32 quantiles once."""
+    per_vector = 4 + math.ceil(dim * bits / 8)
+    return total_vectors * per_vector + 4 * (2 ** (bits + 1) - 1)
 
 
 def per_doc_centroid_scores(dots, codes, row_offsets):
@@ -139,39 +140,39 @@ def full_rescore(query, doc_vectors, doc_ids, ordinals, k):
     return rescored[:k]
 
 
-def loop_encode_rows(vectors, centroids, codes, bits):
-    """Residual levels and scales, one vector at a time.
+def loop_quantiles(vectors, centroids, codes, bits):
+    """Residual quantiles from one Python sort of every component, one row at a time.
 
-    Per vector: scale = max |vector - centroid| as a Python float, levels =
-    rint((residual + scale) * (top / (2 * scale))) in float32 clipped to
-    [0, top]; a zero residual keeps scale 0 and level 0.
+    Entry i - 1 is the component at floor(i * m / 2**(bits + 1)) of the m
+    components sorted ascending, each component computed in float32.
     """
-    top = (1 << bits) - 1
-    levels = np.zeros(vectors.shape, dtype=np.uint8)
-    scales = np.zeros(vectors.shape[0], dtype=np.float32)
+    components = []
     for i in range(vectors.shape[0]):
         residual = vectors[i].astype(np.float32) - centroids[codes[i]].astype(np.float32)
-        scale = float(np.max(np.abs(residual)))
-        if scale == 0.0:
-            continue
-        row = np.rint((residual + scale) * (top / (2.0 * scale)))
-        levels[i] = np.clip(row, 0, top).astype(np.uint8)
-        scales[i] = scale
-    return levels, scales
+        components.extend(residual.tolist())
+    components.sort()
+    parts = 2 ** (bits + 1)
+    picked = [components[i * len(components) // parts] for i in range(1, parts)]
+    return np.array(picked, dtype=np.float32)
 
 
-def loop_decode_rows(levels, scales, centroids, codes, bits):
-    """Decoded unit vectors, one at a time; a zero scale gives the centroid."""
-    top = (1 << bits) - 1
+def loop_encode_rows(vectors, centroids, codes, quantiles):
+    """Residual levels, one vector at a time: per component, the count of cutoffs
+    (quantiles[1::2]) at or below it, by a right-sided binary search."""
+    levels = np.zeros(vectors.shape, dtype=np.uint8)
+    for i in range(vectors.shape[0]):
+        residual = vectors[i].astype(np.float32) - centroids[codes[i]].astype(np.float32)
+        levels[i] = np.searchsorted(quantiles[1::2], residual, side="right")
+    return levels
+
+
+def loop_decode_rows(levels, quantiles, centroids, codes):
+    """Decoded unit vectors, one at a time: centroid plus each level's weight."""
+    weights = quantiles[0::2]
     out = np.empty(levels.shape, dtype=np.float32)
     for i in range(levels.shape[0]):
         centroid = centroids[codes[i]].astype(np.float32)
-        scale = float(scales[i])
-        if scale == 0.0:
-            out[i] = centroid
-            continue
-        values = (scale * (2.0 * levels[i].astype(np.float64) - top) / top).astype(np.float32)
-        vector = centroid.astype(np.float64) + values.astype(np.float64)
+        vector = centroid.astype(np.float64) + weights[levels[i]].astype(np.float64)
         out[i] = (vector / np.linalg.norm(vector)).astype(np.float32)
     return out
 

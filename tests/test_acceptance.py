@@ -111,6 +111,7 @@ def test_criterion_03_monotonicity_suite(bench, bench_plaid):
     nprobes = (1, 4, 16, 64, 128)
 
     # direct candidate-set subset assertions, every query
+    strict = {"ncells": 0, "threshold": 0}  # strict growth steps on signal prefixes
     for qid, query in queries.items():
         previous = set()
         for nprobe in nprobes:
@@ -126,6 +127,18 @@ def test_criterion_03_monotonicity_suite(bench, bench_plaid):
         mid = set(plaid_candidates(bench_plaid, query, ncells=8, threshold=0.4).candidates)
         tight = set(plaid_candidates(bench_plaid, query, ncells=8, threshold=0.5).candidates)
         assert tight <= mid <= loose, f"plaid candidates not nested across thresholds ({qid})"
+        # At filler 0.3 the sets above hold every doc, so they cannot fail;
+        # on the signal prefix the candidate sets are proper subsets.
+        signal = query.truncated(8)
+        for name, chain in (
+            ("ncells", [dict(ncells=n, threshold=0.0) for n in (1, 2, 4, 8, 16)]),
+            ("threshold", [dict(ncells=8, threshold=t) for t in (0.5, 0.3, 0.1, 0.0)]),
+        ):
+            sets = [set(plaid_candidates(bench_plaid, signal, **knobs).candidates)
+                    for knobs in chain]
+            assert all(a <= b for a, b in zip(sets, sets[1:])), f"{name} chain not nested ({qid})"
+            strict[name] += sum(a < b for a, b in zip(sets, sets[1:]))
+    assert strict["ncells"] > 0 and strict["threshold"] > 0, strict
 
     ivf_recalls = []
     for nprobe in nprobes:
@@ -156,7 +169,8 @@ def test_criterion_03_monotonicity_suite(bench, bench_plaid):
         threshold_recalls
     )
     _pass(3, f"recall@100 monotone: nprobe {ivf_recalls} | ncells {ncells_recalls} | "
-             f"threshold {threshold_recalls}; candidate subsets checked directly")
+             f"threshold {threshold_recalls}; candidate subsets checked directly, with "
+             f"{strict['ncells']} / {strict['threshold']} strict ncells / threshold steps")
 
 
 def test_criterion_04_saturation_plateau():
@@ -331,8 +345,9 @@ def test_criterion_09_residual_codec():
 
     report = residual.storage
     assert report.raw_float16_bytes == corpus.total_vectors * 128 * 2
-    per_vector = 4 + (128 * 2) // 8 + 4  # centroid id + packed levels + scale
-    assert report.compressed_bytes == corpus.total_vectors * per_vector
+    per_vector = 4 + (128 * 2) // 8  # centroid id + packed levels
+    quantiles = 7 * 4  # the 2-bit bucket cutoffs and weights, once
+    assert report.compressed_bytes == corpus.total_vectors * per_vector + quantiles
     assert report.ratio >= 6.0
 
     overlaps = []
@@ -341,7 +356,8 @@ def test_criterion_09_residual_codec():
         top_residual = set(plaid_search(residual, query, 10, query_id=qid).doc_ids())
         overlaps.append(len(top_plain & top_residual) / 10)
     mean_recall = float(np.mean(overlaps))
-    # first measurement: 0.950 on this corpus/seed; criterion floor is 0.9
+    # 0.950 with the per-vector max-scale codec, 0.940 with corpus-wide buckets;
+    # criterion floor is 0.9
     assert mean_recall >= 0.9, overlaps
     _pass(9, f"storage ratio {report.ratio:.2f} >= 6; residual top-10 recall "
              f"{mean_recall:.3f} >= 0.9 vs residual-off")

@@ -304,7 +304,7 @@ def test_indexes_hold_no_vector_copy(planted_small):
         flat = index.doc_matrix(0).data.base
         assert flat.shape == shape and not np.shares_memory(flat, corpus.vectors)
         levels = unpack_levels(index.residual_levels, 2, index.dim)
-        want = loop_decode_rows(levels, index.residual_scales, index.centroids, index.codes, 2)
+        want = loop_decode_rows(levels, index.residual_quantiles, index.centroids, index.codes)
         assert flat.tobytes() == want.tobytes()
         for ordinal in range(index.doc_count):
             matrix = index.doc_matrix(ordinal)
@@ -446,6 +446,28 @@ def test_header_faults_name_their_line(planted_small, saved_indexes, source, pat
         load(edited)
 
 
+@pytest.mark.parametrize("source, field, value", [
+    ("ivf", "nlist", "0"),
+    ("ivf", "nprobe", "17"),
+    ("ivf", "per_token_candidates", "0"),
+    ("plaid", "num_centroids", "0"),
+    ("plaid", "ncells", "33"),
+    ("plaid", "centroid_score_threshold", "1.5"),
+    ("plaid", "ndocs", "0"),
+    ("plaid1", "residual_bits", "3"),
+])
+def test_invalid_config_values_name_their_line(planted_small, saved_indexes, source, field,
+                                               value):
+    # One edited line per IvfConfig and PlaidConfig check.
+    corpus, _, _ = planted_small
+    load = load_ivf_index if source == "ivf" else load_plaid_index
+    edited = _edit_header(rf"^{field} \S+$", f"{field} {value}")(saved_indexes[source])
+    line_no = edited[:_payload_start(edited)].decode().splitlines().index(f"{field} {value}") + 1
+    assert line_no > 1
+    with pytest.raises(MalformedLine, match=rf"^line {line_no}: invalid \w+Config: {field} "):
+        load(edited, corpus)
+
+
 def test_repeated_doc_ids_are_malformed_without_a_corpus(planted_small, saved_indexes):
     # Without a corpus to compare against, a repeated id would map two
     # ordinals to one decoded view.
@@ -485,7 +507,6 @@ def test_plaid_index_without_docs_is_an_empty_corpus(planted_small):
         ("row_offsets", np.zeros(1, dtype=np.int64)),
         ("codes", index.codes[:0]),
         ("residual_levels", index.residual_levels[:0]),
-        ("residual_scales", index.residual_scales[:0]),
     ]:
         object.__setattr__(empty, name, value)
     data = save_plaid_index(empty)
@@ -498,18 +519,18 @@ def _payload_start(data):
     return data.index(b"\nend\n") + len(b"\nend\n")
 
 
-def test_containers_are_v2_and_v1_files_are_refused(saved_indexes, planted_small):
+def test_bundles_are_v2_indexes_v3_and_older_files_are_refused(saved_indexes, planted_small):
     corpus, _, _ = planted_small
     data = write_bundle(corpus)
     assert data.startswith(b"#LATEBENCH-BUNDLE v2\n")
     with pytest.raises(VersionMismatch, match="regenerate the bundle"):
         read_bundle(data.replace(b" v2\n", b" v1\n", 1))
     for name, data in saved_indexes.items():
-        assert data.startswith(b"#LATEBENCH-INDEX v2\n"), name
-        old = data.replace(b" v2\n", b" v1\n", 1)
+        assert data.startswith(b"#LATEBENCH-INDEX v3\n"), name
         load = load_ivf_index if name.startswith("ivf") else load_plaid_index
-        with pytest.raises(VersionMismatch, match="rebuild"):
-            load(old, corpus)
+        for old in (b" v2\n", b" v1\n"):
+            with pytest.raises(VersionMismatch, match=r"\(rebuild the index\)"):
+                load(data.replace(b" v3\n", old, 1), corpus)
 
 
 def test_index_header_carries_the_payload_digest(saved_indexes):

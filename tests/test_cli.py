@@ -1,5 +1,7 @@
 import dataclasses
+import shlex
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -326,7 +328,7 @@ def test_unsupported_residual_bits_reported_by_the_config(workspace, tmp_path, c
     assert main(["build", "--backend", "plaid", "--bundle", str(workspace / "corpus.lbb"),
                  "--out", str(out), "--residual-bits", "3"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == ["LATEBENCH-ERROR UnsupportedBits: residual bits must be 0, 1 or 2, got 3"]
+    assert err == ["LATEBENCH-ERROR UnsupportedBits: residual_bits must be 0, 1 or 2, got 3"]
     assert not out.exists()
 
 
@@ -412,3 +414,18 @@ def test_grid_ndocs_zero_reported_as_too_small(workspace, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["LATEBENCH-ERROR NDocsTooSmall: ndocs=0 is smaller than k=5"]
     assert not out.exists()
+
+
+def test_readme_walkthrough_commands_parse():
+    # A renamed or dropped flag fails here instead of silently breaking the docs.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI walkthrough", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("latebench ")]
+    assert {argv[1] for argv in commands} == {"generate", "build", "search", "evaluate",
+                                              "diagnose"}
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv[1:])
+        if args.subcommand in ("search", "diagnose"):
+            cli._reads(args)  # every flag the backend or mode requires is there

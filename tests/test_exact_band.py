@@ -270,8 +270,8 @@ def test_plaid_equals_the_full_per_survivor_rescore(rescore_data, bits):
     matrices = _doc_matrices(corpus)
     if bits:
         levels = unpack_levels(built.residual_levels, bits, built.dim)
-        decoded = loop_decode_rows(levels, built.residual_scales, built.centroids, built.codes,
-                                   bits)
+        decoded = loop_decode_rows(levels, built.residual_quantiles, built.centroids,
+                                   built.codes)
         bounds = corpus.offsets.tolist()
         matrices = [decoded[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     banded = 0
@@ -299,3 +299,16 @@ def test_backends_make_fewer_than_2k_canonical_calls_per_query(acceptance_data, 
         for query in queries.values():
             assert len(search(query)) == 100
         assert calls[0] / len(queries) < 2 * 100
+
+
+@pytest.mark.parametrize("backend", ["exact", "ivf", "plaid"])
+def test_k_below_one_is_refused_by_top_k(planted_small, backend):
+    corpus, queries, _ = planted_small
+    search = {
+        "exact": lambda q, k: exact_search(corpus, q, k),
+        "ivf": lambda q, k: ivf_search(build_ivf(corpus, IvfConfig(nlist=16, seed=2)), q, k),
+        "plaid": lambda q, k: plaid_search(
+            build_plaid(corpus, PlaidConfig(num_centroids=32, ndocs=80, seed=2)), q, k),
+    }[backend]
+    with pytest.raises(ValueError, match=r"^k must be >= 1$"):
+        search(next(iter(queries.values())), 0)
