@@ -28,13 +28,15 @@ A bundle holds one array, `vectors` (total rows, dim) in the stored dtype,
 whose rows the doc lines split into documents in order. Each reader refuses
 a header key outside its layout (MalformedLine with the line), and checks
 the payload against its length and `payload_sha256` before anything else
-reads it, so a flipped payload bit raises PayloadMismatch, and the index
-loaders check the corpus digest; the arrays themselves, and their fit with
-the doc lines and the corpus, are checked by the Corpus and index
-constructors. The containers only move arrays: a residual PLAID index's
-`residual_levels` are saved and loaded as the index holds them, packed by
-`plaid.pack_levels` into uint8 of shape (total_vectors, ceil(dim * bits / 8)),
-and so are its float32 `residual_quantiles` (`plaid.residual_quantiles`).
+reads it, so a flipped payload bit raises PayloadMismatch. Every index
+names the corpus it was built from by its `corpus_sha256` line
+(`corpus_digest`), and its loader checks a supplied corpus against it. The
+arrays themselves, and their fit with the doc lines and the corpus, are
+checked by the Corpus and index constructors. The containers only move
+arrays: a residual PLAID index's `residual_levels` are saved and loaded as
+the index holds them, packed by `plaid.pack_levels` into uint8 of shape
+(total_vectors, ceil(dim * bits / 8)), and so are its float32
+`residual_quantiles` (`plaid.residual_quantiles`).
 
 float32 bundles round-trip bitwise. float16 is a storage precision: values are
 widened exactly to float32 on read and re-narrow to identical bytes on write,
@@ -280,28 +282,35 @@ def corpus_digest(corpus: Corpus) -> str:
     return hashlib.sha256(_bundle(corpus, ())[0]).hexdigest()
 
 
-def _index_header(data: bytes, backend: str, cls: type, *keys: str):
-    """(checked header, config) of a `backend` index, refusing keys outside its layout."""
+def _index_writer(backend: str, config, corpus_sha256: str, meta: Iterable[str]) -> _HeaderWriter:
+    """An index header through its meta lines: the backend, one line per config
+    field, the digest of the corpus it was built from, then the meta entries."""
+    writer = _HeaderWriter(INDEX_MAGIC)
+    writer.line("backend", backend)
+    for f in dataclasses.fields(config):
+        writer.line(f.name, getattr(config, f.name))
+    writer.line("corpus_sha256", corpus_sha256)
+    writer.meta(meta)
+    return writer
+
+
+def _index_header(data: bytes, backend: str, cls: type, corpus: Corpus | None, *keys: str):
+    """(checked header, config, corpus digest) of a `backend` index; refuses keys
+    outside its layout, and a supplied corpus of another digest."""
     header = _checked_header(data, INDEX_MAGIC)
     stored = header.value("backend")
     if stored != backend:
         raise MalformedLine(header.many("backend")[0][0],
                             f"not a {backend} index: the file holds backend {stored!r}")
     header.only("backend", "corpus_sha256", *(f.name for f in dataclasses.fields(cls)), *keys)
-    return header, header.config(cls)
-
-
-def _write_config(writer: _HeaderWriter, config) -> None:
-    for f in dataclasses.fields(config):
-        writer.line(f.name, getattr(config, f.name))
+    config, digest = header.config(cls), header.value("corpus_sha256")
+    if corpus is not None and digest != corpus_digest(corpus):
+        raise CorpusMismatch("index was built from a different corpus than the one supplied")
+    return header, config, digest
 
 
 def save_ivf_index(index: IvfIndex, meta: Iterable[str] = ()) -> bytes:
-    writer = _HeaderWriter(INDEX_MAGIC)
-    writer.line("backend", "ivf")
-    _write_config(writer, index.config)
-    writer.line("corpus_sha256", corpus_digest(index.corpus))
-    writer.meta(meta)
+    writer = _index_writer("ivf", index.config, corpus_digest(index.corpus), meta)
     return b"".join(writer.finish([
         ("centroids", index.centroids),
         ("assignments", index.assignments),
@@ -309,33 +318,22 @@ def save_ivf_index(index: IvfIndex, meta: Iterable[str] = ()) -> bytes:
 
 
 def load_ivf_index(data: bytes, corpus: Corpus) -> IvfIndex:
-    header, config = _index_header(data, "ivf", IvfConfig)
-    if header.value("corpus_sha256") != corpus_digest(corpus):
-        raise CorpusMismatch("index was built from a different corpus than the one supplied")
+    header, config, _ = _index_header(data, "ivf", IvfConfig, corpus)
     arrays = header.arrays({
         "centroids": ("float32", (config.nlist, corpus.dim)),
         "assignments": ("int32", (None,)),
     })
-    assignments = arrays["assignments"]
-    if assignments.shape[0] != corpus.total_vectors:
-        raise CorpusMismatch("stored assignments do not match corpus vector count")
     try:
-        return IvfIndex(
-            config=config, centroids=arrays["centroids"], assignments=assignments, corpus=corpus
-        )
+        return IvfIndex(config=config, centroids=arrays["centroids"],
+                        assignments=arrays["assignments"], corpus=corpus)
     except ValueError as exc:
         raise MalformedLine(0, f"arrays do not describe an ivf index: {exc}") from None
 
 
 def save_plaid_index(index: PlaidIndex, meta: Iterable[str] = ()) -> bytes:
-    writer = _HeaderWriter(INDEX_MAGIC)
     cfg = index.config
-    writer.line("backend", "plaid")
-    _write_config(writer, cfg)
     digest = corpus_digest(index.corpus) if index.corpus is not None else index.corpus_sha256
-    if digest is not None:
-        writer.line("corpus_sha256", digest)
-    writer.meta(meta)
+    writer = _index_writer("plaid", cfg, digest, meta)
     writer.docs(index.doc_ids, index.row_offsets)
     arrays = [("centroids", index.centroids), ("codes", index.codes)]
     if cfg.residual_bits > 0:
@@ -346,10 +344,7 @@ def save_plaid_index(index: PlaidIndex, meta: Iterable[str] = ()) -> bytes:
 
 def load_plaid_index(data: bytes, corpus: Corpus | None = None) -> PlaidIndex:
     """Load a PLAID index; a supplied corpus must be the one it was built from."""
-    header, config = _index_header(data, "plaid", PlaidConfig, "doc")
-    digest = header.value("corpus_sha256") if header.many("corpus_sha256") else None
-    if corpus is not None and digest is not None and digest != corpus_digest(corpus):
-        raise CorpusMismatch("index was built from a different corpus than the one supplied")
+    header, config, digest = _index_header(data, "plaid", PlaidConfig, corpus, "doc")
     doc_ids, row_offsets = header.docs()
     total = int(row_offsets[-1])
     expected = {

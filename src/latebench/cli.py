@@ -5,8 +5,9 @@ build an index, search, evaluate a run, and run a diagnostic. Every output
 file opens with a header that echoes the exact command line and the resolved
 value of each flag the command read (`_READS`; for `build`, the index's own
 config lines), so no run ever depends on an invisible default; the header
-alone suffices to reproduce the file. Outputs are written atomically
-(temp file + rename) and inputs are never mutated.
+alone suffices to reproduce the file. `build`, `search` and `diagnose` refuse
+a flag they do not read before any file is read. Outputs are written
+atomically (temp file + rename) and inputs are never mutated.
 
 Every command runs single-threaded.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import logging
 import os
 import shlex
@@ -95,17 +95,20 @@ def _parse_float_list(text: str) -> list[float]:
 
 
 # Config fields whose flags are not named after them, as argparse dests: a
-# pair field takes two flags, and an empty tuple leaves the field unexposed.
+# pair field takes two flags.
 _FIELD_DESTS = {
     "doc_count": ("docs",),
     "tokens_per_doc": ("tokens_min", "tokens_max"),
     "centroid_score_threshold": ("threshold",),
-    "max_retries": (),
 }
 
 
+def _config_dests(cls: type) -> tuple[str, ...]:
+    return tuple(d for f in dataclasses.fields(cls) for d in _FIELD_DESTS.get(f.name, (f.name,)))
+
+
 def _add_config_flags(parser: argparse.ArgumentParser, *configs: type) -> None:
-    """One flag per exposed field of the configs (shared ones once), typed and defaulted by it."""
+    """One flag per field of the configs (shared ones once), typed and defaulted by it."""
     fields = {f.name: f for config in configs for f in dataclasses.fields(config)}
     for field in fields.values():
         dests = _FIELD_DESTS.get(field.name, (field.name,))
@@ -115,25 +118,27 @@ def _add_config_flags(parser: argparse.ArgumentParser, *configs: type) -> None:
 
 
 def _config(cls: type, args: argparse.Namespace):
-    """`cls` from the parsed flags of its exposed fields; the others keep their defaults."""
+    """`cls` from the parsed flags of its fields."""
     values = {}
     for field in dataclasses.fields(cls):
         parsed = tuple(getattr(args, d) for d in _FIELD_DESTS.get(field.name, (field.name,)))
-        if parsed:
-            values[field.name] = parsed if len(parsed) > 1 else parsed[0]
+        values[field.name] = parsed if len(parsed) > 1 else parsed[0]
     return cls(**values)
 
 
-# The flags (argparse dests) each use of `search` and `diagnose` reads, as
-# (required, optional). Its header echoes only these, and a command missing a
-# required one is refused before any file is read.
+# The flags (argparse dests) each use of `build`, `search` and `diagnose` reads,
+# as (required, optional). Lacking a required one or given another, a command
+# is refused before any file is read. Search and diagnose headers echo these.
 _READS = {
+    "build": (("backend", "bundle", "out"), ()),
+    "ivf config": ((), _config_dests(IvfConfig)),
+    "plaid config": ((), _config_dests(PlaidConfig)),
     "search": (("backend", "queries", "out"), ("k", "tag")),
     "diagnose": (("mode", "out"), ()),
     "backend=exact": (("bundle",), ()),
     "backend=ivf": (("index", "bundle"), ("nprobe", "per_token_candidates")),
     "backend=plaid": (("index",), ("bundle", "ncells", "threshold", "ndocs")),
-    "coverage mode": (("index",), ("bundle", "sample", "seed")),
+    "coverage mode": (("index",), ("bundle",)),
     "grid mode": (("index", "queries", "qrels", "ncells", "threshold", "ndocs"), ("bundle", "k")),
     "ablation mode": (("queries", "qrels"), ("backend", "lengths", "k")),
     "agreement mode": (("run_a", "run_b", "qrels"), ("k",)),
@@ -141,8 +146,11 @@ _READS = {
 
 
 def _reads(args: argparse.Namespace) -> set[str]:
-    """The flags a search or diagnose command reads, once it has every required one."""
-    if args.subcommand == "search":
+    """The flags a build, search or diagnose command reads, once it has every
+    required one and was given no other on its command line."""
+    if args.subcommand == "build":
+        uses = ("build", f"{args.backend} config")
+    elif args.subcommand == "search":
         uses = ("search", f"backend={args.backend}")
     else:
         backend = (f"backend={args.backend}",) if args.mode == "ablation" else ()
@@ -152,7 +160,14 @@ def _reads(args: argparse.Namespace) -> set[str]:
     if missing:
         short = " with ".join(dict.fromkeys(use for use, _ in missing))
         raise LatebenchError(f"{short} requires {' '.join(flag for _, flag in missing)}")
-    return {dest for use in uses for dests in _READS[use] for dest in dests}
+    reads = {dest for use in uses for dests in _READS[use] for dest in dests}
+    # With abbreviations off, each `--name` or `--name=value` token is one flag.
+    given = {token[2:].partition("=")[0].replace("-", "_")
+             for token in args.command_line if token.startswith("--")}
+    unread = [f"--{dest.replace('_', '-')}" for dest in sorted(given - reads - {"verbose"})]
+    if unread:
+        raise LatebenchError(f"{' with '.join(uses)} does not read {' '.join(unread)}")
+    return reads
 
 
 def cmd_generate(args) -> int:
@@ -172,6 +187,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_build(args) -> int:
+    _reads(args)  # refuse a flag of the other backend's config
     config = _config(IvfConfig if args.backend == "ivf" else PlaidConfig, args)
     corpus = _load_corpus(args.bundle)
     header = _header_entries(args, reads=set())  # the config lines hold the parameters
@@ -238,9 +254,7 @@ def cmd_evaluate(args) -> int:
 def cmd_diagnose(args) -> int:
     header = "".join(f"# {line}\n" for line in _header_entries(args, _reads(args)))
     if args.mode == "coverage":
-        report = diagnostics.centroid_coverage(_load_plaid(args), sample=args.sample,
-                                               seed=args.seed)
-        table = report.rows()
+        table = diagnostics.centroid_coverage(_load_plaid(args)).table()
     elif args.mode == "grid":
         result = diagnostics.grid_search(
             _load_plaid(args),
@@ -291,11 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latebench",
         description="Late-interaction retrieval bench: exact, IVF and PLAID-style backends.",
+        allow_abbrev=False,
     )
     parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # No abbreviated flags: `_reads` takes each `--name` token for the flag it names.
+    add_parser = partial(sub.add_parser, allow_abbrev=False)
 
-    gen = sub.add_parser("generate", help="generate a planted synthetic dataset")
+    gen = add_parser("generate", help="generate a planted synthetic dataset")
     gen.add_argument("--out-bundle", required=True)
     gen.add_argument("--out-queries", required=True)
     gen.add_argument("--out-qrels", required=True)
@@ -305,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--dtype", choices=["float32", "float16"], default="float32")
     gen.set_defaults(func=cmd_generate)
 
-    build = sub.add_parser("build", help="build an index from a bundle")
+    build = add_parser("build", help="build an index from a bundle")
     build.add_argument("--backend", choices=["ivf", "plaid"], required=True)
     build.add_argument("--bundle", required=True)
     build.add_argument("--out", required=True)
     _add_config_flags(build, IvfConfig, PlaidConfig)
     build.set_defaults(func=cmd_build)
 
-    search = sub.add_parser("search", help="run queries against a backend")
+    search = add_parser("search", help="run queries against a backend")
     search.add_argument("--backend", choices=["exact", "ivf", "plaid"], required=True)
     search.add_argument("--queries", required=True, help="queries bundle")
     search.add_argument("--k", type=int, default=100)
@@ -321,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flags(search)
     search.set_defaults(func=cmd_search)
 
-    evaluate = sub.add_parser("evaluate", help="score a run file against qrels")
+    evaluate = add_parser("evaluate", help="score a run file against qrels")
     evaluate.add_argument("--run", required=True)
     evaluate.add_argument("--qrels", required=True)
     evaluate.add_argument("--metric", action="append", default=[],
@@ -331,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--out", required=True)
     evaluate.set_defaults(func=cmd_evaluate)
 
-    coverage = inspect.signature(diagnostics.centroid_coverage).parameters
-    diagnose = sub.add_parser("diagnose", help="coverage / grid / ablation / agreement")
+    diagnose = add_parser("diagnose", help="coverage / grid / ablation / agreement")
     diagnose.add_argument("--mode", choices=["coverage", "grid", "ablation", "agreement"],
                           required=True)
     diagnose.add_argument("--out", required=True)
@@ -340,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     diagnose.add_argument("--queries")
     diagnose.add_argument("--qrels")
     diagnose.add_argument("--k", type=int, default=100)
-    diagnose.add_argument("--sample", type=int, default=coverage["sample"].default)
-    diagnose.add_argument("--seed", type=int, default=coverage["seed"].default)
     diagnose.add_argument("--lengths", default="10,20,40,60,80,100,121",
                           help="comma-separated truncation lengths")
     diagnose.add_argument("--run-a")

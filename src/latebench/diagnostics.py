@@ -2,14 +2,14 @@
 and backend agreement.
 
 Each driver is a pure orchestration of read-only searches plus the metric
-suite, and each has a tabular form whose columns mirror the corresponding
-experiment write-up (truncation rows carry MRR@10 / Recall@1000 / nDCG@10,
+suite, and each report has a tabular form, `table()`, whose columns mirror
+the corresponding experiment write-up (coverage rows carry every document of
+the index in ordinal order, truncation rows MRR@10 / Recall@1000 / nDCG@10,
 grid rows add the fixed ndocs, and so on).
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Mapping, Sequence
@@ -21,8 +21,6 @@ from .errors import EmptyLengths, NoSharedQueries
 from .metrics import DEFAULT_SPECS, evaluate_run
 from .plaid import PlaidIndex, plaid_search
 from .trec import Qrels, RunFile
-
-logger = logging.getLogger(__name__)
 
 
 def run_queries(
@@ -42,9 +40,8 @@ class CoverageReport:
     median_unique: float
     mean_rows: float
     coverage_fraction: float
-    sample_size: int
 
-    def rows(self) -> list[list[str]]:
+    def table(self) -> list[list[str]]:
         out = [["doc_id", "rows", "unique_centroids", "fraction"]]
         for doc_id, rows, unique in self.per_doc:
             out.append([doc_id, str(rows), str(unique), f"{unique / rows:.6f}"])
@@ -54,29 +51,18 @@ class CoverageReport:
         return out
 
 
-def centroid_coverage(index: PlaidIndex, sample: int = 5000, seed: int = 0) -> CoverageReport:
-    """Unique-centroid footprint over a seeded document sample."""
-    if sample < 1:
-        raise ValueError("sample must be >= 1")
-    if sample > index.doc_count:
-        logger.warning(
-            "coverage sample %d exceeds doc count %d; clamping", sample, index.doc_count
-        )
-        sample = index.doc_count
-    rng = np.random.default_rng(seed)
-    ordinals = np.sort(rng.choice(index.doc_count, size=sample, replace=False))
-    rows = np.diff(index.row_offsets)[ordinals]
-    uniques = np.diff(index.unique_codes.offsets)[ordinals]
-    ids = [index.doc_ids[o] for o in ordinals.tolist()]
+def centroid_coverage(index: PlaidIndex) -> CoverageReport:
+    """Unique-centroid footprint of every document, in ordinal order."""
+    rows = np.diff(index.row_offsets)
+    uniques = np.diff(index.unique_codes.offsets)
     mean_unique = float(np.mean(uniques))
     mean_rows = float(np.mean(rows))
     return CoverageReport(
-        per_doc=tuple(zip(ids, rows.tolist(), uniques.tolist())),
+        per_doc=tuple(zip(index.doc_ids, rows.tolist(), uniques.tolist())),
         mean_unique=mean_unique,
         median_unique=float(np.median(uniques)),
         mean_rows=mean_rows,
         coverage_fraction=mean_unique / mean_rows,
-        sample_size=sample,
     )
 
 

@@ -29,7 +29,8 @@ does, so no level can lie outside 2**bits.
 
 A `PlaidIndex` checks its own arrays, and a given corpus against its doc ids
 and row counts: a mismatch raises ValueError or CorpusMismatch when the index
-is made, never an IndexError at search time.
+is made, never an IndexError at search time. One made without its corpus
+needs residuals to rescore from and the corpus's digest (`corpus_sha256`).
 
 ndocs smaller than k is an error, never a silent clamp, and so are a
 search-time ncells below 1 and a threshold outside [-1, 1]. An ncells larger
@@ -246,7 +247,7 @@ class PlaidIndex:
     residual_levels: np.ndarray | None  # (total_vectors, packed_width(dim, bits)) uint8, packed
     residual_quantiles: np.ndarray | None  # (2**(bits+1) - 1,) float32, see residual_quantiles
     corpus: Corpus | None
-    # The corpus digest read from its file; a re-save without `corpus` writes it back.
+    # The corpus digest, read from its file; required without `corpus`, so a re-save names it.
     corpus_sha256: str | None = None
     inverted: Csr = field(init=False)  # per centroid, doc ordinals ascending
     unique_codes: Csr = field(init=False)  # per doc, sorted unique centroid ids
@@ -256,8 +257,9 @@ class PlaidIndex:
     def __post_init__(self):
         num_centroids, bits = self.config.num_centroids, self.config.residual_bits
         if self.corpus is None:
-            if not bits:
-                raise CorpusMismatch("a residual-free plaid index needs its corpus to rescore")
+            if not bits or self.corpus_sha256 is None:
+                raise CorpusMismatch("a plaid index without its corpus needs residuals to "
+                                     "rescore from and its corpus_sha256")
         elif self.doc_ids != self.corpus.doc_ids or not np.array_equal(
                 self.row_offsets, self.corpus.offsets):
             raise CorpusMismatch("index doc ids or row counts disagree with its corpus")

@@ -38,6 +38,8 @@ from .trec import Qrels
 logger = logging.getLogger(__name__)
 
 _RETRY_SEED_STRIDE = 9973
+# Redraws after the first attempt before an unmet margin raises SpecInfeasible.
+_RETRIES = 5
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ class SyntheticSpec:
     doc_noise: float = 0.25
     query_noise: float = 0.1
     filler_noise: float = 0.35
-    max_retries: int = 5
 
     def __post_init__(self):
         if self.doc_count < 1 or self.queries < 1:
@@ -180,10 +181,10 @@ def generate_synthetic(spec: SyntheticSpec):
     Raises SpecInfeasible when the margin cannot be met within the bounded
     retry budget or the spec is structurally impossible.
     """
-    for attempt in range(spec.max_retries + 1):
+    for attempt in range(_RETRIES + 1):
         corpus, queries, qrels = _attempt(spec, spec.seed + attempt * _RETRY_SEED_STRIDE)
         if _verify_planted(corpus, queries, qrels, spec.margin):
             return corpus, queries, qrels
     raise SpecInfeasible(
-        f"margin {spec.margin} unreachable after {spec.max_retries + 1} attempts"
+        f"margin {spec.margin} unreachable after {_RETRIES + 1} attempts"
     )

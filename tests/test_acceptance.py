@@ -205,8 +205,8 @@ def test_criterion_05_coverage_direction():
     pooled_index = build_plaid(
         pool_corpus(corpus, 32), config, centroids=unpooled_index.centroids
     )
-    cov_unpooled = centroid_coverage(unpooled_index, sample=150, seed=0)
-    cov_pooled = centroid_coverage(pooled_index, sample=150, seed=0)
+    cov_unpooled = centroid_coverage(unpooled_index)
+    cov_pooled = centroid_coverage(pooled_index)
     assert cov_pooled.mean_unique < cov_unpooled.mean_unique
 
     same = TokenMatrix(np.tile(basis_matrix([0], dim=32).data, (32, 1)))
@@ -215,7 +215,7 @@ def test_criterion_05_coverage_direction():
         Corpus.build({"same": same, "spread": spread}),
         PlaidConfig(num_centroids=32, ncells=4, ndocs=2, seed=0),
     )
-    report = centroid_coverage(fixture, sample=2, seed=0)
+    report = centroid_coverage(fixture)
     by_id = {doc_id: (rows, unique) for doc_id, rows, unique in report.per_doc}
     rows, unique = by_id["same"]
     assert unique == 1

@@ -346,9 +346,9 @@ def saved_indexes(planted_small):
     corpus, _, _ = planted_small
     ivf = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=2))
     plaid = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=2))
-    plaid1 = build_plaid(
-        corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=1, seed=2)
-    )
+    plaid1, plaid2 = (build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80,
+                                                      residual_bits=bits, seed=2))
+                      for bits in (1, 2))
     ivf16 = copy.copy(ivf)  # the constructor would refuse these assignments
     object.__setattr__(ivf16, "assignments", ivf.assignments + 16)
     return {
@@ -356,6 +356,7 @@ def saved_indexes(planted_small):
         "ivf+16": save_ivf_index(ivf16),
         "plaid": save_plaid_index(plaid),
         "plaid1": save_plaid_index(plaid1),
+        "plaid2": save_plaid_index(plaid2),
     }
 
 
@@ -466,6 +467,43 @@ def test_invalid_config_values_name_their_line(planted_small, saved_indexes, sou
     assert line_no > 1
     with pytest.raises(MalformedLine, match=rf"^line {line_no}: invalid \w+Config: {field} "):
         load(edited, corpus)
+
+
+def _shrink_assignments(data):
+    """A corruption that declares one assignment fewer than the payload holds."""
+    def fewer(match):
+        rows, offset, nbytes = map(int, match.groups())
+        return f"array assignments int32 1 {rows - 1} {offset} {nbytes - 4}"
+
+    end = data.index(b"\nend\n")
+    head, count = re.subn(r"^array assignments int32 1 (\d+) (\d+) (\d+)$", fewer,
+                          data[:end].decode("ascii"), flags=re.M)
+    assert count == 1
+    return head.encode("ascii") + data[end:]
+
+
+@pytest.mark.parametrize("source, corrupt, named", [
+    pytest.param("ivf", _edit_header(r"^corpus_sha256 .*\n", ""), "corpus_sha256",
+                 id="ivf-without-digest"),
+    pytest.param("plaid", _edit_header(r"^corpus_sha256 .*\n", ""), "corpus_sha256",
+                 id="plaid-without-digest"),
+    pytest.param("plaid2", _edit_header(r"^corpus_sha256 .*\n", ""), "corpus_sha256",
+                 id="plaid2-without-digest"),
+    pytest.param("ivf", _shrink_assignments, "assignments", id="assignments-one-row-short"),
+])
+def test_index_faults_are_malformed_lines_naming_their_part(planted_small, saved_indexes,
+                                                            source, corrupt, named):
+    corpus, _, _ = planted_small
+    # The corpus's ids and row counts with other vectors: a PLAID index without
+    # its digest once loaded with it and rescored from the wrong vectors.
+    rolled = Corpus(corpus.doc_ids, np.roll(corpus.vectors, 1, axis=0), corpus.offsets)
+    loads = {"ivf": [lambda d: load_ivf_index(d, corpus)],
+             "plaid": [lambda d: load_plaid_index(d, rolled)],
+             "plaid2": [lambda d: load_plaid_index(d, rolled), load_plaid_index]}[source]
+    edited = corrupt(saved_indexes[source])
+    for load in loads:
+        with pytest.raises(MalformedLine, match=named):
+            load(edited)
 
 
 def test_repeated_doc_ids_are_malformed_without_a_corpus(planted_small, saved_indexes):

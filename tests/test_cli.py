@@ -135,9 +135,9 @@ def test_every_output_reproduces_from_its_header(workspace, tmp_path):
     ]) == 0
     coverage_path = workspace / "repro-coverage.tsv"
     assert main([
-        "diagnose", "--mode", "coverage", "--backend", "exact",
+        "diagnose", "--mode", "coverage",
         "--index", str(workspace / "plaid.lbi"), "--bundle", str(workspace / "corpus.lbb"),
-        "--sample", "10", "--out", str(coverage_path),
+        "--out", str(coverage_path),
     ]) == 0
     outputs = (run_path, coverage_path, workspace / "ivf.lbi", workspace / "plaid.lbi",
                workspace / "qrels.txt")
@@ -147,6 +147,7 @@ def test_every_output_reproduces_from_its_header(workspace, tmp_path):
         # none (its index header holds the resolved config), the others all.
         args = cli.build_parser().parse_args(argv)
         if args.subcommand in ("search", "diagnose"):
+            args.command_line = argv
             echoed = cli._reads(args)
         else:
             echoed = set() if args.subcommand == "build" else set(vars(args)) - {"func", "verbose"}
@@ -159,17 +160,74 @@ def test_every_output_reproduces_from_its_header(workspace, tmp_path):
 
 @pytest.mark.parametrize("backend, config", [("ivf", IvfConfig), ("plaid", PlaidConfig)])
 def test_index_headers_name_only_their_config_fields(workspace, tmp_path, backend, config):
-    # Each build is given the other backend's flags too.
     out = tmp_path / "x.lbi"
+    flags = {"ivf": ["--nlist", "16", "--nprobe", "3"],
+             "plaid": ["--num-centroids", "24", "--ncells", "9", "--ndocs", "50"]}[backend]
     assert main(["build", "--backend", backend, "--bundle", str(workspace / "corpus.lbb"),
-                 "--out", str(out), "--nlist", "16", "--nprobe", "3", "--num-centroids", "24",
-                 "--ncells", "9", "--ndocs", "50"]) == 0
+                 "--out", str(out), *flags]) == 0
     head = out.read_bytes().split(b"\nend\n")[0].decode("ascii").splitlines()[1:]
     named = {line.split()[2] if line.startswith("meta param ") else line.split()[0]
              for line in head if not line.startswith("meta command: ")}
     fields = {f.name for f in dataclasses.fields(config)}
     layout = {"backend", "corpus_sha256", "doc", "array", "payload_sha256", "payload"}
     assert fields <= named and named - fields <= layout
+
+
+@pytest.mark.parametrize("argv, refused", [
+    pytest.param(["build", "--backend", "ivf", "--bundle", "c.lbb", "--out", "x.lbi",
+                  "--ncells", "999", "--residual-bits", "2"],
+                 "build with ivf config does not read --ncells --residual-bits", id="build-ivf"),
+    pytest.param(["build", "--backend", "plaid", "--bundle", "c.lbb", "--out", "x.lbi",
+                  "--nlist=16"], "build with plaid config does not read --nlist", id="build-plaid"),
+    pytest.param(["search", "--backend", "exact", "--bundle", "c.lbb", "--queries", "q.lbb",
+                  "--out", "x.run", "--nprobe", "3"],
+                 "search with backend=exact does not read --nprobe", id="search-exact"),
+    pytest.param(["search", "--backend", "ivf", "--index", "i.lbi", "--bundle", "c.lbb",
+                  "--queries", "q.lbb", "--out", "x.run", "--ndocs", "9"],
+                 "search with backend=ivf does not read --ndocs", id="search-ivf"),
+    pytest.param(["diagnose", "--mode", "coverage", "--index", "p.lbi", "--out", "c.tsv",
+                  "--k", "7", "--lengths", "1", "--run-a", "x"],
+                 "diagnose with coverage mode does not read --k --lengths --run-a",
+                 id="coverage"),
+    pytest.param(["diagnose", "--mode", "grid", "--index", "p.lbi", "--queries", "q.lbb",
+                  "--qrels", "r.txt", "--ncells", "4", "--threshold", "0.4", "--ndocs", "9",
+                  "--backend", "exact", "--out", "g.tsv"],
+                 "diagnose with grid mode does not read --backend", id="grid"),
+])
+def test_unread_flags_are_one_error_line(tmp_path, monkeypatch, capsys, argv, refused):
+    # None of the files exist: a check made after reading one would be an OSError.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"LATEBENCH-ERROR LatebenchError: {refused}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_abbreviated_flags_are_refused(capsys):
+    # An abbreviation would name a flag its token does not spell out.
+    with pytest.raises(SystemExit) as exited:
+        main(["search", "--backend", "exact", "--bundle", "c.lbb", "--queries", "q.lbb",
+              "--out", "x.run", "--nprob", "3"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --nprob 3" in capsys.readouterr().err
+
+
+def test_reads_table_names_every_flag_of_build_search_and_diagnose():
+    parser = cli.build_parser()
+    flags = {
+        argv[0]: set(vars(parser.parse_args(argv))) - {"subcommand", "func", "verbose"}
+        for argv in (["build", "--backend", "ivf", "--bundle", "c", "--out", "o"],
+                     ["search", "--backend", "exact", "--queries", "q", "--out", "o"],
+                     ["diagnose", "--mode", "coverage", "--out", "o"])
+    }
+    backends = {f"backend={b}" for b in ("exact", "ivf", "plaid")}
+    modes = {f"{m} mode" for m in ("coverage", "grid", "ablation", "agreement")}
+    uses = {"build": {"build", "ivf config", "plaid config"}, "search": {"search", *backends},
+            "diagnose": {"diagnose", *modes, *backends}}
+    assert set(cli._READS) == set().union(*uses.values())
+    for command, names in uses.items():
+        read = {dest for use in names for dests in cli._READS[use] for dest in dests}
+        assert read == flags[command], command
 
 
 def test_diagnose_grid_emits_15_rows(workspace):
@@ -193,7 +251,7 @@ def test_diagnose_coverage_and_ablation_and_agreement(workspace):
         "diagnose", "--mode", "coverage",
         "--index", str(workspace / "plaid.lbi"),
         "--bundle", str(workspace / "corpus.lbb"),
-        "--sample", "50", "--seed", "1", "--out", str(workspace / "cov.tsv"),
+        "--out", str(workspace / "cov.tsv"),
     ]) == 0
     assert main([
         "diagnose", "--mode", "ablation", "--backend", "exact",
@@ -427,5 +485,6 @@ def test_readme_walkthrough_commands_parse():
     parser = cli.build_parser()
     for argv in commands:
         args = parser.parse_args(argv[1:])
-        if args.subcommand in ("search", "diagnose"):
-            cli._reads(args)  # every flag the backend or mode requires is there
+        args.command_line = argv[1:]
+        if args.subcommand in ("build", "search", "diagnose"):
+            cli._reads(args)  # every flag it requires is there, and no flag it does not read

@@ -36,7 +36,7 @@ def _coverage_fixture_index():
 
 def test_identical_rows_doc_has_unique_one_and_fraction_3125():
     index = _coverage_fixture_index()
-    report = centroid_coverage(index, sample=2, seed=0)
+    report = centroid_coverage(index)
     by_id = {doc_id: (rows, unique) for doc_id, rows, unique in report.per_doc}
     rows, unique = by_id["same"]
     assert unique == 1
@@ -45,28 +45,22 @@ def test_identical_rows_doc_has_unique_one_and_fraction_3125():
 
 def test_distinct_cluster_doc_has_full_coverage():
     index = _coverage_fixture_index()
-    report = centroid_coverage(index, sample=2, seed=0)
+    report = centroid_coverage(index)
     by_id = {doc_id: (rows, unique) for doc_id, rows, unique in report.per_doc}
     rows, unique = by_id["spread"]
     assert unique == 32
     assert unique / rows == 1.0
 
 
-def test_coverage_mean_between_min_and_max_and_seed_stable():
+def test_coverage_reads_every_doc_in_order_and_warns_of_nothing(caplog):
     index = _coverage_fixture_index()
-    a = centroid_coverage(index, sample=2, seed=3)
-    b = centroid_coverage(index, sample=2, seed=3)
-    assert a == b
-    uniques = [unique for _, _, unique in a.per_doc]
-    assert min(uniques) <= a.mean_unique <= max(uniques)
-
-
-def test_coverage_sample_clamped_with_warning(caplog):
-    index = _coverage_fixture_index()
-    with caplog.at_level("WARNING"):
-        report = centroid_coverage(index, sample=5000, seed=0)
-    assert report.sample_size == 2
-    assert any("clamping" in message for message in caplog.messages)
+    with caplog.at_level("DEBUG"):
+        report = centroid_coverage(index)
+    assert not caplog.records
+    assert [doc_id for doc_id, _, _ in report.per_doc] == list(index.doc_ids)
+    assert report == centroid_coverage(index)
+    uniques = [unique for _, _, unique in report.per_doc]
+    assert min(uniques) <= report.mean_unique <= max(uniques)
 
 
 def test_pooled_coverage_strictly_below_unpooled():
@@ -76,8 +70,8 @@ def test_pooled_coverage_strictly_below_unpooled():
     config = PlaidConfig(num_centroids=128, ncells=4, ndocs=150, seed=2)
     unpooled = build_plaid(corpus, config)
     pooled = build_plaid(pool_corpus(corpus, 32), config, centroids=unpooled.centroids)
-    cov_unpooled = centroid_coverage(unpooled, sample=150, seed=0)
-    cov_pooled = centroid_coverage(pooled, sample=150, seed=0)
+    cov_unpooled = centroid_coverage(unpooled)
+    cov_pooled = centroid_coverage(pooled)
     assert cov_pooled.mean_unique < cov_unpooled.mean_unique
 
 

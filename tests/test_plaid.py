@@ -15,7 +15,7 @@ from latebench import (
     plaid_candidates,
     plaid_search,
 )
-from latebench.bundle import load_plaid_index, save_plaid_index
+from latebench.bundle import corpus_digest, load_plaid_index, save_plaid_index
 from latebench.core import batched_scores
 from latebench.errors import CorpusMismatch, NDocsTooSmall, UnknownDoc, UnsupportedBits
 from latebench.kmeans import probe
@@ -673,6 +673,17 @@ def test_residual_free_index_needs_its_corpus(planted_small):
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=2))
     with pytest.raises(CorpusMismatch):
         dataclasses.replace(index, corpus=None)
+
+
+def test_index_without_its_corpus_needs_its_digest(planted_small):
+    # Without either, a re-save could not name the corpus the index was built from.
+    corpus, _, _ = planted_small
+    config = PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=2, seed=2)
+    index = build_plaid(corpus, config)
+    with pytest.raises(CorpusMismatch, match="corpus_sha256"):
+        dataclasses.replace(index, corpus=None)
+    standalone = dataclasses.replace(index, corpus=None, corpus_sha256=corpus_digest(corpus))
+    assert save_plaid_index(standalone) == save_plaid_index(index)
 
 
 @pytest.mark.parametrize("bits", [0, 2])

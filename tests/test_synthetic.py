@@ -111,7 +111,7 @@ def test_too_many_concepts_for_dim_is_infeasible():
 
 def test_unreachable_margin_fails_loudly():
     spec = SyntheticSpec(doc_count=12, tokens_per_doc=(4, 8), dim=32, num_concepts=8,
-                         queries=4, signal_tokens=1, margin=5.0, seed=5, max_retries=1)
+                         queries=4, signal_tokens=1, margin=5.0, seed=5)
     with pytest.raises(SpecInfeasible):
         generate_synthetic(spec)
 
@@ -131,7 +131,7 @@ def test_spec_field_validation():
 
 def test_margin_check_decides_like_the_per_doc_loop(planted_small):
     unreachable = SyntheticSpec(doc_count=12, tokens_per_doc=(4, 8), dim=32, num_concepts=8,
-                                queries=4, signal_tokens=1, margin=5.0, seed=5, max_retries=1)
+                                queries=4, signal_tokens=1, margin=5.0, seed=5)
     unfilled = SyntheticSpec(doc_count=40, tokens_per_doc=(4, 12), dim=32, num_concepts=10,
                              queries=8, signal_tokens=4, seed=3)
     datasets = [_attempt(unreachable, unreachable.seed), _attempt(unfilled, unfilled.seed),
