@@ -39,12 +39,18 @@ than the centroid count means "probe everything" and is clamped.
 Stages 1-3 work on whole arrays. The (query rows x centroids) dot matrix is
 computed once per search. Each document's sorted unique centroid ids are
 stored as one CSR (`kmeans.Csr`: a flat int32 array plus int64 offsets), so stage 3
-is one gather of dot columns for all candidates, one `np.maximum.reduceat`
-over the candidates' segments, and one float64 row sum. Its scores are bit
-for bit those of the per-doc expression
+is a layered max: the dot matrix is transposed once to (centroids, query
+rows), and layer j takes, for every candidate at once, the row of its j-th
+centroid id, clamped to its last one, and maxes it into one (candidates,
+query rows) array; as many layers run as the widest candidate has ids. One
+float64 sum along each candidate's row follows. Its scores are bit for bit
+those of the per-doc expression
 `np.sum(dots[:, unique_codes[o]].max(axis=1), dtype=np.float64)`: the gather
-and the max are exact, and summing a contiguous float64 row runs numpy's
-pairwise summation in the same order as the 1-d sum does.
+and the max are exact, repeating a doc's last id changes none of its maxima,
+and summing a contiguous float64 row runs numpy's pairwise summation in the
+same order as the 1-d sum does. Before the id-rank sort, a partition drops
+every candidate that scores below the ndocs-th best, so the sort runs over
+about ndocs of them however many candidates stage 2 unions.
 """
 
 from __future__ import annotations
@@ -390,13 +396,19 @@ def plaid_candidates(
 def approx_scores(index: PlaidIndex, dots: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
     """Stage 3 for many docs: float64 centroid-MaxSim per ordinal.
 
-    One gather of dot columns, one segmented max, one float64 sum along the
-    contiguous axis; see the module docstring for why this is bit-identical
-    to summing each doc on its own.
+    Layer j maxes every candidate's j-th centroid row of `dots`' transpose,
+    clamped to its last id, into one (candidates, query rows) array, summed
+    along its rows in float64; see the module docstring for why this is
+    bit-identical to summing each doc on its own.
     """
-    columns, starts = index.unique_codes.gather(ordinals)
-    best = np.maximum.reduceat(dots[:, columns], starts, axis=1)
-    return np.ascontiguousarray(best.T, dtype=np.float64).sum(axis=1)
+    codes = index.unique_codes
+    lo = codes.offsets[ordinals]
+    last = codes.offsets[ordinals + 1] - 1
+    rows = np.ascontiguousarray(dots.T)
+    best = rows.take(codes.flat[lo], axis=0)
+    for j in range(1, int((last - lo).max(initial=0)) + 1):
+        np.maximum(best, rows.take(codes.flat[np.minimum(lo + j, last)], axis=0), out=best)
+    return best.astype(np.float64).sum(axis=1)
 
 
 def plaid_search(
@@ -412,7 +424,15 @@ def plaid_search(
     if ndocs < k:
         raise NDocsTooSmall(f"ndocs={ndocs} is smaller than k={k}")
     dots, candidates, _ = _probe(index, query, ncells, threshold)
-    approx = approx_scores(index, dots, candidates)
+    negated = -approx_scores(index, dots, candidates)
+    if len(candidates) > ndocs:
+        # Every doc of the top ndocs scores at least the ndocs-th best score, so
+        # this cut drops none of them. It runs on negated scores because a
+        # partition, like the sort below, puts NaN last: the ndocs-th entry is
+        # NaN only when fewer than ndocs scores are numbers, and then it keeps all.
+        cut = np.partition(negated, ndocs - 1)[ndocs - 1]
+        keep = ~(negated > cut)
+        candidates, negated = candidates[keep], negated[keep]
     # Descending approximate score, ties by ascending doc id.
-    survivors = candidates[np.lexsort((index.id_rank[candidates], -approx))[:ndocs]]
+    survivors = candidates[np.lexsort((index.id_rank[candidates], negated))[:ndocs]]
     return top_k(index.store, query, k, survivors, query_id, store=index)

@@ -16,7 +16,8 @@ from latebench import (
     plaid_search,
 )
 from latebench.bundle import corpus_digest, load_plaid_index, save_plaid_index
-from latebench.core import batched_scores
+from latebench import plaid
+from latebench.core import batched_scores, top_k
 from latebench.errors import CorpusMismatch, NDocsTooSmall, UnknownDoc, UnsupportedBits
 from latebench.kmeans import probe
 from latebench.plaid import (
@@ -490,8 +491,38 @@ def test_stage3_scores_bit_equal_per_doc_sum(planted_by_filler):
             got = approx_scores(index, dots, np.arange(index.doc_count))
             want = per_doc_centroid_scores(dots, index.codes, index.row_offsets)
             assert got.tolist() == want, (filler, query.rows)
-            assert approx_scores(index, dots, np.arange(0, index.doc_count, 11)).tolist() \
-                == want[::11]
+            _assert_any_order(index, dots, want, rng)
+
+
+def _assert_any_order(index, dots, want, rng):
+    """approx_scores of a strided, a reversed, a permuted and an empty ordinal array."""
+    ordinals = np.arange(index.doc_count)
+    for order in (ordinals[::11], ordinals[::-1], rng.permutation(ordinals)):
+        assert approx_scores(index, dots, order).tolist() == [want[o] for o in order]
+    empty = approx_scores(index, dots, ordinals[:0])
+    assert empty.dtype == np.float64 and empty.shape == (0,)
+
+
+def test_stage3_clamps_narrow_docs_among_wide_ones():
+    # One-code docs sit next to docs with up to 40 distinct codes, so the
+    # layered max repeats the last code of most docs on most layers.
+    rng = np.random.default_rng(19)
+    centroids = random_unit_matrix(rng, 48, 16).data
+    docs = {}
+    for i in range(60):
+        width = (1, 2, 5, 40)[i % 4]
+        rows = centroids[rng.choice(48, size=width, replace=False)]
+        docs[f"w{i:02d}"] = TokenMatrix(np.repeat(rows, 1 + i % 3, axis=0))
+    corpus = Corpus.build(docs)
+    index = build_plaid(corpus, PlaidConfig(num_centroids=48, ncells=2), centroids=centroids)
+    widths = np.diff(index.unique_codes.offsets)
+    assert widths.min() == 1 and widths.max() == 40
+    for rows in (1, 8, 9, 33):
+        dots = random_unit_matrix(rng, rows, 16).data @ index.centroids.T
+        got = approx_scores(index, dots, np.arange(index.doc_count))
+        want = per_doc_centroid_scores(dots, index.codes, index.row_offsets)
+        assert got.tolist() == want, rows
+        _assert_any_order(index, dots, want, rng)
 
 
 def _funnel_cases(planted_by_filler):
@@ -516,7 +547,9 @@ def test_plaid_search_matches_reference_funnel(planted_by_filler):
             for query in queries:
                 for ncells in (1, 4, 64):
                     for threshold in (0.3, 0.5):
-                        for ndocs in (k, 7, index.doc_count):
+                        # One below and at the candidate count, the cut's two sides.
+                        count = len(plaid_candidates(index, query, ncells, threshold).candidates)
+                        for ndocs in {k, 7, max(k, count - 1), max(k, count), index.doc_count}:
                             got = plaid_search(index, query, k, ncells=ncells,
                                                threshold=threshold, ndocs=ndocs)
                             want = reference_plaid_funnel(
@@ -545,6 +578,46 @@ def test_tied_corpus_cuts_inside_a_tie_group():
             assert list(cut.doc_ids()) == sorted(group)[:2]
             differs += set(group[:2]) != set(sorted(group)[:2])
     assert differs > 0
+
+
+def _full_lexsort_search(index, query, k, ndocs):
+    """plaid_search's funnel with the survivors taken by one lexsort of every candidate."""
+    candidates = np.array(plaid_candidates(index, query).candidates)
+    approx = plaid.approx_scores(index, query.data @ index.centroids.T, candidates)
+    survivors = candidates[np.lexsort((index.id_rank[candidates], -approx))[:ndocs]]
+    return top_k(index.store, query, k, survivors, store=index)
+
+
+def test_nan_scores_keep_the_full_lexsort_survivors(planted_by_filler, monkeypatch):
+    # The lexsort puts NaN scores last, so the cut before it must keep every
+    # NaN-scored candidate whenever fewer than ndocs scores are numbers.
+    corpus, queries, _ = planted_by_filler[0.3]
+    index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, seed=4))
+    query = next(iter(queries.values()))
+    rows = query.data.copy()
+    rows[2] = np.nan  # every stage-3 score is NaN
+
+    def hexed(ranked):  # NaN != NaN, so compare exact bit patterns
+        return [(hit.doc_id, hit.score.hex()) for hit in ranked.hits]
+
+    def assert_full_lexsort_survivors(probe_query):
+        count = len(plaid_candidates(index, probe_query).candidates)
+        assert count > 40
+        for k, ndocs in ((5, 5), (10, 10), (10, 40), (10, count - 1)):
+            got = plaid_search(index, probe_query, k, ndocs=ndocs)
+            assert len(got.hits) == k
+            assert hexed(got) == hexed(_full_lexsort_search(index, probe_query, k, ndocs))
+
+    assert_full_lexsort_survivors(TokenMatrix(rows))
+    approx = plaid.approx_scores
+
+    def every_third_nan(index, dots, ordinals):  # the others stay numbers
+        scores = approx(index, dots, ordinals)
+        scores[::3] = np.nan
+        return scores
+
+    monkeypatch.setattr(plaid, "approx_scores", every_third_nan)
+    assert_full_lexsort_survivors(query)
 
 
 def test_stage3_sum_order_on_wide_magnitudes():
