@@ -9,9 +9,9 @@ ties are always broken by ascending doc id.
 
 `top_k` ranks a set of documents (the whole corpus for `exact_search`, the
 candidates for IVF, the stage-3 survivors for PLAID) by one batched product
-over their rows (`batched_scores`), then rescores with the canonical kernel
-only the band of documents that could still reach the set's top k. The band is
-exact, by a bound:
+over their rows (`batched_scores`), then scores canonically, through
+`score_docs`, only the band of documents that could still reach the set's top
+k. The band is exact, by a bound:
 
   * Any float32 summation order, FMA included, computes a dot product of
     length n within gamma_n * sum|x_i y_i| of its true value, where
@@ -37,7 +37,24 @@ exact, by a bound:
     because the inequality is strict, ties by doc id are untouched. R bounds
     every row of the corpus, so eps holds for any subset of its documents.
 
-Every returned score and every ordering therefore comes from `maxsim_score`.
+Every returned score and every ordering therefore has `maxsim_score`'s bits.
+
+`score_docs` computes those bits without a kernel call per document. It
+orders the documents by row count (stably), copies their rows into one array,
+and multiplies the query by all g documents of each row count L at once:
+`q @ block.transpose(0, 2, 1)`, a stacked product with its own fresh
+(g, nq, L) result. numpy's matmul loop makes, for each slice, the BLAS call
+the kernel's 2-d `q @ d.T` makes: the same routine (gemm, or gemv or dot when
+the query or the doc has one row), operand order, transposes and leading
+dimensions, the output's included. So every dot product has the kernel's
+bits. Each result is copied, transposed, into one (widest, docs, nq) float32
+array filled with -inf, and one max over its first axis gives every row
+maximum: a max is exact in any order and -inf changes none, NaN propagates
+either way, and the sign of a zero maximum cannot reach a float64 sum, which
+starts from +0. The float64 sum along each contiguous row of nq maxima runs
+numpy's pairwise summation in the order of the kernel's 1-d sum.
+`maxsim_score` stays the reference definition: `score_all`, the full sweep,
+calls it once per document, and the tests compare against it.
 
 The batched pass gathers the set's rows (the whole corpus is read in place)
 and pays for itself only when the band leaves out much of the set. The band
@@ -45,10 +62,10 @@ holds about k documents, plus those tied with the k-th within 2*eps, so
 `top_k` runs the pass only when the set holds at least 2*k documents, a
 property of the input alone. On the 2,000-document bench corpus at k = 100
 that bands exact search, and IVF's ~358 candidates and PLAID's 256 survivors
-at filler 0.3; the ~118 documents IVF and PLAID keep at filler 0.0, where a
-band measured slower than the plain sweep, are scored canonically.
-Every document of the set is also scored canonically when no bound holds (a
-NaN or Inf anywhere, or a product that could overflow float32).
+at filler 0.3; the ~117 documents IVF and PLAID keep at filler 0.0 all go to
+`score_docs`. Every document of the set also goes to `score_docs` when no
+bound holds (a NaN or Inf anywhere, or a product that could overflow
+float32).
 """
 
 from __future__ import annotations
@@ -66,6 +83,7 @@ from .errors import (
     EmptyMatrix,
     NonFinite,
     NotNormalized,
+    UnknownDoc,
 )
 
 # How far a row's norm may be from 1, per storage dtype: narrowing a unit row
@@ -284,9 +302,9 @@ class RankedList:
 def maxsim_score(query: TokenMatrix, doc: TokenMatrix) -> float:
     """Late-interaction score: sum over query rows of the best doc-row dot.
 
-    This is the one scoring kernel in the package, and `score_docs` is its one
-    caller: the oracle, every backend's final rescore and the generator's
-    margin check go through it, so their scores agree bit for bit.
+    The reference definition of every score in the package: `score_docs`, the
+    one scoring path of the searches, reproduces its bits with stacked
+    products, and `score_all` calls it once per document.
     Accumulation is float64 in query-row order.
     """
     q, d = query.data, doc.data
@@ -301,9 +319,30 @@ def score_docs(store, query: TokenMatrix, ordinals: Iterable[int]) -> list[tuple
     """(doc id, maxsim_score) for each doc ordinal, in the given order, single-threaded.
 
     `store` has `doc_ids` and `doc_matrix(ordinal)`: a Corpus or a PlaidIndex.
+    The docs are ordered by row count and scored with one stacked product per
+    row count; each score has maxsim_score's bits (see the module docstring).
     """
-    doc_ids, matrix = store.doc_ids, store.doc_matrix
-    return [(doc_ids[o], maxsim_score(query, matrix(o))) for o in ordinals]
+    ordinals = list(ordinals)
+    docs = [store.doc_matrix(o).data for o in ordinals]
+    if not docs:
+        return []
+    q = query.data
+    if docs[0].shape[1] != q.shape[1]:
+        raise DimensionMismatch(f"query dim {q.shape[1]} != doc dim {docs[0].shape[1]}")
+    counts = np.fromiter(map(len, docs), np.int64, len(docs))
+    order = np.argsort(counts, kind="stable")
+    rows = np.concatenate([docs[i] for i in order.tolist()])
+    # dots[j, i, r]: query row r against row j of the i-th doc in row-count order.
+    dots = np.full((int(counts.max()), len(docs), len(q)), -np.inf, dtype=np.float32)
+    lengths, sizes = np.unique(counts, return_counts=True)
+    lo = start = 0
+    for length, size in zip(lengths.tolist(), sizes.tolist()):
+        block = rows[start:start + size * length].reshape(size, length, q.shape[1])
+        dots[:length, lo:lo + size] = (q @ block.transpose(0, 2, 1)).transpose(2, 0, 1)
+        lo, start = lo + size, start + size * length
+    scores = np.empty(len(docs))
+    scores[order] = np.maximum.reduce(dots, axis=0).astype(np.float64).sum(axis=1)
+    return list(zip([store.doc_ids[o] for o in ordinals], scores.tolist()))
 
 
 def _check_dim(corpus: Corpus, query: TokenMatrix) -> None:
@@ -312,9 +351,9 @@ def _check_dim(corpus: Corpus, query: TokenMatrix) -> None:
 
 
 def score_all(corpus: Corpus, query: TokenMatrix) -> list[tuple[str, float]]:
-    """maxsim_score against every document, in corpus order."""
+    """maxsim_score against every document, in corpus order: one kernel call per doc."""
     _check_dim(corpus, query)
-    return score_docs(corpus, query, range(len(corpus)))
+    return [(doc_id, maxsim_score(query, corpus.docs[doc_id])) for doc_id in corpus.doc_ids]
 
 
 def segments(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,12 +409,14 @@ def top_k(
     score. `store` defaults to `corpus`; a PlaidIndex passes itself, so its
     rows are read through its `doc_matrix`. Every ordinal is scored
     canonically when there are fewer than 2*k of them or when eps is not
-    finite.
+    finite. An ordinal outside [0, len(corpus)) raises UnknownDoc.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_dim(corpus, query)
     band = np.arange(len(corpus)) if ordinals is None else ordinals
+    if band.min(initial=0) < 0 or band.max(initial=0) >= len(corpus):
+        raise UnknownDoc(f"doc ordinals must lie in [0, {len(corpus)})")
     if len(band) >= 2 * k:
         approx, eps = batched_scores(corpus, query, ordinals)
         if math.isfinite(eps):

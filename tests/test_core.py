@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from latebench import core
 from latebench import (
     Corpus,
     TokenMatrix,
@@ -264,24 +265,46 @@ def test_pool_output_always_valid_unit_rows():
         validate_matrix(pooled)
 
 
-def _maxsim_call_sites(node, scope, sites):
-    """Append the innermost enclosing function name of every maxsim_score call."""
+def _call_sites(node, scope, name, sites):
+    """Append the innermost enclosing function name of every call to `name`."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = node.name
     if isinstance(node, ast.Call):
-        if getattr(node.func, "id", getattr(node.func, "attr", None)) == "maxsim_score":
+        if getattr(node.func, "id", getattr(node.func, "attr", None)) == name:
             sites.append(scope)
     for child in ast.iter_child_nodes(node):
-        _maxsim_call_sites(child, scope, sites)
+        _call_sites(child, scope, name, sites)
 
 
-def test_maxsim_score_is_called_only_by_score_docs():
-    # One exact-scoring loop: the oracle, both backends and the generator all
-    # score through core.score_docs, so a faster kernel goes in one place.
+def test_searches_score_only_through_score_docs():
+    # Every search ends in core.top_k, whose one exact-scoring call is
+    # core.score_docs. The kernel maxsim_score is the reference definition:
+    # inside the package only the full sweep score_all calls it, which no
+    # search uses.
     package = Path(__file__).resolve().parents[1] / "src" / "latebench"
-    sites = []
-    for path in sorted(package.glob("*.py")):
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package.glob("*.py"))}
+
+    def sites(name):
         found = []
-        _maxsim_call_sites(ast.parse(path.read_text(), filename=str(path)), "<module>", found)
-        sites += [(path.name, scope) for scope in found]
-    assert sites == [("core.py", "score_docs")]
+        for file_name, tree in trees.items():
+            scopes = []
+            _call_sites(tree, "<module>", name, scopes)
+            found += [(file_name, scope) for scope in scopes]
+        return found
+
+    assert sites("top_k") == [("core.py", "exact_search"), ("ivf.py", "ivf_search"),
+                              ("plaid.py", "plaid_search")]
+    assert sites("score_docs") == [("core.py", "top_k")]
+    assert sites("maxsim_score") == [("core.py", "score_all")]
+    assert sites("score_all") == []
+
+
+def test_score_all_calls_the_kernel_once_per_doc(basis_corpus, monkeypatch):
+    # The bench counts these calls through the module attribute.
+    calls = []
+    kernel = core.maxsim_score
+    monkeypatch.setattr(core, "maxsim_score", lambda q, d: calls.append(d) or kernel(q, d))
+    scored = core.score_all(basis_corpus, basis_matrix([1], dim=8))
+    assert scored == [("A", 0.0), ("B", 1.0)]
+    assert calls == [basis_corpus.docs["A"], basis_corpus.docs["B"]]

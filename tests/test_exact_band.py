@@ -10,8 +10,8 @@ from latebench import (
 )
 from latebench import core
 from latebench.bundle import load_ivf_index, load_plaid_index, save_ivf_index, save_plaid_index
-from latebench.core import RankedList, batched_scores, score_all
-from latebench.errors import DimensionMismatch
+from latebench.core import RankedList, batched_scores, maxsim_score, score_all, score_docs, top_k
+from latebench.errors import DimensionMismatch, UnknownDoc
 from latebench.plaid import unpack_levels
 from latebench.synthetic import _verify_planted
 
@@ -84,12 +84,18 @@ def test_k_covering_the_corpus_equals_the_full_sweep():
         assert exact_search(corpus, query, k) == _full_sweep(corpus, query, k)
 
 
-def test_nan_row_gives_the_full_sweep_list():
-    rng = np.random.default_rng(24)
+def _broken_corpus(rng, cells=((5, 3, np.nan),)):
+    """A 30-doc scaled corpus with the given (row, column, value) entries set."""
     corpus = _scaled_corpus(rng, 30, 8)
     vectors = corpus.vectors.copy()
-    vectors[5, 3] = np.nan
-    broken = Corpus(corpus.doc_ids, vectors, corpus.offsets)
+    for row, col, value in cells:
+        vectors[row, col] = value
+    return Corpus(corpus.doc_ids, vectors, corpus.offsets)
+
+
+def test_nan_row_gives_the_full_sweep_list():
+    rng = np.random.default_rng(24)
+    broken = _broken_corpus(rng)
     query = random_unit_matrix(rng, 4, 8)
     assert not np.isfinite(batched_scores(broken, query)[1])
 
@@ -108,6 +114,7 @@ def test_dimension_mismatch_raises_before_any_product(monkeypatch):
         raise AssertionError("a product ran before the dimension check")
 
     monkeypatch.setattr(core, "batched_scores", no_product)
+    monkeypatch.setattr(core, "score_docs", no_product)
     monkeypatch.setattr(core, "maxsim_score", no_product)
     with pytest.raises(DimensionMismatch):
         exact_search(corpus, random_unit_matrix(rng, 3, 4), 2)
@@ -122,28 +129,32 @@ def acceptance_data():
     return generate_synthetic(spec)
 
 
-def _counting_kernel(monkeypatch):
-    calls = [0]
-    kernel = core.maxsim_score
+def _counting_score_docs(monkeypatch):
+    """The number of documents each search hands to core.score_docs, one entry per call."""
+    counts = []
+    score = core.score_docs
 
-    def counted(query, doc):
-        calls[0] += 1
-        return kernel(query, doc)
+    def counted(store, query, ordinals):
+        ordinals = list(ordinals)
+        counts.append(len(ordinals))
+        return score(store, query, ordinals)
 
-    monkeypatch.setattr(core, "maxsim_score", counted)
-    return calls
+    monkeypatch.setattr(core, "score_docs", counted)
+    return counts
 
 
 def test_canonical_calls_per_query_stay_near_k(acceptance_data, monkeypatch):
     corpus, queries, qrels = acceptance_data
-    calls = _counting_kernel(monkeypatch)
+    counts = _counting_score_docs(monkeypatch)
     for qid, query in queries.items():
         exact_search(corpus, query, 100, query_id=qid)
-    assert calls[0] / len(queries) < 2 * 100
+    assert len(counts) == len(queries)
+    assert 100 <= min(counts) and max(counts) < 2 * 100
 
-    calls[0] = 0
+    counts.clear()
     assert _verify_planted(corpus, queries, qrels, 0.05)
-    assert calls[0] / len(queries) < 50
+    assert len(counts) == len(queries)
+    assert 2 <= min(counts) and max(counts) < 2 * 2
 
 
 def _hexed(ranked):
@@ -292,13 +303,14 @@ def test_backends_make_fewer_than_2k_canonical_calls_per_query(acceptance_data, 
     ivf_index = build_ivf(corpus, IvfConfig(nlist=128, nprobe=8, seed=7))
     plaid_index = build_plaid(corpus, PlaidConfig(num_centroids=256, ncells=4, ndocs=256,
                                                   centroid_score_threshold=0.4, seed=7))
-    calls = _counting_kernel(monkeypatch)
+    counts = _counting_score_docs(monkeypatch)
     for search in (lambda q: ivf_search(ivf_index, q, 100),
                    lambda q: plaid_search(plaid_index, q, 100)):
-        calls[0] = 0
+        counts.clear()
         for query in queries.values():
             assert len(search(query)) == 100
-        assert calls[0] / len(queries) < 2 * 100
+        assert len(counts) == len(queries)
+        assert 100 <= min(counts) and max(counts) < 2 * 100
 
 
 @pytest.mark.parametrize("backend", ["exact", "ivf", "plaid"])
@@ -312,3 +324,60 @@ def test_k_below_one_is_refused_by_top_k(planted_small, backend):
     }[backend]
     with pytest.raises(ValueError, match=r"^k must be >= 1$"):
         search(next(iter(queries.values())), 0)
+
+
+@pytest.mark.parametrize("k, ordinals", [(5, [-1, 3]), (5, [3, 50]), (1, [49, 50]), (1, [-1, 3])])
+def test_top_k_refuses_ordinals_outside_the_corpus(k, ordinals, monkeypatch):
+    # k = 5 leaves fewer than 2 * k ordinals, so they would go straight to
+    # score_docs; k = 1 would take the batched pass, which must not run first.
+    rng = np.random.default_rng(29)
+    corpus = _scaled_corpus(rng, 50, 8)
+    query = random_unit_matrix(rng, 3, 8)
+    monkeypatch.setattr(core, "batched_scores", _no_batch)
+    with pytest.raises(UnknownDoc, match=r"\[0, 50\)"):
+        top_k(corpus, query, k, np.array(ordinals))
+
+
+def _assert_bit_equal(store, query, ordinals):
+    want = [(store.doc_ids[o], maxsim_score(query, store.doc_matrix(o))) for o in ordinals]
+    assert _hexed_pairs(score_docs(store, query, ordinals)) == _hexed_pairs(want)
+
+
+def test_score_docs_has_the_bits_of_maxsim_score():
+    rng = np.random.default_rng(30)
+    mixed = _scaled_corpus(rng, 30, 128, rows=(1, 64))
+    everything = list(range(len(mixed)))
+    # Query row counts across numpy's pairwise-summation blocks, 1-row queries
+    # (a vector operand takes another BLAS routine) included.
+    for nq in range(1, 301):
+        _assert_bit_equal(mixed, random_unit_matrix(rng, nq, 128), everything)
+    query = random_unit_matrix(rng, 11, 128)
+    for ordinals in (everything[::-1], rng.permutation(len(mixed)).tolist(), [7, 7, 3], []):
+        _assert_bit_equal(mixed, query, ordinals)
+
+    one_row = _scaled_corpus(rng, 20, 128, rows=(1, 1))
+    for nq in (1, 2, 9):
+        _assert_bit_equal(one_row, random_unit_matrix(rng, nq, 128), range(20))
+
+
+def test_score_docs_has_the_bits_of_maxsim_score_on_broken_and_other_stores(planted_small):
+    rng = np.random.default_rng(31)
+    # NaN, +-Inf, and rows of +-0 whose every dot is a signed zero.
+    broken = _broken_corpus(rng, [(5, 3, np.nan), (40, 0, np.inf), (41, 2, -np.inf)]
+                            + [(row, col, -0.0) for row in (60, 61) for col in range(8)]
+                            + [(row, col, 0.0) for row in (62,) for col in range(8)])
+    zeros = TokenMatrix(np.array([[-0.0] * 8, [0.0] * 8], dtype=np.float32))
+    with np.errstate(invalid="ignore"):  # Inf times a zero query entry
+        for query in [random_unit_matrix(rng, nq, 8) for nq in (1, 4, 13)] + [zeros]:
+            _assert_bit_equal(broken, query, range(len(broken)))
+
+    # Every doc of the pooled corpus has C rows, so it is one stacked product.
+    corpus, queries, _ = planted_small
+    stores = [core.pool_corpus(corpus, 4),
+              Corpus(corpus.doc_ids, corpus.vectors.astype(np.float16), corpus.offsets,
+                     dtype="float16")]
+    stores += [build_plaid(corpus, PlaidConfig(num_centroids=16, residual_bits=bits, seed=3))
+               for bits in (1, 2)]
+    for store in stores:
+        for query in list(queries.values())[:3]:
+            _assert_bit_equal(store, query, rng.permutation(len(corpus)).tolist())
