@@ -7,45 +7,18 @@ brute-force search here is the oracle every approximate backend is judged
 against, so scoring goes through one canonical kernel (`maxsim_score`) and
 ties are always broken by ascending doc id.
 
-`top_k` ranks a set of documents (the whole corpus for `exact_search`, the
-candidates for IVF, the stage-3 survivors for PLAID) by one batched product
-over their rows (`batched_scores`), then scores canonically, through
-`score_docs`, only the band of documents that could still reach the set's top
-k. The band is exact, by a bound:
+Every search ends in `top_k`, which scores every document it ranks (the
+whole corpus for `exact_search`, the candidates for IVF, the stage-3
+survivors for PLAID) through one stacked-product body, `_stacked_maxsim`, and
+ranks by those scores. There is no approximate pass: every returned score and
+every ordering has `maxsim_score`'s bits.
 
-  * Any float32 summation order, FMA included, computes a dot product of
-    length n within gamma_n * sum|x_i y_i| of its true value, where
-    gamma_n = n*u / (1 - n*u) and u = 2**-24 (Higham, Accuracy and Stability
-    of Numerical Algorithms, sec. 3.1). By Cauchy-Schwarz, sum|x_i y_i| is at
-    most |q_r| * R for query row q_r and any doc row, where R bounds every row
-    norm of the corpus (`Corpus.max_row_norm`; norms are not assumed to be 1).
-  * A max is 1-Lipschitz, so each query row's best dot differs between the
-    batched and the canonical kernel by at most 2 * gamma_dim * |q_r| * R.
-  * Both kernels sum the nq row maxima in float64, each sum within
-    gamma_nq(float64) * sum_r |best_r|, and |best_r| <= (1 + gamma_dim) *
-    |q_r| * R. Float32 underflow adds at most 2**-150 per product. So for
-    every doc d,
-    |batched(d) - canonical(d)| <= eps =
-    2 * (gamma_dim + gamma_nq(float64) * (1 + gamma_dim)) * R * sum_r |q_r|
-    + nq * dim * 2**-148.
-    The safety factor in R also covers the float64 rounding of eps and of
-    the threshold below.
-  * Let t be the k-th largest batched score in the set. A doc with
-    batched(d) < t - 2*eps has canonical(d) < t - eps, while each of the >= k
-    docs with a batched score >= t has a canonical score >= t - eps. So d is
-    strictly beaten k times and cannot reach the set's canonical top k;
-    because the inequality is strict, ties by doc id are untouched. R bounds
-    every row of the corpus, so eps holds for any subset of its documents.
-
-Every returned score and every ordering therefore has `maxsim_score`'s bits.
-
-`score_docs` computes those bits without a kernel call per document. It
-orders the documents by row count (stably), copies their rows into one array,
-and multiplies the query by all g documents of each row count L at once:
-`q @ block.transpose(0, 2, 1)`, a stacked product with its own fresh
-(g, nq, L) result. numpy's matmul loop makes, for each slice, the BLAS call
-the kernel's 2-d `q @ d.T` makes: the same routine (gemm, or gemv or dot when
-the query or the doc has one row), operand order, transposes and leading
+The body takes the documents' rows grouped by row count, as one (g, L, dim)
+block per row count L, and multiplies the query by all g documents of a
+block at once: `q @ block.transpose(0, 2, 1)`, a stacked product with its own
+fresh (g, nq, L) result. numpy's matmul loop makes, for each slice, the BLAS
+call the kernel's 2-d `q @ d.T` makes: the same routine (gemm, or gemv or dot
+when the query or the doc has one row), operand order, transposes and leading
 dimensions, the output's included. So every dot product has the kernel's
 bits. Each result is copied, transposed, into one (widest, docs, nq) float32
 array filled with -inf, and one max over its first axis gives every row
@@ -53,19 +26,16 @@ maximum: a max is exact in any order and -inf changes none, NaN propagates
 either way, and the sign of a zero maximum cannot reach a float64 sum, which
 starts from +0. The float64 sum along each contiguous row of nq maxima runs
 numpy's pairwise summation in the order of the kernel's 1-d sum.
+
+The blocks come from one of two gathers. The whole corpus is sorted by row
+count once, on first use, into `Corpus.row_blocks` (a copy of its rows, never
+saved). A subset goes through `score_docs`: each doc is read through
+`store.doc_matrix(o)`, the docs are put in stable row-count order and their
+rows concatenated once, and each block is a view of that array. Ranking is
+one `np.lexsort` by descending score, NaN last, ties by ascending doc id
+(`Corpus.id_rank`), the order `RankedList.from_scores` gives too.
 `maxsim_score` stays the reference definition: `score_all`, the full sweep,
 calls it once per document, and the tests compare against it.
-
-The batched pass gathers the set's rows (the whole corpus is read in place)
-and pays for itself only when the band leaves out much of the set. The band
-holds about k documents, plus those tied with the k-th within 2*eps, so
-`top_k` runs the pass only when the set holds at least 2*k documents, a
-property of the input alone. On the 2,000-document bench corpus at k = 100
-that bands exact search, and IVF's ~358 candidates and PLAID's 256 survivors
-at filler 0.3; the ~117 documents IVF and PLAID keep at filler 0.0 all go to
-`score_docs`. Every document of the set also goes to `score_docs` when no
-bound holds (a NaN or Inf anywhere, or a product that could overflow
-float32).
 """
 
 from __future__ import annotations
@@ -89,16 +59,6 @@ from .errors import (
 # How far a row's norm may be from 1, per storage dtype: narrowing a unit row
 # to float16 moves its norm by up to ~1e-3 (in memory everything is float32).
 NORM_TOLERANCE = {"float32": 1e-4, "float16": 2e-3}
-
-# Unit roundoffs of float32 and float64, and the float32 overflow threshold.
-_U32 = 2.0 ** -24
-_U64 = 2.0 ** -53
-_F32_MAX = float(np.finfo(np.float32).max)
-
-
-def _gamma(n: int, u: float) -> float:
-    """Higham's gamma_n: the relative error bound of an n-term dot product."""
-    return n * u / (1 - n * u)
 
 
 class TokenMatrix:
@@ -258,17 +218,39 @@ class Corpus:
         return self.docs[self.doc_ids[ordinal]]
 
     @cached_property
-    def max_row_norm(self) -> float:
-        """An upper bound on every row's Euclidean norm (NaN or Inf if a row is not finite).
+    def id_rank(self) -> np.ndarray:
+        """Each doc's rank when the doc ids are sorted as Python strings, (len,) int64."""
+        by_id = sorted(range(len(self)), key=self.doc_ids.__getitem__)
+        rank = np.empty(len(self), dtype=np.int64)
+        rank[by_id] = np.arange(len(self))
+        return rank
 
-        The squares are summed in float32, so the store is never copied; the
-        (1 + 2*dim*u) factor covers that sum's rounding and the square root's.
+    @cached_property
+    def row_blocks(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Every doc ordinal in stable row-count order, and their rows as one
+        C-contiguous (g, L, dim) block per distinct row count L, ascending.
+
+        A copy of every row, made on the first whole-corpus search and never saved.
         """
-        squares = np.einsum("ij,ij->i", self.vectors, self.vectors)
-        return math.sqrt(float(squares.max())) * (1 + 2 * self.dim * _U32)
+        counts = np.diff(self.offsets)
+        order = np.argsort(counts, kind="stable")
+        lengths, sizes = np.unique(counts, return_counts=True)
+        blocks, lo = [], 0
+        for length, size in zip(lengths.tolist(), sizes.tolist()):
+            starts = self.offsets[order[lo:lo + size]]
+            blocks.append(self.vectors[starts[:, None] + np.arange(length)])
+            lo += size
+        return order, blocks
 
     def __len__(self) -> int:
         return len(self.doc_ids)
+
+
+def _rank_key(pair: tuple[str, float]) -> tuple[bool, float, str]:
+    """Descending score, NaN last, ties by ascending doc id: `top_k`'s lexsort order."""
+    doc_id, score = pair
+    nan = math.isnan(score)
+    return nan, 0.0 if nan else -score, doc_id
 
 
 class ScoredDoc(NamedTuple):
@@ -278,7 +260,7 @@ class ScoredDoc(NamedTuple):
 
 @dataclass(frozen=True)
 class RankedList:
-    """Per-query top-k: scores non-increasing, ties by ascending doc id."""
+    """Per-query top-k: scores non-increasing with NaN last, ties by ascending doc id."""
 
     query_id: str
     hits: tuple[ScoredDoc, ...]
@@ -289,7 +271,7 @@ class RankedList:
         ids = [doc_id for doc_id, _ in pairs]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate doc id in results for query {query_id!r}")
-        pairs.sort(key=lambda item: (-item[1], item[0]))
+        pairs.sort(key=_rank_key)
         return cls(query_id=query_id, hits=tuple(ScoredDoc(d, float(s)) for d, s in pairs[:k]))
 
     def doc_ids(self) -> tuple[str, ...]:
@@ -302,9 +284,9 @@ class RankedList:
 def maxsim_score(query: TokenMatrix, doc: TokenMatrix) -> float:
     """Late-interaction score: sum over query rows of the best doc-row dot.
 
-    The reference definition of every score in the package: `score_docs`, the
-    one scoring path of the searches, reproduces its bits with stacked
-    products, and `score_all` calls it once per document.
+    The reference definition of every score in the package: `top_k`, the one
+    scoring path of the searches, reproduces its bits with stacked products,
+    and `score_all` calls it once per document.
     Accumulation is float64 in query-row order.
     """
     q, d = query.data, doc.data
@@ -315,12 +297,30 @@ def maxsim_score(query: TokenMatrix, doc: TokenMatrix) -> float:
     return float(np.add.reduce(np.maximum.reduce(q @ d.T, axis=1), dtype=np.float64))
 
 
+def _stacked_maxsim(q: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """maxsim_score of every doc of the (g, L, dim) blocks, L ascending, in block order.
+
+    One stacked product per block, one max and one float64 row sum; see the
+    module docstring for why each score has the kernel's bits.
+    """
+    # dots[j, i, r]: query row r against row j of the i-th doc.
+    dots = np.full((blocks[-1].shape[1], sum(map(len, blocks)), len(q)), -np.inf,
+                   dtype=np.float32)
+    lo = 0
+    for block in blocks:
+        size, length = block.shape[:2]
+        dots[:length, lo:lo + size] = (q @ block.transpose(0, 2, 1)).transpose(2, 0, 1)
+        lo += size
+    return np.maximum.reduce(dots, axis=0).astype(np.float64).sum(axis=1)
+
+
 def score_docs(store, query: TokenMatrix, ordinals: Iterable[int]) -> list[tuple[str, float]]:
     """(doc id, maxsim_score) for each doc ordinal, in the given order, single-threaded.
 
     `store` has `doc_ids` and `doc_matrix(ordinal)`: a Corpus or a PlaidIndex.
-    The docs are ordered by row count and scored with one stacked product per
-    row count; each score has maxsim_score's bits (see the module docstring).
+    Each doc is read once through `doc_matrix`; the docs are put in stable
+    row-count order, their rows concatenated once, and each row count's docs
+    scored as one (g, L, dim) view by `_stacked_maxsim`.
     """
     ordinals = list(ordinals)
     docs = [store.doc_matrix(o).data for o in ordinals]
@@ -332,16 +332,13 @@ def score_docs(store, query: TokenMatrix, ordinals: Iterable[int]) -> list[tuple
     counts = np.fromiter(map(len, docs), np.int64, len(docs))
     order = np.argsort(counts, kind="stable")
     rows = np.concatenate([docs[i] for i in order.tolist()])
-    # dots[j, i, r]: query row r against row j of the i-th doc in row-count order.
-    dots = np.full((int(counts.max()), len(docs), len(q)), -np.inf, dtype=np.float32)
     lengths, sizes = np.unique(counts, return_counts=True)
-    lo = start = 0
+    blocks, start = [], 0
     for length, size in zip(lengths.tolist(), sizes.tolist()):
-        block = rows[start:start + size * length].reshape(size, length, q.shape[1])
-        dots[:length, lo:lo + size] = (q @ block.transpose(0, 2, 1)).transpose(2, 0, 1)
-        lo, start = lo + size, start + size * length
+        blocks.append(rows[start:start + size * length].reshape(size, length, q.shape[1]))
+        start += size * length
     scores = np.empty(len(docs))
-    scores[order] = np.maximum.reduce(dots, axis=0).astype(np.float64).sum(axis=1)
+    scores[order] = _stacked_maxsim(q, blocks)
     return list(zip([store.doc_ids[o] for o in ordinals], scores.tolist()))
 
 
@@ -356,44 +353,6 @@ def score_all(corpus: Corpus, query: TokenMatrix) -> list[tuple[str, float]]:
     return [(doc_id, maxsim_score(query, corpus.docs[doc_id])) for doc_id in corpus.doc_ids]
 
 
-def segments(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of the given runs of `offsets`, concatenated, and where each run starts.
-
-    Run r covers positions offsets[r]:offsets[r + 1].
-    """
-    starts = offsets[rows]
-    lengths = offsets[rows + 1] - starts
-    out_starts = np.cumsum(lengths) - lengths
-    return np.repeat(starts - out_starts, lengths) + np.arange(int(lengths.sum())), out_starts
-
-
-def batched_scores(
-    corpus: Corpus, query: TokenMatrix, ordinals: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
-    """Approximate MaxSim of docs from one product, and the bound eps on its error.
-
-    Scores the given doc ordinals, in their order, from their gathered rows, or
-    every doc in corpus order, in place, when `ordinals` is None. Each score is
-    within eps of the doc's maxsim_score (see the module docstring). eps is Inf
-    when no bound holds: a NaN or Inf in either input, or a dot product that
-    could overflow float32.
-    """
-    vectors, starts = corpus.vectors, corpus.offsets[:-1]
-    if ordinals is not None:
-        positions, starts = segments(corpus.offsets, ordinals)
-        vectors = vectors[positions]
-    sims = vectors @ query.data.T  # (rows, nq) float32
-    best = np.maximum.reduceat(sims, starts, axis=0)
-    scores = best.sum(axis=1, dtype=np.float64)
-    nq, dim = query.data.shape
-    reach = corpus.max_row_norm * np.linalg.norm(query.data.astype(np.float64), axis=1)
-    if not reach.max(initial=0.0) < _F32_MAX / 2:  # NaN fails too
-        return scores, math.inf
-    dot_err = _gamma(dim, _U32)
-    sum_err = _gamma(nq, _U64) * (1 + dot_err)
-    return scores, 2 * (dot_err + sum_err) * float(reach.sum()) + nq * dim * 2.0 ** -148
-
-
 def top_k(
     corpus: Corpus,
     query: TokenMatrix,
@@ -404,30 +363,30 @@ def top_k(
 ) -> RankedList:
     """Exact top k of the given distinct doc ordinals (every doc when None).
 
-    Ranks them by `batched_scores`, then scores canonically, through
-    `score_docs(store, ...)`, only the band within 2*eps of the k-th batched
-    score. `store` defaults to `corpus`; a PlaidIndex passes itself, so its
-    rows are read through its `doc_matrix`. Every ordinal is scored
-    canonically when there are fewer than 2*k of them or when eps is not
-    finite. An ordinal outside [0, len(corpus)) raises UnknownDoc.
+    Every doc is scored by `_stacked_maxsim`: the whole corpus from its
+    `row_blocks`, a subset through `score_docs(store, ...)`. `store` defaults
+    to `corpus`; a PlaidIndex passes itself, so its rows are read through its
+    `doc_matrix`. Hits are ranked by descending score, NaN last, ties by
+    ascending doc id. An ordinal outside [0, len(corpus)) raises UnknownDoc.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_dim(corpus, query)
-    band = np.arange(len(corpus)) if ordinals is None else ordinals
-    if band.min(initial=0) < 0 or band.max(initial=0) >= len(corpus):
-        raise UnknownDoc(f"doc ordinals must lie in [0, {len(corpus)})")
-    if len(band) >= 2 * k:
-        approx, eps = batched_scores(corpus, query, ordinals)
-        if math.isfinite(eps):
-            kth = np.partition(approx, -k)[-k]
-            band = band[approx >= kth - 2 * eps]
-    scored = score_docs(corpus if store is None else store, query, band.tolist())
-    return RankedList.from_scores(query_id, scored, k)
+    if ordinals is None:
+        ordinals, blocks = corpus.row_blocks
+        scores = _stacked_maxsim(query.data, blocks)
+    else:
+        if ordinals.min(initial=0) < 0 or ordinals.max(initial=0) >= len(corpus):
+            raise UnknownDoc(f"doc ordinals must lie in [0, {len(corpus)})")
+        scored = score_docs(corpus if store is None else store, query, ordinals.tolist())
+        scores = np.array([score for _, score in scored])
+    best = np.lexsort((corpus.id_rank[ordinals], -scores))[:k]
+    ids = [corpus.doc_ids[o] for o in ordinals[best].tolist()]
+    return RankedList(query_id, tuple(map(ScoredDoc, ids, scores[best].tolist())))
 
 
 def exact_search(corpus: Corpus, query: TokenMatrix, k: int, query_id: str = "") -> RankedList:
-    """Exact top k over the whole corpus: rank by one batched product, rescore the band."""
+    """Exact top k over the whole corpus: every doc scored by one stacked product per row count."""
     return top_k(corpus, query, k, query_id=query_id)
 
 

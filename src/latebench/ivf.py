@@ -3,10 +3,9 @@
 Token vectors are clustered into nlist centroids; every query row probes its
 nprobe nearest lists and gathers candidate tokens, the gathered tokens' source
 documents form the candidate set, and `core.top_k` takes the candidates' exact
-top k: one batched product ranks them, and only the band its error bound
-leaves in reach of the top k is rescored with the exact kernel (every
-candidate, when there are fewer than 2*k). Only candidate generation
-approximates: every returned score equals maxsim_score exactly.
+top k, scoring every candidate by one stacked product per row count. Only
+candidate generation approximates: every returned score equals maxsim_score
+exactly.
 
 Gather order is (probed-list rank, then token dot within the boundary list),
 so the candidate set at a smaller nprobe is always a subset of the candidate

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TokenMatrix, segments
+from .core import TokenMatrix
 from .errors import DimensionMismatch, TooFewVectors
 
 
@@ -155,6 +155,17 @@ class Csr:
         """The given rows concatenated, and where each one starts in the result."""
         positions, starts = segments(self.offsets, rows)
         return self.flat[positions], starts
+
+
+def segments(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the given runs of `offsets`, concatenated, and where each run starts.
+
+    Run r covers positions offsets[r]:offsets[r + 1].
+    """
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    out_starts = np.cumsum(lengths) - lengths
+    return np.repeat(starts - out_starts, lengths) + np.arange(int(lengths.sum())), out_starts
 
 
 def token_docs(offsets: np.ndarray) -> np.ndarray:

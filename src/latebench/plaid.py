@@ -9,23 +9,21 @@ Retrieval runs as a funnel:
            candidate document set;
   stage 3  candidates get an approximate score: MaxSim with every document
            vector replaced by its assigned centroid; only the top ndocs
-           survive, ties broken by ascending doc id (through `id_rank`, each
-           doc id's rank in string order, computed once per index);
+           survive, ties broken by ascending doc id (through the store's
+           `Corpus.id_rank`, each doc id's rank in string order);
   stage 4  survivors get their exact top k, from true vectors or, when
            residual compression is on, from decoded vectors.
 
-Stage 4 is `core.top_k`, as for exact search and IVF: one batched product
-over the survivors' rows of the index's `store` ranks them, and only the band
-of survivors within the error bound of the k-th is rescored canonically (every
-survivor, when there are fewer than 2*k). The rescore reads each banded
-survivor through `doc_matrix`, a view of `store`: the source corpus without
-residuals, else a `Corpus` over one array every vector is decoded into once,
-at build or load, by `decode_residuals`, so `doc_matrix` never decodes or
-allocates. The codec is ColBERTv2's, with corpus-wide buckets
-(`residual_quantiles`); `encode_residuals` and `decode_residuals` run
-CODEC_BLOCK_ROWS rows at a time and give each row the bits it would get on
-its own. The index holds the levels packed (`pack_levels`), as the saved file
-does, so no level can lie outside 2**bits.
+Stage 4 is `core.top_k`, as for exact search and IVF: every survivor's rows
+are read once, through `doc_matrix`, from `store`, and scored by one stacked
+product per row count, each score with `maxsim_score`'s bits. `store` is the
+source corpus without residuals, else a `Corpus` over one array every vector
+is decoded into once, at build or load, by `decode_residuals`, so
+`doc_matrix` never decodes or allocates. The codec is ColBERTv2's, with
+corpus-wide buckets (`residual_quantiles`); `encode_residuals` and
+`decode_residuals` run CODEC_BLOCK_ROWS rows at a time and give each row the
+bits it would get on its own. The index holds the levels packed
+(`pack_levels`), as the saved file does, so no level can lie outside 2**bits.
 
 A `PlaidIndex` checks its own arrays, and a given corpus against its doc ids
 and row counts: a mismatch raises ValueError or CorpusMismatch when the index
@@ -258,7 +256,6 @@ class PlaidIndex:
     inverted: Csr = field(init=False)  # per centroid, doc ordinals ascending
     unique_codes: Csr = field(init=False)  # per doc, sorted unique centroid ids
     store: Corpus = field(init=False, repr=False)  # the vectors stage 4 rescores
-    id_rank: np.ndarray = field(init=False, repr=False)  # (doc_count,) int64, rank by doc id
 
     def __post_init__(self):
         num_centroids, bits = self.config.num_centroids, self.config.residual_bits
@@ -288,10 +285,6 @@ class PlaidIndex:
                                        self.centroids, self.codes)
             store = Corpus(self.doc_ids, decoded, self.row_offsets)
         object.__setattr__(self, "store", store)
-        by_id = sorted(range(self.doc_count), key=self.doc_ids.__getitem__)
-        id_rank = np.empty(self.doc_count, dtype=np.int64)
-        id_rank[by_id] = np.arange(self.doc_count)
-        object.__setattr__(self, "id_rank", id_rank)
 
     @property
     def doc_count(self) -> int:
@@ -434,5 +427,5 @@ def plaid_search(
         keep = ~(negated > cut)
         candidates, negated = candidates[keep], negated[keep]
     # Descending approximate score, ties by ascending doc id.
-    survivors = candidates[np.lexsort((index.id_rank[candidates], negated))[:ndocs]]
+    survivors = candidates[np.lexsort((index.store.id_rank[candidates], negated))[:ndocs]]
     return top_k(index.store, query, k, survivors, query_id, store=index)

@@ -162,11 +162,15 @@ def _attempt(spec: SyntheticSpec, seed: int):
 
 
 def _verify_planted(corpus: Corpus, queries, qrels: Qrels, margin: float) -> bool:
-    # The exact top 2 carries canonical scores, the floats a full sweep would
-    # give, so the decision does not depend on the band.
+    # The exact top 2 carries the floats a full maxsim_score sweep would give.
+    # It ranks on a twin over the same arrays, so the row-count copy the sweep
+    # caches (Corpus.row_blocks) goes with the twin: only a corpus that is
+    # searched later pays for it, and a caller holding several generated
+    # corpora holds no copy of any.
+    twin = Corpus(corpus.doc_ids, corpus.vectors, corpus.offsets)
     for qid, query in queries.items():
         target = next(iter(qrels.relevant(qid)))
-        top = exact_search(corpus, query, 2).hits
+        top = exact_search(twin, query, 2).hits
         gap = top[0].score - top[1].score if len(top) > 1 else np.inf
         if top[0].doc_id != target or gap < margin:
             logger.info("planted margin violated for %s: target %s, top %s, gap %.4f",

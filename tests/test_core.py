@@ -277,10 +277,11 @@ def _call_sites(node, scope, name, sites):
 
 
 def test_searches_score_only_through_score_docs():
-    # Every search ends in core.top_k, whose one exact-scoring call is
-    # core.score_docs. The kernel maxsim_score is the reference definition:
-    # inside the package only the full sweep score_all calls it, which no
-    # search uses.
+    # Every search ends in core.top_k, and every document it ranks is scored
+    # by the one stacked body core._stacked_maxsim: the whole corpus directly,
+    # a subset through core.score_docs. The kernel maxsim_score is the
+    # reference definition: inside the package only the full sweep score_all
+    # calls it, which no search uses.
     package = Path(__file__).resolve().parents[1] / "src" / "latebench"
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(package.glob("*.py"))}
@@ -295,6 +296,7 @@ def test_searches_score_only_through_score_docs():
 
     assert sites("top_k") == [("core.py", "exact_search"), ("ivf.py", "ivf_search"),
                               ("plaid.py", "plaid_search")]
+    assert sites("_stacked_maxsim") == [("core.py", "score_docs"), ("core.py", "top_k")]
     assert sites("score_docs") == [("core.py", "top_k")]
     assert sites("maxsim_score") == [("core.py", "score_all")]
     assert sites("score_all") == []

@@ -1,19 +1,19 @@
-"""The batched ranking and its error-bounded canonical band, for exact, IVF and PLAID search."""
+"""core.top_k, the one scoring path of exact, IVF and PLAID search: bits, order, refusals."""
+
+import math
 
 import numpy as np
 import pytest
 
 from latebench import (
-    Corpus, IvfConfig, PlaidConfig, SyntheticSpec, TokenMatrix, build_ivf, build_plaid,
-    exact_search, generate_synthetic, ivf_candidates, ivf_search, plaid_candidates,
-    plaid_search,
+    Corpus, IvfConfig, IvfIndex, PlaidConfig, TokenMatrix, build_ivf, build_plaid, exact_search,
+    ivf_search, plaid_search,
 )
-from latebench import core
+from latebench import core, kmeans
 from latebench.bundle import load_ivf_index, load_plaid_index, save_ivf_index, save_plaid_index
-from latebench.core import RankedList, batched_scores, maxsim_score, score_all, score_docs, top_k
+from latebench.core import RankedList, maxsim_score, score_all, score_docs, top_k
 from latebench.errors import DimensionMismatch, UnknownDoc
 from latebench.plaid import unpack_levels
-from latebench.synthetic import _verify_planted
 
 from conftest import random_unit_matrix
 from oracles import full_rescore, loop_decode_rows, loop_ivf_candidates, reference_plaid_funnel
@@ -23,10 +23,6 @@ def _full_sweep(corpus, query, k, qid=""):
     return RankedList.from_scores(qid, score_all(corpus, query), k)
 
 
-def _canonical(corpus, query):
-    return np.array([score for _, score in score_all(corpus, query)])
-
-
 def _scaled_corpus(rng, docs, dim, rows=(3, 9)):
     """Random docs whose rows are scaled by 0.5-3, so norms are not 1."""
     mats = {}
@@ -34,18 +30,6 @@ def _scaled_corpus(rng, docs, dim, rows=(3, 9)):
         m = random_unit_matrix(rng, int(rng.integers(rows[0], rows[1] + 1)), dim).data
         mats[f"d{i:04d}"] = TokenMatrix(m * rng.uniform(0.5, 3.0, size=(len(m), 1)))
     return Corpus.build(mats)
-
-
-@pytest.mark.parametrize("dim", [4, 128, 300])
-def test_batched_scores_stay_within_eps_of_the_canonical_kernel(dim):
-    rng = np.random.default_rng(dim)
-    corpus = _scaled_corpus(rng, 150, dim)
-    for nq in (1, 7, 32, 300):
-        query = TokenMatrix(random_unit_matrix(rng, nq, dim).data
-                            * rng.uniform(0.5, 3.0, size=(nq, 1)))
-        approx, eps = batched_scores(corpus, query)
-        assert np.isfinite(eps) and eps > 0
-        assert np.abs(approx - _canonical(corpus, query)).max() <= eps
 
 
 def _tied_corpus():
@@ -59,21 +43,6 @@ def _tied_corpus():
         for copy in range(3):
             mats[f"d{i:03d}{'abc'[copy]}"] = m
     return Corpus.build(mats), random_unit_matrix(rng, 5, 16)
-
-
-@pytest.mark.parametrize("k", [1, 10, 100])
-def test_band_absorbs_an_adversarial_eps_error_and_is_needed(k, monkeypatch):
-    corpus, query = _tied_corpus()
-    _, eps = batched_scores(corpus, query)
-    expected = _full_sweep(corpus, query, k, "q")
-    inside = np.isin(np.array(corpus.doc_ids), expected.doc_ids())
-    # Docs inside the canonical top k lose eps, every other doc gains eps.
-    adversarial = _canonical(corpus, query) + np.where(inside, -eps, eps)
-
-    monkeypatch.setattr(core, "batched_scores", lambda c, q, o: (adversarial, eps))
-    assert exact_search(corpus, query, k, "q") == expected
-    monkeypatch.setattr(core, "batched_scores", lambda c, q, o: (adversarial, 0.0))
-    assert exact_search(corpus, query, k, "q") != expected
 
 
 def test_k_covering_the_corpus_equals_the_full_sweep():
@@ -93,17 +62,38 @@ def _broken_corpus(rng, cells=((5, 3, np.nan),)):
     return Corpus(corpus.doc_ids, vectors, corpus.offsets)
 
 
+def _assert_nan_last(ranked):
+    """Numbers first, non-increasing, then every NaN."""
+    scores = [hit.score for hit in ranked.hits]
+    nan = [math.isnan(score) for score in scores]
+    assert nan == sorted(nan)
+    numbers = scores[:len(scores) - sum(nan)]
+    assert all(a >= b for a, b in zip(numbers, numbers[1:]))
+
+
 def test_nan_row_gives_the_full_sweep_list():
     rng = np.random.default_rng(24)
     broken = _broken_corpus(rng)
     query = random_unit_matrix(rng, 4, 8)
-    assert not np.isfinite(batched_scores(broken, query)[1])
+    centroids = random_unit_matrix(rng, 8, 8).data
+    searches = {"exact": lambda k: exact_search(broken, query, k, "q")}
+    for backend in ("ivf", "plaid"):
+        search = _exhaustive_search(backend, broken, centroids)
+        searches[backend] = lambda k, search=search: search(query, k)
+    for backend, search in searches.items():
+        for k in (1, 5, 29, 30):
+            ranked = search(k)
+            _assert_nan_last(ranked)
+            assert _hexed(ranked) == _hexed(_full_sweep(broken, query, k, "q")), backend
+        # Row 5 belongs to d0001, the one doc whose score is NaN.
+        assert ranked.hits[-1].doc_id == "d0001" and math.isnan(ranked.hits[-1].score)
 
-    def hexed(ranked):  # NaN != NaN, so compare exact bit patterns
-        return [(hit.doc_id, hit.score.hex()) for hit in ranked.hits]
 
-    for k in (1, 5, 29):
-        assert hexed(exact_search(broken, query, k)) == hexed(_full_sweep(broken, query, k))
+def test_from_scores_puts_nan_last_and_breaks_ties_by_doc_id():
+    nan = float("nan")
+    pairs = [("d3", nan), ("d2", 1.0), ("d0", nan), ("d1", 2.0), ("d5", 1.0), ("d4", -0.0)]
+    ranked = RankedList.from_scores("q", pairs, 6)
+    assert ranked.doc_ids() == ("d1", "d2", "d5", "d4", "d0", "d3")
 
 
 def test_dimension_mismatch_raises_before_any_product(monkeypatch):
@@ -111,50 +101,16 @@ def test_dimension_mismatch_raises_before_any_product(monkeypatch):
     corpus = _scaled_corpus(rng, 10, 8)
 
     def no_product(*args):
-        raise AssertionError("a product ran before the dimension check")
+        raise AssertionError("a gather or product ran before the dimension check")
 
-    monkeypatch.setattr(core, "batched_scores", no_product)
-    monkeypatch.setattr(core, "score_docs", no_product)
-    monkeypatch.setattr(core, "maxsim_score", no_product)
+    monkeypatch.setattr(Corpus, "row_blocks", property(no_product))
+    for name in ("_stacked_maxsim", "score_docs", "maxsim_score"):
+        monkeypatch.setattr(core, name, no_product)
+    query = random_unit_matrix(rng, 3, 4)
     with pytest.raises(DimensionMismatch):
-        exact_search(corpus, random_unit_matrix(rng, 3, 4), 2)
-
-
-@pytest.fixture(scope="module")
-def acceptance_data():
-    spec = SyntheticSpec(
-        doc_count=2000, tokens_per_doc=(8, 32), dim=128, num_concepts=68,
-        queries=100, signal_tokens=8, filler_fraction=0.3, margin=0.05, seed=42,
-    )
-    return generate_synthetic(spec)
-
-
-def _counting_score_docs(monkeypatch):
-    """The number of documents each search hands to core.score_docs, one entry per call."""
-    counts = []
-    score = core.score_docs
-
-    def counted(store, query, ordinals):
-        ordinals = list(ordinals)
-        counts.append(len(ordinals))
-        return score(store, query, ordinals)
-
-    monkeypatch.setattr(core, "score_docs", counted)
-    return counts
-
-
-def test_canonical_calls_per_query_stay_near_k(acceptance_data, monkeypatch):
-    corpus, queries, qrels = acceptance_data
-    counts = _counting_score_docs(monkeypatch)
-    for qid, query in queries.items():
-        exact_search(corpus, query, 100, query_id=qid)
-    assert len(counts) == len(queries)
-    assert 100 <= min(counts) and max(counts) < 2 * 100
-
-    counts.clear()
-    assert _verify_planted(corpus, queries, qrels, 0.05)
-    assert len(counts) == len(queries)
-    assert 2 <= min(counts) and max(counts) < 2 * 2
+        exact_search(corpus, query, 2)
+    with pytest.raises(DimensionMismatch):
+        top_k(corpus, query, 2, np.arange(5))
 
 
 def _hexed(ranked):
@@ -169,70 +125,17 @@ def _doc_matrices(corpus):
     return [corpus.docs[doc_id].data for doc_id in corpus.doc_ids]
 
 
-def _exhaustive_search(backend, corpus):
-    """A search over an index whose candidates and survivors are every doc."""
+def _exhaustive_search(backend, corpus, centroids):
+    """A search over an index on the given 8 centroids whose candidates and
+    survivors are every doc."""
     if backend == "ivf":
-        index = build_ivf(corpus, IvfConfig(nlist=8, nprobe=8, seed=1,
-                                            per_token_candidates=corpus.total_vectors))
+        config = IvfConfig(nlist=8, nprobe=8, per_token_candidates=corpus.total_vectors)
+        index = IvfIndex(config, centroids, kmeans.assign(corpus.vectors, centroids), corpus)
         return lambda query, k: ivf_search(index, query, k, query_id="q")
-    index = build_plaid(corpus, PlaidConfig(num_centroids=8, ncells=8, ndocs=len(corpus),
-                                            centroid_score_threshold=-1.0, seed=1))
+    config = PlaidConfig(num_centroids=8, ncells=8, ndocs=len(corpus),
+                         centroid_score_threshold=-1.0)
+    index = build_plaid(corpus, config, centroids)
     return lambda query, k: plaid_search(index, query, k, query_id="q")
-
-
-@pytest.mark.parametrize("backend", ["ivf", "plaid"])
-@pytest.mark.parametrize("k", [1, 10, 100])
-def test_backend_band_absorbs_an_adversarial_eps_error_and_is_needed(backend, k, monkeypatch):
-    corpus, query = _tied_corpus()
-    search = _exhaustive_search(backend, corpus)
-    _, eps = batched_scores(corpus, query)
-    expected = _full_sweep(corpus, query, k, "q")
-    inside = np.isin(np.array(corpus.doc_ids), expected.doc_ids())
-    adversarial = _canonical(corpus, query) + np.where(inside, -eps, eps)
-
-    monkeypatch.setattr(core, "batched_scores", lambda c, q, o: (adversarial[o], eps))
-    assert search(query, k) == expected
-    monkeypatch.setattr(core, "batched_scores", lambda c, q, o: (adversarial[o], 0.0))
-    assert search(query, k) != expected
-
-
-def _no_batch(*args):
-    raise AssertionError("the batched pass ran")
-
-
-@pytest.mark.parametrize("backend", ["exact", "ivf", "plaid"])
-def test_fewer_than_2k_ordinals_skip_the_batched_pass(planted_small, backend, monkeypatch):
-    corpus, queries, _ = planted_small
-    ivf_index = build_ivf(corpus, IvfConfig(nlist=16, nprobe=1, seed=1))
-    plaid_index = build_plaid(corpus, PlaidConfig(num_centroids=16, ncells=4,
-                                                  centroid_score_threshold=0.0, seed=1))
-    matrices = _doc_matrices(corpus)
-    for query in queries.values():
-        # search(k, ndocs); `skip` leaves it fewer than 2 * k ordinals to
-        # rank and must match the full rescore, `batch` leaves it at least 2 * k.
-        if backend == "plaid":
-            k = 10
-            search = lambda k, ndocs: plaid_search(plaid_index, query, k, ndocs=ndocs)
-            want = reference_plaid_funnel(
-                query.data, plaid_index.centroids, plaid_index.codes, plaid_index.row_offsets,
-                corpus.doc_ids, matrices, 4, 0.0, k, k)
-            skip, batch = (k, k), (k, len(corpus))
-            assert len(plaid_candidates(plaid_index, query).candidates) >= 2 * k
-        else:
-            if backend == "exact":
-                ordinals, search = range(len(corpus)), lambda k, _: exact_search(corpus, query, k)
-            else:
-                ordinals = ivf_candidates(ivf_index, query)
-                search = lambda k, _: ivf_search(ivf_index, query, k)
-            assert len(ordinals) >= 2
-            k = len(ordinals) // 2 + 1
-            want = full_rescore(query.data, matrices, corpus.doc_ids, ordinals, k)
-            skip, batch = (k, k), (len(ordinals) // 2, k)
-        with monkeypatch.context() as patch:
-            patch.setattr(core, "batched_scores", _no_batch)
-            assert _hexed(search(*skip)) == _hexed_pairs(want)
-            with pytest.raises(AssertionError, match="batched pass"):
-                search(*batch)
 
 
 def _tied_queries():
@@ -256,7 +159,6 @@ def test_ivf_equals_the_full_canonical_rescore(rescore_data):
     built = build_ivf(corpus, IvfConfig(nlist=nlist, nprobe=4, per_token_candidates=cap, seed=2))
     loaded = load_ivf_index(save_ivf_index(built), corpus)
     matrices = _doc_matrices(corpus)
-    banded = 0
     for query in queries:
         for nprobe in (1, 8, nlist):
             candidates = loop_ivf_candidates(built.centroids, built.assignments, corpus.vectors,
@@ -266,8 +168,6 @@ def test_ivf_equals_the_full_canonical_rescore(rescore_data):
                                                  candidates, k))
                 for index in (built, loaded):
                     assert _hexed(ivf_search(index, query, k, nprobe=nprobe)) == want
-                banded += len(candidates) >= 2 * k
-    assert banded
 
 
 @pytest.mark.parametrize("bits", [0, 1, 2])
@@ -285,7 +185,6 @@ def test_plaid_equals_the_full_per_survivor_rescore(rescore_data, bits):
                                    built.codes)
         bounds = corpus.offsets.tolist()
         matrices = [decoded[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-    banded = 0
     for query in queries:
         for k in (1, 10, 100):
             for ndocs in (k, 256):
@@ -294,23 +193,6 @@ def test_plaid_equals_the_full_per_survivor_rescore(rescore_data, bits):
                     built.doc_ids, matrices, 4, 0.0, ndocs, k))
                 for index in indexes:
                     assert _hexed(plaid_search(index, query, k, ndocs=ndocs)) == want
-                banded += min(ndocs, len(plaid_candidates(built, query).candidates)) >= 2 * k
-    assert banded
-
-
-def test_backends_make_fewer_than_2k_canonical_calls_per_query(acceptance_data, monkeypatch):
-    corpus, queries, _ = acceptance_data
-    ivf_index = build_ivf(corpus, IvfConfig(nlist=128, nprobe=8, seed=7))
-    plaid_index = build_plaid(corpus, PlaidConfig(num_centroids=256, ncells=4, ndocs=256,
-                                                  centroid_score_threshold=0.4, seed=7))
-    counts = _counting_score_docs(monkeypatch)
-    for search in (lambda q: ivf_search(ivf_index, q, 100),
-                   lambda q: plaid_search(plaid_index, q, 100)):
-        counts.clear()
-        for query in queries.values():
-            assert len(search(query)) == 100
-        assert len(counts) == len(queries)
-        assert 100 <= min(counts) and max(counts) < 2 * 100
 
 
 @pytest.mark.parametrize("backend", ["exact", "ivf", "plaid"])
@@ -327,13 +209,10 @@ def test_k_below_one_is_refused_by_top_k(planted_small, backend):
 
 
 @pytest.mark.parametrize("k, ordinals", [(5, [-1, 3]), (5, [3, 50]), (1, [49, 50]), (1, [-1, 3])])
-def test_top_k_refuses_ordinals_outside_the_corpus(k, ordinals, monkeypatch):
-    # k = 5 leaves fewer than 2 * k ordinals, so they would go straight to
-    # score_docs; k = 1 would take the batched pass, which must not run first.
+def test_top_k_refuses_ordinals_outside_the_corpus(k, ordinals):
     rng = np.random.default_rng(29)
     corpus = _scaled_corpus(rng, 50, 8)
     query = random_unit_matrix(rng, 3, 8)
-    monkeypatch.setattr(core, "batched_scores", _no_batch)
     with pytest.raises(UnknownDoc, match=r"\[0, 50\)"):
         top_k(corpus, query, k, np.array(ordinals))
 
@@ -343,6 +222,12 @@ def _assert_bit_equal(store, query, ordinals):
     assert _hexed_pairs(score_docs(store, query, ordinals)) == _hexed_pairs(want)
 
 
+def _assert_sweep_bit_equal(corpus, query):
+    """exact_search over the whole corpus (its row blocks): score_all's bits and order."""
+    want = RankedList.from_scores("", score_all(corpus, query), len(corpus))
+    assert _hexed(exact_search(corpus, query, len(corpus))) == _hexed(want)
+
+
 def test_score_docs_has_the_bits_of_maxsim_score():
     rng = np.random.default_rng(30)
     mixed = _scaled_corpus(rng, 30, 128, rows=(1, 64))
@@ -350,14 +235,18 @@ def test_score_docs_has_the_bits_of_maxsim_score():
     # Query row counts across numpy's pairwise-summation blocks, 1-row queries
     # (a vector operand takes another BLAS routine) included.
     for nq in range(1, 301):
-        _assert_bit_equal(mixed, random_unit_matrix(rng, nq, 128), everything)
+        query = random_unit_matrix(rng, nq, 128)
+        _assert_bit_equal(mixed, query, everything)
+        _assert_sweep_bit_equal(mixed, query)
     query = random_unit_matrix(rng, 11, 128)
     for ordinals in (everything[::-1], rng.permutation(len(mixed)).tolist(), [7, 7, 3], []):
         _assert_bit_equal(mixed, query, ordinals)
 
     one_row = _scaled_corpus(rng, 20, 128, rows=(1, 1))
     for nq in (1, 2, 9):
-        _assert_bit_equal(one_row, random_unit_matrix(rng, nq, 128), range(20))
+        query = random_unit_matrix(rng, nq, 128)
+        _assert_bit_equal(one_row, query, range(20))
+        _assert_sweep_bit_equal(one_row, query)
 
 
 def test_score_docs_has_the_bits_of_maxsim_score_on_broken_and_other_stores(planted_small):
@@ -370,14 +259,29 @@ def test_score_docs_has_the_bits_of_maxsim_score_on_broken_and_other_stores(plan
     with np.errstate(invalid="ignore"):  # Inf times a zero query entry
         for query in [random_unit_matrix(rng, nq, 8) for nq in (1, 4, 13)] + [zeros]:
             _assert_bit_equal(broken, query, range(len(broken)))
+            _assert_sweep_bit_equal(broken, query)
 
     # Every doc of the pooled corpus has C rows, so it is one stacked product.
     corpus, queries, _ = planted_small
-    stores = [core.pool_corpus(corpus, 4),
-              Corpus(corpus.doc_ids, corpus.vectors.astype(np.float16), corpus.offsets,
-                     dtype="float16")]
-    stores += [build_plaid(corpus, PlaidConfig(num_centroids=16, residual_bits=bits, seed=3))
-               for bits in (1, 2)]
-    for store in stores:
-        for query in list(queries.values())[:3]:
+    pooled = core.pool_corpus(corpus, 4)
+    assert len(pooled.row_blocks[1]) == 1
+    corpora = [pooled, Corpus(corpus.doc_ids, corpus.vectors.astype(np.float16), corpus.offsets,
+                              dtype="float16")]
+    stores = corpora + [build_plaid(corpus, PlaidConfig(num_centroids=16, residual_bits=bits,
+                                                        seed=3)) for bits in (1, 2)]
+    for query in list(queries.values())[:3]:
+        for store in stores:
             _assert_bit_equal(store, query, rng.permutation(len(corpus)).tolist())
+        for store in corpora:
+            _assert_sweep_bit_equal(store, query)
+
+
+def test_ties_follow_the_string_order_of_doc_ids():
+    rng = np.random.default_rng(32)
+    doc = random_unit_matrix(rng, 3, 8)
+    ids = ["b", "c9", "a", "C", "c10", "B2"]
+    corpus = Corpus.build({doc_id: doc for doc_id in ids})
+    query = random_unit_matrix(rng, 2, 8)
+    assert corpus.id_rank.tolist() == [sorted(ids).index(doc_id) for doc_id in ids]
+    assert exact_search(corpus, query, 6).doc_ids() == tuple(sorted(ids))
+    assert top_k(corpus, query, 4, np.array([4, 0, 1, 2])).doc_ids() == ("a", "b", "c10", "c9")

@@ -17,7 +17,7 @@ from latebench import (
 )
 from latebench.bundle import corpus_digest, load_plaid_index, save_plaid_index
 from latebench import plaid
-from latebench.core import batched_scores, top_k
+from latebench.core import top_k
 from latebench.errors import CorpusMismatch, NDocsTooSmall, UnknownDoc, UnsupportedBits
 from latebench.kmeans import probe
 from latebench.plaid import (
@@ -162,14 +162,11 @@ def test_stage4_scores_equal_exact_kernel_when_residuals_off(planted_small):
 
 def test_stage4_reads_each_survivor_through_doc_matrix(planted_small, monkeypatch):
     # Profilers time decoded-vector access by wrapping PlaidIndex.doc_matrix,
-    # so stage 4 must look every survivor it rescores up through it, once:
-    # exactly the survivors whose batched score is within 2 * eps of the
-    # k-th one.
+    # so stage 4 must look every survivor up through it, exactly once.
     corpus, queries, _ = planted_small
     original, seen = PlaidIndex.doc_matrix, []
     monkeypatch.setattr(PlaidIndex, "doc_matrix",
                         lambda index, ordinal: seen.append(ordinal) or original(index, ordinal))
-    pruned = 0
     for bits in (0, 2):
         config = PlaidConfig(num_centroids=32, ncells=4, ndocs=20, residual_bits=bits, seed=3)
         index = build_plaid(corpus, config)
@@ -178,17 +175,11 @@ def test_stage4_reads_each_survivor_through_doc_matrix(planted_small, monkeypatc
             approx = per_doc_centroid_scores(query.data @ index.centroids.T, index.codes,
                                              index.row_offsets)
             survivors = sorted(candidates, key=lambda o: (-approx[o], index.doc_ids[o]))[:20]
-            batched, eps = batched_scores(index.store, query, np.array(survivors))
-            kth = np.sort(batched)[-10]
-            band = {o for o, score in zip(survivors, batched) if score >= kth - 2 * eps}
             seen.clear()
             result = plaid_search(index, query, 10, threshold=0.0)
-            assert len(seen) == len(set(seen)) and set(seen) == band
+            assert sorted(seen) == sorted(survivors)
             scored = {index.doc_ids[o]: maxsim_score(query, original(index, o)) for o in seen}
-            assert set(result.doc_ids()) <= set(scored)
             assert all(scored[hit.doc_id] == hit.score for hit in result.hits)
-            pruned += len(survivors) - len(band)
-    assert pruned > 0
 
 
 def test_saturation_once_doc_centroids_covered():
@@ -584,7 +575,7 @@ def _full_lexsort_search(index, query, k, ndocs):
     """plaid_search's funnel with the survivors taken by one lexsort of every candidate."""
     candidates = np.array(plaid_candidates(index, query).candidates)
     approx = plaid.approx_scores(index, query.data @ index.centroids.T, candidates)
-    survivors = candidates[np.lexsort((index.id_rank[candidates], -approx))[:ndocs]]
+    survivors = candidates[np.lexsort((index.store.id_rank[candidates], -approx))[:ndocs]]
     return top_k(index.store, query, k, survivors, store=index)
 
 

@@ -97,6 +97,19 @@ def test_exact_search_on_filler_corpus_still_finds_targets():
         assert top.hits[0].doc_id in qrels.relevant(qid)
 
 
+def test_generated_corpus_has_not_built_its_row_blocks():
+    # The planted check runs exact searches, which cache a row-count copy of
+    # every row (Corpus.row_blocks, ~20 MB on the 2,000-doc bench corpus). It
+    # ranks on a twin, so a caller holding several generated corpora holds no
+    # copy until it searches one.
+    spec = SyntheticSpec(doc_count=20, tokens_per_doc=(4, 8), dim=32, num_concepts=8,
+                         queries=6, signal_tokens=4, filler_fraction=0.3, seed=3)
+    corpus, queries, _ = generate_synthetic(spec)
+    assert "row_blocks" not in vars(corpus)
+    exact_search(corpus, next(iter(queries.values())), 1)
+    assert "row_blocks" in vars(corpus)
+
+
 def test_too_many_docs_for_concepts_is_infeasible():
     with pytest.raises(SpecInfeasible):
         generate_synthetic(SyntheticSpec(doc_count=100, tokens_per_doc=(4, 8), dim=32,
