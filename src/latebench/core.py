@@ -33,7 +33,9 @@ saved). A subset goes through `score_docs`: each doc is read through
 `store.doc_matrix(o)`, the docs are put in stable row-count order and their
 rows concatenated once, and each block is a view of that array. Ranking is
 one `np.lexsort` by descending score, NaN last, ties by ascending doc id
-(`Corpus.id_rank`), the order `RankedList.from_scores` gives too.
+(`Corpus.id_rank`), the order `RankedList.from_scores` gives too. When more
+than k docs are scored, an `np.partition` at the k-th negated score first
+drops every doc below it, so the sort runs over about k of them.
 `maxsim_score` stays the reference definition: `score_all`, the full sweep,
 calls it once per document, and the tests compare against it.
 """
@@ -314,18 +316,17 @@ def _stacked_maxsim(q: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     return np.maximum.reduce(dots, axis=0).astype(np.float64).sum(axis=1)
 
 
-def score_docs(store, query: TokenMatrix, ordinals: Iterable[int]) -> list[tuple[str, float]]:
-    """(doc id, maxsim_score) for each doc ordinal, in the given order, single-threaded.
+def score_docs(store, query: TokenMatrix, ordinals: Iterable[int]) -> np.ndarray:
+    """maxsim_score of each doc ordinal, in the given order, as one float64 array.
 
     `store` has `doc_ids` and `doc_matrix(ordinal)`: a Corpus or a PlaidIndex.
     Each doc is read once through `doc_matrix`; the docs are put in stable
     row-count order, their rows concatenated once, and each row count's docs
-    scored as one (g, L, dim) view by `_stacked_maxsim`.
+    scored as one (g, L, dim) view by `_stacked_maxsim`. Single-threaded.
     """
-    ordinals = list(ordinals)
     docs = [store.doc_matrix(o).data for o in ordinals]
     if not docs:
-        return []
+        return np.empty(0)
     q = query.data
     if docs[0].shape[1] != q.shape[1]:
         raise DimensionMismatch(f"query dim {q.shape[1]} != doc dim {docs[0].shape[1]}")
@@ -339,7 +340,7 @@ def score_docs(store, query: TokenMatrix, ordinals: Iterable[int]) -> list[tuple
         start += size * length
     scores = np.empty(len(docs))
     scores[order] = _stacked_maxsim(q, blocks)
-    return list(zip([store.doc_ids[o] for o in ordinals], scores.tolist()))
+    return scores
 
 
 def _check_dim(corpus: Corpus, query: TokenMatrix) -> None:
@@ -378,9 +379,15 @@ def top_k(
     else:
         if ordinals.min(initial=0) < 0 or ordinals.max(initial=0) >= len(corpus):
             raise UnknownDoc(f"doc ordinals must lie in [0, {len(corpus)})")
-        scored = score_docs(corpus if store is None else store, query, ordinals.tolist())
-        scores = np.array([score for _, score in scored])
-    best = np.lexsort((corpus.id_rank[ordinals], -scores))[:k]
+        scores = score_docs(corpus if store is None else store, query, ordinals.tolist())
+    negated = -scores
+    if len(scores) > k:
+        # Keep every doc whose negated score is not above the k-th smallest, as
+        # plaid_search's stage-3 cut does: the top k all clear it, and a NaN
+        # cut value (fewer than k numeric scores) keeps everything.
+        keep = ~(negated > np.partition(negated, k - 1)[k - 1])
+        ordinals, scores, negated = ordinals[keep], scores[keep], negated[keep]
+    best = np.lexsort((corpus.id_rank[ordinals], negated))[:k]
     ids = [corpus.doc_ids[o] for o in ordinals[best].tolist()]
     return RankedList(query_id, tuple(map(ScoredDoc, ids, scores[best].tolist())))
 

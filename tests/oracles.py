@@ -100,6 +100,21 @@ def per_doc_centroid_scores(dots, codes, row_offsets):
     return scores
 
 
+def loop_residual_radii(vectors, centroids, codes, row_offsets):
+    """Per doc the largest residual norm, and per (doc, distinct code), in
+    ascending code order, the smallest, both in float64, one row at a time."""
+    largest, smallest = [], []
+    for d in range(len(row_offsets) - 1):
+        rows = range(row_offsets[d], row_offsets[d + 1])
+        norms = {row: float(np.linalg.norm(vectors[row].astype(np.float64)
+                                           - centroids[codes[row]].astype(np.float64)))
+                 for row in rows}
+        largest.append(max(norms.values()))
+        for code in sorted(set(codes[row] for row in rows)):
+            smallest.append(min(norms[row] for row in rows if codes[row] == code))
+    return np.array(largest), np.array(smallest)
+
+
 def reference_plaid_funnel(query, centroids, codes, row_offsets, doc_ids, doc_vectors,
                            ncells, threshold, ndocs, k):
     """PLAID stages 1-4 by explicit loops; returns [(doc_id, score)] best first.

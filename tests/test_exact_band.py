@@ -217,9 +217,46 @@ def test_top_k_refuses_ordinals_outside_the_corpus(k, ordinals):
         top_k(corpus, query, k, np.array(ordinals))
 
 
+def _full_lexsort_top_k(corpus, query, k, ordinals):
+    """top_k's list by one lexsort over every scored doc, with no cut before it."""
+    scores = score_docs(corpus, query, ordinals.tolist())
+    best = np.lexsort((corpus.id_rank[ordinals], -scores))[:k]
+    return list(zip([corpus.doc_ids[o] for o in ordinals[best].tolist()],
+                    [score.hex() for score in scores[best].tolist()]))
+
+
+def test_top_k_cut_keeps_the_full_lexsort_list():
+    # 400 doc shapes, three copies each under distinct ids, so the ranks k
+    # and k + 1 tie for k in (1, 100, 1000); every 50th shape scores NaN (24
+    # docs), so k = len(corpus) - 10 puts a NaN at the partition's cut.
+    rng = np.random.default_rng(33)
+    mats = {}
+    for i in range(400):
+        m = random_unit_matrix(rng, int(rng.integers(1, 5)), 8).data.copy()
+        if i % 50 == 7:
+            m[0, 0] = np.nan
+        for copy in range(3):
+            mats[f"d{i:03d}{'abc'[copy]}"] = TokenMatrix(m)
+    corpus = Corpus.build(mats)
+    query = random_unit_matrix(rng, 3, 8)
+    everything = corpus.row_blocks[0]
+    subset = rng.permutation(len(corpus))[:1100]
+    full = _full_lexsort_top_k(corpus, query, len(corpus), everything)
+    for k in (1, 100, 1000):
+        assert full[k - 1][1] == full[k][1]
+    assert full[-1][1] == "nan" and full[len(corpus) - 24][1] == "nan"
+    for k in (1, 100, 1000, len(corpus) - 10, len(corpus)):
+        assert _hexed(exact_search(corpus, query, k)) == full[:k]
+        assert _hexed(top_k(corpus, query, k, subset)) == _full_lexsort_top_k(
+            corpus, query, k, subset)
+
+
 def _assert_bit_equal(store, query, ordinals):
-    want = [(store.doc_ids[o], maxsim_score(query, store.doc_matrix(o))) for o in ordinals]
-    assert _hexed_pairs(score_docs(store, query, ordinals)) == _hexed_pairs(want)
+    """score_docs: one float64 array, maxsim_score's bits in the given order."""
+    want = [maxsim_score(query, store.doc_matrix(o)).hex() for o in ordinals]
+    scores = score_docs(store, query, ordinals)
+    assert scores.dtype == np.float64 and scores.shape == (len(want),)
+    assert [score.hex() for score in scores.tolist()] == want
 
 
 def _assert_sweep_bit_equal(corpus, query):

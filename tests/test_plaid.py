@@ -17,7 +17,7 @@ from latebench import (
 )
 from latebench.bundle import corpus_digest, load_plaid_index, save_plaid_index
 from latebench import plaid
-from latebench.core import top_k
+from latebench.core import pool_corpus, score_docs, top_k
 from latebench.errors import CorpusMismatch, NDocsTooSmall, UnknownDoc, UnsupportedBits
 from latebench.kmeans import probe
 from latebench.plaid import (
@@ -39,6 +39,7 @@ from oracles import (
     loop_decode_rows,
     loop_encode_rows,
     loop_quantiles,
+    loop_residual_radii,
     per_doc_centroid_scores,
     quantize_roundtrip,
     reference_plaid_funnel,
@@ -160,26 +161,53 @@ def test_stage4_scores_equal_exact_kernel_when_residuals_off(planted_small):
         assert hit.score == maxsim_score(query, corpus.docs[hit.doc_id])
 
 
-def test_stage4_reads_each_survivor_through_doc_matrix(planted_small, monkeypatch):
+def _bounds(index, query, ordinals):
+    """plaid_search's bounds on each doc ordinal's stage-4 score: (ceiling,
+    lower), the lower sum less the slack, with its stage-3 approx score."""
+    dots = query.data @ index.centroids.T
+    norms = plaid._query_norms(query)
+    total = norms.sum()
+    slack = plaid._slack(index, query.rows, total)
+    approx = approx_scores(index, dots, ordinals)
+    ceiling = approx + index.max_residual[ordinals] * total + slack
+    return ceiling, plaid._lower_sums(index, dots, norms, ordinals) - slack, approx
+
+
+def _survivors(index, query, ndocs, threshold=None):
+    """Stage-3 survivors by the loop oracle: best approx score first, ties by doc id."""
+    candidates = plaid_candidates(index, query, threshold=threshold).candidates
+    approx = per_doc_centroid_scores(query.data @ index.centroids.T, index.codes,
+                                     index.row_offsets)
+    return sorted(candidates, key=lambda o: (-approx[o], index.doc_ids[o]))[:ndocs]
+
+
+def test_stage4_reads_each_survivor_through_doc_matrix(planted_by_filler, monkeypatch):
     # Profilers time decoded-vector access by wrapping PlaidIndex.doc_matrix,
-    # so stage 4 must look every survivor up through it, exactly once.
-    corpus, queries, _ = planted_small
+    # so stage 4 looks every doc it scores up through it, exactly once. It
+    # reads only survivors, and skips one only when the survivor's ceiling
+    # lies below the least lower bound of the first k.
+    corpus, queries, _ = planted_by_filler[0.3]
     original, seen = PlaidIndex.doc_matrix, []
     monkeypatch.setattr(PlaidIndex, "doc_matrix",
                         lambda index, ordinal: seen.append(ordinal) or original(index, ordinal))
+    skipped = 0
     for bits in (0, 2):
-        config = PlaidConfig(num_centroids=32, ncells=4, ndocs=20, residual_bits=bits, seed=3)
+        config = PlaidConfig(num_centroids=32, ncells=4, ndocs=40, residual_bits=bits, seed=4)
         index = build_plaid(corpus, config)
         for query in queries.values():
-            candidates = plaid_candidates(index, query, threshold=0.0).candidates
-            approx = per_doc_centroid_scores(query.data @ index.centroids.T, index.codes,
-                                             index.row_offsets)
-            survivors = sorted(candidates, key=lambda o: (-approx[o], index.doc_ids[o]))[:20]
+            survivors = _survivors(index, query, 40)
             seen.clear()
-            result = plaid_search(index, query, 10, threshold=0.0)
-            assert sorted(seen) == sorted(survivors)
+            result = plaid_search(index, query, 10)
+            assert len(seen) == len(set(seen)) and set(seen) <= set(survivors)
+            unread = sorted(set(survivors) - set(seen))
+            if unread:
+                ceiling, lower, _ = _bounds(index, query, np.array(survivors))
+                floor = lower[:10].min()
+                assert all(ceiling[survivors.index(o)] < floor for o in unread)
+            skipped += len(unread)
             scored = {index.doc_ids[o]: maxsim_score(query, original(index, o)) for o in seen}
             assert all(scored[hit.doc_id] == hit.score for hit in result.hits)
+    assert skipped > 0
 
 
 def test_saturation_once_doc_centroids_covered():
@@ -571,9 +599,15 @@ def test_tied_corpus_cuts_inside_a_tie_group():
     assert differs > 0
 
 
-def _full_lexsort_search(index, query, k, ndocs):
-    """plaid_search's funnel with the survivors taken by one lexsort of every candidate."""
-    candidates = np.array(plaid_candidates(index, query).candidates)
+def _hexed(ranked):  # NaN != NaN, so compare exact bit patterns
+    return [(hit.doc_id, hit.score.hex()) for hit in ranked.hits]
+
+
+def _full_lexsort_search(index, query, k, ndocs, ncells=None, threshold=None):
+    """plaid_search's funnel with the survivors taken by one lexsort of every
+    candidate, and every survivor scored: no cut before stage 3's sort or stage 4."""
+    candidates = np.array(plaid_candidates(index, query, ncells, threshold).candidates,
+                          dtype=np.int64)
     approx = plaid.approx_scores(index, query.data @ index.centroids.T, candidates)
     survivors = candidates[np.lexsort((index.store.id_rank[candidates], -approx))[:ndocs]]
     return top_k(index.store, query, k, survivors, store=index)
@@ -588,16 +622,13 @@ def test_nan_scores_keep_the_full_lexsort_survivors(planted_by_filler, monkeypat
     rows = query.data.copy()
     rows[2] = np.nan  # every stage-3 score is NaN
 
-    def hexed(ranked):  # NaN != NaN, so compare exact bit patterns
-        return [(hit.doc_id, hit.score.hex()) for hit in ranked.hits]
-
     def assert_full_lexsort_survivors(probe_query):
         count = len(plaid_candidates(index, probe_query).candidates)
         assert count > 40
         for k, ndocs in ((5, 5), (10, 10), (10, 40), (10, count - 1)):
             got = plaid_search(index, probe_query, k, ndocs=ndocs)
             assert len(got.hits) == k
-            assert hexed(got) == hexed(_full_lexsort_search(index, probe_query, k, ndocs))
+            assert _hexed(got) == _hexed(_full_lexsort_search(index, probe_query, k, ndocs))
 
     assert_full_lexsort_survivors(TokenMatrix(rows))
     approx = plaid.approx_scores
@@ -609,6 +640,159 @@ def test_nan_scores_keep_the_full_lexsort_survivors(planted_by_filler, monkeypat
 
     monkeypatch.setattr(plaid, "approx_scores", every_third_nan)
     assert_full_lexsort_survivors(query)
+
+
+def _recording(monkeypatch, owner, name):
+    """Patch owner.name to record the last argument of each call; returns the record."""
+    original, calls = getattr(owner, name), []
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args[-1]) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize("bits", [0, 1, 2])
+def test_residual_radii_round_the_loop_norms_up(planted_by_filler, bits):
+    corpus, _, _ = planted_by_filler[0.3]
+    index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, residual_bits=bits,
+                                            seed=4))
+    largest, smallest = loop_residual_radii(index.store.vectors, index.centroids, index.codes,
+                                            index.row_offsets)
+    assert len(smallest) == len(index.unique_codes.flat)
+    for got, want in ((index.max_residual, largest), (index.min_residual, smallest)):
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert (got >= want).all() and (got <= want * (1 + 1e-5) + 1e-20).all()
+
+
+def _on_centroid_index(rng):
+    """Every row of every doc is one of the index's centroids: zero residuals."""
+    centroids = random_unit_matrix(rng, 24, 16).data
+    docs = {f"c{i:02d}": TokenMatrix(centroids[rng.choice(24, size=1 + i % 5, replace=False)])
+            for i in range(40)}
+    return build_plaid(Corpus.build(docs), PlaidConfig(num_centroids=24, ncells=2),
+                       centroids=centroids)
+
+
+def test_residual_bounds_hold_for_every_doc(planted_by_filler):
+    # ceiling >= stage-4 score >= lower bound, and lower bound <= stage-3
+    # score, for every doc, rounding included: at 0, 1 and 2 bits, pooled, on
+    # query rows scaled by 1e3, and on docs that lie on their centroids, where
+    # stage 3 and stage 4 dot the same vectors in different BLAS calls.
+    corpus, queries, _ = planted_by_filler[0.3]
+    probes = list(queries.values())[:3]
+    cases = [(f"{bits} bits", build_plaid(corpus, PlaidConfig(
+        num_centroids=32, ncells=4, residual_bits=bits, seed=4)), probes) for bits in (0, 1, 2)]
+    cases.append(("C=4", build_plaid(pool_corpus(corpus, 4),
+                                     PlaidConfig(num_centroids=32, ncells=4, seed=4)), probes))
+    rng = np.random.default_rng(41)
+    cases.append(("on centroids", _on_centroid_index(rng),
+                  [random_unit_matrix(rng, rows, 16) for rows in (1, 5, 32)]))
+    for name, index, queries in cases:
+        every = np.arange(index.doc_count)
+        for query in queries + [TokenMatrix(q.data * np.float32(1e3)) for q in queries]:
+            ceiling, lower, approx = _bounds(index, query, every)
+            scores = score_docs(index.store, query, every)
+            assert (lower <= scores).all() and (scores <= ceiling).all(), name
+            assert (lower <= approx).all(), name
+            if name == "on centroids":  # the slack is all that separates them
+                total = plaid._query_norms(query).sum()
+                slack = plaid._slack(index, query.rows, total)
+                assert (ceiling - lower < 2.01 * slack).all() and slack < 1e-5 * total
+
+
+def test_cut_keeps_the_uncut_list_over_the_funnel_grid(planted_by_filler, monkeypatch):
+    # Over the reference funnel's (ncells, threshold, ndocs) grid, the list
+    # equals the uncut funnel's by float.hex(), and stage 4 does skip docs.
+    reads = _recording(monkeypatch, PlaidIndex, "doc_matrix")
+    for filler, (corpus, queries, _) in planted_by_filler.items():
+        skipped = 0
+        for bits in (0, 2):
+            index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=2,
+                                                    residual_bits=bits, seed=6))
+            for query in list(queries.values())[:3]:
+                for ncells in (1, 4, 64):
+                    for threshold in (0.3, 0.5):
+                        count = len(plaid_candidates(index, query, ncells, threshold).candidates)
+                        for k in (1, 5, 10):
+                            for ndocs in {k, 7 + k, max(k, count - 1), max(k, count)}:
+                                want = _hexed(_full_lexsort_search(index, query, k, ndocs,
+                                                                   ncells, threshold))
+                                reads.clear()
+                                got = plaid_search(index, query, k, ncells=ncells,
+                                                   threshold=threshold, ndocs=ndocs)
+                                assert _hexed(got) == want, (filler, bits, ncells, threshold,
+                                                             k, ndocs)
+                                skipped += min(count, ndocs) - len(reads)
+        assert skipped > 0, filler
+
+
+def test_cut_reads_fewer_at_filler_30_and_skips_the_floor_at_filler_0(planted_by_filler,
+                                                                    monkeypatch):
+    reads = _recording(monkeypatch, PlaidIndex, "doc_matrix")
+    floors = _recording(monkeypatch, plaid, "_lower_sums")
+    for filler, (corpus, queries, _) in planted_by_filler.items():
+        for bits in (0, 2):
+            index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4,
+                                                    residual_bits=bits, seed=4))
+            fewer = 0
+            floors.clear()
+            for query in queries.values():
+                survivors = _survivors(index, query, index.config.ndocs)
+                assert len(survivors) > 5
+                reads.clear()
+                plaid_search(index, query, 5)
+                fewer += len(reads) < len(survivors)
+            if filler == 0.3:
+                assert fewer > len(queries) / 2 and floors, bits
+            else:
+                assert fewer == 0 and not floors, bits
+
+
+def test_nan_query_or_store_row_cuts_nothing(planted_by_filler, monkeypatch):
+    # Both indexes assign their rows to the same centroids, so the NaN row is
+    # all that sets them apart.
+    corpus, queries, _ = planted_by_filler[0.3]
+    config = PlaidConfig(num_centroids=32, ncells=4, seed=4)
+    centroids = build_plaid(corpus, config).centroids
+    index = build_plaid(corpus, config, centroids)
+    query = next(iter(queries.values()))
+    rows = query.data.copy()
+    rows[2] = np.nan
+    vectors = corpus.vectors.copy()
+    vectors[corpus.offsets[7] + 1, 3] = np.nan
+    broken = build_plaid(Corpus(corpus.doc_ids, vectors, corpus.offsets), config, centroids)
+    assert np.isnan(broken.max_residual[7]) and np.isnan(broken.reach)
+    entries = broken.unique_codes.offsets[7:9]
+    assert np.isnan(broken.min_residual[entries[0]:entries[1]]).any()
+    reads = _recording(monkeypatch, PlaidIndex, "doc_matrix")
+    for case, searched, probe_query in (("clean", index, query),
+                                        ("NaN query row", index, TokenMatrix(rows)),
+                                        ("NaN store row", broken, query)):
+        for k in (1, 5, 10):
+            count = len(plaid_candidates(searched, probe_query).candidates)
+            reads.clear()
+            got = plaid_search(searched, probe_query, k)
+            assert len(reads) == len(set(reads))
+            assert (len(reads) < count) == (case == "clean"), (case, k)
+            assert _hexed(got) == _hexed(_full_lexsort_search(searched, probe_query, k, count))
+
+
+@pytest.mark.parametrize("bits", [0, 1, 2])
+def test_loaded_index_derives_the_same_radii(planted_by_filler, bits):
+    # The radii are derived, never saved: a load derives them bit for bit,
+    # and the file holds the same arrays as ever.
+    corpus, _, _ = planted_by_filler[0.3]
+    built = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, residual_bits=bits,
+                                            seed=4))
+    data = save_plaid_index(built)
+    header = data[:data.index(b"\nend\n")].decode().splitlines()
+    names = [line.split()[1] for line in header if line.startswith("array ")]
+    assert names == ["centroids", "codes"] + (["residual_levels", "residual_quantiles"]
+                                               if bits else [])
+    for loaded in [load_plaid_index(data, corpus)] + ([load_plaid_index(data)] if bits else []):
+        for name in ("max_residual", "min_residual"):
+            assert getattr(loaded, name).tobytes() == getattr(built, name).tobytes()
+            assert getattr(loaded, name).dtype == np.float32
+        assert loaded.reach == built.reach
+        assert save_plaid_index(loaded) == data
 
 
 def test_stage3_sum_order_on_wide_magnitudes():
