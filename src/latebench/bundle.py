@@ -200,9 +200,12 @@ class _Header:
     def arrays(self, expected: dict[str, tuple[str, tuple]]) -> dict[str, np.ndarray]:
         """Exactly the expected arrays, each checked against its (dtype, shape).
 
-        A None in an expected shape matches any length.
+        A None in an expected shape matches any length. The arrays tile the
+        payload in header order, as `_HeaderWriter.finish` writes them: each
+        starts where the one before it ends, the first at 0, and the last ends
+        where the payload does.
         """
-        arrays = {}
+        arrays, end = {}, 0
         for line_no, fields in self.many("array"):
             try:
                 name, dtype_name, ndim = fields[0], fields[1], int(fields[2])
@@ -214,15 +217,21 @@ class _Header:
                     or any(s < 0 or w not in (None, s) for w, s in zip(want, shape))):
                 raise MalformedLine(line_no, f"array {fields!r} is not a {dtype} of shape {want}")
             item = np.dtype(_NUMPY_DTYPES[dtype])
-            if offset < 0 or nbytes != math.prod(shape) * item.itemsize:
-                raise MalformedLine(line_no, f"array {name!r} declares {nbytes} bytes at {offset}")
-            if offset + nbytes > len(self.payload):
+            size = math.prod(shape) * item.itemsize
+            if offset != end or nbytes != size:
+                raise MalformedLine(line_no, f"array {name!r} declares {nbytes} bytes at "
+                                             f"{offset}, not {size} at {end}")
+            end += nbytes
+            if end > len(self.payload):
                 raise TruncatedPayload(f"array {name!r} extends past the payload")
             raw = np.frombuffer(self.payload, item, math.prod(shape), offset)
             arrays[name] = raw.reshape(shape).copy()
         missing = sorted(expected.keys() - arrays.keys())
         if missing:
             raise MalformedLine(0, f"missing array(s) {missing}")
+        if end != len(self.payload):
+            raise MalformedLine(line_no, f"array {name!r} ends at {end}, the payload at "
+                                         f"{len(self.payload)}")
         return arrays
 
 

@@ -8,9 +8,10 @@ against, so scoring goes through one canonical kernel (`maxsim_score`) and
 ties are always broken by ascending doc id.
 
 Every search ends in `top_k`, which scores every document it ranks (the
-whole corpus for `exact_search`, the candidates for IVF, the stage-3
-survivors for PLAID) through one stacked-product body, `_stacked_maxsim`, and
-ranks by those scores. There is no approximate pass: every returned score and
+whole corpus for `exact_search`; for IVF its candidates and for PLAID its
+stage-3 survivors, less those the residual-radius bound `kmeans.bounded`
+rules out) through one stacked-product body, `_stacked_maxsim`, and ranks by
+those scores. There is no approximate pass: every returned score and
 every ordering has `maxsim_score`'s bits.
 
 The body takes the documents' rows grouped by row count, as one (g, L, dim)

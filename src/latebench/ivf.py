@@ -1,11 +1,17 @@
 """Inverted-file approximate backend for multi-vector search.
 
 Token vectors are clustered into nlist centroids; every query row probes its
-nprobe nearest lists and gathers candidate tokens, the gathered tokens' source
-documents form the candidate set, and `core.top_k` takes the candidates' exact
-top k, scoring every candidate by one stacked product per row count. Only
-candidate generation approximates: every returned score equals maxsim_score
-exactly.
+nprobe nearest lists and gathers candidate tokens, and the gathered tokens'
+source documents form the candidate set. When there are more than k
+candidates, each gets its centroid score (`kmeans.approx_scores`, over the
+dots the probe already took), and `kmeans.bounded` drops those the
+residual-radius bound proves to lie outside the top k, as PLAID does before
+its stage 4. `core.top_k` takes the exact top k of the rest, scoring each by
+one stacked product per row count. Only candidate generation approximates:
+every returned score equals maxsim_score exactly, and the list is the one
+`core.top_k` gives over every candidate, bit for bit. The bound reads the
+index's `kmeans.Radii` of `corpus.vectors` on its centroids and assignments,
+derived at build and load and never saved.
 
 Gather order is (probed-list rank, then token dot within the boundary list),
 so the candidate set at a smaller nprobe is always a subset of the candidate
@@ -13,6 +19,11 @@ set at a larger one; that monotonicity is load-bearing for the recall
 properties asserted in the tests. It holds because `kmeans.probe` orders a
 row's centroids by a stable sort, so the first nprobe lists are a prefix of
 the first nprobe + 1.
+
+A list the per-token budget runs out inside is gathered once per query,
+however many query rows it runs out in; each such row dots the same gathered
+rows in its own matrix-vector product and keeps its top rows by (dot, row id),
+after an `np.partition` cut at its budget-th best dot.
 """
 
 from __future__ import annotations
@@ -52,13 +63,23 @@ class IvfIndex:
     corpus: Corpus
     token_docs: np.ndarray = field(init=False)  # (total_vectors,) int64 doc ordinal
     lists: kmeans.Csr = field(init=False)  # per centroid, corpus row ids ascending
+    # The kmeans.Radii of `corpus.vectors` on the centroids: unique codes and residual norms.
+    unique_codes: kmeans.Csr = field(init=False, repr=False, compare=False)
+    max_residual: np.ndarray = field(init=False, repr=False, compare=False)
+    min_residual: np.ndarray = field(init=False, repr=False, compare=False)
+    reach: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = (self.corpus.total_vectors,)
+        kmeans.check_centroids(self.centroids, self.config.nlist)
         kmeans.check_ids("assignments", self.assignments, rows, self.config.nlist)
         object.__setattr__(self, "token_docs", kmeans.token_docs(self.corpus.offsets))
         object.__setattr__(self, "lists", kmeans.Csr.grouped(
             self.assignments, np.arange(rows[0]), self.config.nlist))
+        radii = kmeans.residual_radii(self.corpus.vectors, self.centroids, self.assignments,
+                                      self.corpus.offsets)
+        for name, value in zip(kmeans.Radii._fields, radii):
+            object.__setattr__(self, name, value)
 
 
 def build_ivf(corpus: Corpus, config: IvfConfig) -> IvfIndex:
@@ -71,7 +92,8 @@ def build_ivf(corpus: Corpus, config: IvfConfig) -> IvfIndex:
 
 def _candidates(
     index: IvfIndex, query: TokenMatrix, nprobe: int | None, per_token_candidates: int | None
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """(the probe's centroid dots, candidate doc ordinals ascending)."""
     nprobe = index.config.nprobe if nprobe is None else nprobe
     cap = (
         index.config.per_token_candidates
@@ -80,18 +102,28 @@ def _candidates(
     )
     if cap < 1:
         raise ValueError("per_token_candidates must be >= 1")
-    _, top = kmeans.probe(index.centroids, query, nprobe)
+    dots, top = kmeans.probe(index.centroids, query, nprobe)
     lengths = np.diff(index.lists.offsets)[top]
     ends = np.cumsum(lengths, axis=1)
     starts = ends - lengths
     rows = [index.lists.gather(np.unique(top[ends <= cap]))[0]]
-    for r, j in zip(*np.nonzero((starts < cap) & (ends > cap))):
-        toks = index.lists[top[r, j]]
-        dots = index.corpus.vectors[toks] @ query.data[r]
-        rows.append(toks[np.lexsort((toks, -dots))[:cap - starts[r, j]]])
+    straddling = (starts < cap) & (ends > cap)
+    lists, budgets = top[straddling], cap - starts[straddling]
+    query_rows = np.nonzero(straddling)[0]
+    for lst in np.unique(lists).tolist():
+        toks = index.lists[lst]
+        block = index.corpus.vectors[toks]
+        mine = lists == lst
+        for r, budget in zip(query_rows[mine].tolist(), budgets[mine].tolist()):
+            negated = -(block @ query.data[r])
+            # The budget-th smallest negated dot: no row above it is among the
+            # top `budget`, and a NaN cut (fewer numbers than that) keeps all.
+            keep = ~(negated > np.partition(negated, budget - 1)[budget - 1])
+            kept = toks[keep]
+            rows.append(kept[np.lexsort((kept, negated[keep]))[:budget]])
     members = np.zeros(len(index.corpus), dtype=bool)
     members[index.token_docs[np.concatenate(rows)]] = True
-    return np.flatnonzero(members)
+    return dots, np.flatnonzero(members)
 
 
 def ivf_candidates(
@@ -107,7 +139,7 @@ def ivf_candidates(
     one list the budget runs out inside contributes its top tokens by
     (dot, row id). An nprobe or budget below 1 raises ValueError, as IvfConfig does.
     """
-    return tuple(_candidates(index, query, nprobe, per_token_candidates).tolist())
+    return tuple(_candidates(index, query, nprobe, per_token_candidates)[1].tolist())
 
 
 def ivf_search(
@@ -118,6 +150,11 @@ def ivf_search(
     per_token_candidates: int | None = None,
     query_id: str = "",
 ) -> RankedList:
-    """Probe, gather, then take the exact top k of the candidates with `core.top_k`."""
-    ordinals = _candidates(index, query, nprobe, per_token_candidates)
+    """Probe, gather, drop the candidates the residual-radius bound rules out,
+    then take the exact top k of the rest with `core.top_k` (module docstring)."""
+    dots, ordinals = _candidates(index, query, nprobe, per_token_candidates)
+    if len(ordinals) > k:
+        approx = kmeans.approx_scores(index, dots, ordinals)
+        order = np.lexsort((index.corpus.id_rank[ordinals], -approx))
+        ordinals = kmeans.bounded(index, query, dots, ordinals[order], approx[order], k)
     return top_k(index.corpus, query, k, ordinals, query_id)

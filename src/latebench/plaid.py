@@ -15,49 +15,24 @@ Retrieval runs as a funnel:
            residual compression is on, from decoded vectors.
 
 Stage 4 is `core.top_k`, as for exact search and IVF: the rows of every
-survivor the bound below does not rule out are read once, through
+survivor the residual-radius bound does not rule out are read once, through
 `doc_matrix`, from `store`, and scored by one stacked product per row count,
 each score with `maxsim_score`'s bits. `store` is the
 source corpus without residuals, else a `Corpus` over one array every vector
 is decoded into once, at build or load, by `decode_residuals`, so
 `doc_matrix` never decodes or allocates. The codec is ColBERTv2's, with
 corpus-wide buckets (`residual_quantiles`); `encode_residuals` and
-`decode_residuals` run CODEC_BLOCK_ROWS rows at a time and give each row the
-bits it would get on its own. The index holds the levels packed
+`decode_residuals` run `kmeans.BLOCK_ROWS` rows at a time and give each row
+the bits it would get on its own. The index holds the levels packed
 (`pack_levels`), as the saved file does, so no level can lie outside 2**bits.
 
-Before stage 4, the survivors a residual-radius bound proves to lie outside
-the top k are dropped: threshold-style early termination (Fagin, Lotem & Naor,
-PODS 2001) over the centroid interaction. Write each row of doc d in `store`
-as v = c + r, its centroid plus its residual. Then q.v <= q.c + ||q||*||r||,
-so with Q the sum of the query's row norms, d scores at most its ceiling
-approx(d) + max_residual[d]*Q, approx(d) being its stage-3 score and
-max_residual[d] its largest residual norm. And q.v >= q.c - ||q||*||r|| for
-d's row with the smallest residual on c, so d scores at least its lower sum:
-over query rows, the max over d's centroids c of q.c - ||q||*min_residual
-[(d, c)]. The first k survivors by approximate score are always scored; the
-floor is the least of their lower sums, and a later survivor is dropped only
-when its ceiling lies below the floor. At least k docs score at or above the
-floor, so a dropped doc scores below the k-th best, and the list is the one
-stage 4 gives over every survivor, bit for bit. A lower sum is at most its
-doc's approximate score, so no ceiling can lie below the floor unless one lies
-below the k-th approximate score; the floor is computed only then. On the
-bench corpus at k = 100, stage 4 reads ~117 of 256 survivors per query at
-filler 0.3, and at filler 0.0 (~117 survivors) the check alone runs.
-
-Both bounds are widened by one rounding slack. A float32 dot of dim terms errs
-by at most gamma_dim*||q||*||v||, gamma_n = n*u/(1 - n*u) with u = 2**-24
-(Higham, Accuracy and Stability of Numerical Algorithms, 3.1), and every ||c||
-and ||v|| is at most `PlaidIndex.reach` = 2*max||c|| + max(max_residual); so
-gamma_dim*Q*reach covers a query's stage-3 and stage-4 dots together. The
-float64 sums of nq row maxima and the bounds' own float64 arithmetic err by
-far less than (nq + dim)*2**-50*Q*reach, and float32 underflow by at most
-nq*dim*2**-149; the slack is the sum of the three. The residual norms are
-rounded up (`residual_radii`). A float32 dot cannot overflow while Q*reach <=
-2**127; past that the slack is infinite and nothing is dropped. NaN in a query
-row, a stored row or a stage-3 score among the first k makes the check, the
-floor or the slack NaN, and nothing is dropped either. The two residual arrays
-are derived from `store` at build and load and never saved.
+Stage 3 is `kmeans.approx_scores` and the bound between stages 3 and 4 is
+`kmeans.bounded`, the ones IVF runs on its candidates; the `kmeans` module
+docstring gives both, and why no list changes by a bit. The bound reads the
+index's `kmeans.Radii` of `store` against the centroids, derived at build and
+load and never saved. On the bench corpus at k = 100, stage 4 reads ~117 of
+256 survivors per query at filler 0.3, and at filler 0.0 (~117 survivors) the
+check alone runs.
 
 A `PlaidIndex` checks its own arrays, and a given corpus against its doc ids
 and row counts: a mismatch raises ValueError or CorpusMismatch when the index
@@ -69,18 +44,8 @@ search-time ncells below 1 and a threshold outside [-1, 1]. An ncells larger
 than the centroid count means "probe everything" and is clamped.
 
 Stages 1-3 work on whole arrays. The (query rows x centroids) dot matrix is
-computed once per search. Each document's sorted unique centroid ids are
-stored as one CSR (`kmeans.Csr`: a flat int32 array plus int64 offsets), so stage 3
-is a layered max: the dot matrix is transposed once to (centroids, query
-rows), and layer j takes, for every candidate at once, the row of its j-th
-centroid id, clamped to its last one, and maxes it into one (candidates,
-query rows) array; as many layers run as the widest candidate has ids. One
-float64 sum along each candidate's row follows. Its scores are bit for bit
-those of the per-doc expression
-`np.sum(dots[:, unique_codes[o]].max(axis=1), dtype=np.float64)`: the gather
-and the max are exact, repeating a doc's last id changes none of its maxima,
-and summing a contiguous float64 row runs numpy's pairwise summation in the
-same order as the 1-d sum does. Before the id-rank sort, a partition drops
+computed once per search, and each document's sorted unique centroid ids are
+stored as one CSR (`kmeans.Csr`). Before the id-rank sort, a partition drops
 every candidate that scores below the ndocs-th best, so the sort runs over
 about ndocs of them however many candidates stage 2 unions.
 """
@@ -88,19 +53,14 @@ about ndocs of them however many candidates stage 2 unions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kmeans
 from .core import Corpus, RankedList, TokenMatrix, top_k
-from .kmeans import Csr
+from .kmeans import BLOCK_ROWS, Csr
 from .errors import CorpusMismatch, NDocsTooSmall, UnknownDoc, UnsupportedBits
-
-# Rows per residual encode/decode step: large enough for whole-array speed,
-# small enough that the float64 temporaries stay a few MiB.
-CODEC_BLOCK_ROWS = 4096
 
 
 def _check_bits(bits: int) -> None:
@@ -125,8 +85,8 @@ def residual_quantiles(
     sort runs in place in one float32 buffer.
     """
     components = np.empty(vectors.shape, dtype=np.float32)
-    for lo in range(0, len(vectors), CODEC_BLOCK_ROWS):
-        rows = slice(lo, lo + CODEC_BLOCK_ROWS)
+    for lo in range(0, len(vectors), BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
         np.subtract(vectors[rows], centroids[codes[rows]], out=components[rows])
     components = components.reshape(-1)
     components.sort()
@@ -146,8 +106,8 @@ def encode_residuals(
     """
     bits, cutoffs = _bits_of(quantiles), quantiles[1::2]
     packed = np.empty((len(vectors), packed_width(vectors.shape[1], bits)), dtype=np.uint8)
-    for lo in range(0, len(vectors), CODEC_BLOCK_ROWS):
-        rows = slice(lo, lo + CODEC_BLOCK_ROWS)
+    for lo in range(0, len(vectors), BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
         residuals = vectors[rows] - centroids[codes[rows]]
         levels = np.zeros(residuals.shape, dtype=np.uint8)
         for cutoff in cutoffs:
@@ -167,8 +127,8 @@ def decode_residuals(
     bits, weights = _bits_of(quantiles), quantiles[0::2].astype(np.float64)
     dim = centroids.shape[1]
     decoded = np.empty((len(packed), dim), dtype=np.float32)
-    for lo in range(0, len(packed), CODEC_BLOCK_ROWS):
-        rows = slice(lo, lo + CODEC_BLOCK_ROWS)
+    for lo in range(0, len(packed), BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
         vector = centroids[codes[rows]] + weights[unpack_levels(packed[rows], bits, dim)]
         # One BLAS dot per row, (1, dim) @ (dim, 1): the same dot np.linalg.norm
         # takes of a single vector, so a row decodes to the same bits either way.
@@ -236,56 +196,6 @@ class StorageReport:
         return self.raw_float16_bytes / self.compressed_bytes
 
 
-def code_lists(
-    codes: np.ndarray, row_offsets: np.ndarray, num_centroids: int
-) -> tuple[Csr, Csr, np.ndarray]:
-    """Inverted lists and per-doc unique codes, from the per-token codes.
-
-    Returns (inverted, unique_codes, entries): inverted[c] holds the ordinals
-    of the documents with a token on centroid c, ascending; unique_codes[d]
-    holds document d's distinct centroid ids, ascending; entries[t] is the
-    position in unique_codes.flat of token t's (doc, code) pair. All three
-    come from one np.unique over the (doc, code) pairs, which sorts them by
-    doc and then code. Codes must lie in [0, num_centroids).
-    """
-    doc_count = len(row_offsets) - 1
-    pairs, entries = np.unique(kmeans.token_docs(row_offsets) * num_centroids + codes,
-                               return_inverse=True)
-    pair_docs, pair_codes = np.divmod(pairs, num_centroids)
-    unique_codes = Csr.grouped(pair_docs, pair_codes, doc_count)
-    inverted = Csr.grouped(pair_codes, pair_docs, num_centroids)
-    return inverted, unique_codes, entries
-
-
-def residual_radii(
-    vectors: np.ndarray, centroids: np.ndarray, codes: np.ndarray, row_offsets: np.ndarray,
-    entries: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each doc's largest residual norm, and the smallest per unique-code entry.
-
-    A row's residual norm is ||vectors[row] - centroids[codes[row]]||, taken
-    in float32 CODEC_BLOCK_ROWS rows at a time. The float32 difference,
-    squares, sum and square root leave it at most (dim/2 + 2)*2**-24 of
-    itself plus sqrt(dim)*2**-75 (gradual underflow) below the exact norm, so
-    it is widened by twice both and rounded up to the next float32: never
-    below the exact norm. Returns (max_residual, min_residual): the
-    (doc_count,) largest over each doc's rows, and the smallest over the rows
-    of each (doc, code) pair, aligned with `unique_codes.flat` through
-    `entries` (see `code_lists`). A NaN row makes both NaN.
-    """
-    dim = vectors.shape[1]
-    norms = np.empty(len(vectors))
-    for lo in range(0, len(vectors), CODEC_BLOCK_ROWS):
-        rows = slice(lo, lo + CODEC_BLOCK_ROWS)
-        residuals = vectors[rows] - centroids[codes[rows]]
-        norms[rows] = np.sqrt(np.einsum("ij,ij->i", residuals, residuals))
-    widened = norms * (1 + (dim + 4) * 2.0**-24) + dim**0.5 * 2.0**-74
-    norms = np.nextafter(widened.astype(np.float32), np.float32(np.inf))
-    by_entry = Csr.grouped(entries, np.arange(len(vectors)), int(entries.max()) + 1)
-    return (np.maximum.reduceat(norms, row_offsets[:-1]),
-            np.minimum.reduceat(norms[by_entry.flat], by_entry.offsets[:-1]))
-
-
 @dataclass(frozen=True)
 class PlaidConfig:
     num_centroids: int = 256
@@ -322,12 +232,12 @@ class PlaidIndex:
     # The corpus digest, read from its file; required without `corpus`, so a re-save names it.
     corpus_sha256: str | None = None
     inverted: Csr = field(init=False)  # per centroid, doc ordinals ascending
-    unique_codes: Csr = field(init=False)  # per doc, sorted unique centroid ids
     store: Corpus = field(init=False, repr=False)  # the vectors stage 4 rescores
-    # Residual norms of `store` from the centroids, see residual_radii: per doc
-    # the largest, and per unique_codes.flat entry the smallest (float32).
+    # The kmeans.Radii of `store` on the centroids: unique codes and residual norms.
+    unique_codes: Csr = field(init=False)  # per doc, sorted unique centroid ids
     max_residual: np.ndarray = field(init=False, repr=False, compare=False)
     min_residual: np.ndarray = field(init=False, repr=False, compare=False)
+    reach: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         num_centroids, bits = self.config.num_centroids, self.config.residual_bits
@@ -339,6 +249,7 @@ class PlaidIndex:
                 self.row_offsets, self.corpus.offsets):
             raise CorpusMismatch("index doc ids or row counts disagree with its corpus")
         rows = (int(self.row_offsets[-1]),)
+        kmeans.check_centroids(self.centroids, num_centroids)
         kmeans.check_ids("codes", self.codes, rows, num_centroids)
         if bits:
             levels, width = self.residual_levels, packed_width(self.dim, bits)
@@ -348,19 +259,19 @@ class PlaidIndex:
             if (quantiles.dtype != np.float32 or quantiles.shape != (count,)
                     or not np.isfinite(quantiles).all() or (np.diff(quantiles) < 0).any()):
                 raise ValueError(f"residual_quantiles must be {count} sorted finite float32s")
-        inverted, unique_codes, entries = code_lists(self.codes, self.row_offsets, num_centroids)
-        object.__setattr__(self, "inverted", inverted)
-        object.__setattr__(self, "unique_codes", unique_codes)
         store = self.corpus
         if bits:
             decoded = decode_residuals(self.residual_levels, self.residual_quantiles,
                                        self.centroids, self.codes)
             store = Corpus(self.doc_ids, decoded, self.row_offsets)
         object.__setattr__(self, "store", store)
-        radii = residual_radii(store.vectors, self.centroids, self.codes, self.row_offsets,
-                               entries)
-        object.__setattr__(self, "max_residual", radii[0])
-        object.__setattr__(self, "min_residual", radii[1])
+        radii = kmeans.residual_radii(store.vectors, self.centroids, self.codes,
+                                      self.row_offsets)
+        for name, value in zip(kmeans.Radii._fields, radii):
+            object.__setattr__(self, name, value)
+        unique = radii.unique_codes
+        object.__setattr__(self, "inverted", Csr.grouped(
+            unique.flat, kmeans.token_docs(unique.offsets), num_centroids))
 
     @property
     def doc_count(self) -> int:
@@ -377,13 +288,6 @@ class PlaidIndex:
         rows, dim = len(self.codes), self.dim
         saved = self.codes.nbytes + self.residual_levels.nbytes + self.residual_quantiles.nbytes
         return StorageReport(rows * dim * 4, rows * dim * 2, saved)
-
-    @cached_property
-    def reach(self) -> float:
-        """A bound on ||c|| + ||v|| for any centroid c and stored row v:
-        2 * max ||c|| + max(max_residual), NaN when a residual norm is. Not saved."""
-        squares = np.einsum("ij,ij->i", self.centroids, self.centroids, dtype=np.float64)
-        return float(2 * np.sqrt(squares.max()) + self.max_residual.max())
 
     def doc_matrix(self, ordinal: int) -> TokenMatrix:
         """True vectors when residuals are off, decoded vectors otherwise."""
@@ -469,72 +373,6 @@ def plaid_candidates(
     )
 
 
-def approx_scores(index: PlaidIndex, dots: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
-    """Stage 3 for many docs: float64 centroid-MaxSim per ordinal.
-
-    Layer j maxes every candidate's j-th centroid row of `dots`' transpose,
-    clamped to its last id, into one (candidates, query rows) array, summed
-    along its rows in float64; see the module docstring for why this is
-    bit-identical to summing each doc on its own.
-    """
-    codes = index.unique_codes
-    lo = codes.offsets[ordinals]
-    last = codes.offsets[ordinals + 1] - 1
-    rows = np.ascontiguousarray(dots.T)
-    best = rows.take(codes.flat[lo], axis=0)
-    for j in range(1, int((last - lo).max(initial=0)) + 1):
-        np.maximum(best, rows.take(codes.flat[np.minimum(lo + j, last)], axis=0), out=best)
-    return best.astype(np.float64).sum(axis=1)
-
-
-def _query_norms(query: TokenMatrix) -> np.ndarray:
-    """Each query row's Euclidean norm, in float64."""
-    rows = query.data.astype(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", rows, rows))
-
-
-def _slack(index: PlaidIndex, rows: int, total: float) -> float:
-    """How far rounding can move a score or a bound of a query with `rows` rows
-    whose norms sum to `total`; infinite where a float32 dot could overflow or
-    a norm is NaN. See the module docstring."""
-    dim, reach = index.dim, index.reach
-    if not total * reach <= 2.0**127:
-        return np.inf
-    gamma = dim * 2.0**-24 / (1 - dim * 2.0**-24)
-    return (gamma + (rows + dim) * 2.0**-50) * total * reach + rows * dim * 2.0**-149
-
-
-def _lower_sums(
-    index: PlaidIndex, dots: np.ndarray, norms: np.ndarray, ordinals: np.ndarray
-) -> np.ndarray:
-    """Per ordinal, sum over query rows r of max over its centroids c of
-    dots[r, c] - norms[r] * min_residual[(doc, c)], in float64: one gather and
-    one reduceat over the docs' unique-code entries."""
-    positions, starts = kmeans.segments(index.unique_codes.offsets, ordinals)
-    terms = dots[:, index.unique_codes.flat[positions]] - np.multiply.outer(
-        norms, index.min_residual[positions])
-    return np.maximum.reduceat(terms, starts, axis=1).sum(axis=0)
-
-
-def _bounded(
-    index: PlaidIndex, query: TokenMatrix, dots: np.ndarray, survivors: np.ndarray,
-    approx: np.ndarray, k: int,
-) -> np.ndarray:
-    """The survivors, best approximate score first, less those after the k-th
-    whose ceiling lies below the floor; see the module docstring. A k below 1
-    keeps them all, for `top_k` to refuse."""
-    if not 0 < k < len(survivors):
-        return survivors
-    norms = _query_norms(query)
-    total = norms.sum()
-    ceilings = approx[k:] + index.max_residual[survivors[k:]] * total
-    if not (ceilings < approx[k - 1]).any():
-        return survivors
-    slack = _slack(index, len(norms), total)
-    floor = _lower_sums(index, dots, norms, survivors[:k]).min() - slack
-    return np.concatenate((survivors[:k], survivors[k:][~(ceilings + slack < floor)]))
-
-
 def plaid_search(
     index: PlaidIndex,
     query: TokenMatrix,
@@ -545,12 +383,12 @@ def plaid_search(
     query_id: str = "",
 ) -> RankedList:
     """PLAID stages 1-4: the exact top k of the stage-3 survivors, over `index.store`,
-    skipping the survivors the residual-radius bound rules out (module docstring)."""
+    skipping the survivors the residual-radius bound rules out (`kmeans.bounded`)."""
     ndocs = index.config.ndocs if ndocs is None else ndocs
     if ndocs < k:
         raise NDocsTooSmall(f"ndocs={ndocs} is smaller than k={k}")
     dots, candidates, _ = _probe(index, query, ncells, threshold)
-    negated = -approx_scores(index, dots, candidates)
+    negated = -kmeans.approx_scores(index, dots, candidates)
     if len(candidates) > ndocs:
         # Every doc of the top ndocs scores at least the ndocs-th best score, so
         # this cut drops none of them. It runs on negated scores because a
@@ -561,5 +399,5 @@ def plaid_search(
         candidates, negated = candidates[keep], negated[keep]
     # Descending approximate score, ties by ascending doc id.
     order = np.lexsort((index.store.id_rank[candidates], negated))[:ndocs]
-    survivors = _bounded(index, query, dots, candidates[order], -negated[order], k)
+    survivors = kmeans.bounded(index, query, dots, candidates[order], -negated[order], k)
     return top_k(index.store, query, k, survivors, query_id, store=index)

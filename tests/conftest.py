@@ -36,6 +36,19 @@ def planted_small():
 
 
 @pytest.fixture(scope="session")
+def planted_by_filler():
+    """One planted dataset per query filler fraction, 0.3 and 0.0, for both backends' bounds."""
+    corpora = {}
+    for filler in (0.3, 0.0):
+        spec = SyntheticSpec(
+            doc_count=120, tokens_per_doc=(6, 16), dim=64, num_concepts=18, queries=6,
+            signal_tokens=6, filler_fraction=filler, margin=0.05, seed=23,
+        )
+        corpora[filler] = generate_synthetic(spec)
+    return corpora
+
+
+@pytest.fixture(scope="session")
 def basis_corpus():
     """Two-doc corpus on exact basis vectors, handy for hand-checked scores."""
     docs = {

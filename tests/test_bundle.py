@@ -698,3 +698,67 @@ def test_seeded_corruptions_raise_cleanly(planted_small, saved_indexes, containe
         loaded[kind] = loaded.get(kind, 0) + 1
         assert header_only, kind
     assert "truncation" not in loaded and "payload-flip" not in loaded
+
+
+def _shift_array(which, delta):
+    """A corruption that moves the first or last array's offset by delta bytes."""
+    def edit(data):
+        head = data[:_payload_start(data)].decode("ascii").splitlines()
+        arrays = [i for i, line in enumerate(head) if line.startswith("array ")]
+        i = arrays[0 if which == "first" else -1]
+        *fields, offset, nbytes = head[i].split()
+        head[i] = " ".join([*fields, str(int(offset) + delta), nbytes])
+        return ("\n".join(head) + "\n").encode("ascii") + data[_payload_start(data):]
+    return edit
+
+
+def _padded(data):
+    """The container with 4 more payload bytes, its payload and digest lines updated."""
+    payload = data[_payload_start(data):] + bytes(4)
+    head = data[:_payload_start(data)].decode("ascii")
+    head = re.sub(r"^payload_sha256 \S+$", f"payload_sha256 {hashlib.sha256(payload).hexdigest()}",
+                  head, flags=re.M)
+    head = re.sub(r"^payload \d+$", f"payload {len(payload)}", head, flags=re.M)
+    return head.encode("ascii") + payload
+
+
+@pytest.mark.parametrize("container", ["bundle", "ivf", "plaid2"])
+@pytest.mark.parametrize("which, corrupt", [
+    pytest.param("first", _shift_array("first", 4), id="first-moved-on"),
+    pytest.param("last", _shift_array("last", -4), id="last-moved-back"),
+    pytest.param("last", _padded, id="payload-past-the-last"),
+])
+def test_arrays_must_tile_the_payload(planted_small, saved_indexes, container, which, corrupt):
+    # Header edits leave the payload digest intact; unchecked, a moved offset
+    # loaded misaligned arrays and an untiled tail was never read.
+    corpus, _, _ = planted_small
+    data = write_bundle(corpus) if container == "bundle" else saved_indexes[container]
+    load = {"bundle": read_bundle, "ivf": lambda d: load_ivf_index(d, corpus),
+            "plaid2": load_plaid_index}[container]
+    load(data)
+    edited = corrupt(data)
+    lines = edited[:_payload_start(edited)].decode().splitlines()
+    arrays = [i for i, line in enumerate(lines, start=1) if line.startswith("array ")]
+    line_no = arrays[0 if which == "first" else -1]
+    with pytest.raises(MalformedLine, match=rf"^line {line_no}: array '\w+' "):
+        load(edited)
+
+
+@pytest.mark.parametrize("backend", ["ivf", "plaid"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_centroids_are_refused(planted_small, backend, value):
+    corpus, _, _ = planted_small
+    if backend == "ivf":
+        index, save = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=2)), save_ivf_index
+        load = lambda d: load_ivf_index(d, corpus)  # noqa: E731
+    else:
+        index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=2))
+        save, load = save_plaid_index, lambda d: load_plaid_index(d, corpus)  # noqa: E731
+    centroids = index.centroids.copy()
+    centroids[3, 5] = value
+    with pytest.raises(ValueError, match="centroids"):
+        dataclasses.replace(index, centroids=centroids)
+    broken = copy.copy(index)  # the constructor would refuse these centroids
+    object.__setattr__(broken, "centroids", centroids)
+    with pytest.raises(MalformedLine, match="centroids"):
+        load(save(broken))

@@ -7,17 +7,20 @@ from latebench import (
     Corpus,
     IvfConfig,
     IvfIndex,
+    RankedList,
     TokenMatrix,
     build_ivf,
+    core,
     exact_search,
     ivf_candidates,
     ivf_search,
     maxsim_score,
 )
+from latebench.bundle import load_ivf_index, save_ivf_index
 from latebench.errors import DimensionMismatch, TooFewVectors
 
 from conftest import basis_matrix, random_unit_matrix
-from oracles import argmax_assignment, loop_ivf_candidates
+from oracles import argmax_assignment, loop_ivf_candidates, loop_residual_radii
 
 
 def test_two_singleton_lists():
@@ -236,3 +239,110 @@ def test_search_time_nprobe_below_one_rejected(planted_small, nprobe):
         ivf_search(index, query, 5, nprobe=nprobe)
     with pytest.raises(ValueError, match="nprobe"):
         ivf_candidates(index, query, nprobe=nprobe)
+
+
+def _hexed(ranked):  # NaN != NaN, so compare exact bit patterns
+    return [(hit.doc_id, hit.score.hex()) for hit in ranked.hits]
+
+
+def _canonical(index, query, nprobe=None, cap=None):
+    """Every candidate scored by the kernel and ranked by RankedList.from_scores."""
+    corpus = index.corpus
+    scored = [(corpus.doc_ids[o], maxsim_score(query, corpus.doc_matrix(o)))
+              for o in ivf_candidates(index, query, nprobe, cap)]
+    return _hexed(RankedList.from_scores("", scored, len(scored)))
+
+
+def _handed(monkeypatch):
+    """Patch core.score_docs to record how many docs each call scores."""
+    original, counts = core.score_docs, []
+    monkeypatch.setattr(core, "score_docs", lambda store, query, ordinals: counts.append(
+        len(ordinals)) or original(store, query, ordinals))
+    return counts
+
+
+def test_bound_keeps_the_canonical_list_over_the_grid(planted_by_filler, monkeypatch):
+    # Over (nprobe, per-token budget, k), on built and loaded indexes, the
+    # list equals the full rescore of every candidate by float.hex(), and at
+    # filler 0.3 the bound hands fewer docs to score_docs than there are
+    # candidates.
+    handed = _handed(monkeypatch)
+    for filler, (corpus, queries, _) in planted_by_filler.items():
+        built = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=4))
+        for index in (built, load_ivf_index(save_ivf_index(built), corpus)):
+            candidates = scored = 0
+            for query in queries.values():
+                for nprobe in (1, 4, 16):
+                    for cap in (8, 64, 10**6):
+                        count = len(ivf_candidates(index, query, nprobe, cap))
+                        want = _canonical(index, query, nprobe, cap)
+                        for k in (1, 5, 10):
+                            handed.clear()
+                            got = ivf_search(index, query, k, nprobe, cap)
+                            assert _hexed(got) == want[:k], (filler, nprobe, cap, k)
+                            assert len(handed) == 1 and handed[0] <= count
+                            candidates += count
+                            scored += handed[0]
+            if filler == 0.3:
+                assert scored < candidates, index is built
+
+
+def test_nan_query_or_store_row_skips_nothing(planted_by_filler, monkeypatch):
+    # Both indexes share centroids and assignments, so the NaN row is all
+    # that sets them apart.
+    corpus, queries, _ = planted_by_filler[0.3]
+    config = IvfConfig(nlist=16, nprobe=4, seed=4)
+    index = build_ivf(corpus, config)
+    query = next(iter(queries.values()))
+    rows = query.data.copy()
+    rows[2] = np.nan
+    vectors = corpus.vectors.copy()
+    vectors[corpus.offsets[7] + 1, 3] = np.nan
+    broken = IvfIndex(config, index.centroids, index.assignments,
+                      Corpus(corpus.doc_ids, vectors, corpus.offsets))
+    assert np.isnan(broken.max_residual[7]) and np.isnan(broken.reach)
+    entries = broken.unique_codes.offsets[7:9]
+    assert np.isnan(broken.min_residual[entries[0]:entries[1]]).any()
+    handed = _handed(monkeypatch)
+    for case, searched, probe_query in (("clean", index, query),
+                                        ("NaN query row", index, TokenMatrix(rows)),
+                                        ("NaN store row", broken, query)):
+        count = len(ivf_candidates(searched, probe_query))
+        for k in (1, 5, 10):
+            handed.clear()
+            got = ivf_search(searched, probe_query, k)
+            assert (handed[0] < count) == (case == "clean"), (case, k)
+            assert _hexed(got) == _canonical(searched, probe_query)[:k], (case, k)
+
+
+def test_radii_round_the_loop_norms_up(planted_by_filler):
+    corpus, _, _ = planted_by_filler[0.3]
+    index = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=4))
+    largest, smallest = loop_residual_radii(corpus.vectors, index.centroids, index.assignments,
+                                            corpus.offsets)
+    assert len(smallest) == len(index.unique_codes.flat)
+    for ordinal in range(len(corpus)):
+        lo, hi = corpus.offsets[ordinal], corpus.offsets[ordinal + 1]
+        assert index.unique_codes[ordinal].tolist() == sorted(set(index.assignments[lo:hi]))
+    for got, want in ((index.max_residual, largest), (index.min_residual, smallest)):
+        assert got.dtype == np.float32 and got.shape == want.shape
+        assert (got >= want).all() and (got <= want * (1 + 1e-5) + 1e-20).all()
+
+
+def test_loaded_index_derives_the_same_radii(planted_by_filler):
+    # The radii are derived, never saved: a load derives them bit for bit,
+    # and the file holds the centroids and assignments alone.
+    corpus, _, _ = planted_by_filler[0.3]
+    built = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=4))
+    data = save_ivf_index(built)
+    header = data[:data.index(b"\nend\n")].decode().splitlines()
+    assert [line.split()[1] for line in header if line.startswith("array ")] == [
+        "centroids", "assignments"]
+    loaded = load_ivf_index(data, corpus)
+    for name in ("max_residual", "min_residual"):
+        assert getattr(loaded, name).tobytes() == getattr(built, name).tobytes()
+        assert getattr(loaded, name).dtype == np.float32
+    assert loaded.unique_codes.flat.tobytes() == built.unique_codes.flat.tobytes()
+    assert loaded.unique_codes.offsets.tobytes() == built.unique_codes.offsets.tobytes()
+    assert loaded.reach == built.reach
+    assert save_ivf_index(loaded) == data

@@ -6,24 +6,20 @@ import pytest
 from latebench import (
     Corpus,
     PlaidConfig,
-    SyntheticSpec,
     TokenMatrix,
     build_plaid,
     exact_search,
-    generate_synthetic,
     maxsim_score,
     plaid_candidates,
     plaid_search,
 )
 from latebench.bundle import corpus_digest, load_plaid_index, save_plaid_index
-from latebench import plaid
+from latebench import kmeans
 from latebench.core import pool_corpus, score_docs, top_k
 from latebench.errors import CorpusMismatch, NDocsTooSmall, UnknownDoc, UnsupportedBits
-from latebench.kmeans import probe
+from latebench.kmeans import BLOCK_ROWS, approx_scores, probe
 from latebench.plaid import (
-    CODEC_BLOCK_ROWS,
     PlaidIndex,
-    approx_scores,
     decode_residuals,
     encode_residuals,
     pack_levels,
@@ -165,12 +161,12 @@ def _bounds(index, query, ordinals):
     """plaid_search's bounds on each doc ordinal's stage-4 score: (ceiling,
     lower), the lower sum less the slack, with its stage-3 approx score."""
     dots = query.data @ index.centroids.T
-    norms = plaid._query_norms(query)
+    norms = kmeans._query_norms(query)
     total = norms.sum()
-    slack = plaid._slack(index, query.rows, total)
+    slack = kmeans._slack(index, query.rows, total)
     approx = approx_scores(index, dots, ordinals)
     ceiling = approx + index.max_residual[ordinals] * total + slack
-    return ceiling, plaid._lower_sums(index, dots, norms, ordinals) - slack, approx
+    return ceiling, kmeans._lower_sums(index, dots, norms, ordinals) - slack, approx
 
 
 def _survivors(index, query, ndocs, threshold=None):
@@ -467,18 +463,6 @@ def test_config_invariants():
         PlaidConfig(centroid_score_threshold=1.5)
 
 
-@pytest.fixture(scope="module")
-def planted_by_filler():
-    corpora = {}
-    for filler in (0.3, 0.0):
-        spec = SyntheticSpec(
-            doc_count=120, tokens_per_doc=(6, 16), dim=64, num_concepts=18, queries=6,
-            signal_tokens=6, filler_fraction=filler, margin=0.05, seed=23,
-        )
-        corpora[filler] = generate_synthetic(spec)
-    return corpora
-
-
 def _tied_corpus():
     """Twelve doc shapes, three copies each, with ids out of ordinal order.
 
@@ -608,7 +592,7 @@ def _full_lexsort_search(index, query, k, ndocs, ncells=None, threshold=None):
     candidate, and every survivor scored: no cut before stage 3's sort or stage 4."""
     candidates = np.array(plaid_candidates(index, query, ncells, threshold).candidates,
                           dtype=np.int64)
-    approx = plaid.approx_scores(index, query.data @ index.centroids.T, candidates)
+    approx = kmeans.approx_scores(index, query.data @ index.centroids.T, candidates)
     survivors = candidates[np.lexsort((index.store.id_rank[candidates], -approx))[:ndocs]]
     return top_k(index.store, query, k, survivors, store=index)
 
@@ -631,14 +615,14 @@ def test_nan_scores_keep_the_full_lexsort_survivors(planted_by_filler, monkeypat
             assert _hexed(got) == _hexed(_full_lexsort_search(index, probe_query, k, ndocs))
 
     assert_full_lexsort_survivors(TokenMatrix(rows))
-    approx = plaid.approx_scores
+    approx = kmeans.approx_scores
 
     def every_third_nan(index, dots, ordinals):  # the others stay numbers
         scores = approx(index, dots, ordinals)
         scores[::3] = np.nan
         return scores
 
-    monkeypatch.setattr(plaid, "approx_scores", every_third_nan)
+    monkeypatch.setattr(kmeans, "approx_scores", every_third_nan)
     assert_full_lexsort_survivors(query)
 
 
@@ -693,8 +677,8 @@ def test_residual_bounds_hold_for_every_doc(planted_by_filler):
             assert (lower <= scores).all() and (scores <= ceiling).all(), name
             assert (lower <= approx).all(), name
             if name == "on centroids":  # the slack is all that separates them
-                total = plaid._query_norms(query).sum()
-                slack = plaid._slack(index, query.rows, total)
+                total = kmeans._query_norms(query).sum()
+                slack = kmeans._slack(index, query.rows, total)
                 assert (ceiling - lower < 2.01 * slack).all() and slack < 1e-5 * total
 
 
@@ -727,7 +711,7 @@ def test_cut_keeps_the_uncut_list_over_the_funnel_grid(planted_by_filler, monkey
 def test_cut_reads_fewer_at_filler_30_and_skips_the_floor_at_filler_0(planted_by_filler,
                                                                     monkeypatch):
     reads = _recording(monkeypatch, PlaidIndex, "doc_matrix")
-    floors = _recording(monkeypatch, plaid, "_lower_sums")
+    floors = _recording(monkeypatch, kmeans, "_lower_sums")
     for filler, (corpus, queries, _) in planted_by_filler.items():
         for bits in (0, 2):
             index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4,
@@ -826,9 +810,9 @@ def test_build_and_load_give_identical_code_lists(planted_by_filler):
 @pytest.mark.parametrize("bits", [1, 2])
 def test_block_codec_equals_per_vector_loop(bits):
     rng = np.random.default_rng(40 + bits)
-    rows = CODEC_BLOCK_ROWS + 37  # a partial second block
+    rows = BLOCK_ROWS + 37  # a partial second block
     vectors = random_unit_matrix(rng, rows, 64).data
-    centroids = vectors[[0, 5, 9, 700, 2500, CODEC_BLOCK_ROWS, rows - 1]]
+    centroids = vectors[[0, 5, 9, 700, 2500, BLOCK_ROWS, rows - 1]]
     corpus = Corpus.build({f"d{lo}": TokenMatrix(vectors[lo:lo + 7]) for lo in range(0, rows, 7)})
     config = PlaidConfig(num_centroids=len(centroids), ncells=2, residual_bits=bits)
     index = build_plaid(corpus, config, centroids=centroids)
@@ -847,7 +831,7 @@ def test_block_codec_equals_per_vector_loop(bits):
                     index.doc_matrix(0).data.base):
         assert decoded.tobytes() == want.tobytes()
     # One row alone, on either side of the block boundary, gets its bits in the block.
-    for i in (CODEC_BLOCK_ROWS - 1, CODEC_BLOCK_ROWS + 1):
+    for i in (BLOCK_ROWS - 1, BLOCK_ROWS + 1):
         row = slice(i, i + 1)
         one = encode_residuals(vectors[row], centroids, index.codes[row], quantiles)
         assert np.array_equal(one, packed[row])
