@@ -9,10 +9,12 @@ ties are always broken by ascending doc id.
 
 Every search ends in `top_k`, which scores every document it ranks (the
 whole corpus for `exact_search`; for IVF its candidates and for PLAID its
-stage-3 survivors, less those the residual-radius bound `kmeans.bounded`
-rules out) through one stacked-product body, `_stacked_maxsim`, and ranks by
-those scores. There is no approximate pass: every returned score and
-every ordering has `maxsim_score`'s bits.
+stage-3 survivors, less those `kmeans.shortlist` rules out) through one
+stacked-product body, `_stacked_maxsim`, and ranks them by `best`, ties by
+ascending doc id (`Corpus.id_rank`). `best` is every order and cut of the
+package, `kmeans.shortlist`'s and IVF's per-token budget's too. There is no
+approximate pass: every returned score and every ordering has
+`maxsim_score`'s bits.
 
 The body takes the documents' rows grouped by row count, as one (g, L, dim)
 block per row count L, and multiplies the query by all g documents of a
@@ -28,15 +30,11 @@ either way, and the sign of a zero maximum cannot reach a float64 sum, which
 starts from +0. The float64 sum along each contiguous row of nq maxima runs
 numpy's pairwise summation in the order of the kernel's 1-d sum.
 
-The blocks come from one of two gathers. The whole corpus is sorted by row
-count once, on first use, into `Corpus.row_blocks` (a copy of its rows, never
-saved). A subset goes through `score_docs`: each doc is read through
-`store.doc_matrix(o)`, the docs are put in stable row-count order and their
-rows concatenated once, and each block is a view of that array. Ranking is
-one `np.lexsort` by descending score, NaN last, ties by ascending doc id
-(`Corpus.id_rank`), the order `RankedList.from_scores` gives too. When more
-than k docs are scored, an `np.partition` at the k-th negated score first
-drops every doc below it, so the sort runs over about k of them.
+One builder, `_row_blocks`, makes the blocks: the docs in stable row-count
+order, their rows concatenated once, one view per row count. The whole
+corpus's are made once, on first use, as `Corpus.row_blocks` (a copy of its
+rows, never saved); a subset's in `score_docs`, which reads each doc through
+`store.doc_matrix(o)`.
 `maxsim_score` stays the reference definition: `score_all`, the full sweep,
 calls it once per document, and the tests compare against it.
 """
@@ -122,6 +120,16 @@ def validate_matrix(m: TokenMatrix, norm_tol: float = NORM_TOLERANCE["float32"])
     if off.any():
         row = int(np.argmax(off))
         raise NotNormalized(row, float(norms[row]))
+
+
+def unit_rows(m: np.ndarray) -> np.ndarray:
+    """Each row of the (n, dim) float array `m` divided by its Euclidean norm.
+
+    One BLAS dot per row, (n, 1, dim) @ (n, dim, 1): the same dot
+    np.linalg.norm takes of a single vector, so each row is divided by
+    exactly the norm it would get on its own.
+    """
+    return m / np.sqrt(m[:, None, :] @ m[:, :, None]).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -218,6 +226,9 @@ class Corpus:
                 raise
 
     def doc_matrix(self, ordinal: int) -> TokenMatrix:
+        """Doc `ordinal`'s rows; an ordinal outside [0, len(self)) raises UnknownDoc."""
+        if not 0 <= ordinal < len(self.doc_ids):
+            raise UnknownDoc(f"doc ordinal {ordinal} outside [0, {len(self.doc_ids)})")
         return self.docs[self.doc_ids[ordinal]]
 
     @cached_property
@@ -230,27 +241,16 @@ class Corpus:
 
     @cached_property
     def row_blocks(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Every doc ordinal in stable row-count order, and their rows as one
-        C-contiguous (g, L, dim) block per distinct row count L, ascending.
-
-        A copy of every row, made on the first whole-corpus search and never saved.
-        """
-        counts = np.diff(self.offsets)
-        order = np.argsort(counts, kind="stable")
-        lengths, sizes = np.unique(counts, return_counts=True)
-        blocks, lo = [], 0
-        for length, size in zip(lengths.tolist(), sizes.tolist()):
-            starts = self.offsets[order[lo:lo + size]]
-            blocks.append(self.vectors[starts[:, None] + np.arange(length)])
-            lo += size
-        return order, blocks
+        """`_row_blocks` of every doc: a copy of every row, made on the first
+        whole-corpus search and never saved."""
+        return _row_blocks([m.data for m in self.docs.values()])
 
     def __len__(self) -> int:
         return len(self.doc_ids)
 
 
 def _rank_key(pair: tuple[str, float]) -> tuple[bool, float, str]:
-    """Descending score, NaN last, ties by ascending doc id: `top_k`'s lexsort order."""
+    """Descending score, NaN last, ties by ascending doc id: `top_k`'s order by `best`."""
     doc_id, score = pair
     nan = math.isnan(score)
     return nan, 0.0 if nan else -score, doc_id
@@ -317,13 +317,27 @@ def _stacked_maxsim(q: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     return np.maximum.reduce(dots, axis=0).astype(np.float64).sum(axis=1)
 
 
+def _row_blocks(docs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The positions of the (rows, dim) `docs` in stable row-count order, and
+    their rows, concatenated once in that order, as one C-contiguous
+    (g, L, dim) view per distinct row count L, ascending."""
+    counts = np.fromiter(map(len, docs), np.int64, len(docs))
+    order = np.argsort(counts, kind="stable")
+    rows = np.concatenate([docs[i] for i in order.tolist()])
+    lengths, sizes = np.unique(counts, return_counts=True)
+    blocks, start = [], 0
+    for length, size in zip(lengths.tolist(), sizes.tolist()):
+        blocks.append(rows[start:start + size * length].reshape(size, length, rows.shape[1]))
+        start += size * length
+    return order, blocks
+
+
 def score_docs(store, query: TokenMatrix, ordinals: Iterable[int]) -> np.ndarray:
     """maxsim_score of each doc ordinal, in the given order, as one float64 array.
 
     `store` has `doc_ids` and `doc_matrix(ordinal)`: a Corpus or a PlaidIndex.
-    Each doc is read once through `doc_matrix`; the docs are put in stable
-    row-count order, their rows concatenated once, and each row count's docs
-    scored as one (g, L, dim) view by `_stacked_maxsim`. Single-threaded.
+    Each doc is read once through `doc_matrix`, its blocks built by
+    `_row_blocks` and scored by `_stacked_maxsim`. Single-threaded.
     """
     docs = [store.doc_matrix(o).data for o in ordinals]
     if not docs:
@@ -331,17 +345,29 @@ def score_docs(store, query: TokenMatrix, ordinals: Iterable[int]) -> np.ndarray
     q = query.data
     if docs[0].shape[1] != q.shape[1]:
         raise DimensionMismatch(f"query dim {q.shape[1]} != doc dim {docs[0].shape[1]}")
-    counts = np.fromiter(map(len, docs), np.int64, len(docs))
-    order = np.argsort(counts, kind="stable")
-    rows = np.concatenate([docs[i] for i in order.tolist()])
-    lengths, sizes = np.unique(counts, return_counts=True)
-    blocks, start = [], 0
-    for length, size in zip(lengths.tolist(), sizes.tolist()):
-        blocks.append(rows[start:start + size * length].reshape(size, length, q.shape[1]))
-        start += size * length
+    order, blocks = _row_blocks(docs)
     scores = np.empty(len(docs))
     scores[order] = _stacked_maxsim(q, blocks)
     return scores
+
+
+def best(scores: np.ndarray, ties: np.ndarray, n: int) -> np.ndarray:
+    """Positions of the n best `scores`, best first: descending score, NaN
+    last, equal scores by ascending `ties`. Every order and cut of the package.
+
+    It is one `np.lexsort` of the negated scores, which puts NaN last. When
+    there are more than n scores, an `np.partition` at the n-th smallest
+    negated score first keeps only the positions not above it, so the sort
+    runs over about n of them. Each of the n best is at or below that cut
+    value, so none is dropped. A partition, like the sort, puts NaN last, so
+    the cut value is NaN only when fewer than n scores are numbers, and then
+    it keeps every position.
+    """
+    negated = -scores
+    if len(negated) <= n:
+        return np.lexsort((ties, negated))
+    keep = np.flatnonzero(~(negated > np.partition(negated, n - 1)[n - 1]))
+    return keep[np.lexsort((ties[keep], negated[keep]))[:n]]
 
 
 def _check_dim(corpus: Corpus, query: TokenMatrix) -> None:
@@ -368,8 +394,8 @@ def top_k(
     Every doc is scored by `_stacked_maxsim`: the whole corpus from its
     `row_blocks`, a subset through `score_docs(store, ...)`. `store` defaults
     to `corpus`; a PlaidIndex passes itself, so its rows are read through its
-    `doc_matrix`. Hits are ranked by descending score, NaN last, ties by
-    ascending doc id. An ordinal outside [0, len(corpus)) raises UnknownDoc.
+    `doc_matrix`, which refuses an ordinal outside [0, len(corpus)) with
+    UnknownDoc. Hits are ranked by `best`, ties by ascending doc id.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -378,19 +404,10 @@ def top_k(
         ordinals, blocks = corpus.row_blocks
         scores = _stacked_maxsim(query.data, blocks)
     else:
-        if ordinals.min(initial=0) < 0 or ordinals.max(initial=0) >= len(corpus):
-            raise UnknownDoc(f"doc ordinals must lie in [0, {len(corpus)})")
         scores = score_docs(corpus if store is None else store, query, ordinals.tolist())
-    negated = -scores
-    if len(scores) > k:
-        # Keep every doc whose negated score is not above the k-th smallest, as
-        # plaid_search's stage-3 cut does: the top k all clear it, and a NaN
-        # cut value (fewer than k numeric scores) keeps everything.
-        keep = ~(negated > np.partition(negated, k - 1)[k - 1])
-        ordinals, scores, negated = ordinals[keep], scores[keep], negated[keep]
-    best = np.lexsort((corpus.id_rank[ordinals], negated))[:k]
-    ids = [corpus.doc_ids[o] for o in ordinals[best].tolist()]
-    return RankedList(query_id, tuple(map(ScoredDoc, ids, scores[best].tolist())))
+    top = best(scores, corpus.id_rank[ordinals], k)
+    ids = [corpus.doc_ids[o] for o in ordinals[top].tolist()]
+    return RankedList(query_id, tuple(map(ScoredDoc, ids, scores[top].tolist())))
 
 
 def exact_search(corpus: Corpus, query: TokenMatrix, k: int, query_id: str = "") -> RankedList:

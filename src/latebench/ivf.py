@@ -3,10 +3,10 @@
 Token vectors are clustered into nlist centroids; every query row probes its
 nprobe nearest lists and gathers candidate tokens, and the gathered tokens'
 source documents form the candidate set. When there are more than k
-candidates, each gets its centroid score (`kmeans.approx_scores`, over the
-dots the probe already took), and `kmeans.bounded` drops those the
-residual-radius bound proves to lie outside the top k, as PLAID does before
-its stage 4. `core.top_k` takes the exact top k of the rest, scoring each by
+candidates, `kmeans.shortlist` ranks them by centroid score (over the dots
+the probe already took) and drops those the residual-radius bound proves to
+lie outside the top k, as PLAID does before its stage 4; it keeps them all
+otherwise. `core.top_k` takes the exact top k of the rest, scoring each by
 one stacked product per row count. Only candidate generation approximates:
 every returned score equals maxsim_score exactly, and the list is the one
 `core.top_k` gives over every candidate, bit for bit. The bound reads the
@@ -22,8 +22,8 @@ the first nprobe + 1.
 
 A list the per-token budget runs out inside is gathered once per query,
 however many query rows it runs out in; each such row dots the same gathered
-rows in its own matrix-vector product and keeps its top rows by (dot, row id),
-after an `np.partition` cut at its budget-th best dot.
+rows in its own matrix-vector product and keeps its top rows by `core.best`,
+ties by row id.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kmeans
-from .core import Corpus, RankedList, TokenMatrix, top_k
+from .core import Corpus, RankedList, TokenMatrix, best, top_k
 
 
 @dataclass(frozen=True)
@@ -115,12 +115,7 @@ def _candidates(
         block = index.corpus.vectors[toks]
         mine = lists == lst
         for r, budget in zip(query_rows[mine].tolist(), budgets[mine].tolist()):
-            negated = -(block @ query.data[r])
-            # The budget-th smallest negated dot: no row above it is among the
-            # top `budget`, and a NaN cut (fewer numbers than that) keeps all.
-            keep = ~(negated > np.partition(negated, budget - 1)[budget - 1])
-            kept = toks[keep]
-            rows.append(kept[np.lexsort((kept, negated[keep]))[:budget]])
+            rows.append(toks[best(block @ query.data[r], toks, budget)])
     members = np.zeros(len(index.corpus), dtype=bool)
     members[index.token_docs[np.concatenate(rows)]] = True
     return dots, np.flatnonzero(members)
@@ -150,11 +145,9 @@ def ivf_search(
     per_token_candidates: int | None = None,
     query_id: str = "",
 ) -> RankedList:
-    """Probe, gather, drop the candidates the residual-radius bound rules out,
-    then take the exact top k of the rest with `core.top_k` (module docstring)."""
+    """Probe, gather, drop the candidates the residual-radius bound rules out
+    (`kmeans.shortlist`), then take the exact top k of the rest with `core.top_k`."""
     dots, ordinals = _candidates(index, query, nprobe, per_token_candidates)
-    if len(ordinals) > k:
-        approx = kmeans.approx_scores(index, dots, ordinals)
-        order = np.lexsort((index.corpus.id_rank[ordinals], -approx))
-        ordinals = kmeans.bounded(index, query, dots, ordinals[order], approx[order], k)
+    ordinals = kmeans.shortlist(index, query, dots, ordinals, index.corpus.id_rank,
+                                len(ordinals), k)
     return top_k(index.corpus, query, k, ordinals, query_id)

@@ -23,36 +23,39 @@ shared prefix is what keeps candidate sets nested in nprobe and ncells.
 
 Both backends also derive, from the vectors they rescore and never saved, each
 doc's sorted unique centroid ids and its residual radii (`residual_radii`),
-and both rank their candidates by a centroid score before rescoring them:
-`approx_scores`, MaxSim with every doc row replaced by its centroid. Each doc's ids are one `Csr`, so the score is a layered max: the dot
-matrix is transposed once to (centroids, query rows), and layer j takes, for
-every doc at once, the row of its j-th centroid id, clamped to its last one,
-and maxes it into one (docs, query rows) array; as many layers run as the
-widest doc has ids. One float64 sum along each doc's row follows. Its scores
-are bit for bit those of the per-doc expression
-`np.sum(dots[:, unique_codes[o]].max(axis=1), dtype=np.float64)`: the gather
-and the max are exact, repeating a doc's last id changes none of its maxima,
-and summing a contiguous float64 row runs numpy's pairwise summation in the
-same order as the 1-d sum does.
+and both pick the candidates they rescore with one call, `shortlist`: it gives
+each its centroid score, ranks them by it with `core.best` (ties by doc id,
+the n best kept: PLAID's ndocs, every candidate for IVF) and drops those the
+residual-radius bound below rules out. The centroid score is `approx_scores`,
+MaxSim with every doc row replaced by its centroid. Each doc's ids are one
+`Csr`, so the score is a layered max: the dot matrix is transposed once to
+(centroids, query rows), and layer j takes, for every doc at once, the row of
+its j-th centroid id, clamped to its last one, and maxes it into one (docs,
+query rows) array; as many layers run as the widest doc has ids. One float64
+sum along each doc's row follows. Its scores are bit for bit those of the
+per-doc expression `np.sum(dots[:, unique_codes[o]].max(axis=1),
+dtype=np.float64)`: the gather and the max are exact, repeating a doc's last
+id changes none of its maxima, and summing a contiguous float64 row runs
+numpy's pairwise summation in the same order as the 1-d sum does.
 
-`bounded` then drops the candidates a residual-radius bound proves to lie
-outside the top k: threshold-style early termination (Fagin, Lotem & Naor,
-PODS 2001) over the centroid interaction. Write each row of doc d as v = c + r,
-its centroid plus its residual. Then q.v <= q.c + ||q||*||r||, so with Q the
-sum of the query's row norms, d scores at most its ceiling approx(d) +
-max_residual[d]*Q, approx(d) being its centroid score and max_residual[d] its
-largest residual norm. And q.v >= q.c - ||q||*||r|| for d's row with the
-smallest residual on c, so d scores at least its lower sum: over query rows,
-the max over d's centroids c of q.c - ||q||*min_residual[(d, c)]. The first k
-candidates by centroid score are always scored; the floor is the least of
-their lower sums, and a later candidate is dropped only when its ceiling lies
-below the floor. At least k docs score at or above the floor, so a dropped doc
-scores below the k-th best, and the exact top k is the one taken over every
-candidate, bit for bit. A lower sum is at most its doc's centroid score, so no
-ceiling can lie below the floor unless one lies below the k-th centroid score;
-the floor is computed only then. On the bench corpus at k = 100 and filler
-0.3, PLAID rescores ~117 of its 256 stage-3 survivors and IVF ~117 of its ~358
-candidates per query; at filler 0.0 (~117 of either) the check alone runs.
+The bound drops the candidates it proves to lie outside the top k:
+threshold-style early termination (Fagin, Lotem & Naor, PODS 2001) over the
+centroid interaction. Write each row of doc d as v = c + r, its centroid plus
+its residual. Then q.v <= q.c + ||q||*||r||, so with Q the sum of the query's
+row norms, d scores at most its ceiling approx(d) + max_residual[d]*Q,
+approx(d) being its centroid score and max_residual[d] its largest residual
+norm. And q.v >= q.c - ||q||*||r|| for d's row with the smallest residual on
+c, so d scores at least its lower sum: over query rows, the max over d's
+centroids c of q.c - ||q||*min_residual[(d, c)]. The first k candidates by
+centroid score are always scored; the floor is the least of their lower sums,
+and a later candidate is dropped only when its ceiling lies below the floor.
+At least k docs score at or above the floor, so a dropped doc scores below the
+k-th best, and the exact top k is the one taken over every candidate, bit for
+bit. A lower sum is at most its doc's centroid score, so no ceiling can lie
+below the floor unless one lies below the k-th centroid score; the floor is
+computed only then. On the bench corpus at k = 100 and filler 0.3, PLAID
+rescores ~117 of its 256 stage-3 survivors and IVF ~117 of its ~358 candidates
+per query; at filler 0.0 (~117 of either) the check alone runs.
 
 Both bounds are widened by one rounding slack. A float32 dot of dim terms errs
 by at most gamma_dim*||q||*||v||, gamma_n = n*u/(1 - n*u) with u = 2**-24
@@ -75,7 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TokenMatrix
+from .core import TokenMatrix, best
 from .errors import DimensionMismatch, TooFewVectors
 
 # Rows per blockwise pass over every stored vector (the residual radii here,
@@ -339,14 +342,19 @@ def _lower_sums(index, dots: np.ndarray, norms: np.ndarray, ordinals: np.ndarray
     return np.maximum.reduceat(terms, starts, axis=1).sum(axis=0)
 
 
-def bounded(index, query: TokenMatrix, dots: np.ndarray, ordered: np.ndarray,
-            approx: np.ndarray, k: int) -> np.ndarray:
-    """The ordinals, given best centroid score first with those scores, less
-    those after the k-th whose ceiling lies below the floor; see the module
-    docstring. `index` holds the `Radii` fields and its `centroids`. A k
-    below 1 keeps them all, for `core.top_k` to refuse."""
-    if not 0 < k < len(ordered):
-        return ordered
+def shortlist(index, query: TokenMatrix, dots: np.ndarray, candidates: np.ndarray,
+              id_rank: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The candidate ordinals left to rescore for the exact top k, best
+    centroid score first: the n best by `approx_scores` (`core.best`, ties by
+    `id_rank`), less those after the k-th whose ceiling lies below the floor;
+    see the module docstring. `index` holds the `Radii` fields and its
+    `centroids`. With k below 1, or no more candidates than k, nothing is
+    ranked or dropped: the candidates come back as given, for `core.top_k`."""
+    if not 0 < k < len(candidates):
+        return candidates
+    approx = approx_scores(index, dots, candidates)
+    order = best(approx, id_rank[candidates], n)
+    ordered, approx = candidates[order], approx[order]
     norms = _query_norms(query)
     total = norms.sum()
     ceilings = approx[k:] + index.max_residual[ordered[k:]] * total

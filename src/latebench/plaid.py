@@ -9,8 +9,7 @@ Retrieval runs as a funnel:
            candidate document set;
   stage 3  candidates get an approximate score: MaxSim with every document
            vector replaced by its assigned centroid; only the top ndocs
-           survive, ties broken by ascending doc id (through the store's
-           `Corpus.id_rank`, each doc id's rank in string order);
+           survive, ties broken by ascending doc id;
   stage 4  survivors get their exact top k, from true vectors or, when
            residual compression is on, from decoded vectors.
 
@@ -26,8 +25,10 @@ corpus-wide buckets (`residual_quantiles`); `encode_residuals` and
 the bits it would get on its own. The index holds the levels packed
 (`pack_levels`), as the saved file does, so no level can lie outside 2**bits.
 
-Stage 3 is `kmeans.approx_scores` and the bound between stages 3 and 4 is
-`kmeans.bounded`, the ones IVF runs on its candidates; the `kmeans` module
+Stage 3 and the bound between stages 3 and 4 are one call,
+`kmeans.shortlist`, the one IVF makes on its candidates: the centroid scores
+ranked by `core.best` (ties through the store's `Corpus.id_rank`, each doc
+id's rank in string order), cut at ndocs, then the bound. The `kmeans` module
 docstring gives both, and why no list changes by a bit. The bound reads the
 index's `kmeans.Radii` of `store` against the centroids, derived at build and
 load and never saved. On the bench corpus at k = 100, stage 4 reads ~117 of
@@ -45,9 +46,8 @@ than the centroid count means "probe everything" and is clamped.
 
 Stages 1-3 work on whole arrays. The (query rows x centroids) dot matrix is
 computed once per search, and each document's sorted unique centroid ids are
-stored as one CSR (`kmeans.Csr`). Before the id-rank sort, a partition drops
-every candidate that scores below the ndocs-th best, so the sort runs over
-about ndocs of them however many candidates stage 2 unions.
+stored as one CSR (`kmeans.Csr`). `core.best`'s partition keeps the sort to
+about ndocs candidates however many stage 2 unions.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kmeans
-from .core import Corpus, RankedList, TokenMatrix, top_k
+from .core import Corpus, RankedList, TokenMatrix, top_k, unit_rows
 from .kmeans import BLOCK_ROWS, Csr
-from .errors import CorpusMismatch, NDocsTooSmall, UnknownDoc, UnsupportedBits
+from .errors import CorpusMismatch, NDocsTooSmall, UnsupportedBits
 
 
 def _check_bits(bits: int) -> None:
@@ -119,7 +119,8 @@ def encode_residuals(
 def decode_residuals(
     packed: np.ndarray, quantiles: np.ndarray, centroids: np.ndarray, codes: np.ndarray
 ) -> np.ndarray:
-    """Every row rebuilt as its centroid plus its levels' weights, renormalized.
+    """Every row rebuilt as its centroid plus its levels' weights, renormalized
+    by `core.unit_rows`, so a row decodes to the same bits alone or in a block.
 
     `packed` holds each row's levels as `pack_levels` packs them; level j
     decodes to the weight quantiles[2 * j].
@@ -129,11 +130,8 @@ def decode_residuals(
     decoded = np.empty((len(packed), dim), dtype=np.float32)
     for lo in range(0, len(packed), BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
-        vector = centroids[codes[rows]] + weights[unpack_levels(packed[rows], bits, dim)]
-        # One BLAS dot per row, (1, dim) @ (dim, 1): the same dot np.linalg.norm
-        # takes of a single vector, so a row decodes to the same bits either way.
-        norm = np.sqrt(np.matmul(vector[:, None, :], vector[:, :, None])[:, 0])
-        decoded[rows] = vector / norm
+        decoded[rows] = unit_rows(
+            centroids[codes[rows]] + weights[unpack_levels(packed[rows], bits, dim)])
     return decoded
 
 
@@ -290,9 +288,8 @@ class PlaidIndex:
         return StorageReport(rows * dim * 4, rows * dim * 2, saved)
 
     def doc_matrix(self, ordinal: int) -> TokenMatrix:
-        """True vectors when residuals are off, decoded vectors otherwise."""
-        if not 0 <= ordinal < self.doc_count:
-            raise UnknownDoc(f"doc ordinal {ordinal} outside [0, {self.doc_count})")
+        """True vectors when residuals are off, decoded vectors otherwise; the
+        store's `Corpus.doc_matrix` refuses an ordinal outside [0, doc_count)."""
         return self.store.doc_matrix(ordinal)
 
 
@@ -382,22 +379,11 @@ def plaid_search(
     ndocs: int | None = None,
     query_id: str = "",
 ) -> RankedList:
-    """PLAID stages 1-4: the exact top k of the stage-3 survivors, over `index.store`,
-    skipping the survivors the residual-radius bound rules out (`kmeans.bounded`)."""
+    """PLAID stages 1-4: the exact top k, over `index.store`, of the stage-3
+    survivors the residual-radius bound does not rule out (`kmeans.shortlist`)."""
     ndocs = index.config.ndocs if ndocs is None else ndocs
     if ndocs < k:
         raise NDocsTooSmall(f"ndocs={ndocs} is smaller than k={k}")
     dots, candidates, _ = _probe(index, query, ncells, threshold)
-    negated = -kmeans.approx_scores(index, dots, candidates)
-    if len(candidates) > ndocs:
-        # Every doc of the top ndocs scores at least the ndocs-th best score, so
-        # this cut drops none of them. It runs on negated scores because a
-        # partition, like the sort below, puts NaN last: the ndocs-th entry is
-        # NaN only when fewer than ndocs scores are numbers, and then it keeps all.
-        cut = np.partition(negated, ndocs - 1)[ndocs - 1]
-        keep = ~(negated > cut)
-        candidates, negated = candidates[keep], negated[keep]
-    # Descending approximate score, ties by ascending doc id.
-    order = np.lexsort((index.store.id_rank[candidates], negated))[:ndocs]
-    survivors = kmeans.bounded(index, query, dots, candidates[order], -negated[order], k)
+    survivors = kmeans.shortlist(index, query, dots, candidates, index.store.id_rank, ndocs, k)
     return top_k(index.store, query, k, survivors, query_id, store=index)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Corpus, TokenMatrix, exact_search
+from .core import Corpus, TokenMatrix, exact_search, unit_rows
 from .errors import SpecInfeasible
 from .trec import Qrels
 
@@ -92,14 +92,6 @@ def _orthonormal_directions(rng: np.random.Generator, count: int, dim: int) -> n
     return np.ascontiguousarray(q.T, dtype=np.float64)
 
 
-def _unit_rows(m: np.ndarray) -> np.ndarray:
-    # One BLAS dot per row, (n, 1, dim) @ (n, dim, 1): the same dot
-    # np.linalg.norm takes of a single vector, so each row is divided by
-    # exactly the norm it would get on its own.
-    norms = np.sqrt(m[:, None, :] @ m[:, :, None]).reshape(-1, 1)
-    return m / norms
-
-
 def _perturbed(directions: np.ndarray, noise: float, rng: np.random.Generator,
                rows: int) -> np.ndarray:
     """`rows` unit float32 rows: each direction plus `noise` times a unit Gaussian.
@@ -107,8 +99,8 @@ def _perturbed(directions: np.ndarray, noise: float, rng: np.random.Generator,
     `directions` is one (dim,) direction or one per row. The one (rows, dim)
     draw consumes the stream that `rows` draws of one row each would.
     """
-    g = _unit_rows(rng.standard_normal((rows, directions.shape[-1])))
-    return _unit_rows(directions + noise * g).astype(np.float32)
+    g = unit_rows(rng.standard_normal((rows, directions.shape[-1])))
+    return unit_rows(directions + noise * g).astype(np.float32)
 
 
 def _attempt(spec: SyntheticSpec, seed: int):

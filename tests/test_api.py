@@ -9,7 +9,8 @@ counted are the other modules under src/latebench and the bench scripts; the
 package's own export list is not a caller. An error type that no other
 package module raises or catches is left behind by code that was deleted.
 The CLI passes no literal default to a config field's flag, so it holds no
-second copy of a config default.
+second copy of a config default. Every order and cut is `core.best` and both
+index backends pick what they rescore through one `kmeans.shortlist` call.
 """
 
 import ast
@@ -89,3 +90,39 @@ def _literal_config_defaults(source: str) -> list[str]:
 def test_cli_copies_no_config_default():
     assert _literal_config_defaults('p.add_argument("--tokens-min", type=int, default=8)')
     assert _literal_config_defaults((ROOT / "src" / "latebench" / "cli.py").read_text()) == []
+
+
+def _sites(predicate) -> list[str]:
+    """module.function of every node of a package module the predicate holds for."""
+    found = []
+
+    def visit(node, stem, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if predicate(node):
+            found.append(f"{stem}.{scope}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, stem, scope)
+
+    for path in PACKAGE:
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "<module>")
+    return found
+
+
+def _numpy_ranking(node) -> bool:
+    """np.lexsort or np.partition, taken as an attribute or imported from numpy."""
+    names = {"lexsort", "partition"}
+    if isinstance(node, ast.Attribute):
+        return node.attr in names and getattr(node.value, "id", None) in ("np", "numpy")
+    return (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+            and any(alias.name in names for alias in node.names))
+
+
+def test_one_ranking_rule_and_one_shortlist():
+    assert _numpy_ranking(ast.parse("np.lexsort((a, b))").body[0].value.func)
+    assert not _numpy_ranking(ast.parse('"a@b".partition("@")').body[0].value.func)
+    assert set(_sites(_numpy_ranking)) == {"core.best"}
+    assert "kmeans.bounded" not in _public_functions()
+    shortlist_calls = _sites(lambda node: isinstance(node, ast.Call)
+                             and getattr(node.func, "attr", None) == "shortlist")
+    assert shortlist_calls == ["ivf.ivf_search", "plaid.plaid_search"]

@@ -153,6 +153,29 @@ def test_exact_search_invariant_under_permutation():
     assert forward == backward
 
 
+def _sorted_best(scores, ties, n):
+    """core.best by Python's sorted: descending score, NaN last, ties ascending."""
+    def key(i):
+        nan = bool(np.isnan(scores[i]))
+        return nan, 0.0 if nan else -float(scores[i]), ties[i]
+    return sorted(range(len(scores)), key=key)[:n]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_best_matches_a_sorted_oracle(dtype):
+    # Few distinct values, so equal scores (NaN, -0.0 and +0.0 among them)
+    # straddle every cut and only the distinct ties order them.
+    pool = np.array([np.nan, -0.0, 0.0, 1.0, -1.0, 0.5, 0.25], dtype=dtype)
+    rng = np.random.default_rng(41)
+    for size in [0, 1, 2, 3, 5, 8, 13, 30]:
+        for _ in range(20):
+            scores = pool[rng.integers(len(pool), size=size)]
+            ties = rng.permutation(3 * size)[:size]
+            for n in range(1, size + 3):
+                got = core.best(scores, ties, n)
+                assert got.tolist() == _sorted_best(scores, ties, n), (scores, ties, n)
+
+
 def test_exact_search_rejects_empty_and_mismatched(basis_corpus):
     with pytest.raises(DimensionMismatch):
         exact_search(basis_corpus, basis_matrix([0], dim=4), 1)

@@ -306,6 +306,9 @@ def test_unknown_doc_ordinal_rejected(planted_small):
         for ordinal in (-1, index.doc_count):
             with pytest.raises(UnknownDoc):
                 index.doc_matrix(ordinal)
+    for ordinal in (-1, len(corpus)):
+        with pytest.raises(UnknownDoc, match=rf"\[0, {len(corpus)}\)"):
+            corpus.doc_matrix(ordinal)
 
 
 def test_centroid_codes_shape_and_constancy(planted_small):

@@ -12,7 +12,8 @@ from latebench import (
 )
 from latebench.diagnostics import run_queries
 from latebench.errors import SpecInfeasible
-from latebench.synthetic import _attempt, _unit_rows, _verify_planted
+from latebench.core import unit_rows
+from latebench.synthetic import _attempt, _verify_planted
 
 from oracles import loop_attempt, loop_unit, loop_verify_planted
 
@@ -194,4 +195,4 @@ def test_unit_rows_divide_by_the_single_vector_norm(dim):
     # of rows.
     rows = np.random.default_rng(dim).standard_normal((500, dim))
     want = np.stack([loop_unit(row) for row in rows])
-    assert _unit_rows(rows).tobytes() == want.tobytes()
+    assert unit_rows(rows).tobytes() == want.tobytes()
