@@ -80,7 +80,7 @@ class _HeaderWriter:
 
     def line(self, *fields) -> None:
         text = " ".join(str(f) for f in fields)
-        if "\n" in text or not text.isascii():
+        if text.splitlines() != [text] or not text.isascii():  # _Header splits with splitlines
             raise ValueError(f"header lines must be one line of ASCII text, got {text!r}")
         self.lines.append(text)
 

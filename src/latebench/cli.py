@@ -62,7 +62,11 @@ def _header_entries(args: argparse.Namespace, reads: set[str] | None = None) -> 
     skip = {"func", "command_line", "verbose"}
     params = [f"param {key} {getattr(args, key)}" for key in sorted(vars(args))
               if key not in skip and (reads is None or key in reads)]
-    return [f"command: {shlex.join(args.command_line)}", *params]
+    entries = [f"command: {shlex.join(args.command_line)}", *params]
+    for entry in entries:
+        if entry.splitlines() != [entry]:  # every reader splits lines with splitlines
+            raise LatebenchError(f"header entries must be one line of text, got {entry!r}")
+    return entries
 
 
 def command_from_header(path: Path) -> list[str]:
@@ -73,7 +77,10 @@ def command_from_header(path: Path) -> list[str]:
         if line.startswith("meta "):
             line = line[len("meta "):]
         if line.startswith("command: "):
-            return shlex.split(line[len("command: "):])
+            try:
+                return shlex.split(line[len("command: "):])
+            except ValueError as exc:
+                raise LatebenchError(f"unreadable command header in {path}: {exc}") from None
     raise LatebenchError(f"no command header found in {path}")
 
 
@@ -189,8 +196,9 @@ def cmd_generate(args) -> int:
 def cmd_build(args) -> int:
     _reads(args)  # refuse a flag of the other backend's config
     config = _config(IvfConfig if args.backend == "ivf" else PlaidConfig, args)
-    corpus = _load_corpus(args.bundle)
     header = _header_entries(args, reads=set())  # the config lines hold the parameters
+    bundle_io.check_meta(header)  # refuse a header it cannot write before building
+    corpus = _load_corpus(args.bundle)
     if args.backend == "ivf":
         data = bundle_io.save_ivf_index(build_ivf(corpus, config), meta=header)
     else:
@@ -230,22 +238,21 @@ def _make_searcher(args) -> partial:
 
 
 def cmd_search(args) -> int:
-    reads = _reads(args)
+    header = _header_entries(args, _reads(args))
     queries = _load_queries(args.queries)
     search = _make_searcher(args)
     run = diagnostics.run_queries(search, queries, args.k, tag=args.tag)
-    text = write_run(run, header=_header_entries(args, reads))
-    _atomic_write(Path(args.out), text.encode())
+    _atomic_write(Path(args.out), write_run(run, header=header).encode())
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    header = "".join(f"# {line}\n" for line in _header_entries(args))
     run = parse_run(Path(args.run).read_text())
     qrels = parse_qrels(Path(args.qrels).read_text())
     specs = tuple(MetricSpec.parse(m) for m in args.metric) if args.metric else DEFAULT_SPECS
     reports = evaluate_run(run, qrels, specs, strict=args.strict)
     rows = report_rows(reports)
-    header = "".join(f"# {line}\n" for line in _header_entries(args))
     _atomic_write(Path(args.out), (header + format_table(rows)).encode())
     sys.stdout.write(format_aligned(rows))
     return 0

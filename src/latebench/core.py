@@ -33,8 +33,8 @@ numpy's pairwise summation in the order of the kernel's 1-d sum.
 One builder, `_row_blocks`, makes the blocks: the docs in stable row-count
 order, their rows concatenated once, one view per row count. The whole
 corpus's are made once, on first use, as `Corpus.row_blocks` (a copy of its
-rows, never saved); a subset's in `score_docs`, which reads each doc through
-`store.doc_matrix(o)`.
+rows, never saved); a subset's by `top_k`, the one subset scorer, which
+reads each doc through `store.doc_matrix(o)`.
 `maxsim_score` stays the reference definition: `score_all`, the full sweep,
 calls it once per document, and the tests compare against it.
 """
@@ -332,25 +332,6 @@ def _row_blocks(docs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     return order, blocks
 
 
-def score_docs(store, query: TokenMatrix, ordinals: Iterable[int]) -> np.ndarray:
-    """maxsim_score of each doc ordinal, in the given order, as one float64 array.
-
-    `store` has `doc_ids` and `doc_matrix(ordinal)`: a Corpus or a PlaidIndex.
-    Each doc is read once through `doc_matrix`, its blocks built by
-    `_row_blocks` and scored by `_stacked_maxsim`. Single-threaded.
-    """
-    docs = [store.doc_matrix(o).data for o in ordinals]
-    if not docs:
-        return np.empty(0)
-    q = query.data
-    if docs[0].shape[1] != q.shape[1]:
-        raise DimensionMismatch(f"query dim {q.shape[1]} != doc dim {docs[0].shape[1]}")
-    order, blocks = _row_blocks(docs)
-    scores = np.empty(len(docs))
-    scores[order] = _stacked_maxsim(q, blocks)
-    return scores
-
-
 def best(scores: np.ndarray, ties: np.ndarray, n: int) -> np.ndarray:
     """Positions of the n best `scores`, best first: descending score, NaN
     last, equal scores by ascending `ties`. Every order and cut of the package.
@@ -389,22 +370,28 @@ def top_k(
     query_id: str = "",
     store=None,
 ) -> RankedList:
-    """Exact top k of the given distinct doc ordinals (every doc when None).
-
-    Every doc is scored by `_stacked_maxsim`: the whole corpus from its
-    `row_blocks`, a subset through `score_docs(store, ...)`. `store` defaults
-    to `corpus`; a PlaidIndex passes itself, so its rows are read through its
-    `doc_matrix`, which refuses an ordinal outside [0, len(corpus)) with
-    UnknownDoc. Hits are ranked by `best`, ties by ascending doc id.
+    """Exact top k of the given distinct doc ordinals (every doc when None): the
+    one subset scorer. Each doc is scored by `_stacked_maxsim`: the whole
+    corpus from its `row_blocks`, a subset from `_row_blocks` over each doc
+    read once through `store.doc_matrix(o)` (`store` defaults to `corpus`; a
+    PlaidIndex passes itself). A non-integer or out-of-range ordinal raises
+    UnknownDoc; an empty subset gives an empty list. Hits are ranked by
+    `best`, ties by ascending doc id.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_dim(corpus, query)
     if ordinals is None:
         ordinals, blocks = corpus.row_blocks
-        scores = _stacked_maxsim(query.data, blocks)
+    elif not len(ordinals):
+        return RankedList(query_id, ())
+    elif ordinals.dtype.kind not in "iu":
+        raise UnknownDoc(f"doc ordinals must be integers, got dtype {ordinals.dtype}")
     else:
-        scores = score_docs(corpus if store is None else store, query, ordinals.tolist())
+        read = (corpus if store is None else store).doc_matrix
+        order, blocks = _row_blocks([read(o).data for o in ordinals.tolist()])
+        ordinals = ordinals[order]
+    scores = _stacked_maxsim(query.data, blocks)
     top = best(scores, corpus.id_rank[ordinals], k)
     ids = [corpus.doc_ids[o] for o in ordinals[top].tolist()]
     return RankedList(query_id, tuple(map(ScoredDoc, ids, scores[top].tolist())))

@@ -52,10 +52,14 @@ class Qrels:
 
 @dataclass(frozen=True)
 class RunFile:
-    """Ranked results for a set of queries, plus the run tag."""
+    """Ranked results for a set of queries, plus the run tag: one token per run line."""
 
     tag: str
     rankings: Mapping[str, RankedList]
+
+    def __post_init__(self):
+        if self.tag.split() != [self.tag]:
+            raise ValueError(f"run tag {self.tag!r} is empty or contains whitespace")
 
     def query_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.rankings))

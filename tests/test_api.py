@@ -11,6 +11,8 @@ package module raises or catches is left behind by code that was deleted.
 The CLI passes no literal default to a config field's flag, so it holds no
 second copy of a config default. Every order and cut is `core.best` and both
 index backends pick what they rescore through one `kmeans.shortlist` call.
+Every search ends in `core.top_k`, the one function from doc ordinals to a
+ranked list, and only it and `Corpus.row_blocks` touch the stacked body.
 """
 
 import ast
@@ -126,3 +128,30 @@ def test_one_ranking_rule_and_one_shortlist():
     shortlist_calls = _sites(lambda node: isinstance(node, ast.Call)
                              and getattr(node.func, "attr", None) == "shortlist")
     assert shortlist_calls == ["ivf.ivf_search", "plaid.plaid_search"]
+
+
+def _names(*names):
+    """A predicate: a node that reads, takes as an attribute or imports one of `names`."""
+    def predicate(node):
+        if isinstance(node, ast.ImportFrom):
+            return any(alias.name in names for alias in node.names)
+        return getattr(node, "id", getattr(node, "attr", None)) in names
+    return predicate
+
+
+def _calls(name):
+    return lambda node: isinstance(node, ast.Call) and _names(name)(node.func)
+
+
+def test_searches_score_only_through_top_k():
+    # Every search ends in core.top_k, and every document it ranks is scored
+    # by the one stacked body core._stacked_maxsim over blocks from
+    # core._row_blocks: the whole corpus's made once by Corpus.row_blocks, a
+    # subset's by top_k. The kernel maxsim_score is the reference definition:
+    # inside the package only the full sweep score_all calls it.
+    assert _sites(_names("_row_blocks")) == ["core.row_blocks", "core.top_k"]
+    assert _sites(_names("_stacked_maxsim")) == ["core.top_k"]
+    assert "score_docs" not in _referenced_names() and "core.score_docs" not in _public_functions()
+    assert _sites(_calls("top_k")) == ["core.exact_search", "ivf.ivf_search", "plaid.plaid_search"]
+    assert _sites(_calls("maxsim_score")) == ["core.score_all"]
+    assert _sites(_calls("score_all")) == []

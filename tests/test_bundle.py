@@ -220,6 +220,14 @@ def test_header_text_must_be_ascii():
         write_bundle(corpus, meta=["\u00e9"])
 
 
+@pytest.mark.parametrize("sep", ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"])
+def test_header_text_must_stay_one_line_when_read(sep):
+    # The reader splits the header with str.splitlines, which breaks at each of these.
+    corpus = _random_corpus(seed=3, docs=3)
+    with pytest.raises(ValueError, match="one line of ASCII text"):
+        write_bundle(corpus, meta=[f"a{sep}b.lbb"])
+
+
 def test_plaid_index_rejects_codes_that_disagree_with_header(planted_small):
     corpus, _, _ = planted_small
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=2))

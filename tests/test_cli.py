@@ -7,6 +7,7 @@ import pytest
 
 from latebench import IvfConfig, PlaidConfig, SyntheticSpec, cli
 from latebench.cli import command_from_header, main
+from latebench.errors import LatebenchError
 
 
 @pytest.fixture(scope="module")
@@ -488,3 +489,71 @@ def test_readme_walkthrough_commands_parse():
         args.command_line = argv[1:]
         if args.subcommand in ("build", "search", "diagnose"):
             cli._reads(args)  # every flag it requires is there, and no flag it does not read
+
+
+def _too_early(*args):
+    raise AssertionError("ran before the header was checked")
+
+
+def test_header_line_break_is_refused_before_generating(tmp_path, capsys, monkeypatch):
+    # str.splitlines, which the bundle reader splits its header with, breaks at "\r".
+    monkeypatch.setattr(cli, "generate_synthetic", _too_early)
+    code = main([
+        "generate",
+        "--out-bundle", str(tmp_path / "a\rb.lbb"),
+        "--out-queries", str(tmp_path / "queries.lbb"),
+        "--out-qrels", str(tmp_path / "qrels.txt"),
+        "--docs", "50", "--queries", "8", "--seed", "13",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("LATEBENCH-ERROR LatebenchError: header")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--backend", "exact", "--bundle", "c.lbb", "--queries", "q.lbb"],
+    ["evaluate", "--run", "x.run", "--qrels", "qrels.txt"],
+    ["diagnose", "--mode", "coverage", "--index", "p.lbi"],
+])
+def test_text_header_line_break_is_refused_before_reading(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "_load_corpus", _too_early)
+    monkeypatch.setattr(cli, "parse_run", _too_early)
+    monkeypatch.setattr(cli, "_load_plaid", _too_early)
+    assert main(argv + ["--out", str(tmp_path / "x\ny.out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("LATEBENCH-ERROR LatebenchError: header")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unreadable_command_header_is_a_latebench_error(tmp_path):
+    path = tmp_path / "x.run"
+    path.write_text("# command: search --out 'x\n# y.run'\n")
+    with pytest.raises(LatebenchError, match="unreadable command header"):
+        command_from_header(path)
+
+
+@pytest.mark.parametrize("backend", ["ivf", "plaid"])
+def test_unwritable_header_is_refused_before_building(tmp_path, capsys, monkeypatch, backend):
+    for name in ("_load_corpus", "build_ivf", "build_plaid"):
+        monkeypatch.setattr(cli, name, _too_early)
+    out = tmp_path / "\u00e9.lbi"
+    assert main(["build", "--backend", backend, "--bundle", "c.lbb", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("LATEBENCH-ERROR ValueError: header lines")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tag", ["a b", ""])
+def test_run_tag_that_is_not_one_token_writes_no_run(workspace, capsys, tag):
+    out = workspace / "tagged.run"
+    code = main([
+        "search", "--backend", "exact",
+        "--bundle", str(workspace / "corpus.lbb"),
+        "--queries", str(workspace / "queries.lbb"),
+        "--k", "5", "--tag", tag, "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"LATEBENCH-ERROR ValueError: run tag {tag!r} is empty or contains whitespace"]
+    assert not out.exists()

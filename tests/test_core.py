@@ -1,6 +1,4 @@
-import ast
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,43 +284,6 @@ def test_pool_output_always_valid_unit_rows():
         pooled = pool_fixed(doc, 32)
         assert pooled.rows == 32
         validate_matrix(pooled)
-
-
-def _call_sites(node, scope, name, sites):
-    """Append the innermost enclosing function name of every call to `name`."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        scope = node.name
-    if isinstance(node, ast.Call):
-        if getattr(node.func, "id", getattr(node.func, "attr", None)) == name:
-            sites.append(scope)
-    for child in ast.iter_child_nodes(node):
-        _call_sites(child, scope, name, sites)
-
-
-def test_searches_score_only_through_score_docs():
-    # Every search ends in core.top_k, and every document it ranks is scored
-    # by the one stacked body core._stacked_maxsim: the whole corpus directly,
-    # a subset through core.score_docs. The kernel maxsim_score is the
-    # reference definition: inside the package only the full sweep score_all
-    # calls it, which no search uses.
-    package = Path(__file__).resolve().parents[1] / "src" / "latebench"
-    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
-             for path in sorted(package.glob("*.py"))}
-
-    def sites(name):
-        found = []
-        for file_name, tree in trees.items():
-            scopes = []
-            _call_sites(tree, "<module>", name, scopes)
-            found += [(file_name, scope) for scope in scopes]
-        return found
-
-    assert sites("top_k") == [("core.py", "exact_search"), ("ivf.py", "ivf_search"),
-                              ("plaid.py", "plaid_search")]
-    assert sites("_stacked_maxsim") == [("core.py", "score_docs"), ("core.py", "top_k")]
-    assert sites("score_docs") == [("core.py", "top_k")]
-    assert sites("maxsim_score") == [("core.py", "score_all")]
-    assert sites("score_all") == []
 
 
 def test_score_all_calls_the_kernel_once_per_doc(basis_corpus, monkeypatch):

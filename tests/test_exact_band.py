@@ -11,7 +11,7 @@ from latebench import (
 )
 from latebench import core, kmeans
 from latebench.bundle import load_ivf_index, load_plaid_index, save_ivf_index, save_plaid_index
-from latebench.core import RankedList, maxsim_score, score_all, score_docs, top_k
+from latebench.core import RankedList, maxsim_score, score_all, top_k
 from latebench.errors import DimensionMismatch, UnknownDoc
 from latebench.plaid import unpack_levels
 
@@ -104,7 +104,7 @@ def test_dimension_mismatch_raises_before_any_product(monkeypatch):
         raise AssertionError("a gather or product ran before the dimension check")
 
     monkeypatch.setattr(Corpus, "row_blocks", property(no_product))
-    for name in ("_stacked_maxsim", "score_docs", "maxsim_score"):
+    for name in ("_stacked_maxsim", "_row_blocks", "maxsim_score"):
         monkeypatch.setattr(core, name, no_product)
     query = random_unit_matrix(rng, 3, 4)
     with pytest.raises(DimensionMismatch):
@@ -217,9 +217,20 @@ def test_top_k_refuses_ordinals_outside_the_corpus(k, ordinals):
         top_k(corpus, query, k, np.array(ordinals))
 
 
+def test_top_k_refuses_non_integer_ordinals_and_takes_any_empty_array():
+    rng = np.random.default_rng(29)
+    corpus = _scaled_corpus(rng, 50, 8)
+    query = random_unit_matrix(rng, 3, 8)
+    for ordinals in (np.array([0.0, 1.0]), np.array([True, False]), np.array(["0"])):
+        with pytest.raises(UnknownDoc, match="integers"):
+            top_k(corpus, query, 3, ordinals)
+    for ordinals in (np.array([]), np.array([], dtype=np.int64), np.array([], dtype=bool)):
+        assert top_k(corpus, query, 3, ordinals, "q") == RankedList("q", ())
+
+
 def _full_lexsort_top_k(corpus, query, k, ordinals):
-    """top_k's list by one lexsort over every scored doc, with no cut before it."""
-    scores = score_docs(corpus, query, ordinals.tolist())
+    """top_k's list by one lexsort over every kernel-scored doc, with no cut before it."""
+    scores = np.array([maxsim_score(query, corpus.doc_matrix(o)) for o in ordinals.tolist()])
     best = np.lexsort((corpus.id_rank[ordinals], -scores))[:k]
     return list(zip([corpus.doc_ids[o] for o in ordinals[best].tolist()],
                     [score.hex() for score in scores[best].tolist()]))
@@ -252,11 +263,15 @@ def test_top_k_cut_keeps_the_full_lexsort_list():
 
 
 def _assert_bit_equal(store, query, ordinals):
-    """score_docs: one float64 array, maxsim_score's bits in the given order."""
-    want = [maxsim_score(query, store.doc_matrix(o)).hex() for o in ordinals]
-    scores = score_docs(store, query, ordinals)
-    assert scores.dtype == np.float64 and scores.shape == (len(want),)
-    assert [score.hex() for score in scores.tolist()] == want
+    """top_k over the ordinals, read through `store` (a Corpus, or a PlaidIndex
+    over its own store, as plaid_search passes it): every doc with
+    maxsim_score's bits, matched by doc id."""
+    corpus = getattr(store, "store", store)
+    want = sorted((corpus.doc_ids[o], maxsim_score(query, store.doc_matrix(o)).hex())
+                  for o in ordinals)
+    ranked = top_k(corpus, query, max(len(want), 1), np.array(ordinals, dtype=np.int64),
+                   store=store)
+    assert sorted(_hexed(ranked)) == want
 
 
 def _assert_sweep_bit_equal(corpus, query):
@@ -265,7 +280,7 @@ def _assert_sweep_bit_equal(corpus, query):
     assert _hexed(exact_search(corpus, query, len(corpus))) == _hexed(want)
 
 
-def test_score_docs_has_the_bits_of_maxsim_score():
+def test_top_k_has_the_bits_of_maxsim_score():
     rng = np.random.default_rng(30)
     mixed = _scaled_corpus(rng, 30, 128, rows=(1, 64))
     everything = list(range(len(mixed)))
@@ -286,7 +301,7 @@ def test_score_docs_has_the_bits_of_maxsim_score():
         _assert_sweep_bit_equal(one_row, query)
 
 
-def test_score_docs_has_the_bits_of_maxsim_score_on_broken_and_other_stores(planted_small):
+def test_top_k_has_the_bits_of_maxsim_score_on_broken_and_other_stores(planted_small):
     rng = np.random.default_rng(31)
     # NaN, +-Inf, and rows of +-0 whose every dot is a signed zero.
     broken = _broken_corpus(rng, [(5, 3, np.nan), (40, 0, np.inf), (41, 2, -np.inf)]

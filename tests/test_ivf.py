@@ -254,17 +254,17 @@ def _canonical(index, query, nprobe=None, cap=None):
 
 
 def _handed(monkeypatch):
-    """Patch core.score_docs to record how many docs each call scores."""
-    original, counts = core.score_docs, []
-    monkeypatch.setattr(core, "score_docs", lambda store, query, ordinals: counts.append(
-        len(ordinals)) or original(store, query, ordinals))
+    """Patch core._row_blocks to record how many docs each top_k call scores."""
+    original, counts = core._row_blocks, []
+    monkeypatch.setattr(core, "_row_blocks",
+                        lambda docs: counts.append(len(docs)) or original(docs))
     return counts
 
 
 def test_bound_keeps_the_canonical_list_over_the_grid(planted_by_filler, monkeypatch):
     # Over (nprobe, per-token budget, k), on built and loaded indexes, the
     # list equals the full rescore of every candidate by float.hex(), and at
-    # filler 0.3 the bound hands fewer docs to score_docs than there are
+    # filler 0.3 the bound hands fewer docs to top_k than there are
     # candidates.
     handed = _handed(monkeypatch)
     for filler, (corpus, queries, _) in planted_by_filler.items():

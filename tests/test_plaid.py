@@ -15,7 +15,7 @@ from latebench import (
 )
 from latebench.bundle import corpus_digest, load_plaid_index, save_plaid_index
 from latebench import kmeans
-from latebench.core import pool_corpus, score_docs, top_k
+from latebench.core import pool_corpus, top_k
 from latebench.errors import CorpusMismatch, NDocsTooSmall, UnknownDoc, UnsupportedBits
 from latebench.kmeans import BLOCK_ROWS, approx_scores, probe
 from latebench.plaid import (
@@ -676,7 +676,8 @@ def test_residual_bounds_hold_for_every_doc(planted_by_filler):
         every = np.arange(index.doc_count)
         for query in queries + [TokenMatrix(q.data * np.float32(1e3)) for q in queries]:
             ceiling, lower, approx = _bounds(index, query, every)
-            scores = score_docs(index.store, query, every)
+            ranked = dict(top_k(index.store, query, len(every), every, store=index).hits)
+            scores = np.array([ranked[doc_id] for doc_id in index.doc_ids])
             assert (lower <= scores).all() and (scores <= ceiling).all(), name
             assert (lower <= approx).all(), name
             if name == "on centroids":  # the slack is all that separates them

@@ -105,3 +105,11 @@ def test_write_run_emits_header_comments():
     text = write_run(run, header=["command: search --k 10"])
     assert text.startswith("# command: search --k 10\n")
     assert parse_run(text).ranking("q1").doc_ids() == ("dA",)
+
+
+@pytest.mark.parametrize("tag", ["", "a b", "a\tb", " a", "a\n"])
+def test_run_tag_must_be_one_token(tag):
+    # write_run puts the tag in every line, which parse_run splits into six columns.
+    lists = [RankedList(query_id="q1", hits=(ScoredDoc("dA", 1.0),))]
+    with pytest.raises(ValueError, match="run tag"):
+        RunFile.from_ranked_lists(lists, tag=tag)
