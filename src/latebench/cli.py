@@ -39,7 +39,7 @@ from .metrics import (
 )
 from .plaid import PlaidConfig, PlaidIndex, build_plaid, plaid_search
 from .synthetic import SyntheticSpec, generate_synthetic
-from .trec import parse_qrels, parse_run, write_qrels, write_run
+from .trec import RunFile, parse_qrels, parse_run, write_qrels, write_run
 
 logger = logging.getLogger(__name__)
 
@@ -239,6 +239,7 @@ def _make_searcher(args) -> partial:
 
 def cmd_search(args) -> int:
     header = _header_entries(args, _reads(args))
+    RunFile.check_tag(args.tag)  # refuse a tag no run line can hold before reading any file
     queries = _load_queries(args.queries)
     search = _make_searcher(args)
     run = diagnostics.run_queries(search, queries, args.k, tag=args.tag)

@@ -12,8 +12,8 @@ whole corpus for `exact_search`; for IVF its candidates and for PLAID its
 stage-3 survivors, less those `kmeans.shortlist` rules out) through one
 stacked-product body, `_stacked_maxsim`, and ranks them by `best`, ties by
 ascending doc id (`Corpus.id_rank`). `best` is every order and cut of the
-package, `kmeans.shortlist`'s and IVF's per-token budget's too. There is no
-approximate pass: every returned score and every ordering has
+package, `kmeans.shortlist`'s and IVF's per-token budget's (unordered) too.
+There is no approximate pass: every returned score and every ordering has
 `maxsim_score`'s bits.
 
 The body takes the documents' rows grouped by row count, as one (g, L, dim)
@@ -332,9 +332,11 @@ def _row_blocks(docs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     return order, blocks
 
 
-def best(scores: np.ndarray, ties: np.ndarray, n: int) -> np.ndarray:
+def best(scores: np.ndarray, ties: np.ndarray, n: int, ordered: bool = True) -> np.ndarray:
     """Positions of the n best `scores`, best first: descending score, NaN
     last, equal scores by ascending `ties`. Every order and cut of the package.
+    With `ordered=False` the same positions come back in no promised order,
+    for a caller that only asks which they are.
 
     It is one `np.lexsort` of the negated scores, which puts NaN last. When
     there are more than n scores, an `np.partition` at the n-th smallest
@@ -343,11 +345,23 @@ def best(scores: np.ndarray, ties: np.ndarray, n: int) -> np.ndarray:
     value, so none is dropped. A partition, like the sort, puts NaN last, so
     the cut value is NaN only when fewer than n scores are numbers, and then
     it keeps every position.
+
+    Unordered, it first keeps only the numbers at or below the cut value.
+    When there are exactly n, no score ties across the cut, so they are the
+    n best and come back ascending, with no sort. Otherwise the sort picks
+    among them as above, or among every position under a NaN cut, where
+    none is kept.
     """
     negated = -scores
     if len(negated) <= n:
-        return np.lexsort((ties, negated))
-    keep = np.flatnonzero(~(negated > np.partition(negated, n - 1)[n - 1]))
+        return np.lexsort((ties, negated)) if ordered else np.arange(len(negated))
+    cut = np.partition(negated, n - 1)[n - 1]
+    if not ordered:
+        keep = np.flatnonzero(negated <= cut)  # no NaN, so none under a NaN cut
+        if len(keep) == n:
+            return keep
+    if ordered or np.isnan(cut):
+        keep = np.flatnonzero(~(negated > cut))
     return keep[np.lexsort((ties[keep], negated[keep]))[:n]]
 
 

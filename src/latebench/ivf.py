@@ -20,10 +20,12 @@ properties asserted in the tests. It holds because `kmeans.probe` orders a
 row's centroids by a stable sort, so the first nprobe lists are a prefix of
 the first nprobe + 1.
 
-A list the per-token budget runs out inside is gathered once per query,
-however many query rows it runs out in; each such row dots the same gathered
-rows in its own matrix-vector product and keeps its top rows by `core.best`,
-ties by row id.
+A list the per-token budget runs out inside is gathered once per query, by
+one `np.take`, however many query rows it runs out in: the (row, list) pairs
+are walked in list order. Each such row dots the same gathered rows in its
+own matrix-vector product and keeps its top rows by `core.best`, ties by row
+id, unordered: the rows only mark candidate docs, so no sort runs unless dots
+tie across the cut.
 """
 
 from __future__ import annotations
@@ -107,15 +109,16 @@ def _candidates(
     ends = np.cumsum(lengths, axis=1)
     starts = ends - lengths
     rows = [index.lists.gather(np.unique(top[ends <= cap]))[0]]
-    straddling = (starts < cap) & (ends > cap)
-    lists, budgets = top[straddling], cap - starts[straddling]
-    query_rows = np.nonzero(straddling)[0]
-    for lst in np.unique(lists).tolist():
-        toks = index.lists[lst]
-        block = index.corpus.vectors[toks]
-        mine = lists == lst
-        for r, budget in zip(query_rows[mine].tolist(), budgets[mine].tolist()):
-            rows.append(toks[best(block @ query.data[r], toks, budget)])
+    query_rows, ranks = np.nonzero((starts < cap) & (ends > cap))
+    lists, budgets = top[query_rows, ranks], cap - starts[query_rows, ranks]
+    walk = np.argsort(lists, kind="stable")
+    gathered = -1
+    for lst, r, budget in zip(lists[walk].tolist(), query_rows[walk].tolist(),
+                              budgets[walk].tolist()):
+        if lst != gathered:
+            toks, gathered = index.lists[lst], lst
+            block = np.take(index.corpus.vectors, toks, axis=0)
+        rows.append(toks[best(block @ query.data[r], toks, budget, ordered=False)])
     members = np.zeros(len(index.corpus), dtype=bool)
     members[index.token_docs[np.concatenate(rows)]] = True
     return dots, np.flatnonzero(members)

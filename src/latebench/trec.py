@@ -58,8 +58,13 @@ class RunFile:
     rankings: Mapping[str, RankedList]
 
     def __post_init__(self):
-        if self.tag.split() != [self.tag]:
-            raise ValueError(f"run tag {self.tag!r} is empty or contains whitespace")
+        self.check_tag(self.tag)
+
+    @staticmethod
+    def check_tag(tag: str) -> None:
+        """Raise ValueError unless `tag` is one token, as every run line holds it."""
+        if tag.split() != [tag]:
+            raise ValueError(f"run tag {tag!r} is empty or contains whitespace")
 
     def query_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.rankings))

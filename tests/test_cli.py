@@ -557,3 +557,16 @@ def test_run_tag_that_is_not_one_token_writes_no_run(workspace, capsys, tag):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"LATEBENCH-ERROR ValueError: run tag {tag!r} is empty or contains whitespace"]
     assert not out.exists()
+
+
+def test_bad_run_tag_is_refused_before_any_file_is_read(tmp_path, capsys):
+    code = main([
+        "search", "--backend", "exact",
+        "--bundle", str(tmp_path / "missing.lbb"),
+        "--queries", str(tmp_path / "missing-queries.lbb"),
+        "--tag", "a b", "--out", str(tmp_path / "x.run"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["LATEBENCH-ERROR ValueError: run tag 'a b' is empty or contains whitespace"]
+    assert list(tmp_path.iterdir()) == []

@@ -162,7 +162,8 @@ def _sorted_best(scores, ties, n):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_best_matches_a_sorted_oracle(dtype):
     # Few distinct values, so equal scores (NaN, -0.0 and +0.0 among them)
-    # straddle every cut and only the distinct ties order them.
+    # straddle every cut and only the distinct ties order them. Unordered,
+    # the same positions must come back, as a set.
     pool = np.array([np.nan, -0.0, 0.0, 1.0, -1.0, 0.5, 0.25], dtype=dtype)
     rng = np.random.default_rng(41)
     for size in [0, 1, 2, 3, 5, 8, 13, 30]:
@@ -170,8 +171,10 @@ def test_best_matches_a_sorted_oracle(dtype):
             scores = pool[rng.integers(len(pool), size=size)]
             ties = rng.permutation(3 * size)[:size]
             for n in range(1, size + 3):
-                got = core.best(scores, ties, n)
-                assert got.tolist() == _sorted_best(scores, ties, n), (scores, ties, n)
+                want = _sorted_best(scores, ties, n)
+                assert core.best(scores, ties, n).tolist() == want, (scores, ties, n)
+                unordered = core.best(scores, ties, n, ordered=False).tolist()
+                assert sorted(unordered) == sorted(want), (scores, ties, n)
 
 
 def test_exact_search_rejects_empty_and_mismatched(basis_corpus):

@@ -165,16 +165,20 @@ def test_search_time_budget_below_one_rejected(planted_small, cap):
 
 
 def _budgets(index, query):
-    """Per-token budgets: 1, one that ends a list exactly, one that ends mid-list, 10**6.
+    """Per-token budgets: 1, one that ends a list exactly, one that ends mid-list,
+    half the largest list's length, 10**6.
 
     The edge is the length of row 0's first non-empty probed list, so the
-    budget runs out at that list's end and the next list adds nothing.
+    budget runs out at that list's end and the next list adds nothing. Half
+    the largest list cuts inside it for a row that probes it first: on a
+    planted corpus that is the filler anchor's list, whose rows all tie.
     """
+    counts = np.bincount(index.assignments, minlength=index.config.nlist)
     order = np.lexsort((np.arange(index.config.nlist), -(index.centroids @ query.data[0])))
-    sizes = [n for n in np.bincount(index.assignments, minlength=index.config.nlist)[order] if n]
+    sizes = [n for n in counts[order] if n]
     edge, after = sizes[0], sizes[1]
     assert after >= 2  # so that edge + 1 ends inside the next list
-    return (1, edge, edge + 1, 10**6)
+    return (1, edge, edge + 1, int(counts.max()) // 2, 10**6)
 
 
 def _hand_built_with_empty_list():
