@@ -9,7 +9,7 @@ ties are always broken by ascending doc id.
 
 Every search ends in `top_k`, which scores every document it ranks (the
 whole corpus for `exact_search`; for IVF its candidates and for PLAID its
-stage-3 survivors, less those `kmeans.shortlist` rules out) through one
+stage-3 survivors, less those its `ceilings` rule out) through one
 stacked-product body, `_stacked_maxsim`, and ranks them by `best`, ties by
 ascending doc id (`Corpus.id_rank`). `best` is every order and cut of the
 package, `kmeans.shortlist`'s and IVF's per-token budget's (unordered) too.
@@ -383,6 +383,7 @@ def top_k(
     ordinals: np.ndarray | None = None,
     query_id: str = "",
     store=None,
+    ceilings: np.ndarray | None = None,
 ) -> RankedList:
     """Exact top k of the given distinct doc ordinals (every doc when None): the
     one subset scorer. Each doc is scored by `_stacked_maxsim`: the whole
@@ -390,22 +391,34 @@ def top_k(
     read once through `store.doc_matrix(o)` (`store` defaults to `corpus`; a
     PlaidIndex passes itself). A non-integer or out-of-range ordinal raises
     UnknownDoc; an empty subset gives an empty list. Hits are ranked by
-    `best`, ties by ascending doc id.
+    `best`, ties by ascending doc id. Given `ceilings`, bounds on the scores
+    of the ordinals after the k-th (`kmeans.shortlist`'s), the first k are
+    scored first, and a later one only when its ceiling is not below the
+    floor, their least score; a NaN floor or ceiling skips nothing.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     _check_dim(corpus, query)
     if ordinals is None:
-        ordinals, blocks = corpus.row_blocks
+        passes = [None]
     elif not len(ordinals):
         return RankedList(query_id, ())
     elif ordinals.dtype.kind not in "iu":
         raise UnknownDoc(f"doc ordinals must be integers, got dtype {ordinals.dtype}")
     else:
-        read = (corpus if store is None else store).doc_matrix
-        order, blocks = _row_blocks([read(o).data for o in ordinals.tolist()])
-        ordinals = ordinals[order]
-    scores = _stacked_maxsim(query.data, blocks)
+        passes = [ordinals] if ceilings is None else [ordinals[:k], ordinals[k:]]
+    read = (corpus if store is None else store).doc_matrix
+    scored, scores = [], []
+    for part in passes:
+        if scores:  # the later ordinals whose ceiling is not below the floor
+            part = part[~(ceilings < scores[0].min())]
+            if not len(part):
+                break
+        order, blocks = corpus.row_blocks if part is None else _row_blocks(
+            [read(o).data for o in part.tolist()])
+        scored.append(order if part is None else part[order])
+        scores.append(_stacked_maxsim(query.data, blocks))
+    ordinals, scores = np.concatenate(scored), np.concatenate(scores)
     top = best(scores, corpus.id_rank[ordinals], k)
     ids = [corpus.doc_ids[o] for o in ordinals[top].tolist()]
     return RankedList(query_id, tuple(map(ScoredDoc, ids, scores[top].tolist())))
@@ -416,19 +429,20 @@ def exact_search(corpus: Corpus, query: TokenMatrix, k: int, query_id: str = "")
     return top_k(corpus, query, k, query_id=query_id)
 
 
-def pool_fixed(doc: TokenMatrix, C: int) -> TokenMatrix:
+def pool_fixed(doc: TokenMatrix, C: int,
+               norm_tol: float = max(NORM_TOLERANCE.values())) -> TokenMatrix:
     """Deterministic fixed-length pooling proxy: always exactly C unit rows.
 
     This simulates a fixed-slot document representation without any learned
     model: rows are split into C contiguous chunks as evenly as possible (the
     first rows % C chunks get one extra row), each chunk is averaged and
     renormalized. Documents shorter than C are extended by cycling their rows
-    before pooling. Single-row chunks pass through bit-exactly. A matrix has
-    no dtype, so its norms are checked at the loosest dtype's tolerance.
+    before pooling. Single-row chunks pass through bit-exactly. The matrix is
+    checked at `norm_tol`: by default the loosest dtype's, as it has none.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
-    validate_matrix(doc, norm_tol=max(NORM_TOLERANCE.values()))
+    validate_matrix(doc, norm_tol=norm_tol)
     data = doc.data
     if doc.rows < C:
         reps = -(-C // doc.rows)
@@ -455,8 +469,13 @@ def pool_fixed(doc: TokenMatrix, C: int) -> TokenMatrix:
 
 
 def pool_corpus(corpus: Corpus, C: int) -> Corpus:
-    """pool_fixed on every document, checked first at the corpus's own dtype tolerance."""
-    corpus.validate()
-    pooled = {doc_id: pool_fixed(corpus.docs[doc_id], C) for doc_id in corpus.doc_ids}
+    """pool_fixed on every document, checked there at the corpus's own dtype tolerance."""
+    pooled = {}
+    for doc_id, doc in corpus.docs.items():
+        try:
+            pooled[doc_id] = pool_fixed(doc, C, NORM_TOLERANCE[corpus.dtype])
+        except (EmptyMatrix, NonFinite, NotNormalized) as exc:
+            exc.args = (f"doc {doc_id!r}: {exc}",)
+            raise
     return Corpus.build(pooled, dtype=corpus.dtype, C=C)
 

@@ -4,14 +4,14 @@ Token vectors are clustered into nlist centroids; every query row probes its
 nprobe nearest lists and gathers candidate tokens, and the gathered tokens'
 source documents form the candidate set. When there are more than k
 candidates, `kmeans.shortlist` ranks them by centroid score (over the dots
-the probe already took) and drops those the residual-radius bound proves to
-lie outside the top k, as PLAID does before its stage 4; it keeps them all
-otherwise. `core.top_k` takes the exact top k of the rest, scoring each by
-one stacked product per row count. Only candidate generation approximates:
-every returned score equals maxsim_score exactly, and the list is the one
-`core.top_k` gives over every candidate, bit for bit. The bound reads the
-index's `kmeans.Radii` of `corpus.vectors` on its centroids and assignments,
-derived at build and load and never saved.
+the probe already took) and gives each after the k-th its residual-radius
+ceiling, as for PLAID's stage 4. `core.top_k` takes their exact top k,
+scoring each by one stacked product per row count, and skips the later ones
+whose ceiling lies below the least score of the first k. Only candidate
+generation approximates: every returned score equals maxsim_score exactly,
+and the list is the one `core.top_k` gives over every candidate, bit for
+bit. The ceilings read the index's `kmeans.Radii` of `corpus.vectors` on its
+centroids and assignments, derived at build and load and never saved.
 
 Gather order is (probed-list rank, then token dot within the boundary list),
 so the candidate set at a smaller nprobe is always a subset of the candidate
@@ -68,7 +68,6 @@ class IvfIndex:
     # The kmeans.Radii of `corpus.vectors` on the centroids: unique codes and residual norms.
     unique_codes: kmeans.Csr = field(init=False, repr=False, compare=False)
     max_residual: np.ndarray = field(init=False, repr=False, compare=False)
-    min_residual: np.ndarray = field(init=False, repr=False, compare=False)
     reach: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -108,7 +107,7 @@ def _candidates(
     lengths = np.diff(index.lists.offsets)[top]
     ends = np.cumsum(lengths, axis=1)
     starts = ends - lengths
-    rows = [index.lists.gather(np.unique(top[ends <= cap]))[0]]
+    rows = [index.lists.gather(np.unique(top[ends <= cap]))]
     query_rows, ranks = np.nonzero((starts < cap) & (ends > cap))
     lists, budgets = top[query_rows, ranks], cap - starts[query_rows, ranks]
     walk = np.argsort(lists, kind="stable")
@@ -148,9 +147,9 @@ def ivf_search(
     per_token_candidates: int | None = None,
     query_id: str = "",
 ) -> RankedList:
-    """Probe, gather, drop the candidates the residual-radius bound rules out
-    (`kmeans.shortlist`), then take the exact top k of the rest with `core.top_k`."""
+    """Probe, gather, rank the candidates and bound their scores
+    (`kmeans.shortlist`), then take their exact top k with `core.top_k`."""
     dots, ordinals = _candidates(index, query, nprobe, per_token_candidates)
-    ordinals = kmeans.shortlist(index, query, dots, ordinals, index.corpus.id_rank,
-                                len(ordinals), k)
-    return top_k(index.corpus, query, k, ordinals, query_id)
+    ordinals, ceilings = kmeans.shortlist(index, query, dots, ordinals, index.corpus.id_rank,
+                                          len(ordinals), k)
+    return top_k(index.corpus, query, k, ordinals, query_id, ceilings=ceilings)

@@ -25,50 +25,48 @@ Both backends also derive, from the vectors they rescore and never saved, each
 doc's sorted unique centroid ids and its residual radii (`residual_radii`),
 and both pick the candidates they rescore with one call, `shortlist`: it gives
 each its centroid score, ranks them by it with `core.best` (ties by doc id,
-the n best kept: PLAID's ndocs, every candidate for IVF) and drops those the
-residual-radius bound below rules out. The centroid score is `approx_scores`,
-MaxSim with every doc row replaced by its centroid. Each doc's ids are one
-`Csr`, so the score is a layered max: the dot matrix is transposed once to
-(centroids, query rows), and layer j takes, for every doc at once, the row of
-its j-th centroid id, clamped to its last one, and maxes it into one (docs,
-query rows) array; as many layers run as the widest doc has ids. One float64
-sum along each doc's row follows. Its scores are bit for bit those of the
-per-doc expression `np.sum(dots[:, unique_codes[o]].max(axis=1),
+the n best kept: PLAID's ndocs, every candidate for IVF) and gives each after
+the k-th its residual-radius ceiling (below). The centroid score is
+`approx_scores`, MaxSim with every doc row replaced by its centroid. Each doc's
+ids are one `Csr`, so the score is a layered max: the dot matrix is transposed
+once to (centroids, query rows), and layer j takes, for every doc at once, the
+row of its j-th centroid id, clamped to its last one, and maxes it into one
+(docs, query rows) array; as many layers run as the widest doc has ids. One
+float64 sum along each doc's row follows. Its scores are bit for bit those of
+the per-doc expression `np.sum(dots[:, unique_codes[o]].max(axis=1),
 dtype=np.float64)`: the gather and the max are exact, repeating a doc's last
 id changes none of its maxima, and summing a contiguous float64 row runs
 numpy's pairwise summation in the same order as the 1-d sum does.
 
-The bound drops the candidates it proves to lie outside the top k:
-threshold-style early termination (Fagin, Lotem & Naor, PODS 2001) over the
-centroid interaction. Write each row of doc d as v = c + r, its centroid plus
-its residual. Then q.v <= q.c + ||q||*||r||, so with Q the sum of the query's
-row norms, d scores at most its ceiling approx(d) + max_residual[d]*Q,
-approx(d) being its centroid score and max_residual[d] its largest residual
-norm. And q.v >= q.c - ||q||*||r|| for d's row with the smallest residual on
-c, so d scores at least its lower sum: over query rows, the max over d's
-centroids c of q.c - ||q||*min_residual[(d, c)]. The first k candidates by
-centroid score are always scored; the floor is the least of their lower sums,
-and a later candidate is dropped only when its ceiling lies below the floor.
-At least k docs score at or above the floor, so a dropped doc scores below the
-k-th best, and the exact top k is the one taken over every candidate, bit for
-bit. A lower sum is at most its doc's centroid score, so no ceiling can lie
-below the floor unless one lies below the k-th centroid score; the floor is
-computed only then. On the bench corpus at k = 100 and filler 0.3, PLAID
-rescores ~117 of its 256 stage-3 survivors and IVF ~117 of its ~358 candidates
-per query; at filler 0.0 (~117 of either) the check alone runs.
+The ceilings let `core.top_k` skip the candidates they prove to lie outside
+the top k: threshold-style early termination (Fagin, Lotem & Naor, PODS 2001)
+over the centroid interaction. Write each row of doc d as v = c + r, its
+centroid plus its residual. Then q.v <= q.c + ||q||*||r||, so with Q the sum
+of the query's row norms, d scores at most its ceiling approx(d) +
+max_residual[d]*Q + slack, approx(d) being its centroid score and
+max_residual[d] its largest residual norm. `top_k` scores the first k
+candidates, and the least of their exact scores is the floor; it scores a
+later one only when its ceiling is not below the floor. At least k docs score
+at or above the floor, so a skipped doc scores strictly below the k-th best,
+whatever the tie rule, and the list is the one taken over every candidate,
+bit for bit. When no ceiling lies below the k-th centroid score, `shortlist`
+gives none and `top_k` scores every candidate in one pass. On the bench
+corpus at k = 100 and filler 0.3, PLAID rescores ~117 of its 256 stage-3
+survivors and IVF ~117 of its ~358 candidates per query; at filler 0.0 (~117
+of either) every search is one pass.
 
-Both bounds are widened by one rounding slack. A float32 dot of dim terms errs
-by at most gamma_dim*||q||*||v||, gamma_n = n*u/(1 - n*u) with u = 2**-24
+The slack covers rounding on the ceiling's side. A float32 dot of dim terms
+errs by at most gamma_dim*||q||*||v||, gamma_n = n*u/(1 - n*u) with u = 2**-24
 (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), and every ||c||
 and ||v|| is at most the index's `reach` = 2*max||c|| + max(max_residual); so
-gamma_dim*Q*reach covers a query's centroid and exact dots together. The
-float64 sums of nq row maxima and the bounds' own float64 arithmetic err by
-far less than (nq + dim)*2**-50*Q*reach, and float32 underflow by at most
-nq*dim*2**-149; the slack is the sum of the three. The residual norms are
-rounded up (`residual_radii`). A float32 dot cannot overflow while Q*reach <=
-2**127; past that the slack is infinite and nothing is dropped. NaN in a query
-row, a stored row or a centroid score among the first k makes the check, the
-floor or the slack NaN, and nothing is dropped either.
+gamma_dim*Q*reach covers a query's centroid dots and the skipped doc's exact
+dots together. The float64 sums of nq row maxima and the ceiling's own float64
+arithmetic err by far less than (nq + dim)*2**-50*Q*reach, and float32
+underflow by at most nq*dim*2**-149; the slack is the sum of the three. The
+residual norms are rounded up (`residual_radii`). A float32 dot cannot
+overflow while Q*reach <= 2**127; past that, or with a NaN query or stored
+row, the slack is infinite. A NaN among the first k's centroid or exact
+scores makes the check or the floor NaN. Nothing is skipped in either case.
 """
 
 from __future__ import annotations
@@ -206,21 +204,12 @@ class Csr:
         row = range(len(self))[row]
         return self.flat[self.offsets[row]:self.offsets[row + 1]]
 
-    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The given rows concatenated, and where each one starts in the result."""
-        positions, starts = segments(self.offsets, rows)
-        return self.flat[positions], starts
-
-
-def segments(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions of the given runs of `offsets`, concatenated, and where each run starts.
-
-    Run r covers positions offsets[r]:offsets[r + 1].
-    """
-    starts = offsets[rows]
-    lengths = offsets[rows + 1] - starts
-    out_starts = np.cumsum(lengths) - lengths
-    return np.repeat(starts - out_starts, lengths) + np.arange(int(lengths.sum())), out_starts
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """The given rows concatenated."""
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        shifts = starts - (np.cumsum(lengths) - lengths)  # less where each starts in the result
+        return self.flat[np.repeat(shifts, lengths) + np.arange(int(lengths.sum()))]
 
 
 def token_docs(offsets: np.ndarray) -> np.ndarray:
@@ -260,7 +249,6 @@ class Radii(NamedTuple):
 
     unique_codes: Csr  # per doc, sorted unique centroid ids
     max_residual: np.ndarray  # (doc_count,) float32, each doc's largest residual norm
-    min_residual: np.ndarray  # per unique_codes.flat entry, the smallest (float32)
     reach: float  # 2*max||c|| + max(max_residual), NaN when a residual norm is
 
 
@@ -271,18 +259,16 @@ def residual_radii(
 
     unique_codes[d] holds doc d's distinct codes, ascending, from one
     np.unique over the (doc, code) pairs, which sorts them by doc and then
-    code; its inverse gives each row's entry in unique_codes.flat. Codes must
-    lie in [0, len(centroids)). A row's residual norm is ||vectors[row] -
-    centroids[codes[row]]||, taken in float32 BLOCK_ROWS rows at a time. The
+    code. Codes must lie in [0, len(centroids)). A row's residual norm is
+    ||vectors[row] - centroids[codes[row]]||, taken in float32 BLOCK_ROWS rows at a time. The
     float32 difference, squares, sum and square root leave it at most
     (dim/2 + 2)*2**-24 of itself plus sqrt(dim)*2**-75 (gradual underflow)
     below the exact norm, so it is widened by twice both and rounded up to the
     next float32: never below the exact norm. max_residual is the largest over
-    each doc's rows, min_residual the smallest over the rows of each (doc,
-    code) pair. A NaN row makes both NaN, and `reach` with them.
+    each doc's rows; a NaN row makes it NaN, and `reach` with it.
     """
     count = len(centroids)
-    pairs, entries = np.unique(token_docs(row_offsets) * count + codes, return_inverse=True)
+    pairs = np.unique(token_docs(row_offsets) * count + codes)
     pair_docs, pair_codes = np.divmod(pairs, count)
     unique_codes = Csr.grouped(pair_docs, pair_codes, len(row_offsets) - 1)
     dim = vectors.shape[1]
@@ -293,11 +279,9 @@ def residual_radii(
         norms[rows] = np.sqrt(np.einsum("ij,ij->i", residuals, residuals))
     widened = norms * (1 + (dim + 4) * 2.0**-24) + dim**0.5 * 2.0**-74
     norms = np.nextafter(widened.astype(np.float32), np.float32(np.inf))
-    by_entry = Csr.grouped(entries, np.arange(len(vectors)), len(unique_codes.flat))
     max_residual = np.maximum.reduceat(norms, row_offsets[:-1])
     squares = np.einsum("ij,ij->i", centroids, centroids, dtype=np.float64)
     return Radii(unique_codes, max_residual,
-                 np.minimum.reduceat(norms[by_entry.flat], by_entry.offsets[:-1]),
                  float(2 * np.sqrt(squares.max()) + max_residual.max()))
 
 
@@ -332,34 +316,22 @@ def _slack(index, rows: int, total: float) -> float:
     return (gamma + (rows + dim) * 2.0**-50) * total * reach + rows * dim * 2.0**-149
 
 
-def _lower_sums(index, dots: np.ndarray, norms: np.ndarray, ordinals: np.ndarray) -> np.ndarray:
-    """Per ordinal, sum over query rows r of max over its centroids c of
-    dots[r, c] - norms[r] * min_residual[(doc, c)], in float64: one gather and
-    one reduceat over the docs' unique-code entries."""
-    positions, starts = segments(index.unique_codes.offsets, ordinals)
-    terms = dots[:, index.unique_codes.flat[positions]] - np.multiply.outer(
-        norms, index.min_residual[positions])
-    return np.maximum.reduceat(terms, starts, axis=1).sum(axis=0)
-
-
 def shortlist(index, query: TokenMatrix, dots: np.ndarray, candidates: np.ndarray,
-              id_rank: np.ndarray, n: int, k: int) -> np.ndarray:
-    """The candidate ordinals left to rescore for the exact top k, best
-    centroid score first: the n best by `approx_scores` (`core.best`, ties by
-    `id_rank`), less those after the k-th whose ceiling lies below the floor;
-    see the module docstring. `index` holds the `Radii` fields and its
-    `centroids`. With k below 1, or no more candidates than k, nothing is
-    ranked or dropped: the candidates come back as given, for `core.top_k`."""
+              id_rank: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The candidate ordinals to rescore for the exact top k, best centroid
+    score first, and the ceilings of those after the k-th, for `core.top_k`:
+    the n best by `approx_scores` (`core.best`, ties by `id_rank`), each
+    later one with its ceiling, slack included; see the module docstring.
+    The ceilings are None when none lies below the k-th centroid score.
+    `index` holds the `Radii` fields and its `centroids`. With k below 1, or
+    no more candidates than k, nothing is ranked: the candidates come back
+    as given, with no ceilings."""
     if not 0 < k < len(candidates):
-        return candidates
+        return candidates, None
     approx = approx_scores(index, dots, candidates)
     order = best(approx, id_rank[candidates], n)
     ordered, approx = candidates[order], approx[order]
-    norms = _query_norms(query)
-    total = norms.sum()
-    ceilings = approx[k:] + index.max_residual[ordered[k:]] * total
-    if not (ceilings < approx[k - 1]).any():
-        return ordered
-    slack = _slack(index, len(norms), total)
-    floor = _lower_sums(index, dots, norms, ordered[:k]).min() - slack
-    return np.concatenate((ordered[:k], ordered[k:][~(ceilings + slack < floor)]))
+    total = _query_norms(query).sum()
+    ceilings = (approx[k:] + index.max_residual[ordered[k:]] * total
+                + _slack(index, query.rows, total))
+    return ordered, ceilings if (ceilings < approx[k - 1]).any() else None

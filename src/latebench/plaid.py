@@ -14,7 +14,7 @@ Retrieval runs as a funnel:
            residual compression is on, from decoded vectors.
 
 Stage 4 is `core.top_k`, as for exact search and IVF: the rows of every
-survivor the residual-radius bound does not rule out are read once, through
+survivor its residual-radius ceiling does not rule out are read once, through
 `doc_matrix`, from `store`, and scored by one stacked product per row count,
 each score with `maxsim_score`'s bits. `store` is the
 source corpus without residuals, else a `Corpus` over one array every vector
@@ -25,15 +25,15 @@ corpus-wide buckets (`residual_quantiles`); `encode_residuals` and
 the bits it would get on its own. The index holds the levels packed
 (`pack_levels`), as the saved file does, so no level can lie outside 2**bits.
 
-Stage 3 and the bound between stages 3 and 4 are one call,
-`kmeans.shortlist`, the one IVF makes on its candidates: the centroid scores
-ranked by `core.best` (ties through the store's `Corpus.id_rank`, each doc
-id's rank in string order), cut at ndocs, then the bound. The `kmeans` module
-docstring gives both, and why no list changes by a bit. The bound reads the
-index's `kmeans.Radii` of `store` against the centroids, derived at build and
-load and never saved. On the bench corpus at k = 100, stage 4 reads ~117 of
-256 survivors per query at filler 0.3, and at filler 0.0 (~117 survivors) the
-check alone runs.
+Stage 3 and the ceilings stage 4 reads are one call, `kmeans.shortlist`,
+the one IVF makes on its candidates: the centroid scores ranked by
+`core.best` (ties through the store's `Corpus.id_rank`, each doc id's rank in
+string order), cut at ndocs, then each later survivor's ceiling. The `kmeans`
+module docstring gives both, and why no list changes by a bit. The ceilings
+read the index's `kmeans.Radii` of `store` against the centroids, derived at
+build and load and never saved. On the bench corpus at k = 100, stage 4
+reads ~117 of 256 survivors per query at filler 0.3, and at filler 0.0 (~117
+survivors) in one pass.
 
 A `PlaidIndex` checks its own arrays, and a given corpus against its doc ids
 and row counts: a mismatch raises ValueError or CorpusMismatch when the index
@@ -234,7 +234,6 @@ class PlaidIndex:
     # The kmeans.Radii of `store` on the centroids: unique codes and residual norms.
     unique_codes: Csr = field(init=False)  # per doc, sorted unique centroid ids
     max_residual: np.ndarray = field(init=False, repr=False, compare=False)
-    min_residual: np.ndarray = field(init=False, repr=False, compare=False)
     reach: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -351,7 +350,7 @@ def _probe(
     dots, top = kmeans.probe(index.centroids, query, ncells)
     keep = np.take_along_axis(dots, top, axis=1) >= threshold
     members = np.zeros(index.doc_count, dtype=bool)
-    members[index.inverted.gather(np.unique(top[keep]))[0]] = True
+    members[index.inverted.gather(np.unique(top[keep]))] = True
     return dots, np.flatnonzero(members), keep
 
 
@@ -380,10 +379,11 @@ def plaid_search(
     query_id: str = "",
 ) -> RankedList:
     """PLAID stages 1-4: the exact top k, over `index.store`, of the stage-3
-    survivors the residual-radius bound does not rule out (`kmeans.shortlist`)."""
+    survivors (`kmeans.shortlist`), skipping those their ceilings rule out."""
     ndocs = index.config.ndocs if ndocs is None else ndocs
     if ndocs < k:
         raise NDocsTooSmall(f"ndocs={ndocs} is smaller than k={k}")
     dots, candidates, _ = _probe(index, query, ncells, threshold)
-    survivors = kmeans.shortlist(index, query, dots, candidates, index.store.id_rank, ndocs, k)
-    return top_k(index.store, query, k, survivors, query_id, store=index)
+    survivors, ceilings = kmeans.shortlist(index, query, dots, candidates, index.store.id_rank,
+                                           ndocs, k)
+    return top_k(index.store, query, k, survivors, query_id, store=index, ceilings=ceilings)

@@ -123,8 +123,7 @@ def write_qrels(qrels: Qrels, header: Iterable[str] = ()) -> str:
 def parse_run(text: str) -> RunFile:
     entries: dict[str, list[tuple[int, str, float]]] = {}
     listed: dict[str, set[str]] = {}
-    tag = "unknown"
-    seen_any = False
+    tag = None
     for line_no, cols in _content_lines(text):
         if len(cols) != 6:
             raise MalformedLine(line_no, f"expected 6 columns, got {len(cols)}")
@@ -136,9 +135,10 @@ def parse_run(text: str) -> RunFile:
             raise MalformedLine(line_no, "rank or score is not numeric") from None
         if rank < 1:
             raise MalformedLine(line_no, f"rank {rank} is not positive")
-        if not seen_any:
+        if tag is None:
             tag = line_tag
-            seen_any = True
+        elif line_tag != tag:
+            raise MalformedLine(line_no, f"run tag {line_tag!r} differs from the first {tag!r}")
         docs = listed.setdefault(qid, set())
         if doc_id in docs:
             raise MalformedLine(line_no, f"doc {doc_id!r} listed twice for query {qid!r}")
@@ -156,7 +156,7 @@ def parse_run(text: str) -> RunFile:
         rankings[qid] = RankedList(
             query_id=qid, hits=tuple(ScoredDoc(doc_id, score) for _, doc_id, score in rows)
         )
-    return RunFile(tag=tag, rankings=rankings)
+    return RunFile(tag="unknown" if tag is None else tag, rankings=rankings)
 
 
 def write_run(run: RunFile, header: Iterable[str] = ()) -> str:

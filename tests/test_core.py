@@ -177,6 +177,44 @@ def test_best_matches_a_sorted_oracle(dtype):
                 assert sorted(unordered) == sorted(want), (scores, ties, n)
 
 
+def _hexed(ranked):  # NaN != NaN, so compare exact bit patterns
+    return [(hit.doc_id, hit.score.hex()) for hit in ranked.hits]
+
+
+def test_top_k_reads_only_what_the_ceilings_leave(monkeypatch):
+    # A later ordinal is read only when its ceiling is not below the least
+    # score of the first k; with ceilings at or above every score the list is
+    # the uncut one, bit for bit, and a NaN among the first k reads all. Doc i
+    # has doc i % 12's rows, so equal scores straddle every floor.
+    rng = np.random.default_rng(29)
+    shapes = [random_unit_matrix(rng, 1 + i % 5, 16).data for i in range(12)]
+    corpus = Corpus.build({f"d{i:02d}": TokenMatrix(shapes[i % 12]) for i in range(40)})
+    query = random_unit_matrix(rng, 4, 16)
+    scores = np.array([maxsim_score(query, corpus.doc_matrix(o)) for o in range(40)])
+    reads, original = [], Corpus.doc_matrix
+    monkeypatch.setattr(Corpus, "doc_matrix", lambda c, o: reads.append(o) or original(c, o))
+    k, below, tied = 5, 0, 0
+    orders = [rng.permutation(40) for _ in range(8)] + [np.argsort(-scores, kind="stable")]
+    for ordinals in orders:
+        uncut = _hexed(core.top_k(corpus, query, k, ordinals))
+        later, floor = scores[ordinals[k:]], scores[ordinals[:k]].min()
+        below, tied = below + (later < floor).sum(), tied + (later == floor).sum()
+        for ceilings in (later, np.nextafter(later, np.inf), later + 1.0,
+                         np.full(len(later), np.inf), np.where(later < floor, later, np.inf)):
+            reads.clear()
+            assert _hexed(core.top_k(corpus, query, k, ordinals, ceilings=ceilings)) == uncut
+            assert sorted(reads) == sorted([*ordinals[:k], *ordinals[k:][ceilings >= floor]])
+    # Sorted best first, every doc after the k-th but the floor's copies is skipped.
+    assert below > 40 and tied > 8 and len(reads) < 10
+    broken = corpus.vectors.copy()
+    broken[corpus.offsets[ordinals[0]], 0] = np.nan
+    nan_corpus = Corpus(corpus.doc_ids, broken, corpus.offsets)
+    uncut = _hexed(core.top_k(nan_corpus, query, k, ordinals))
+    reads.clear()
+    got = core.top_k(nan_corpus, query, k, ordinals, ceilings=np.full(40 - k, -np.inf))
+    assert _hexed(got) == uncut and sorted(reads) == list(range(40))
+
+
 def test_exact_search_rejects_empty_and_mismatched(basis_corpus):
     with pytest.raises(DimensionMismatch):
         exact_search(basis_corpus, basis_matrix([0], dim=4), 1)
@@ -287,6 +325,19 @@ def test_pool_output_always_valid_unit_rows():
         pooled = pool_fixed(doc, 32)
         assert pooled.rows == 32
         validate_matrix(pooled)
+
+
+def test_pool_corpus_checks_each_document_once_at_its_own_tolerance(monkeypatch):
+    rng = np.random.default_rng(12)
+    corpus = Corpus.build({f"d{i}": random_unit_matrix(rng, 3 + i % 7, 16) for i in range(50)})
+    calls, check = [], core.validate_matrix
+    monkeypatch.setattr(core, "validate_matrix",
+                        lambda m, norm_tol: calls.append(norm_tol) or check(m, norm_tol))
+    for dtype in ("float32", "float16"):
+        calls.clear()
+        pooled = pool_corpus(dataclasses.replace(corpus, dtype=dtype), 4)
+        assert calls == [core.NORM_TOLERANCE[dtype]] * 50
+        assert pooled.docs["d3"] == pool_fixed(corpus.docs["d3"], 4)
 
 
 def test_score_all_calls_the_kernel_once_per_doc(basis_corpus, monkeypatch):

@@ -14,7 +14,7 @@ from latebench import (
     plaid_search,
 )
 from latebench.bundle import corpus_digest, load_plaid_index, save_plaid_index
-from latebench import kmeans
+from latebench import core, kmeans
 from latebench.core import pool_corpus, top_k
 from latebench.errors import CorpusMismatch, NDocsTooSmall, UnknownDoc, UnsupportedBits
 from latebench.kmeans import BLOCK_ROWS, approx_scores, probe
@@ -157,16 +157,12 @@ def test_stage4_scores_equal_exact_kernel_when_residuals_off(planted_small):
         assert hit.score == maxsim_score(query, corpus.docs[hit.doc_id])
 
 
-def _bounds(index, query, ordinals):
-    """plaid_search's bounds on each doc ordinal's stage-4 score: (ceiling,
-    lower), the lower sum less the slack, with its stage-3 approx score."""
-    dots = query.data @ index.centroids.T
-    norms = kmeans._query_norms(query)
-    total = norms.sum()
-    slack = kmeans._slack(index, query.rows, total)
-    approx = approx_scores(index, dots, ordinals)
-    ceiling = approx + index.max_residual[ordinals] * total + slack
-    return ceiling, kmeans._lower_sums(index, dots, norms, ordinals) - slack, approx
+def _ceilings(index, query, ordinals):
+    """plaid_search's ceiling on each doc ordinal's stage-4 score: its stage-3
+    approx score plus its largest residual norm times the query's, and the slack."""
+    total = kmeans._query_norms(query).sum()
+    approx = approx_scores(index, query.data @ index.centroids.T, ordinals)
+    return approx + index.max_residual[ordinals] * total + kmeans._slack(index, query.rows, total)
 
 
 def _survivors(index, query, ndocs, threshold=None):
@@ -180,8 +176,8 @@ def _survivors(index, query, ndocs, threshold=None):
 def test_stage4_reads_each_survivor_through_doc_matrix(planted_by_filler, monkeypatch):
     # Profilers time decoded-vector access by wrapping PlaidIndex.doc_matrix,
     # so stage 4 looks every doc it scores up through it, exactly once. It
-    # reads only survivors, and skips one only when the survivor's ceiling
-    # lies below the least lower bound of the first k.
+    # reads only survivors, every one of the first k, and skips one only when
+    # the survivor's ceiling lies below the least exact score of the first k.
     corpus, queries, _ = planted_by_filler[0.3]
     original, seen = PlaidIndex.doc_matrix, []
     monkeypatch.setattr(PlaidIndex, "doc_matrix",
@@ -194,14 +190,15 @@ def test_stage4_reads_each_survivor_through_doc_matrix(planted_by_filler, monkey
             survivors = _survivors(index, query, 40)
             seen.clear()
             result = plaid_search(index, query, 10)
-            assert len(seen) == len(set(seen)) and set(seen) <= set(survivors)
+            assert len(seen) == len(set(seen))
+            assert set(survivors[:10]) <= set(seen) <= set(survivors)
+            scored = {index.doc_ids[o]: maxsim_score(query, original(index, o)) for o in seen}
             unread = sorted(set(survivors) - set(seen))
             if unread:
-                ceiling, lower, _ = _bounds(index, query, np.array(survivors))
-                floor = lower[:10].min()
+                ceiling = _ceilings(index, query, np.array(survivors))
+                floor = min(scored[index.doc_ids[o]] for o in survivors[:10])
                 assert all(ceiling[survivors.index(o)] < floor for o in unread)
             skipped += len(unread)
-            scored = {index.doc_ids[o]: maxsim_score(query, original(index, o)) for o in seen}
             assert all(scored[hit.doc_id] == hit.score for hit in result.hits)
     assert skipped > 0
 
@@ -641,12 +638,11 @@ def test_residual_radii_round_the_loop_norms_up(planted_by_filler, bits):
     corpus, _, _ = planted_by_filler[0.3]
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, residual_bits=bits,
                                             seed=4))
-    largest, smallest = loop_residual_radii(index.store.vectors, index.centroids, index.codes,
-                                            index.row_offsets)
-    assert len(smallest) == len(index.unique_codes.flat)
-    for got, want in ((index.max_residual, largest), (index.min_residual, smallest)):
-        assert got.dtype == np.float32 and got.shape == want.shape
-        assert (got >= want).all() and (got <= want * (1 + 1e-5) + 1e-20).all()
+    want = loop_residual_radii(index.store.vectors, index.centroids, index.codes,
+                               index.row_offsets)
+    got = index.max_residual
+    assert got.dtype == np.float32 and got.shape == want.shape
+    assert (got >= want).all() and (got <= want * (1 + 1e-5) + 1e-20).all()
 
 
 def _on_centroid_index(rng):
@@ -659,10 +655,10 @@ def _on_centroid_index(rng):
 
 
 def test_residual_bounds_hold_for_every_doc(planted_by_filler):
-    # ceiling >= stage-4 score >= lower bound, and lower bound <= stage-3
-    # score, for every doc, rounding included: at 0, 1 and 2 bits, pooled, on
-    # query rows scaled by 1e3, and on docs that lie on their centroids, where
-    # stage 3 and stage 4 dot the same vectors in different BLAS calls.
+    # ceiling >= stage-4 score for every doc, rounding included: at 0, 1 and
+    # 2 bits, pooled, on query rows scaled by 1e3, and on docs that lie on
+    # their centroids, where stage 3 and stage 4 dot the same vectors in
+    # different BLAS calls.
     corpus, queries, _ = planted_by_filler[0.3]
     probes = list(queries.values())[:3]
     cases = [(f"{bits} bits", build_plaid(corpus, PlaidConfig(
@@ -675,15 +671,14 @@ def test_residual_bounds_hold_for_every_doc(planted_by_filler):
     for name, index, queries in cases:
         every = np.arange(index.doc_count)
         for query in queries + [TokenMatrix(q.data * np.float32(1e3)) for q in queries]:
-            ceiling, lower, approx = _bounds(index, query, every)
+            ceiling = _ceilings(index, query, every)
             ranked = dict(top_k(index.store, query, len(every), every, store=index).hits)
             scores = np.array([ranked[doc_id] for doc_id in index.doc_ids])
-            assert (lower <= scores).all() and (scores <= ceiling).all(), name
-            assert (lower <= approx).all(), name
+            assert (scores <= ceiling).all(), name
             if name == "on centroids":  # the slack is all that separates them
                 total = kmeans._query_norms(query).sum()
                 slack = kmeans._slack(index, query.rows, total)
-                assert (ceiling - lower < 2.01 * slack).all() and slack < 1e-5 * total
+                assert (ceiling - scores < 2.01 * slack).all() and slack < 1e-5 * total
 
 
 def test_cut_keeps_the_uncut_list_over_the_funnel_grid(planted_by_filler, monkeypatch):
@@ -714,24 +709,27 @@ def test_cut_keeps_the_uncut_list_over_the_funnel_grid(planted_by_filler, monkey
 
 def test_cut_reads_fewer_at_filler_30_and_skips_the_floor_at_filler_0(planted_by_filler,
                                                                     monkeypatch):
+    # A second scoring pass (a second core._row_blocks call) runs only after
+    # the floor of the first k: at filler 0.0 no search takes one.
     reads = _recording(monkeypatch, PlaidIndex, "doc_matrix")
-    floors = _recording(monkeypatch, kmeans, "_lower_sums")
+    passes = _recording(monkeypatch, core, "_row_blocks")
     for filler, (corpus, queries, _) in planted_by_filler.items():
         for bits in (0, 2):
             index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4,
                                                     residual_bits=bits, seed=4))
-            fewer = 0
-            floors.clear()
+            fewer = second = 0
             for query in queries.values():
                 survivors = _survivors(index, query, index.config.ndocs)
                 assert len(survivors) > 5
                 reads.clear()
+                passes.clear()
                 plaid_search(index, query, 5)
                 fewer += len(reads) < len(survivors)
+                second += len(passes) > 1
             if filler == 0.3:
-                assert fewer > len(queries) / 2 and floors, bits
+                assert fewer > len(queries) / 2 and second, bits
             else:
-                assert fewer == 0 and not floors, bits
+                assert fewer == 0 and not second, bits
 
 
 def test_nan_query_or_store_row_cuts_nothing(planted_by_filler, monkeypatch):
@@ -748,8 +746,6 @@ def test_nan_query_or_store_row_cuts_nothing(planted_by_filler, monkeypatch):
     vectors[corpus.offsets[7] + 1, 3] = np.nan
     broken = build_plaid(Corpus(corpus.doc_ids, vectors, corpus.offsets), config, centroids)
     assert np.isnan(broken.max_residual[7]) and np.isnan(broken.reach)
-    entries = broken.unique_codes.offsets[7:9]
-    assert np.isnan(broken.min_residual[entries[0]:entries[1]]).any()
     reads = _recording(monkeypatch, PlaidIndex, "doc_matrix")
     for case, searched, probe_query in (("clean", index, query),
                                         ("NaN query row", index, TokenMatrix(rows)),
@@ -776,9 +772,8 @@ def test_loaded_index_derives_the_same_radii(planted_by_filler, bits):
     assert names == ["centroids", "codes"] + (["residual_levels", "residual_quantiles"]
                                                if bits else [])
     for loaded in [load_plaid_index(data, corpus)] + ([load_plaid_index(data)] if bits else []):
-        for name in ("max_residual", "min_residual"):
-            assert getattr(loaded, name).tobytes() == getattr(built, name).tobytes()
-            assert getattr(loaded, name).dtype == np.float32
+        assert loaded.max_residual.tobytes() == built.max_residual.tobytes()
+        assert loaded.max_residual.dtype == np.float32
         assert loaded.reach == built.reach
         assert save_plaid_index(loaded) == data
 

@@ -49,6 +49,16 @@ def test_run_rejects_wrong_column_count_with_line_number():
     assert exc.value.line_no == 2
 
 
+def test_run_rejects_a_line_whose_tag_differs_from_the_first():
+    with pytest.raises(MalformedLine, match="'b' differs") as exc:
+        parse_run("# header\nq1 Q0 dA 1 1.0 a\nq1 Q0 dB 2 0.5 b\n")
+    assert exc.value.line_no == 3
+    with pytest.raises(MalformedLine) as exc:
+        parse_run("q1 Q0 dA 1 1.0 a\nq2 Q0 dA 1 1.0 a\nq2 Q0 dB 2 0.5 A\n")
+    assert exc.value.line_no == 3
+    assert parse_run("q1 Q0 dA 1 1.0 a\nq2 Q0 dA 1 1.0 a\n").tag == "a"
+
+
 def test_run_rejects_duplicate_doc_per_query():
     with pytest.raises(MalformedLine) as exc:
         parse_run("q1 Q0 dA 1 2.0 t\nq1 Q0 dA 2 1.0 t\n")
