@@ -246,7 +246,9 @@ class PlaidIndex:
                 self.row_offsets, self.corpus.offsets):
             raise CorpusMismatch("index doc ids or row counts disagree with its corpus")
         rows = (int(self.row_offsets[-1]),)
-        kmeans.check_centroids(self.centroids, num_centroids)
+        # Without a corpus the residuals are decoded in the centroids' own dim.
+        dim = self.centroids.shape[-1] if self.corpus is None else self.corpus.dim
+        kmeans.check_centroids(self.centroids, num_centroids, dim)
         kmeans.check_ids("codes", self.codes, rows, num_centroids)
         if bits:
             levels, width = self.residual_levels, packed_width(self.dim, bits)
@@ -298,7 +300,10 @@ def build_plaid(
     """Train (or adopt) centroids, assign every vector, build the inverted map.
 
     Passing precomputed centroids skips training; that is how two corpora can
-    be compared under one centroid space.
+    be compared under one centroid space. They are taken as C-contiguous
+    float32, the dtype the index file stores, before any vector is assigned,
+    so the codes belong to the centroids the index keeps; centroids of
+    another dim than the corpus raise DimensionMismatch.
     """
     vectors = corpus.vectors
     if centroids is None:
@@ -308,6 +313,7 @@ def build_plaid(
     elif centroids.shape[0] != config.num_centroids:
         raise ValueError("supplied centroids disagree with config.num_centroids")
     else:
+        centroids = np.ascontiguousarray(centroids, dtype=np.float32)
         codes = kmeans.assign(vectors, centroids)
     levels = quantiles = None
     if config.residual_bits > 0:

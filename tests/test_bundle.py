@@ -27,6 +27,7 @@ from latebench.bundle import (
 from latebench.errors import (
     BadMagic,
     CorpusMismatch,
+    DimensionMismatch,
     EmptyCorpus,
     LatebenchError,
     MalformedLine,
@@ -770,3 +771,41 @@ def test_non_finite_centroids_are_refused(planted_small, backend, value):
     object.__setattr__(broken, "centroids", centroids)
     with pytest.raises(MalformedLine, match="centroids"):
         load(save(broken))
+
+
+def test_supplied_float64_centroids_are_built_and_saved_as_float32(planted_small):
+    corpus, _, _ = planted_small
+    config = PlaidConfig(num_centroids=32, ncells=4, ndocs=80, residual_bits=2, seed=2)
+    trained = build_plaid(corpus, config)
+    index = build_plaid(corpus, config, centroids=trained.centroids.astype(np.float64))
+    assert index.centroids.dtype == np.float32 and index.centroids.flags.c_contiguous
+    assert np.array_equal(index.codes, trained.codes)
+    data = save_plaid_index(index)
+    assert data == save_plaid_index(trained)
+    assert np.array_equal(load_plaid_index(data, corpus).codes, trained.codes)
+
+
+def test_supplied_centroids_of_another_dim_are_refused(planted_small):
+    corpus, _, _ = planted_small
+    config = PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=2)
+    centroids = random_unit_matrix(np.random.default_rng(3), 32, corpus.dim + 1).data
+    with pytest.raises(DimensionMismatch, match=f"{corpus.dim} != centroid dim {corpus.dim + 1}"):
+        build_plaid(corpus, config, centroids=centroids)
+
+
+@pytest.mark.parametrize("backend", ["ivf", "plaid"])
+@pytest.mark.parametrize("edit", ["float64", "wider"])
+def test_index_centroids_must_be_float32_of_the_corpus_dim(planted_small, backend, edit):
+    corpus, _, _ = planted_small
+    if backend == "ivf":
+        index = build_ivf(corpus, IvfConfig(nlist=16, nprobe=4, seed=2))
+    else:
+        index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=80, seed=2))
+    count = len(index.centroids)
+    if edit == "float64":
+        centroids = index.centroids.astype(np.float64)
+    else:
+        centroids = np.concatenate([index.centroids, np.zeros((count, 1), np.float32)], axis=1)
+    shape = rf"\({count}, {corpus.dim}\)"
+    with pytest.raises(ValueError, match=rf"centroids must be a {shape} float32"):
+        dataclasses.replace(index, centroids=centroids)

@@ -1,11 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from latebench import train_kmeans
-from latebench.errors import TooFewVectors
-from latebench.kmeans import _cluster_sums, _renormalized_means, assign
+from latebench import kmeans, train_kmeans
+from latebench.errors import DimensionMismatch, TooFewVectors
+from latebench.kmeans import BLOCK_ROWS, _cluster_sums, _renormalized_means, assign
 
 from conftest import random_unit_matrix
 from oracles import add_at_means, argmax_assignment
@@ -140,3 +141,95 @@ def test_training_returns_the_labels_of_its_centroids(iters):
         centroids, labels = train_kmeans(vectors, k, iters=iters, seed=iters)
         assert labels.dtype == np.int32
         assert np.array_equal(labels, assign(vectors, centroids))
+
+
+def _tied_blocks():
+    """3*BLOCK_ROWS + 17 rows on 64 centroids, of which 3 and 59 are equal; the
+    rows on both sides of every block boundary are centroid 3 itself."""
+    rng = np.random.default_rng(7)
+    n = 3 * BLOCK_ROWS + 17
+    vectors = random_unit_matrix(rng, n, 128).data.copy()
+    centroids = random_unit_matrix(rng, 64, 128).data.copy()
+    centroids[59] = centroids[3]
+    tied = [BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS - 1, 2 * BLOCK_ROWS,
+            n - BLOCK_ROWS - 1, n - BLOCK_ROWS, 3 * BLOCK_ROWS - 1, 3 * BLOCK_ROWS, n - 1]
+    vectors[tied] = centroids[3]
+    return vectors, centroids, tied
+
+
+def test_assign_blocks_keep_every_dot_of_the_one_product(monkeypatch):
+    vectors, centroids, tied = _tied_blocks()
+    product = vectors @ centroids.T
+    blocks = []
+    matmul = np.matmul
+
+    def spy(rows, other, out):
+        matmul(rows, other, out=out)
+        blocks.append(((rows.ctypes.data - vectors.ctypes.data) // vectors.strides[0],
+                       len(rows), out.copy()))
+        return out
+
+    monkeypatch.setattr(np, "matmul", spy)
+    labels = assign(vectors, centroids)
+    monkeypatch.undo()
+    n = len(vectors)
+    # Every block has BLOCK_ROWS rows; the last ends at the last row. A ragged
+    # 17-row tail would round differently here: OpenBLAS takes other kernels
+    # for a product of a few rows.
+    assert [(lo, rows) for lo, rows, _ in blocks] == [
+        (0, BLOCK_ROWS), (BLOCK_ROWS, BLOCK_ROWS), (2 * BLOCK_ROWS, BLOCK_ROWS),
+        (n - BLOCK_ROWS, BLOCK_ROWS)]
+    for lo, rows, dots in blocks:
+        assert dots.tobytes() == product[lo:lo + rows].tobytes()
+    assert labels.dtype == np.int32
+    assert np.array_equal(labels, np.argmax(product, axis=1))
+    assert (product[tied, 3] == product[tied, 59]).all()
+    assert (labels[tied] == 3).all()
+
+
+def test_assign_holds_one_block_of_dots():
+    vectors, centroids, _ = _tied_blocks()
+    tracemalloc.start()
+    try:
+        assign(vectors, centroids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(vectors) * len(centroids) * 4 / 2
+
+
+def test_assign_refuses_another_dim():
+    rng = np.random.default_rng(8)
+    with pytest.raises(DimensionMismatch, match="vector dim 16 != centroid dim 17"):
+        assign(random_unit_matrix(rng, 5, 16).data, random_unit_matrix(rng, 3, 17).data)
+
+
+def _multi_block_cases():
+    """Two trainings over 2*BLOCK_ROWS + 301 rows: in the first the rows are six
+    distinct vectors, grouped, under 11 centroids, so centroids die and are
+    reseeded onto rows of the second block; in the second none die."""
+    rng = np.random.default_rng(2035)
+    few = random_unit_matrix(rng, 6, 24).data[np.sort(rng.integers(0, 6, 2 * BLOCK_ROWS + 301))]
+    rows = random_unit_matrix(np.random.default_rng(2028), 2 * BLOCK_ROWS + 301, 24).data
+    return {"reseeded": (few, 11, 5), "no-death": (rows, 48, 6)}
+
+
+@pytest.mark.parametrize("case, reseeds, digest", [
+    ("reseeded", True, "0baebc29a6cf341ca3338e44c3db397bf77675aa43fb0d03bf1c559085760102"),
+    ("no-death", False, "0e79a1bec5292a1668f5c2a9ae643e31f2f3978a61382e1d0e59f4301ec929ad"),
+], ids=["reseeded", "no-death"])
+def test_multi_block_training_is_pinned(monkeypatch, case, reseeds, digest):
+    # The sha256 of centroids and labels the whole-product assign gave for
+    # these inputs (numpy 2.4, OpenBLAS 0.3.31), at one and at two threads.
+    vectors, k, seed = _multi_block_cases()[case]
+    deaths = []
+    reseed = kmeans._reseed_dead
+
+    def spy(vectors, labels, centroids, dead):
+        deaths.append(bool(dead.any()))
+        return reseed(vectors, labels, centroids, dead)
+
+    monkeypatch.setattr(kmeans, "_reseed_dead", spy)
+    centroids, labels = train_kmeans(vectors, k, iters=20, seed=seed)
+    assert any(deaths) == reseeds
+    assert hashlib.sha256(centroids.tobytes() + labels.tobytes()).hexdigest() == digest
