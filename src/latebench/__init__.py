@@ -19,10 +19,10 @@ from .core import (
     validate_matrix,
 )
 from .diagnostics import (
-    AblationTable,
     AgreementReport,
     CoverageReport,
-    GridResult,
+    SweepRow,
+    SweepTable,
     centroid_coverage,
     compare_runs,
     grid_search,
@@ -91,10 +91,10 @@ __all__ = [
     "write_run",
     "SyntheticSpec",
     "generate_synthetic",
-    "AblationTable",
     "AgreementReport",
     "CoverageReport",
-    "GridResult",
+    "SweepRow",
+    "SweepTable",
     "centroid_coverage",
     "compare_runs",
     "grid_search",

@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--run", required=True)
     evaluate.add_argument("--qrels", required=True)
     evaluate.add_argument("--metric", action="append", default=[],
-                          help="metric@k, repeatable (default: mrr@10 recall@1000 ndcg@10)")
+                          help="metric@k, repeatable (default: "
+                               f"{' '.join(map(str, DEFAULT_SPECS))})")
     evaluate.add_argument("--strict", action="store_true",
                           help="error on run queries missing from qrels")
     evaluate.add_argument("--out", required=True)

@@ -3,9 +3,11 @@ and backend agreement.
 
 Each driver is a pure orchestration of read-only searches plus the metric
 suite, and each report has a tabular form, `table()`, whose columns mirror
-the corresponding experiment write-up (coverage rows carry every document of
-the index in ordinal order, truncation rows MRR@10 / Recall@1000 / nDCG@10,
-grid rows add the fixed ndocs, and so on).
+the corresponding experiment write-up. Coverage rows carry every document of
+the index in ordinal order. The truncation ablation and the parameter grid
+are both sweeps: one `SweepRow` per setting, holding the setting and the
+`evaluate_run` reports of its run, and a table with the setting's columns
+(length; threshold, ncells, ndocs) and then one column per metric label.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .core import RankedList, TokenMatrix
 from .errors import EmptyLengths, NoSharedQueries
-from .metrics import DEFAULT_SPECS, evaluate_run
+from .metrics import DEFAULT_SPECS, MetricReport, evaluate_run
 from .plaid import PlaidIndex, plaid_search
 from .trec import Qrels, RunFile
 
@@ -67,32 +69,33 @@ def centroid_coverage(index: PlaidIndex) -> CoverageReport:
 
 
 @dataclass(frozen=True)
-class AblationRow:
-    length: int
-    mrr_at_10: float
-    recall_at_1000: float
-    ndcg_at_10: float
+class SweepRow:
+    """One setting of a sweep (column name -> value) and the metric reports of its run."""
+
+    setting: Mapping[str, int | float]
+    reports: Mapping[str, MetricReport]
 
 
 @dataclass(frozen=True)
-class AblationTable:
-    rows: tuple[AblationRow, ...]
+class SweepTable:
+    rows: tuple[SweepRow, ...]
 
     def table(self) -> list[list[str]]:
-        out = [["length", "MRR@10", "Recall@1000", "nDCG@10"]]
+        """The setting columns, then one column per report label: ints print
+        with `str`, floats with `:g` and aggregates with six decimals."""
+        first = self.rows[0]
+        out = [[*first.setting, *first.reports]]
         for row in self.rows:
-            out.append([str(row.length), f"{row.mrr_at_10:.6f}",
-                        f"{row.recall_at_1000:.6f}", f"{row.ndcg_at_10:.6f}"])
+            out.append([f"{value:g}" if isinstance(value, float) else str(value)
+                        for value in row.setting.values()]
+                       + [f"{report.aggregate:.6f}" for report in row.reports.values()])
         return out
 
 
-def _table_metrics(run: RunFile, qrels: Qrels) -> tuple[float, float, float]:
-    reports = evaluate_run(run, qrels, DEFAULT_SPECS)
-    return (
-        reports["MRR@10"].aggregate,
-        reports["Recall@1000"].aggregate,
-        reports["nDCG@10"].aggregate,
-    )
+def _sweep_row(setting: Mapping[str, int | float], search: Callable[..., RankedList],
+               queries: Mapping[str, TokenMatrix], k: int, qrels: Qrels) -> SweepRow:
+    run = run_queries(search, queries, k)
+    return SweepRow(setting=setting, reports=evaluate_run(run, qrels, DEFAULT_SPECS))
 
 
 def truncation_ablation(
@@ -101,7 +104,7 @@ def truncation_ablation(
     lengths: Sequence[int],
     k: int,
     qrels: Qrels,
-) -> AblationTable:
+) -> SweepTable:
     """Evaluate the backend on row-prefix truncated queries, one row per length.
 
     Truncation operates on token-vector prefixes: external embeddings arrive
@@ -113,37 +116,11 @@ def truncation_ablation(
         raise ValueError("lengths must be strictly increasing")
     if min(lengths) < 1:
         raise ValueError("lengths must be >= 1")
-    rows = []
-    for length in lengths:
-        truncated = {qid: matrix.truncated(length) for qid, matrix in queries.items()}
-        run = run_queries(search, truncated, k)
-        mrr, recall, ndcg = _table_metrics(run, qrels)
-        rows.append(AblationRow(length=length, mrr_at_10=mrr,
-                                recall_at_1000=recall, ndcg_at_10=ndcg))
-    return AblationTable(rows=tuple(rows))
-
-
-@dataclass(frozen=True)
-class GridCell:
-    ncells: int
-    threshold: float
-    mrr_at_10: float
-    recall_at_1000: float
-    ndcg_at_10: float
-
-
-@dataclass(frozen=True)
-class GridResult:
-    ndocs: int
-    cells: tuple[GridCell, ...]
-
-    def table(self) -> list[list[str]]:
-        out = [["threshold", "ncells", "ndocs", "MRR@10", "Recall@1000", "nDCG@10"]]
-        for cell in self.cells:
-            out.append([f"{cell.threshold:g}", str(cell.ncells), str(self.ndocs),
-                        f"{cell.mrr_at_10:.6f}", f"{cell.recall_at_1000:.6f}",
-                        f"{cell.ndcg_at_10:.6f}"])
-        return out
+    return SweepTable(rows=tuple(
+        _sweep_row({"length": length}, search,
+                   {qid: matrix.truncated(length) for qid, matrix in queries.items()}, k, qrels)
+        for length in lengths
+    ))
 
 
 def grid_search(
@@ -154,19 +131,18 @@ def grid_search(
     threshold_set: Sequence[float],
     ndocs: int,
     k: int,
-) -> GridResult:
+) -> SweepTable:
     """Evaluate every (ncells, threshold) pair at a fixed ndocs."""
     if not ncells_set or not threshold_set:
         raise ValueError("ncells_set and threshold_set must be non-empty")
-    cells = []
-    for threshold in sorted(threshold_set):
-        for ncells in sorted(ncells_set):
-            search = partial(plaid_search, index, ncells=ncells, threshold=threshold, ndocs=ndocs)
-            run = run_queries(search, queries, k)
-            mrr, recall, ndcg = _table_metrics(run, qrels)
-            cells.append(GridCell(ncells=ncells, threshold=threshold, mrr_at_10=mrr,
-                                  recall_at_1000=recall, ndcg_at_10=ndcg))
-    return GridResult(ndocs=ndocs, cells=tuple(cells))
+    if len(set(ncells_set)) < len(ncells_set) or len(set(threshold_set)) < len(threshold_set):
+        raise ValueError("ncells_set and threshold_set must not repeat a value")
+    return SweepTable(rows=tuple(
+        _sweep_row({"threshold": threshold, "ncells": ncells, "ndocs": ndocs},
+                   partial(plaid_search, index, ncells=ncells, threshold=threshold, ndocs=ndocs),
+                   queries, k, qrels)
+        for threshold in sorted(threshold_set) for ncells in sorted(ncells_set)
+    ))
 
 
 @dataclass(frozen=True)
@@ -187,6 +163,8 @@ class AgreementReport:
 
 def compare_runs(run_a: RunFile, run_b: RunFile, qrels: Qrels, k: int) -> AgreementReport:
     """Top-k Jaccard overlap per shared query plus aggregate metric deltas."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     shared = sorted(set(run_a.query_ids()) & set(run_b.query_ids()))
     if not shared:
         raise NoSharedQueries("the two runs have no query ids in common")

@@ -21,8 +21,6 @@ from .trec import Qrels, RunFile
 
 logger = logging.getLogger(__name__)
 
-METRIC_NAMES = ("mrr", "recall", "ndcg")
-
 
 @dataclass(frozen=True)
 class MetricSpec:
@@ -30,8 +28,8 @@ class MetricSpec:
     k: int
 
     def __post_init__(self):
-        if self.name not in METRIC_NAMES:
-            raise ValueError(f"unknown metric {self.name!r}; expected one of {METRIC_NAMES}")
+        if self.name not in _METRICS:
+            raise ValueError(f"unknown metric {self.name!r}; expected one of {tuple(_METRICS)}")
         if self.k < 1:
             raise ValueError("cutoff k must be >= 1")
 
@@ -44,8 +42,7 @@ class MetricSpec:
         return cls(name=name.strip().lower(), k=int(cutoff))
 
     def __str__(self) -> str:
-        label = {"mrr": "MRR", "recall": "Recall", "ndcg": "nDCG"}[self.name]
-        return f"{label}@{self.k}"
+        return f"{_METRICS[self.name][0]}@{self.k}"
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,10 @@ def ndcg_at_k(run: RunFile, qrels: Qrels, k: int) -> MetricReport:
     return _report(MetricSpec("ndcg", k), per_query)
 
 
-_METRIC_FNS = {"mrr": mrr_at_k, "recall": recall_at_k, "ndcg": ndcg_at_k}
+# The one list of metrics: spec name -> (label, function). A report's label is
+# `label@k`, and no other module spells one.
+_METRICS = {"mrr": ("MRR", mrr_at_k), "recall": ("Recall", recall_at_k),
+            "ndcg": ("nDCG", ndcg_at_k)}
 
 DEFAULT_SPECS = (MetricSpec("mrr", 10), MetricSpec("recall", 1000), MetricSpec("ndcg", 10))
 
@@ -132,7 +132,7 @@ def evaluate_run(
         logger.warning("skipping %d run queries with no judgments (e.g. %s)",
                        len(unknown), unknown[0])
     judged = RunFile(run.tag, {qid: r for qid, r in run.rankings.items() if qid in qrels})
-    return {str(spec): _METRIC_FNS[spec.name](judged, qrels, spec.k) for spec in specs}
+    return {str(spec): _METRICS[spec.name][1](judged, qrels, spec.k) for spec in specs}
 
 
 def report_rows(reports: Mapping[str, MetricReport]) -> list[list[str]]:

@@ -50,21 +50,29 @@ class Qrels:
         return len(self.judgments)
 
 
+def _check_token(kind: str, text: str) -> None:
+    """Raise ValueError unless `text` is one whitespace-free token: a run line's columns."""
+    if text.split() != [text]:
+        raise ValueError(f"{kind} {text!r} is empty or contains whitespace")
+
+
 @dataclass(frozen=True)
 class RunFile:
-    """Ranked results for a set of queries, plus the run tag: one token per run line."""
+    """Ranked results for a set of queries, plus the run tag. The tag and every
+    query id are one token each, as a run line holds them."""
 
     tag: str
     rankings: Mapping[str, RankedList]
 
     def __post_init__(self):
         self.check_tag(self.tag)
+        for query_id in self.rankings:
+            _check_token("query id", query_id)
 
     @staticmethod
     def check_tag(tag: str) -> None:
         """Raise ValueError unless `tag` is one token, as every run line holds it."""
-        if tag.split() != [tag]:
-            raise ValueError(f"run tag {tag!r} is empty or contains whitespace")
+        _check_token("run tag", tag)
 
     def query_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.rankings))

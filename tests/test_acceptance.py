@@ -184,11 +184,11 @@ def test_criterion_04_saturation_plateau():
     assert max_unique <= 4, f"corpus construction failed: doc spans {max_unique} centroids"
     grid = grid_search(index, queries, qrels, [4, 8, 16, 32, 64], [0.3, 0.4, 0.5],
                        ndocs=250, k=100)
-    assert len(grid.cells) == 15
+    assert len(grid.rows) == 15
     by_threshold = {}
-    for cell in grid.cells:
-        key = (cell.mrr_at_10, cell.recall_at_1000, cell.ndcg_at_10)
-        by_threshold.setdefault(cell.threshold, set()).add(key)
+    for row in grid.rows:
+        key = tuple(report.aggregate for report in row.reports.values())
+        by_threshold.setdefault(row.setting["threshold"], set()).add(key)
     for threshold, rows in by_threshold.items():
         assert len(rows) == 1, f"rows differ across ncells at threshold={threshold}"
     _pass(4, f"docs span <= {max_unique} centroids; grid rows identical for ncells >= 4")
@@ -290,12 +290,11 @@ def test_criterion_07_filler_dilution_and_plateau():
     lengths = [10, 20, 40, 60, 80, 100, 121]
     table = truncation_ablation(queries, partial(exact_search, corpus), lengths, 1000, qrels)
     assert len(table.rows) == 7
-    plateau = [row for row in table.rows if row.length >= spec.signal_tokens]
+    plateau = [row for row in table.rows if row.setting["length"] >= spec.signal_tokens]
     first = plateau[0]
     for row in plateau[1:]:
-        assert abs(row.mrr_at_10 - first.mrr_at_10) <= 1e-6
-        assert abs(row.recall_at_1000 - first.recall_at_1000) <= 1e-6
-        assert abs(row.ndcg_at_10 - first.ndcg_at_10) <= 1e-6
+        for label, report in row.reports.items():
+            assert abs(report.aggregate - first.reports[label].aggregate) <= 1e-6
     _pass(7, f"MRR@10 dilution direction held on 5 seeds "
              f"({[round(v, 3) for v in diluted_mrr]} <= {[round(v, 3) for v in base_mrr]}); "
              f"7 ablation rows, plateau equal within 1e-6 beyond signal length")

@@ -13,9 +13,12 @@ second copy of a config default. Every order and cut is `core.best` and both
 index backends pick what they rescore through one `kmeans.shortlist` call.
 Every search ends in `core.top_k`, the one function from doc ordinals to a
 ranked list, and only it and `Corpus.row_blocks` touch the stacked body.
+Only `metrics` spells a metric label; every other table takes its labels from
+the reports.
 """
 
 import ast
+import re
 import dataclasses
 from pathlib import Path
 
@@ -155,3 +158,29 @@ def test_searches_score_only_through_top_k():
     assert _sites(_calls("top_k")) == ["core.exact_search", "ivf.ivf_search", "plaid.plaid_search"]
     assert _sites(_calls("maxsim_score")) == ["core.score_all"]
     assert _sites(_calls("score_all")) == []
+
+
+_LABEL = re.compile(r"(mrr|recall|ndcg)@", re.IGNORECASE)
+
+
+def _spelled_labels(source: str) -> list[str]:
+    """String literals, docstrings aside, that spell a metric label such as MRR@10."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docstrings and _LABEL.search(node.value)]
+
+
+def test_only_metrics_spells_a_metric_label():
+    assert _spelled_labels('HEADER = ["length", "MRR@10"]') == ["MRR@10"]
+    assert _spelled_labels('p.add_argument("--m", help=f"default: ndcg@{k}")') == ["default: ndcg@"]
+    assert _spelled_labels('def f():\n    """Reports nDCG@10."""') == []
+    found = {path.name: _spelled_labels(path.read_text()) for path in PACKAGE
+             if path.name != "metrics.py"}
+    assert {name: labels for name, labels in found.items() if labels} == {}

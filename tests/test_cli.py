@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import shlex
 import shutil
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from latebench import IvfConfig, PlaidConfig, SyntheticSpec, cli
 from latebench.cli import command_from_header, main
 from latebench.errors import LatebenchError
+from latebench.trec import parse_run
 
 
 @pytest.fixture(scope="module")
@@ -570,3 +572,60 @@ def test_bad_run_tag_is_refused_before_any_file_is_read(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["LATEBENCH-ERROR ValueError: run tag 'a b' is empty or contains whitespace"]
     assert list(tmp_path.iterdir()) == []
+
+
+# sha256 of each diagnose table without its `#` header lines, on the dataset
+# below. The bench reads these tables by row and column label, so a change of
+# columns, order or number format has to update its digest here, on purpose.
+TABLE_DIGESTS = {
+    "grid.tsv": "017d1375e8004623332121cc0d822e648edbe83556d80047bfc1186781fbe9cc",
+    "ablation.tsv": "140ac1f254b31a6687cf2d2fe39f0fb624b4f025727e9570f8cca01330eb2c38",
+    "coverage.tsv": "955412df0168ef6d33d96eff447741f7654cc36a910316e7e4b77c9365124107",
+    "agreement.tsv": "274cbe0b96f11536054c091245d72efc2a7cbbc49d5ea4a39fbbd8cc8f8809ca",
+}
+
+
+def test_diagnose_tables_keep_their_layout(tmp_path):
+    f = {name: str(tmp_path / name) for name in (
+        "corpus.lbb", "queries.lbb", "qrels.txt", "graded.txt", "plaid.lbi", "exact.run",
+        "plaid.run", *TABLE_DIGESTS)}
+    plaid = ["--index", f["plaid.lbi"], "--bundle", f["corpus.lbb"]]
+    commands = [
+        ["generate", "--out-bundle", f["corpus.lbb"], "--out-queries", f["queries.lbb"],
+         "--out-qrels", f["qrels.txt"], "--docs", "60", "--tokens-min", "4", "--tokens-max",
+         "10", "--dim", "32", "--num-concepts", "12", "--queries", "12", "--signal-tokens", "4",
+         "--filler-fraction", "0.7", "--margin", "0.02", "--seed", "3"],
+        ["build", "--backend", "plaid", "--bundle", f["corpus.lbb"], "--out", f["plaid.lbi"],
+         "--num-centroids", "16", "--ndocs", "60", "--seed", "1"],
+        ["search", "--backend", "exact", "--bundle", f["corpus.lbb"], "--queries",
+         f["queries.lbb"], "--k", "20", "--out", f["exact.run"]],
+        ["search", "--backend", "plaid", *plaid, "--queries", f["queries.lbb"], "--k", "5",
+         "--ncells", "1", "--threshold", "0.9", "--ndocs", "5", "--out", f["plaid.run"]],
+    ]
+    for argv in commands:
+        assert main(argv) == 0, argv
+    # Grade each query's exact top 8 (3, 2, 1, 1, ...), so that a grid of 3-doc
+    # PLAID runs scores below 1.
+    exact = parse_run(Path(f["exact.run"]).read_text())
+    Path(f["graded.txt"]).write_text("".join(
+        f"{qid} 0 {doc_id} {max(3 - rank, 1)}\n"
+        for qid in exact.query_ids() for rank, doc_id in enumerate(exact.top_ids(qid, 8))))
+    diagnoses = [
+        ["--mode", "grid", *plaid, "--queries", f["queries.lbb"], "--qrels", f["graded.txt"],
+         "--ncells", "1,2,8", "--threshold", "0.5,0.95", "--ndocs", "3", "--k", "3",
+         "--out", f["grid.tsv"]],
+        ["--mode", "ablation", "--backend", "exact", "--bundle", f["corpus.lbb"], "--queries",
+         f["queries.lbb"], "--qrels", f["qrels.txt"], "--lengths", "1,2,4,40", "--k", "20",
+         "--out", f["ablation.tsv"]],
+        ["--mode", "coverage", *plaid, "--out", f["coverage.tsv"]],
+        ["--mode", "agreement", "--run-a", f["exact.run"], "--run-b", f["plaid.run"],
+         "--qrels", f["graded.txt"], "--k", "5", "--out", f["agreement.tsv"]],
+    ]
+    for argv in diagnoses:
+        assert main(["diagnose", *argv]) == 0, argv
+    digests = {}
+    for name in TABLE_DIGESTS:
+        lines = Path(f[name]).read_text().splitlines(keepends=True)
+        body = "".join(line for line in lines if not line.startswith("#"))
+        digests[name] = hashlib.sha256(body.encode()).hexdigest()
+    assert digests == TABLE_DIGESTS

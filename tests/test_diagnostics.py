@@ -90,19 +90,15 @@ def test_ablation_noop_when_length_covers_all_rows(planted_with_filler):
     full_run = run_queries(search, queries, 20)
     reports = evaluate_run(full_run, qrels, DEFAULT_SPECS)
     row, padded = table.rows
-    assert row.mrr_at_10 == reports["MRR@10"].aggregate
-    assert row.recall_at_1000 == reports["Recall@1000"].aggregate
-    assert row.ndcg_at_10 == reports["nDCG@10"].aggregate
-    assert (row.mrr_at_10, row.recall_at_1000, row.ndcg_at_10) == (
-        padded.mrr_at_10, padded.recall_at_1000, padded.ndcg_at_10
-    )
+    assert row.reports == reports
+    assert padded.reports == reports
 
 
 def test_ablation_single_token_boundary(planted_with_filler):
     corpus, queries, qrels = planted_with_filler
     table = truncation_ablation(queries, partial(exact_search, corpus), [1], 20, qrels)
     assert len(table.rows) == 1
-    assert table.rows[0].length == 1
+    assert table.rows[0].setting == {"length": 1}
 
 
 def test_ablation_plateau_beyond_signal_length(planted_with_filler):
@@ -111,9 +107,8 @@ def test_ablation_plateau_beyond_signal_length(planted_with_filler):
     table = truncation_ablation(queries, partial(exact_search, corpus), lengths, 20, qrels)
     first = table.rows[0]
     for row in table.rows[1:]:
-        assert row.mrr_at_10 == pytest.approx(first.mrr_at_10, abs=1e-6)
-        assert row.recall_at_1000 == pytest.approx(first.recall_at_1000, abs=1e-6)
-        assert row.ndcg_at_10 == pytest.approx(first.ndcg_at_10, abs=1e-6)
+        for label, report in row.reports.items():
+            assert report.aggregate == pytest.approx(first.reports[label].aggregate, abs=1e-6)
 
 
 def test_ablation_rejects_bad_lengths(planted_with_filler):
@@ -132,9 +127,19 @@ def test_grid_emits_full_sorted_table(planted_with_filler):
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=40, seed=1))
     result = grid_search(index, queries, qrels, [4, 8, 16, 32, 64], [0.3, 0.4, 0.5],
                          ndocs=40, k=20)
-    assert len(result.cells) == 15
-    keys = [(cell.threshold, cell.ncells) for cell in result.cells]
+    assert len(result.rows) == 15
+    keys = [(row.setting["threshold"], row.setting["ncells"]) for row in result.rows]
     assert keys == sorted(keys)
+    assert all(row.setting["ndocs"] == 40 for row in result.rows)
+
+
+def test_grid_rejects_repeated_settings(planted_with_filler):
+    corpus, queries, qrels = planted_with_filler
+    index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=40, seed=1))
+    with pytest.raises(ValueError, match="repeat"):
+        grid_search(index, queries, qrels, [4, 4], [0.3], ndocs=40, k=20)
+    with pytest.raises(ValueError, match="repeat"):
+        grid_search(index, queries, qrels, [4], [0.4, 0.3, 0.4], ndocs=40, k=20)
 
 
 def test_degenerate_single_cell_grid_equals_direct_search(planted_with_filler):
@@ -144,17 +149,16 @@ def test_degenerate_single_cell_grid_equals_direct_search(planted_with_filler):
     search = partial(plaid_search, index, ncells=8, threshold=0.3, ndocs=40)
     run = run_queries(search, queries, 20)
     reports = evaluate_run(run, qrels, DEFAULT_SPECS)
-    cell = result.cells[0]
-    assert cell.mrr_at_10 == reports["MRR@10"].aggregate
-    assert cell.recall_at_1000 == reports["Recall@1000"].aggregate
-    assert cell.ndcg_at_10 == reports["nDCG@10"].aggregate
+    (row,) = result.rows
+    assert row.setting == {"threshold": 0.3, "ncells": 8, "ndocs": 40}
+    assert row.reports == reports
 
 
 def test_grid_recall_non_decreasing_in_ncells(planted_with_filler):
     corpus, queries, qrels = planted_with_filler
     index = build_plaid(corpus, PlaidConfig(num_centroids=32, ncells=4, ndocs=40, seed=1))
     result = grid_search(index, queries, qrels, [1, 2, 4, 8], [0.3], ndocs=40, k=20)
-    recalls = [cell.recall_at_1000 for cell in result.cells]
+    recalls = [row.reports["Recall@1000"].aggregate for row in result.rows]
     assert recalls == sorted(recalls)
 
 
@@ -206,6 +210,14 @@ def test_compare_deltas_antisymmetric_under_swap(planted_with_filler):
     for label, delta in forward.metric_deltas.items():
         assert backward.metric_deltas[label] == pytest.approx(-delta, abs=1e-12)
     assert forward.per_query_overlap == backward.per_query_overlap
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_compare_rejects_k_below_one(planted_with_filler, k):
+    corpus, queries, qrels = planted_with_filler
+    run = run_queries(partial(exact_search, corpus), queries, 10)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        compare_runs(run, run, qrels, k)
 
 
 def test_compare_requires_shared_queries():

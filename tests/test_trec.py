@@ -123,3 +123,13 @@ def test_run_tag_must_be_one_token(tag):
     lists = [RankedList(query_id="q1", hits=(ScoredDoc("dA", 1.0),))]
     with pytest.raises(ValueError, match="run tag"):
         RunFile.from_ranked_lists(lists, tag=tag)
+
+
+@pytest.mark.parametrize("query_id", ["", "q 1", "q\t1", " q1", "q1\n"])
+def test_run_query_id_must_be_one_token(query_id):
+    # A query id with whitespace would write a run line parse_run refuses.
+    lists = [RankedList(query_id=query_id, hits=(ScoredDoc("d1", 3.0),))]
+    with pytest.raises(ValueError, match="query id"):
+        RunFile.from_ranked_lists(lists, tag="t")
+    with pytest.raises(ValueError, match="query id"):
+        RunFile("t", {query_id: lists[0]})
