@@ -9,7 +9,11 @@ alone suffices to reproduce the file. `build`, `search` and `diagnose` refuse
 a flag they do not read before any file is read. Outputs are written
 atomically (temp file + rename) and inputs are never mutated.
 
-Every command runs single-threaded.
+Two sweeps use a second CPU when the process's CPU affinity allows it (no
+flag): the exact whole-corpus MaxSim sweep and k-means assignment, each cut
+into two halves that make the serial code's products into their own parts of
+the result, so every output keeps its bits (`core.sweep_worker`). Everything
+else runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -93,12 +97,18 @@ def _load_queries(path: str):
     return {qid: corpus.docs[qid] for qid in corpus.doc_ids}
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
-
-
-def _parse_float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+def _parse_list(args: argparse.Namespace, dest: str, kind: type) -> list:
+    """The comma list flag `dest` holds, each part read by `kind`; a list with
+    an empty part (`4,,8`, `,0.4`, `8,`) or one `kind` cannot read is refused."""
+    text, flag = getattr(args, dest), "--" + dest.replace("_", "-")
+    parts = text.split(",")
+    if not all(part.strip() for part in parts):
+        raise LatebenchError(f"{flag} {text!r} has an empty comma-separated part")
+    try:
+        return [kind(part) for part in parts]
+    except ValueError:
+        raise LatebenchError(f"{flag} {text!r} is not a comma-separated list of "
+                             f"{kind.__name__} values") from None
 
 
 # Config fields whose flags are not named after them, as argparse dests: a
@@ -264,22 +274,24 @@ def cmd_diagnose(args) -> int:
     if args.mode == "coverage":
         table = diagnostics.centroid_coverage(_load_plaid(args)).table()
     elif args.mode == "grid":
+        ncells, thresholds = _parse_list(args, "ncells", int), _parse_list(args, "threshold", float)
         result = diagnostics.grid_search(
             _load_plaid(args),
             _load_queries(args.queries),
             parse_qrels(Path(args.qrels).read_text()),
-            _parse_int_list(args.ncells),
-            _parse_float_list(args.threshold),
+            ncells,
+            thresholds,
             args.ndocs,
             args.k,
         )
         table = result.table()
     elif args.mode == "ablation":
+        lengths = _parse_list(args, "lengths", int)
         search = _make_searcher(args)
         result = diagnostics.truncation_ablation(
             _load_queries(args.queries),
             search,
-            _parse_int_list(args.lengths),
+            lengths,
             args.k,
             parse_qrels(Path(args.qrels).read_text()),
         )

@@ -37,11 +37,24 @@ rows, never saved); a subset's by `top_k`, the one subset scorer, which
 reads each doc through `store.doc_matrix(o)`.
 `maxsim_score` stays the reference definition: `score_all`, the full sweep,
 calls it once per document, and the tests compare against it.
+
+A whole-corpus sweep of at least BLOCK_ROWS rows is split in two when the
+process may run on two CPUs: `sweep_worker`'s one thread scores the docs
+after about half the rows and the calling thread the docs before. No bit
+moves. Cutting a (g, L, dim) block between two docs leaves every slice's
+BLAS call as it was; each thread writes only its own docs' range of the
+(widest, docs, nq) array, and a doc's max and float64 sum read nothing of any
+other doc. A subset (IVF's candidates, PLAID's survivors: ~100-120 docs)
+stays on the calling thread: handing the GIL back and forth costs more than
+half its work. `kmeans.assign` splits its blocks the same way.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
@@ -60,6 +73,56 @@ from .errors import (
 # How far a row's norm may be from 1, per storage dtype: narrowing a unit row
 # to float16 moves its norm by up to ~1e-3 (in memory everything is float32).
 NORM_TOLERANCE = {"float32": 1e-4, "float16": 2e-3}
+
+# Rows per blockwise pass over every stored vector (`Corpus.validate`, k-means
+# assignment and reseeding and the residual radii in `kmeans`, the residual
+# codec in `plaid`), and the fewest rows a full sweep splits across two
+# threads: large enough for whole-array speed, small enough that the
+# temporaries stay a few MiB (assign's dots: 4 MiB at 256 centroids, 32 MiB
+# at 2,048).
+BLOCK_ROWS = 4096
+
+_UNSET = object()
+_pool = _UNSET
+_pool_lock = threading.Lock()
+
+
+def sweep_worker() -> ThreadPoolExecutor | None:
+    """The one worker thread that takes half of a full sweep, made on first use.
+
+    None, and no thread, when the process may run on one CPU only: its CPU
+    affinity, or the CPU count where affinity is unknown. A forked child
+    makes its own (`_forget_pool`).
+    """
+    global _pool
+    if _pool is _UNSET:
+        with _pool_lock:
+            if _pool is _UNSET:
+                cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                        else os.cpu_count() or 1)
+                _pool = ThreadPoolExecutor(1, thread_name_prefix="latebench") if cpus > 1 else None
+    return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's worker thread does not exist there."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = _UNSET, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def in_halves(pool: ThreadPoolExecutor, first, second) -> None:
+    """Call `second()` on the pool's thread and `first()` on this one; return
+    once both are done, raising the first one's error, else the second's."""
+    future = pool.submit(second)
+    try:
+        first()
+    finally:
+        wait((future,))
+    future.result()
 
 
 class TokenMatrix:
@@ -217,13 +280,29 @@ class Corpus:
                              f"expected {expected}")
 
     def validate(self) -> None:
-        """Per-document contents at this dtype's norm tolerance; the structure is checked."""
-        for doc_id in self.doc_ids:
-            try:
-                validate_matrix(self.docs[doc_id], norm_tol=NORM_TOLERANCE[self.dtype])
-            except (EmptyMatrix, NonFinite, NotNormalized) as exc:
-                exc.args = (f"doc {doc_id!r}: {exc}",)
-                raise
+        """Per-document contents at this dtype's norm tolerance; the structure is checked.
+
+        Raises what `validate_matrix` raises for the first bad doc in doc
+        order, its id prefixed. The flat rows are screened BLOCK_ROWS at a
+        time by one float64 norm pass per block: each row's norm has the bits
+        `np.linalg.norm` gives it (the same squares, summed by the same
+        reduction), and it is finite exactly when the row is, as no float32
+        square overflows float64. The first row off norm names the doc, which
+        `validate_matrix` then reports, non-finite entries first.
+        """
+        tol = NORM_TOLERANCE[self.dtype]
+        for lo in range(0, len(self.vectors), BLOCK_ROWS):
+            squares = self.vectors[lo:lo + BLOCK_ROWS].astype(np.float64)
+            squares *= squares
+            bad = ~(np.abs(np.sqrt(np.add.reduce(squares, axis=1)) - 1.0) <= tol)  # NaN is bad
+            if bad.any():
+                row = lo + int(np.argmax(bad))
+                doc_id = self.doc_ids[int(np.searchsorted(self.offsets, row, "right")) - 1]
+                try:
+                    validate_matrix(self.docs[doc_id], norm_tol=tol)
+                except (EmptyMatrix, NonFinite, NotNormalized) as exc:
+                    exc.args = (f"doc {doc_id!r}: {exc}",)
+                    raise
 
     def doc_matrix(self, ordinal: int) -> TokenMatrix:
         """Doc `ordinal`'s rows; an ordinal outside [0, len(self)) raises UnknownDoc."""
@@ -300,21 +379,59 @@ def maxsim_score(query: TokenMatrix, doc: TokenMatrix) -> float:
     return float(np.add.reduce(np.maximum.reduce(q @ d.T, axis=1), dtype=np.float64))
 
 
-def _stacked_maxsim(q: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+def _cut_in_half(blocks: list[np.ndarray]) -> tuple[int, list, list] | None:
+    """Where to split a sweep of the (g, L, dim) blocks: the first doc of the
+    second half, and the blocks as two runs of about half their rows each, cut
+    between two docs of the block that holds the half. None below BLOCK_ROWS
+    rows, or when the first run would hold every doc."""
+    rows = sum(block.shape[0] * block.shape[1] for block in blocks)
+    if rows < BLOCK_ROWS:
+        return None
+    half, mid = rows / 2, 0
+    for i, block in enumerate(blocks):
+        size, length = block.shape[:2]
+        if half <= size * length:  # the first docs of this block that hold the rest of the half
+            cut = math.ceil(half / length)
+            if cut == size and i == len(blocks) - 1:
+                return None
+            return mid + cut, [*blocks[:i], block[:cut]], [block[cut:], *blocks[i + 1:]]
+        half -= size * length
+        mid += size
+
+
+def _stacked_maxsim(q: np.ndarray, blocks: list[np.ndarray], split: bool = False) -> np.ndarray:
     """maxsim_score of every doc of the (g, L, dim) blocks, L ascending, in block order.
 
     One stacked product per block, one max and one float64 row sum; see the
-    module docstring for why each score has the kernel's bits.
+    module docstring for why each score has the kernel's bits. With `split`,
+    `sweep_worker`'s thread, if there is one, sweeps the second run of
+    `_cut_in_half`, when there is one.
     """
+    docs = sum(map(len, blocks))
     # dots[j, i, r]: query row r against row j of the i-th doc.
-    dots = np.full((blocks[-1].shape[1], sum(map(len, blocks)), len(q)), -np.inf,
-                   dtype=np.float32)
-    lo = 0
-    for block in blocks:
-        size, length = block.shape[:2]
-        dots[:length, lo:lo + size] = (q @ block.transpose(0, 2, 1)).transpose(2, 0, 1)
-        lo += size
-    return np.maximum.reduce(dots, axis=0).astype(np.float64).sum(axis=1)
+    dots = np.empty((blocks[-1].shape[1], docs, len(q)), dtype=np.float32)
+    scores = np.empty(docs)
+
+    def sweep(lo: int, run: list[np.ndarray]) -> None:
+        """Score the docs of `run`, the first of them doc lo, writing only their
+        range of `dots` and `scores`."""
+        hi = lo + sum(map(len, run))
+        dots[:, lo:hi] = -np.inf
+        start = lo
+        for block in run:
+            size, length = block.shape[:2]
+            dots[:length, start:start + size] = (q @ block.transpose(0, 2, 1)).transpose(2, 0, 1)
+            start += size
+        scores[lo:hi] = np.maximum.reduce(dots[:, lo:hi], axis=0).astype(np.float64).sum(axis=1)
+
+    halves = _cut_in_half(blocks) if split else None
+    pool = None if halves is None else sweep_worker()
+    if pool is None:
+        sweep(0, blocks)
+    else:
+        mid, first, second = halves
+        in_halves(pool, lambda: sweep(0, first), lambda: sweep(mid, second))
+    return scores
 
 
 def _row_blocks(docs: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -417,7 +534,7 @@ def top_k(
         order, blocks = corpus.row_blocks if part is None else _row_blocks(
             [read(o).data for o in part.tolist()])
         scored.append(order if part is None else part[order])
-        scores.append(_stacked_maxsim(query.data, blocks))
+        scores.append(_stacked_maxsim(query.data, blocks, split=part is None))
     ordinals, scores = np.concatenate(scored), np.concatenate(scores)
     top = best(scores, corpus.id_rank[ordinals], k)
     ids = [corpus.doc_ids[o] for o in ordinals[top].tolist()]

@@ -12,7 +12,12 @@ against 311 MiB. A block keeps every dot's bits, because the BLAS computes
 each dot from its own row and column alone and every block is one product of
 the same BLOCK_ROWS rows (the last overlaps the one before it): a product of
 only a few rows may go to other kernels that round differently. So the labels,
-and with them the centroids, are bit for bit those of the one product.
+and with them the centroids, are bit for bit those of the one product. Above
+4*BLOCK_ROWS rows, and when `core.sweep_worker` gives a second thread, that
+thread takes the later half of the blocks, the last and its overlapping
+neighbour among them, into its own buffer: the products are the same, each
+label is written by one thread, and the two buffers stay under half the whole
+product.
 
 The update sums each cluster's vectors one dimension at a time:
 `np.bincount(labels, weights=column)` over a float32 (dim, N) transpose made
@@ -85,14 +90,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TokenMatrix, best
+from . import core
+from .core import BLOCK_ROWS, TokenMatrix, best
 from .errors import DimensionMismatch, TooFewVectors
-
-# Rows per blockwise pass over every stored vector (k-means assignment and
-# reseeding and the residual radii here, the residual codec in `plaid`): large
-# enough for whole-array speed, small enough that the temporaries stay a few
-# MiB (assign's dots: 4 MiB at 256 centroids, 32 MiB at 2,048).
-BLOCK_ROWS = 4096
 
 
 def assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -105,7 +105,9 @@ def assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     OpenBLAS hands a product of a few rows to other kernels (gemv, its
     small-matrix path) that round differently, so every block has BLOCK_ROWS
     rows, the last ending at the last row and overlapping the one before it.
-    Inputs of at most BLOCK_ROWS rows make the one product. Raises
+    Inputs of at most BLOCK_ROWS rows make the one product. Above
+    4*BLOCK_ROWS rows `core.sweep_worker`'s thread, if there is one, takes the
+    later half of the blocks with a buffer of its own. Raises
     DimensionMismatch when the dims differ.
     """
     dim = centroids.shape[1]
@@ -113,12 +115,21 @@ def assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"vector dim {vectors.shape[1]} != centroid dim {dim}")
     n = len(vectors)
     labels = np.empty(n, dtype=np.int32)
-    dots = np.empty((min(n, BLOCK_ROWS), len(centroids)),
-                    dtype=np.result_type(vectors, centroids))
-    for lo in range(0, n, BLOCK_ROWS):
-        lo = min(lo, n - len(dots))
-        np.matmul(vectors[lo:lo + len(dots)], centroids.T, out=dots)
-        labels[lo:lo + len(dots)] = dots.argmax(axis=1)
+    rows = min(n, BLOCK_ROWS)
+    starts = [min(lo, n - rows) for lo in range(0, n, BLOCK_ROWS)]
+
+    def run(starts: list[int]) -> None:
+        dots = np.empty((rows, len(centroids)), dtype=np.result_type(vectors, centroids))
+        for lo in starts:
+            np.matmul(vectors[lo:lo + rows], centroids.T, out=dots)
+            labels[lo:lo + rows] = dots.argmax(axis=1)
+
+    pool = None if n <= 4 * BLOCK_ROWS else core.sweep_worker()
+    if pool is None:
+        run(starts)
+    else:
+        half = len(starts) // 2
+        core.in_halves(pool, lambda: run(starts[:half]), lambda: run(starts[half:]))
     return labels
 
 
@@ -143,7 +154,8 @@ def _seed_plus_plus(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np
 def _cluster_sums(columns: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     """Float64 (k, dim) sums of the vectors under each label, in row order.
 
-    `columns` is the (dim, N) transpose of the vectors.
+    `columns` is the (dim, N) transpose of the vectors. Labels of another
+    dtype than intp are cast again by each of the dim bincounts.
     """
     sums = np.empty((k, columns.shape[0]), dtype=np.float64)
     for d, column in enumerate(columns):
@@ -152,6 +164,7 @@ def _cluster_sums(columns: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray
 
 
 def _renormalized_means(columns: np.ndarray, labels: np.ndarray, k: int, prev: np.ndarray):
+    labels = labels.astype(np.intp)  # once, for every bincount below
     sums = _cluster_sums(columns, labels, k)
     counts = np.bincount(labels, minlength=k)
     norms = np.linalg.norm(sums, axis=1)

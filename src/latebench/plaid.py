@@ -21,7 +21,7 @@ source corpus without residuals, else a `Corpus` over one array every vector
 is decoded into once, at build or load, by `decode_residuals`, so
 `doc_matrix` never decodes or allocates. The codec is ColBERTv2's, with
 corpus-wide buckets (`residual_quantiles`); `encode_residuals` and
-`decode_residuals` run `kmeans.BLOCK_ROWS` rows at a time and give each row
+`decode_residuals` run `core.BLOCK_ROWS` rows at a time and give each row
 the bits it would get on its own. The index holds the levels packed
 (`pack_levels`), as the saved file does, so no level can lie outside 2**bits.
 
@@ -58,8 +58,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kmeans
-from .core import Corpus, RankedList, TokenMatrix, top_k, unit_rows
-from .kmeans import BLOCK_ROWS, Csr
+from .core import BLOCK_ROWS, Corpus, RankedList, TokenMatrix, top_k, unit_rows
+from .kmeans import Csr
 from .errors import CorpusMismatch, NDocsTooSmall, UnsupportedBits
 
 

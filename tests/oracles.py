@@ -266,6 +266,19 @@ def add_at_means(vectors, labels, k, prev):
     return sums, centroids.astype(np.float32), dead
 
 
+def per_doc_validate(corpus, check):
+    """The per-document contents check: `check` (core.validate_matrix) on each
+    doc in doc order at the corpus dtype's tolerance, the first failure raised
+    with its doc id prefixed."""
+    tol = {"float32": 1e-4, "float16": 2e-3}[corpus.dtype]
+    for doc_id in corpus.doc_ids:
+        try:
+            check(corpus.docs[doc_id], norm_tol=tol)
+        except Exception as exc:
+            exc.args = (f"doc {doc_id!r}: {exc}",)
+            raise
+
+
 def loop_unit(v):
     """One vector divided by its np.linalg.norm."""
     return v / np.linalg.norm(v)

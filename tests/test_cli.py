@@ -206,6 +206,35 @@ def test_unread_flags_are_one_error_line(tmp_path, monkeypatch, capsys, argv, re
     assert list(tmp_path.iterdir()) == []
 
 
+_GRID = ["diagnose", "--mode", "grid", "--index", "p.lbi", "--queries", "q.lbb",
+         "--qrels", "r.txt", "--ndocs", "9", "--out", "g.tsv"]
+_ABLATION = ["diagnose", "--mode", "ablation", "--backend", "exact", "--bundle", "c.lbb",
+             "--queries", "q.lbb", "--qrels", "r.txt", "--out", "a.tsv"]
+
+
+@pytest.mark.parametrize("argv, refused", [
+    pytest.param([*_GRID, "--ncells", "4,,8", "--threshold", "0.4"],
+                 "--ncells '4,,8' has an empty comma-separated part", id="inner"),
+    pytest.param([*_GRID, "--ncells", "4", "--threshold", ",0.4"],
+                 "--threshold ',0.4' has an empty comma-separated part", id="leading"),
+    pytest.param([*_GRID, "--ncells", "4", "--threshold", " ,0.4"],
+                 "--threshold ' ,0.4' has an empty comma-separated part", id="blank"),
+    pytest.param([*_ABLATION, "--lengths", "8,"],
+                 "--lengths '8,' has an empty comma-separated part", id="trailing"),
+    pytest.param([*_ABLATION, "--lengths", "8,x"],
+                 "--lengths '8,x' is not a comma-separated list of int values", id="not-int"),
+])
+def test_malformed_comma_list_is_refused_before_reading(tmp_path, monkeypatch, capsys, argv,
+                                                        refused):
+    # None of the files exist, and every loader fails the test if it is called.
+    monkeypatch.chdir(tmp_path)
+    for name in ("_load_plaid", "_load_queries", "_make_searcher", "parse_qrels"):
+        monkeypatch.setattr(cli, name, _too_early)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"LATEBENCH-ERROR LatebenchError: {refused}"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_abbreviated_flags_are_refused(capsys):
     # An abbreviation would name a flag its token does not spell out.
     with pytest.raises(SystemExit) as exited:

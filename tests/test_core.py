@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from latebench.errors import (
 )
 
 from conftest import basis_matrix, random_unit_matrix
-from oracles import chunk_mean_pool, sum_of_maxima, triple_loop_maxsim
+from oracles import chunk_mean_pool, per_doc_validate, sum_of_maxima, triple_loop_maxsim
 
 
 def test_validate_accepts_unit_basis_vector():
@@ -49,6 +50,87 @@ def test_validate_rejects_nan_with_position():
     with pytest.raises(NonFinite) as exc:
         validate_matrix(TokenMatrix(data))
     assert (exc.value.row, exc.value.col) == (1, 2)
+
+
+def _check_outcome(check) -> tuple | None:
+    """What `check()` raises: type, message, row, col and norm bits; None if nothing."""
+    try:
+        check()
+    except (EmptyMatrix, NonFinite, NotNormalized) as exc:
+        norm = getattr(exc, "norm", None)
+        return (type(exc), str(exc), getattr(exc, "row", None), getattr(exc, "col", None),
+                None if norm is None else float(norm).hex())
+    return None
+
+
+def _validation_corpus():
+    """~10k rows over 500 docs of 5-35 rows, dim 16: three BLOCK_ROWS blocks,
+    with a doc on each side of every block boundary."""
+    rng = np.random.default_rng(31)
+    rows = rng.integers(5, 36, 500)
+    offsets = np.concatenate([[0], np.cumsum(rows)])
+    vectors = random_unit_matrix(rng, int(offsets[-1]), 16).data.copy()
+    return tuple(f"d{i}" for i in range(len(rows))), vectors, offsets
+
+
+def _doc_row(offsets, row):
+    """(doc, row within it) of a flat row."""
+    doc = int(np.searchsorted(offsets, row, "right")) - 1
+    return doc, row - int(offsets[doc])
+
+
+def test_blockwise_validate_matches_the_per_doc_loop():
+    ids, clean, offsets = _validation_corpus()
+    edge = core.BLOCK_ROWS
+    straddler, _ = _doc_row(offsets, edge)
+    assert offsets[straddler] < edge and 2 * edge < offsets[-1]
+    # (flat row, col, value, or None to scale the row off norm), in no doc order:
+    # NaN, Inf and off-norm rows in several docs. The straddling doc is off norm
+    # in the first block and not finite in the second, and another doc is off
+    # norm before its NaN row: within a doc NonFinite still comes first.
+    last = int(offsets[-2])
+    plants = [
+        (last + 1, 3, np.nan),
+        (2 * edge + 5, 0, None),
+        (edge - 1, 7, None), (edge + 1, 2, np.inf),
+        (int(offsets[40]), 1, None), (int(offsets[40]) + 2, 9, np.nan),
+        (int(offsets[300]) + 4, 15, -np.inf),
+        (int(offsets[7]) + 3, 0, None),
+    ]
+    assert _doc_row(offsets, edge - 1)[0] == _doc_row(offsets, edge + 1)[0] == straddler
+    bad_docs = sorted({_doc_row(offsets, row)[0] for row, _, _ in plants})
+    # Mend the first bad doc in doc order, one at a time, until none is left.
+    outcomes = []
+    for mended in range(len(bad_docs) + 1):
+        vectors = clean.copy()
+        for row, col, value in plants:
+            if _doc_row(offsets, row)[0] not in bad_docs[mended:]:
+                continue
+            if value is None:
+                vectors[row] *= np.float32(1.01)
+            else:
+                vectors[row, col] = value
+        corpus = Corpus(ids, vectors, offsets)
+        outcome = _check_outcome(corpus.validate)
+        assert outcome == _check_outcome(partial(per_doc_validate, corpus, validate_matrix))
+        outcomes.append(outcome)
+    assert outcomes[-1] is None
+    assert [o[1].partition(":")[0] for o in outcomes[:-1]] == [f"doc 'd{d}'" for d in bad_docs]
+    assert [o[0].__name__ for o in outcomes[:-1]] == [
+        "NotNormalized", "NonFinite", "NonFinite", "NonFinite", "NotNormalized", "NonFinite"]
+    assert bad_docs[2] == straddler and outcomes[2][2] == _doc_row(offsets, edge + 1)[1]
+
+
+def test_blockwise_validate_reads_the_dtype_tolerance():
+    ids, vectors, offsets = _validation_corpus()
+    vectors[2 * core.BLOCK_ROWS + 11] *= np.float32(1.001)  # off by 1e-3
+    loose = Corpus(ids, vectors, offsets, dtype="float16")
+    loose.validate()
+    per_doc_validate(loose, validate_matrix)
+    tight = Corpus(ids, vectors, offsets)
+    outcome = _check_outcome(tight.validate)
+    assert outcome[0] is NotNormalized
+    assert outcome == _check_outcome(partial(per_doc_validate, tight, validate_matrix))
 
 
 def test_maxsim_identical_unit_vectors():
