@@ -10,10 +10,11 @@ a flag they do not read before any file is read. Outputs are written
 atomically (temp file + rename) and inputs are never mutated.
 
 Two sweeps use a second CPU when the process's CPU affinity allows it (no
-flag): the exact whole-corpus MaxSim sweep and k-means assignment, each cut
-into two halves that make the serial code's products into their own parts of
-the result, so every output keeps its bits (`core.sweep_worker`). Everything
-else runs on the calling thread.
+flag): a MaxSim sweep of at least `core.SPLIT_ROWS` rows (in practice the
+exact whole-corpus one) and k-means assignment when numpy's BLAS runs on one
+thread. Each is cut into two halves that make the serial code's products into
+their own parts of the result, so every output keeps its bits
+(`core.sweep_worker`). Everything else runs on the calling thread.
 """
 
 from __future__ import annotations

@@ -38,15 +38,16 @@ reads each doc through `store.doc_matrix(o)`.
 `maxsim_score` stays the reference definition: `score_all`, the full sweep,
 calls it once per document, and the tests compare against it.
 
-A whole-corpus sweep of at least BLOCK_ROWS rows is split in two when the
-process may run on two CPUs: `sweep_worker`'s one thread scores the docs
-after about half the rows and the calling thread the docs before. No bit
-moves. Cutting a (g, L, dim) block between two docs leaves every slice's
-BLAS call as it was; each thread writes only its own docs' range of the
-(widest, docs, nq) array, and a doc's max and float64 sum read nothing of any
-other doc. A subset (IVF's candidates, PLAID's survivors: ~100-120 docs)
-stays on the calling thread: handing the GIL back and forth costs more than
-half its work. `kmeans.assign` splits its blocks the same way.
+A sweep of at least SPLIT_ROWS rows is split in two when the process may run
+on two CPUs: `sweep_worker`'s one thread scores the docs after about half the
+rows and the calling thread the docs before. No bit moves. Cutting a
+(g, L, dim) block between two docs leaves every slice's BLAS call as it was;
+each thread writes only its own docs' range of the (widest, docs, nq) array,
+and a doc's max and float64 sum read nothing of any other doc. The row count
+alone decides, for the whole corpus and a subset alike: a subset of IVF's
+candidates or PLAID's survivors (~100-120 docs, ~2.4k rows) stays on the
+calling thread, as below SPLIT_ROWS handing the GIL back and forth costs more
+than half the work. `kmeans.assign` splits its blocks the same way.
 """
 
 from __future__ import annotations
@@ -76,11 +77,18 @@ NORM_TOLERANCE = {"float32": 1e-4, "float16": 2e-3}
 
 # Rows per blockwise pass over every stored vector (`Corpus.validate`, k-means
 # assignment and reseeding and the residual radii in `kmeans`, the residual
-# codec in `plaid`), and the fewest rows a full sweep splits across two
-# threads: large enough for whole-array speed, small enough that the
+# codec in `plaid`): large enough for whole-array speed, small enough that the
 # temporaries stay a few MiB (assign's dots: 4 MiB at 256 centroids, 32 MiB
 # at 2,048).
 BLOCK_ROWS = 4096
+
+# The fewest rows a MaxSim sweep splits across two threads. Measured on
+# bench-shaped docs (8-32 rows of dim 128, 11-row queries, two CPUs), split
+# over serial time per sweep: 2.1x at ~1.2k rows, 1.27x at ~2.4k, 1.07-1.09x
+# at ~3.6k-4.8k, 0.90-0.95x at ~5.6k-7.3k (within the noise), 0.79-0.90x at
+# ~8k, 0.58-0.64x at the whole ~40k-row corpus; the same at one BLAS thread
+# and at the default.
+SPLIT_ROWS = 8192
 
 _UNSET = object()
 _pool = _UNSET
@@ -116,8 +124,16 @@ if hasattr(os, "register_at_fork"):
 
 def in_halves(pool: ThreadPoolExecutor, first, second) -> None:
     """Call `second()` on the pool's thread and `first()` on this one; return
-    once both are done, raising the first one's error, else the second's."""
-    future = pool.submit(second)
+    once both are done, raising the first one's error, else the second's.
+    Once the interpreter is shutting down (after the main thread returned, in
+    a thread that outlives it or an atexit handler) the pool takes no work,
+    and both run here, one after the other: the same bits."""
+    try:
+        future = pool.submit(second)
+    except RuntimeError:  # cannot schedule new futures after (interpreter) shutdown
+        first()
+        second()
+        return
     try:
         first()
     finally:
@@ -174,15 +190,33 @@ def validate_matrix(m: TokenMatrix, norm_tol: float = NORM_TOLERANCE["float32"])
     """
     if m.rows == 0 or m.dim == 0:
         raise EmptyMatrix(f"degenerate shape {m.data.shape}")
+    first = _first_bad_row(m.data, norm_tol)
+    if first is None:
+        return
     finite = np.isfinite(m.data)
     if not finite.all():
         row, col = np.argwhere(~finite)[0]
         raise NonFinite(int(row), int(col))
-    norms = np.linalg.norm(m.data.astype(np.float64), axis=1)
-    off = np.abs(norms - 1.0) > norm_tol
-    if off.any():
-        row = int(np.argmax(off))
-        raise NotNormalized(row, float(norms[row]))
+    raise NotNormalized(*first)
+
+
+def _first_bad_row(rows: np.ndarray, norm_tol: float) -> tuple[int, float] | None:
+    """The first of the (n, dim) `rows` that `validate_matrix` refuses, and its
+    norm; None when it takes them all.
+
+    A row is refused when its float64 Euclidean norm is NaN or off 1 by more
+    than norm_tol. The norm has `np.linalg.norm`'s bits (the same squares,
+    summed by the same reduction), and it is finite exactly when the row is,
+    as no float32 square overflows float64: so a non-finite row is refused too.
+    """
+    squares = rows.astype(np.float64)
+    squares *= squares
+    norms = np.sqrt(np.add.reduce(squares, axis=1))
+    bad = ~(np.abs(norms - 1.0) <= norm_tol)
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    return row, float(norms[row])
 
 
 def unit_rows(m: np.ndarray) -> np.ndarray:
@@ -284,19 +318,15 @@ class Corpus:
 
         Raises what `validate_matrix` raises for the first bad doc in doc
         order, its id prefixed. The flat rows are screened BLOCK_ROWS at a
-        time by one float64 norm pass per block: each row's norm has the bits
-        `np.linalg.norm` gives it (the same squares, summed by the same
-        reduction), and it is finite exactly when the row is, as no float32
-        square overflows float64. The first row off norm names the doc, which
-        `validate_matrix` then reports, non-finite entries first.
+        time by `validate_matrix`'s own row test, `_first_bad_row`. The first
+        row it refuses names the doc, which `validate_matrix` then reports,
+        non-finite entries first.
         """
         tol = NORM_TOLERANCE[self.dtype]
         for lo in range(0, len(self.vectors), BLOCK_ROWS):
-            squares = self.vectors[lo:lo + BLOCK_ROWS].astype(np.float64)
-            squares *= squares
-            bad = ~(np.abs(np.sqrt(np.add.reduce(squares, axis=1)) - 1.0) <= tol)  # NaN is bad
-            if bad.any():
-                row = lo + int(np.argmax(bad))
+            first = _first_bad_row(self.vectors[lo:lo + BLOCK_ROWS], tol)
+            if first is not None:
+                row = lo + first[0]
                 doc_id = self.doc_ids[int(np.searchsorted(self.offsets, row, "right")) - 1]
                 try:
                     validate_matrix(self.docs[doc_id], norm_tol=tol)
@@ -382,10 +412,10 @@ def maxsim_score(query: TokenMatrix, doc: TokenMatrix) -> float:
 def _cut_in_half(blocks: list[np.ndarray]) -> tuple[int, list, list] | None:
     """Where to split a sweep of the (g, L, dim) blocks: the first doc of the
     second half, and the blocks as two runs of about half their rows each, cut
-    between two docs of the block that holds the half. None below BLOCK_ROWS
+    between two docs of the block that holds the half. None below SPLIT_ROWS
     rows, or when the first run would hold every doc."""
     rows = sum(block.shape[0] * block.shape[1] for block in blocks)
-    if rows < BLOCK_ROWS:
+    if rows < SPLIT_ROWS:
         return None
     half, mid = rows / 2, 0
     for i, block in enumerate(blocks):
@@ -399,11 +429,11 @@ def _cut_in_half(blocks: list[np.ndarray]) -> tuple[int, list, list] | None:
         mid += size
 
 
-def _stacked_maxsim(q: np.ndarray, blocks: list[np.ndarray], split: bool = False) -> np.ndarray:
+def _stacked_maxsim(q: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     """maxsim_score of every doc of the (g, L, dim) blocks, L ascending, in block order.
 
     One stacked product per block, one max and one float64 row sum; see the
-    module docstring for why each score has the kernel's bits. With `split`,
+    module docstring for why each score has the kernel's bits.
     `sweep_worker`'s thread, if there is one, sweeps the second run of
     `_cut_in_half`, when there is one.
     """
@@ -424,7 +454,7 @@ def _stacked_maxsim(q: np.ndarray, blocks: list[np.ndarray], split: bool = False
             start += size
         scores[lo:hi] = np.maximum.reduce(dots[:, lo:hi], axis=0).astype(np.float64).sum(axis=1)
 
-    halves = _cut_in_half(blocks) if split else None
+    halves = _cut_in_half(blocks)
     pool = None if halves is None else sweep_worker()
     if pool is None:
         sweep(0, blocks)
@@ -534,7 +564,7 @@ def top_k(
         order, blocks = corpus.row_blocks if part is None else _row_blocks(
             [read(o).data for o in part.tolist()])
         scored.append(order if part is None else part[order])
-        scores.append(_stacked_maxsim(query.data, blocks, split=part is None))
+        scores.append(_stacked_maxsim(query.data, blocks))
     ordinals, scores = np.concatenate(scored), np.concatenate(scores)
     top = best(scores, corpus.id_rank[ordinals], k)
     ids = [corpus.doc_ids[o] for o in ordinals[top].tolist()]

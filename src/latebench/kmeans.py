@@ -17,7 +17,12 @@ and with them the centroids, are bit for bit those of the one product. Above
 thread takes the later half of the blocks, the last and its overlapping
 neighbour among them, into its own buffer: the products are the same, each
 label is written by one thread, and the two buffers stay under half the whole
-product.
+product. This split is made only when numpy's BLAS runs each product on one
+thread (`_blas_threads`). A BLAS on more threads already spreads each
+(BLOCK_ROWS, k) product over the CPUs, and a second caller only competes
+with it: at the BLAS's default two threads on two CPUs, assign on the bench
+corpus took ~30 ms split against ~23 ms serial, and ~21 ms split against
+~41 ms serial at one BLAS thread.
 
 The update sums each cluster's vectors one dimension at a time:
 `np.bincount(labels, weights=column)` over a float32 (dim, N) transpose made
@@ -85,6 +90,8 @@ scores makes the check or the floor NaN. Nothing is skipped in either case.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -106,9 +113,9 @@ def assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     small-matrix path) that round differently, so every block has BLOCK_ROWS
     rows, the last ending at the last row and overlapping the one before it.
     Inputs of at most BLOCK_ROWS rows make the one product. Above
-    4*BLOCK_ROWS rows `core.sweep_worker`'s thread, if there is one, takes the
-    later half of the blocks with a buffer of its own. Raises
-    DimensionMismatch when the dims differ.
+    4*BLOCK_ROWS rows, when the BLAS runs on one thread, `core.sweep_worker`'s
+    thread, if there is one, takes the later half of the blocks with a buffer
+    of its own. Raises DimensionMismatch when the dims differ.
     """
     dim = centroids.shape[1]
     if vectors.shape[1] != dim:
@@ -124,13 +131,37 @@ def assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
             np.matmul(vectors[lo:lo + rows], centroids.T, out=dots)
             labels[lo:lo + rows] = dots.argmax(axis=1)
 
-    pool = None if n <= 4 * BLOCK_ROWS else core.sweep_worker()
+    pool = core.sweep_worker() if n > 4 * BLOCK_ROWS and _blas_threads() == 1 else None
     if pool is None:
         run(starts)
     else:
         half = len(starts) // 2
         core.in_halves(pool, lambda: run(starts[:half]), lambda: run(starts[half:]))
     return labels
+
+
+@functools.cache
+def _openblas_threads_getter():
+    """The thread-count getter of the OpenBLAS numpy links, or None where it
+    links another BLAS or the getter cannot be found."""
+    try:
+        linked = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        getter = getattr(linked, name, None)
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            return getter
+    return None
+
+
+def _blas_threads() -> int | None:
+    """How many threads numpy's OpenBLAS runs a product on now, or None where
+    that cannot be asked."""
+    getter = _openblas_threads_getter()
+    return None if getter is None else int(getter())
 
 
 def _seed_plus_plus(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -334,3 +334,21 @@ def loop_attempt(spec, seed):
         queries[qid] = rows
         pairs.append((qid, doc_ids[int(targets[qi])]))
     return docs, queries, pairs
+
+
+def two_pass_validate_matrix(m, norm_tol):
+    """The TokenMatrix contents check in two passes: the first non-finite entry
+    by (row, col), else the first row whose np.linalg.norm is off 1 by more
+    than norm_tol. Raises the core.errors types."""
+    from latebench.errors import EmptyMatrix, NonFinite, NotNormalized
+    if m.rows == 0 or m.dim == 0:
+        raise EmptyMatrix(f"degenerate shape {m.data.shape}")
+    finite = np.isfinite(m.data)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise NonFinite(int(row), int(col))
+    norms = np.linalg.norm(m.data.astype(np.float64), axis=1)
+    off = np.abs(norms - 1.0) > norm_tol
+    if off.any():
+        row = int(np.argmax(off))
+        raise NotNormalized(row, float(norms[row]))

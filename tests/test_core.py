@@ -23,7 +23,13 @@ from latebench.errors import (
 )
 
 from conftest import basis_matrix, random_unit_matrix
-from oracles import chunk_mean_pool, per_doc_validate, sum_of_maxima, triple_loop_maxsim
+from oracles import (
+    chunk_mean_pool,
+    per_doc_validate,
+    sum_of_maxima,
+    triple_loop_maxsim,
+    two_pass_validate_matrix,
+)
 
 
 def test_validate_accepts_unit_basis_vector():
@@ -50,6 +56,50 @@ def test_validate_rejects_nan_with_position():
     with pytest.raises(NonFinite) as exc:
         validate_matrix(TokenMatrix(data))
     assert (exc.value.row, exc.value.col) == (1, 2)
+
+
+def _one_pass_cases():
+    """(name, matrix) pairs: clean, NaN, +-Inf, off norm by a hair or far,
+    huge and subnormal entries, zero rows, and an off-norm row before a
+    non-finite one, where NonFinite must still win."""
+    rng = np.random.default_rng(8)
+    clean = random_unit_matrix(rng, 40, 16).data
+    tol = core.NORM_TOLERANCE["float32"]
+
+    def planted(*edits):
+        data = clean.copy()
+        for row, col, value in edits:
+            if col is None:
+                data[row] *= np.float32(value)
+            else:
+                data[row, col] = value
+        return data
+
+    return [
+        ("clean", clean),
+        ("nan", planted((17, 3, np.nan))),
+        ("inf", planted((0, 15, np.inf))),
+        ("minus-inf", planted((39, 0, -np.inf))),
+        ("off-then-nan", planted((2, None, 1.5), (30, 1, np.nan))),
+        ("nan-then-off", planted((30, 1, np.nan), (31, None, 0.5))),
+        ("off-far", planted((5, None, 3.0), (6, None, 0.1))),
+        ("off-by-a-hair", planted((9, None, 1 + 2 * tol), (10, None, 1 + tol / 2))),
+        ("huge", planted((12, 4, np.finfo(np.float32).max))),
+        ("subnormal", planted((13, None, 1e-42))),
+        ("zero-row", planted((14, None, 0.0))),
+        ("zero-dim", np.zeros((3, 0), dtype=np.float32)),
+    ]
+
+
+ONE_PASS_CASES = dict(_one_pass_cases())
+
+
+@pytest.mark.parametrize("name", ONE_PASS_CASES)
+@pytest.mark.parametrize("norm_tol", list(core.NORM_TOLERANCE.values()))
+def test_one_pass_validate_matrix_equals_the_two_pass_check(name, norm_tol):
+    m = TokenMatrix(ONE_PASS_CASES[name])
+    assert _check_outcome(partial(validate_matrix, m, norm_tol)) == _check_outcome(
+        partial(two_pass_validate_matrix, m, norm_tol))
 
 
 def _check_outcome(check) -> tuple | None:

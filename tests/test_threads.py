@@ -3,7 +3,9 @@ split across two threads as on one.
 
 Each test runs a sweep twice: with `core.sweep_worker` patched to a pool the
 test owns, so the split is taken whatever CPUs the machine has, and patched to
-None, the serial path. A spy on `core.in_halves` counts the splits.
+None, the serial path. `kmeans._blas_threads` is patched to 1 for both, as
+assign splits only when the BLAS runs on one thread. A spy on
+`core.in_halves` counts the splits.
 """
 
 import os
@@ -20,8 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latebench import Corpus, core, exact_search, maxsim_score, train_kmeans
-from latebench.core import BLOCK_ROWS, top_k
+from latebench import Corpus, core, exact_search, kmeans, maxsim_score, train_kmeans
+from latebench.core import BLOCK_ROWS, SPLIT_ROWS, top_k
 from latebench.kmeans import assign
 
 from conftest import random_unit_matrix
@@ -45,6 +47,7 @@ def _both_ways(monkeypatch, pool, run):
         return in_halves(*args)
 
     monkeypatch.setattr(core, "in_halves", spy)
+    monkeypatch.setattr(kmeans, "_blas_threads", lambda: 1)
     monkeypatch.setattr(core, "sweep_worker", lambda: pool)
     threaded = run()
     split = len(splits)
@@ -73,22 +76,22 @@ def _listed(ranked):
     return [(hit.doc_id, hit.score.hex()) for hit in ranked.hits]
 
 
-# Row counts of each corpus, all above BLOCK_ROWS rows.
+# Row counts of each corpus, all above SPLIT_ROWS rows.
 CORPORA = {
     # One (g, L, dim) block: the half falls inside it.
-    "one-block": [8] * 700,
+    "one-block": [8] * 1100,
     # Many row-count blocks, rows 1 to 40.
     "many-blocks": np.random.default_rng(3).integers(1, 41, 600),
-    # 1,001 docs of 4 rows (the tie doc among them), then 400 of 10: the half,
-    # 4,002 of 8,004 rows, falls between the two blocks.
-    "between-unequal-blocks": [4] * 1000 + [10] * 400,
+    # 2,001 docs of 4 rows (the tie doc among them), then 800 of 10: the half,
+    # 8,002 of 16,004 rows, falls between the two blocks.
+    "between-unequal-blocks": [4] * 2000 + [10] * 800,
 }
 
 
 @pytest.mark.parametrize("name", CORPORA)
 def test_split_exact_sweep_keeps_every_bit(monkeypatch, pool, name):
     corpus = _corpus(CORPORA[name])
-    assert corpus.total_vectors >= BLOCK_ROWS
+    assert corpus.total_vectors >= SPLIT_ROWS
     queries = _queries()
 
     def run():
@@ -105,19 +108,20 @@ def test_split_exact_sweep_keeps_every_bit(monkeypatch, pool, name):
         assert ties[0] == "d00000" and dict(listed)["d00000"] == dict(listed)["tie"]
 
 
-def test_only_a_whole_corpus_of_block_rows_is_split(monkeypatch, pool):
-    small = _corpus([BLOCK_ROWS // 8] * 7 + [BLOCK_ROWS // 8 - 1], tie=False)
-    large = _corpus([BLOCK_ROWS // 8] * 8, tie=False)
-    assert (small.total_vectors, large.total_vectors) == (BLOCK_ROWS - 1, BLOCK_ROWS)
+def test_only_a_sweep_of_split_rows_is_split(monkeypatch, pool):
+    small = _corpus([SPLIT_ROWS // 8] * 7 + [SPLIT_ROWS // 8 - 1], tie=False)
+    large = _corpus([SPLIT_ROWS // 8] * 8, tie=False)
+    assert (small.total_vectors, large.total_vectors) == (SPLIT_ROWS - 1, SPLIT_ROWS)
     query = _queries()[1]
     for corpus, splits in ((small, 0), (large, 1)):
         *_, split, _ = _both_ways(monkeypatch, pool, lambda: exact_search(corpus, query, 5))
         assert split == splits
-    # A subset, however large, stays on the calling thread.
-    every = np.arange(len(large))
-    threaded, serial, split, _ = _both_ways(
-        monkeypatch, pool, lambda: _listed(top_k(large, query, 5, ordinals=every)))
-    assert threaded == serial and split == 0
+    # A subset is split by its own row count: all of the large corpus's docs
+    # are, the 120 of a rescoring pass (~2.4k rows on the bench) are not.
+    for ordinals, splits in ((np.arange(len(large)), 1), (np.arange(0, len(large), 8), 0)):
+        threaded, serial, split, _ = _both_ways(
+            monkeypatch, pool, lambda: _listed(top_k(large, query, 5, ordinals=ordinals)))
+        assert threaded == serial and split == splits
 
 
 def _edge_tied(n, k, dim=32, seed=4):
@@ -178,6 +182,29 @@ def test_assign_of_four_blocks_is_not_split(monkeypatch, pool):
     assert np.array_equal(threaded, serial) and split == 0
 
 
+@pytest.mark.parametrize("blas_threads", [2, 8, None])
+def test_assign_is_not_split_when_the_blas_has_threads_or_is_unknown(monkeypatch, pool,
+                                                                   blas_threads):
+    vectors, centroids, _ = _edge_tied(5 * BLOCK_ROWS + 3, 64)
+    splits = []
+    monkeypatch.setattr(core, "in_halves", lambda *args: splits.append(args))
+    monkeypatch.setattr(core, "sweep_worker", lambda: pool)
+    monkeypatch.setattr(kmeans, "_blas_threads", lambda: blas_threads)
+    threaded = assign(vectors, centroids)
+    monkeypatch.setattr(core, "sweep_worker", lambda: None)
+    assert np.array_equal(threaded, assign(vectors, centroids)) and splits == []
+
+
+def test_blas_threads_reads_what_the_blas_runs_on():
+    threads = kmeans._blas_threads()
+    assert threads is None or threads >= 1
+    if threads is not None:  # numpy's OpenBLAS, as its wheels bundle it
+        script = "from latebench import kmeans; print(kmeans._blas_threads())"
+        done = subprocess.run([sys.executable, "-c", script], env={**_env(), "OPENBLAS_NUM_THREADS": "1"},
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.split() == ["1"]
+
+
 @pytest.mark.parametrize("k", [2, 64])
 def test_split_training_is_bit_identical(monkeypatch, pool, k):
     vectors = random_unit_matrix(np.random.default_rng(9), 5 * BLOCK_ROWS + 123, 16).data
@@ -203,6 +230,7 @@ def test_concurrent_callers_share_one_worker_and_keep_their_bits(monkeypatch):
     expected = work()
     monkeypatch.undo()
     # A fresh process on two CPUs: the worker is made by whichever caller comes first.
+    monkeypatch.setattr(kmeans, "_blas_threads", lambda: 1)
     monkeypatch.setattr(core, "_pool", core._UNSET)
     monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     callers = 6
@@ -251,10 +279,16 @@ print(hashlib.sha256(repr([(h.doc_id, h.score.hex()) for h in hits]).encode()
 """
 
 
+def _env(**extra):
+    """This environment, with the package's sources first on the import path."""
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
 def test_a_process_pinned_to_one_cpu_starts_no_thread():
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    # One BLAS thread, so that a free process splits assign as well.
+    env = _env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     printed = {}
     for mode in ("pinned", "free"):
         done = subprocess.run([sys.executable, "-c", _DIGESTS, mode], env=env,
@@ -303,3 +337,46 @@ def test_a_forked_child_makes_its_own_worker(monkeypatch):
     finally:
         os.close(read)
         parent_pool.shutdown()
+
+
+_AFTER_MAIN = """
+import atexit, hashlib, sys, threading, time
+import numpy as np
+from latebench import Corpus, TokenMatrix, core, exact_search, kmeans
+kmeans._blas_threads = lambda: 1
+rng = np.random.default_rng(6)
+rows = rng.standard_normal((5 * core.BLOCK_ROWS + 9, 16)).astype(np.float32)
+rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+offsets = np.arange(0, len(rows) + 1, 9)
+offsets[-1] = len(rows)
+corpus = Corpus(tuple(f"d{i}" for i in range(len(offsets) - 1)), rows, offsets)
+assert len(rows) >= core.SPLIT_ROWS
+
+
+def digest(when):
+    hits = exact_search(corpus, TokenMatrix(rows[:7]), 50).hits
+    labels = kmeans.assign(rows, rows[:64])
+    print(when, hashlib.sha256(repr([(h.doc_id, h.score.hex()) for h in hits]).encode()
+                               + labels.tobytes()).hexdigest(), flush=True)
+
+
+if sys.argv[1] == "thread":  # the worker exists; a non-daemon thread outlives main
+    digest("main")
+    threading.Thread(target=lambda: (time.sleep(0.5), digest("thread"))).start()
+else:  # the worker is first asked for in an atexit handler
+    atexit.register(digest, "atexit")
+"""
+
+
+def test_a_sweep_after_the_main_thread_returned_runs_on_its_caller():
+    """Once the main thread has returned, the worker takes no more work: a
+    sweep in a thread that outlives it, or in an atexit handler, runs whole
+    on its caller and gives the bits of one split while main still ran."""
+    printed = {}
+    for mode in ("thread", "atexit"):
+        done = subprocess.run([sys.executable, "-c", _AFTER_MAIN, mode], env=_env(),
+                              capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, "")
+        printed.update(line.split() for line in done.stdout.splitlines())
+    assert printed.keys() == {"main", "thread", "atexit"}
+    assert printed["thread"] == printed["atexit"] == printed["main"]
