@@ -2,19 +2,24 @@
 
 Five subcommands cover the full experimental loop: generate synthetic data,
 build an index, search, evaluate a run, and run a diagnostic. Every output
-file opens with a header that echoes the exact command line and the resolved
-value of each flag the command read (`_READS`; for `build`, the index's own
-config lines), so no run ever depends on an invisible default; the header
-alone suffices to reproduce the file. `build`, `search` and `diagnose` refuse
-a flag they do not read before any file is read. Outputs are written
-atomically (temp file + rename) and inputs are never mutated.
+file opens with a header that echoes the exact command line and the value of
+each flag the command read (`_READS`; for `build`, the index's own config
+lines). A search, and an ablation, add one `resolved <flag> <value>` line
+per search-time flag of their backend: the value it searched at, the flag's
+or else the index config's. So no run ever depends on an invisible default;
+the header alone suffices to reproduce the file. `build`, `search` and
+`diagnose` refuse a flag they do not read, or a search-time flag they cannot
+parse, before any file is read. Outputs are written atomically (temp file +
+rename) and inputs are never mutated.
 
 Two sweeps use a second CPU when the process's CPU affinity allows it (no
 flag): a MaxSim sweep of at least `core.SPLIT_ROWS` rows (in practice the
 exact whole-corpus one) and k-means assignment when numpy's BLAS runs on one
 thread. Each is cut into two halves that make the serial code's products into
 their own parts of the result, so every output keeps its bits
-(`core.sweep_worker`). Everything else runs on the calling thread.
+(`core.in_halves`: one worker thread, made at import and started by its first
+task; the CPU count read on each split; a new worker in a forked child; a
+half never splits again). Everything else runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -235,25 +240,44 @@ def _load_plaid(args) -> PlaidIndex:
     return bundle_io.load_plaid_index(Path(args.index).read_bytes(), corpus)
 
 
-def _make_searcher(args) -> partial:
+def _one(args: argparse.Namespace, dest: str, kind: type):
+    """The one value of the comma list flag `dest` (`_parse_list`), None when unset."""
+    if getattr(args, dest) is None:
+        return None
+    values = _parse_list(args, dest, kind)
+    if len(values) != 1:
+        raise LatebenchError(f"--{dest} {getattr(args, dest)!r} takes one value, "
+                             f"not {len(values)}")
+    return values[0]
+
+
+def _make_searcher(args: argparse.Namespace) -> tuple[partial, dict]:
+    """The backend's search bound to its index and to the value of each of
+    its search-time flags, the flag's, else the index config's; and those
+    values, by dest. The flags are parsed before any file is read."""
     if args.backend == "exact":
-        return partial(exact_search, _load_corpus(args.bundle))
+        return partial(exact_search, _load_corpus(args.bundle)), {}
     if args.backend == "ivf":
+        flags = {"nprobe": args.nprobe, "per_token_candidates": args.per_token_candidates}
         index = bundle_io.load_ivf_index(Path(args.index).read_bytes(), _load_corpus(args.bundle))
-        return partial(ivf_search, index, nprobe=args.nprobe,
-                       per_token_candidates=args.per_token_candidates)
-    index = _load_plaid(args)
-    ncells = int(args.ncells) if args.ncells is not None else None
-    threshold = float(args.threshold) if args.threshold is not None else None
-    return partial(plaid_search, index, ncells=ncells, threshold=threshold, ndocs=args.ndocs)
+        search = ivf_search
+    else:
+        flags = {"ncells": _one(args, "ncells", int), "threshold": _one(args, "threshold", float),
+                 "ndocs": args.ndocs}
+        index, search = _load_plaid(args), plaid_search
+    config = {dest: value for field, value in vars(index.config).items()
+              for dest in _FIELD_DESTS.get(field, (field,))}
+    resolved = {dest: config[dest] if value is None else value for dest, value in flags.items()}
+    return partial(search, index, **resolved), resolved
 
 
 def cmd_search(args) -> int:
     header = _header_entries(args, _reads(args))
     RunFile.check_tag(args.tag)  # refuse a tag no run line can hold before reading any file
+    search, resolved = _make_searcher(args)
     queries = _load_queries(args.queries)
-    search = _make_searcher(args)
     run = diagnostics.run_queries(search, queries, args.k, tag=args.tag)
+    header += [f"resolved {dest} {value}" for dest, value in resolved.items()]
     _atomic_write(Path(args.out), write_run(run, header=header).encode())
     return 0
 
@@ -271,7 +295,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    header = "".join(f"# {line}\n" for line in _header_entries(args, _reads(args)))
+    header = _header_entries(args, _reads(args))
     if args.mode == "coverage":
         table = diagnostics.centroid_coverage(_load_plaid(args)).table()
     elif args.mode == "grid":
@@ -288,7 +312,8 @@ def cmd_diagnose(args) -> int:
         table = result.table()
     elif args.mode == "ablation":
         lengths = _parse_list(args, "lengths", int)
-        search = _make_searcher(args)
+        search, resolved = _make_searcher(args)
+        header += [f"resolved {dest} {value}" for dest, value in resolved.items()]
         result = diagnostics.truncation_ablation(
             _load_queries(args.queries),
             search,
@@ -305,7 +330,8 @@ def cmd_diagnose(args) -> int:
             args.k,
         )
         table = report.table()
-    _atomic_write(Path(args.out), (header + format_table(table)).encode())
+    text = "".join(f"# {line}\n" for line in header) + format_table(table)
+    _atomic_write(Path(args.out), text.encode())
     sys.stdout.write(format_aligned(table))
     return 0
 

@@ -38,12 +38,12 @@ reads each doc through `store.doc_matrix(o)`.
 `maxsim_score` stays the reference definition: `score_all`, the full sweep,
 calls it once per document, and the tests compare against it.
 
-A sweep of at least SPLIT_ROWS rows is split in two when the process may run
-on two CPUs: `sweep_worker`'s one thread scores the docs after about half the
-rows and the calling thread the docs before. No bit moves. Cutting a
-(g, L, dim) block between two docs leaves every slice's BLAS call as it was;
-each thread writes only its own docs' range of the (widest, docs, nq) array,
-and a doc's max and float64 sum read nothing of any other doc. The row count
+A sweep of at least SPLIT_ROWS rows is cut in two and run by `in_halves`: on
+two CPUs its worker thread scores the docs after about half the rows and the
+calling thread the docs before. No bit moves. Cutting a (g, L, dim) block
+between two docs leaves every slice's BLAS call as it was; each thread writes
+only its own docs' range of the (widest, docs, nq) array, and a doc's max
+and float64 sum read nothing of any other doc. The row count
 alone decides, for the whole corpus and a subset alike: a subset of IVF's
 candidates or PLAID's survivors (~100-120 docs, ~2.4k rows) stays on the
 calling thread, as below SPLIT_ROWS handing the GIL back and forth costs more
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -90,47 +89,37 @@ BLOCK_ROWS = 4096
 # and at the default.
 SPLIT_ROWS = 8192
 
-_UNSET = object()
-_pool = _UNSET
-_pool_lock = threading.Lock()
+# The one worker thread that takes the second half of a split sweep. The
+# executor is made here and starts its thread on its first task, so a process
+# that never splits starts none; a forked child gets a new one (`_new_worker`).
+_worker = ThreadPoolExecutor(1, thread_name_prefix="latebench")
 
 
-def sweep_worker() -> ThreadPoolExecutor | None:
-    """The one worker thread that takes half of a full sweep, made on first use.
-
-    None, and no thread, when the process may run on one CPU only: its CPU
-    affinity, or the CPU count where affinity is unknown. A forked child
-    makes its own (`_forget_pool`).
-    """
-    global _pool
-    if _pool is _UNSET:
-        with _pool_lock:
-            if _pool is _UNSET:
-                cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                        else os.cpu_count() or 1)
-                _pool = ThreadPoolExecutor(1, thread_name_prefix="latebench") if cpus > 1 else None
-    return _pool
-
-
-def _forget_pool() -> None:
+def _new_worker() -> None:
     """In a forked child: the parent's worker thread does not exist there."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = _UNSET, threading.Lock()
+    global _worker
+    _worker = ThreadPoolExecutor(1, thread_name_prefix="latebench")
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_new_worker)
 
 
-def in_halves(pool: ThreadPoolExecutor, first, second) -> None:
-    """Call `second()` on the pool's thread and `first()` on this one; return
+def in_halves(first, second) -> None:
+    """Call `second()` on the worker thread and `first()` on this one; return
     once both are done, raising the first one's error, else the second's.
-    Once the interpreter is shutting down (after the main thread returned, in
-    a thread that outlives it or an atexit handler) the pool takes no work,
-    and both run here, one after the other: the same bits."""
+    Both run here, one after the other, when the process may run on one CPU
+    (its affinity, read on each call, or `os.cpu_count()`) and once the
+    interpreter is shutting down (after the main thread returned, in a thread
+    that outlives it or an atexit handler): the same bits. A half must not
+    call `in_halves`: the one worker would wait on its own queue forever."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     try:
-        future = pool.submit(second)
+        future = _worker.submit(second) if cpus > 1 else None
     except RuntimeError:  # cannot schedule new futures after (interpreter) shutdown
+        future = None
+    if future is None:
         first()
         second()
         return
@@ -433,9 +422,8 @@ def _stacked_maxsim(q: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
     """maxsim_score of every doc of the (g, L, dim) blocks, L ascending, in block order.
 
     One stacked product per block, one max and one float64 row sum; see the
-    module docstring for why each score has the kernel's bits.
-    `sweep_worker`'s thread, if there is one, sweeps the second run of
-    `_cut_in_half`, when there is one.
+    module docstring for why each score has the kernel's bits. When
+    `_cut_in_half` cuts the blocks, `in_halves` sweeps the two runs.
     """
     docs = sum(map(len, blocks))
     # dots[j, i, r]: query row r against row j of the i-th doc.
@@ -455,12 +443,11 @@ def _stacked_maxsim(q: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
         scores[lo:hi] = np.maximum.reduce(dots[:, lo:hi], axis=0).astype(np.float64).sum(axis=1)
 
     halves = _cut_in_half(blocks)
-    pool = None if halves is None else sweep_worker()
-    if pool is None:
+    if halves is None:
         sweep(0, blocks)
     else:
         mid, first, second = halves
-        in_halves(pool, lambda: sweep(0, first), lambda: sweep(mid, second))
+        in_halves(lambda: sweep(0, first), lambda: sweep(mid, second))
     return scores
 
 

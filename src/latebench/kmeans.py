@@ -13,10 +13,10 @@ each dot from its own row and column alone and every block is one product of
 the same BLOCK_ROWS rows (the last overlaps the one before it): a product of
 only a few rows may go to other kernels that round differently. So the labels,
 and with them the centroids, are bit for bit those of the one product. Above
-4*BLOCK_ROWS rows, and when `core.sweep_worker` gives a second thread, that
-thread takes the later half of the blocks, the last and its overlapping
-neighbour among them, into its own buffer: the products are the same, each
-label is written by one thread, and the two buffers stay under half the whole
+4*BLOCK_ROWS rows, `core.in_halves` gives the later half of the blocks, the
+last and its overlapping neighbour among them, to its worker thread (on two
+CPUs), each half with its own buffer: the products are the same, each label
+is written by one thread, and the two buffers stay under half the whole
 product. This split is made only when numpy's BLAS runs each product on one
 thread (`_blas_threads`). A BLAS on more threads already spreads each
 (BLOCK_ROWS, k) product over the CPUs, and a second caller only competes
@@ -113,9 +113,9 @@ def assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     small-matrix path) that round differently, so every block has BLOCK_ROWS
     rows, the last ending at the last row and overlapping the one before it.
     Inputs of at most BLOCK_ROWS rows make the one product. Above
-    4*BLOCK_ROWS rows, when the BLAS runs on one thread, `core.sweep_worker`'s
-    thread, if there is one, takes the later half of the blocks with a buffer
-    of its own. Raises DimensionMismatch when the dims differ.
+    4*BLOCK_ROWS rows, when the BLAS runs on one thread, `core.in_halves`
+    runs the later half of the blocks, with a buffer of its own, on its
+    worker. Raises DimensionMismatch when the dims differ.
     """
     dim = centroids.shape[1]
     if vectors.shape[1] != dim:
@@ -131,12 +131,11 @@ def assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
             np.matmul(vectors[lo:lo + rows], centroids.T, out=dots)
             labels[lo:lo + rows] = dots.argmax(axis=1)
 
-    pool = core.sweep_worker() if n > 4 * BLOCK_ROWS and _blas_threads() == 1 else None
-    if pool is None:
-        run(starts)
-    else:
+    if n > 4 * BLOCK_ROWS and _blas_threads() == 1:
         half = len(starts) // 2
-        core.in_halves(pool, lambda: run(starts[:half]), lambda: run(starts[half:]))
+        core.in_halves(lambda: run(starts[:half]), lambda: run(starts[half:]))
+    else:
+        run(starts)
     return labels
 
 

@@ -658,3 +658,82 @@ def test_diagnose_tables_keep_their_layout(tmp_path):
         body = "".join(line for line in lines if not line.startswith("#"))
         digests[name] = hashlib.sha256(body.encode()).hexdigest()
     assert digests == TABLE_DIGESTS
+
+
+_PLAID_SEARCH = ["search", "--backend", "plaid", "--index", "p.lbi", "--queries", "q.lbb",
+                 "--out", "x.run"]
+_PLAID_ABLATION = ["diagnose", "--mode", "ablation", "--backend", "plaid", "--index", "p.lbi",
+                   "--queries", "q.lbb", "--qrels", "r.txt", "--out", "a.tsv"]
+
+
+@pytest.mark.parametrize("argv, refused", [
+    pytest.param([*_PLAID_SEARCH, "--ncells", "abc"],
+                 "--ncells 'abc' is not a comma-separated list of int values", id="search-ncells"),
+    pytest.param([*_PLAID_SEARCH, "--threshold", "0.4,0.5"],
+                 "--threshold '0.4,0.5' takes one value, not 2", id="search-threshold"),
+    pytest.param([*_PLAID_SEARCH, "--ncells", "4,"],
+                 "--ncells '4,' has an empty comma-separated part", id="search-empty"),
+    pytest.param([*_PLAID_ABLATION, "--ncells", "4,8"],
+                 "--ncells '4,8' takes one value, not 2", id="ablation-ncells"),
+    pytest.param([*_PLAID_ABLATION, "--threshold", "x"],
+                 "--threshold 'x' is not a comma-separated list of float values",
+                 id="ablation-threshold"),
+])
+def test_search_time_flag_is_parsed_before_reading(tmp_path, monkeypatch, capsys, argv, refused):
+    # None of the files exist, and every loader fails the test if it is called.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "_load_corpus", _too_early)
+    monkeypatch.setattr(cli, "_load_plaid", _too_early)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"LATEBENCH-ERROR LatebenchError: {refused}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def _resolved(path):
+    """An output's `resolved` header lines, as {flag: value}."""
+    lines = (line.removeprefix("# ") for line in path.read_text().splitlines())
+    return dict(line.split()[1:] for line in lines if line.startswith("resolved "))
+
+
+# The workspace's PLAID index is built at ndocs 50, both at the other defaults.
+_PLAID_CONFIG = {"ncells": "4", "threshold": "0.4", "ndocs": "50"}
+_IVF_CONFIG = {"nprobe": "8", "per_token_candidates": "256"}
+
+
+@pytest.mark.parametrize("backend, flags, resolved", [
+    ("plaid", [], _PLAID_CONFIG),
+    ("plaid", ["--ncells", "2", "--ndocs", "60"], {**_PLAID_CONFIG, "ncells": "2", "ndocs": "60"}),
+    ("plaid", ["--threshold", "0.5"], {**_PLAID_CONFIG, "threshold": "0.5"}),
+    ("ivf", [], _IVF_CONFIG),
+    ("ivf", ["--per-token-candidates", "9"], {**_IVF_CONFIG, "per_token_candidates": "9"}),
+    ("exact", [], {}),
+])
+def test_run_header_names_the_settings_it_searched_at(workspace, tmp_path, backend, flags,
+                                                      resolved):
+    assert PlaidConfig().ncells == 4 and PlaidConfig().centroid_score_threshold == 0.4
+    assert (IvfConfig().nprobe, IvfConfig().per_token_candidates) == (8, 256)
+    index = [] if backend == "exact" else ["--index", str(workspace / f"{backend}.lbi")]
+    source = [*index, "--bundle", str(workspace / "corpus.lbb")]
+    queries = ["--queries", str(workspace / "queries.lbb")]
+    run = tmp_path / "flags.run"
+    argv = ["search", "--backend", backend, *source, *queries, "--k", "5", *flags,
+            "--out", str(run)]
+    assert main(argv) == 0
+    assert _resolved(run) == resolved
+    assert command_from_header(run) == argv
+    # Given as flags, the resolved values search the same run.
+    named = [arg for dest, value in resolved.items()
+             for arg in (f"--{dest.replace('_', '-')}", value)]
+    again = tmp_path / "named.run"
+    assert main(["search", "--backend", backend, *source, *queries, "--k", "5", *named,
+                 "--out", str(again)]) == 0
+    assert _resolved(again) == resolved
+    body = [[line for line in path.read_text().splitlines() if not line.startswith("#")]
+            for path in (run, again)]
+    assert body[0] == body[1] and body[0]
+    # An ablation over the backend names them too.
+    table = tmp_path / "ablation.tsv"
+    assert main(["diagnose", "--mode", "ablation", "--backend", backend, *source, *queries,
+                 "--qrels", str(workspace / "qrels.txt"), "--lengths", "2,4", "--k", "5",
+                 *flags, "--out", str(table)]) == 0
+    assert _resolved(table) == resolved

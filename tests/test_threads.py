@@ -1,11 +1,11 @@
 """The two full sweeps, exact MaxSim and k-means assignment, give the same bits
 split across two threads as on one.
 
-Each test runs a sweep twice: with `core.sweep_worker` patched to a pool the
-test owns, so the split is taken whatever CPUs the machine has, and patched to
-None, the serial path. `kmeans._blas_threads` is patched to 1 for both, as
-assign splits only when the BLAS runs on one thread. A spy on
-`core.in_halves` counts the splits.
+Each test runs a sweep twice: with the CPU count `core.in_halves` reads
+patched to two, so the split is taken whatever CPUs the machine has, and to
+one, where both halves run on the caller. `kmeans._blas_threads` is patched
+to 1 for both, as assign splits only when the BLAS runs on one thread. A spy
+on `core.in_halves` records which thread ran each split's second half.
 """
 
 import os
@@ -16,7 +16,6 @@ import sys
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -31,29 +30,43 @@ from conftest import random_unit_matrix
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-@pytest.fixture(scope="module")
-def pool():
-    with ThreadPoolExecutor(1) as executor:
-        yield executor
+def _cpus(monkeypatch, count):
+    """Make the process's CPU affinity, as `core.in_halves` reads it, `count` CPUs."""
+    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
 
 
-def _both_ways(monkeypatch, pool, run):
-    """run() split over `pool`, then run() serial, and how many splits each made."""
-    splits = []
+def _on_worker(thread) -> bool:
+    return thread.name.startswith("latebench")
+
+
+def _spy_seconds(monkeypatch) -> list:
+    """Spy on `core.in_halves`: the list it returns gets the thread that ran
+    each call's second half."""
+    seconds = []
     in_halves = core.in_halves
 
-    def spy(*args):
-        splits.append(args)
-        return in_halves(*args)
+    def spy(first, second):
+        def recorded():
+            seconds.append(threading.current_thread())
+            second()
+        in_halves(first, recorded)
 
     monkeypatch.setattr(core, "in_halves", spy)
+    return seconds
+
+
+def _both_ways(monkeypatch, run):
+    """run() on two CPUs, then on one, and for each, per split, whether its
+    second half ran on the worker thread."""
+    seconds = _spy_seconds(monkeypatch)
     monkeypatch.setattr(kmeans, "_blas_threads", lambda: 1)
-    monkeypatch.setattr(core, "sweep_worker", lambda: pool)
+    _cpus(monkeypatch, 2)
     threaded = run()
-    split = len(splits)
-    monkeypatch.setattr(core, "sweep_worker", lambda: None)
+    split = list(map(_on_worker, seconds))
+    _cpus(monkeypatch, 1)
     serial = run()
-    return threaded, serial, split, len(splits) - split
+    return threaded, serial, split, list(map(_on_worker, seconds[len(split):]))
 
 
 def _corpus(row_counts, dim=32, seed=0, tie=True) -> Corpus:
@@ -89,7 +102,7 @@ CORPORA = {
 
 
 @pytest.mark.parametrize("name", CORPORA)
-def test_split_exact_sweep_keeps_every_bit(monkeypatch, pool, name):
+def test_split_exact_sweep_keeps_every_bit(monkeypatch, name):
     corpus = _corpus(CORPORA[name])
     assert corpus.total_vectors >= SPLIT_ROWS
     queries = _queries()
@@ -98,9 +111,9 @@ def test_split_exact_sweep_keeps_every_bit(monkeypatch, pool, name):
         return ([_listed(top_k(corpus, q, len(corpus))) for q in queries],
                 [_listed(exact_search(corpus, q, 10)) for q in queries])
 
-    threaded, serial, split, serial_splits = _both_ways(monkeypatch, pool, run)
+    threaded, serial, split, serial_splits = _both_ways(monkeypatch, run)
     assert threaded == serial
-    assert (split, serial_splits) == (2 * len(queries), 0)
+    assert (split, serial_splits) == ([True] * 2 * len(queries), [False] * 2 * len(queries))
     for q, listed in zip(queries, threaded[0]):
         assert sorted(listed) == sorted(
             (doc_id, maxsim_score(q, doc).hex()) for doc_id, doc in corpus.docs.items())
@@ -108,20 +121,20 @@ def test_split_exact_sweep_keeps_every_bit(monkeypatch, pool, name):
         assert ties[0] == "d00000" and dict(listed)["d00000"] == dict(listed)["tie"]
 
 
-def test_only_a_sweep_of_split_rows_is_split(monkeypatch, pool):
+def test_only_a_sweep_of_split_rows_is_split(monkeypatch):
     small = _corpus([SPLIT_ROWS // 8] * 7 + [SPLIT_ROWS // 8 - 1], tie=False)
     large = _corpus([SPLIT_ROWS // 8] * 8, tie=False)
     assert (small.total_vectors, large.total_vectors) == (SPLIT_ROWS - 1, SPLIT_ROWS)
     query = _queries()[1]
     for corpus, splits in ((small, 0), (large, 1)):
-        *_, split, _ = _both_ways(monkeypatch, pool, lambda: exact_search(corpus, query, 5))
-        assert split == splits
+        *_, split, _ = _both_ways(monkeypatch, lambda: exact_search(corpus, query, 5))
+        assert split == [True] * splits
     # A subset is split by its own row count: all of the large corpus's docs
     # are, the 120 of a rescoring pass (~2.4k rows on the bench) are not.
     for ordinals, splits in ((np.arange(len(large)), 1), (np.arange(0, len(large), 8), 0)):
         threaded, serial, split, _ = _both_ways(
-            monkeypatch, pool, lambda: _listed(top_k(large, query, 5, ordinals=ordinals)))
-        assert threaded == serial and split == splits
+            monkeypatch, lambda: _listed(top_k(large, query, 5, ordinals=ordinals)))
+        assert threaded == serial and split == [True] * splits
 
 
 def _edge_tied(n, k, dim=32, seed=4):
@@ -143,7 +156,7 @@ def _edge_tied(n, k, dim=32, seed=4):
 
 @pytest.mark.parametrize("k", [2, 256, 2048])
 @pytest.mark.parametrize("n", [4 * BLOCK_ROWS + 1, 10 * BLOCK_ROWS + 17])
-def test_split_assign_keeps_every_label(monkeypatch, pool, n, k):
+def test_split_assign_keeps_every_label(monkeypatch, n, k):
     vectors, centroids, edges = _edge_tied(n, k)
     calls = []
     matmul = np.matmul
@@ -155,14 +168,15 @@ def test_split_assign_keeps_every_label(monkeypatch, pool, n, k):
 
     monkeypatch.setattr(np, "matmul", spy)
     threaded, serial, split, serial_splits = _both_ways(
-        monkeypatch, pool, lambda: assign(vectors, centroids))
+        monkeypatch, lambda: assign(vectors, centroids))
     monkeypatch.undo()
     assert threaded.dtype == serial.dtype == np.int32
     assert np.array_equal(threaded, serial)
-    assert (split, serial_splits) == (1, 0)
+    assert (split, serial_splits) == ([True], [False])
     starts = [min(lo, n - BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)]
     split_calls, serial_calls = calls[:len(starts)], calls[len(starts):]
     assert [lo for _, lo, _ in serial_calls] == starts
+    assert {thread for thread, _, _ in serial_calls} == {threading.get_ident()}
     # Two threads, each a contiguous run of the blocks into a buffer of its
     # own; the last block and its overlapping neighbour share a thread.
     runs = {}
@@ -176,22 +190,23 @@ def test_split_assign_keeps_every_label(monkeypatch, pool, n, k):
     assert (ties[:, 0] == ties[:, 1]).all() and (threaded[edges] == 0).all()
 
 
-def test_assign_of_four_blocks_is_not_split(monkeypatch, pool):
+def test_assign_of_four_blocks_is_not_split(monkeypatch):
     vectors, centroids, _ = _edge_tied(4 * BLOCK_ROWS, 64)
-    threaded, serial, split, _ = _both_ways(monkeypatch, pool, lambda: assign(vectors, centroids))
-    assert np.array_equal(threaded, serial) and split == 0
+    threaded, serial, split, serial_splits = _both_ways(
+        monkeypatch, lambda: assign(vectors, centroids))
+    assert np.array_equal(threaded, serial) and split == serial_splits == []
 
 
 @pytest.mark.parametrize("blas_threads", [2, 8, None])
-def test_assign_is_not_split_when_the_blas_has_threads_or_is_unknown(monkeypatch, pool,
+def test_assign_is_not_split_when_the_blas_has_threads_or_is_unknown(monkeypatch,
                                                                    blas_threads):
     vectors, centroids, _ = _edge_tied(5 * BLOCK_ROWS + 3, 64)
     splits = []
     monkeypatch.setattr(core, "in_halves", lambda *args: splits.append(args))
-    monkeypatch.setattr(core, "sweep_worker", lambda: pool)
     monkeypatch.setattr(kmeans, "_blas_threads", lambda: blas_threads)
+    _cpus(monkeypatch, 2)
     threaded = assign(vectors, centroids)
-    monkeypatch.setattr(core, "sweep_worker", lambda: None)
+    _cpus(monkeypatch, 1)
     assert np.array_equal(threaded, assign(vectors, centroids)) and splits == []
 
 
@@ -206,16 +221,16 @@ def test_blas_threads_reads_what_the_blas_runs_on():
 
 
 @pytest.mark.parametrize("k", [2, 64])
-def test_split_training_is_bit_identical(monkeypatch, pool, k):
+def test_split_training_is_bit_identical(monkeypatch, k):
     vectors = random_unit_matrix(np.random.default_rng(9), 5 * BLOCK_ROWS + 123, 16).data
 
     def run():
         centroids, labels = train_kmeans(vectors, k, iters=8, seed=3)
         return centroids.tobytes() + labels.tobytes()
 
-    threaded, serial, split, serial_splits = _both_ways(monkeypatch, pool, run)
+    threaded, serial, split, serial_splits = _both_ways(monkeypatch, run)
     assert threaded == serial
-    assert split >= 2 and serial_splits == 0
+    assert len(split) >= 2 and all(split) and serial_splits == [False] * len(split)
 
 
 def test_concurrent_callers_share_one_worker_and_keep_their_bits(monkeypatch):
@@ -226,20 +241,17 @@ def test_concurrent_callers_share_one_worker_and_keep_their_bits(monkeypatch):
     def work():
         return _listed(exact_search(corpus, query, 50)), assign(vectors, centroids).tobytes()
 
-    monkeypatch.setattr(core, "sweep_worker", lambda: None)
-    expected = work()
-    monkeypatch.undo()
-    # A fresh process on two CPUs: the worker is made by whichever caller comes first.
     monkeypatch.setattr(kmeans, "_blas_threads", lambda: 1)
-    monkeypatch.setattr(core, "_pool", core._UNSET)
-    monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    _cpus(monkeypatch, 1)
+    expected = work()
+    seconds = _spy_seconds(monkeypatch)
+    _cpus(monkeypatch, 2)
     callers = 6
     start = threading.Barrier(callers)
-    results, pools = [None] * callers, [None] * callers
+    results = [None] * callers
 
     def caller(i):
         start.wait()
-        pools[i] = core.sweep_worker()
         results[i] = [work() for _ in range(3)]
 
     switch = sys.getswitchinterval()
@@ -253,10 +265,50 @@ def test_concurrent_callers_share_one_worker_and_keep_their_bits(monkeypatch):
         assert not any(thread.is_alive() for thread in threads)
     finally:
         sys.setswitchinterval(switch)
-        if core._pool not in (core._UNSET, None):
-            core._pool.shutdown()
-    assert pools[0] is not None and all(pool is pools[0] for pool in pools)
     assert results == [[expected] * 3] * callers
+    # Every caller's second halves ran on the one worker thread.
+    assert len(seconds) == 2 * 3 * callers and len(set(seconds)) == 1 and _on_worker(seconds[0])
+
+
+class FirstHalfError(Exception):
+    pass
+
+
+class SecondHalfError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_in_halves_raises_the_first_halfs_error_else_the_seconds(monkeypatch, cpus):
+    _cpus(monkeypatch, cpus)
+    ran = []
+
+    def half(name, error=None, delay=0.0):
+        def run():
+            time.sleep(delay)
+            ran.append((name, _on_worker(threading.current_thread())))
+            if error is not None:
+                raise error(name)
+        return run
+
+    # Both fail, the second later: the first's error, once the second has run
+    # too (on one CPU the second never starts).
+    with pytest.raises(FirstHalfError):
+        core.in_halves(half("first", FirstHalfError), half("second", SecondHalfError, 0.2))
+    assert ran == [("first", False), ("second", True)][:cpus]
+    # Only the second fails, after the first has returned: its error.
+    ran.clear()
+    with pytest.raises(SecondHalfError):
+        core.in_halves(half("first"), half("second", SecondHalfError, 0.2))
+    assert ran == [("first", False), ("second", cpus == 2)]
+    # Only the first fails: its error, once the slower second has run.
+    ran.clear()
+    with pytest.raises(FirstHalfError):
+        core.in_halves(half("first", FirstHalfError), half("second", delay=0.2))
+    assert ran == [("first", False), ("second", True)][:cpus]
+    ran.clear()
+    assert core.in_halves(half("first"), half("second", delay=0.2)) is None
+    assert ran == [("first", False), ("second", cpus == 2)]
 
 
 _DIGESTS = """
@@ -275,7 +327,8 @@ hits = exact_search(corpus, TokenMatrix(rows[:7]), 50).hits
 centroids, labels = train_kmeans(rows, 32, iters=4, seed=1)
 print(hashlib.sha256(repr([(h.doc_id, h.score.hex()) for h in hits]).encode()
                      + centroids.tobytes() + labels.tobytes()).hexdigest(),
-      threading.active_count(), core.sweep_worker() is None)
+      threading.active_count(),
+      sum(thread.name.startswith("latebench") for thread in threading.enumerate()))
 """
 
 
@@ -294,22 +347,22 @@ def test_a_process_pinned_to_one_cpu_starts_no_thread():
         done = subprocess.run([sys.executable, "-c", _DIGESTS, mode], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
         printed[mode] = done.stdout.split()
-    digest, threads, serial = printed["pinned"]
-    assert (threads, serial) == ("1", "True")
+    digest, threads, workers = printed["pinned"]
+    assert (threads, workers) == ("1", "0")
     assert printed["free"][0] == digest
     if len(os.sched_getaffinity(0)) > 1:
-        assert printed["free"][1:] == ["2", "False"]
+        assert printed["free"][1:] == ["2", "1"]
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork here")
 def test_a_forked_child_makes_its_own_worker(monkeypatch):
     corpus = _corpus(CORPORA["many-blocks"])
     query = _queries()[2]
-    # The parent holds a started worker thread, which the child does not inherit.
-    parent_pool = ThreadPoolExecutor(1)
-    parent_pool.submit(int).result()
-    monkeypatch.setattr(core, "_pool", parent_pool)
+    # The parent's split starts the worker thread, which the child does not
+    # inherit; the child splits too.
+    _cpus(monkeypatch, 2)
     expected = repr(_listed(exact_search(corpus, query, 20))).encode()
+    assert any(map(_on_worker, threading.enumerate()))
     read, write = os.pipe()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # forking with threads
@@ -336,7 +389,6 @@ def test_a_forked_child_makes_its_own_worker(monkeypatch):
         assert os.read(read, 1 << 16) == expected
     finally:
         os.close(read)
-        parent_pool.shutdown()
 
 
 _AFTER_MAIN = """
@@ -363,7 +415,7 @@ def digest(when):
 if sys.argv[1] == "thread":  # the worker exists; a non-daemon thread outlives main
     digest("main")
     threading.Thread(target=lambda: (time.sleep(0.5), digest("thread"))).start()
-else:  # the worker is first asked for in an atexit handler
+else:  # the first split is in an atexit handler
     atexit.register(digest, "atexit")
 """
 
