@@ -4,22 +4,20 @@ Five subcommands cover the full experimental loop: generate synthetic data,
 build an index, search, evaluate a run, and run a diagnostic. Every output
 file opens with a header that echoes the exact command line and the value of
 each flag the command read (`_READS`; for `build`, the index's own config
-lines). A search, and an ablation, add one `resolved <flag> <value>` line
-per search-time flag of their backend: the value it searched at, the flag's
-or else the index config's. So no run ever depends on an invisible default;
-the header alone suffices to reproduce the file. `build`, `search` and
-`diagnose` refuse a flag they do not read, or a search-time flag they cannot
-parse, before any file is read. Outputs are written atomically (temp file +
-rename) and inputs are never mutated.
+lines). One table, `_SEARCH_FLAGS`, names each backend's search-time flags. A
+search, and an ablation, add one `resolved <flag> <value>` line per such flag
+of their backend: the value it searched at, the flag's or else the index
+config's. So no run ever depends on an invisible default; the header alone
+suffices to reproduce the file. `build`, `search` and `diagnose` refuse a
+flag they do not read, `search` and `diagnose` a search-time value they
+cannot parse, and `evaluate` a malformed `--metric`, all before any file is
+read. Outputs are written atomically (temp file + rename) and inputs are
+never mutated.
 
 Two sweeps use a second CPU when the process's CPU affinity allows it (no
-flag): a MaxSim sweep of at least `core.SPLIT_ROWS` rows (in practice the
-exact whole-corpus one) and k-means assignment when numpy's BLAS runs on one
-thread. Each is cut into two halves that make the serial code's products into
-their own parts of the result, so every output keeps its bits
-(`core.in_halves`: one worker thread, made at import and started by its first
-task; the CPU count read on each split; a new worker in a forked child; a
-half never splits again). Everything else runs on the calling thread.
+flag): a MaxSim sweep of at least `core.SPLIT_ROWS` rows and k-means
+assignment at one BLAS thread, each cut into halves that keep every output's
+bits (`core.in_halves`). Everything else runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -103,17 +101,31 @@ def _load_queries(path: str):
     return {qid: corpus.docs[qid] for qid in corpus.doc_ids}
 
 
+def _flag(dest: str) -> str:
+    """The flag of the argparse dest `dest`, as typed."""
+    return "--" + dest.replace("_", "-")
+
+
+def _one(args: argparse.Namespace, dest: str, kind: type):
+    """The one value flag `dest` holds, read by `kind`; None when unset."""
+    text = getattr(args, dest)
+    try:
+        return None if text is None else kind(text)
+    except ValueError:
+        raise LatebenchError(f"{_flag(dest)} {text!r} is not one {kind.__name__} value") from None
+
+
 def _parse_list(args: argparse.Namespace, dest: str, kind: type) -> list:
     """The comma list flag `dest` holds, each part read by `kind`; a list with
     an empty part (`4,,8`, `,0.4`, `8,`) or one `kind` cannot read is refused."""
-    text, flag = getattr(args, dest), "--" + dest.replace("_", "-")
+    text = getattr(args, dest)
     parts = text.split(",")
     if not all(part.strip() for part in parts):
-        raise LatebenchError(f"{flag} {text!r} has an empty comma-separated part")
+        raise LatebenchError(f"{_flag(dest)} {text!r} has an empty comma-separated part")
     try:
         return [kind(part) for part in parts]
     except ValueError:
-        raise LatebenchError(f"{flag} {text!r} is not a comma-separated list of "
+        raise LatebenchError(f"{_flag(dest)} {text!r} is not a comma-separated list of "
                              f"{kind.__name__} values") from None
 
 
@@ -126,18 +138,21 @@ _FIELD_DESTS = {
 }
 
 
-def _config_dests(cls: type) -> tuple[str, ...]:
-    return tuple(d for f in dataclasses.fields(cls) for d in _FIELD_DESTS.get(f.name, (f.name,)))
+def _config_defaults(*configs: type) -> dict:
+    """Each flag (argparse dest) of the configs' fields, shared ones once, and
+    its field's default, whose type is the flag's kind."""
+    defaults = {}
+    for config in configs:
+        for field in dataclasses.fields(config):
+            dests = _FIELD_DESTS.get(field.name, (field.name,))
+            defaults.update(zip(dests, field.default if len(dests) > 1 else (field.default,)))
+    return defaults
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, *configs: type) -> None:
     """One flag per field of the configs (shared ones once), typed and defaulted by it."""
-    fields = {f.name: f for config in configs for f in dataclasses.fields(config)}
-    for field in fields.values():
-        dests = _FIELD_DESTS.get(field.name, (field.name,))
-        defaults = field.default if len(dests) > 1 else (field.default,)
-        for dest, default in zip(dests, defaults):
-            parser.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default)
+    for dest, default in _config_defaults(*configs).items():
+        parser.add_argument(_flag(dest), type=type(default), default=default)
 
 
 def _config(cls: type, args: argparse.Namespace):
@@ -149,20 +164,36 @@ def _config(cls: type, args: argparse.Namespace):
     return cls(**values)
 
 
+# Each backend's search-time flags (argparse dests), PLAID's in the order
+# `diagnostics.grid_search` takes them; grid mode reads those marked True as
+# comma lists. Each sets its index config's field, whose kind it is read as;
+# unset, it keeps the value the index was built with.
+_SEARCH_FLAGS = {"ivf": {"nprobe": False, "per_token_candidates": False},
+                 "plaid": {"ncells": True, "threshold": True, "ndocs": False}}
+
+
+def _search_values(args: argparse.Namespace, backend: str, grid: bool = False) -> dict:
+    """Each search-time flag of `backend`, by dest, read as its config field's
+    kind: a comma list where grid mode sweeps it, else one value."""
+    kinds = _config_defaults(IvfConfig, PlaidConfig)
+    return {dest: (_parse_list if grid and listed else _one)(args, dest, type(kinds[dest]))
+            for dest, listed in _SEARCH_FLAGS[backend].items()}
+
+
 # The flags (argparse dests) each use of `build`, `search` and `diagnose` reads,
 # as (required, optional). Lacking a required one or given another, a command
 # is refused before any file is read. Search and diagnose headers echo these.
 _READS = {
     "build": (("backend", "bundle", "out"), ()),
-    "ivf config": ((), _config_dests(IvfConfig)),
-    "plaid config": ((), _config_dests(PlaidConfig)),
+    "ivf config": ((), tuple(_config_defaults(IvfConfig))),
+    "plaid config": ((), tuple(_config_defaults(PlaidConfig))),
     "search": (("backend", "queries", "out"), ("k", "tag")),
     "diagnose": (("mode", "out"), ()),
     "backend=exact": (("bundle",), ()),
-    "backend=ivf": (("index", "bundle"), ("nprobe", "per_token_candidates")),
-    "backend=plaid": (("index",), ("bundle", "ncells", "threshold", "ndocs")),
+    "backend=ivf": (("index", "bundle"), tuple(_SEARCH_FLAGS["ivf"])),
+    "backend=plaid": (("index",), ("bundle", *_SEARCH_FLAGS["plaid"])),
     "coverage mode": (("index",), ("bundle",)),
-    "grid mode": (("index", "queries", "qrels", "ncells", "threshold", "ndocs"), ("bundle", "k")),
+    "grid mode": (("index", "queries", "qrels", *_SEARCH_FLAGS["plaid"]), ("bundle", "k")),
     "ablation mode": (("queries", "qrels"), ("backend", "lengths", "k")),
     "agreement mode": (("run_a", "run_b", "qrels"), ("k",)),
 }
@@ -178,7 +209,7 @@ def _reads(args: argparse.Namespace) -> set[str]:
     else:
         backend = (f"backend={args.backend}",) if args.mode == "ablation" else ()
         uses = ("diagnose", f"{args.mode} mode", *backend)
-    missing = [(use, f"--{dest.replace('_', '-')}") for use in uses for dest in _READS[use][0]
+    missing = [(use, _flag(dest)) for use in uses for dest in _READS[use][0]
                if getattr(args, dest) is None]
     if missing:
         short = " with ".join(dict.fromkeys(use for use, _ in missing))
@@ -187,7 +218,7 @@ def _reads(args: argparse.Namespace) -> set[str]:
     # With abbreviations off, each `--name` or `--name=value` token is one flag.
     given = {token[2:].partition("=")[0].replace("-", "_")
              for token in args.command_line if token.startswith("--")}
-    unread = [f"--{dest.replace('_', '-')}" for dest in sorted(given - reads - {"verbose"})]
+    unread = [_flag(dest) for dest in sorted(given - reads - {"verbose"})]
     if unread:
         raise LatebenchError(f"{' with '.join(uses)} does not read {' '.join(unread)}")
     return reads
@@ -240,30 +271,17 @@ def _load_plaid(args) -> PlaidIndex:
     return bundle_io.load_plaid_index(Path(args.index).read_bytes(), corpus)
 
 
-def _one(args: argparse.Namespace, dest: str, kind: type):
-    """The one value of the comma list flag `dest` (`_parse_list`), None when unset."""
-    if getattr(args, dest) is None:
-        return None
-    values = _parse_list(args, dest, kind)
-    if len(values) != 1:
-        raise LatebenchError(f"--{dest} {getattr(args, dest)!r} takes one value, "
-                             f"not {len(values)}")
-    return values[0]
-
-
 def _make_searcher(args: argparse.Namespace) -> tuple[partial, dict]:
     """The backend's search bound to its index and to the value of each of
     its search-time flags, the flag's, else the index config's; and those
     values, by dest. The flags are parsed before any file is read."""
     if args.backend == "exact":
         return partial(exact_search, _load_corpus(args.bundle)), {}
+    flags = _search_values(args, args.backend)
     if args.backend == "ivf":
-        flags = {"nprobe": args.nprobe, "per_token_candidates": args.per_token_candidates}
         index = bundle_io.load_ivf_index(Path(args.index).read_bytes(), _load_corpus(args.bundle))
         search = ivf_search
     else:
-        flags = {"ncells": _one(args, "ncells", int), "threshold": _one(args, "threshold", float),
-                 "ndocs": args.ndocs}
         index, search = _load_plaid(args), plaid_search
     config = {dest: value for field, value in vars(index.config).items()
               for dest in _FIELD_DESTS.get(field, (field,))}
@@ -284,9 +302,9 @@ def cmd_search(args) -> int:
 
 def cmd_evaluate(args) -> int:
     header = "".join(f"# {line}\n" for line in _header_entries(args))
+    specs = tuple(MetricSpec.parse(m) for m in args.metric) if args.metric else DEFAULT_SPECS
     run = parse_run(Path(args.run).read_text())
     qrels = parse_qrels(Path(args.qrels).read_text())
-    specs = tuple(MetricSpec.parse(m) for m in args.metric) if args.metric else DEFAULT_SPECS
     reports = evaluate_run(run, qrels, specs, strict=args.strict)
     rows = report_rows(reports)
     _atomic_write(Path(args.out), (header + format_table(rows)).encode())
@@ -299,37 +317,21 @@ def cmd_diagnose(args) -> int:
     if args.mode == "coverage":
         table = diagnostics.centroid_coverage(_load_plaid(args)).table()
     elif args.mode == "grid":
-        ncells, thresholds = _parse_list(args, "ncells", int), _parse_list(args, "threshold", float)
-        result = diagnostics.grid_search(
-            _load_plaid(args),
-            _load_queries(args.queries),
-            parse_qrels(Path(args.qrels).read_text()),
-            ncells,
-            thresholds,
-            args.ndocs,
-            args.k,
-        )
-        table = result.table()
+        sweep = _search_values(args, "plaid", grid=True)
+        table = diagnostics.grid_search(
+            _load_plaid(args), _load_queries(args.queries),
+            parse_qrels(Path(args.qrels).read_text()), *sweep.values(), args.k).table()
     elif args.mode == "ablation":
         lengths = _parse_list(args, "lengths", int)
         search, resolved = _make_searcher(args)
         header += [f"resolved {dest} {value}" for dest, value in resolved.items()]
-        result = diagnostics.truncation_ablation(
-            _load_queries(args.queries),
-            search,
-            lengths,
-            args.k,
-            parse_qrels(Path(args.qrels).read_text()),
-        )
-        table = result.table()
+        table = diagnostics.truncation_ablation(
+            _load_queries(args.queries), search, lengths, args.k,
+            parse_qrels(Path(args.qrels).read_text())).table()
     else:  # agreement
-        report = diagnostics.compare_runs(
-            parse_run(Path(args.run_a).read_text()),
-            parse_run(Path(args.run_b).read_text()),
-            parse_qrels(Path(args.qrels).read_text()),
-            args.k,
-        )
-        table = report.table()
+        table = diagnostics.compare_runs(
+            parse_run(Path(args.run_a).read_text()), parse_run(Path(args.run_b).read_text()),
+            parse_qrels(Path(args.qrels).read_text()), args.k).table()
     text = "".join(f"# {line}\n" for line in header) + format_table(table)
     _atomic_write(Path(args.out), text.encode())
     sys.stdout.write(format_aligned(table))
@@ -340,12 +342,9 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     """Search-time flags; one left unset keeps the value the index was built with."""
     parser.add_argument("--index", help="index file produced by `latebench build`")
     parser.add_argument("--bundle", help="embedding bundle (corpus)")
-    parser.add_argument("--nprobe", type=int)
-    parser.add_argument("--per-token-candidates", type=int)
-    # str, not numeric: diagnose --mode grid reads these as comma lists
-    parser.add_argument("--ncells")
-    parser.add_argument("--threshold")
-    parser.add_argument("--ndocs", type=int)
+    for flags in _SEARCH_FLAGS.values():
+        for dest in flags:
+            parser.add_argument(_flag(dest))
 
 
 def build_parser() -> argparse.ArgumentParser:

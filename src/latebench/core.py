@@ -563,8 +563,7 @@ def exact_search(corpus: Corpus, query: TokenMatrix, k: int, query_id: str = "")
     return top_k(corpus, query, k, query_id=query_id)
 
 
-def pool_fixed(doc: TokenMatrix, C: int,
-               norm_tol: float = max(NORM_TOLERANCE.values())) -> TokenMatrix:
+def pool_fixed(doc: TokenMatrix, C: int) -> TokenMatrix:
     """Deterministic fixed-length pooling proxy: always exactly C unit rows.
 
     This simulates a fixed-slot document representation without any learned
@@ -572,11 +571,11 @@ def pool_fixed(doc: TokenMatrix, C: int,
     first rows % C chunks get one extra row), each chunk is averaged and
     renormalized. Documents shorter than C are extended by cycling their rows
     before pooling. Single-row chunks pass through bit-exactly. The matrix is
-    checked at `norm_tol`: by default the loosest dtype's, as it has none.
+    checked at the loosest dtype's tolerance, as it has none.
     """
     if C < 1:
         raise ValueError("C must be >= 1")
-    validate_matrix(doc, norm_tol=norm_tol)
+    validate_matrix(doc, norm_tol=max(NORM_TOLERANCE.values()))
     data = doc.data
     if doc.rows < C:
         reps = -(-C // doc.rows)
@@ -603,13 +602,9 @@ def pool_fixed(doc: TokenMatrix, C: int,
 
 
 def pool_corpus(corpus: Corpus, C: int) -> Corpus:
-    """pool_fixed on every document, checked there at the corpus's own dtype tolerance."""
-    pooled = {}
-    for doc_id, doc in corpus.docs.items():
-        try:
-            pooled[doc_id] = pool_fixed(doc, C, NORM_TOLERANCE[corpus.dtype])
-        except (EmptyMatrix, NonFinite, NotNormalized) as exc:
-            exc.args = (f"doc {doc_id!r}: {exc}",)
-            raise
+    """pool_fixed on every document, the corpus first checked at its own dtype
+    tolerance (`Corpus.validate`, which names the first bad doc)."""
+    corpus.validate()
+    pooled = {doc_id: pool_fixed(doc, C) for doc_id, doc in corpus.docs.items()}
     return Corpus.build(pooled, dtype=corpus.dtype, C=C)
 

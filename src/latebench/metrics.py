@@ -39,7 +39,12 @@ class MetricSpec:
         name, _, cutoff = text.partition("@")
         if not cutoff:
             raise ValueError(f"metric spec {text!r} lacks a cutoff, expected name@k")
-        return cls(name=name.strip().lower(), k=int(cutoff))
+        try:
+            k = int(cutoff)
+        except ValueError:
+            raise ValueError(f"metric spec {text!r} has a cutoff that is not an integer, "
+                             "expected name@k") from None
+        return cls(name=name.strip().lower(), k=k)
 
     def __str__(self) -> str:
         return f"{_METRICS[self.name][0]}@{self.k}"

@@ -9,7 +9,8 @@ counted are the other modules under src/latebench and the bench scripts; the
 package's own export list is not a caller. An error type that no other
 package module raises or catches is left behind by code that was deleted.
 The CLI passes no literal default to a config field's flag, so it holds no
-second copy of a config default. Every order and cut is `core.best` and both
+second copy of a config default, and it names each backend's search-time
+flags in one table. Every order and cut is `core.best` and both
 index backends pick what they rescore through one `kmeans.shortlist` call.
 Every search ends in `core.top_k`, the one function from doc ordinals to a
 ranked list, and only it and `Corpus.row_blocks` touch the stacked body.
@@ -95,6 +96,22 @@ def _literal_config_defaults(source: str) -> list[str]:
 def test_cli_copies_no_config_default():
     assert _literal_config_defaults('p.add_argument("--tokens-min", type=int, default=8)')
     assert _literal_config_defaults((ROOT / "src" / "latebench" / "cli.py").read_text()) == []
+
+
+def test_one_table_names_the_search_time_flags():
+    # Besides the table, only _FIELD_DESTS maps a field onto `threshold`.
+    tree = ast.parse((ROOT / "src" / "latebench" / "cli.py").read_text())
+    tables = {node.targets[0].id: node.value for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)}
+    names = {"nprobe", "per_token_candidates", "ncells", "threshold", "ndocs"}
+
+    def spelled(node, skip=frozenset()):
+        return sorted(n.value for n in ast.walk(node) if isinstance(n, ast.Constant)
+                      and isinstance(n.value, str) and n.value in names and id(n) not in skip)
+
+    assert spelled(tables["_SEARCH_FLAGS"]) == sorted(names)
+    inside = {id(n) for table in ("_SEARCH_FLAGS", "_FIELD_DESTS") for n in ast.walk(tables[table])}
+    assert spelled(tree, inside) == []
 
 
 def _sites(predicate) -> list[str]:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import re
 import shlex
 import shutil
 from pathlib import Path
@@ -260,6 +261,33 @@ def test_reads_table_names_every_flag_of_build_search_and_diagnose():
     for command, names in uses.items():
         read = {dest for use in names for dests in cli._READS[use] for dest in dests}
         assert read == flags[command], command
+
+
+def _readme_flags(cell: str) -> set[str]:
+    """The dests of the flags in a table cell's first code span; the rest is prose."""
+    span = re.match(r"`([^`]*)`", cell)
+    return {flag[2:].replace("-", "_") for flag in span[1].split()} if span else set()
+
+
+def test_readme_flag_table_is_the_reads_table():
+    # The table is kept by hand: each row's command names a use of _READS,
+    # except build's, which also reads the chosen config's flags.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    table = readme.split("| command | requires | also reads |\n", 1)[1].split("\n\n", 1)[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in table.splitlines() if not line.strip().startswith("|---")]
+    covered = set()
+    for command, requires, reads in rows:
+        subcommand, flag, value = re.fullmatch(r"`(\w+) --(\w+) (\w+)`", command).groups()
+        use = {"build": f"{value} config", "search": f"backend={value}",
+               "diagnose": f"{value} mode"}[subcommand]
+        required, optional = cli._READS[use]
+        if subcommand == "build":
+            required = set(cli._READS["build"][0]) - {flag}
+        assert (_readme_flags(requires), _readme_flags(reads)) == (set(required), set(optional)), \
+            command
+        covered.add(use)
+    assert covered == set(cli._READS) - {"build", "search", "diagnose"}
 
 
 def test_diagnose_grid_emits_15_rows(workspace):
@@ -666,26 +694,84 @@ _PLAID_ABLATION = ["diagnose", "--mode", "ablation", "--backend", "plaid", "--in
                    "--queries", "q.lbb", "--qrels", "r.txt", "--out", "a.tsv"]
 
 
+def _malformed_search_time_flags():
+    """Each search-time flag with each malformed value, under every command that
+    reads it: search and ablation one value, grid one --ndocs and comma lists of
+    --ncells and --threshold."""
+    kinds = {"ivf": {"nprobe": "int", "per-token-candidates": "int"},
+             "plaid": {"ncells": "int", "threshold": "float", "ndocs": "int"}}
+    uses = {"search": ["search", "--queries", "q.lbb", "--out", "x.run"],
+            "ablation": ["diagnose", "--mode", "ablation", "--queries", "q.lbb", "--qrels",
+                         "r.txt", "--out", "a.tsv"]}
+    for backend, flags in kinds.items():
+        for use, argv in uses.items():
+            for flag, kind in flags.items():
+                for text in ("abc", "4,8"):
+                    yield pytest.param(
+                        [*argv, "--backend", backend, "--index", "i.lbi", "--bundle", "c.lbb",
+                         f"--{flag}", text], f"--{flag} {text!r} is not one {kind} value",
+                        id=f"{use}-{flag}-{text}")
+    grid = ["diagnose", "--mode", "grid", "--index", "p.lbi", "--queries", "q.lbb",
+            "--qrels", "r.txt", "--out", "g.tsv"]
+    well_formed = {"ncells": "4", "threshold": "0.4", "ndocs": "9"}
+    refusals = {
+        "ncells": {"abc": "is not a comma-separated list of int values",
+                   "4,,8": "has an empty comma-separated part"},
+        "threshold": {"abc": "is not a comma-separated list of float values",
+                      "4,,8": "has an empty comma-separated part"},
+        "ndocs": {"abc": "is not one int value", "4,8": "is not one int value"},
+    }
+    for flag, refused in refusals.items():
+        for text, why in refused.items():
+            values = {**well_formed, flag: text}
+            yield pytest.param(
+                [*grid, *(arg for dest, value in values.items() for arg in (f"--{dest}", value))],
+                f"--{flag} {text!r} {why}", id=f"grid-{flag}-{text}")
+
+
 @pytest.mark.parametrize("argv, refused", [
     pytest.param([*_PLAID_SEARCH, "--ncells", "abc"],
-                 "--ncells 'abc' is not a comma-separated list of int values", id="search-ncells"),
+                 "--ncells 'abc' is not one int value", id="search-ncells"),
     pytest.param([*_PLAID_SEARCH, "--threshold", "0.4,0.5"],
-                 "--threshold '0.4,0.5' takes one value, not 2", id="search-threshold"),
+                 "--threshold '0.4,0.5' is not one float value", id="search-threshold"),
     pytest.param([*_PLAID_SEARCH, "--ncells", "4,"],
-                 "--ncells '4,' has an empty comma-separated part", id="search-empty"),
+                 "--ncells '4,' is not one int value", id="search-empty"),
     pytest.param([*_PLAID_ABLATION, "--ncells", "4,8"],
-                 "--ncells '4,8' takes one value, not 2", id="ablation-ncells"),
+                 "--ncells '4,8' is not one int value", id="ablation-ncells"),
     pytest.param([*_PLAID_ABLATION, "--threshold", "x"],
-                 "--threshold 'x' is not a comma-separated list of float values",
-                 id="ablation-threshold"),
+                 "--threshold 'x' is not one float value", id="ablation-threshold"),
+    *_malformed_search_time_flags(),
 ])
 def test_search_time_flag_is_parsed_before_reading(tmp_path, monkeypatch, capsys, argv, refused):
     # None of the files exist, and every loader fails the test if it is called.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "_load_corpus", _too_early)
-    monkeypatch.setattr(cli, "_load_plaid", _too_early)
+    for name in ("_load_corpus", "_load_plaid", "_load_queries", "parse_qrels", "parse_run"):
+        monkeypatch.setattr(cli, name, _too_early)
+    monkeypatch.setattr(cli.bundle_io, "load_ivf_index", _too_early)
     assert main(argv) == 2
-    assert capsys.readouterr().err.splitlines() == [f"LATEBENCH-ERROR LatebenchError: {refused}"]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"LATEBENCH-ERROR LatebenchError: {refused}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("metric, refused", [
+    pytest.param("mrr@x", "metric spec 'mrr@x' has a cutoff that is not an integer, "
+                 "expected name@k", id="cutoff"),
+    pytest.param("foo@3", "unknown metric 'foo'; expected one of ", id="name"),
+])
+def test_bad_metric_is_refused_before_any_file_is_read(tmp_path, monkeypatch, capsys, metric,
+                                                       refused):
+    # Neither file exists, and reading either fails the test.
+    monkeypatch.chdir(tmp_path)
+    for name in ("parse_run", "parse_qrels"):
+        monkeypatch.setattr(cli, name, _too_early)
+    assert main(["evaluate", "--run", "x.run", "--qrels", "r.txt", "--metric", metric,
+                 "--out", "e.tsv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"LATEBENCH-ERROR ValueError: {refused}")
     assert list(tmp_path.iterdir()) == []
 
 

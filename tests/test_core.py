@@ -459,17 +459,20 @@ def test_pool_output_always_valid_unit_rows():
         validate_matrix(pooled)
 
 
-def test_pool_corpus_checks_each_document_once_at_its_own_tolerance(monkeypatch):
+def test_pool_corpus_checks_each_document_once_at_its_own_tolerance():
+    # A row norm off by 1e-3 lies between float32's tolerance and float16's.
+    assert core.NORM_TOLERANCE["float32"] < 1e-3 < core.NORM_TOLERANCE["float16"]
     rng = np.random.default_rng(12)
-    corpus = Corpus.build({f"d{i}": random_unit_matrix(rng, 3 + i % 7, 16) for i in range(50)})
-    calls, check = [], core.validate_matrix
-    monkeypatch.setattr(core, "validate_matrix",
-                        lambda m, norm_tol: calls.append(norm_tol) or check(m, norm_tol))
-    for dtype in ("float32", "float16"):
-        calls.clear()
-        pooled = pool_corpus(dataclasses.replace(corpus, dtype=dtype), 4)
-        assert calls == [core.NORM_TOLERANCE[dtype]] * 50
-        assert pooled.docs["d3"] == pool_fixed(corpus.docs["d3"], 4)
+    docs = {f"d{i}": random_unit_matrix(rng, 3 + i % 7, 16) for i in range(50)}
+    off = docs["d3"].data.copy()
+    off[1] *= np.float32(1 + 1e-3)
+    docs["d3"] = TokenMatrix(off)
+    corpus = Corpus.build(docs)
+    with pytest.raises(NotNormalized, match="^doc 'd3': "):
+        pool_corpus(corpus, 4)
+    pooled = pool_corpus(dataclasses.replace(corpus, dtype="float16"), 4)
+    assert pooled.dtype == "float16" and len(pooled) == 50
+    assert pooled.docs["d3"] == pool_fixed(docs["d3"], 4)
 
 
 def test_score_all_calls_the_kernel_once_per_doc(basis_corpus, monkeypatch):
