@@ -15,7 +15,6 @@ from .core import (
     exact_search,
     maxsim_score,
     pool_corpus,
-    pool_fixed,
     validate_matrix,
 )
 from .diagnostics import (
@@ -61,7 +60,6 @@ __all__ = [
     "exact_search",
     "maxsim_score",
     "pool_corpus",
-    "pool_fixed",
     "validate_matrix",
     "IvfConfig",
     "IvfIndex",

@@ -70,7 +70,7 @@ BUNDLE_MAGIC = "#LATEBENCH-BUNDLE"
 INDEX_MAGIC = "#LATEBENCH-INDEX"
 VERSIONS = {BUNDLE_MAGIC: "v2", INDEX_MAGIC: "v3"}
 
-_NUMPY_DTYPES = {"float32": "<f4", "float16": "<f2", "int32": "<i4", "uint8": "<u1", "int64": "<i8"}
+_NUMPY_DTYPES = {"float32": "<f4", "float16": "<f2", "int32": "<i4", "uint8": "<u1"}
 _DTYPE_NAMES = {np.dtype(v): k for k, v in _NUMPY_DTYPES.items()}
 
 

@@ -11,8 +11,9 @@ config's. So no run ever depends on an invisible default; the header alone
 suffices to reproduce the file. `build`, `search` and `diagnose` refuse a
 flag they do not read, `search` and `diagnose` a search-time value they
 cannot parse, and `evaluate` a malformed `--metric`, all before any file is
-read. Outputs are written atomically (temp file + rename) and inputs are
-never mutated.
+read; so does the parser, for what argparse refuses. Each refusal is one
+`LATEBENCH-ERROR` line, exit 2. Outputs are written atomically (temp file +
+rename) and inputs are never mutated.
 
 Two sweeps use a second CPU when the process's CPU affinity allows it (no
 flag): a MaxSim sweep of at least `core.SPLIT_ROWS` rows and k-means
@@ -34,7 +35,7 @@ from pathlib import Path
 
 from . import bundle as bundle_io
 from . import diagnostics
-from .core import Corpus, exact_search, pool_corpus
+from .core import NORM_TOLERANCE, Corpus, exact_search, pool_corpus
 from .errors import LatebenchError
 from .ivf import IvfConfig, build_ivf, ivf_search
 from .metrics import (
@@ -347,8 +348,15 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(_flag(dest))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises what argparse refuses as a LatebenchError; its subcommands' parsers too."""
+
+    def error(self, message: str):
+        raise LatebenchError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latebench",
         description="Late-interaction retrieval bench: exact, IVF and PLAID-style backends.",
         allow_abbrev=False,
@@ -365,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(gen, SyntheticSpec)
     gen.add_argument("--pool-to", type=int, default=0,
                      help="pool documents to this fixed slot count (0 = off)")
-    gen.add_argument("--dtype", choices=["float32", "float16"], default="float32")
+    gen.add_argument("--dtype", choices=tuple(NORM_TOLERANCE), default="float32")
     gen.set_defaults(func=cmd_generate)
 
     build = add_parser("build", help="build an index from a bundle")
@@ -414,12 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.command_line = argv
-    level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
+        args = build_parser().parse_args(argv)  # `--help` exits 0, as argparse does
+        args.command_line = argv
+        level = logging.WARNING - 10 * min(args.verbose, 2)
+        logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except (LatebenchError, OSError, ValueError) as exc:
         sys.stderr.write(f"LATEBENCH-ERROR {type(exc).__name__}: {exc}\n")

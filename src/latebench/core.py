@@ -1,6 +1,7 @@
 """Domain types for multi-vector representations and the exact scoring kernel.
 
-A text is a TokenMatrix: one unit-norm row per token (or pooled slot), so a
+A text is a TokenMatrix: one unit-norm row per token, or per pooled slot
+(`pool_corpus` pools a corpus in one pass, every slot into one array), so a
 dot product is a cosine. Relevance is the late-interaction score: for every
 query row take the best dot product against any document row, then sum. The
 brute-force search here is the oracle every approximate backend is judged
@@ -563,48 +564,37 @@ def exact_search(corpus: Corpus, query: TokenMatrix, k: int, query_id: str = "")
     return top_k(corpus, query, k, query_id=query_id)
 
 
-def pool_fixed(doc: TokenMatrix, C: int) -> TokenMatrix:
-    """Deterministic fixed-length pooling proxy: always exactly C unit rows.
-
-    This simulates a fixed-slot document representation without any learned
-    model: rows are split into C contiguous chunks as evenly as possible (the
-    first rows % C chunks get one extra row), each chunk is averaged and
-    renormalized. Documents shorter than C are extended by cycling their rows
-    before pooling. Single-row chunks pass through bit-exactly. The matrix is
-    checked at the loosest dtype's tolerance, as it has none.
-    """
-    if C < 1:
-        raise ValueError("C must be >= 1")
-    validate_matrix(doc, norm_tol=max(NORM_TOLERANCE.values()))
-    data = doc.data
-    if doc.rows < C:
-        reps = -(-C // doc.rows)
-        data = np.tile(data, (reps, 1))[:C]
-    n = data.shape[0]
-    base, extra = divmod(n, C)
-    out = np.empty((C, doc.dim), dtype=np.float32)
+def _pool_doc(data: np.ndarray, C: int, out: np.ndarray) -> None:
+    """Write the C slots of one doc's (rows, dim) `data` into the (C, dim) `out`."""
+    if len(data) < C:
+        data = np.tile(data, (-(-C // len(data)), 1))[:C]
+    base, extra = divmod(len(data), C)
     start = 0
-    for chunk_index in range(C):
-        size = base + (1 if chunk_index < extra else 0)
-        chunk = data[start:start + size]
-        start += size
+    for slot in range(C):
+        size = base + (slot < extra)
+        chunk, start = data[start:start + size], start + size
         if size == 1:
-            out[chunk_index] = chunk[0]
+            out[slot] = chunk[0]
             continue
         mean = chunk.astype(np.float64).mean(axis=0)
         norm = np.linalg.norm(mean)
-        if norm < 1e-12:
-            # Cancelling chunk; fall back to its first row to keep unit norm.
-            out[chunk_index] = chunk[0]
-        else:
-            out[chunk_index] = (mean / norm).astype(np.float32)
-    return TokenMatrix(out)
+        # A cancelling chunk falls back to its first row to keep unit norm.
+        out[slot] = chunk[0] if norm < 1e-12 else (mean / norm).astype(np.float32)
 
 
 def pool_corpus(corpus: Corpus, C: int) -> Corpus:
-    """pool_fixed on every document, the corpus first checked at its own dtype
-    tolerance (`Corpus.validate`, which names the first bad doc)."""
-    corpus.validate()
-    pooled = {doc_id: pool_fixed(doc, C) for doc_id, doc in corpus.docs.items()}
-    return Corpus.build(pooled, dtype=corpus.dtype, C=C)
+    """Fixed-length pooling proxy, without any learned model: each doc to exactly C unit rows.
 
+    The corpus is checked once, at its dtype's tolerance (`Corpus.validate`).
+    A doc shorter than C is extended by cycling its rows; the rows are split
+    into C contiguous chunks as evenly as possible (the first rows % C get one
+    more), and each chunk is averaged in float64 and renormalized, a single
+    row passing through bit-exactly. Every slot goes into one new array.
+    """
+    if C < 1:
+        raise ValueError("C must be >= 1")
+    corpus.validate()
+    slots = np.empty((len(corpus) * C, corpus.dim), dtype=np.float32)
+    for i, doc in enumerate(corpus.docs.values()):  # views of corpus.vectors
+        _pool_doc(doc.data, C, slots[i * C:(i + 1) * C])
+    return Corpus(corpus.doc_ids, slots, np.arange(len(corpus) + 1) * C, corpus.dtype, C)

@@ -73,7 +73,7 @@ class IvfIndex:
     def __post_init__(self):
         rows = (self.corpus.total_vectors,)
         kmeans.check_centroids(self.centroids, self.config.nlist, self.corpus.dim)
-        kmeans.check_ids("assignments", self.assignments, rows, self.config.nlist)
+        kmeans.check_ids("assignments", self.assignments, rows, self.config.nlist, np.int32)
         object.__setattr__(self, "token_docs", kmeans.token_docs(self.corpus.offsets))
         object.__setattr__(self, "lists", kmeans.Csr.grouped(
             self.assignments, np.arange(rows[0]), self.config.nlist))

@@ -294,8 +294,10 @@ def token_docs(offsets: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
 
 
-def check_ids(name: str, ids: np.ndarray, shape: tuple, bound: int) -> None:
-    """Raise ValueError unless `ids` has `shape` and every entry lies in [0, bound)."""
+def check_ids(name: str, ids: np.ndarray, shape: tuple, bound: int, dtype=None) -> None:
+    """Raise ValueError unless `ids` has `shape` (and `dtype`, given one) and entries in [0, bound)."""
+    if dtype is not None and ids.dtype != dtype:
+        raise ValueError(f"{name} must be {np.dtype(dtype)}, not {ids.dtype}")
     if ids.shape != shape or (ids.size and not 0 <= int(ids.min()) <= int(ids.max()) < bound):
         raise ValueError(f"{name} must have shape {shape} with entries in [0, {bound})")
 

@@ -249,7 +249,7 @@ class PlaidIndex:
         # Without a corpus the residuals are decoded in the centroids' own dim.
         dim = self.centroids.shape[-1] if self.corpus is None else self.corpus.dim
         kmeans.check_centroids(self.centroids, num_centroids, dim)
-        kmeans.check_ids("codes", self.codes, rows, num_centroids)
+        kmeans.check_ids("codes", self.codes, rows, num_centroids, np.int32)
         if bits:
             levels, width = self.residual_levels, packed_width(self.dim, bits)
             if levels.dtype != np.uint8 or levels.shape != (*rows, width):

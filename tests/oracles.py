@@ -51,6 +51,34 @@ def chunk_mean_pool(doc, c):
     return np.stack(out)
 
 
+def loop_pool_fixed(data, C):
+    """The (C, dim) slots of one doc's (rows, dim) float32 rows, one doc at a
+    time: the bit reference of `core.pool_corpus`, cancelling chunks (which
+    `chunk_mean_pool` cannot renormalize) included."""
+    if data.shape[0] < C:
+        reps = -(-C // data.shape[0])
+        data = np.tile(data, (reps, 1))[:C]
+    n = data.shape[0]
+    base, extra = divmod(n, C)
+    out = np.empty((C, data.shape[1]), dtype=np.float32)
+    start = 0
+    for chunk_index in range(C):
+        size = base + (1 if chunk_index < extra else 0)
+        chunk = data[start:start + size]
+        start += size
+        if size == 1:
+            out[chunk_index] = chunk[0]
+            continue
+        mean = chunk.astype(np.float64).mean(axis=0)
+        norm = np.linalg.norm(mean)
+        if norm < 1e-12:
+            # Cancelling chunk; fall back to its first row to keep unit norm.
+            out[chunk_index] = chunk[0]
+        else:
+            out[chunk_index] = (mean / norm).astype(np.float32)
+    return out
+
+
 def argmax_assignment(vectors, centroids):
     """Per-vector nearest centroid by max dot product, lowest index on ties."""
     codes = []

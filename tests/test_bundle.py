@@ -369,6 +369,20 @@ def saved_indexes(planted_small):
     }
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+@pytest.mark.parametrize("source, field", [("ivf", "assignments"), ("plaid", "codes"),
+                                           ("plaid2", "codes")])
+def test_codes_no_index_file_stores_are_refused_at_construction(saved_indexes, planted_small,
+                                                               dtype, source, field):
+    # Both index files store int32 codes: int64 ones would save and then not
+    # load, and uint16 ones would not save.
+    corpus, _, _ = planted_small
+    load = load_ivf_index if source == "ivf" else load_plaid_index
+    index = load(saved_indexes[source], corpus)
+    with pytest.raises(ValueError, match=f"^{field} must be int32, not {np.dtype(dtype)}$"):
+        dataclasses.replace(index, **{field: getattr(index, field).astype(dtype)})
+
+
 @pytest.mark.parametrize("source, corrupt, error", [
     pytest.param("plaid1", _edit_header(r"^doc (\S+) (\d+)$", r"doc \1 \2.5"), MalformedLine,
                  id="doc-rows-not-integer"),

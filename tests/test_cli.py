@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from latebench import IvfConfig, PlaidConfig, SyntheticSpec, cli
+from latebench import IvfConfig, PlaidConfig, SyntheticSpec, cli, pool_corpus
+from latebench.bundle import read_bundle, write_bundle
 from latebench.cli import command_from_header, main
 from latebench.errors import LatebenchError
 from latebench.trec import parse_run
@@ -44,6 +45,26 @@ def test_outputs_exist_with_headers(workspace):
     qrels_text = (workspace / "qrels.txt").read_text()
     assert qrels_text.startswith("# command: generate")
     assert "# param seed 13" in qrels_text
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float16"])
+def test_generate_pool_to_writes_the_pooled_bundle(tmp_path, dtype):
+    # What `--pool-to 4` writes is pool_corpus of the unpooled bundle, narrowed to --dtype.
+    def generate(name, *extra):
+        bundle = tmp_path / name / "corpus.lbb"
+        assert main(["generate", "--out-bundle", str(bundle),
+                     "--out-queries", str(tmp_path / name / "queries.lbb"),
+                     "--out-qrels", str(tmp_path / name / "qrels.txt"),
+                     "--docs", "30", "--tokens-min", "3", "--tokens-max", "9", "--dim", "32",
+                     "--num-concepts", "10", "--queries", "4", "--signal-tokens", "2",
+                     "--seed", "13", *extra]) == 0
+        return bundle.read_bytes()
+
+    pooled = generate("pooled", "--pool-to", "4", "--dtype", dtype)
+    want = dataclasses.replace(pool_corpus(read_bundle(generate("plain")), 4), dtype=dtype)
+    assert write_bundle(read_bundle(pooled)) == write_bundle(want)
+    header = pooled[:pooled.index(b"\nend\n")].decode().splitlines()
+    assert {"pooling fixed", "C 4", f"dtype {dtype}"} <= set(header)
 
 
 def test_search_and_evaluate_on_planted_data(workspace, capsys):
@@ -238,11 +259,49 @@ def test_malformed_comma_list_is_refused_before_reading(tmp_path, monkeypatch, c
 
 def test_abbreviated_flags_are_refused(capsys):
     # An abbreviation would name a flag its token does not spell out.
+    assert main(["search", "--backend", "exact", "--bundle", "c.lbb", "--queries", "q.lbb",
+                 "--out", "x.run", "--nprob", "3"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "LATEBENCH-ERROR LatebenchError: unrecognized arguments: --nprob 3"]
+
+
+_GENERATE = ["generate", "--out-bundle", "c.lbb", "--out-queries", "q.lbb",
+             "--out-qrels", "qrels.txt"]
+_SEARCH = ["search", "--backend", "exact", "--bundle", "c.lbb", "--queries", "q.lbb",
+           "--out", "x.run"]
+
+
+@pytest.mark.parametrize("argv, refused", [
+    pytest.param(["build", "--backend", "ivf", "--bundle", "c.lbb", "--out", "i.lbi",
+                  "--nlist", "abc"], "argument --nlist: invalid int value: 'abc'", id="nlist"),
+    pytest.param([*_SEARCH, "--k", "abc"], "argument --k: invalid int value: 'abc'", id="k"),
+    pytest.param([*_GENERATE, "--docs", "x"], "argument --docs: invalid int value: 'x'",
+                 id="docs"),
+    pytest.param([*_GENERATE, "--pool-to", "x"], "argument --pool-to: invalid int value: 'x'",
+                 id="pool-to"),
+    pytest.param(["search", "--backend", "foo", "--queries", "q.lbb", "--out", "x.run"],
+                 "argument --backend: invalid choice: 'foo'", id="backend"),
+    pytest.param(_GENERATE[:-2], "the following arguments are required: --out-qrels",
+                 id="missing-required"),
+    pytest.param([*_SEARCH, "--nprobes", "3"], "unrecognized arguments: --nprobes 3",
+                 id="unknown-flag"),
+    pytest.param([*_SEARCH, "--per-token", "5"], "unrecognized arguments: --per-token 5",
+                 id="abbreviated-flag"),
+    pytest.param([], "the following arguments are required: subcommand", id="no-subcommand"),
+])
+def test_argparse_refusals_are_one_error_line(tmp_path, monkeypatch, capsys, argv, refused):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"LATEBENCH-ERROR LatebenchError: {refused}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exited:
-        main(["search", "--backend", "exact", "--bundle", "c.lbb", "--queries", "q.lbb",
-              "--out", "x.run", "--nprob", "3"])
-    assert exited.value.code == 2
-    assert "unrecognized arguments: --nprob 3" in capsys.readouterr().err
+        main(["search", "--help"])
+    assert exited.value.code == 0 and capsys.readouterr().out.startswith("usage: latebench")
 
 
 def test_reads_table_names_every_flag_of_build_search_and_diagnose():

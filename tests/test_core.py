@@ -11,7 +11,6 @@ from latebench import (
     exact_search,
     maxsim_score,
     pool_corpus,
-    pool_fixed,
     validate_matrix,
 )
 from latebench.errors import (
@@ -25,6 +24,7 @@ from latebench.errors import (
 from conftest import basis_matrix, random_unit_matrix
 from oracles import (
     chunk_mean_pool,
+    loop_pool_fixed,
     per_doc_validate,
     sum_of_maxima,
     triple_loop_maxsim,
@@ -411,17 +411,22 @@ def test_build_rejects_non_ascii_doc_ids():
         Corpus.build({"d\u00e9": basis_matrix([0], dim=4)})
 
 
+def _pool_one(doc, C):
+    """One matrix pooled the way a library caller pools it."""
+    return pool_corpus(Corpus.build({"d": doc}), C).docs["d"]
+
+
 def test_pool_identity_when_rows_equal_C():
     rng = np.random.default_rng(4)
     doc = random_unit_matrix(rng, 32, 16)
-    pooled = pool_fixed(doc, 32)
+    pooled = _pool_one(doc, 32)
     assert np.array_equal(pooled.data, doc.data)
 
 
 def test_pool_constant_rows_give_constant_slots():
     doc = TokenMatrix(np.tile(basis_matrix([0], dim=8).data, (5, 1)))
     for C in (1, 3, 8):
-        pooled = pool_fixed(doc, C)
+        pooled = _pool_one(doc, C)
         assert pooled.rows == C
         assert np.array_equal(pooled.data, np.tile(doc.data[:1], (C, 1)))
 
@@ -429,7 +434,7 @@ def test_pool_constant_rows_give_constant_slots():
 def test_pool_matches_chunk_mean_oracle():
     rng = np.random.default_rng(5)
     doc = random_unit_matrix(rng, 64, 16)
-    pooled = pool_fixed(doc, 32)
+    pooled = _pool_one(doc, 32)
     expected = chunk_mean_pool(doc.data, 32)
     assert pooled.data == pytest.approx(expected, abs=1e-6)
 
@@ -437,14 +442,14 @@ def test_pool_matches_chunk_mean_oracle():
 def test_pool_uneven_chunks_match_oracle():
     rng = np.random.default_rng(6)
     doc = random_unit_matrix(rng, 23, 8)
-    pooled = pool_fixed(doc, 7)
+    pooled = _pool_one(doc, 7)
     expected = chunk_mean_pool(doc.data, 7)
     assert pooled.data == pytest.approx(expected, abs=1e-6)
 
 
 def test_pool_cycles_short_docs():
     doc = basis_matrix([0, 1, 2], dim=8)
-    pooled = pool_fixed(doc, 5)
+    pooled = _pool_one(doc, 5)
     expected = chunk_mean_pool(doc.data, 5)
     assert pooled.rows == 5
     assert pooled.data == pytest.approx(expected, abs=1e-6)
@@ -454,16 +459,21 @@ def test_pool_output_always_valid_unit_rows():
     rng = np.random.default_rng(7)
     for rows in (1, 5, 31, 33, 70):
         doc = random_unit_matrix(rng, rows, 12)
-        pooled = pool_fixed(doc, 32)
+        pooled = _pool_one(doc, 32)
         assert pooled.rows == 32
         validate_matrix(pooled)
 
 
-def test_pool_corpus_checks_each_document_once_at_its_own_tolerance():
+def test_pool_corpus_checks_each_document_once_at_its_own_tolerance(monkeypatch):
     # A row norm off by 1e-3 lies between float32's tolerance and float16's.
     assert core.NORM_TOLERANCE["float32"] < 1e-3 < core.NORM_TOLERANCE["float16"]
     rng = np.random.default_rng(12)
     docs = {f"d{i}": random_unit_matrix(rng, 3 + i % 7, 16) for i in range(50)}
+    # A valid corpus is screened once as a whole, never one matrix at a time.
+    calls = []
+    monkeypatch.setattr(core, "validate_matrix", lambda *a, **kw: calls.append(a))
+    assert len(pool_corpus(Corpus.build(docs), 4)) == 50 and calls == []
+    monkeypatch.undo()
     off = docs["d3"].data.copy()
     off[1] *= np.float32(1 + 1e-3)
     docs["d3"] = TokenMatrix(off)
@@ -472,7 +482,30 @@ def test_pool_corpus_checks_each_document_once_at_its_own_tolerance():
         pool_corpus(corpus, 4)
     pooled = pool_corpus(dataclasses.replace(corpus, dtype="float16"), 4)
     assert pooled.dtype == "float16" and len(pooled) == 50
-    assert pooled.docs["d3"] == pool_fixed(docs["d3"], 4)
+    assert np.array_equal(pooled.docs["d3"].data, loop_pool_fixed(off, 4))
+
+
+@pytest.mark.parametrize("C", [1, 2, 3, 4, 7, 16])
+def test_pool_corpus_is_the_per_document_loop_bit_for_bit(C):
+    # Docs of 1 to 20 rows (shorter than, equal to and longer than C, in
+    # even and uneven chunks) and one whose chunks cancel at C = 1 and 2.
+    rng = np.random.default_rng(31)
+    docs = {f"d{rows}": random_unit_matrix(rng, rows, 8) for rows in range(1, 21)}
+    signs = np.array([[1], [-1], [1], [-1]], dtype=np.float32)
+    docs["cancel"] = TokenMatrix(basis_matrix([0, 0, 1, 1]).data * signs)  # e0, -e0, e1, -e1
+    pooled = pool_corpus(Corpus.build(docs), C)
+    want = np.concatenate([loop_pool_fixed(doc.data, C) for doc in docs.values()])
+    assert pooled.vectors.tobytes() == want.tobytes()
+    assert pooled.offsets.tolist() == list(range(0, (len(docs) + 1) * C, C))
+    assert pooled.doc_ids == tuple(docs) and pooled.C == C
+    if C <= 2:  # every chunk of the cancelling doc sums to zero: its first rows survive
+        assert pooled.docs["cancel"].data.tolist() == docs["cancel"].data[[0, 2][:C]].tolist()
+
+
+def test_pool_corpus_refuses_C_below_one(basis_corpus):
+    for C in (0, -1):
+        with pytest.raises(ValueError, match="C must be >= 1"):
+            pool_corpus(basis_corpus, C)
 
 
 def test_score_all_calls_the_kernel_once_per_doc(basis_corpus, monkeypatch):
