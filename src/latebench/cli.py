@@ -15,10 +15,12 @@ read; so does the parser, for what argparse refuses. Each refusal is one
 `LATEBENCH-ERROR` line, exit 2. Outputs are written atomically (temp file +
 rename) and inputs are never mutated.
 
-Two sweeps use a second CPU when the process's CPU affinity allows it (no
-flag): a MaxSim sweep of at least `core.SPLIT_ROWS` rows and k-means
-assignment at one BLAS thread, each cut into halves that keep every output's
-bits (`core.in_halves`). Everything else runs on the calling thread.
+Four sweeps use a second CPU when the process's CPU affinity allows it (no
+flag): a MaxSim sweep of at least `core.SPLIT_ROWS` rows, and in k-means
+training over more than 4 * `core.BLOCK_ROWS` rows the assignment and the
+seeding passes at one BLAS thread and the centroid sums, each cut into halves
+that keep every output's bits (`core.in_halves`). Everything else runs on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -226,6 +228,8 @@ def _reads(args: argparse.Namespace) -> set[str]:
 
 
 def cmd_generate(args) -> int:
+    if args.pool_to < 0:  # refused before generating, as pool_corpus would refuse it after
+        raise LatebenchError(f"--pool-to must be >= 0 (0 = no pooling), got {args.pool_to}")
     spec = _config(SyntheticSpec, args)
     header = _header_entries(args)
     bundle_io.check_meta(header)  # refuse a header it cannot write before generating

@@ -24,14 +24,46 @@ with it: at the BLAS's default two threads on two CPUs, assign on the bench
 corpus took ~30 ms split against ~23 ms serial, and ~21 ms split against
 ~41 ms serial at one BLAS thread.
 
+k-means++ seeding (Arthur & Vassilvitskii, SODA 2007) makes one pass over all
+N rows per seed, `np.maximum(best_dot, vectors @ x, out=best_dot)`: one
+matrix-vector product, in which OpenBLAS may round a row's dot otherwise when
+the product has another row count. Under assign's rule (`_split_products`),
+the training's first pass is also made as two products, cut at a multiple of
+64 rows near the middle (64 rows are 256*dim bytes, so no row changes its
+address alignment). Only when the two halves give the one product's bits is
+every later pass made as the two halves, the later on the worker
+(`_seeding_cut`); otherwise every pass stays one product. The later passes
+have the first one's two shapes, so a BLAS that picks its kernels by shape
+gives them the one product's bits too.
+
+Measured with numpy 2.4's OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU, a cut
+kept every bit at dims 1, 9, 12, 16, 24, 32, 64, 128, 129 and 256 for
+16,385-65,537 rows. At dims 2-8 a product of at most 4*BLOCK_ROWS rows
+rounded otherwise than a longer one, so there a cut below ~8*BLOCK_ROWS rows
+moved bits. At dims 2, 3 and 5-8 it moved them in every pass, and the check
+refuses the cut (at dim 8 for 16,385-32,833 rows; at 40,167 rows it keeps
+it). At dim 4 only the last row of a half of odd length moved, in about one
+pass in four. There the one-pass check can keep a cut that a later pass moves
+by one ulp: of 24 trainings of 64 seeds at odd row counts in 16,385-32,767, 16
+kept the cut, and no seed moved. On the bench corpus (40,167 rows, k = 256,
+one BLAS thread, two CPUs) seeding took ~0.23 s split against ~0.39 s whole.
+Each draw is `Generator.choice`'s own arithmetic without its checks of p
+(`_draw`); the checks were ~0.13 ms of each ~1.5 ms pass.
+
 The update sums each cluster's vectors one dimension at a time:
 `np.bincount(labels, weights=column)` over a float32 (dim, N) transpose made
-once per training run. bincount casts each weight to float64 and adds it into
-its label's bin in row order, starting from 0.0. That is the same sequence of
-float64 additions `np.add.at(sums, labels, vectors.astype(np.float64))` makes
-for every (cluster, dimension) cell, so the sums, and with them the centroids
-and every index built on them, are bit-identical to that row-wise update,
-without its float64 copy of all vectors or its per-row scatter.
+once per training run (`_columns`). bincount casts each weight to float64 and
+adds it into its label's bin in row order, starting from 0.0. That is the same
+sequence of float64 additions `np.add.at(sums, labels,
+vectors.astype(np.float64))` makes for every (cluster, dimension) cell, so the
+sums, and with them the centroids and every index built on them, are
+bit-identical to that row-wise update, without its float64 copy of all vectors
+or its per-row scatter. Above 4*BLOCK_ROWS rows, `core.in_halves` gives the
+later half of the dimensions to its worker: each column is summed on its own,
+by the same bincount on either thread. On the bench corpus an update took
+~9-11 ms split against ~12-14 ms serial. The split gains less than half:
+bincount first casts each float32 column to float64, and over float64 columns
+the same split measured ~6 ms against ~10 ms.
 
 Centroid lists: IVF files corpus row ids and PLAID files doc ordinals under
 each centroid, both as one `Csr` built by `Csr.grouped`. Both backends order
@@ -131,7 +163,7 @@ def assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
             np.matmul(vectors[lo:lo + rows], centroids.T, out=dots)
             labels[lo:lo + rows] = dots.argmax(axis=1)
 
-    if n > 4 * BLOCK_ROWS and _blas_threads() == 1:
+    if _split_products(n):
         half = len(starts) // 2
         core.in_halves(lambda: run(starts[:half]), lambda: run(starts[half:]))
     else:
@@ -163,6 +195,51 @@ def _blas_threads() -> int | None:
     return None if getter is None else int(getter())
 
 
+def _split_products(n: int) -> bool:
+    """Whether a sweep of products over `n` rows is cut in two for `core.in_halves`:
+    above 4*BLOCK_ROWS rows, with numpy's BLAS running each product on one thread."""
+    return n > 4 * BLOCK_ROWS and _blas_threads() == 1
+
+
+def _seeding_cut(vectors: np.ndarray, x: np.ndarray, first: np.ndarray) -> int | None:
+    """The row at which every seeding pass is cut in two, or None to keep it whole.
+
+    `first` is the training's first pass, `vectors @ x`, made as one product.
+    Under `_split_products`, the cut is at a multiple of 64 rows near the middle,
+    and it is kept only if the two halves' products give `first` bit for bit.
+    """
+    n = len(vectors)
+    if not _split_products(n):
+        return None
+    cut = n // 128 * 64
+    halves = np.empty_like(first)
+
+    def half(lo: int, hi: int) -> None:
+        halves[lo:hi] = vectors[lo:hi] @ x
+
+    core.in_halves(lambda: half(0, cut), lambda: half(cut, n))
+    return cut if np.array_equal(halves.view(np.uint32), first.view(np.uint32)) else None
+
+
+def _draw(d2: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw a row with probability proportional to `d2`, or uniformly when it sums to 0.
+
+    The arithmetic of `rng.choice(len(d2), p=d2 / d2.sum())`, without choice's
+    checks of p: the same index from the same one `rng.random()`. `d2` must be
+    float64 and non-negative; it is overwritten. A NaN or infinite sum raises
+    ValueError, as choice does.
+    """
+    total = d2.sum()
+    if total <= 0.0:
+        return int(rng.integers(len(d2)))
+    if not np.isfinite(total):
+        raise ValueError(f"k-means++ distances sum to {total}: a vector is not finite")
+    d2 /= total
+    cdf = np.cumsum(d2, out=d2)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _seed_plus_plus(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = vectors.shape[0]
     chosen = np.empty(k, dtype=np.int64)
@@ -170,14 +247,18 @@ def _seed_plus_plus(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np
     # Squared Euclidean distance to the nearest chosen centroid; on the unit
     # sphere this is 2 - 2 * dot.
     best_dot = vectors @ vectors[chosen[0]]
+    cut = _seeding_cut(vectors, vectors[chosen[0]], best_dot)
+
+    def sweep(lo: int, hi: int, x: np.ndarray) -> None:
+        np.maximum(best_dot[lo:hi], vectors[lo:hi] @ x, out=best_dot[lo:hi])
+
     for i in range(1, k):
-        d2 = np.maximum(0.0, 2.0 - 2.0 * best_dot).astype(np.float64)
-        total = d2.sum()
-        if total <= 0.0:
-            chosen[i] = rng.integers(n)
+        chosen[i] = _draw(np.maximum(0.0, 2.0 - 2.0 * best_dot).astype(np.float64), rng)
+        x = vectors[chosen[i]]
+        if cut is None:
+            sweep(0, n, x)
         else:
-            chosen[i] = rng.choice(n, p=d2 / total)
-        best_dot = np.maximum(best_dot, vectors @ vectors[chosen[i]])
+            core.in_halves(lambda: sweep(0, cut, x), lambda: sweep(cut, n, x))
     return vectors[chosen].copy()
 
 
@@ -185,12 +266,32 @@ def _cluster_sums(columns: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray
     """Float64 (k, dim) sums of the vectors under each label, in row order.
 
     `columns` is the (dim, N) transpose of the vectors. Labels of another
-    dtype than intp are cast again by each of the dim bincounts.
+    dtype than intp are cast again by each of the dim bincounts. Above
+    4*BLOCK_ROWS rows, `core.in_halves` sums the later half of the dimensions
+    on its worker; each column is summed on its own, so every sum keeps its bits.
     """
-    sums = np.empty((k, columns.shape[0]), dtype=np.float64)
-    for d, column in enumerate(columns):
-        sums[:, d] = np.bincount(labels, weights=column, minlength=k)
+    dim = columns.shape[0]
+    sums = np.empty((k, dim), dtype=np.float64)
+
+    def run(lo: int, hi: int) -> None:
+        for d in range(lo, hi):
+            sums[:, d] = np.bincount(labels, weights=columns[d], minlength=k)
+
+    if columns.shape[1] > 4 * BLOCK_ROWS:
+        core.in_halves(lambda: run(0, dim // 2), lambda: run(dim // 2, dim))
+    else:
+        run(0, dim)
     return sums
+
+
+def _columns(vectors: np.ndarray) -> np.ndarray:
+    """The (dim, N) transpose of `vectors` as a C-contiguous copy, 256 rows at a
+    time: ~7 ms on the bench corpus, where np.ascontiguousarray(vectors.T),
+    whose strided reads miss the cache, takes ~37 ms."""
+    columns = np.empty(vectors.shape[::-1], dtype=vectors.dtype)
+    for lo in range(0, len(vectors), 256):
+        columns[:, lo:lo + 256] = vectors[lo:lo + 256].T
+    return columns
 
 
 def _renormalized_means(columns: np.ndarray, labels: np.ndarray, k: int, prev: np.ndarray):
@@ -243,7 +344,7 @@ def train_kmeans(
     rng = np.random.default_rng(seed)
     centroids = _seed_plus_plus(vectors, k, rng)
     labels = assign(vectors, centroids)
-    columns = np.ascontiguousarray(vectors.T)
+    columns = _columns(vectors)
     for _ in range(max(0, iters)):
         centroids, dead = _renormalized_means(columns, labels, k, centroids)
         centroids = _reseed_dead(vectors, labels, centroids, dead)

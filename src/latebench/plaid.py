@@ -145,9 +145,12 @@ def pack_levels(levels: np.ndarray, bits: int) -> np.ndarray:
 
     Each level's bits go MSB-first, levels go MSB-first within each byte and
     the trailing pad bits are zero: np.packbits of the MSB-first bit stream.
-    A level that `bits` cannot hold raises ValueError instead of truncating.
+    Levels of a non-integer dtype, or a level that `bits` cannot hold, raise
+    ValueError instead of truncating.
     """
     _check_bits(bits)
+    if not np.issubdtype(levels.dtype, np.integer):
+        raise ValueError(f"residual_levels must be integers, not {levels.dtype}")
     rows, dim = levels.shape
     kmeans.check_ids("residual_levels", levels, levels.shape, 1 << bits)
     per_byte, width = 8 // bits, packed_width(dim, bits)

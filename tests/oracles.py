@@ -294,6 +294,21 @@ def add_at_means(vectors, labels, k, prev):
     return sums, centroids.astype(np.float32), dead
 
 
+def choice_seed_plus_plus(vectors, k, rng):
+    """k-means++ seeding by rng.choice: each pass is one whole product of all
+    rows, and each draw is rng.choice(n, p=d2 / d2.sum()), or uniform when the
+    distances sum to 0."""
+    n = len(vectors)
+    chosen = [int(rng.integers(n))]
+    best_dot = vectors @ vectors[chosen[0]]
+    for _ in range(1, k):
+        d2 = np.maximum(0.0, 2.0 - 2.0 * best_dot).astype(np.float64)
+        total = d2.sum()
+        chosen.append(int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total)))
+        best_dot = np.maximum(best_dot, vectors @ vectors[chosen[-1]])
+    return vectors[chosen].copy()
+
+
 def per_doc_validate(corpus, check):
     """The per-document contents check: `check` (core.validate_matrix) on each
     doc in doc order at the corpus dtype's tolerance, the first failure raised

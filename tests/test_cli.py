@@ -61,10 +61,15 @@ def test_generate_pool_to_writes_the_pooled_bundle(tmp_path, dtype):
         return bundle.read_bytes()
 
     pooled = generate("pooled", "--pool-to", "4", "--dtype", dtype)
-    want = dataclasses.replace(pool_corpus(read_bundle(generate("plain")), 4), dtype=dtype)
+    plain = read_bundle(generate("plain"))
+    want = dataclasses.replace(pool_corpus(plain, 4), dtype=dtype)
     assert write_bundle(read_bundle(pooled)) == write_bundle(want)
     header = pooled[:pooled.index(b"\nend\n")].decode().splitlines()
     assert {"pooling fixed", "C 4", f"dtype {dtype}"} <= set(header)
+    # --pool-to 0 is no pooling.
+    unpooled = read_bundle(generate("zero", "--pool-to", "0", "--dtype", dtype))
+    assert unpooled.pooling == "none"
+    assert write_bundle(unpooled) == write_bundle(dataclasses.replace(plain, dtype=dtype))
 
 
 def test_search_and_evaluate_on_planted_data(workspace, capsys):
@@ -626,6 +631,17 @@ def test_header_line_break_is_refused_before_generating(tmp_path, capsys, monkey
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("LATEBENCH-ERROR LatebenchError: header")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("pool_to", ["-3", "-1"])
+def test_negative_pool_to_is_refused_before_generating(tmp_path, capsys, monkeypatch, pool_to):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "generate_synthetic", _too_early)
+    assert main([*_GENERATE, "--docs", "50", "--queries", "8", "--pool-to", pool_to]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        f"LATEBENCH-ERROR LatebenchError: --pool-to must be >= 0 (0 = no pooling), got {pool_to}"]
     assert list(tmp_path.iterdir()) == []
 
 

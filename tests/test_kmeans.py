@@ -1,5 +1,6 @@
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from latebench.errors import DimensionMismatch, TooFewVectors
 from latebench.kmeans import BLOCK_ROWS, _cluster_sums, _renormalized_means, assign
 
 from conftest import random_unit_matrix
-from oracles import add_at_means, argmax_assignment
+from oracles import add_at_means, argmax_assignment, choice_seed_plus_plus
 
 
 def test_perfectly_separated_pairs():
@@ -233,3 +234,150 @@ def test_multi_block_training_is_pinned(monkeypatch, case, reseeds, digest):
     centroids, labels = train_kmeans(vectors, k, iters=20, seed=seed)
     assert any(deaths) == reseeds
     assert hashlib.sha256(centroids.tobytes() + labels.tobytes()).hexdigest() == digest
+
+
+def _weights():
+    """Float64 k-means++ distance vectors, non-negative with a positive sum."""
+    rng = np.random.default_rng(2040)
+    for n in (1, 2, 7, 100, 40_167):
+        for at in sorted({0, n // 2, n - 1}):
+            one = np.zeros(n)
+            one[at] = rng.uniform(2.0**-23, 4.0)
+            yield one
+        yield np.full(n, 0.5)  # every entry ties
+        yield np.repeat(rng.uniform(0.0, 4.0, -(-n // 5)), 5)[:n]  # ties in runs of five
+        yield rng.uniform(0.0, 4.0, n)
+    for n in (1_000, 40_167):
+        runs = rng.uniform(0.0, 4.0, n)
+        for lo in range(0, n, n // 4):  # long runs of zeros among a few weights
+            runs[lo:lo + n // 5] = 0.0
+        yield runs
+        sparse = np.zeros(n)
+        sparse[rng.choice(n, 9, replace=False)] = rng.uniform(2.0**-23, 4.0, 9)
+        yield sparse
+        # What seeding draws from: float32 2 - 2*dot to the nearest seed, widened.
+        vectors = random_unit_matrix(rng, n, 16).data
+        best_dot = np.maximum(vectors @ vectors[0], vectors @ vectors[1])
+        yield np.maximum(0.0, 2.0 - 2.0 * best_dot).astype(np.float64)
+        tiny = np.full(n, 2.0**-23)  # the least positive float32 2 - 2*dot
+        tiny[-1] = 4.0
+        yield tiny
+
+
+def test_draw_is_rng_choice_bit_for_bit():
+    # Same index and same generator state after each of several draws, from
+    # generators that start alike.
+    cases = 0
+    for d2 in _weights():
+        for seed in (0, 1, 2):
+            mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(4):
+                want = theirs.choice(len(d2), p=d2 / d2.sum())
+                assert kmeans._draw(d2.copy(), mine) == want
+                assert mine.bit_generator.state == theirs.bit_generator.state
+            cases += 1
+    assert cases == 3 * 35
+    # A zero sum draws uniformly, as rng.integers does.
+    mine, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    assert kmeans._draw(np.zeros(40_167), mine) == theirs.integers(40_167)
+    assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+def _untemper(y: int) -> int:
+    """The MT19937 state word that its tempering turns into y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(5):
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x = x & 0xFFFFFFFF
+    for _ in range(3):
+        x = y ^ (x >> 11)
+    return x
+
+
+def _drawing(u: float) -> np.random.Generator:
+    """A generator whose next random() is u: an MT19937 whose next two words
+    are those its (a * 2**26 + b) / 2**53 double turns into u."""
+    bits = int(u * 2.0**53)
+    generator = np.random.MT19937(0)
+    state = generator.state
+    state["state"]["key"][:2] = [_untemper(bits >> 26 << 5), _untemper((bits & (2**26 - 1)) << 6)]
+    state["state"]["pos"] = 0
+    generator.state = state
+    return np.random.Generator(generator)
+
+
+@pytest.mark.parametrize("d2, u", [
+    # The cumulative sum ends below u: the small weights vanish beside the
+    # first, so only the division by its last entry keeps the draw in range.
+    ([1.0] + [0.99 * 2.0**-54] * 8, 1 - 2.0**-53),
+    ([1.0, 1.0, 1.0, 1.0], 0.5),  # u on a boundary of the cumulative sum goes right
+    ([0.0, 0.0, 3.0, 0.0], 0.0),
+], ids=["below-u", "boundary", "zero"])
+def test_draw_is_rng_choice_at_a_chosen_uniform(d2, u):
+    d2 = np.array(d2)
+    assert _drawing(u).random() == u
+    theirs = _drawing(u)
+    want = theirs.choice(len(d2), p=d2 / d2.sum())
+    mine = _drawing(u)
+    assert kmeans._draw(d2, mine) == want
+    ours, their = mine.bit_generator.state["state"], theirs.bit_generator.state["state"]
+    assert ours["pos"] == their["pos"] and np.array_equal(ours["key"], their["key"])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_draw_refuses_a_sum_that_is_not_finite(bad):
+    d2 = np.ones(50)
+    d2[7] = bad
+    with pytest.raises(ValueError, match="k-means"):
+        kmeans._draw(d2, np.random.default_rng(0))
+
+
+def test_seeding_is_the_choice_seeding_bit_for_bit():
+    rng = np.random.default_rng(2041)
+    rows = random_unit_matrix(rng, 3000, 24).data
+    few = random_unit_matrix(rng, 4, 24).data[rng.integers(0, 4, 500)]  # sums of 0 once 4 are drawn
+    same = np.repeat(rows[:1], 40, axis=0)  # every sum is 0
+    for vectors, k in ((rows, 1), (rows, 2), (rows, 64), (few, 9), (same, 5), (rows[:1], 1)):
+        for seed in (0, 7):
+            want = choice_seed_plus_plus(vectors, k, np.random.default_rng(seed))
+            got = kmeans._seed_plus_plus(vectors, k, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vectors_raise_what_choice_seeding_raised(bad):
+    # rng.choice raised ValueError on the NaN probabilities such vectors give
+    # (its divide warns on the way there, so warnings are silenced for it).
+    rng = np.random.default_rng(2042)
+    raised = []
+    for n, at in ((100, 0), (100, 99), (20_001, 5), (20_001, 20_000)):
+        vectors = random_unit_matrix(rng, n, 16).data.copy()
+        vectors[at, 3] = bad
+        for k, seed in ((2, 0), (2, 1), (8, 0), (8, 1)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    choice_seed_plus_plus(vectors, k, np.random.default_rng(seed))
+                    want = None
+                except ValueError:
+                    want = ValueError
+            if want is None:
+                train_kmeans(vectors, k, iters=0, seed=seed)
+            else:
+                with pytest.raises(want):
+                    train_kmeans(vectors, k, iters=2, seed=seed)
+            raised.append(want)
+    assert ValueError in raised
+
+
+def test_split_training_is_pinned():
+    # The sha256 of centroids and labels a training over 20,001 rows gave before
+    # seeding and the sums split (numpy 2.4, OpenBLAS 0.3.31), at one and at two
+    # BLAS threads and on one CPU. At one BLAS thread every pass splits.
+    vectors = random_unit_matrix(np.random.default_rng(2036), 20_001, 32).data
+    assert len(vectors) > 4 * BLOCK_ROWS
+    centroids, labels = train_kmeans(vectors, 96, iters=20, seed=8)
+    assert hashlib.sha256(centroids.tobytes() + labels.tobytes()).hexdigest() == (
+        "679798da14e6f38ce03f186676221a5e5a4391fc5859b14c823b39ce99820ef3")

@@ -983,3 +983,16 @@ def test_packing_refuses_levels_bits_cannot_hold(bits):
         pack_levels(levels, bits)
     with pytest.raises(UnsupportedBits):
         pack_levels(levels, 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16, bool])
+def test_packing_refuses_levels_that_are_not_integers(dtype):
+    # Cast to uint8, [1.5, 0.7, 2.9, 3.0] would pack as [1, 0, 2, 3].
+    levels = np.array([[1.5, 0.7, 2.9, 3.0]]).astype(dtype)
+    refused = f"residual_levels must be integers, not {np.dtype(dtype)}"
+    with pytest.raises(ValueError, match=refused):
+        pack_levels(levels, 2)
+    # Integer levels of any width pack alike.
+    for integers in (np.uint8, np.int32, np.int64):
+        assert pack_levels(np.array([[1, 0, 2, 3]], dtype=integers), 2).tobytes() == bytes(
+            [0b01001011])

@@ -1,13 +1,15 @@
-"""The two full sweeps, exact MaxSim and k-means assignment, give the same bits
-split across two threads as on one.
+"""The full sweeps, exact MaxSim, k-means assignment, k-means++ seeding and
+the centroid sums, give the same bits split across two threads as on one.
 
 Each test runs a sweep twice: with the CPU count `core.in_halves` reads
 patched to two, so the split is taken whatever CPUs the machine has, and to
 one, where both halves run on the caller. `kmeans._blas_threads` is patched
-to 1 for both, as assign splits only when the BLAS runs on one thread. A spy
-on `core.in_halves` records which thread ran each split's second half.
+to 1 for both, as assign and seeding split only when the BLAS runs on one
+thread. A spy on `core.in_halves` records which thread ran each split's second
+half.
 """
 
+import hashlib
 import os
 import select
 import signal
@@ -26,6 +28,7 @@ from latebench.core import BLOCK_ROWS, SPLIT_ROWS, top_k
 from latebench.kmeans import assign
 
 from conftest import random_unit_matrix
+from oracles import add_at_means, choice_seed_plus_plus
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -231,6 +234,105 @@ def test_split_training_is_bit_identical(monkeypatch, k):
     threaded, serial, split, serial_splits = _both_ways(monkeypatch, run)
     assert threaded == serial
     assert len(split) >= 2 and all(split) and serial_splits == [False] * len(split)
+
+
+# The sha256 of the 32 seeds `_seed_plus_plus` drew (rng seed 5) from
+# random_unit_matrix(default_rng(rows + dim), rows, dim) before seeding split,
+# with numpy 2.4 and OpenBLAS 0.3.31: at one and at two BLAS threads, and on one CPU.
+SEED_DIGESTS = {
+    (4 * BLOCK_ROWS + 1, 8): "23cb92566bf95296557c88026e490173eda120c4a627093c1e708acaf09a87fe",
+    (4 * BLOCK_ROWS + 1, 16): "448205354e8444f640c60da2d14d6c97387543ea631a34fe18c4ee796b071f35",
+    (4 * BLOCK_ROWS + 1, 24): "1585d0631188f3f9629aee070b8e9e239dac8131c6bc2a48db7d3f874a21d25f",
+    (4 * BLOCK_ROWS + 1, 128): "098797ecc1fa5929241516758eef25e3c181259f78cdbe8b5712d5ed3a30dba5",
+    (4 * BLOCK_ROWS + 1, 129): "70eaf78c8f12351c531c56d0e1adf51b205f23a9139460bbb02cebc9b8418341",
+    (20_001, 8): "4840904e9345e5b217a6d0adfc0df529e242463beb50db243b34e67561b75687",
+    (20_001, 16): "1873d492a7a85c53693aa77016111b35e775f0505361bebefa27078d087717c5",
+    (20_001, 24): "887a8d538a043da46b8a3c00534e63a02009928ebb527b9ee3a4b1c80d28d024",
+    (20_001, 128): "5cf0e388e25be6182745dd240097c84eae3651f64b034c74ad6285f088655bca",
+    (20_001, 129): "edf3ddb36c3c360288f5f99bd14694dc1d2b694e6f579ab444707b9be1070e4b",
+    (40_167, 8): "c59950ae4234126953b40c5f492ad595a86db406952228c3f789e4ae7b2ff3f2",
+    (40_167, 16): "c420f33f2c9c5303e69cc609705dba6d582ea965e14e59d5760727140d736302",
+    (40_167, 24): "be768ea06bfb0512bb17b261694c4256406dd73866b862aab837844b46f25fe6",
+    (40_167, 128): "8f2386b5830b83fc67f98ee0868e880f7c57df329b014ad38e9d02206a5dce28",
+    (40_167, 129): "123283831f3a71b040932d2fc542e5e0cf16caa6b4457607af9088f59c0c6ea5",
+}
+
+
+def _first_pass_moves(vectors, x, cut) -> bool:
+    """Whether the halves' products of the first seeding pass change a bit of its one product."""
+    halves = np.concatenate([vectors[:cut] @ x, vectors[cut:] @ x])
+    return halves.tobytes() != (vectors @ x).tobytes()
+
+
+@pytest.mark.parametrize("rows, dim", SEED_DIGESTS, ids=[f"{r}x{d}" for r, d in SEED_DIGESTS])
+def test_split_seeding_and_sums_keep_every_bit(monkeypatch, rows, dim):
+    vectors = random_unit_matrix(np.random.default_rng(rows + dim), rows, dim).data
+    want = choice_seed_plus_plus(vectors, 32, np.random.default_rng(5))
+    assert hashlib.sha256(want.tobytes()).hexdigest() == SEED_DIGESTS[rows, dim]
+    cuts = []
+    seeding_cut = kmeans._seeding_cut
+
+    def spy(*args):
+        cuts.append(seeding_cut(*args))
+        return cuts[-1]
+
+    monkeypatch.setattr(kmeans, "_seeding_cut", spy)
+    threaded, serial, split, serial_splits = _both_ways(
+        monkeypatch, lambda: kmeans._seed_plus_plus(vectors, 32, np.random.default_rng(5)))
+    assert threaded.tobytes() == serial.tobytes() == want.tobytes()
+    # The first pass's check keeps the cut, a multiple of 64 rows, exactly
+    # when its halves give the one product's bits; it is made on the worker too.
+    cut = rows // 128 * 64
+    x = vectors[np.random.default_rng(5).integers(rows)]
+    moves = _first_pass_moves(vectors, x, cut)
+    assert cuts == [None if moves else cut] * 2
+    passes = 1 if moves else 32
+    assert (split, serial_splits) == ([True] * passes, [False] * passes)
+    # Measured with numpy 2.4's OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU: at
+    # dims 2-8, a product of at most 4*BLOCK_ROWS rows rounds otherwise than a
+    # longer one, so the check refuses a cut there below ~8*BLOCK_ROWS rows; at
+    # the bench's dim and size it keeps the cut.
+    if (rows, dim) == (20_001, 8):
+        assert moves
+    if (rows, dim) == (40_167, 128):
+        assert not moves
+
+    labels = assign(vectors, want).astype(np.intp)
+    columns = kmeans._columns(vectors)
+    assert columns.tobytes() == np.ascontiguousarray(vectors.T).tobytes()
+    threaded, serial, split, serial_splits = _both_ways(
+        monkeypatch, lambda: kmeans._cluster_sums(columns, labels, 32))
+    assert threaded.tobytes() == serial.tobytes()
+    assert (split, serial_splits) == ([True], [False])
+    if rows == 20_001:
+        sums, _, _ = add_at_means(vectors, labels, 32, want)
+        assert threaded.tobytes() == sums.tobytes()
+
+
+def test_the_first_pass_check_refuses_a_cut_that_moves_one_bit(monkeypatch):
+    vectors = random_unit_matrix(np.random.default_rng(3), 5 * BLOCK_ROWS + 7, 128).data
+    x = vectors[11]
+    first = vectors @ x
+    cut = len(vectors) // 128 * 64
+    assert not _first_pass_moves(vectors, x, cut)
+    monkeypatch.setattr(kmeans, "_blas_threads", lambda: 1)
+    assert kmeans._seeding_cut(vectors, x, first) == cut
+    nudged = first.copy()
+    nudged[-1] = np.nextafter(nudged[-1], np.float32(2))
+    assert kmeans._seeding_cut(vectors, x, nudged) is None
+    # At most 4*BLOCK_ROWS rows, or with the BLAS on more threads, nothing is cut.
+    assert kmeans._seeding_cut(vectors[:4 * BLOCK_ROWS], x, first[:4 * BLOCK_ROWS]) is None
+    monkeypatch.setattr(kmeans, "_blas_threads", lambda: 2)
+    assert kmeans._seeding_cut(vectors, x, first) is None
+
+
+def test_sums_of_four_blocks_are_not_split(monkeypatch):
+    vectors = random_unit_matrix(np.random.default_rng(4), 4 * BLOCK_ROWS, 16).data
+    labels = assign(vectors, vectors[:8]).astype(np.intp)
+    columns = kmeans._columns(vectors)
+    threaded, serial, split, serial_splits = _both_ways(
+        monkeypatch, lambda: kmeans._cluster_sums(columns, labels, 8))
+    assert threaded.tobytes() == serial.tobytes() and split == serial_splits == []
 
 
 def test_concurrent_callers_share_one_worker_and_keep_their_bits(monkeypatch):
