@@ -17,6 +17,10 @@ package, `kmeans.shortlist`'s and IVF's per-token budget's (unordered) too.
 There is no approximate pass: every returned score and every ordering has
 `maxsim_score`'s bits.
 
+A search returns a `RankedList`: the query id and its hits as two columns,
+`ids` and `scores`, which `top_k` fills straight from its arrays. `hits`,
+the same pairs as `ScoredDoc`s, is derived, made only when it is read.
+
 The body takes the documents' rows grouped by row count, as one (g, L, dim)
 block per row count L, and multiplies the query by all g documents of a
 block at once: `q @ block.transpose(0, 2, 1)`, a stacked product with its own
@@ -361,12 +365,40 @@ class ScoredDoc(NamedTuple):
     score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class RankedList:
-    """Per-query top-k: scores non-increasing with NaN last, ties by ascending doc id."""
+    """Per-query top-k: scores non-increasing with NaN last, ties by ascending doc id.
+
+    The hits are held as two columns, `ids` and `scores`: hit i is doc
+    `ids[i]` scored `scores[i]`. `hits` is derived from them, one `ScoredDoc`
+    per hit made on each read, so a list that is only written, compared or
+    cut makes none. `RankedList(query_id, hits)` takes (doc id, score) pairs;
+    `from_columns` takes the columns themselves. Equality, hashing and pickling
+    go by the query id and the two columns; `repr` shows the hits.
+    """
 
     query_id: str
-    hits: tuple[ScoredDoc, ...]
+    ids: tuple[str, ...]
+    scores: tuple[float, ...]
+
+    def __init__(self, query_id: str, hits: Iterable[tuple[str, float]]):
+        pairs = tuple(hits)
+        self._fill(query_id, (doc_id for doc_id, _ in pairs), (score for _, score in pairs))
+
+    @classmethod
+    def from_columns(cls, query_id: str, ids: Iterable[str], scores: Iterable[float]) -> "RankedList":
+        """The list whose hit i is doc `ids[i]` scored `scores[i]`; the columns
+        must have one length."""
+        ranked = cls.__new__(cls)
+        ranked._fill(query_id, ids, scores)
+        return ranked
+
+    def _fill(self, query_id: str, ids: Iterable[str], scores: Iterable[float]) -> None:
+        ids, scores = tuple(ids), tuple(scores)
+        if len(ids) != len(scores):
+            raise ValueError(f"query {query_id!r}: {len(ids)} doc ids but {len(scores)} scores")
+        for name, value in (("query_id", query_id), ("ids", ids), ("scores", scores)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_scores(cls, query_id: str, scored: Iterable[tuple[str, float]], k: int) -> "RankedList":
@@ -375,13 +407,21 @@ class RankedList:
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate doc id in results for query {query_id!r}")
         pairs.sort(key=_rank_key)
-        return cls(query_id=query_id, hits=tuple(ScoredDoc(d, float(s)) for d, s in pairs[:k]))
+        top = pairs[:k]
+        return cls.from_columns(query_id, [d for d, _ in top], [float(s) for _, s in top])
+
+    @property
+    def hits(self) -> tuple[ScoredDoc, ...]:
+        return tuple(map(ScoredDoc, self.ids, self.scores))
 
     def doc_ids(self) -> tuple[str, ...]:
-        return tuple(hit.doc_id for hit in self.hits)
+        return self.ids
 
     def __len__(self) -> int:
-        return len(self.hits)
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return f"RankedList(query_id={self.query_id!r}, hits={self.hits!r})"
 
 
 def maxsim_score(query: TokenMatrix, doc: TokenMatrix) -> float:
@@ -556,8 +596,8 @@ def top_k(
         scores.append(_stacked_maxsim(query.data, blocks))
     ordinals, scores = np.concatenate(scored), np.concatenate(scores)
     top = best(scores, corpus.id_rank[ordinals], k)
-    ids = [corpus.doc_ids[o] for o in ordinals[top].tolist()]
-    return RankedList(query_id, tuple(map(ScoredDoc, ids, scores[top].tolist())))
+    ids = map(corpus.doc_ids.__getitem__, ordinals[top].tolist())
+    return RankedList.from_columns(query_id, ids, scores[top].tolist())
 
 
 def exact_search(corpus: Corpus, query: TokenMatrix, k: int, query_id: str = "") -> RankedList:

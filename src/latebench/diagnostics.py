@@ -22,7 +22,7 @@ from .core import RankedList, TokenMatrix
 from .errors import EmptyLengths, NoSharedQueries
 from .metrics import DEFAULT_SPECS, MetricReport, evaluate_run
 from .plaid import PlaidIndex, plaid_search
-from .trec import Qrels, RunFile
+from .trec import Qrels, RunFile, check_query_id
 
 
 def run_queries(
@@ -30,7 +30,10 @@ def run_queries(
     tag: str = "latebench",
 ) -> RunFile:
     """One ranked list per query from `search(matrix, k, query_id=qid)`: a
-    backend's search function with its index bound by `functools.partial`."""
+    backend's search function with its index bound by `functools.partial`.
+    A query id no run line can hold is refused before any search."""
+    for qid in queries:
+        check_query_id(qid)
     lists = [search(matrix, k, query_id=qid) for qid, matrix in queries.items()]
     return RunFile.from_ranked_lists(lists, tag=tag)
 

@@ -162,11 +162,11 @@ def _verify_planted(corpus: Corpus, queries, qrels: Qrels, margin: float) -> boo
     twin = Corpus(corpus.doc_ids, corpus.vectors, corpus.offsets)
     for qid, query in queries.items():
         target = next(iter(qrels.relevant(qid)))
-        top = exact_search(twin, query, 2).hits
-        gap = top[0].score - top[1].score if len(top) > 1 else np.inf
-        if top[0].doc_id != target or gap < margin:
+        top = exact_search(twin, query, 2)
+        gap = top.scores[0] - top.scores[1] if len(top) > 1 else np.inf
+        if top.ids[0] != target or gap < margin:
             logger.info("planted margin violated for %s: target %s, top %s, gap %.4f",
-                        qid, target, top[0].doc_id, gap)
+                        qid, target, top.ids[0], gap)
             return False
     return True
 

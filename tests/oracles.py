@@ -395,3 +395,55 @@ def two_pass_validate_matrix(m, norm_tol):
     if off.any():
         row = int(np.argmax(off))
         raise NotNormalized(row, float(norms[row]))
+
+
+def loop_parse_run(text):
+    """`trec.parse_run` as one loop over the lines: each content line split,
+    checked and kept as a (rank, doc id, score) tuple, each query's rows
+    sorted by rank, then one ScoredDoc per hit. Raises and logs what
+    `parse_run` raises and logs, on the `latebench.trec` logger."""
+    import logging
+
+    from latebench.core import RankedList, ScoredDoc
+    from latebench.errors import MalformedLine
+    from latebench.trec import RunFile
+
+    logger = logging.getLogger("latebench.trec")
+    entries, listed, tag = {}, {}, None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        stripped = raw.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        cols = stripped.split()
+        if len(cols) != 6:
+            raise MalformedLine(line_no, f"expected 6 columns, got {len(cols)}")
+        qid, _, doc_id, rank_text, score_text, line_tag = cols
+        try:
+            rank = int(rank_text)
+            score = float(score_text)
+        except ValueError:
+            raise MalformedLine(line_no, "rank or score is not numeric") from None
+        if rank < 1:
+            raise MalformedLine(line_no, f"rank {rank} is not positive")
+        if tag is None:
+            tag = line_tag
+        elif line_tag != tag:
+            raise MalformedLine(line_no, f"run tag {line_tag!r} differs from the first {tag!r}")
+        docs = listed.setdefault(qid, set())
+        if doc_id in docs:
+            raise MalformedLine(line_no, f"doc {doc_id!r} listed twice for query {qid!r}")
+        docs.add(doc_id)
+        entries.setdefault(qid, []).append((rank, doc_id, score))
+    rankings = {}
+    for qid, rows in entries.items():
+        rows.sort(key=lambda item: item[0])
+        ranks = [rank for rank, _, _ in rows]
+        if ranks != list(range(1, len(rows) + 1)):
+            logger.warning("run has non-contiguous ranks for query %s: %s", qid, ranks[:10])
+        scores = [score for _, _, score in rows]
+        if any(a < b for a, b in zip(scores, scores[1:])):
+            logger.warning("run scores increase with rank for query %s", qid)
+        rankings[qid] = RankedList(
+            query_id=qid, hits=tuple(ScoredDoc(doc_id, score) for _, doc_id, score in rows)
+        )
+    return RunFile(tag="unknown" if tag is None else tag, rankings=rankings)

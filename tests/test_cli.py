@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from latebench import IvfConfig, PlaidConfig, SyntheticSpec, cli, pool_corpus
+from latebench import Corpus, IvfConfig, PlaidConfig, SyntheticSpec, cli, pool_corpus
 from latebench.bundle import read_bundle, write_bundle
 from latebench.cli import command_from_header, main
 from latebench.errors import LatebenchError
@@ -898,3 +898,18 @@ def test_run_header_names_the_settings_it_searched_at(workspace, tmp_path, backe
                  "--qrels", str(workspace / "qrels.txt"), "--lengths", "2,4", "--k", "5",
                  *flags, "--out", str(table)]) == 0
     assert _resolved(table) == resolved
+
+
+def test_search_refuses_a_query_id_starting_with_a_hash(workspace, tmp_path, capsys):
+    # A run line starting '#q' would read back as a comment, so no run is written.
+    queries = read_bundle((workspace / "queries.lbb").read_bytes())
+    renamed = {("#q" if i == 1 else qid): matrix
+               for i, (qid, matrix) in enumerate(queries.docs.items())}
+    (tmp_path / "hash.lbb").write_bytes(write_bundle(Corpus.build(renamed)))
+    code = main(["search", "--backend", "exact", "--bundle", str(workspace / "corpus.lbb"),
+                 "--queries", str(tmp_path / "hash.lbb"), "--k", "5",
+                 "--out", str(tmp_path / "hash.run")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("LATEBENCH-ERROR ValueError: query id '#q'")
+    assert not (tmp_path / "hash.run").exists()

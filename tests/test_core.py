@@ -516,3 +516,61 @@ def test_score_all_calls_the_kernel_once_per_doc(basis_corpus, monkeypatch):
     scored = core.score_all(basis_corpus, basis_matrix([1], dim=8))
     assert scored == [("A", 0.0), ("B", 1.0)]
     assert calls == [basis_corpus.docs["A"], basis_corpus.docs["B"]]
+
+
+def test_ranked_list_forms_are_equal_and_hash_alike():
+    hits = (core.ScoredDoc("dA", 2.5), core.ScoredDoc("dB", -0.0))
+    forms = [
+        core.RankedList("q1", hits),
+        core.RankedList(query_id="q1", hits=hits),
+        core.RankedList("q1", [("dA", 2.5), ("dB", -0.0)]),
+        core.RankedList.from_columns("q1", ("dA", "dB"), (2.5, -0.0)),
+        core.RankedList.from_columns("q1", ["dA", "dB"], [2.5, -0.0]),
+    ]
+    for ranked in forms:
+        assert ranked == forms[0] and hash(ranked) == hash(forms[0])
+        assert ranked.ids == ("dA", "dB") and ranked.scores == (2.5, -0.0)
+        assert ranked.doc_ids() == ("dA", "dB") and len(ranked) == 2
+    assert forms[0] != core.RankedList("q2", hits)
+    assert forms[0] != core.RankedList("q1", hits[:1])
+    assert core.RankedList("q", ()) == core.RankedList.from_columns("q", (), ())
+
+
+def test_ranked_list_hits_are_scored_docs_made_from_the_columns():
+    ranked = core.RankedList.from_columns("q1", ("dA", "dB"), (2.5, 1.0))
+    assert all(type(hit) is core.ScoredDoc for hit in ranked.hits)
+    assert [(hit.doc_id, hit.score) for hit in ranked.hits] == [("dA", 2.5), ("dB", 1.0)]
+    assert ranked.hits == (("dA", 2.5), ("dB", 1.0))
+
+
+def test_ranked_list_is_frozen_picklable_and_keeps_its_repr():
+    import pickle
+
+    ranked = core.RankedList("q1", (core.ScoredDoc("dA", 2.5), core.ScoredDoc("dB", 1.0)))
+    for field, value in [("query_id", "q2"), ("ids", ()), ("scores", ()), ("hits", ())]:
+        with pytest.raises((dataclasses.FrozenInstanceError, AttributeError)):
+            setattr(ranked, field, value)
+    for field in ("query_id", "ids", "scores"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(ranked, field, getattr(ranked, field))
+    back = pickle.loads(pickle.dumps(ranked))
+    assert back == ranked and hash(back) == hash(ranked)
+    assert repr(ranked) == ("RankedList(query_id='q1', hits=(ScoredDoc(doc_id='dA', score=2.5), "
+                            "ScoredDoc(doc_id='dB', score=1.0)))")
+    assert repr(core.RankedList("q", ())) == "RankedList(query_id='q', hits=())"
+
+
+def test_ranked_list_columns_must_have_one_length():
+    with pytest.raises(ValueError, match="2 doc ids but 1 scores"):
+        core.RankedList.from_columns("q1", ("dA", "dB"), (1.0,))
+
+
+def test_top_k_and_from_scores_fill_the_columns(basis_corpus):
+    query = basis_matrix([0], dim=8)
+    ranked = exact_search(basis_corpus, query, 2, query_id="q")
+    assert ranked == core.RankedList("q", (core.ScoredDoc("A", 1.0), core.ScoredDoc("B", 0.0)))
+    assert type(ranked.ids) is tuple and type(ranked.scores) is tuple
+    assert all(type(score) is float for score in ranked.scores)
+    scored = core.score_all(basis_corpus, query)
+    assert core.RankedList.from_scores("q", scored, 2) == ranked
+    assert core.RankedList.from_scores("q", [("B", np.float32(0.5)), ("A", 1)], 1).scores == (1.0,)
