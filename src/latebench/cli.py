@@ -19,8 +19,9 @@ Four sweeps use a second CPU when the process's CPU affinity allows it (no
 flag): a MaxSim sweep of at least `core.SPLIT_ROWS` rows, and in k-means
 training over more than 4 * `core.BLOCK_ROWS` rows the assignment and the
 seeding passes at one BLAS thread and the centroid sums, each cut into halves
-that keep every output's bits (`core.in_halves`). Everything else runs on the
-calling thread.
+that keep every output's bits (`core.in_halves`): assignment and seeding give
+each half whole products of the one schedule the serial code runs. Everything
+else runs on the calling thread.
 """
 
 from __future__ import annotations

@@ -52,8 +52,10 @@ and float64 sum read nothing of any other doc. The row count
 alone decides, for the whole corpus and a subset alike: a subset of IVF's
 candidates or PLAID's survivors (~100-120 docs, ~2.4k rows) stays on the
 calling thread, as below SPLIT_ROWS handing the GIL back and forth costs more
-than half the work. `kmeans.assign` splits its blocks, k-means++ seeding its
-passes and the k-means update its per-dimension sums the same way.
+than half the work. `kmeans.assign` and every k-means++ seeding pass split
+the same way, each half a run of whole products of the one schedule the
+serial code runs in order (`kmeans._in_products`), and the k-means update its
+per-dimension sums.
 """
 
 from __future__ import annotations

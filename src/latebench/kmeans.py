@@ -5,50 +5,35 @@ assignment is by maximum dot product (lowest centroid index on exact ties),
 and centroid updates are renormalized means. Everything is deterministic for
 a fixed seed, which is what makes byte-identical index rebuilds possible.
 
-`assign` takes its dots BLOCK_ROWS rows at a time into one reused
-(BLOCK_ROWS, k) buffer, never the whole (N, k) product: 4 MiB at k = 256
-where the product is 38.9 MiB on the bench corpus, 32 MiB at k = 2,048
-against 311 MiB. A block keeps every dot's bits, because the BLAS computes
-each dot from its own row and column alone and every block is one product of
-the same BLOCK_ROWS rows (the last overlaps the one before it): a product of
-only a few rows may go to other kernels that round differently. So the labels,
-and with them the centroids, are bit for bit those of the one product. Above
-4*BLOCK_ROWS rows, `core.in_halves` gives the later half of the blocks, the
-last and its overlapping neighbour among them, to its worker thread (on two
-CPUs), each half with its own buffer: the products are the same, each label
-is written by one thread, and the two buffers stay under half the whole
-product. This split is made only when numpy's BLAS runs each product on one
-thread (`_blas_threads`). A BLAS on more threads already spreads each
-(BLOCK_ROWS, k) product over the CPUs, and a second caller only competes
-with it: at the BLAS's default two threads on two CPUs, assign on the bench
-corpus took ~30 ms split against ~23 ms serial, and ~21 ms split against
-~41 ms serial at one BLAS thread.
+`assign` and every k-means++ seeding pass take their dots by one product
+schedule over the N rows (`_in_products`): products of BLOCK_ROWS rows
+starting at multiples of BLOCK_ROWS, the last starting at the multiple of 64
+at or below N - BLOCK_ROWS and running to the end (N <= BLOCK_ROWS rows make
+one product). A row two products cover is written only from the later one. No
+product is short, as OpenBLAS hands a product of a few rows to other kernels
+(gemv, its small-matrix path) that round differently. `assign` never holds
+the whole (N, k) product: its reused buffer is 4 MiB at k = 256 where the
+product is 38.9 MiB on the bench corpus, 32 MiB at k = 2,048 against 311 MiB.
+Above 4*BLOCK_ROWS rows, with numpy's BLAS running each product on one
+thread (`_blas_threads`), `core.in_halves` gives the later half of the
+products, whole, to its worker (on two CPUs); each half of `assign` has its
+own buffer. Serial and split then make the same BLAS calls into disjoint
+rows, so they agree bit for bit at every dim, with no check. A BLAS on more
+threads already spreads each product over the CPUs, and a second caller only
+competes with it: at the BLAS's default two threads on two CPUs, assign on
+the bench corpus took ~30 ms split against ~23 ms serial, and ~21 ms split
+against ~41 ms serial at one BLAS thread.
 
-k-means++ seeding (Arthur & Vassilvitskii, SODA 2007) makes one pass over all
-N rows per seed, `np.maximum(best_dot, vectors @ x, out=best_dot)`: one
-matrix-vector product, in which OpenBLAS may round a row's dot otherwise when
-the product has another row count. Under assign's rule (`_split_products`),
-the training's first pass is also made as two products, cut at a multiple of
-64 rows near the middle (64 rows are 256*dim bytes, so no row changes its
-address alignment). Only when the two halves give the one product's bits is
-every later pass made as the two halves, the later on the worker
-(`_seeding_cut`); otherwise every pass stays one product. The later passes
-have the first one's two shapes, so a BLAS that picks its kernels by shape
-gives them the one product's bits too.
-
-Measured with numpy 2.4's OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU, a cut
-kept every bit at dims 1, 9, 12, 16, 24, 32, 64, 128, 129 and 256 for
-16,385-65,537 rows. At dims 2-8 a product of at most 4*BLOCK_ROWS rows
-rounded otherwise than a longer one, so there a cut below ~8*BLOCK_ROWS rows
-moved bits. At dims 2, 3 and 5-8 it moved them in every pass, and the check
-refuses the cut (at dim 8 for 16,385-32,833 rows; at 40,167 rows it keeps
-it). At dim 4 only the last row of a half of odd length moved, in about one
-pass in four. There the one-pass check can keep a cut that a later pass moves
-by one ulp: of 24 trainings of 64 seeds at odd row counts in 16,385-32,767, 16
-kept the cut, and no seed moved. On the bench corpus (40,167 rows, k = 256,
-one BLAS thread, two CPUs) seeding took ~0.23 s split against ~0.39 s whole.
-Each draw is `Generator.choice`'s own arithmetic without its checks of p
-(`_draw`); the checks were ~0.13 ms of each ~1.5 ms pass.
+Measured with numpy 2.4's OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU, the
+products keep every dot of the one (N, k) product, so the labels, and with
+them the centroids, are those of np.argmax over it. k-means++ seeding
+(Arthur & Vassilvitskii, SODA 2007) makes one pass over all N rows per seed
+but the last, `np.maximum(best_dot, vectors @ x)` by the same products
+(`_nearest_dots`), so the seeds are defined by those products. On a bench
+corpus (39,870 rows, k = 256, one BLAS thread, a shared host) seeding took
+~0.19-0.25 s on two CPUs and ~0.26-0.27 s on one. Each draw is
+`Generator.choice`'s own arithmetic without its checks of p (`_draw`); the
+checks were ~0.13 ms of each ~1.5 ms pass.
 
 The update sums each cluster's vectors one dimension at a time:
 `np.bincount(labels, weights=column)` over a float32 (dim, N) transpose made
@@ -137,38 +122,48 @@ from .errors import DimensionMismatch, TooFewVectors
 def assign(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Argmax-dot centroid per vector; ties go to the lowest centroid index.
 
-    The dots are taken BLOCK_ROWS rows at a time into one reused buffer, and
-    each block's argmax while it is still in cache. The labels are those of
-    np.argmax(vectors @ centroids.T, axis=1): a dot's bits do not depend on
-    which other rows share its product, as long as the product is no shorter.
-    OpenBLAS hands a product of a few rows to other kernels (gemv, its
-    small-matrix path) that round differently, so every block has BLOCK_ROWS
-    rows, the last ending at the last row and overlapping the one before it.
-    Inputs of at most BLOCK_ROWS rows make the one product. Above
-    4*BLOCK_ROWS rows, when the BLAS runs on one thread, `core.in_halves`
-    runs the later half of the blocks, with a buffer of its own, on its
-    worker. Raises DimensionMismatch when the dims differ.
+    The dots are taken by the products of `_in_products` into one reused buffer
+    per half, and each product's argmax while it is still in cache: the labels
+    of np.argmax(vectors @ centroids.T, axis=1). The products run under
+    np.errstate(invalid="ignore"): at k = 2 and 3, OpenBLAS's kernel for the
+    last product's rows past BLOCK_ROWS sets the invalid flag on a row with
+    an infinite component, where the one product does not, and no dot changes.
+    Raises DimensionMismatch when the dims differ.
     """
-    dim = centroids.shape[1]
-    if vectors.shape[1] != dim:
-        raise DimensionMismatch(f"vector dim {vectors.shape[1]} != centroid dim {dim}")
-    n = len(vectors)
-    labels = np.empty(n, dtype=np.int32)
-    rows = min(n, BLOCK_ROWS)
-    starts = [min(lo, n - rows) for lo in range(0, n, BLOCK_ROWS)]
+    if vectors.shape[1] != centroids.shape[1]:
+        raise DimensionMismatch(f"vector dim {vectors.shape[1]} != centroid dim {centroids.shape[1]}")
+    labels = np.empty(len(vectors), dtype=np.int32)
 
-    def run(starts: list[int]) -> None:
+    def run(products: list[tuple[int, int, int]]) -> None:
+        rows = max(end - lo for lo, end, _ in products)
         dots = np.empty((rows, len(centroids)), dtype=np.result_type(vectors, centroids))
-        for lo in starts:
-            np.matmul(vectors[lo:lo + rows], centroids.T, out=dots)
-            labels[lo:lo + rows] = dots.argmax(axis=1)
+        with np.errstate(invalid="ignore"):  # errstate is per thread: each half sets it
+            for lo, end, hi in products:
+                block = dots[:end - lo]
+                np.matmul(vectors[lo:end], centroids.T, out=block)
+                labels[lo:hi] = block[:hi - lo].argmax(axis=1)
 
-    if _split_products(n):
-        half = len(starts) // 2
-        core.in_halves(lambda: run(starts[:half]), lambda: run(starts[half:]))
-    else:
-        run(starts)
+    _in_products(len(vectors), run)
     return labels
+
+
+def _in_products(n: int, run) -> None:
+    """`run(products)` over the one product schedule over n rows, each product
+    (lo, end, hi) a product of rows lo:end that writes rows lo:hi. Every product
+    but the last has BLOCK_ROWS rows and starts at a multiple of BLOCK_ROWS; the
+    last starts at the multiple of 64 at or below n - BLOCK_ROWS (64 rows are
+    256*dim bytes, so no row moves its address alignment) and takes the rest.
+    Above 4*BLOCK_ROWS rows, with numpy's BLAS running each product on one
+    thread, `core.in_halves` runs the later half of the products on its worker;
+    otherwise all of them run here, in order."""
+    last = max(0, n - BLOCK_ROWS) // 64 * 64
+    starts = [*range(0, last, BLOCK_ROWS), last]
+    products = list(zip(starts, [lo + BLOCK_ROWS for lo in starts[:-1]] + [n], starts[1:] + [n]))
+    if n > 4 * BLOCK_ROWS and _blas_threads() == 1:
+        half = len(products) // 2
+        core.in_halves(lambda: run(products[:half]), lambda: run(products[half:]))
+    else:
+        run(products)
 
 
 @functools.cache
@@ -195,32 +190,6 @@ def _blas_threads() -> int | None:
     return None if getter is None else int(getter())
 
 
-def _split_products(n: int) -> bool:
-    """Whether a sweep of products over `n` rows is cut in two for `core.in_halves`:
-    above 4*BLOCK_ROWS rows, with numpy's BLAS running each product on one thread."""
-    return n > 4 * BLOCK_ROWS and _blas_threads() == 1
-
-
-def _seeding_cut(vectors: np.ndarray, x: np.ndarray, first: np.ndarray) -> int | None:
-    """The row at which every seeding pass is cut in two, or None to keep it whole.
-
-    `first` is the training's first pass, `vectors @ x`, made as one product.
-    Under `_split_products`, the cut is at a multiple of 64 rows near the middle,
-    and it is kept only if the two halves' products give `first` bit for bit.
-    """
-    n = len(vectors)
-    if not _split_products(n):
-        return None
-    cut = n // 128 * 64
-    halves = np.empty_like(first)
-
-    def half(lo: int, hi: int) -> None:
-        halves[lo:hi] = vectors[lo:hi] @ x
-
-    core.in_halves(lambda: half(0, cut), lambda: half(cut, n))
-    return cut if np.array_equal(halves.view(np.uint32), first.view(np.uint32)) else None
-
-
 def _draw(d2: np.ndarray, rng: np.random.Generator) -> int:
     """Draw a row with probability proportional to `d2`, or uniformly when it sums to 0.
 
@@ -240,25 +209,25 @@ def _draw(d2: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
+def _nearest_dots(vectors: np.ndarray, x: np.ndarray, best_dot: np.ndarray) -> None:
+    """One k-means++ pass: best_dot = max(best_dot, vectors @ x) row by row, by
+    the products of `_in_products`."""
+    def run(products: list[tuple[int, int, int]]) -> None:
+        for lo, end, hi in products:
+            np.maximum(best_dot[lo:hi], (vectors[lo:end] @ x)[:hi - lo], out=best_dot[lo:hi])
+
+    _in_products(len(vectors), run)
+
+
 def _seed_plus_plus(vectors: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = vectors.shape[0]
     chosen = np.empty(k, dtype=np.int64)
-    chosen[0] = rng.integers(n)
+    chosen[0] = rng.integers(len(vectors))
     # Squared Euclidean distance to the nearest chosen centroid; on the unit
     # sphere this is 2 - 2 * dot.
-    best_dot = vectors @ vectors[chosen[0]]
-    cut = _seeding_cut(vectors, vectors[chosen[0]], best_dot)
-
-    def sweep(lo: int, hi: int, x: np.ndarray) -> None:
-        np.maximum(best_dot[lo:hi], vectors[lo:hi] @ x, out=best_dot[lo:hi])
-
+    best_dot = np.full(len(vectors), -np.inf, dtype=vectors.dtype)
     for i in range(1, k):
+        _nearest_dots(vectors, vectors[chosen[i - 1]], best_dot)
         chosen[i] = _draw(np.maximum(0.0, 2.0 - 2.0 * best_dot).astype(np.float64), rng)
-        x = vectors[chosen[i]]
-        if cut is None:
-            sweep(0, n, x)
-        else:
-            core.in_halves(lambda: sweep(0, cut, x), lambda: sweep(cut, n, x))
     return vectors[chosen].copy()
 
 

@@ -28,7 +28,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from itertools import count, islice, repeat
-from operator import lt
+from math import isnan
+from operator import gt, lt
 from typing import Iterable, Mapping
 
 from .core import RankedList
@@ -44,13 +45,18 @@ RUN_CHUNK_LINES = 4096
 @dataclass(frozen=True)
 class Qrels:
     """Graded judgments: query id -> doc id -> integer grade >= 0. Every query
-    id passes `check_query_id`."""
+    id passes `check_query_id`, and every doc id is one token, as a qrels line
+    holds it."""
 
     judgments: Mapping[str, Mapping[str, int]]
 
     def __post_init__(self):
-        for query_id in self.judgments:
+        for query_id, grades in self.judgments.items():
             check_query_id(query_id)
+            for doc_id, grade in grades.items():
+                _check_token("doc id", doc_id)
+                if grade < 0:
+                    raise ValueError(f"query {query_id!r}: doc {doc_id!r} has negative grade {grade}")
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[str, str, int]]) -> "Qrels":
@@ -303,14 +309,16 @@ def _run_by_lines(lines: list[str]) -> RunFile:
 
 def write_run(run: RunFile, header: Iterable[str] = ()) -> str:
     """Serialize with ranks 1..n. Refuses, before writing, a list that
-    violates the ordering contract, and a doc id that is not one token."""
+    violates the ordering contract (scores non-increasing with NaN last), and a
+    doc id that is not one token."""
     lines = [f"# {entry}" for entry in header]
     for qid in run.query_ids():
         ranked = run.rankings[qid]
         ids, scores = ranked.ids, ranked.scores
-        if any(map(lt, scores, islice(scores, 1, None))):
+        nans = tuple(map(isnan, scores))
+        if any(map(lt, scores, islice(scores, 1, None))) or any(map(gt, nans, islice(nans, 1, None))):
             raise NonContiguousRanks(
-                f"query {qid!r}: scores are not non-increasing, ranks would lie"
+                f"query {qid!r}: scores are not non-increasing with NaN last, ranks would lie"
             )
         bad = _first_non_token(ids)
         if bad is not None:

@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 
+# The rows of k-means' products, `core.BLOCK_ROWS`.
+BLOCK_ROWS = 4096
+
 
 def triple_loop_maxsim(query, doc):
     """MaxSim by three explicit loops over rows and components."""
@@ -294,18 +297,36 @@ def add_at_means(vectors, labels, k, prev):
     return sums, centroids.astype(np.float32), dead
 
 
+def product_starts(n):
+    """Where each of k-means' products over n rows starts: at every multiple of
+    BLOCK_ROWS below the last, which starts at the multiple of 64 at or below
+    n - BLOCK_ROWS and takes the rest; every other has BLOCK_ROWS rows."""
+    last = max(0, n - BLOCK_ROWS) // 64 * 64
+    return [*range(0, last, BLOCK_ROWS), last]
+
+
 def choice_seed_plus_plus(vectors, k, rng):
-    """k-means++ seeding by rng.choice: each pass is one whole product of all
-    rows, and each draw is rng.choice(n, p=d2 / d2.sum()), or uniform when the
-    distances sum to 0."""
+    """k-means++ seeding by rng.choice: each pass takes its dots from the
+    products at `product_starts`, made in order so that a row two products
+    cover keeps the later one's dot; each draw is rng.choice(n, p=d2 / d2.sum()),
+    or uniform when the distances sum to 0."""
     n = len(vectors)
+    starts = product_starts(n)
+
+    def dots(x):
+        out = np.empty(n, dtype=vectors.dtype)
+        for lo in starts:
+            hi = n if lo == starts[-1] else lo + BLOCK_ROWS
+            out[lo:hi] = vectors[lo:hi] @ x
+        return out
+
     chosen = [int(rng.integers(n))]
-    best_dot = vectors @ vectors[chosen[0]]
+    best_dot = dots(vectors[chosen[0]])
     for _ in range(1, k):
         d2 = np.maximum(0.0, 2.0 - 2.0 * best_dot).astype(np.float64)
         total = d2.sum()
         chosen.append(int(rng.integers(n)) if total <= 0.0 else int(rng.choice(n, p=d2 / total)))
-        best_dot = np.maximum(best_dot, vectors @ vectors[chosen[-1]])
+        best_dot = np.maximum(best_dot, dots(vectors[chosen[-1]]))
     return vectors[chosen].copy()
 
 

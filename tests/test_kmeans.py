@@ -174,12 +174,12 @@ def test_assign_blocks_keep_every_dot_of_the_one_product(monkeypatch):
     labels = assign(vectors, centroids)
     monkeypatch.undo()
     n = len(vectors)
-    # Every block has BLOCK_ROWS rows; the last ends at the last row. A ragged
-    # 17-row tail would round differently here: OpenBLAS takes other kernels
-    # for a product of a few rows.
+    # Every product has BLOCK_ROWS rows but the last, which starts at the
+    # multiple of 64 at or below n - BLOCK_ROWS and takes the 17 rows past it
+    # too. A ragged 17-row tail would round differently here: OpenBLAS takes
+    # other kernels for a product of a few rows.
     assert [(lo, rows) for lo, rows, _ in blocks] == [
-        (0, BLOCK_ROWS), (BLOCK_ROWS, BLOCK_ROWS), (2 * BLOCK_ROWS, BLOCK_ROWS),
-        (n - BLOCK_ROWS, BLOCK_ROWS)]
+        (0, BLOCK_ROWS), (BLOCK_ROWS, BLOCK_ROWS), (2 * BLOCK_ROWS, BLOCK_ROWS + 17)]
     for lo, rows, dots in blocks:
         assert dots.tobytes() == product[lo:lo + rows].tobytes()
     assert labels.dtype == np.int32

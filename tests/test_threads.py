@@ -28,7 +28,7 @@ from latebench.core import BLOCK_ROWS, SPLIT_ROWS, top_k
 from latebench.kmeans import assign
 
 from conftest import random_unit_matrix
-from oracles import add_at_means, choice_seed_plus_plus
+from oracles import add_at_means, choice_seed_plus_plus, product_starts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -149,48 +149,60 @@ def _edge_tied(n, k, dim=32, seed=4):
     centroids = random_unit_matrix(rng, k, dim).data.copy()
     centroids[1] = centroids[0]
     centroids[1, 0] = -centroids[0, 0]
-    edges = sorted({e for lo in range(BLOCK_ROWS, n, BLOCK_ROWS)
-                    for e in (lo - 1, lo, n - BLOCK_ROWS - 1, n - BLOCK_ROWS)} | {0, n - 1})
+    edges = sorted({e for lo in product_starts(n)[1:] for e in (lo - 1, lo)} | {0, n - 1})
     row = centroids[0].astype(np.float64)
     row[0] = 0.0
     vectors[edges] = (row / np.linalg.norm(row)).astype(np.float32)
     return vectors, centroids, edges
 
 
-@pytest.mark.parametrize("k", [2, 256, 2048])
-@pytest.mark.parametrize("n", [4 * BLOCK_ROWS + 1, 10 * BLOCK_ROWS + 17])
-def test_split_assign_keeps_every_label(monkeypatch, n, k):
-    vectors, centroids, edges = _edge_tied(n, k)
+# (n, k, dim). At 40,167 rows the last product overlaps the one before it; at
+# 5*BLOCK_ROWS + 17 it starts where that one ends.
+ASSIGN_CASES = (
+    [(n, k, 32) for n in (4 * BLOCK_ROWS + 1, 10 * BLOCK_ROWS + 17) for k in (2, 256, 2048)]
+    + [(n, 256, dim) for n in (40_167, 5 * BLOCK_ROWS + 17) for dim in (2, 4, 8, 16, 128, 129)])
+
+
+@pytest.mark.parametrize("n, k, dim", ASSIGN_CASES, ids=[
+    f"{n}-{k}" + (f"-dim{dim}" if dim != 32 else "") for n, k, dim in ASSIGN_CASES])
+def test_split_assign_keeps_every_label(monkeypatch, n, k, dim):
+    vectors, centroids, edges = _edge_tied(n, k, dim)
     calls = []
     matmul = np.matmul
 
     def spy(rows, other, out):
         calls.append((threading.get_ident(),
-                      (rows.ctypes.data - vectors.ctypes.data) // vectors.strides[0], id(out)))
+                      (rows.ctypes.data - vectors.ctypes.data) // vectors.strides[0],
+                      len(rows), out.ctypes.data))
         return matmul(rows, other, out=out)
 
     monkeypatch.setattr(np, "matmul", spy)
     threaded, serial, split, serial_splits = _both_ways(
         monkeypatch, lambda: assign(vectors, centroids))
     monkeypatch.undo()
+    product = vectors @ centroids.T
     assert threaded.dtype == serial.dtype == np.int32
-    assert np.array_equal(threaded, serial)
+    assert np.array_equal(threaded, np.argmax(product, axis=1))
+    assert np.array_equal(serial, threaded)
     assert (split, serial_splits) == ([True], [False])
-    starts = [min(lo, n - BLOCK_ROWS) for lo in range(0, n, BLOCK_ROWS)]
+    starts = product_starts(n)
     split_calls, serial_calls = calls[:len(starts)], calls[len(starts):]
-    assert [lo for _, lo, _ in serial_calls] == starts
-    assert {thread for thread, _, _ in serial_calls} == {threading.get_ident()}
-    # Two threads, each a contiguous run of the blocks into a buffer of its
-    # own; the last block and its overlapping neighbour share a thread.
+    assert [(lo, rows) for _, lo, rows, _ in serial_calls] == [
+        (lo, BLOCK_ROWS) for lo in starts[:-1]] + [(starts[-1], n - starts[-1])]
+    assert {thread for thread, _, _, _ in serial_calls} == {threading.get_ident()}
+    # Two threads, each a contiguous run of the products into a buffer of its own.
     runs = {}
-    for thread, lo, buffer in split_calls:
+    for thread, lo, _, buffer in split_calls:
         runs.setdefault((thread, buffer), []).append(lo)
     assert len(runs) == 2 and len({thread for thread, _ in runs}) == 2
     first, second = sorted(runs.values())
-    assert first + second == starts and len(second) >= 2
-    # The tied edge rows take the lower of the two equal dots.
-    ties = vectors[edges] @ centroids[:2].T
-    assert (ties[:, 0] == ties[:, 1]).all() and (threaded[edges] == 0).all()
+    assert first + second == starts
+    # The tied edge rows take the lower of the two equal dots wherever they are
+    # the best; at dim 16 and up they are at every edge.
+    ties = product[edges]
+    best = ties[:, 0] == ties.max(axis=1)
+    assert (ties[:, 0] == ties[:, 1]).all() and (dim < 16 or best.all())
+    assert (threaded[edges][best] == 0).all()
 
 
 def test_assign_of_four_blocks_is_not_split(monkeypatch):
@@ -257,45 +269,40 @@ SEED_DIGESTS = {
     (40_167, 129): "123283831f3a71b040932d2fc542e5e0cf16caa6b4457607af9088f59c0c6ea5",
 }
 
+# Every case of SEED_DIGESTS, dims 2 and 4 too, and 24,577 rows at dim 4. While
+# seeding was cut in two only when its first pass's halves gave the whole
+# product's bits, the cut was kept at 20,001 and 24,577 rows of dim 4, and a
+# later pass moved the last row of best_dot by one ulp (passes 1 and 10): the
+# split and the unsplit seeding differed there.
+SEEDING_CASES = [(rows, dim) for rows in (4 * BLOCK_ROWS + 1, 20_001, 40_167)
+                 for dim in (2, 4, 8, 16, 24, 128, 129)] + [(24_577, 4)]
 
-def _first_pass_moves(vectors, x, cut) -> bool:
-    """Whether the halves' products of the first seeding pass change a bit of its one product."""
-    halves = np.concatenate([vectors[:cut] @ x, vectors[cut:] @ x])
-    return halves.tobytes() != (vectors @ x).tobytes()
 
-
-@pytest.mark.parametrize("rows, dim", SEED_DIGESTS, ids=[f"{r}x{d}" for r, d in SEED_DIGESTS])
+@pytest.mark.parametrize("rows, dim", SEEDING_CASES, ids=[f"{r}x{d}" for r, d in SEEDING_CASES])
 def test_split_seeding_and_sums_keep_every_bit(monkeypatch, rows, dim):
     vectors = random_unit_matrix(np.random.default_rng(rows + dim), rows, dim).data
     want = choice_seed_plus_plus(vectors, 32, np.random.default_rng(5))
-    assert hashlib.sha256(want.tobytes()).hexdigest() == SEED_DIGESTS[rows, dim]
-    cuts = []
-    seeding_cut = kmeans._seeding_cut
+    if (rows, dim) in SEED_DIGESTS:
+        assert hashlib.sha256(want.tobytes()).hexdigest() == SEED_DIGESTS[rows, dim]
+    passes = []
+    nearest_dots = kmeans._nearest_dots
 
-    def spy(*args):
-        cuts.append(seeding_cut(*args))
-        return cuts[-1]
+    def spy(vectors, x, best_dot):
+        nearest_dots(vectors, x, best_dot)
+        passes.append(best_dot.tobytes())
 
-    monkeypatch.setattr(kmeans, "_seeding_cut", spy)
-    threaded, serial, split, serial_splits = _both_ways(
-        monkeypatch, lambda: kmeans._seed_plus_plus(vectors, 32, np.random.default_rng(5)))
-    assert threaded.tobytes() == serial.tobytes() == want.tobytes()
-    # The first pass's check keeps the cut, a multiple of 64 rows, exactly
-    # when its halves give the one product's bits; it is made on the worker too.
-    cut = rows // 128 * 64
-    x = vectors[np.random.default_rng(5).integers(rows)]
-    moves = _first_pass_moves(vectors, x, cut)
-    assert cuts == [None if moves else cut] * 2
-    passes = 1 if moves else 32
-    assert (split, serial_splits) == ([True] * passes, [False] * passes)
-    # Measured with numpy 2.4's OpenBLAS 0.3.31 on an AVX-512 x86-64 CPU: at
-    # dims 2-8, a product of at most 4*BLOCK_ROWS rows rounds otherwise than a
-    # longer one, so the check refuses a cut there below ~8*BLOCK_ROWS rows; at
-    # the bench's dim and size it keeps the cut.
-    if (rows, dim) == (20_001, 8):
-        assert moves
-    if (rows, dim) == (40_167, 128):
-        assert not moves
+    def seed():
+        return kmeans._seed_plus_plus(vectors, 32, np.random.default_rng(5))
+
+    monkeypatch.setattr(kmeans, "_nearest_dots", spy)
+    threaded, serial, split, serial_splits = _both_ways(monkeypatch, seed)
+    # Unsplit, as with the BLAS on two threads.
+    monkeypatch.setattr(kmeans, "_blas_threads", lambda: 2)
+    whole = seed()
+    assert threaded.tobytes() == serial.tobytes() == whole.tobytes() == want.tobytes()
+    # One pass per seed but the last, with the same bytes every way.
+    assert len(passes) == 3 * 31 and passes[:31] == passes[31:62] == passes[62:]
+    assert (split, serial_splits) == ([True] * 31, [False] * 31)
 
     labels = assign(vectors, want).astype(np.intp)
     columns = kmeans._columns(vectors)
@@ -307,23 +314,6 @@ def test_split_seeding_and_sums_keep_every_bit(monkeypatch, rows, dim):
     if rows == 20_001:
         sums, _, _ = add_at_means(vectors, labels, 32, want)
         assert threaded.tobytes() == sums.tobytes()
-
-
-def test_the_first_pass_check_refuses_a_cut_that_moves_one_bit(monkeypatch):
-    vectors = random_unit_matrix(np.random.default_rng(3), 5 * BLOCK_ROWS + 7, 128).data
-    x = vectors[11]
-    first = vectors @ x
-    cut = len(vectors) // 128 * 64
-    assert not _first_pass_moves(vectors, x, cut)
-    monkeypatch.setattr(kmeans, "_blas_threads", lambda: 1)
-    assert kmeans._seeding_cut(vectors, x, first) == cut
-    nudged = first.copy()
-    nudged[-1] = np.nextafter(nudged[-1], np.float32(2))
-    assert kmeans._seeding_cut(vectors, x, nudged) is None
-    # At most 4*BLOCK_ROWS rows, or with the BLAS on more threads, nothing is cut.
-    assert kmeans._seeding_cut(vectors[:4 * BLOCK_ROWS], x, first[:4 * BLOCK_ROWS]) is None
-    monkeypatch.setattr(kmeans, "_blas_threads", lambda: 2)
-    assert kmeans._seeding_cut(vectors, x, first) is None
 
 
 def test_sums_of_four_blocks_are_not_split(monkeypatch):

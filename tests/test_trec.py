@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -100,6 +101,14 @@ def test_write_run_refuses_score_inversions():
     )
     with pytest.raises(NonContiguousRanks):
         write_run(bad)
+    # NaN sorts last: a number after it would be written with a lower rank.
+    def run(scores):
+        return RunFile.from_ranked_lists([RankedList.from_columns("q1", ["dA", "dB"], scores)], tag="t")
+
+    with pytest.raises(NonContiguousRanks, match="with NaN last"):
+        write_run(run([math.nan, 1.0]))
+    back = parse_run(write_run(run([1.0, math.nan]))).ranking("q1")
+    assert back.ids == ("dA", "dB") and back.scores[0] == 1.0 and math.isnan(back.scores[1])
 
 
 def test_non_contiguous_ranks_warn_on_parse(caplog):
@@ -112,6 +121,21 @@ def test_non_contiguous_ranks_warn_on_parse(caplog):
 def test_qrels_roundtrip():
     qrels = parse_qrels("q1 0 dA 1\nq1 0 dB 2\nq2 0 dC 0\n")
     assert parse_qrels(write_qrels(qrels)).judgments == qrels.judgments
+    made = Qrels.from_pairs([("q1", "dB", 2), ("q1", "dA", 0), ("q2", "#d", 1),
+                             ("q2", "d\u00e9", 3)])
+    assert parse_qrels(write_qrels(made)) == made
+
+
+@pytest.mark.parametrize("doc_id, grade, message", [
+    ("d 1", 1, "doc id 'd 1' is empty or contains whitespace"),
+    ("", 1, "doc id '' is empty or contains whitespace"),
+    ("d\t1", 1, "doc id 'd\\t1' is empty or contains whitespace"),
+    ("d2", -1, "query 'q': doc 'd2' has negative grade -1"),
+])
+def test_qrels_refuse_a_judgment_write_qrels_could_not_write(doc_id, grade, message):
+    # Its qrels line would have other than four columns, or a grade parse_qrels refuses.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Qrels.from_pairs([("q", "d0", 1), ("q", doc_id, grade)])
 
 
 def test_write_run_emits_header_comments():
